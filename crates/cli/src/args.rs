@@ -92,7 +92,6 @@ const OPTIONS: &[&str] = &[
     "epoch",
     // policy runtime options.
     "policy-budget",
-    "policy-backend",
     "policy-dir",
     // `learn` subcommand / learned-scheduler options.
     "data",

@@ -42,7 +42,7 @@ use elsc_cluster::{volano, ClusterConfig, ClusterFaultPlan, DispatcherId};
 use elsc_machine::{FaultPlan, Machine, MachineConfig, RunReport, TraceRecord};
 use elsc_obs::{first_divergence, JsonLinesSink};
 use elsc_policy::PolicyScheduler;
-use elsc_sched_api::{LockPlan, PolicyBackend, Scheduler};
+use elsc_sched_api::{LockPlan, Scheduler};
 use elsc_sched_ext::{
     AffinityHeapScheduler, BubbleScheduler, HeapScheduler, LearnedScheduler, MultiQueueScheduler,
 };
@@ -175,11 +175,6 @@ fn machine_cfg(a: &Args) -> Result<MachineConfig, String> {
     }
     if a.flag("oracle") {
         cfg = cfg.with_oracle(true);
-    }
-    if let Some(text) = a.get("policy-backend") {
-        let backend = PolicyBackend::from_name(text)
-            .ok_or_else(|| format!("--policy-backend: unknown backend '{text}' (interp, vm)"))?;
-        cfg = cfg.with_policy_backend(Some(backend));
     }
     if a.flag("decision-trace") {
         cfg = cfg.with_decision_trace(true);
@@ -769,15 +764,12 @@ common options:
 
 policy runtime (loadable .pol schedulers):
   --sched policy:FILE.pol  load a text policy through the verifying
-                 loader; rejects malformed programs with file:line:col
+                 loader and run it on the bytecode VM; rejects malformed
+                 programs with file:line:col
   --policy-budget N  per-decision policy instruction cap [65536];
                  blowing it (or a bad pick, or starving the queue) gets
                  the policy watchdog-ejected mid-run: the vanilla reg
                  scheduler takes over and the run completes
-  --policy-backend B  execution backend: vm (compiled register
-                 bytecode, the default) or interp (the reference
-                 tree-walking interpreter); both are decision- and
-                 charge-identical, so this only changes wall-clock speed
 
 learned scheduling (offline-trained pick predictor, elsc-sim learn):
   --sched learned:FILE.model  score candidates with a trained model;
@@ -1272,34 +1264,6 @@ mod tests {
         assert!(o.clean(), "policy:reg must match the reference scan: {o:?}");
         let p = out.report.policy.as_ref().expect("policy summary");
         assert!(!p.ejected);
-    }
-
-    #[test]
-    fn policy_backend_flag_selects_the_backend() {
-        let run = |extra: &[&str]| {
-            let mut v = vec!["stress", "--tasks", "6", "--rounds", "3", "--quiet"];
-            v.extend_from_slice(extra);
-            let a = args(&v);
-            run_one(
-                &a,
-                scheduler(&pol("reg.pol"), Topology::flat(1), None).unwrap(),
-                None,
-            )
-            .unwrap()
-            .report
-        };
-        assert_eq!(run(&[]).policy.unwrap().backend, "vm", "default");
-        assert_eq!(
-            run(&["--policy-backend", "interp"]).policy.unwrap().backend,
-            "interp"
-        );
-        assert_eq!(
-            run(&["--policy-backend", "vm"]).policy.unwrap().backend,
-            "vm"
-        );
-        let a = args(&["stress", "--policy-backend", "jit"]);
-        let err = machine_cfg(&a).unwrap_err();
-        assert!(err.contains("--policy-backend"), "{err}");
     }
 
     #[test]

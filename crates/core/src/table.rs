@@ -576,4 +576,24 @@ mod tests {
         assert_eq!(table.top(), Some(20));
         table.debug_check(&tasks);
     }
+
+    /// Within SCHED_OTHER at equal priority a larger counter never
+    /// indexes into a lower list: the table is sorted by static
+    /// goodness. Exhaustive over the legal parameter range.
+    #[test]
+    fn index_is_monotone_in_static_goodness() {
+        let mut tasks = TaskTable::new();
+        for priority in 1..=40 {
+            let mut last = 0;
+            for counter in 1..=2 * priority {
+                let t = spawn(&mut tasks, counter, priority);
+                let (idx, zero) = index_for(tasks.task(t));
+                assert!(
+                    !zero && idx < RT_BASE_LIST && idx >= last,
+                    "{counter}/{priority}"
+                );
+                last = idx;
+            }
+        }
+    }
 }

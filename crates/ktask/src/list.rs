@@ -457,41 +457,65 @@ mod tests {
         l.check(&t, 0);
     }
 
+    /// The bank against a `VecDeque` reference model under `SimRng`
+    /// op sequences: order, structure and the membership flags
+    /// (`in_list` / `on_runqueue`, including the `remove_keep_next`
+    /// marker) must agree after every step.
     #[test]
-    fn many_random_ops_hold_invariants() {
-        // A miniature stress test; the full property test lives in the
-        // crate's proptest suite.
-        let (mut l, mut t, tids) = setup(4, 16);
-        let mut in_list = vec![None::<usize>; 16];
-        let mut x: u64 = 0x12345;
-        for step in 0..2000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let pick = (x >> 33) as usize % 16;
-            let tid = tids[pick];
-            match in_list[pick] {
-                None => {
-                    let h = step % 4;
-                    if step % 2 == 0 {
-                        l.insert_front(&mut t, h, tid);
-                    } else {
-                        l.insert_back(&mut t, h, tid);
+    fn random_ops_match_a_reference_model() {
+        use elsc_simcore::SimRng;
+        use std::collections::VecDeque;
+        const NR_LISTS: usize = 4;
+        for seed in 0..32u64 {
+            let mut rng = SimRng::new(0x1157 ^ seed);
+            let (mut l, mut t, tids) = setup(NR_LISTS, 16);
+            let mut model = vec![VecDeque::<u32>::new(); NR_LISTS];
+            let mut member = [None::<usize>; 16];
+            for _ in 0..200 {
+                let pick = rng.below(16) as usize;
+                let (tid, idx) = (tids[pick], tids[pick].index() as u32);
+                let h = rng.below(NR_LISTS as u64) as usize;
+                match (member[pick], rng.below(4)) {
+                    (None, op) => {
+                        // A marker from remove_keep_next is cleared
+                        // first, as the schedulers do.
+                        t.task_mut(tid).run_list = ListNode::detached();
+                        if op % 2 == 0 {
+                            l.insert_front(&mut t, h, tid);
+                            model[h].push_front(idx);
+                        } else {
+                            l.insert_back(&mut t, h, tid);
+                            model[h].push_back(idx);
+                        }
+                        member[pick] = Some(h);
                     }
-                    in_list[pick] = Some(h);
+                    (Some(cur), op) => {
+                        model[cur].retain(|&x| x != idx);
+                        member[pick] = None;
+                        if op == 0 {
+                            l.remove_keep_next(&mut t, tid);
+                            assert!(t.task(tid).on_runqueue() && !t.task(tid).in_list());
+                        } else {
+                            l.remove(&mut t, tid);
+                            assert!(!t.task(tid).on_runqueue() && !t.task(tid).in_list());
+                        }
+                        if op == 3 {
+                            // Move to (the back of) another list.
+                            l.insert_back(&mut t, h, tid);
+                            model[h].push_back(idx);
+                            member[pick] = Some(h);
+                        }
+                    }
                 }
-                Some(_) => {
-                    l.remove(&mut t, tid);
-                    in_list[pick] = None;
-                }
-            }
-            if step % 97 == 0 {
-                for h in 0..4 {
+                for (h, want) in model.iter().enumerate() {
                     l.check(&t, h);
+                    assert!(l.collect(&t, h).iter().eq(want), "seed {seed}: list {h}");
+                }
+                for (i, m) in member.iter().enumerate() {
+                    let task = t.task(tids[i]);
+                    assert_eq!(task.in_list(), m.is_some(), "seed {seed}: task {i}");
                 }
             }
         }
-        let total: usize = (0..4).map(|h| l.len(&t, h)).sum();
-        assert_eq!(total, in_list.iter().filter(|s| s.is_some()).count());
     }
 }

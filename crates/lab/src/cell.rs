@@ -13,7 +13,7 @@ use std::fmt;
 use elsc::ElscScheduler;
 use elsc_cluster::{volano, ClusterConfig, ClusterFaultPlan, DispatcherId};
 use elsc_machine::{FaultPlan, MachineConfig, RunReport};
-use elsc_sched_api::{LockPlan, PolicyBackend, Scheduler};
+use elsc_sched_api::{LockPlan, Scheduler};
 use elsc_sched_ext::{
     AffinityHeapScheduler, BubbleScheduler, HeapScheduler, LearnedScheduler, MultiQueueScheduler,
 };
@@ -54,10 +54,6 @@ pub enum SchedId {
         /// FNV-1a digest of `src`; part of the cell id, so editing a
         /// policy dirties exactly its own cache entries.
         digest: u64,
-        /// Execution backend: the bytecode VM (the default) or the
-        /// reference interpreter. Part of the cell id so the two
-        /// backends get distinct cache entries and baseline rows.
-        backend: PolicyBackend,
     },
     /// A learned scheduler wrapping a trained `elsc-learn` model (see
     /// `crates/learn`). Like [`SchedId::Policy`], the model text travels
@@ -92,12 +88,7 @@ impl SchedId {
         let (name, src) = (name.into(), src.into());
         elsc_policy::load_str(&src).map_err(|e| format!("{name}: {e}"))?;
         let digest = crate::hash::fnv1a(src.as_bytes());
-        Ok(SchedId::Policy {
-            name,
-            src,
-            digest,
-            backend: PolicyBackend::default(),
-        })
+        Ok(SchedId::Policy { name, src, digest })
     }
 
     /// Builds a learned scheduler id from a display name and model file
@@ -108,14 +99,6 @@ impl SchedId {
         elsc_learn::Model::parse(&src).map_err(|e| format!("{name}: {e}"))?;
         let digest = crate::hash::fnv1a(src.as_bytes());
         Ok(SchedId::Learned { name, src, digest })
-    }
-
-    /// Builder-style policy-backend override; a no-op on native ids.
-    pub fn with_backend(mut self, b: PolicyBackend) -> SchedId {
-        if let SchedId::Policy { backend, .. } = &mut self {
-            *backend = b;
-        }
-        self
     }
 
     /// Display name matching the paper's figure legends.
@@ -132,19 +115,15 @@ impl SchedId {
         }
     }
 
-    /// The cell-id token: the label, plus the program digest and backend
-    /// for policy schedulers (two sweeps of the same-named but edited
-    /// `.pol` file — or the same file on the other backend — must not
-    /// share cache entries or baseline rows).
+    /// The cell-id token: the label, plus the content digest for policy
+    /// and learned schedulers (two sweeps of the same-named but edited
+    /// `.pol` or model file must not share cache entries or baseline
+    /// rows).
     pub fn id_token(&self) -> String {
         match self {
-            SchedId::Policy {
-                name,
-                digest,
-                backend,
-                ..
-            } => format!("{name}#{digest:016x}@{}", backend.label()),
-            SchedId::Learned { name, digest, .. } => format!("{name}#{digest:016x}"),
+            SchedId::Policy { name, digest, .. } | SchedId::Learned { name, digest, .. } => {
+                format!("{name}#{digest:016x}")
+            }
             native => native.label().to_string(),
         }
     }
@@ -161,12 +140,9 @@ impl SchedId {
             SchedId::AHeap => Box::new(AffinityHeapScheduler::new()),
             SchedId::Mq => Box::new(MultiQueueScheduler::new(nr_cpus)),
             SchedId::Bubble => Box::new(BubbleScheduler::new(topo)),
-            SchedId::Policy {
-                src, name, backend, ..
-            } => Box::new(
+            SchedId::Policy { src, name, .. } => Box::new(
                 elsc_policy::PolicyScheduler::load_str(src, nr_cpus)
-                    .unwrap_or_else(|e| panic!("{name} verified at construction: {e}"))
-                    .with_backend(*backend),
+                    .unwrap_or_else(|e| panic!("{name} verified at construction: {e}")),
             ),
             SchedId::Learned { name, src, .. } => {
                 let stem = name.strip_prefix("learned:").unwrap_or(name);

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::str::FromStr;
 
 use elsc_cluster::DispatcherId;
-use elsc_sched_api::{LockPlan, PolicyBackend};
+use elsc_sched_api::LockPlan;
 
 use crate::cell::{CellConfig, ChaosSpec, SchedId, Shape, WorkloadCell};
 
@@ -548,11 +548,8 @@ impl SweepSpec {
                  rooms = 2\n users = 6\n messages = 4\n think = 0\n"
             ),
             // Policy-runtime smoke sweep: the native baseline beside the
-            // bundled loadable programs, each on *both* execution
-            // backends (the bytecode VM and the reference interpreter —
-            // equal cycles and decisions are the tentpole claim), oracle
-            // on in every cell (strict for `policy:reg`, relaxed
-            // invariants-only for the rest — see
+            // bundled loadable programs, oracle on in every cell (strict
+            // for `policy:reg`, relaxed invariants-only for the rest — see
             // `elsc_chaos::OracleMode::for_scheduler`). The sources are
             // embedded at compile time so the builtin works from any
             // working directory; spec *files* can instead say
@@ -574,12 +571,8 @@ impl SweepSpec {
                     ("policy:table", include_str!("../../../policies/table.pol")),
                 ];
                 spec.scheds = std::iter::once(SchedId::Reg)
-                    .chain(bundled.into_iter().flat_map(|(name, src)| {
-                        let id = SchedId::policy(name, src).expect("bundled policies verify");
-                        [
-                            id.clone().with_backend(PolicyBackend::Vm),
-                            id.with_backend(PolicyBackend::Interp),
-                        ]
+                    .chain(bundled.into_iter().map(|(name, src)| {
+                        SchedId::policy(name, src).expect("bundled policies verify")
                     }))
                     .collect();
                 return Some(spec);
@@ -605,9 +598,9 @@ impl SweepSpec {
             // per-user traffic. `ELSC_MEGA_ROOMS` replaces the rooms
             // axis for manual scale-up runs (1250 → 100k tasks,
             // 12500 → 1M). `ELSC_MEGA_POLICY=1` adds the bundled
-            // `policy:reg` program (on the bytecode VM) beside the
-            // native designs — policy cells at mega-scale populations
-            // are exactly what the VM backend exists for.
+            // `policy:reg` program beside the native designs — policy
+            // cells at mega-scale populations are exactly what the
+            // bytecode VM exists for.
             "mega" => {
                 let rooms = std::env::var("ELSC_MEGA_ROOMS")
                     .ok()
@@ -903,17 +896,15 @@ mod tests {
         let spec = SweepSpec::builtin("policy").unwrap();
         assert!(spec.oracle, "every policy cell runs under the oracle");
         let cells = spec.cells();
-        // (1 native + 3 bundled policies × 2 backends) × 2 shapes.
-        assert_eq!(cells.len(), 14);
+        // (1 native + 3 bundled policies) × 2 shapes.
+        assert_eq!(cells.len(), 8);
         let ids: Vec<String> = cells.iter().map(|c| c.id()).collect();
         assert!(ids.iter().any(|i| i.contains("sched=reg|")));
         for name in ["policy:reg#", "policy:rr#", "policy:table#"] {
-            for backend in ["@vm", "@interp"] {
-                assert!(
-                    ids.iter().any(|i| i.contains(name) && i.contains(backend)),
-                    "missing {name}...{backend} in {ids:?}"
-                );
-            }
+            assert!(
+                ids.iter().any(|i| i.contains(name)),
+                "missing {name} in {ids:?}"
+            );
         }
         // CI-sized, like smoke.
         assert!(cells.len() <= 16);
@@ -1061,8 +1052,8 @@ mod tests {
         // Mega ids never collide with volano baseline ids.
         assert!(cells.iter().all(|c| c.id().starts_with("mega[")));
 
-        // `ELSC_MEGA_POLICY=1` adds the bundled `policy:reg` program on
-        // the VM backend beside the native designs. Same test so the
+        // `ELSC_MEGA_POLICY=1` adds the bundled `policy:reg` program
+        // beside the native designs. Same test so the
         // env mutation can't race the assertions above.
         std::env::set_var("ELSC_MEGA_POLICY", "1");
         let with_policy = SweepSpec::builtin("mega").unwrap();
@@ -1071,7 +1062,7 @@ mod tests {
         assert!(with_policy
             .cells()
             .iter()
-            .any(|c| c.id().contains("policy:reg#") && c.id().contains("@vm")));
+            .any(|c| c.id().contains("policy:reg#")));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Machine configuration.
 
 use elsc_chaos::FaultPlan;
-use elsc_sched_api::{LockPlan, PolicyBackend, SchedConfig};
+use elsc_sched_api::{LockPlan, SchedConfig};
 use elsc_simcore::CostModel;
 
 /// Full configuration of a simulated machine.
@@ -60,10 +60,6 @@ pub struct MachineConfig {
     /// per-node sections of the merged cluster report and error
     /// messages, and never influences the schedule.
     pub node_id: u32,
-    /// Execution backend for loaded `.pol` policies: `None` (the
-    /// default) keeps the scheduler's own default (the bytecode VM);
-    /// `Some(backend)` forces one. Ignored by native schedulers.
-    pub policy_backend: Option<PolicyBackend>,
     /// Attach the engine-throughput summary (`events_dispatched`,
     /// `sim_events_per_sec`) to the run report. Off by default so
     /// pre-existing cells serialize exactly as before; the `mega` lab
@@ -107,7 +103,6 @@ impl MachineConfig {
             fault_seed: 0xFA17_5EED,
             oracle: false,
             policy_starve_k: 8,
-            policy_backend: None,
             node_id: 0,
             engine_metrics: false,
             decision_trace: false,
@@ -198,13 +193,6 @@ impl MachineConfig {
     /// threshold (consecutive idle picks with runnable work queued).
     pub fn with_policy_starve_k(mut self, k: u32) -> Self {
         self.policy_starve_k = k.max(1);
-        self
-    }
-
-    /// Builder-style policy-backend override (`None` keeps the
-    /// scheduler's default backend, the bytecode VM).
-    pub fn with_policy_backend(mut self, backend: Option<PolicyBackend>) -> Self {
-        self.policy_backend = backend;
         self
     }
 

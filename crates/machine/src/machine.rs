@@ -8,7 +8,7 @@ use elsc_ktask::{CpuId, TaskSpec, TaskState, TaskTable, Tid};
 use elsc_netsim::{Msg, PipeError, PipeId, PipeTable};
 use elsc_sched_api::{
     reschedule_idle, CpuView, DomainAcquire, DomainLocker, LockDomains, LockPlan, LockScratch,
-    PolicyBackend, SchedCtx, Scheduler, WakeTarget,
+    SchedCtx, Scheduler, WakeTarget,
 };
 use elsc_simcore::{CostKind, CycleMeter, Cycles, EventQueue, LockModel, SimRng};
 use elsc_stats::SchedStats;
@@ -138,8 +138,6 @@ struct PolicyRun {
     static_insns: u64,
     /// Per-decision runtime instruction budget.
     budget: u64,
-    /// Which backend executed the policy (`interp` or `vm`).
-    backend: PolicyBackend,
     /// Consecutive idle picks with runnable, unclaimed work queued.
     starve_streak: u32,
     /// Set once the watchdog fires: `(when, why)`. The policy scheduler
@@ -238,7 +236,7 @@ pub struct Machine {
 
 impl Machine {
     /// Builds a machine with the given configuration and scheduler.
-    pub fn new(cfg: MachineConfig, mut sched: Box<dyn Scheduler>) -> Machine {
+    pub fn new(cfg: MachineConfig, sched: Box<dyn Scheduler>) -> Machine {
         let mut tasks = TaskTable::new();
         let mut runs: Vec<Option<TaskRun>> = Vec::new();
         let mut rng = SimRng::new(cfg.seed);
@@ -277,14 +275,10 @@ impl Machine {
         let oracle = cfg
             .oracle
             .then(|| Oracle::new(OracleMode::for_scheduler(sched.name())));
-        if let Some(backend) = cfg.policy_backend {
-            sched.set_policy_backend(backend);
-        }
         let policy = sched.loaded_info().map(|info| PolicyRun {
             name: info.name,
             static_insns: info.static_insns,
             budget: info.budget,
-            backend: info.backend,
             starve_streak: 0,
             ejected: None,
             insns_final: 0,
@@ -863,7 +857,6 @@ impl Machine {
                 name: p.name,
                 static_insns: p.static_insns,
                 budget: p.budget,
-                backend: p.backend.label(),
                 insns_executed: if p.ejected.is_some() {
                     p.insns_final
                 } else {
@@ -1450,13 +1443,11 @@ impl Machine {
     }
 
     /// Ejects the active interpreted policy at `t`: freezes its
-    /// instruction count, emits [`ObsEvent::PolicyEjected`], swaps in
-    /// the vanilla baseline scheduler, and migrates every queued task
-    /// across with front-to-back order preserved. All list-surgery
-    /// cycles are charged to the ejecting CPU's `Schedule` phase, so the
-    /// conservation invariant keeps holding. Deterministic: the decision
-    /// stream up to this point is seed-determined, so same-seed runs
-    /// eject at the same instant with byte-identical reports.
+    /// instruction count, emits [`ObsEvent::PolicyEjected`], and hands
+    /// the run to the baseline ([`Machine::swap_to_baseline`]).
+    /// Deterministic: the decision stream up to this point is
+    /// seed-determined, so same-seed runs eject at the same instant with
+    /// byte-identical reports.
     fn eject_policy(&mut self, cpu: CpuId, t: Cycles, reason: &'static str) {
         let insns = self.sched.policy_insns_executed();
         let p = self.policy.as_mut().expect("eject without a policy run");
@@ -1471,6 +1462,35 @@ impl Machine {
                 reason,
             },
         );
+        self.swap_to_baseline(cpu, t);
+    }
+
+    /// Ejects the active learned scheduler at `t`: freezes its prediction
+    /// counters, emits [`ObsEvent::LearnedEjected`], and hands the run to
+    /// the baseline exactly as [`Machine::eject_policy`] does.
+    fn eject_learned(&mut self, cpu: CpuId, t: Cycles, reason: &'static str) {
+        let (predictions, hits) = self.sched.prediction_stats();
+        let l = self.learned.as_mut().expect("eject without a learned run");
+        l.final_predictions = predictions;
+        l.final_hits = hits;
+        l.ejected = Some((t, reason));
+        let name = l.name;
+        self.bus.emit_at(
+            t,
+            ObsEvent::LearnedEjected {
+                cpu,
+                model: name,
+                reason,
+            },
+        );
+        self.swap_to_baseline(cpu, t);
+    }
+
+    /// Swaps in the vanilla baseline scheduler at `t` and migrates every
+    /// queued task across with front-to-back order preserved. All
+    /// list-surgery cycles are charged to the ejecting CPU's `Schedule`
+    /// phase, so the conservation invariant keeps holding.
+    fn swap_to_baseline(&mut self, cpu: CpuId, t: Cycles) {
         let mut old = std::mem::replace(
             &mut self.sched,
             Box::new(elsc_sched_linux::LinuxScheduler::new()),
@@ -1490,52 +1510,6 @@ impl Machine {
             let queued = old.drain(&mut ctx);
             // The baseline's `add_to_runqueue` inserts at the *front*,
             // so re-adding in reverse preserves the drained order.
-            for &tid in queued.iter().rev() {
-                self.sched.add_to_runqueue(&mut ctx, tid);
-            }
-        }
-        self.charge_kernel_meter(cpu, Phase::Schedule, &meter);
-    }
-
-    /// Ejects the active learned scheduler at `t`: freezes its prediction
-    /// counters, emits [`ObsEvent::LearnedEjected`], swaps in the vanilla
-    /// baseline scheduler, and migrates every queued task across with
-    /// front-to-back order preserved — the same surgery as
-    /// [`Machine::eject_policy`], charged the same way, and equally
-    /// deterministic.
-    fn eject_learned(&mut self, cpu: CpuId, t: Cycles, reason: &'static str) {
-        let (predictions, hits) = self.sched.prediction_stats();
-        let l = self.learned.as_mut().expect("eject without a learned run");
-        l.final_predictions = predictions;
-        l.final_hits = hits;
-        l.ejected = Some((t, reason));
-        let name = l.name;
-        self.bus.emit_at(
-            t,
-            ObsEvent::LearnedEjected {
-                cpu,
-                model: name,
-                reason,
-            },
-        );
-        let mut old = std::mem::replace(
-            &mut self.sched,
-            Box::new(elsc_sched_linux::LinuxScheduler::new()),
-        );
-        let mut meter = CycleMeter::new();
-        self.bus.set_now(t);
-        {
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut meter,
-                costs: &self.cfg.costs,
-                cfg: &self.cfg.sched,
-                probe: Some(&mut self.bus),
-                locks: None,
-            };
-            let queued = old.drain(&mut ctx);
-            // Front insertion again: reverse re-add preserves order.
             for &tid in queued.iter().rev() {
                 self.sched.add_to_runqueue(&mut ctx, tid);
             }
@@ -2732,88 +2706,6 @@ mod policy_tests {
         assert!(p.ejected);
         assert_eq!(p.eject_reason, Some("budget_exhausted"));
         assert_eq!(p.budget, 64);
-    }
-
-    #[test]
-    fn backend_override_reaches_the_scheduler_and_the_report() {
-        let cfg = MachineConfig::up()
-            .with_max_secs(50.0)
-            .with_policy_backend(Some(PolicyBackend::Interp));
-        let mut m = Machine::new(cfg, policy(REG_POL, 1));
-        workload(&mut m);
-        let r = m.run().expect("completes");
-        let p = r.policy.as_ref().expect("policy summary present");
-        assert_eq!(p.backend, "interp");
-        assert!(r.to_json().contains("\"backend\":\"interp\""));
-        // The default (no override) is the bytecode VM.
-        let cfg = MachineConfig::up().with_max_secs(50.0);
-        let mut m = Machine::new(cfg, policy(REG_POL, 1));
-        workload(&mut m);
-        let r = m.run().expect("completes");
-        assert_eq!(r.policy.as_ref().unwrap().backend, "vm");
-    }
-
-    /// The tentpole's machine-level contract: a whole run is
-    /// byte-identical across backends once the report's `backend` label
-    /// is normalized away — same schedule, same cycles, same
-    /// `PolicyInsn` totals.
-    #[test]
-    fn full_runs_are_byte_identical_across_backends_modulo_the_label() {
-        let json_for = |backend: PolicyBackend| {
-            let cfg = MachineConfig::smp(2)
-                .with_max_secs(50.0)
-                .with_policy_backend(Some(backend));
-            let mut m = Machine::new(cfg, policy(REG_POL, 2));
-            workload(&mut m);
-            m.run().expect("completes").to_json()
-        };
-        let vm = json_for(PolicyBackend::Vm);
-        let interp = json_for(PolicyBackend::Interp);
-        assert_ne!(vm, interp, "the backend label itself must be reported");
-        assert_eq!(
-            vm.replace("\"backend\":\"vm\"", "\"backend\":\"interp\""),
-            interp,
-            "backends must agree on every observable but the label"
-        );
-    }
-
-    /// Budget exhaustion mid-`pick_next` on the VM path: the watchdog
-    /// ejects at the same virtual instant, with the same frozen
-    /// instruction count, as the reference interpreter.
-    #[test]
-    fn vm_budget_exhaustion_ejects_exactly_like_the_interp() {
-        let src = "policy spin\nlists 1\nhook enqueue { enqueue_front(0) }\n\
-                   hook pick_next {\n  repeat 1024 { let x = 1 }\n\
-                   if runnable(prev) { pick prev }\n  pick idle\n}\n";
-        let run = |backend: PolicyBackend| {
-            let cfg = MachineConfig::up()
-                .with_max_secs(50.0)
-                .with_policy_backend(Some(backend));
-            let sched = Box::new(
-                PolicyScheduler::load_str(src, 1)
-                    .expect("loads")
-                    .with_budget(64),
-            );
-            let mut m = Machine::new(cfg, sched);
-            workload(&mut m);
-            m.run().expect("completes after ejection")
-        };
-        let vm = run(PolicyBackend::Vm);
-        let interp = run(PolicyBackend::Interp);
-        for r in [&vm, &interp] {
-            let p = r.policy.as_ref().expect("policy summary present");
-            assert!(p.ejected);
-            assert_eq!(p.eject_reason, Some("budget_exhausted"));
-        }
-        let (vp, ip) = (vm.policy.as_ref().unwrap(), interp.policy.as_ref().unwrap());
-        assert_eq!(
-            vp.insns_executed, ip.insns_executed,
-            "insns freeze at the same count on both backends"
-        );
-        assert_eq!(
-            vp.ejected_at, ip.ejected_at,
-            "ejection happens at the same virtual instant"
-        );
     }
 
     #[test]

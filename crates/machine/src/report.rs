@@ -91,9 +91,6 @@ pub struct PolicySummary {
     pub static_insns: u64,
     /// The per-decision runtime instruction budget in force.
     pub budget: u64,
-    /// Which backend executed the policy: `"interp"` (reference
-    /// tree-walker) or `"vm"` (register bytecode, the default).
-    pub backend: &'static str,
     /// Total interpreter instructions executed over the run (frozen at
     /// ejection time if the watchdog fired).
     pub insns_executed: u64,
@@ -113,7 +110,6 @@ impl PolicySummary {
             .str("name", self.name)
             .u64("static_insns", self.static_insns)
             .u64("budget", self.budget)
-            .str("backend", self.backend)
             .u64("insns_executed", self.insns_executed)
             .raw("ejected", bool_json(self.ejected));
         if let Some(at) = self.ejected_at {
@@ -517,8 +513,8 @@ impl fmt::Display for RunReport {
         if let Some(p) = &self.policy {
             write!(
                 f,
-                "  policy: {} [{}] static_insns={} budget={} insns={}",
-                p.name, p.backend, p.static_insns, p.budget, p.insns_executed
+                "  policy: {} static_insns={} budget={} insns={}",
+                p.name, p.static_insns, p.budget, p.insns_executed
             )?;
             if p.ejected {
                 write!(
@@ -690,7 +686,6 @@ mod tests {
             name: "policy:starve",
             static_insns: 12,
             budget: 65_536,
-            backend: "vm",
             insns_executed: 480,
             ejected: true,
             ejected_at: Some(Cycles(4_000_000)),
@@ -699,7 +694,7 @@ mod tests {
         let j = r.to_json();
         assert!(j.contains(
             "\"policy\":{\"name\":\"policy:starve\",\"static_insns\":12,\
-             \"budget\":65536,\"backend\":\"vm\",\"insns_executed\":480,\
+             \"budget\":65536,\"insns_executed\":480,\
              \"ejected\":true,\"ejected_at\":4000000,\
              \"eject_reason\":\"starvation\"}"
         ));

@@ -3,10 +3,13 @@
 //! The PR 4 chaos sweep caught `Pipe::close` waking only parked readers,
 //! leaving writers parked forever on a dead pipe (the `peer_reset` wedge).
 //! These tests pin the fixed contract — close wakes *everyone* — plus the
-//! nearby edges: double close, zero capacity, and post-close semantics.
+//! nearby edges: double close, zero capacity, and post-close semantics —
+//! and a randomized check of the whole pipe against a bounded-FIFO model.
 
 use elsc_ktask::Tid;
 use elsc_netsim::{Msg, Pipe, PipeError, PipeTable};
+use elsc_simcore::SimRng;
+use std::collections::VecDeque;
 
 fn tid(i: u32) -> Tid {
     Tid::from_raw(i, 0)
@@ -98,4 +101,58 @@ fn close_then_deliver_counts_nothing() {
     assert_eq!(p.deliver(Msg::tagged(3)).unwrap_err(), PipeError::Closed);
     assert_eq!(p.total_written(), 0);
     assert_eq!(p.len(), 0);
+}
+
+/// Under `SimRng` write/read/park sequences a pipe is a bounded FIFO:
+/// writes fail exactly when full, reads exactly when empty, each success
+/// wakes the oldest parked task of the other side, and everything
+/// written is either read or still queued.
+#[test]
+fn pipe_matches_a_bounded_fifo_model_under_random_ops() {
+    for seed in 0..64u64 {
+        let mut rng = SimRng::new(0x919E ^ seed);
+        let cap = rng.range(1, 8) as usize;
+        let mut pipe = Pipe::new(cap);
+        let mut model = VecDeque::new();
+        let mut readers = VecDeque::new();
+        let mut writers = VecDeque::new();
+        for step in 0..200u64 {
+            match rng.below(4) {
+                0 => match pipe.try_write(Msg::tagged(step)) {
+                    Ok(woken) => {
+                        assert!(model.len() < cap, "seed {seed}: wrote into a full pipe");
+                        model.push_back(step);
+                        assert_eq!(woken, readers.pop_front());
+                    }
+                    Err(e) => {
+                        assert_eq!((e, model.len()), (PipeError::WouldBlock, cap));
+                    }
+                },
+                1 => match pipe.try_read() {
+                    Ok((msg, woken)) => {
+                        assert_eq!(Some(msg.tag), model.pop_front());
+                        assert_eq!(woken, writers.pop_front());
+                    }
+                    Err(e) => assert_eq!((e, model.len()), (PipeError::WouldBlock, 0)),
+                },
+                2 => {
+                    let t = tid(rng.below(8) as u32);
+                    if !pipe.readers.contains(t) {
+                        pipe.readers.park(t);
+                        readers.push_back(t);
+                    }
+                }
+                _ => {
+                    let t = tid(8 + rng.below(8) as u32);
+                    if !pipe.writers.contains(t) {
+                        pipe.writers.park(t);
+                        writers.push_back(t);
+                    }
+                }
+            }
+            assert_eq!(pipe.len(), model.len());
+            assert_eq!(pipe.is_full(), model.len() >= cap);
+        }
+        assert_eq!(pipe.total_written(), pipe.total_read() + model.len() as u64);
+    }
 }

@@ -44,14 +44,14 @@
 //!    swaps in the vanilla baseline scheduler mid-run and the run
 //!    completes with conservation intact.
 //!
-//! Verified programs execute on one of two backends behind the same
-//! budget model: the reference tree-walking interpreter, or (default)
-//! the register bytecode VM produced by [`compile()`] — see
-//! [`mod@bytecode`] for the instruction set and `docs/POLICY.md` at the
-//! repository root for the full language reference (grammar, host API,
-//! cost model, and the bytecode lowering appendix). The two backends
-//! are decision-for-decision and charge-for-charge identical; the
-//! machine's `--policy-backend {interp,vm}` switch selects one.
+//! Verified programs execute on the register bytecode VM produced by
+//! [`compile()`] — see [`mod@bytecode`] for the instruction set and
+//! `docs/POLICY.md` at the repository root for the full language
+//! reference (grammar, host API, cost model, and the bytecode lowering
+//! appendix). The original tree-walking interpreter is the executable
+//! reference semantics: it is built only under `cfg(test)` or the
+//! test-only `interp-reference` feature, where the differential suites
+//! hold the VM to it decision for decision and charge for charge.
 //!
 //! The bundled `policies/reg.pol` is decision-for-decision identical to
 //! the native baseline scheduler, proven by the chaos oracle in strict
@@ -61,6 +61,8 @@
 pub mod ast;
 pub mod bytecode;
 pub mod compile;
+#[cfg(any(test, feature = "interp-reference"))]
+mod interp;
 pub mod lex;
 pub mod parse;
 pub mod sched;

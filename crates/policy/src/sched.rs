@@ -1,4 +1,4 @@
-//! The cycle-charged interpreter and the [`PolicyScheduler`] bridge.
+//! The shared host semantics and the [`PolicyScheduler`] bridge.
 //!
 //! A verified [`Program`] runs behind the ordinary
 //! [`Scheduler`] trait: the host performs the parts of `schedule()` the
@@ -29,12 +29,11 @@ use elsc_ktask::recalc::recalculate_counters;
 use elsc_ktask::{CpuId, Lists, MmId, SchedClass, TaskTable, Tid};
 use elsc_obs::ObsEvent;
 use elsc_sched_api::{
-    goodness_ignoring_yield, PolicyBackend, PolicyLoadInfo, PolicyViolation, SchedCtx, Scheduler,
-    IDLE_GOODNESS,
+    goodness_ignoring_yield, PolicyLoadInfo, PolicyViolation, SchedCtx, Scheduler, IDLE_GOODNESS,
 };
 use elsc_simcore::CostKind;
 
-use crate::ast::{BinOp, Block, Builtin, Expr, HookKind, HostFn, Program, Stmt};
+use crate::ast::{BinOp, HookKind, HostFn, Program};
 use crate::bytecode::CompiledPolicy;
 use crate::vm::{self, VmState};
 use crate::PolicyError;
@@ -45,8 +44,8 @@ use crate::PolicyError;
 /// `foreach`-over-everything hook to something finite.
 pub const DEFAULT_BUDGET: u64 = 65_536;
 
-/// One runtime value: the IR is two-typed. Shared by the interpreter
-/// and the bytecode VM (whose registers hold `Val`s).
+/// One runtime value: the IR is two-typed. The VM's registers hold
+/// `Val`s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Val {
     /// A 64-bit integer.
@@ -55,19 +54,7 @@ pub(crate) enum Val {
     Task(Option<Tid>),
 }
 
-/// How a statement sequence ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Flow {
-    /// Ran to completion.
-    Normal,
-    /// A `break` is unwinding to the innermost loop.
-    Break,
-    /// A `pick` ended the hook.
-    Picked,
-}
-
-/// The per-invocation context a hook runs against. Shared by both
-/// backends.
+/// The per-invocation context a hook runs against.
 pub(crate) struct Env {
     pub(crate) cpu: CpuId,
     pub(crate) prev: Option<Tid>,
@@ -79,7 +66,7 @@ pub(crate) struct Env {
     pub(crate) nr_cpus: usize,
 }
 
-/// What one hook invocation produced (either backend).
+/// What one hook invocation produced.
 pub(crate) struct HookRun {
     /// IR nodes executed (also charged as `PolicyInsn` by the caller).
     pub(crate) insns: u64,
@@ -106,272 +93,13 @@ impl HookRun {
     }
 }
 
-/// Runs `hook` of `prog` on the selected backend (no-op if the hook is
-/// not defined). The interpreter is the reference backend; the VM is
-/// dispatched when a compiled form exists.
-#[allow(clippy::too_many_arguments)]
-fn run_hook(
-    prog: &Program,
-    compiled: Option<&CompiledPolicy>,
-    backend: PolicyBackend,
-    vm_state: &mut VmState,
-    hook: HookKind,
-    lists: &Lists,
-    ctx: &mut SchedCtx<'_>,
-    env: Env,
-    budget: u64,
-) -> HookRun {
-    if backend == PolicyBackend::Vm {
-        if let Some(cp) = compiled {
-            // The compiler emits a chunk exactly for each defined hook.
-            return match cp.chunk(hook) {
-                Some(chunk) => vm::run_chunk(chunk, lists, ctx, env, budget, vm_state),
-                None => HookRun::empty(),
-            };
-        }
-    }
-    let Some(block) = prog.hook(hook) else {
-        return HookRun::empty();
-    };
-    let mut interp = Interp {
-        ctx,
-        lists,
-        env,
-        scopes: vec![Vec::new()],
-        insns: 0,
-        budget,
-        picked: None,
-        placed: None,
-        requeued: Vec::new(),
-    };
-    let violation = interp.exec_block(block).err();
-    HookRun {
-        insns: interp.insns,
-        picked: interp.picked,
-        placed: interp.placed,
-        requeued: interp.requeued,
-        violation,
-    }
-}
-
-/// The tree-walking interpreter for one hook invocation.
-struct Interp<'a, 'p, 'c> {
-    ctx: &'a mut SchedCtx<'c>,
-    lists: &'a Lists,
-    env: Env,
-    /// Innermost scope last; names borrow from the program.
-    scopes: Vec<Vec<(&'p str, Val)>>,
-    insns: u64,
-    budget: u64,
-    picked: Option<Option<Tid>>,
-    placed: Option<(usize, bool)>,
-    requeued: Vec<Tid>,
-}
-
-impl<'a, 'p, 'c> Interp<'a, 'p, 'c> {
-    /// Counts one executed IR node against the budget.
-    fn charge(&mut self) -> Result<(), PolicyViolation> {
-        self.insns += 1;
-        if self.insns > self.budget {
-            return Err(PolicyViolation::BudgetExhausted {
-                insns: self.insns,
-                budget: self.budget,
-            });
-        }
-        Ok(())
-    }
-
-    fn lookup(&self, name: &str) -> Option<Val> {
-        self.scopes
-            .iter()
-            .rev()
-            .find_map(|sc| sc.iter().rev().find(|(n, _)| *n == name).map(|&(_, v)| v))
-    }
-
-    fn assign(&mut self, name: &str, v: Val) -> Result<(), PolicyViolation> {
-        for sc in self.scopes.iter_mut().rev() {
-            if let Some(slot) = sc.iter_mut().rev().find(|(n, _)| *n == name) {
-                slot.1 = v;
-                return Ok(());
-            }
-        }
-        // The verifier proved every assignment target exists; reaching
-        // this means the interpreter's own state is wrong.
-        Err(PolicyViolation::StateCorrupt)
-    }
-
-    fn exec_block(&mut self, block: &'p Block) -> Result<Flow, PolicyViolation> {
-        self.scopes.push(Vec::new());
-        let mut flow = Flow::Normal;
-        for s in &block.stmts {
-            flow = self.exec_stmt(s)?;
-            if flow != Flow::Normal {
-                break;
-            }
-        }
-        self.scopes.pop();
-        Ok(flow)
-    }
-
-    fn exec_stmt(&mut self, s: &'p Stmt) -> Result<Flow, PolicyViolation> {
-        self.charge()?;
-        match s {
-            Stmt::Let { name, expr, .. } => {
-                let v = self.eval(expr)?;
-                self.scopes
-                    .last_mut()
-                    .expect("scope stack never empty")
-                    .push((name.as_str(), v));
-                Ok(Flow::Normal)
-            }
-            Stmt::Assign { name, expr, .. } => {
-                let v = self.eval(expr)?;
-                self.assign(name, v)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::If {
-                cond, then, els, ..
-            } => {
-                let c = self.eval_int(cond)?;
-                if c != 0 {
-                    self.exec_block(then)
-                } else if let Some(els) = els {
-                    self.exec_block(els)
-                } else {
-                    Ok(Flow::Normal)
-                }
-            }
-            Stmt::Repeat { count, body, .. } => {
-                for _ in 0..*count {
-                    match self.exec_block(body)? {
-                        Flow::Normal => {}
-                        Flow::Break => break,
-                        Flow::Picked => return Ok(Flow::Picked),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Foreach {
-                var, list, body, ..
-            } => {
-                let h = {
-                    let i = self.eval_int(list)?;
-                    wrap_list(i, self.lists.nr_lists())
-                };
-                // Snapshot: hooks never mutate lists (placement and
-                // rotation are deferred to the host), so the walk order
-                // is the list order at hook entry.
-                let snapshot: Vec<Tid> = self
-                    .lists
-                    .collect(self.ctx.tasks, h)
-                    .into_iter()
-                    .map(|i| self.ctx.tasks.by_index(i as usize).tid)
-                    .collect();
-                for tid in snapshot {
-                    self.scopes.push(vec![(var.as_str(), Val::Task(Some(tid)))]);
-                    let mut flow = Flow::Normal;
-                    for s in &body.stmts {
-                        flow = self.exec_stmt(s)?;
-                        if flow != Flow::Normal {
-                            break;
-                        }
-                    }
-                    self.scopes.pop();
-                    match flow {
-                        Flow::Normal => {}
-                        Flow::Break => return Ok(Flow::Normal),
-                        Flow::Picked => return Ok(Flow::Picked),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Break { .. } => Ok(Flow::Break),
-            Stmt::Pick { expr, .. } => {
-                let v = self.eval_task(expr)?;
-                self.picked = Some(v);
-                Ok(Flow::Picked)
-            }
-            Stmt::Place { front, list, .. } => {
-                let i = self.eval_int(list)?;
-                // The last placement executed wins.
-                self.placed = Some((wrap_list(i, self.lists.nr_lists()), *front));
-                Ok(Flow::Normal)
-            }
-            Stmt::Requeue { task, .. } => {
-                if let Some(tid) = self.eval_task(task)? {
-                    self.requeued.push(tid);
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::SetCounter { task, value, .. } => {
-                let t = self.eval_task(task)?;
-                let v = self.eval_int(value)?;
-                set_counter_effect(self.ctx, t, v);
-                Ok(Flow::Normal)
-            }
-            Stmt::Recalc { .. } => {
-                recalc_effect(self.ctx, &self.env);
-                Ok(Flow::Normal)
-            }
-        }
-    }
-
-    fn eval_int(&mut self, e: &'p Expr) -> Result<i64, PolicyViolation> {
-        match self.eval(e)? {
-            Val::Int(n) => Ok(n),
-            Val::Task(_) => Err(PolicyViolation::StateCorrupt),
-        }
-    }
-
-    fn eval_task(&mut self, e: &'p Expr) -> Result<Option<Tid>, PolicyViolation> {
-        match self.eval(e)? {
-            Val::Task(t) => Ok(t),
-            Val::Int(_) => Err(PolicyViolation::StateCorrupt),
-        }
-    }
-
-    fn eval(&mut self, e: &'p Expr) -> Result<Val, PolicyViolation> {
-        self.charge()?;
-        match e {
-            Expr::Int(n, _) => Ok(Val::Int(*n)),
-            Expr::Var(name, _) => self.lookup(name).ok_or(PolicyViolation::StateCorrupt),
-            Expr::Builtin(b, _) => Ok(self.builtin(*b)),
-            Expr::Binary { op, lhs, rhs, .. } => {
-                let l = self.eval(lhs)?;
-                let r = self.eval(rhs)?;
-                binop(*op, l, r)
-            }
-            Expr::Call { func, args, .. } => {
-                let arg = match args.first() {
-                    Some(a) => Some(self.eval(a)?),
-                    None => None,
-                };
-                Ok(host_call(self.ctx, self.lists, &mut self.env, *func, arg))
-            }
-        }
-    }
-
-    fn builtin(&self, b: Builtin) -> Val {
-        match b {
-            Builtin::Cpu => Val::Int(self.env.cpu as i64),
-            Builtin::Prev => Val::Task(self.env.prev),
-            Builtin::Idle => Val::Task(self.env.idle),
-            Builtin::Task => Val::Task(self.env.task),
-            Builtin::Nil => Val::Task(None),
-            Builtin::NrCpus => Val::Int(self.env.nr_cpus as i64),
-            Builtin::NrLists => Val::Int(self.lists.nr_lists() as i64),
-            Builtin::NrRunning => Val::Int(self.env.nr_running as i64),
-        }
-    }
-}
-
 /// Maps a list-index value into the bank (total semantics: modulo).
 pub(crate) fn wrap_list(i: i64, nr_lists: usize) -> usize {
     i.rem_euclid(nr_lists as i64) as usize
 }
 
-/// The `set_counter(task, value)` effect, shared by both backends:
-/// clamped to `[0, 2 * priority]`, `nil` ignored.
+/// The `set_counter(task, value)` effect: clamped to
+/// `[0, 2 * priority]`, `nil` ignored.
 pub(crate) fn set_counter_effect(ctx: &mut SchedCtx<'_>, t: Option<Tid>, v: i64) {
     if let Some(tid) = t {
         let mut task = ctx.tasks.task_mut(tid);
@@ -380,7 +108,7 @@ pub(crate) fn set_counter_effect(ctx: &mut SchedCtx<'_>, t: Option<Tid>, v: i64)
     }
 }
 
-/// The `recalc()` effect, shared by both backends. Mirrors the native
+/// The `recalc()` effect. Mirrors the native
 /// schedulers' recalculation loop decision-for-decision, including
 /// stats and events.
 pub(crate) fn recalc_effect(ctx: &mut SchedCtx<'_>, env: &Env) {
@@ -431,9 +159,10 @@ pub(crate) fn charge_goodness_eval(ctx: &mut SchedCtx<'_>, cpu: CpuId) {
     ctx.stats.cpu_mut(cpu).tasks_examined += 1;
 }
 
-/// Evaluates one host function — the single implementation both
-/// backends dispatch to, so their observable semantics (meter charges,
-/// stats, yield-bit consumption) cannot diverge. Total semantics
+/// Evaluates one host function — the single implementation the VM and
+/// the test-only reference interpreter dispatch to, so their observable
+/// semantics (meter charges, stats, yield-bit consumption) cannot
+/// diverge. Total semantics
 /// throughout: `nil` task arguments yield neutral values rather than
 /// faulting.
 pub(crate) fn host_call(
@@ -534,7 +263,7 @@ pub(crate) fn host_call(
 }
 
 /// Pure binary-operator semantics (total: division/modulo by zero is 0,
-/// arithmetic wraps). Shared by both backends.
+/// arithmetic wraps).
 pub(crate) fn binop(op: BinOp, l: Val, r: Val) -> Result<Val, PolicyViolation> {
     let v = match op {
         BinOp::Eq => Val::Int(i64::from(l == r)),
@@ -577,11 +306,11 @@ pub struct PolicyScheduler {
     prog: Program,
     /// `"policy:<name>"`, leaked once at load time.
     name: &'static str,
-    /// Which backend hooks run on (default: the bytecode VM).
-    backend: PolicyBackend,
-    /// The bytecode form; `None` only if compilation failed, in which
-    /// case the interpreter silently serves as the fallback backend.
-    compiled: Option<CompiledPolicy>,
+    /// The bytecode form every hook runs on.
+    compiled: CompiledPolicy,
+    /// Run hooks on the reference interpreter instead (tests only).
+    #[cfg(any(test, feature = "interp-reference"))]
+    reference: bool,
     /// Reusable VM register file and iterator frames, persisted across
     /// decisions so steady-state dispatch allocates nothing.
     vm_state: VmState,
@@ -599,19 +328,25 @@ pub struct PolicyScheduler {
 }
 
 impl PolicyScheduler {
-    /// Wraps an already-verified program.
+    /// Compiles and wraps an already-verified program.
     ///
     /// `nr_cpus` resolves a `lists percpu` declaration; the runtime
     /// budget starts at [`DEFAULT_BUDGET`].
-    pub fn new(prog: Program, nr_cpus: usize) -> PolicyScheduler {
+    ///
+    /// # Errors
+    ///
+    /// The compiler's diagnostic, if `prog` does not lower to bytecode
+    /// (only possible for a program that skipped [`crate::verify()`]).
+    pub fn new(prog: Program, nr_cpus: usize) -> Result<PolicyScheduler, PolicyError> {
+        let compiled = crate::compile(&prog)?;
         let name: &'static str = Box::leak(format!("policy:{}", prog.name).into_boxed_str());
         let lists = Lists::new(prog.lists.count(nr_cpus).max(1));
-        let compiled = crate::compile(&prog).ok();
-        PolicyScheduler {
+        Ok(PolicyScheduler {
             prog,
             name,
-            backend: PolicyBackend::default(),
             compiled,
+            #[cfg(any(test, feature = "interp-reference"))]
+            reference: false,
             vm_state: VmState::default(),
             lists,
             list_of: Vec::new(),
@@ -621,16 +356,16 @@ impl PolicyScheduler {
             budget: DEFAULT_BUDGET,
             insns_total: 0,
             violation: None,
-        }
+        })
     }
 
-    /// Parses, verifies, and wraps a `.pol` source string.
+    /// Parses, verifies, compiles, and wraps a `.pol` source string.
     ///
     /// # Errors
     ///
     /// The first load-time diagnostic, never a panic.
     pub fn load_str(src: &str, nr_cpus: usize) -> Result<PolicyScheduler, PolicyError> {
-        Ok(PolicyScheduler::new(crate::load_str(src)?, nr_cpus))
+        PolicyScheduler::new(crate::load_str(src)?, nr_cpus)
     }
 
     /// Overrides the runtime per-decision instruction budget.
@@ -639,28 +374,18 @@ impl PolicyScheduler {
         self
     }
 
-    /// Selects the execution backend: the bytecode VM (default) or the
-    /// reference tree-walking interpreter. Both produce identical
-    /// decisions, charges, and violations.
-    pub fn with_backend(mut self, backend: PolicyBackend) -> PolicyScheduler {
-        self.backend = backend;
+    /// Runs every hook on the tree-walking reference interpreter
+    /// instead of the VM. Exists so the differential suites can compare
+    /// the two; not part of any shipped build.
+    #[cfg(any(test, feature = "interp-reference"))]
+    pub fn into_reference(mut self) -> PolicyScheduler {
+        self.reference = true;
         self
     }
 
-    /// The backend hooks actually execute on: the configured one,
-    /// downgraded to [`PolicyBackend::Interp`] if compilation failed.
-    pub fn backend(&self) -> PolicyBackend {
-        if self.compiled.is_some() {
-            self.backend
-        } else {
-            PolicyBackend::Interp
-        }
-    }
-
-    /// The compiled bytecode, when compilation succeeded (tests,
-    /// tooling, and the `disasm` CLI verb).
-    pub fn compiled(&self) -> Option<&CompiledPolicy> {
-        self.compiled.as_ref()
+    /// The compiled bytecode (tests and tooling).
+    pub fn compiled(&self) -> &CompiledPolicy {
+        &self.compiled
     }
 
     /// The verified program.
@@ -671,6 +396,38 @@ impl PolicyScheduler {
     /// Collects list `h` front to back (tests and examples).
     pub fn queue_order(&self, tasks: &TaskTable, h: usize) -> Vec<u32> {
         self.lists.collect(tasks, h)
+    }
+
+    /// Runs `hook` (no-op if the program does not define it) and
+    /// charges what it executed.
+    fn run_hook(&mut self, hook: HookKind, ctx: &mut SchedCtx<'_>, env: Env) -> HookRun {
+        let run = self.execute(hook, ctx, env);
+        ctx.meter
+            .charge_n(ctx.costs, CostKind::PolicyInsn, run.insns);
+        self.insns_total += run.insns;
+        run
+    }
+
+    fn execute(&mut self, hook: HookKind, ctx: &mut SchedCtx<'_>, env: Env) -> HookRun {
+        #[cfg(any(test, feature = "interp-reference"))]
+        if self.reference {
+            return match self.prog.hook(hook) {
+                Some(block) => crate::interp::run_block(block, &self.lists, ctx, env, self.budget),
+                None => HookRun::empty(),
+            };
+        }
+        // The compiler emits a chunk exactly for each defined hook.
+        match self.compiled.chunk(hook) {
+            Some(chunk) => vm::run_chunk(
+                chunk,
+                &self.lists,
+                ctx,
+                env,
+                self.budget,
+                &mut self.vm_state,
+            ),
+            None => HookRun::empty(),
+        }
     }
 
     fn env(&self, cpu: CpuId) -> Env {
@@ -732,7 +489,6 @@ impl core::fmt::Debug for PolicyScheduler {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("PolicyScheduler")
             .field("name", &self.name)
-            .field("backend", &self.backend().label())
             .field("nr_running", &self.nr_running)
             .field("budget", &self.budget)
             .field("insns_total", &self.insns_total)
@@ -764,20 +520,7 @@ impl Scheduler for PolicyScheduler {
             if self.prog.hook(HookKind::OnFork).is_some() {
                 let mut env = self.env(0);
                 env.task = Some(tid);
-                let run = run_hook(
-                    &self.prog,
-                    self.compiled.as_ref(),
-                    self.backend,
-                    &mut self.vm_state,
-                    HookKind::OnFork,
-                    &self.lists,
-                    ctx,
-                    env,
-                    self.budget,
-                );
-                ctx.meter
-                    .charge_n(ctx.costs, CostKind::PolicyInsn, run.insns);
-                self.insns_total += run.insns;
+                let run = self.run_hook(HookKind::OnFork, ctx, env);
                 if let Some(v) = run.violation {
                     self.note_violation(ctx, 0, v);
                 }
@@ -789,20 +532,7 @@ impl Scheduler for PolicyScheduler {
         let (list, front) = if self.prog.hook(HookKind::Enqueue).is_some() {
             let mut env = self.env(0);
             env.task = Some(tid);
-            let run = run_hook(
-                &self.prog,
-                self.compiled.as_ref(),
-                self.backend,
-                &mut self.vm_state,
-                HookKind::Enqueue,
-                &self.lists,
-                ctx,
-                env,
-                self.budget,
-            );
-            ctx.meter
-                .charge_n(ctx.costs, CostKind::PolicyInsn, run.insns);
-            self.insns_total += run.insns;
+            let run = self.run_hook(HookKind::Enqueue, ctx, env);
             match run.violation {
                 Some(v) => {
                     self.note_violation(ctx, 0, v);
@@ -880,26 +610,13 @@ impl Scheduler for PolicyScheduler {
             y
         };
 
-        // --- The interpreted selection loop.
+        // --- The policy's selection loop.
         let mut env = self.env(cpu);
         env.prev = Some(prev);
         env.idle = Some(idle);
         env.prev_mm = prev_mm;
         env.prev_yielded = prev_yielded;
-        let run = run_hook(
-            &self.prog,
-            self.compiled.as_ref(),
-            self.backend,
-            &mut self.vm_state,
-            HookKind::PickNext,
-            &self.lists,
-            ctx,
-            env,
-            self.budget,
-        );
-        ctx.meter
-            .charge_n(ctx.costs, CostKind::PolicyInsn, run.insns);
-        self.insns_total += run.insns;
+        let run = self.run_hook(HookKind::PickNext, ctx, env);
 
         let next = match run.violation {
             Some(v) => {
@@ -968,12 +685,7 @@ impl Scheduler for PolicyScheduler {
             name: self.name,
             static_insns: self.prog.total_static_insns(),
             budget: self.budget,
-            backend: self.backend(),
         })
-    }
-
-    fn set_policy_backend(&mut self, backend: PolicyBackend) {
-        self.backend = backend;
     }
 
     fn take_violation(&mut self) -> Option<PolicyViolation> {
@@ -1004,20 +716,7 @@ impl Scheduler for PolicyScheduler {
         }
         let mut env = self.env(cpu);
         env.task = Some(current);
-        let run = run_hook(
-            &self.prog,
-            self.compiled.as_ref(),
-            self.backend,
-            &mut self.vm_state,
-            HookKind::Tick,
-            &self.lists,
-            ctx,
-            env,
-            self.budget,
-        );
-        ctx.meter
-            .charge_n(ctx.costs, CostKind::PolicyInsn, run.insns);
-        self.insns_total += run.insns;
+        let run = self.run_hook(HookKind::Tick, ctx, env);
         if let Some(v) = run.violation {
             self.note_violation(ctx, cpu, v);
         }
@@ -1172,13 +871,16 @@ mod tests {
         assert_eq!(native, vm);
     }
 
+    /// A program `compile()` rejects is a positioned load error — not a
+    /// panic, and not a scheduler that quietly interprets instead. The
+    /// verifier rules such programs out, so this one skips it.
     #[test]
-    fn default_backend_is_the_vm_for_compilable_programs() {
-        let sched = policy(REG_POL, 1);
-        assert_eq!(sched.backend(), PolicyBackend::Vm);
-        assert!(sched.compiled().is_some());
-        let interp = policy(REG_POL, 1).with_backend(PolicyBackend::Interp);
-        assert_eq!(interp.backend(), PolicyBackend::Interp);
+    fn uncompilable_program_is_a_positioned_error_not_an_interpreted_run() {
+        let src = "policy ghost\nlists 1\nhook pick_next {\n  pick phantom\n}\n";
+        let unverified = crate::parse(src).expect("parses");
+        let err = PolicyScheduler::new(unverified, 1).expect_err("must not load");
+        assert_eq!((err.span.line, err.span.col), (4, 8), "{err}");
+        assert!(err.msg.contains("unbound variable `phantom`"), "{err}");
     }
 
     #[test]
@@ -1193,21 +895,15 @@ mod tests {
             (STARVE_POL, 1, SchedConfig::up()),
         ] {
             let vm = drive(Rig::new(cfg.clone(), policy(src, nr_cpus)));
-            let interp = drive(Rig::new(
-                cfg,
-                policy(src, nr_cpus).with_backend(PolicyBackend::Interp),
-            ));
-            assert_eq!(vm, interp, "backends diverged on a bundled policy");
+            let interp = drive(Rig::new(cfg, policy(src, nr_cpus).into_reference()));
+            assert_eq!(vm, interp, "the VM diverged from the reference");
         }
     }
 
     #[test]
     fn vm_and_interp_charge_identical_policy_insns() {
         let mut vm = Rig::new(SchedConfig::up(), policy(REG_POL, 1));
-        let mut interp = Rig::new(
-            SchedConfig::up(),
-            policy(REG_POL, 1).with_backend(PolicyBackend::Interp),
-        );
+        let mut interp = Rig::new(SchedConfig::up(), policy(REG_POL, 1).into_reference());
         for rig in [&mut vm, &mut interp] {
             rig.spawn("a");
             rig.spawn("b");
@@ -1233,19 +929,15 @@ mod tests {
     }
 
     /// The strongest abort-point pin: for every budget from 1 up to
-    /// past one full decision, both backends must report the identical
-    /// outcome — same pick, same violation (including the exact `insns`
-    /// value), same examined-task count, same cycles.
+    /// past one full decision, the VM and the reference must report the
+    /// identical outcome — same pick, same violation (including the
+    /// exact `insns` value), same examined-task count, same cycles.
     #[test]
     fn vm_and_interp_agree_at_every_budget_cutoff() {
         for src in [REG_POL, RR_POL, TABLE_POL] {
             for budget in 1..=160u64 {
-                let mk = |backend| {
-                    let nr = PolicyScheduler::load_str(src, 1).unwrap();
-                    let mut rig = Rig::new(
-                        SchedConfig::up(),
-                        nr.with_budget(budget).with_backend(backend),
-                    );
+                let mk = |sched: PolicyScheduler| {
+                    let mut rig = Rig::new(SchedConfig::up(), sched.with_budget(budget));
                     rig.spawn("a");
                     rig.spawn("b");
                     rig.meter.take();
@@ -1258,9 +950,11 @@ mod tests {
                         rig.meter.take(),
                     )
                 };
-                let vm = mk(PolicyBackend::Vm);
-                let interp = mk(PolicyBackend::Interp);
-                assert_eq!(vm, interp, "divergence at budget {budget}");
+                assert_eq!(
+                    mk(policy(src, 1)),
+                    mk(policy(src, 1).into_reference()),
+                    "divergence at budget {budget}"
+                );
             }
         }
     }
@@ -1269,17 +963,13 @@ mod tests {
     fn vm_budget_blowout_reports_exact_interp_insns() {
         let src = "policy spin\nlists 1\nhook pick_next {\n\
                    repeat 1024 { let x = 1 }\npick idle }";
-        let mk = |backend| {
-            let sched = PolicyScheduler::load_str(src, 1)
-                .unwrap()
-                .with_budget(64)
-                .with_backend(backend);
-            let mut rig = Rig::new(SchedConfig::up(), sched);
+        let mk = |sched: PolicyScheduler| {
+            let mut rig = Rig::new(SchedConfig::up(), sched.with_budget(64));
             rig.spawn("w");
             rig.schedule(0, rig.idle);
             rig.sched.take_violation()
         };
-        let vm = mk(PolicyBackend::Vm);
+        let vm = mk(policy(src, 1));
         assert_eq!(
             vm,
             Some(PolicyViolation::BudgetExhausted {
@@ -1288,7 +978,7 @@ mod tests {
             }),
             "the VM normalizes batched charges to the interpreter's trip point"
         );
-        assert_eq!(vm, mk(PolicyBackend::Interp));
+        assert_eq!(vm, mk(policy(src, 1).into_reference()));
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! The bytecode VM: the default execution backend for `.pol` hooks.
+//! The bytecode VM: what `.pol` hooks execute on.
 //!
 //! `run_chunk` executes one compiled hook body ([`Chunk`]) with the
-//! tree-walking interpreter's exact observable semantics:
+//! exact observable semantics of the reference tree-walking interpreter
+//! (`interp.rs`, built for tests only):
 //!
 //! * **Same decisions** — picks, placements, and requeues are computed
 //!   by the identical shared host semantics (`host_call`, `binop`, the
 //!   `recalc`/`set_counter` effects in [`sched`](crate::sched)), so the
-//!   two backends cannot drift.
+//!   two cannot drift.
 //! * **Same charges** — each instruction's batched
 //!   [`cost`](crate::bytecode::Insn::cost) is added to the instruction
 //!   count *before* the op runs; a blowout reports `insns == budget+1`
@@ -666,7 +667,6 @@ mod tests {
             PolicyScheduler::load_str(include_str!("../../../policies/reg.pol"), 1).unwrap();
         let chunk = sched
             .compiled()
-            .expect("bundled policy compiles")
             .chunk(crate::ast::HookKind::PickNext)
             .expect("reg.pol defines pick_next");
         let has = |op: Op| chunk.code.iter().any(|i| i.op == op);

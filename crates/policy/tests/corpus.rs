@@ -49,7 +49,8 @@ fn every_bundled_policy_loads_and_builds_a_scheduler() {
         let prog = load_str(src).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(prog.total_static_insns() > 0, "{name}: empty program?");
         for nr_cpus in [1usize, 2, 4] {
-            let sched = PolicyScheduler::new(prog.clone(), nr_cpus);
+            let sched =
+                PolicyScheduler::new(prog.clone(), nr_cpus).expect("verified programs compile");
             let info = sched.loaded_info().expect("policies report load info");
             assert!(info.name.starts_with("policy:"), "{name}");
             assert!(info.budget > 0, "{name}");
@@ -241,7 +242,7 @@ fn mutated_real_programs_never_panic_the_loader() {
             // still carries verifier guarantees strong enough to build.
             match load_str(&mutated) {
                 Ok(prog) => {
-                    let _ = PolicyScheduler::new(prog, 2);
+                    PolicyScheduler::new(prog, 2).expect("verified programs compile");
                 }
                 Err(e) => assert!(e.span.line >= 1 && e.span.col >= 1),
             }

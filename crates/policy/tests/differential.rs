@@ -1,23 +1,27 @@
-//! Differential backend fuzzing: the bytecode VM versus the reference
-//! interpreter.
+//! Differential fuzzing: the bytecode VM versus the reference
+//! interpreter (built only with `--features interp-reference`).
 //!
-//! The contract under test is the PR's central claim: **every** verified
-//! `.pol` program produces identical decisions *and* identical
-//! `PolicyInsn`-equivalent budget outcomes on both backends — same
-//! picks, same violations (including the exact `insns` value at a
+//! The contract under test: **every** verified `.pol` program produces
+//! identical decisions *and* identical `PolicyInsn`-equivalent budget
+//! outcomes on the VM and on the reference — same picks, same violations (including the exact `insns` value at a
 //! budget blowout), same examined-task counts, same virtual cycles.
 //! The corpus is the bundled policies plus verifier-accepted mutants of
 //! them (the PR 5 mutation corpus, regenerated deterministically from
 //! the simulator's own [`SimRng`]), driven through a perturbed
 //! scheduling scenario at both a generous and a deliberately tight
-//! budget so mid-hook aborts are exercised on both sides.
+//! budget so mid-hook aborts are exercised on both sides. Two whole
+//! machine runs close the file: full-report byte equality, and an
+//! identical watchdog ejection.
 
 use std::fs;
 use std::path::PathBuf;
 
-use elsc_ktask::{CpuId, TaskSpec, TaskState, TaskTable, Tid};
+use elsc_ktask::{CpuId, MmId, TaskSpec, TaskState, TaskTable, Tid};
+use elsc_machine::behavior::Script;
+use elsc_machine::{Machine, MachineConfig, Op, RunReport};
+use elsc_netsim::Msg;
 use elsc_policy::{load_str, PolicyScheduler, Program, DEFAULT_BUDGET};
-use elsc_sched_api::{PolicyBackend, SchedConfig, SchedCtx, Scheduler};
+use elsc_sched_api::{SchedConfig, SchedCtx, Scheduler};
 use elsc_simcore::{CostModel, CycleMeter, SimRng};
 use elsc_stats::SchedStats;
 
@@ -46,7 +50,7 @@ fn below(rng: &mut SimRng, n: usize) -> usize {
     rng.below(n as u64) as usize
 }
 
-/// One backend's full observable trace of a driven scenario.
+/// One executor's full observable trace of a driven scenario.
 #[derive(Debug, PartialEq)]
 struct Trace {
     picks: Vec<usize>,
@@ -58,14 +62,22 @@ struct Trace {
     cycles: u64,
 }
 
-/// Drives `prog` on `backend` through a deterministic perturbed
-/// scenario (blocking, waking, yields, ticks) and records everything
-/// the machine could observe.
-fn drive(prog: &Program, backend: PolicyBackend, budget: u64, steps: u32) -> Trace {
+/// `prog` on the VM, or on the reference interpreter.
+fn scheduler(prog: &Program, nr_cpus: usize, reference: bool) -> PolicyScheduler {
+    let sched = PolicyScheduler::new(prog.clone(), nr_cpus).expect("verified programs compile");
+    if reference {
+        sched.into_reference()
+    } else {
+        sched
+    }
+}
+
+/// Drives `prog` through a deterministic perturbed scenario (blocking,
+/// waking, yields, ticks) and records everything the machine could
+/// observe.
+fn drive(prog: &Program, reference: bool, budget: u64, steps: u32) -> Trace {
     let cfg = SchedConfig::up();
-    let mut sched = PolicyScheduler::new(prog.clone(), cfg.nr_cpus)
-        .with_budget(budget)
-        .with_backend(backend);
+    let mut sched = scheduler(prog, cfg.nr_cpus, reference).with_budget(budget);
     let mut tasks = TaskTable::new();
     let mut stats = SchedStats::new(cfg.nr_cpus);
     let mut meter = CycleMeter::new();
@@ -187,24 +199,24 @@ fn drive(prog: &Program, backend: PolicyBackend, budget: u64, steps: u32) -> Tra
     }
 }
 
-fn assert_backends_agree(name: &str, prog: &Program, budget: u64, steps: u32) {
-    let vm = drive(prog, PolicyBackend::Vm, budget, steps);
-    let interp = drive(prog, PolicyBackend::Interp, budget, steps);
-    assert_eq!(vm, interp, "{name}: backends diverged at budget {budget}");
+fn assert_vm_matches_reference(name: &str, prog: &Program, budget: u64, steps: u32) {
+    let vm = drive(prog, false, budget, steps);
+    let interp = drive(prog, true, budget, steps);
+    assert_eq!(vm, interp, "{name}: VM diverged at budget {budget}");
 }
 
 #[test]
-fn bundled_policies_are_backend_equivalent_at_generous_and_tight_budgets() {
+fn bundled_policies_match_the_reference_at_generous_and_tight_budgets() {
     for (name, src) in &read_corpus() {
         let prog = load_str(src).unwrap_or_else(|e| panic!("{name}: {e}"));
         for budget in [DEFAULT_BUDGET, 96, 7] {
-            assert_backends_agree(name, &prog, budget, 120);
+            assert_vm_matches_reference(name, &prog, budget, 120);
         }
     }
 }
 
 #[test]
-fn verifier_accepted_mutants_are_backend_equivalent() {
+fn verifier_accepted_mutants_match_the_reference() {
     let corpus = read_corpus();
     let mut rng = SimRng::new(0x00D1_FFE2_E4C1_A11E);
     for (name, src) in &corpus {
@@ -239,7 +251,8 @@ fn verifier_accepted_mutants_are_backend_equivalent() {
             // A tightish budget so some mutants abort mid-hook: the
             // violation (and its exact insns) must match too.
             let budget = [DEFAULT_BUDGET, 128][(accepted % 2) as usize];
-            assert_backends_agree(&format!("{name} mutant #{accepted}"), &prog, budget, 60);
+            let label = format!("{name} mutant #{accepted}");
+            assert_vm_matches_reference(&label, &prog, budget, 60);
         }
         assert!(
             accepted >= 10,
@@ -259,6 +272,62 @@ fn vm_budget_exhaustion_mid_hook_matches_interp_exactly() {
                pick idle }";
     let prog = load_str(src).unwrap();
     for budget in 1..=64u64 {
-        assert_backends_agree("hog", &prog, budget, 24);
+        assert_vm_matches_reference("hog", &prog, budget, 24);
     }
+}
+
+/// A whole machine run of `prog` (three writers and a reader on one
+/// pipe) on the VM or on the reference.
+fn machine_run(cfg: MachineConfig, prog: &Program, budget: u64, reference: bool) -> RunReport {
+    let sched = scheduler(prog, cfg.nr_cpus(), reference).with_budget(budget);
+    let mut m = Machine::new(cfg.with_max_secs(50.0), Box::new(sched));
+    let pipe = m.create_pipe(2);
+    for i in 0..3u32 {
+        m.spawn(
+            &TaskSpec::named("w").mm(MmId(i + 1)),
+            Box::new(Script::new(
+                (0..6)
+                    .map(|k| Op::write_after(30_000, pipe, Msg::tagged(k)))
+                    .collect(),
+            )),
+        );
+    }
+    m.spawn(
+        &TaskSpec::named("r").mm(MmId(9)),
+        Box::new(Script::new(
+            (0..18).map(|_| Op::read_after(10_000, pipe)).collect(),
+        )),
+    );
+    m.run().expect("completes")
+}
+
+/// The machine-level contract: a whole run's report is byte-identical
+/// on the VM and on the reference — same schedule, same cycles, same
+/// `PolicyInsn` totals.
+#[test]
+fn full_runs_are_byte_identical_to_the_reference() {
+    let reg = fs::read_to_string(policies_dir().join("reg.pol")).expect("reg.pol");
+    let prog = load_str(&reg).expect("reg.pol loads");
+    let json =
+        |reference| machine_run(MachineConfig::smp(2), &prog, DEFAULT_BUDGET, reference).to_json();
+    assert_eq!(json(false), json(true));
+}
+
+/// Budget exhaustion mid-`pick_next` on the VM: the watchdog ejects at
+/// the same virtual instant, with the same frozen instruction count, as
+/// under the reference interpreter.
+#[test]
+fn vm_budget_exhaustion_ejects_exactly_like_the_reference() {
+    let src = "policy spin\nlists 1\nhook enqueue { enqueue_front(0) }\n\
+               hook pick_next {\n  repeat 1024 { let x = 1 }\n\
+               if runnable(prev) { pick prev }\n  pick idle\n}\n";
+    let prog = load_str(src).expect("loads");
+    let vm = machine_run(MachineConfig::up(), &prog, 64, false);
+    let p = vm.policy.as_ref().expect("policy summary present");
+    assert!(p.ejected);
+    assert_eq!(p.eject_reason, Some("budget_exhausted"));
+    assert_eq!(
+        vm.to_json(),
+        machine_run(MachineConfig::up(), &prog, 64, true).to_json()
+    );
 }

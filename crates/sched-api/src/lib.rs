@@ -38,6 +38,4 @@ pub use goodness::{
 };
 pub use lockplan::{DomainAcquire, DomainLocker, LockDomains, LockPlan, LockScratch};
 pub use resched::{reschedule_idle, CpuView, WakeTarget};
-pub use scheduler::{
-    LearnedInfo, PolicyBackend, PolicyLoadInfo, PolicyViolation, SchedCtx, Scheduler,
-};
+pub use scheduler::{LearnedInfo, PolicyLoadInfo, PolicyViolation, SchedCtx, Scheduler};

@@ -69,42 +69,6 @@ impl SchedCtx<'_> {
     }
 }
 
-/// Which execution engine runs a loaded `.pol` policy's hooks.
-///
-/// Both backends are charge-for-charge and decision-for-decision
-/// equivalent (the policy crate's differential suite and the CI
-/// cross-backend oracle sweep pin this); they differ only in wall-clock
-/// speed. The enum lives here — not in the policy crate — so the
-/// machine and the lab can configure a backend without depending on the
-/// interpreter itself.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PolicyBackend {
-    /// The PR 5 tree-walking interpreter: the reference semantics.
-    Interp,
-    /// The register-bytecode VM (compiled from the verified AST).
-    #[default]
-    Vm,
-}
-
-impl PolicyBackend {
-    /// Static label used in reports, cell ids, and CLI flags.
-    pub fn label(self) -> &'static str {
-        match self {
-            PolicyBackend::Interp => "interp",
-            PolicyBackend::Vm => "vm",
-        }
-    }
-
-    /// Parses a CLI/spec name (`interp` or `vm`).
-    pub fn from_name(s: &str) -> Option<PolicyBackend> {
-        match s {
-            "interp" => Some(PolicyBackend::Interp),
-            "vm" => Some(PolicyBackend::Vm),
-            _ => None,
-        }
-    }
-}
-
 /// Metadata a loaded (interpreted) policy reports to the machine, so the
 /// machine can announce it on the observability bus at boot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,8 +80,6 @@ pub struct PolicyLoadInfo {
     pub static_insns: u64,
     /// The runtime per-decision instruction budget in force.
     pub budget: u64,
-    /// The execution backend the policy's hooks run on.
-    pub backend: PolicyBackend,
 }
 
 /// Metadata a learned scheduler (`learned:<model>`, see `elsc-learn`)
@@ -227,12 +189,6 @@ pub trait Scheduler {
     fn loaded_info(&self) -> Option<PolicyLoadInfo> {
         None
     }
-
-    /// Selects the execution backend for an interpreted policy's hooks.
-    /// The machine calls this before the run starts when
-    /// `MachineConfig::policy_backend` is set; native schedulers keep
-    /// the no-op default.
-    fn set_policy_backend(&mut self, _backend: PolicyBackend) {}
 
     /// Takes (and clears) the most recent safety violation, if any.
     ///

@@ -291,4 +291,50 @@ mod tests {
         assert_eq!(h.percentile(50.0), 0);
         assert_eq!(h.max(), 0);
     }
+
+    /// On `SimRng` samples: count/min/max/mean are exact, the median is
+    /// within one power-of-two bucket of the exact one, and merging two
+    /// histograms equals recording both sample sets into one.
+    #[test]
+    fn random_samples_match_exact_statistics_and_merge_is_additive() {
+        use crate::SimRng;
+        let record = |samples: &[u64]| {
+            let mut h = Histogram::new();
+            samples.iter().for_each(|&s| h.record(s));
+            h
+        };
+        for seed in 0..64u64 {
+            let mut rng = SimRng::new(0x4157 ^ seed);
+            let mut a: Vec<u64> = (0..1 + seed * 3).map(|_| rng.below(1 << 30)).collect();
+            let b = a.split_off(a.len() / 3);
+            let (mut ha, hb) = (record(&a), record(&b));
+            let mut sorted = b.clone();
+            sorted.sort_unstable();
+            assert_eq!(hb.count(), b.len() as u64);
+            assert_eq!((hb.min(), hb.max()), (sorted[0], sorted[b.len() - 1]));
+            let mean = b.iter().sum::<u64>() as f64 / b.len() as f64;
+            assert!((hb.mean() - mean).abs() < 1e-6 * mean.max(1.0));
+            let p50 = hb.percentile(50.0);
+            assert!(p50 <= hb.max() && p50.saturating_mul(2) + 1 >= sorted[(b.len() - 1) / 2]);
+
+            ha.merge(&hb);
+            let both = record(&[a, b].concat());
+            assert_eq!(
+                (
+                    ha.count(),
+                    ha.sum(),
+                    ha.min(),
+                    ha.max(),
+                    ha.percentile(90.0)
+                ),
+                (
+                    both.count(),
+                    both.sum(),
+                    both.min(),
+                    both.max(),
+                    both.percentile(90.0)
+                )
+            );
+        }
+    }
 }

@@ -243,4 +243,29 @@ mod tests {
         let b = l.acquire(Cycles(0), 0);
         assert_eq!(b, Cycles(100));
     }
+
+    /// Acquire/release with `SimRng` arrival gaps and hold times:
+    /// ownership intervals never overlap, and the spin accounting equals
+    /// the waiting that serialization implies.
+    #[test]
+    fn random_arrivals_serialize_and_account_their_spin() {
+        use crate::SimRng;
+        for seed in 0..64u64 {
+            let mut rng = SimRng::new(0x10CC ^ seed);
+            let mut lock = SimSpinLock::new(0);
+            let (mut now, mut last_release) = (Cycles::ZERO, Cycles::ZERO);
+            let mut expected_spin = 0u64;
+            let n = 1 + rng.below(100);
+            for i in 0..n {
+                now += rng.below(500);
+                let acquired = lock.acquire(now, (i % 3) as usize);
+                assert!(acquired >= last_release.max(now), "overlapping ownership");
+                expected_spin += acquired.saturating_sub(now).get();
+                last_release = acquired + rng.range(1, 500);
+                lock.release(last_release);
+            }
+            assert_eq!(lock.total_spin().get(), expected_spin);
+            assert_eq!(lock.acquisitions(), n);
+        }
+    }
 }
