@@ -10,7 +10,7 @@ use elsc_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 
 use elsc_bench::rig::Rig;
-use elsc_bench::{ConfigKind, SchedKind};
+use elsc_bench::{SchedKind, Shape};
 use elsc_workloads::volanomark::{self, VolanoConfig};
 
 fn schedule_all_designs(c: &mut Criterion) {
@@ -18,7 +18,7 @@ fn schedule_all_designs(c: &mut Criterion) {
     for &n in &[50usize, 1000] {
         for kind in SchedKind::ALL {
             group.bench_with_input(BenchmarkId::new(kind.label(), n), &n, |b, &n| {
-                let mut rig = Rig::new(kind, elsc_sched_api::SchedConfig::smp(4), n);
+                let mut rig = Rig::new(kind.clone(), elsc_sched_api::SchedConfig::smp(4), n);
                 b.iter(|| black_box(rig.schedule_once()));
             });
         }
@@ -38,8 +38,8 @@ fn volano_slice_all_designs(c: &mut Criterion) {
     for kind in SchedKind::ALL {
         group.bench_function(kind.label(), |b| {
             b.iter(|| {
-                let shape = ConfigKind::Smp(2);
-                let report = volanomark::run(shape.machine(), kind.build(shape.nr_cpus()), &cfg);
+                let shape = Shape::Smp(2);
+                let report = volanomark::run(shape.machine(), kind.build(shape.topology()), &cfg);
                 black_box(report.elapsed)
             });
         });

@@ -21,7 +21,7 @@ fn add_del(c: &mut Criterion) {
                 BenchmarkId::new(kind.label(), depth),
                 &depth,
                 |b, &depth| {
-                    let mut rig = Rig::new(kind, SchedConfig::up(), depth);
+                    let mut rig = Rig::new(kind.clone(), SchedConfig::up(), depth);
                     let probe = rig.tasks.spawn(&TaskSpec::named("probe").mm(MmId(1)));
                     b.iter(|| {
                         rig.add(black_box(probe));
@@ -38,7 +38,7 @@ fn move_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("runqueue_move");
     for kind in [SchedKind::Reg, SchedKind::Elsc] {
         group.bench_function(BenchmarkId::new(kind.label(), 100), |b| {
-            let mut rig = Rig::new(kind, SchedConfig::up(), 100);
+            let mut rig = Rig::new(kind.clone(), SchedConfig::up(), 100);
             let probe = rig.tasks.spawn(&TaskSpec::named("probe").mm(MmId(1)));
             rig.add(probe);
             b.iter(|| {

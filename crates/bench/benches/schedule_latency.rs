@@ -18,7 +18,7 @@ fn schedule_latency(c: &mut Criterion) {
     for &n in &[10usize, 100, 500, 1000, 2000] {
         for kind in [SchedKind::Reg, SchedKind::Elsc] {
             group.bench_with_input(BenchmarkId::new(kind.label(), n), &n, |b, &n| {
-                let mut rig = Rig::new(kind, SchedConfig::up(), n);
+                let mut rig = Rig::new(kind.clone(), SchedConfig::up(), n);
                 b.iter(|| black_box(rig.schedule_once()));
             });
         }
@@ -31,7 +31,7 @@ fn schedule_latency_smp(c: &mut Criterion) {
     for &n in &[100usize, 1000] {
         for kind in [SchedKind::Reg, SchedKind::Elsc] {
             group.bench_with_input(BenchmarkId::new(kind.label(), n), &n, |b, &n| {
-                let mut rig = Rig::new(kind, SchedConfig::smp(4), n);
+                let mut rig = Rig::new(kind.clone(), SchedConfig::smp(4), n);
                 b.iter(|| black_box(rig.schedule_once()));
             });
         }

@@ -12,7 +12,7 @@
 //! Columns: total lock spin cycles, lock acquisitions, mean spin per
 //! acquisition, and VolanoMark throughput.
 
-use elsc_bench::{header, row, volano_cfg, ConfigKind, SchedKind};
+use elsc_bench::{header, row, volano_cfg, SchedKind, Shape};
 use elsc_sched_api::LockPlan;
 use elsc_workloads::volanomark;
 
@@ -42,11 +42,11 @@ fn main() {
             &widths,
         )
     );
-    for shape in [ConfigKind::Smp(1), ConfigKind::Smp(2), ConfigKind::Smp(4)] {
+    for shape in [Shape::Smp(1), Shape::Smp(2), Shape::Smp(4)] {
         for kind in [SchedKind::Reg, SchedKind::Elsc, SchedKind::Mq] {
             for plan in PLANS {
                 let machine = shape.machine().with_seed(0x5EED_CAFE).with_lock_plan(plan);
-                let report = volanomark::run(machine, kind.build(shape.nr_cpus()), &cfg);
+                let report = volanomark::run(machine, kind.build(shape.topology()), &cfg);
                 let spin = report.lock_spin.get();
                 let acq = report.lock_acquisitions;
                 let per = if acq == 0 {
@@ -58,7 +58,7 @@ fn main() {
                     "{}",
                     row(
                         &[
-                            shape.label().into(),
+                            shape.label(),
                             kind.label().into(),
                             match plan {
                                 None => format!("({})", report.lock_plan),

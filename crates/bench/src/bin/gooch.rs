@@ -10,10 +10,11 @@
 
 use elsc_bench::{header, SchedKind};
 use elsc_machine::MachineConfig;
+use elsc_simcore::Topology;
 use elsc_workloads::stress::{self, StressConfig};
 
 /// Average simulated scheduler cost per yield, with `n` spinners.
-fn cost_per_yield(kind: SchedKind, n: usize) -> f64 {
+fn cost_per_yield(kind: &SchedKind, n: usize) -> f64 {
     let cfg = StressConfig {
         tasks: n,
         burst: 2_000,
@@ -21,7 +22,7 @@ fn cost_per_yield(kind: SchedKind, n: usize) -> f64 {
         shared_mm: true,
     };
     let machine = MachineConfig::up().with_max_secs(4_000.0);
-    let report = stress::run(machine, kind.build(1), &cfg);
+    let report = stress::run(machine, kind.build(Topology::flat(1)), &cfg);
     let t = report.stats.total();
     (t.sched_cycles + t.lock_spin_cycles) as f64 / t.yields.max(1) as f64
 }
@@ -38,7 +39,7 @@ fn main() {
     }
     println!("{:>10}", "512/2");
     for kind in SchedKind::ALL {
-        let costs: Vec<f64> = sweep.iter().map(|&n| cost_per_yield(kind, n)).collect();
+        let costs: Vec<f64> = sweep.iter().map(|&n| cost_per_yield(&kind, n)).collect();
         print!("{:<8}", kind.label());
         for c in &costs {
             print!("{:>10.0}", c);

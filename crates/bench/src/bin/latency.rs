@@ -7,10 +7,10 @@
 //! the kernel-side wakeup-to-dispatch latency that the scheduler directly
 //! controls.
 
-use elsc_bench::{header, ConfigKind, SchedKind};
+use elsc_bench::{header, SchedKind, Shape};
 use elsc_workloads::httpd::{self, HttpdConfig};
 
-fn run_load(label: &str, cfg: &HttpdConfig, shape: ConfigKind) {
+fn run_load(label: &str, cfg: &HttpdConfig, shape: Shape) {
     println!(
         "{label}: {} workers, {} clients x {} requests on {}",
         cfg.workers,
@@ -23,7 +23,7 @@ fn run_load(label: &str, cfg: &HttpdConfig, shape: ConfigKind) {
         "sched", "req/s", "lat p50", "lat p95", "lat p99", "wake p50", "wake p99"
     );
     for kind in SchedKind::ALL {
-        let report = httpd::run(shape.machine(), kind.build(shape.nr_cpus()), cfg);
+        let report = httpd::run(shape.machine(), kind.build(shape.topology()), cfg);
         let resp = report
             .dists
             .get("response_latency")
@@ -62,9 +62,9 @@ fn main() {
         think_cycles: 500_000,
         ..HttpdConfig::default()
     };
-    run_load("light load", &light, ConfigKind::Smp(2));
-    run_load("heavy load", &heavy, ConfigKind::Smp(2));
-    run_load("heavy load", &heavy, ConfigKind::Smp(4));
+    run_load("light load", &light, Shape::Smp(2));
+    run_load("heavy load", &heavy, Shape::Smp(2));
+    run_load("heavy load", &heavy, Shape::Smp(4));
     println!("expected: under heavy load the baseline's O(n) scans inflate the");
     println!("wakeup-to-dispatch tail, which surfaces in response p95/p99; the");
     println!("bounded-search designs keep both throughput and tail latency.");

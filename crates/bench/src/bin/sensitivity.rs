@@ -8,18 +8,18 @@
 //! elsc/reg throughput ratio at 10 rooms. The claim is robust if the
 //! ratio stays above 1 across the sweep.
 
-use elsc_bench::{header, volano_cfg, ConfigKind, SchedKind};
+use elsc_bench::{header, volano_cfg, SchedKind, Shape};
 use elsc_simcore::CostKind;
 use elsc_workloads::volanomark;
 
-fn ratio_with(goodness: u64, transfer: u64, shape: ConfigKind) -> (f64, f64, f64) {
+fn ratio_with(goodness: u64, transfer: u64, shape: Shape) -> (f64, f64, f64) {
     let mut t = [0.0f64; 2];
     for (i, kind) in [SchedKind::Elsc, SchedKind::Reg].into_iter().enumerate() {
         let mut machine = shape.machine();
         machine.costs.set(CostKind::GoodnessEval, goodness);
         machine.costs.set(CostKind::LockTransfer, transfer);
         let cfg = volano_cfg(10);
-        let report = volanomark::run(machine, kind.build(shape.nr_cpus()), &cfg);
+        let report = volanomark::run(machine, kind.build(shape.topology()), &cfg);
         t[i] = volanomark::throughput(&report);
     }
     (t[0], t[1], t[0] / t[1])
@@ -35,12 +35,12 @@ fn main() {
         "config", "goodness", "transfer", "elsc", "reg", "ratio"
     );
     let mut min_ratio = f64::INFINITY;
-    for shape in [ConfigKind::Up, ConfigKind::Smp(4)] {
+    for shape in [Shape::Up, Shape::Smp(4)] {
         for goodness in [30u64, 60, 120] {
             for transfer in [300u64, 600, 1200] {
                 // The transfer cost only matters on SMP; skip the
                 // redundant UP rows.
-                if shape == ConfigKind::Up && transfer != 600 {
+                if shape == Shape::Up && transfer != 600 {
                     continue;
                 }
                 let (elsc, reg, ratio) = ratio_with(goodness, transfer, shape);

@@ -1,17 +1,18 @@
-//! Shared harness for the experiment binaries and microbenchmarks.
+//! Shared harness for the ad-hoc experiment binaries and microbenchmarks.
 //!
-//! One binary per paper artifact (see `DESIGN.md` §5):
+//! The paper's own tables and figures are rendered by
+//! `elsc-sim lab render <name>` (see `DESIGN.md` §5); what lives here is
+//! the raw-scheduler [`rig`], the experiments that are not lab sweeps,
+//! and the microbenches:
 //!
 //! | target | artifact |
 //! |---|---|
-//! | `table2` | Table 2 — kernel-compile wall time |
-//! | `figure2` | Figure 2 — recalculation frequency |
-//! | `figure3` | Figure 3 — VolanoMark throughput vs rooms |
-//! | `figure4` | Figure 4 — 20-room/5-room scaling factor |
-//! | `figure5` | Figure 5 — cycles and tasks examined per `schedule()` |
-//! | `figure6` | Figure 6 — `schedule()` calls and cross-CPU placements |
-//! | `kernel_share` | §4 claim — scheduler share of kernel time |
+//! | `figure1` | Figure 1 — the two run-queue structures, rendered |
 //! | `contention` | §7/§8 — lock spin vs locking regime ablation |
+//! | `latency` | §8 — web-server latency across designs |
+//! | `gooch` | reference \[5\] — yield cost vs runnable processes |
+//! | `sensitivity` | cost-model calibration robustness |
+//! | `diag` | full statistics for one VolanoMark run |
 //!
 //! Microbenches (`cargo bench`) measure the *real* (host) cost of the
 //! scheduler algorithms themselves: `schedule()` latency vs run-queue
@@ -20,116 +21,18 @@
 //! dependency-free [`harness`] module so offline builds work; the API
 //! mirrors Criterion's, so swapping Criterion back in (with network
 //! access) is a one-line import change per bench.
+//!
+//! Schedulers and machine shapes come from the lab's registry:
+//! [`SchedKind`] and [`Shape`] are re-exports, not second tables.
 #![warn(missing_docs)]
 
-use elsc::ElscScheduler;
-use elsc_machine::MachineConfig;
-use elsc_sched_api::Scheduler;
-use elsc_sched_ext::{AffinityHeapScheduler, HeapScheduler, MultiQueueScheduler};
-use elsc_sched_linux::LinuxScheduler;
 use elsc_workloads::VolanoConfig;
 
 pub mod harness;
 pub mod rig;
 pub mod summary;
 
-/// Machine shapes from the paper's evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ConfigKind {
-    /// Non-SMP kernel build on one processor.
-    Up,
-    /// SMP kernel build on `n` processors.
-    Smp(usize),
-}
-
-impl ConfigKind {
-    /// The four configurations of Figures 2–6.
-    pub const ALL: [ConfigKind; 4] = [
-        ConfigKind::Up,
-        ConfigKind::Smp(1),
-        ConfigKind::Smp(2),
-        ConfigKind::Smp(4),
-    ];
-
-    /// The machine configuration for this shape.
-    pub fn machine(self) -> MachineConfig {
-        match self {
-            ConfigKind::Up => MachineConfig::up(),
-            ConfigKind::Smp(n) => MachineConfig::smp(n),
-        }
-        .with_max_secs(20_000.0)
-    }
-
-    /// Paper-style label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ConfigKind::Up => "UP",
-            ConfigKind::Smp(1) => "1P",
-            ConfigKind::Smp(2) => "2P",
-            ConfigKind::Smp(4) => "4P",
-            ConfigKind::Smp(_) => "nP",
-        }
-    }
-
-    /// Number of processors.
-    pub fn nr_cpus(self) -> usize {
-        match self {
-            ConfigKind::Up => 1,
-            ConfigKind::Smp(n) => n,
-        }
-    }
-}
-
-/// The scheduler designs under comparison.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedKind {
-    /// The stock 2.3.99 scheduler ("reg").
-    Reg,
-    /// The paper's contribution.
-    Elsc,
-    /// §8 heap design.
-    Heap,
-    /// §8 per-(processor, address-space) heap design.
-    AHeap,
-    /// §8 per-CPU multi-queue design.
-    Mq,
-}
-
-impl SchedKind {
-    /// The two schedulers the paper evaluates.
-    pub const PAPER: [SchedKind; 2] = [SchedKind::Elsc, SchedKind::Reg];
-
-    /// All five designs, for ablations.
-    pub const ALL: [SchedKind; 5] = [
-        SchedKind::Reg,
-        SchedKind::Elsc,
-        SchedKind::Heap,
-        SchedKind::AHeap,
-        SchedKind::Mq,
-    ];
-
-    /// Instantiates the scheduler (`nr_cpus` only matters for `Mq`).
-    pub fn build(self, nr_cpus: usize) -> Box<dyn Scheduler> {
-        match self {
-            SchedKind::Reg => Box::new(LinuxScheduler::new()),
-            SchedKind::Elsc => Box::new(ElscScheduler::new()),
-            SchedKind::Heap => Box::new(HeapScheduler::new()),
-            SchedKind::AHeap => Box::new(AffinityHeapScheduler::new()),
-            SchedKind::Mq => Box::new(MultiQueueScheduler::new(nr_cpus)),
-        }
-    }
-
-    /// Display name matching the paper's figure legends.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedKind::Reg => "reg",
-            SchedKind::Elsc => "elsc",
-            SchedKind::Heap => "heap",
-            SchedKind::AHeap => "aheap",
-            SchedKind::Mq => "mq",
-        }
-    }
-}
+pub use elsc_lab::{header, SchedId as SchedKind, Shape};
 
 /// VolanoMark parameters used by the experiment binaries.
 ///
@@ -152,7 +55,7 @@ pub fn volano_cfg(rooms: usize) -> VolanoConfig {
 /// Runs VolanoMark per the paper's run rules: `ELSC_ITERATIONS` runs
 /// (default 1, paper used 11) with varied seeds, the first discarded as
 /// warm-up when more than one, and the mean throughput reported.
-pub fn volano_throughput(shape: ConfigKind, kind: SchedKind, cfg: &VolanoConfig) -> f64 {
+pub fn volano_throughput(shape: Shape, kind: &SchedKind, cfg: &VolanoConfig) -> f64 {
     let iterations: usize = std::env::var("ELSC_ITERATIONS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -161,7 +64,7 @@ pub fn volano_throughput(shape: ConfigKind, kind: SchedKind, cfg: &VolanoConfig)
     let mut samples = Vec::new();
     for i in 0..iterations {
         let machine = shape.machine().with_seed(0x5EED_CAFE + i as u64);
-        let report = elsc_workloads::volanomark::run(machine, kind.build(shape.nr_cpus()), cfg);
+        let report = elsc_workloads::volanomark::run(machine, kind.build(shape.topology()), cfg);
         samples.push(elsc_workloads::volanomark::throughput(&report));
     }
     if samples.len() > 1 {
@@ -170,49 +73,6 @@ pub fn volano_throughput(shape: ConfigKind, kind: SchedKind, cfg: &VolanoConfig)
         samples.remove(0);
     }
     summary::Summary::of(&samples).mean
-}
-
-/// Runs the builtin lab spec `name` against the shared result cache
-/// (`results/lab/cache`) with one worker per host core, writes the run
-/// manifest to `results/lab/<name>.json`, and returns the
-/// [`SweepRun`](elsc_lab::SweepRun) for the caller to render.
-///
-/// Exits the process with status 1 if any cell panicked, hit the
-/// watchdog, deadlocked, or failed its cycle-conservation check — a
-/// figure binary must never print a table over untrustworthy numbers.
-pub fn lab_run(name: &str) -> elsc_lab::SweepRun {
-    let spec = elsc_lab::SweepSpec::builtin(name)
-        .unwrap_or_else(|| panic!("'{name}' is not a builtin lab spec"));
-    let opts = elsc_lab::RunOptions {
-        workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        force: false,
-    };
-    let cache = elsc_lab::Cache::new(elsc_lab::Cache::default_dir());
-    let run = elsc_lab::run_sweep(&spec, &cache, &opts);
-    for (cell, err) in &run.failures {
-        eprintln!("FAILED {cell}: {err}");
-    }
-    let Some(manifest) = run.manifest() else {
-        eprintln!(
-            "{}: {} cell(s) failed; no manifest written",
-            name,
-            run.failures.len()
-        );
-        std::process::exit(1);
-    };
-    let out = std::path::Path::new("results/lab").join(format!("{name}.json"));
-    if let Err(e) = elsc_lab::write_manifest(&out, &manifest) {
-        eprintln!("cannot write {}: {e}", out.display());
-        std::process::exit(1);
-    }
-    println!(
-        "lab sweep {}: {} executed, {} cached; manifest -> {}\n",
-        name,
-        run.executed,
-        run.cached,
-        out.display()
-    );
-    run
 }
 
 /// Formats a row of fixed-width columns.
@@ -224,36 +84,9 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
     out.trim_end().to_string()
 }
 
-/// Prints a standard experiment header.
-pub fn header(title: &str, artifact: &str) {
-    println!("================================================================");
-    println!("{title}");
-    println!("reproduces: {artifact}");
-    println!("================================================================");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_kinds_cover_paper_matrix() {
-        let labels: Vec<_> = ConfigKind::ALL.iter().map(|c| c.label()).collect();
-        assert_eq!(labels, vec!["UP", "1P", "2P", "4P"]);
-        assert_eq!(ConfigKind::Up.nr_cpus(), 1);
-        assert_eq!(ConfigKind::Smp(4).nr_cpus(), 4);
-        assert!(!ConfigKind::Up.machine().sched.smp);
-        assert!(ConfigKind::Smp(1).machine().sched.smp);
-    }
-
-    #[test]
-    fn sched_kinds_instantiate() {
-        for kind in SchedKind::ALL {
-            let s = kind.build(2);
-            assert_eq!(s.name(), kind.label());
-            assert_eq!(s.nr_running(), 0);
-        }
-    }
 
     #[test]
     fn volano_cfg_respects_rooms() {

@@ -42,7 +42,7 @@ impl Rig {
             meter: CycleMeter::new(),
             costs: CostModel::default(),
             cfg: cfg.clone(),
-            sched: kind.build(cfg.nr_cpus),
+            sched: kind.build(cfg.topology),
             idle,
             current: idle,
         };
@@ -126,7 +126,7 @@ mod tests {
     #[test]
     fn rig_builds_and_schedules() {
         for kind in SchedKind::ALL {
-            let mut rig = Rig::new(kind, SchedConfig::smp(2), 50);
+            let mut rig = Rig::new(kind.clone(), SchedConfig::smp(2), 50);
             assert_eq!(rig.sched.nr_running(), 50, "{}", kind.label());
             let next = rig.schedule_once();
             assert_ne!(next, rig.idle, "{}", kind.label());

@@ -266,6 +266,25 @@ impl OracleReport {
         self.unexplained == 0 && self.invariant_violations == 0
     }
 
+    /// The failure sentence every front end reports for a run that is not
+    /// [`clean`](OracleReport::clean) — counts plus the first offending
+    /// decision — or `None` for a clean run.
+    pub fn failure(&self) -> Option<String> {
+        if self.clean() {
+            return None;
+        }
+        let first = self
+            .first_unexplained
+            .as_ref()
+            .or(self.first_violation.as_ref())
+            .map(|d| format!(" (first: {d})"))
+            .unwrap_or_default();
+        Some(format!(
+            "{} unexplained divergence(s), {} invariant violation(s){first}",
+            self.unexplained, self.invariant_violations
+        ))
+    }
+
     /// Deterministic JSON rendering (fixed key order; detail strings
     /// included only when present so clean runs stay byte-stable).
     pub fn to_json(&self) -> String {

@@ -3,21 +3,24 @@
 //! ```text
 //! elsc-sim lab sweep   [--spec NAME | --spec-file PATH | --all-figures]
 //!                      [--workers N] [--out PATH] [--cache-dir PATH] [--force]
+//! elsc-sim lab render  NAME [--workers N] [--out PATH] [--cache-dir PATH] [--force]
 //! elsc-sim lab compare --manifest PATH --baseline PATH [--threshold PCT]
 //! elsc-sim lab ls
 //! ```
 //!
 //! `sweep` expands the spec into cells, executes the dirty ones on a
 //! worker pool (cache hits are loaded, not re-run), writes the manifest,
-//! and exits non-zero if any cell failed. `compare` diffs two manifests
-//! and exits non-zero on regressions or missing cells. `ls` lists the
-//! builtin specs.
+//! and exits non-zero if any cell failed. `render` sweeps one paper
+//! artifact the same way and prints its table. `compare` diffs two
+//! manifests and exits non-zero on regressions or missing cells. `ls`
+//! lists the builtin specs.
 
 use std::path::PathBuf;
 
-use elsc_lab::{compare, Cache, RunOptions, SweepSpec};
+use elsc_lab::{compare, Cache, RunOptions, SweepRun, SweepSpec};
 
 use crate::args::Args;
+use crate::render::RENDERERS;
 
 /// Default regression threshold, percent.
 const DEFAULT_THRESHOLD_PCT: f64 = 5.0;
@@ -28,12 +31,15 @@ const DEFAULT_THRESHOLD_PCT: f64 = 5.0;
 pub fn run_lab(a: &Args) -> Result<(), String> {
     match a.command.as_deref() {
         Some("sweep") => sweep(a),
+        Some("render") => render(a),
         Some("compare") => run_compare(a),
         Some("ls") => {
             ls();
             Ok(())
         }
-        Some(other) => Err(format!("unknown lab command '{other}' (sweep|compare|ls)")),
+        Some(other) => Err(format!(
+            "unknown lab command '{other}' (sweep|render|compare|ls)"
+        )),
         None => {
             print!("{LAB_USAGE}");
             Ok(())
@@ -45,19 +51,10 @@ pub fn run_lab(a: &Args) -> Result<(), String> {
 fn specs(a: &Args) -> Result<Vec<SweepSpec>, String> {
     let mut chosen = Vec::new();
     if a.flag("all-figures") {
-        for name in SweepSpec::BUILTINS {
-            // `smoke` is a CI gate, `chaos` an oracle sweep, `topo` the
-            // topology gate, `policy` a policy-runtime conformance
-            // sweep, `cluster` the federation gate, `mega` the
-            // engine-throughput gate, and `learn` the learned-scheduler
-            // gate — none is a paper figure, so `--all-figures` skips
-            // them all.
-            if !matches!(
-                name,
-                "smoke" | "chaos" | "topo" | "policy" | "cluster" | "mega" | "learn"
-            ) {
-                chosen.push(SweepSpec::builtin(name).expect("builtin"));
-            }
+        // A paper artifact is a builtin with a renderer; the gate
+        // builtins (smoke, chaos, topo, ...) have none.
+        for (name, _) in RENDERERS {
+            chosen.push(SweepSpec::builtin(name).expect("every renderer names a builtin"));
         }
     }
     if let Some(name) = a.get("spec") {
@@ -78,8 +75,11 @@ fn specs(a: &Args) -> Result<Vec<SweepSpec>, String> {
     Ok(chosen)
 }
 
-/// `lab sweep`: run the requested specs, write manifests, report stats.
-fn sweep(a: &Args) -> Result<(), String> {
+/// Runs one spec through the shared cache on the worker pool, prints
+/// the status line, reports failed cells on stderr and writes the
+/// manifest (to `--out` when `out_flag` allows it, else under
+/// `results/lab/`).
+fn sweep_one(a: &Args, spec: &SweepSpec, out_flag: bool) -> Result<SweepRun, String> {
     let workers: usize = a
         .get_or(
             "workers",
@@ -94,38 +94,62 @@ fn sweep(a: &Args) -> Result<(), String> {
         a.get("cache-dir")
             .map_or_else(Cache::default_dir, PathBuf::from),
     );
+    let run = elsc_lab::run_sweep(spec, &cache, &opts);
+    println!(
+        "sweep {}: {} cells, {} executed, {} cached, {} failed ({} workers)",
+        spec.name,
+        run.outcomes.len() + run.failures.len(),
+        run.executed,
+        run.cached,
+        run.failures.len(),
+        opts.workers
+    );
+    for (cell, err) in &run.failures {
+        eprintln!("  FAILED {cell}: {err}");
+    }
+    if let Some(manifest) = run.manifest() {
+        let out = match a.get("out") {
+            Some(path) if out_flag => PathBuf::from(path),
+            _ => PathBuf::from("results/lab").join(format!("{}.json", spec.name)),
+        };
+        elsc_lab::write_manifest(&out, &manifest)
+            .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+        println!("  manifest -> {}", out.display());
+    }
+    Ok(run)
+}
+
+/// `lab sweep`: run the requested specs, write manifests, report stats.
+fn sweep(a: &Args) -> Result<(), String> {
     let specs = specs(a)?;
+    // With several specs one --out path would self-overwrite.
     let multi = specs.len() > 1;
     let mut failed = 0usize;
     for spec in &specs {
-        let run = elsc_lab::run_sweep(spec, &cache, &opts);
-        println!(
-            "sweep {}: {} cells, {} executed, {} cached, {} failed ({} workers)",
-            spec.name,
-            run.outcomes.len() + run.failures.len(),
-            run.executed,
-            run.cached,
-            run.failures.len(),
-            opts.workers
-        );
-        for (cell, err) in &run.failures {
-            eprintln!("  FAILED {cell}: {err}");
-        }
-        if let Some(manifest) = run.manifest() {
-            let out = match a.get("out") {
-                // With several specs one --out path would self-overwrite.
-                Some(path) if !multi => PathBuf::from(path),
-                _ => PathBuf::from("results/lab").join(format!("{}.json", spec.name)),
-            };
-            elsc_lab::write_manifest(&out, &manifest)
-                .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-            println!("  manifest -> {}", out.display());
-        }
-        failed += run.failures.len();
+        failed += sweep_one(a, spec, !multi)?.failures.len();
     }
     if failed > 0 {
         return Err(format!("{failed} cell(s) failed"));
     }
+    Ok(())
+}
+
+/// `lab render NAME`: sweep one paper artifact exactly as `lab sweep`
+/// would, then print its table. A table is never printed over a sweep
+/// with failed cells.
+fn render(a: &Args) -> Result<(), String> {
+    let name = a.get("spec").unwrap_or("");
+    let (_, table) = RENDERERS.iter().find(|(n, _)| *n == name).ok_or_else(|| {
+        let known: Vec<&str> = RENDERERS.iter().map(|(n, _)| *n).collect();
+        format!("no renderer for '{name}' (one of: {})", known.join(", "))
+    })?;
+    let spec = SweepSpec::builtin(name).expect("every renderer names a builtin");
+    let run = sweep_one(a, &spec, true)?;
+    if !run.ok() {
+        return Err(format!("{} cell(s) failed", run.failures.len()));
+    }
+    println!();
+    table(&run);
     Ok(())
 }
 
@@ -198,8 +222,13 @@ elsc-sim lab: parallel experiment orchestrator (sweeps, cache, gate)
 usage:
   elsc-sim lab sweep   [--spec NAME | --spec-file PATH | --all-figures]
                        [--workers N] [--out PATH] [--cache-dir PATH] [--force]
+  elsc-sim lab render  NAME [--workers N] [--out PATH] [--cache-dir PATH] [--force]
   elsc-sim lab compare --manifest PATH --baseline PATH [--threshold PCT]
   elsc-sim lab ls
+
+render: sweep one paper artifact (figure2..figure6, table2, kernel_share)
+through the shared cache exactly as `lab sweep --spec NAME` does, then
+print its table in the paper's layout. Takes the sweep options below.
 
 sweep options:
   --spec NAME      a builtin spec (elsc-sim lab ls)

@@ -11,7 +11,7 @@
 //!   cluster   federated VolanoMark across N simulated machines
 //!
 //! common options:
-//!   --sched LIST   comma list of reg,elsc,heap,aheap,mq and/or
+//!   --sched LIST   comma list of reg,elsc,heap,aheap,mq,bubble and/or
 //!                  policy:FILE.pol, learned:FILE.model   [reg,elsc]
 //!   --cpus N       processors                            [1]
 //!   --up           non-SMP kernel build (forces 1 CPU)
@@ -27,72 +27,45 @@
 //! httpd:  --clients N --workers N --requests N
 //! stress: --tasks N --rounds N --burst CYCLES
 //! ```
+//!
+//! (`elsc-sim --help` is the full manual.) The flags describe a run the
+//! same way a lab sweep does: [`cell`] turns them into an
+//! `elsc_lab::CellConfig`, whose registry types (`SchedId`, `Shape`,
+//! `WorkloadCell`) build the scheduler, the machine configuration and
+//! the populated machine. Nothing in this file names a scheduler or a
+//! workload config directly.
 
 mod args;
 mod lab;
 mod learn;
+mod render;
 
 use args::Args;
 
 use std::fs::File;
 use std::io::BufWriter;
 
-use elsc::ElscScheduler;
-use elsc_cluster::{volano, ClusterConfig, ClusterFaultPlan, DispatcherId};
-use elsc_machine::{FaultPlan, Machine, MachineConfig, RunReport, TraceRecord};
+use elsc_cluster::{Cluster, ClusterConfig, ClusterReport, DispatcherId};
+use elsc_lab::{CellConfig, ChaosSpec, SchedId, Shape, WorkloadCell};
+use elsc_machine::{Machine, MachineConfig, RunReport, TraceRecord};
 use elsc_obs::{first_divergence, JsonLinesSink};
 use elsc_policy::PolicyScheduler;
 use elsc_sched_api::{LockPlan, Scheduler};
-use elsc_sched_ext::{
-    AffinityHeapScheduler, BubbleScheduler, HeapScheduler, LearnedScheduler, MultiQueueScheduler,
-};
-use elsc_sched_linux::LinuxScheduler;
 use elsc_simcore::Topology;
 use elsc_stats::render::render_proc;
-use elsc_workloads::{httpd, kbuild, rtmix, stress, volanomark};
-use elsc_workloads::{HttpdConfig, KbuildConfig, RtMixConfig, StressConfig, VolanoConfig};
 
-/// Builds one scheduler by name. `policy:<file>` loads an interpreted
-/// `.pol` program through the verifying loader; a rejected program
-/// surfaces as `file:line:col: message`, never a panic. `learned:<file>`
-/// loads a trained `elsc-learn` model (see `elsc-sim learn`). The
-/// declared topology sizes the structural schedulers (`mq` per CPU,
-/// `bubble` per NUMA node).
-fn scheduler(
-    name: &str,
-    topo: Topology,
-    policy_budget: Option<u64>,
-) -> Result<Box<dyn Scheduler>, String> {
-    let nr_cpus = topo.nr_cpus();
-    if let Some(path) = name.strip_prefix("learned:") {
-        let src =
-            std::fs::read_to_string(path).map_err(|e| format!("--sched learned: {path}: {e}"))?;
-        let stem = std::path::Path::new(path)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("model");
-        let sched = LearnedScheduler::from_text(stem, &src).map_err(|e| format!("{path}: {e}"))?;
-        return Ok(Box::new(sched));
+/// Instantiates a scheduler the registry ([`SchedId`]) has parsed. The
+/// one CLI-only twist is `--policy-budget`, which re-caps a `.pol`
+/// program's per-decision instruction budget.
+fn scheduler(id: &SchedId, topo: Topology, policy_budget: Option<u64>) -> Box<dyn Scheduler> {
+    match (id, policy_budget) {
+        (SchedId::Policy { src, .. }, Some(budget)) => Box::new(
+            PolicyScheduler::load_str(src, topo.nr_cpus())
+                .expect("the registry verified the program at parse time")
+                .with_budget(budget),
+        ),
+        _ => id.build(topo),
     }
-    if let Some(path) = name.strip_prefix("policy:") {
-        let src =
-            std::fs::read_to_string(path).map_err(|e| format!("--sched policy: {path}: {e}"))?;
-        let mut sched =
-            PolicyScheduler::load_str(&src, nr_cpus).map_err(|e| format!("{path}:{e}"))?;
-        if let Some(budget) = policy_budget {
-            sched = sched.with_budget(budget);
-        }
-        return Ok(Box::new(sched));
-    }
-    Ok(match name {
-        "reg" => Box::new(LinuxScheduler::new()),
-        "elsc" => Box::new(ElscScheduler::new()),
-        "heap" => Box::new(HeapScheduler::new()),
-        "aheap" => Box::new(AffinityHeapScheduler::new()),
-        "mq" => Box::new(MultiQueueScheduler::new(nr_cpus)),
-        "bubble" => Box::new(BubbleScheduler::new(topo)),
-        other => return Err(format!("unknown scheduler '{other}'")),
-    })
 }
 
 /// The declared machine shape: `--topology` when given (checked against
@@ -122,7 +95,7 @@ fn declared_topology(a: &Args) -> Result<Topology, String> {
     }
 }
 
-/// Reads `--policy-budget` (per-decision interpreter instruction cap).
+/// Reads `--policy-budget` (per-decision policy instruction cap).
 fn policy_budget(a: &Args) -> Result<Option<u64>, String> {
     match a.get("policy-budget") {
         None => Ok(None),
@@ -133,52 +106,113 @@ fn policy_budget(a: &Args) -> Result<Option<u64>, String> {
     }
 }
 
-/// Builds the machine configuration from the common options.
-fn machine_cfg(a: &Args) -> Result<MachineConfig, String> {
-    let seed: u64 = a.get_or("seed", 23_062).map_err(|e| e.to_string())?;
+/// The workload the command line names, with the CLI's own flag
+/// defaults (10 messages per user where the lab's specs default to 20).
+fn workload(a: &Args) -> Result<WorkloadCell, String> {
+    let n = |flag: &str, default: u64| a.get_or(flag, default).map_err(|e| e.to_string());
+    let think = elsc_workloads::VolanoConfig::default().think_cycles;
+    Ok(match a.command.as_deref().unwrap_or("") {
+        // `volanomark` is the benchmark's proper name; accept both.
+        "volano" | "volanomark" => WorkloadCell::Volano {
+            rooms: n("rooms", 5)?,
+            users: n("users", 20)?,
+            messages: n("messages", 10)?,
+            think,
+        },
+        "kbuild" => WorkloadCell::Kbuild {
+            jobs: n("jobs", 4)?,
+            units: n("units", 160)?,
+        },
+        "httpd" => WorkloadCell::Httpd {
+            clients: n("clients", 64)?,
+            workers: n("workers", 8)?,
+            requests: n("requests", 10)?,
+        },
+        "stress" => WorkloadCell::Stress {
+            tasks: n("tasks", 100)?,
+            rounds: n("rounds", 50)?,
+            burst: n("burst", 20_000)?,
+        },
+        "rtmix" => WorkloadCell::RtMix,
+        "cluster" => {
+            let nodes = n("nodes", 2)?;
+            if nodes == 0 {
+                return Err("--nodes must be at least 1".to_string());
+            }
+            let dispatcher: DispatcherId = match a.get("dispatcher") {
+                None => DispatcherId::LeastLoaded,
+                Some(text) => text.parse().map_err(|e| format!("--dispatcher: {e}"))?,
+            };
+            WorkloadCell::Cluster {
+                nodes,
+                dispatcher,
+                rooms: n("rooms", 5)?,
+                users: n("users", 20)?,
+                messages: n("messages", 10)?,
+                think,
+            }
+        }
+        other => return Err(format!("unknown workload '{other}' (see --help)")),
+    })
+}
+
+/// The run the command line describes, as the lab cell it is: every
+/// flag that says *what* to simulate. The cell's own methods turn it
+/// into a configured, populated machine — the same path a lab sweep
+/// takes — and [`machine_cfg`] layers the CLI-only observers on top.
+fn cell(a: &Args, sched: SchedId) -> Result<CellConfig, String> {
+    let topo = declared_topology(a)?;
+    let lock_plan = match a.get("lock-plan") {
+        None => None,
+        // `pernode` alone resolves against the declared topology; the
+        // explicit `pernode:K` spelling is handled by the parser.
+        Some("pernode") => Some(LockPlan::PerNode(topo.cpus_per_node())),
+        Some(text) => Some(text.parse().map_err(|e| format!("--lock-plan: {e}"))?),
+    };
+    let fault_seed = match a.get("fault-seed") {
+        None => MachineConfig::up().fault_seed,
+        Some(text) => text
+            .parse()
+            .map_err(|_| format!("--fault-seed: invalid value '{text}'"))?,
+    };
+    Ok(CellConfig {
+        sched,
+        // A declared flat tree is the same shape as --cpus N:
+        // `--topology 1N4C1T` and `--cpus 4` are byte-identical runs.
+        shape: if a.flag("up") {
+            Shape::Up
+        } else {
+            Shape::from(topo)
+        },
+        lock_plan,
+        seed: a.get_or("seed", 23_062).map_err(|e| e.to_string())?,
+        workload: workload(a)?,
+        chaos: ChaosSpec {
+            faults: a.get("faults").map(str::to_string),
+            fault_seed,
+            oracle: a.flag("oracle"),
+        },
+    })
+}
+
+/// The cell's machine configuration plus the CLI-only observers.
+fn machine_cfg(a: &Args, cell: &CellConfig) -> Result<MachineConfig, String> {
     // `--diff` needs the in-memory ring populated; give it a generous
     // default capacity unless the user chose one.
     let trace_default = if a.flag("diff") { 200_000 } else { 0 };
     let trace: usize = a
         .get_or("trace", trace_default)
         .map_err(|e| e.to_string())?;
-    let mut cfg = if a.flag("up") {
-        MachineConfig::up()
-    } else {
-        // A declared flat tree builds the exact same config as --cpus N:
-        // `--topology 1N4C1T` and `--cpus 4` are byte-identical runs.
-        MachineConfig::topo(declared_topology(a)?)
-    };
-    cfg = cfg
-        .with_seed(seed)
+    let mut cfg = cell
+        .machine_config()
+        // The only thing a CLI cell's config can reject is its fault plan.
+        .map_err(|e| format!("--faults: {e}"))?
+        // The report names the fault seed whenever the oracle is on; a
+        // lab cell leaves it at the default unless faults are injected,
+        // the CLI has always reported the flag.
+        .with_fault_seed(cell.chaos.fault_seed)
         .with_trace(trace)
-        .with_max_secs(20_000.0);
-    if let Some(text) = a.get("lock-plan") {
-        // `pernode` alone resolves against the declared topology; the
-        // explicit `pernode:K` spelling is handled by the parser.
-        let plan: LockPlan = if text == "pernode" {
-            LockPlan::PerNode(cfg.sched.topology.cpus_per_node())
-        } else {
-            text.parse().map_err(|e| format!("--lock-plan: {e}"))?
-        };
-        cfg = cfg.with_lock_plan(Some(plan));
-    }
-    if let Some(text) = a.get("faults") {
-        let plan: FaultPlan = text.parse().map_err(|e| format!("--faults: {e}"))?;
-        cfg = cfg.with_faults(Some(plan));
-    }
-    if let Some(text) = a.get("fault-seed") {
-        let seed: u64 = text
-            .parse()
-            .map_err(|_| format!("--fault-seed: invalid value '{text}'"))?;
-        cfg = cfg.with_fault_seed(seed);
-    }
-    if a.flag("oracle") {
-        cfg = cfg.with_oracle(true);
-    }
-    if a.flag("decision-trace") {
-        cfg = cfg.with_decision_trace(true);
-    }
+        .with_decision_trace(a.flag("decision-trace"));
     if let Some(text) = a.get("learn-eject-k") {
         let k: u32 = text
             .parse()
@@ -196,73 +230,26 @@ struct RunOutcome {
     /// The machine's report.
     report: RunReport,
     /// Name of the headline throughput metric, if the workload has one.
-    metric: Option<String>,
+    metric: Option<&'static str>,
     /// Human-readable trace summary when `--trace N` was given.
     trace_text: Option<String>,
     /// The in-memory trace ring (empty unless tracing was enabled).
     records: Vec<TraceRecord>,
 }
 
-/// Runs one workload on one machine; `trace_out` streams the full event
-/// trace to a JSON-lines file as the run executes.
-fn run_one(
-    a: &Args,
-    sched: Box<dyn Scheduler>,
-    trace_out: Option<&str>,
-) -> Result<RunOutcome, String> {
-    let cfg = machine_cfg(a)?;
-    let mut machine = Machine::new(cfg, sched);
+/// Runs the command line's workload on one machine under the scheduler
+/// `name`; `trace_out` streams the full event trace to a JSON-lines file
+/// as the run executes.
+fn run_one(a: &Args, name: &str, trace_out: Option<&str>) -> Result<RunOutcome, String> {
+    let cell = cell(a, name.parse()?)?;
+    let sched = scheduler(&cell.sched, cell.shape.topology(), policy_budget(a)?);
+    let mut machine = Machine::new(machine_cfg(a, &cell)?, sched);
     if let Some(path) = trace_out {
         let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
         machine.add_sink(Box::new(JsonLinesSink::new(BufWriter::new(file))));
     }
-    let metric = match a.command.as_deref().unwrap_or("") {
-        // `volanomark` is the benchmark's proper name; accept both.
-        "volano" | "volanomark" => {
-            let w = VolanoConfig {
-                rooms: a.get_or("rooms", 5).map_err(|e| e.to_string())?,
-                users_per_room: a.get_or("users", 20).map_err(|e| e.to_string())?,
-                messages_per_user: a.get_or("messages", 10).map_err(|e| e.to_string())?,
-                ..VolanoConfig::default()
-            };
-            volanomark::build(&mut machine, &w);
-            Some("messages".to_string())
-        }
-        "kbuild" => {
-            let w = KbuildConfig {
-                jobs: a.get_or("jobs", 4).map_err(|e| e.to_string())?,
-                translation_units: a.get_or("units", 160).map_err(|e| e.to_string())?,
-                ..KbuildConfig::default()
-            };
-            kbuild::build(&mut machine, &w);
-            None
-        }
-        "httpd" => {
-            let w = HttpdConfig {
-                clients: a.get_or("clients", 64).map_err(|e| e.to_string())?,
-                workers: a.get_or("workers", 8).map_err(|e| e.to_string())?,
-                requests_per_client: a.get_or("requests", 10).map_err(|e| e.to_string())?,
-                ..HttpdConfig::default()
-            };
-            httpd::build(&mut machine, &w);
-            Some("requests_served".to_string())
-        }
-        "stress" => {
-            let w = StressConfig {
-                tasks: a.get_or("tasks", 100).map_err(|e| e.to_string())?,
-                rounds: a.get_or("rounds", 50).map_err(|e| e.to_string())?,
-                burst: a.get_or("burst", 20_000).map_err(|e| e.to_string())?,
-                ..StressConfig::default()
-            };
-            stress::build(&mut machine, &w);
-            None
-        }
-        "rtmix" => {
-            rtmix::build(&mut machine, &RtMixConfig::default());
-            None
-        }
-        other => return Err(format!("unknown workload '{other}' (see --help)")),
-    };
+    cell.workload.populate(&mut machine);
+    let metric = cell.workload.metric_key();
     let report = machine.run().map_err(|e| e.to_string())?;
     let trace_text = if machine.trace().enabled() {
         let mut out = String::new();
@@ -299,34 +286,36 @@ fn per_sched_path(base: &str, name: &str, multi: bool) -> String {
     }
 }
 
-/// Full run across the requested schedulers.
-fn run(a: &Args) -> Result<(), String> {
-    let topo = declared_topology(a)?;
-    let scheds = a.get("sched").unwrap_or("reg,elsc");
-    if a.flag("compare") {
-        return run_compare(a, scheds, topo);
-    }
-    if a.flag("diff") {
-        return run_diff(a, scheds, topo);
-    }
-    let names: Vec<&str> = scheds
+/// The `--sched` comma list (default `reg,elsc`).
+fn sched_names(a: &Args) -> Vec<&str> {
+    a.get("sched")
+        .unwrap_or("reg,elsc")
         .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .collect();
+        .collect()
+}
+
+/// Full run across the requested schedulers.
+fn run(a: &Args) -> Result<(), String> {
+    if a.flag("compare") {
+        return run_compare(a);
+    }
+    if a.flag("diff") {
+        return run_diff(a);
+    }
+    let names = sched_names(a);
     let multi = names.len() > 1;
-    let budget = policy_budget(a)?;
     // `--oracle` turns the §5 equivalence claim into the exit code:
     // any unexplained divergence or invariant violation fails the run.
     let mut oracle_failures: Vec<String> = Vec::new();
     for name in names {
-        let sched = scheduler(name, topo, budget)?;
         let trace_out = a.get("trace-out").map(|p| per_sched_path(p, name, multi));
-        let out = run_one(a, sched, trace_out.as_deref())?;
+        let out = run_one(a, name, trace_out.as_deref())?;
         let report = &out.report;
         if !a.flag("quiet") {
             println!("{report}");
-            if let Some(metric) = &out.metric {
+            if let Some(metric) = out.metric {
                 println!("  {} = {:.0}/s", metric, report.per_sec(metric));
             }
         }
@@ -353,19 +342,8 @@ fn run(a: &Args) -> Result<(), String> {
                 println!("  report written to {path}");
             }
         }
-        if let Some(o) = report.chaos.as_ref().and_then(|c| c.oracle.as_ref()) {
-            if !o.clean() {
-                oracle_failures.push(format!(
-                    "{name}: {} unexplained divergence(s), {} invariant violation(s){}",
-                    o.unexplained,
-                    o.invariant_violations,
-                    o.first_unexplained
-                        .as_ref()
-                        .or(o.first_violation.as_ref())
-                        .map(|d| format!(" (first: {d})"))
-                        .unwrap_or_default()
-                ));
-            }
+        if let Some(e) = report.oracle_failure() {
+            oracle_failures.push(format!("{name}: {e}"));
         }
     }
     if !oracle_failures.is_empty() {
@@ -376,37 +354,31 @@ fn run(a: &Args) -> Result<(), String> {
 
 /// `--diff`: run the same workload and seed under two schedulers and
 /// report where their event traces first diverge.
-fn run_diff(a: &Args, scheds: &str, topo: Topology) -> Result<(), String> {
-    let names: Vec<&str> = scheds
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
+fn run_diff(a: &Args) -> Result<(), String> {
+    let names = sched_names(a);
     if names.len() != 2 {
         return Err(format!(
-            "--diff compares exactly two schedulers (got '{scheds}'; try --sched reg,elsc)"
+            "--diff compares exactly two schedulers (got '{}'; try --sched reg,elsc)",
+            a.get("sched").unwrap_or("reg,elsc")
         ));
     }
-    let budget = policy_budget(a)?;
-    let first = run_one(a, scheduler(names[0], topo, budget)?, None)?;
-    let second = run_one(a, scheduler(names[1], topo, budget)?, None)?;
+    let first = run_one(a, names[0], None)?;
+    let second = run_one(a, names[1], None)?;
     println!("trace diff: {} vs {}", names[0], names[1]);
     println!("{}", first_divergence(&first.records, &second.records));
     Ok(())
 }
 
 /// One-line-per-scheduler comparison table.
-fn run_compare(a: &Args, scheds: &str, topo: Topology) -> Result<(), String> {
+fn run_compare(a: &Args) -> Result<(), String> {
     println!(
         "{:<7} {:>10} {:>10} {:>12} {:>10} {:>9} {:>9}",
         "sched", "elapsed_s", "cyc/sched", "exam/sched", "recalcs", "new_cpu", "metric/s"
     );
-    let budget = policy_budget(a)?;
-    for name in scheds.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        let sched = scheduler(name, topo, budget)?;
-        let RunOutcome { report, metric, .. } = run_one(a, sched, None)?;
+    for name in sched_names(a) {
+        let RunOutcome { report, metric, .. } = run_one(a, name, None)?;
         let t = report.stats.total();
-        let rate = metric.as_deref().map(|m| report.per_sec(m)).unwrap_or(0.0);
+        let rate = metric.map(|m| report.per_sec(m)).unwrap_or(0.0);
         println!(
             "{:<7} {:>10.3} {:>10.0} {:>12.2} {:>10} {:>9} {:>9.0}",
             name,
@@ -421,42 +393,13 @@ fn run_compare(a: &Args, scheds: &str, topo: Topology) -> Result<(), String> {
     Ok(())
 }
 
-/// `elsc-sim cluster`: run the federated VolanoMark cluster (the
-/// two-level scheduler of `elsc-cluster`) under each requested kernel
-/// scheduler and print the merged report.
-///
-/// `--faults` here takes *cluster* fault classes (partition, slow_link,
-/// node_pause, or the light/heavy presets), not the machine classes.
-fn run_cluster(a: &Args) -> Result<(), String> {
-    let topo = declared_topology(a)?;
-    let seed: u64 = a.get_or("seed", 23_062).map_err(|e| e.to_string())?;
-    let nodes: usize = a.get_or("nodes", 2).map_err(|e| e.to_string())?;
-    if nodes == 0 {
-        return Err("--nodes must be at least 1".to_string());
-    }
-    let dispatcher: DispatcherId = match a.get("dispatcher") {
-        None => DispatcherId::LeastLoaded,
-        Some(text) => text.parse().map_err(|e| format!("--dispatcher: {e}"))?,
-    };
-    let mut node_cfg = if a.flag("up") {
-        MachineConfig::up()
-    } else {
-        MachineConfig::topo(topo)
-    }
-    .with_seed(seed)
-    .with_max_secs(20_000.0);
-    if let Some(text) = a.get("lock-plan") {
-        let plan: LockPlan = if text == "pernode" {
-            LockPlan::PerNode(topo.cpus_per_node())
-        } else {
-            text.parse().map_err(|e| format!("--lock-plan: {e}"))?
-        };
-        node_cfg = node_cfg.with_lock_plan(Some(plan));
-    }
-    if a.flag("oracle") {
-        node_cfg = node_cfg.with_oracle(true);
-    }
-    let mut ccfg = ClusterConfig::new(nodes, dispatcher, node_cfg);
+/// Runs the federated cluster the command line describes under the
+/// scheduler `name`, every node built from the same registry entry.
+fn run_cluster_one(a: &Args, name: &str) -> Result<ClusterReport, String> {
+    let cell = cell(a, name.parse()?)?;
+    let mut ccfg: ClusterConfig = cell
+        .cluster_config()
+        .map_err(|e| format!("--faults (cluster classes): {e}"))?;
     if let Some(text) = a.get("epoch") {
         ccfg.epoch_cycles = text
             .parse()
@@ -465,47 +408,32 @@ fn run_cluster(a: &Args) -> Result<(), String> {
             return Err("--epoch must be a positive cycle count".into());
         }
     }
-    if let Some(text) = a.get("faults") {
-        let plan: ClusterFaultPlan = text
-            .parse()
-            .map_err(|e| format!("--faults (cluster classes): {e}"))?;
-        ccfg = ccfg.with_faults(Some(plan));
-    }
-    if let Some(text) = a.get("fault-seed") {
-        let fseed: u64 = text
-            .parse()
-            .map_err(|_| format!("--fault-seed: invalid value '{text}'"))?;
-        ccfg = ccfg.with_fault_seed(fseed);
-    }
-    let w = VolanoConfig {
-        rooms: a.get_or("rooms", 5).map_err(|e| e.to_string())?,
-        users_per_room: a.get_or("users", 20).map_err(|e| e.to_string())?,
-        messages_per_user: a.get_or("messages", 10).map_err(|e| e.to_string())?,
-        ..VolanoConfig::default()
-    };
-    let budget = policy_budget(a)?;
-    let scheds = a.get("sched").unwrap_or("reg,elsc");
-    let names: Vec<&str> = scheds
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
+    let (topo, budget) = (cell.shape.topology(), policy_budget(a)?);
+    let mut cluster = Cluster::new(ccfg, |_node| scheduler(&cell.sched, topo, budget));
+    cell.workload.populate_cluster(&mut cluster);
+    cluster.run().map_err(|e| e.to_string())
+}
+
+/// `elsc-sim cluster`: run the federated VolanoMark cluster (the
+/// two-level scheduler of `elsc-cluster`) under each requested kernel
+/// scheduler and print the merged report.
+///
+/// `--faults` here takes *cluster* fault classes (partition, slow_link,
+/// node_pause, or the light/heavy presets), not the machine classes.
+fn run_cluster(a: &Args) -> Result<(), String> {
+    let names = sched_names(a);
     let multi = names.len() > 1;
     let mut oracle_failures: Vec<String> = Vec::new();
-    for name in &names {
-        // Validate once so a bad name fails before any simulation; the
-        // per-node closure then builds a fresh instance per machine.
-        scheduler(name, topo, budget)?;
-        let report = volano::run(
-            ccfg.clone(),
-            |_node| scheduler(name, topo, budget).expect("validated above"),
-            &w,
-        )
-        .map_err(|e| e.to_string())?;
+    for name in names {
+        let report = run_cluster_one(a, name)?;
         if !a.flag("quiet") {
             println!(
                 "cluster: {} nodes, dispatcher={}, sched={}, seed={}",
-                nodes, dispatcher, name, seed
+                report.nodes.len(),
+                report.dispatcher,
+                name,
+                // Node 0 runs on the cluster seed itself.
+                report.nodes[0].seed
             );
             println!(
                 "  elapsed = {:.3}s (makespan)   messages = {} ({:.0}/s)",
@@ -541,13 +469,8 @@ fn run_cluster(a: &Args) -> Result<(), String> {
             }
         }
         for (n, node) in report.nodes.iter().enumerate() {
-            if let Some(o) = node.chaos.as_ref().and_then(|c| c.oracle.as_ref()) {
-                if !o.clean() {
-                    oracle_failures.push(format!(
-                        "{name} node {n}: {} unexplained divergence(s), {} invariant violation(s)",
-                        o.unexplained, o.invariant_violations
-                    ));
-                }
+            if let Some(e) = node.oracle_failure() {
+                oracle_failures.push(format!("{name} node {n}: {e}"));
             }
         }
     }
@@ -563,15 +486,8 @@ fn run_cluster(a: &Args) -> Result<(), String> {
 /// tells you what `--sched policy:<file>` would accept.
 fn run_ls(a: &Args) -> Result<(), String> {
     println!("native schedulers (--sched NAME):");
-    for (name, what) in [
-        ("reg", "vanilla Linux 2.2/2.3 scheduler (paper sec. 3)"),
-        ("elsc", "30-list static-goodness table (paper sec. 5)"),
-        ("heap", "goodness-ordered heap prototype (paper sec. 8)"),
-        ("aheap", "affinity-aware heap prototype (paper sec. 8)"),
-        ("mq", "per-CPU multi-queue prototype (paper sec. 8)"),
-        ("bubble", "NUMA-node bubble scheduler (topology tree)"),
-    ] {
-        println!("  {name:<10} {what}");
+    for id in SchedId::NATIVE {
+        println!("  {:<10} {}", id.label(), id.describe());
     }
     let dir = a.get("policy-dir").unwrap_or("policies");
     println!("\npolicies ({dir}/*.pol, run with --sched policy:<file>):");
@@ -660,12 +576,19 @@ fn run_ls(a: &Args) -> Result<(), String> {
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     // `lab` and `learn` are command families with their own
-    // sub-subcommand (sweep/compare/ls, train/eval), so they are peeled
+    // sub-subcommand (sweep/render/compare/ls, train/eval), so they are peeled
     // off before the flat workload parser.
     let is_lab = raw.first().map(String::as_str) == Some("lab");
     let is_learn = !is_lab && raw.first().map(String::as_str) == Some("learn");
     if is_lab || is_learn {
         raw.remove(0);
+    }
+    // `lab render NAME` is sugar for `lab render --spec NAME`.
+    if is_lab
+        && raw.first().map(String::as_str) == Some("render")
+        && raw.get(1).is_some_and(|s| !s.starts_with("--"))
+    {
+        raw.insert(1, "--spec".to_string());
     }
     let a = match Args::parse(raw) {
         Ok(a) => a,
@@ -730,7 +653,7 @@ usage: elsc-sim <workload> [options]
                                                     simulation)
        elsc-sim ls [--policy-dir DIR]              (list schedulers,
                                                     policies, workloads)
-       elsc-sim lab <sweep|compare|ls> [options]   (elsc-sim lab --help)
+       elsc-sim lab <sweep|render|compare|ls> ...  (elsc-sim lab --help)
        elsc-sim learn <train|eval> [options]       (elsc-sim learn --help)
 
 workloads:
@@ -742,7 +665,7 @@ workloads:
 
 common options:
   --sched LIST   comma list of reg,elsc,heap,aheap,mq,bubble, and/or
-                 policy:FILE.pol (interpreted policy) or
+                 policy:FILE.pol (loadable policy) or
                  learned:FILE.model (trained model)     [reg,elsc]
   --cpus N       processors                            [1]
   --topology T   declared NUMA/SMT tree, e.g. 2N4C2T (2 nodes x 4 cores
@@ -829,15 +752,10 @@ mod tests {
         Args::parse(list.iter().map(|s| s.to_string())).unwrap()
     }
 
-    #[test]
-    fn scheduler_factory_knows_all_names() {
-        for name in ["reg", "elsc", "heap", "aheap", "mq", "bubble"] {
-            assert_eq!(
-                scheduler(name, Topology::flat(2), None).unwrap().name(),
-                name
-            );
-        }
-        assert!(scheduler("cfs", Topology::flat(2), None).is_err());
+    /// The machine configuration a command line resolves to.
+    fn cfg_of(list: &[&str]) -> Result<MachineConfig, String> {
+        let a = args(list);
+        machine_cfg(&a, &cell(&a, SchedId::Reg)?)
     }
 
     #[test]
@@ -864,8 +782,8 @@ mod tests {
     fn machine_cfg_flat_topology_matches_plain_cpus() {
         // The CI flat-equivalence gate in config form: a declared flat
         // tree is *the same configuration* as --cpus N.
-        let a = machine_cfg(&args(&["volano", "--topology", "1N4C1T"])).unwrap();
-        let b = machine_cfg(&args(&["volano", "--cpus", "4"])).unwrap();
+        let a = cfg_of(&["volano", "--topology", "1N4C1T"]).unwrap();
+        let b = cfg_of(&["volano", "--cpus", "4"]).unwrap();
         assert_eq!(a.sched.topology, b.sched.topology);
         assert_eq!(a.sched.label(), b.sched.label());
         assert_eq!(a.nr_cpus(), b.nr_cpus());
@@ -873,45 +791,31 @@ mod tests {
 
     #[test]
     fn pernode_lock_plan_resolves_against_the_topology() {
-        let cfg = machine_cfg(&args(&[
-            "volano",
-            "--topology",
-            "2N4C2T",
-            "--lock-plan",
-            "pernode",
-        ]))
-        .unwrap();
+        let cfg = cfg_of(&["volano", "--topology", "2N4C2T", "--lock-plan", "pernode"]).unwrap();
         assert_eq!(cfg.lock_plan, Some(LockPlan::PerNode(8)));
-        let cfg = machine_cfg(&args(&[
-            "volano",
-            "--lock-plan",
-            "pernode:2",
-            "--cpus",
-            "4",
-        ]))
-        .unwrap();
+        let cfg = cfg_of(&["volano", "--lock-plan", "pernode:2", "--cpus", "4"]).unwrap();
         assert_eq!(cfg.lock_plan, Some(LockPlan::PerNode(2)));
     }
 
     #[test]
     fn machine_cfg_respects_up_flag() {
-        let cfg = machine_cfg(&args(&["volano", "--up", "--cpus", "4"])).unwrap();
+        let cfg = cfg_of(&["volano", "--up", "--cpus", "4"]).unwrap();
         assert!(!cfg.sched.smp);
         assert_eq!(cfg.nr_cpus(), 1);
-        let cfg = machine_cfg(&args(&["volano", "--cpus", "4"])).unwrap();
+        let cfg = cfg_of(&["volano", "--cpus", "4"]).unwrap();
         assert!(cfg.sched.smp);
         assert_eq!(cfg.nr_cpus(), 4);
     }
 
     #[test]
     fn machine_cfg_parses_lock_plan() {
-        let cfg = machine_cfg(&args(&["volano", "--lock-plan", "percpu"])).unwrap();
+        let cfg = cfg_of(&["volano", "--lock-plan", "percpu"]).unwrap();
         assert_eq!(cfg.lock_plan, Some(LockPlan::PerCpu));
-        let cfg = machine_cfg(&args(&["volano", "--lock-plan", "sharded:3"])).unwrap();
+        let cfg = cfg_of(&["volano", "--lock-plan", "sharded:3"]).unwrap();
         assert_eq!(cfg.lock_plan, Some(LockPlan::Sharded(3)));
-        let cfg = machine_cfg(&args(&["volano"])).unwrap();
+        let cfg = cfg_of(&["volano"]).unwrap();
         assert_eq!(cfg.lock_plan, None);
-        let err = machine_cfg(&args(&["volano", "--lock-plan", "banana"])).unwrap_err();
+        let err = cfg_of(&["volano", "--lock-plan", "banana"]).unwrap_err();
         assert!(err.contains("--lock-plan"), "{err}");
     }
 
@@ -929,29 +833,29 @@ mod tests {
             "percpu",
             "--quiet",
         ]);
-        let out = run_one(&a, scheduler("reg", Topology::flat(2), None).unwrap(), None).unwrap();
+        let out = run_one(&a, "reg", None).unwrap();
         assert_eq!(out.report.lock_plan, "percpu");
         assert_eq!(out.report.lock_domains.len(), 2);
     }
 
     #[test]
     fn machine_cfg_parses_chaos_options() {
-        let cfg = machine_cfg(&args(&[
+        let cfg = cfg_of(&[
             "stress",
             "--faults",
             "light",
             "--fault-seed",
             "41",
             "--oracle",
-        ]))
+        ])
         .unwrap();
         assert!(cfg.faults.is_some());
         assert_eq!(cfg.fault_seed, 41);
         assert!(cfg.oracle);
-        let cfg = machine_cfg(&args(&["stress"])).unwrap();
+        let cfg = cfg_of(&["stress"]).unwrap();
         assert!(cfg.faults.is_none());
         assert!(!cfg.oracle);
-        let err = machine_cfg(&args(&["stress", "--faults", "banana"])).unwrap_err();
+        let err = cfg_of(&["stress", "--faults", "banana"]).unwrap_err();
         assert!(err.contains("--faults"), "{err}");
     }
 
@@ -960,12 +864,7 @@ mod tests {
         let a = args(&[
             "stress", "--tasks", "8", "--rounds", "3", "--oracle", "--quiet",
         ]);
-        let out = run_one(
-            &a,
-            scheduler("elsc", Topology::flat(1), None).unwrap(),
-            None,
-        )
-        .unwrap();
+        let out = run_one(&a, "elsc", None).unwrap();
         let o = out
             .report
             .chaos
@@ -988,13 +887,8 @@ mod tests {
             "2",
             "--quiet",
         ]);
-        let out = run_one(
-            &a,
-            scheduler("elsc", Topology::flat(1), None).unwrap(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(out.metric.as_deref(), Some("messages"));
+        let out = run_one(&a, "elsc", None).unwrap();
+        assert_eq!(out.metric, Some("messages"));
         assert_eq!(out.report.ledger.get("messages"), 3 * 3 * 2);
         assert!(out.trace_text.is_none(), "tracing is off by default");
     }
@@ -1002,19 +896,14 @@ mod tests {
     #[test]
     fn small_stress_runs_end_to_end() {
         let a = args(&["stress", "--tasks", "4", "--rounds", "3"]);
-        let out = run_one(&a, scheduler("reg", Topology::flat(1), None).unwrap(), None).unwrap();
+        let out = run_one(&a, "reg", None).unwrap();
         assert_eq!(out.report.ledger.get("spins"), 12);
     }
 
     #[test]
     fn trace_flag_produces_a_summary() {
         let a = args(&["stress", "--tasks", "2", "--rounds", "2", "--trace", "100"]);
-        let out = run_one(
-            &a,
-            scheduler("elsc", Topology::flat(1), None).unwrap(),
-            None,
-        )
-        .unwrap();
+        let out = run_one(&a, "elsc", None).unwrap();
         let text = out.trace_text.expect("trace requested");
         assert!(text.contains("Switch"));
         assert!(text.contains("records kept"));
@@ -1039,12 +928,7 @@ mod tests {
     #[test]
     fn rtmix_runs_end_to_end() {
         let a = args(&["rtmix", "--quiet"]);
-        let out = run_one(
-            &a,
-            scheduler("elsc", Topology::flat(1), None).unwrap(),
-            None,
-        )
-        .unwrap();
+        let out = run_one(&a, "elsc", None).unwrap();
         assert!(out.report.ledger.get("fifo_activations") > 0);
     }
 
@@ -1124,11 +1008,17 @@ mod tests {
         )
     }
 
+    /// `--sched NAME` the way every run path resolves it: through the
+    /// registry, then the CLI's budget-aware builder.
+    fn sched(name: &str, topo: Topology) -> Result<Box<dyn Scheduler>, String> {
+        Ok(scheduler(&name.parse()?, topo, None))
+    }
+
     #[test]
     fn policy_factory_loads_pol_files() {
-        let s = scheduler(&pol("reg.pol"), Topology::flat(2), None).unwrap();
+        let s = sched(&pol("reg.pol"), Topology::flat(2)).unwrap();
         assert_eq!(s.name(), "policy:reg");
-        let err = scheduler("policy:/no/such/file.pol", Topology::flat(1), None)
+        let err = sched("policy:/no/such/file.pol", Topology::flat(1))
             .err()
             .unwrap();
         assert!(err.contains("/no/such/file.pol"), "{err}");
@@ -1136,11 +1026,11 @@ mod tests {
 
     #[test]
     fn malformed_policy_is_a_diagnostic_not_a_panic() {
-        let err = scheduler(&pol("bad/undefined_var.pol"), Topology::flat(1), None)
+        let err = sched(&pol("bad/undefined_var.pol"), Topology::flat(1))
             .err()
             .unwrap();
         // file:line:col: message — clickable, never a panic.
-        assert!(err.contains("undefined_var.pol:"), "{err}");
+        assert!(err.contains("undefined_var.pol:6:16: "), "{err}");
         assert!(err.contains("winner"), "{err}");
     }
 
@@ -1152,34 +1042,28 @@ mod tests {
         let model = elsc_learn::Model::zeroed(elsc_learn::Arch::LogReg);
         std::fs::write(&path, model.to_text()).unwrap();
         let spec = format!("learned:{}", path.display());
-        let s = scheduler(&spec, Topology::flat(2), None).unwrap();
+        let s = sched(&spec, Topology::flat(2)).unwrap();
         assert_eq!(s.name(), "learned:zero");
         // Missing file and garbage bytes are diagnostics, not panics.
-        let err = scheduler("learned:/no/such.model", Topology::flat(1), None)
+        let err = sched("learned:/no/such.model", Topology::flat(1))
             .err()
             .unwrap();
         assert!(err.contains("/no/such.model"), "{err}");
         std::fs::write(&path, "not a model").unwrap();
-        let err = scheduler(&spec, Topology::flat(1), None).err().unwrap();
+        let err = sched(&spec, Topology::flat(1)).err().unwrap();
         assert!(err.contains("zero.model"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn machine_cfg_parses_learned_options() {
-        let cfg = machine_cfg(&args(&[
-            "volano",
-            "--decision-trace",
-            "--learn-eject-k",
-            "3",
-        ]))
-        .unwrap();
+        let cfg = cfg_of(&["volano", "--decision-trace", "--learn-eject-k", "3"]).unwrap();
         assert!(cfg.decision_trace);
         assert_eq!(cfg.learn_eject_k, 3);
-        let cfg = machine_cfg(&args(&["volano"])).unwrap();
+        let cfg = cfg_of(&["volano"]).unwrap();
         assert!(!cfg.decision_trace);
         assert_eq!(cfg.learn_eject_k, 8);
-        let err = machine_cfg(&args(&["volano", "--learn-eject-k", "0"])).unwrap_err();
+        let err = cfg_of(&["volano", "--learn-eject-k", "0"]).unwrap_err();
         assert!(err.contains("--learn-eject-k"), "{err}");
     }
 
@@ -1202,12 +1086,7 @@ mod tests {
             "--decision-trace",
             "--quiet",
         ]);
-        run_one(
-            &a,
-            scheduler("reg", Topology::flat(1), None).unwrap(),
-            Some(&trace),
-        )
-        .unwrap();
+        run_one(&a, "reg", Some(&trace)).unwrap();
         let data = elsc_learn::parse_trace(&std::fs::read_to_string(&trace).unwrap());
         assert!(!data.decisions.is_empty(), "the trace must be labelled");
         let model = dir.join("volano.model").display().to_string();
@@ -1222,12 +1101,7 @@ mod tests {
             "--quiet",
         ]))
         .unwrap();
-        let out = run_one(
-            &a,
-            scheduler(&format!("learned:{model}"), Topology::flat(1), None).unwrap(),
-            None,
-        )
-        .unwrap();
+        let out = run_one(&a, &format!("learned:{model}"), None).unwrap();
         assert_eq!(out.report.ledger.get("messages"), 4 * 4 * 2);
         let l = out.report.learned.as_ref().expect("learned summary");
         assert!(l.predictions > 0);
@@ -1248,12 +1122,7 @@ mod tests {
         let a = args(&[
             "stress", "--tasks", "6", "--rounds", "3", "--oracle", "--quiet",
         ]);
-        let out = run_one(
-            &a,
-            scheduler(&pol("reg.pol"), Topology::flat(1), None).unwrap(),
-            None,
-        )
-        .unwrap();
+        let out = run_one(&a, &pol("reg.pol"), None).unwrap();
         assert_eq!(out.report.scheduler, "policy:reg");
         let o = out
             .report
@@ -1269,12 +1138,7 @@ mod tests {
     #[test]
     fn starving_policy_is_ejected_but_the_cli_run_succeeds() {
         let a = args(&["stress", "--tasks", "6", "--rounds", "3", "--quiet"]);
-        let out = run_one(
-            &a,
-            scheduler(&pol("starve.pol"), Topology::flat(1), None).unwrap(),
-            None,
-        )
-        .unwrap();
+        let out = run_one(&a, &pol("starve.pol"), None).unwrap();
         let p = out.report.policy.as_ref().expect("policy summary");
         assert!(p.ejected, "the watchdog must fire");
         assert_eq!(p.eject_reason, Some("starvation"));

@@ -1,0 +1,278 @@
+//! `elsc-sim lab render NAME`: the paper's tables, printed from a sweep.
+//!
+//! One function per paper artifact, each a pure view of the
+//! [`SweepRun`] of the builtin spec of the same name: no simulation
+//! happens here, so a warm cache renders instantly and two artifacts
+//! over the same grid (Figures 5 and 6; Figure 4 inside Figure 3) share
+//! every cell. [`RENDERERS`] is the list of paper artifacts — it is also
+//! what `lab sweep --all-figures` sweeps.
+
+use elsc_lab::{header, Metrics, SchedId, Shape, SweepRun};
+
+/// Prints one artifact's table from the sweep of its builtin spec.
+type Renderer = fn(&SweepRun);
+
+/// Every paper artifact, in `--all-figures` order: the builtin spec's
+/// name and the function that prints its table.
+pub const RENDERERS: [(&str, Renderer); 7] = [
+    ("figure2", figure2),
+    ("figure3", figure3),
+    ("figure4", figure4),
+    ("figure5", figure5),
+    ("figure6", figure6),
+    ("table2", table2),
+    ("kernel_share", kernel_share),
+];
+
+/// The first value of a spec parameter axis (0 if the workload has no
+/// such parameter).
+fn param(run: &SweepRun, key: &str) -> u64 {
+    let axis = run.spec.params.iter().find(|(k, _)| k == key);
+    axis.map_or(0, |(_, v)| v[0])
+}
+
+/// Threads of the sweep's (single-population) VolanoMark grid.
+fn volano_threads(run: &SweepRun) -> usize {
+    run.outcomes[0]
+        .cell
+        .workload
+        .volano_config()
+        .total_threads()
+}
+
+/// Seed-aggregated `metric` of the cells of `shape` × `sched` whose
+/// workload parameter `key` is `val` (`None`: every cell of the pair).
+fn at(
+    run: &SweepRun,
+    shape: Shape,
+    sched: &SchedId,
+    key_val: Option<(&str, u64)>,
+    metric: fn(&Metrics) -> f64,
+) -> f64 {
+    run.seed_mean(
+        |c| {
+            c.shape == shape
+                && c.sched == *sched
+                && key_val.is_none_or(|(k, v)| c.workload.param(k) == Some(v))
+        },
+        metric,
+    )
+}
+
+/// Figure 2: entries into (and iterations of) the recalculate loop, at
+/// the saturated and the think-bound load point. Storm frequency depends
+/// on how often a spinning task is alone on the run queue, so lulls —
+/// and with them the baseline's storms — dominate the lighter run.
+fn figure2(run: &SweepRun) {
+    header(
+        "Figure 2 — recalculate-loop entries during VolanoMark",
+        "Molloy & Honeyman 2001, Figure 2",
+    );
+    println!(
+        "workload: VolanoMark, {} rooms x {} users x {} msgs ({} threads)\n",
+        param(run, "rooms"),
+        param(run, "users"),
+        param(run, "messages"),
+        volano_threads(run)
+    );
+    for (title, think) in [
+        ("standard load (saturated):", 60_000_000),
+        (
+            "light load (think-bound, lulls expose the yield storm):",
+            150_000_000,
+        ),
+    ] {
+        println!("{title}");
+        println!(
+            "{:<8} {:>12} {:>12} {:>14} {:>14}",
+            "config", "entries elsc", "entries reg", "iters elsc", "iters reg"
+        );
+        for shape in Shape::PAPER {
+            let m = |sched, f| at(run, shape, &sched, Some(("think", think)), f);
+            println!(
+                "{:<8} {:>12.0} {:>12.0} {:>14.0} {:>14.0}",
+                shape.label(),
+                m(SchedId::Elsc, |m| m.recalc_entries as f64),
+                m(SchedId::Reg, |m| m.recalc_entries as f64),
+                m(SchedId::Elsc, |m| m.recalc_tasks as f64),
+                m(SchedId::Reg, |m| m.recalc_tasks as f64),
+            );
+        }
+        println!();
+    }
+    println!("paper shape: reg orders of magnitude above elsc on every config");
+    println!("(log-scale chart spanning ~10^1 .. ~10^6); elsc recalculates only on");
+    println!("genuine whole-queue quantum exhaustion.");
+}
+
+/// Figure 3: VolanoMark message throughput vs number of rooms.
+fn figure3(run: &SweepRun) {
+    header(
+        "Figure 3 — VolanoMark throughput (messages/second)",
+        "Molloy & Honeyman 2001, Figure 3",
+    );
+    println!(
+        "{:<10} {:>8} {:>10} {:>10} {:>10}",
+        "series", "rooms=5", "10", "15", "20"
+    );
+    for shape in Shape::PAPER {
+        for sched in [SchedId::Elsc, SchedId::Reg] {
+            let t = |rooms| at(run, shape, &sched, Some(("rooms", rooms)), |m| m.throughput);
+            println!(
+                "{:<10} {:>8.0} {:>10.0} {:>10.0} {:>10.0}",
+                format!("{}-{}", sched.label(), shape.label().to_lowercase()),
+                t(5),
+                t(10),
+                t(15),
+                t(20)
+            );
+        }
+    }
+    println!("\npaper shape: elsc above reg on every configuration; reg degrades");
+    println!("with rooms (24% from 5 to 25 rooms per IBM); 4P shows the largest gap.");
+}
+
+/// Figure 4: 20-room throughput divided by 5-room throughput.
+fn figure4(run: &SweepRun) {
+    header(
+        "Figure 4 — scaling factor (20-room / 5-room throughput)",
+        "Molloy & Honeyman 2001, Figure 4",
+    );
+    println!("{:<8} {:>10} {:>10}", "config", "elsc", "reg");
+    for shape in Shape::PAPER {
+        let factor = |sched| {
+            let t = |rooms| at(run, shape, &sched, Some(("rooms", rooms)), |m| m.throughput);
+            t(20) / t(5)
+        };
+        println!(
+            "{:<8} {:>10.3} {:>10.3}",
+            shape.label(),
+            factor(SchedId::Elsc),
+            factor(SchedId::Reg)
+        );
+    }
+    println!("\npaper shape: elsc bars near 1.0 on every config; reg clearly lower,");
+    println!("worst on the larger SMP configurations.");
+}
+
+/// Figure 5: cycles per `schedule()` and tasks examined per call — the
+/// two metrics the `compare` gate watches.
+fn figure5(run: &SweepRun) {
+    header(
+        "Figure 5 — cycles per schedule() and tasks examined per call",
+        "Molloy & Honeyman 2001, Figure 5",
+    );
+    println!(
+        "workload: VolanoMark, {} rooms ({} threads)\n",
+        param(run, "rooms"),
+        volano_threads(run)
+    );
+    println!(
+        "{:<8} {:>14} {:>14} {:>14} {:>14}",
+        "config", "cyc/sched elsc", "cyc/sched reg", "examined elsc", "examined reg"
+    );
+    for shape in Shape::PAPER {
+        let m = |sched, f| at(run, shape, &sched, None, f);
+        println!(
+            "{:<8} {:>14.0} {:>14.0} {:>14.2} {:>14.2}",
+            shape.label(),
+            m(SchedId::Elsc, |m| m.cycles_per_schedule),
+            m(SchedId::Reg, |m| m.cycles_per_schedule),
+            m(SchedId::Elsc, |m| m.tasks_examined_per_schedule),
+            m(SchedId::Reg, |m| m.tasks_examined_per_schedule),
+        );
+    }
+    println!("\npaper shape: reg examines tens of tasks and burns 5k-20k cycles per");
+    println!("call (growing with CPUs); elsc stays at a few tasks and a flat, small");
+    println!("cycle count.");
+}
+
+/// Figure 6: where ELSC pays — more `schedule()` entries on SMP and more
+/// tasks placed on a processor other than their last one.
+fn figure6(run: &SweepRun) {
+    header(
+        "Figure 6 — schedule() calls (thousands) and cross-CPU placements",
+        "Molloy & Honeyman 2001, Figure 6",
+    );
+    println!(
+        "workload: VolanoMark, {} rooms ({} threads, the paper's 10-room run)\n",
+        param(run, "rooms"),
+        volano_threads(run)
+    );
+    println!(
+        "{:<8} {:>14} {:>14} {:>14} {:>14}",
+        "config", "calls(k) elsc", "calls(k) reg", "new-cpu elsc", "new-cpu reg"
+    );
+    for shape in Shape::PAPER {
+        let m = |sched, f| at(run, shape, &sched, None, f);
+        println!(
+            "{:<8} {:>14.1} {:>14.1} {:>14.0} {:>14.0}",
+            shape.label(),
+            m(SchedId::Elsc, |m| m.sched_calls as f64) / 1_000.0,
+            m(SchedId::Reg, |m| m.sched_calls as f64) / 1_000.0,
+            m(SchedId::Elsc, |m| m.picked_new_cpu as f64),
+            m(SchedId::Reg, |m| m.picked_new_cpu as f64),
+        );
+    }
+    println!("\npaper shape: similar call counts on UP/1P, elsc somewhat higher on");
+    println!("2P/4P; elsc schedules tasks onto a new processor far more often than");
+    println!("reg on the multiprocessor configs (the cost of bounded search).");
+}
+
+/// Table 2: time to complete a kernel compile, {Current, ELSC} × {UP, 2P}.
+fn table2(run: &SweepRun) {
+    header(
+        "Table 2 — kernel compile wall time",
+        "Molloy & Honeyman 2001, Table 2",
+    );
+    println!(
+        "workload: make -j{} over {} translation units\n",
+        param(run, "jobs"),
+        param(run, "units")
+    );
+    println!("{:<14} {:>12} {:>12}", "scheduler", "time", "seconds");
+    for shape in [Shape::Up, Shape::Smp(2)] {
+        for sched in [SchedId::Reg, SchedId::Elsc] {
+            let secs = at(run, shape, &sched, None, |m| m.elapsed_secs);
+            let mins = (secs / 60.0).floor();
+            println!(
+                "{:<14} {:>12} {:>12.3}",
+                format!("{} - {}", sched.label(), shape.label()),
+                format!("{}:{:05.2}", mins as u64, secs - mins * 60.0),
+                secs
+            );
+        }
+    }
+    println!("\npaper: Current-UP 6:41.41, ELSC-UP 6:38.68, Current-2P 3:40.38, ELSC-2P 3:40.36");
+    println!("expected shape: near-tie everywhere; small ELSC edge on UP.");
+}
+
+/// §4 claim: the scheduler's share of busy CPU time at 5 and 25 rooms
+/// (IBM's VolanoMark kernel profile: 37%..55% for the stock scheduler).
+fn kernel_share(run: &SweepRun) {
+    header(
+        "Scheduler share of busy time — 5 vs 25 rooms",
+        "Molloy & Honeyman 2001, §4 (IBM kernel profile: 37%..55%)",
+    );
+    println!(
+        "{:<8} {:<6} {:>10} {:>10} {:>12}",
+        "config", "sched", "5 rooms", "25 rooms", "throughput Δ"
+    );
+    for shape in [Shape::Up, Shape::Smp(4)] {
+        for sched in [SchedId::Reg, SchedId::Elsc] {
+            let m = |rooms, f| at(run, shape, &sched, Some(("rooms", rooms)), f);
+            let drop = m(25, |m| m.throughput) / m(5, |m| m.throughput) - 1.0;
+            println!(
+                "{:<8} {:<6} {:>9.1}% {:>9.1}% {:>11.1}%",
+                shape.label(),
+                sched.label(),
+                m(5, |m| m.sched_time_share) * 100.0,
+                m(25, |m| m.sched_time_share) * 100.0,
+                drop * 100.0
+            );
+        }
+    }
+    println!("\npaper shape: reg's scheduler share grows steeply from 5 to 25 rooms");
+    println!("(IBM: 37% -> 55% of kernel time) and throughput falls ~24%; elsc's");
+    println!("share stays small and its throughput holds.");
+}

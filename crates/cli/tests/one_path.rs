@@ -1,0 +1,136 @@
+//! The CLI builds machines through the lab's run description, not beside
+//! it: `elsc-sim ls` lists exactly the scheduler registry, and a run's
+//! report is byte-identical to executing the equivalent lab cell.
+
+use std::process::Command;
+
+use elsc_cluster::DispatcherId;
+use elsc_lab::{execute_cell, CellConfig, ChaosSpec, SchedId, Shape, WorkloadCell};
+
+fn elsc_sim(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_elsc-sim"))
+        .args(args)
+        .output()
+        .expect("elsc-sim runs");
+    assert!(
+        out.status.success(),
+        "elsc-sim {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+#[test]
+fn ls_lists_exactly_the_registry_rows() {
+    let text = elsc_sim(&["ls"]);
+    let listed: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("native schedulers"))
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .collect();
+    let registry: Vec<String> = SchedId::NATIVE
+        .iter()
+        .map(|id| format!("  {:<10} {}", id.label(), id.describe()))
+        .collect();
+    assert_eq!(listed, registry);
+}
+
+/// One cell per workload: the flags on the left and the `CellConfig` on
+/// the right describe the same run, so the reports must not differ by a
+/// byte. Seed 23062 is the CLI's own default, passed by neither side.
+#[test]
+fn cli_reports_equal_the_equivalent_lab_cells() {
+    let think = 60_000_000;
+    let cases: [(&[&str], WorkloadCell); 6] = [
+        (
+            &["volano", "--rooms", "1", "--users", "4", "--messages", "2"],
+            WorkloadCell::Volano {
+                rooms: 1,
+                users: 4,
+                messages: 2,
+                think,
+            },
+        ),
+        (
+            &["kbuild", "--jobs", "2", "--units", "6"],
+            WorkloadCell::Kbuild { jobs: 2, units: 6 },
+        ),
+        (
+            &[
+                "httpd",
+                "--clients",
+                "6",
+                "--workers",
+                "2",
+                "--requests",
+                "2",
+            ],
+            WorkloadCell::Httpd {
+                clients: 6,
+                workers: 2,
+                requests: 2,
+            },
+        ),
+        (
+            &["stress", "--tasks", "6", "--rounds", "3", "--burst", "9000"],
+            WorkloadCell::Stress {
+                tasks: 6,
+                rounds: 3,
+                burst: 9_000,
+            },
+        ),
+        (&["rtmix"], WorkloadCell::RtMix),
+        (
+            &[
+                "cluster",
+                "--nodes",
+                "2",
+                "--dispatcher",
+                "round-robin",
+                "--rooms",
+                "2",
+                "--users",
+                "4",
+                "--messages",
+                "2",
+            ],
+            WorkloadCell::Cluster {
+                nodes: 2,
+                dispatcher: DispatcherId::RoundRobin,
+                rooms: 2,
+                users: 4,
+                messages: 2,
+                think,
+            },
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("elsc-cli-one-path-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (flags, workload) in cases {
+        let path = dir.join(format!("{}.json", workload.name()));
+        let mut args = flags.to_vec();
+        args.extend(["--sched", "elsc", "--cpus", "2", "--oracle", "--quiet"]);
+        args.extend(["--report-json", path.to_str().unwrap()]);
+        elsc_sim(&args);
+        let cell = CellConfig {
+            sched: SchedId::Elsc,
+            shape: Shape::Smp(2),
+            lock_plan: None,
+            seed: 23_062,
+            workload,
+            chaos: ChaosSpec {
+                oracle: true,
+                ..ChaosSpec::default()
+            },
+        };
+        let lab = execute_cell(&cell).expect("the cell runs clean");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            lab.report_json,
+            "{}",
+            cell.id()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

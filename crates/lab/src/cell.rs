@@ -11,8 +11,8 @@
 use std::fmt;
 
 use elsc::ElscScheduler;
-use elsc_cluster::{volano, ClusterConfig, ClusterFaultPlan, DispatcherId};
-use elsc_machine::{FaultPlan, MachineConfig, RunReport};
+use elsc_cluster::{volano, Cluster, ClusterConfig, ClusterFaultPlan, DispatcherId};
+use elsc_machine::{FaultPlan, Machine, MachineConfig, RunReport};
 use elsc_sched_api::{LockPlan, Scheduler};
 use elsc_sched_ext::{
     AffinityHeapScheduler, BubbleScheduler, HeapScheduler, LearnedScheduler, MultiQueueScheduler,
@@ -20,10 +20,17 @@ use elsc_sched_ext::{
 use elsc_sched_linux::LinuxScheduler;
 use elsc_simcore::Topology;
 use elsc_workloads::{
-    httpd, kbuild, stress, volanomark, HttpdConfig, KbuildConfig, StressConfig, VolanoConfig,
+    httpd, kbuild, rtmix, stress, volanomark, HttpdConfig, KbuildConfig, RtMixConfig, StressConfig,
+    VolanoConfig,
 };
 
-/// The scheduler designs the lab can sweep over.
+/// The scheduler registry: every design a name can select, and the only
+/// `name → Box<dyn Scheduler>` path in shipped code — the CLI, the lab,
+/// `crates/bench` and the integration tests all parse a name into a
+/// `SchedId` and [`build`](SchedId::build) it. Adding a native design is
+/// one variant plus its row in [`label`](SchedId::label),
+/// [`describe`](SchedId::describe), [`build`](SchedId::build) and
+/// [`SchedId::NATIVE`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchedId {
     /// The stock 2.3.99 scheduler ("reg").
@@ -81,14 +88,30 @@ impl SchedId {
         SchedId::Mq,
     ];
 
+    /// Every native design a bare name selects: [`SchedId::ALL`] plus the
+    /// topology-native `bubble` — what `elsc-sim ls` lists and the
+    /// registry-wide tests iterate.
+    pub const NATIVE: [SchedId; 6] = [
+        SchedId::Reg,
+        SchedId::Elsc,
+        SchedId::Heap,
+        SchedId::AHeap,
+        SchedId::Mq,
+        SchedId::Bubble,
+    ];
+
     /// Builds a policy scheduler id from a display name and program
     /// source, verifying the program up front so a typo fails at spec
     /// parse time, not mid-sweep on a worker thread.
     pub fn policy(name: impl Into<String>, src: impl Into<String>) -> Result<SchedId, String> {
         let (name, src) = (name.into(), src.into());
         elsc_policy::load_str(&src).map_err(|e| format!("{name}: {e}"))?;
+        Ok(SchedId::policy_verified(name, src))
+    }
+
+    fn policy_verified(name: String, src: String) -> SchedId {
         let digest = crate::hash::fnv1a(src.as_bytes());
-        Ok(SchedId::Policy { name, src, digest })
+        SchedId::Policy { name, src, digest }
     }
 
     /// Builds a learned scheduler id from a display name and model file
@@ -97,8 +120,12 @@ impl SchedId {
     pub fn learned(name: impl Into<String>, src: impl Into<String>) -> Result<SchedId, String> {
         let (name, src) = (name.into(), src.into());
         elsc_learn::Model::parse(&src).map_err(|e| format!("{name}: {e}"))?;
+        Ok(SchedId::learned_verified(name, src))
+    }
+
+    fn learned_verified(name: String, src: String) -> SchedId {
         let digest = crate::hash::fnv1a(src.as_bytes());
-        Ok(SchedId::Learned { name, src, digest })
+        SchedId::Learned { name, src, digest }
     }
 
     /// Display name matching the paper's figure legends.
@@ -112,6 +139,20 @@ impl SchedId {
             SchedId::Bubble => "bubble",
             SchedId::Policy { name, .. } => name,
             SchedId::Learned { name, .. } => name,
+        }
+    }
+
+    /// One-line description, as `elsc-sim ls` prints it.
+    pub fn describe(&self) -> &'static str {
+        match self {
+            SchedId::Reg => "vanilla Linux 2.2/2.3 scheduler (paper sec. 3)",
+            SchedId::Elsc => "30-list static-goodness table (paper sec. 5)",
+            SchedId::Heap => "goodness-ordered heap prototype (paper sec. 8)",
+            SchedId::AHeap => "affinity-aware heap prototype (paper sec. 8)",
+            SchedId::Mq => "per-CPU multi-queue prototype (paper sec. 8)",
+            SchedId::Bubble => "NUMA-node bubble scheduler (topology tree)",
+            SchedId::Policy { .. } => "loadable .pol policy program on the bytecode VM",
+            SchedId::Learned { .. } => "trained model with a verified native fallback",
         }
     }
 
@@ -158,31 +199,39 @@ impl SchedId {
 impl std::str::FromStr for SchedId {
     type Err = String;
 
-    /// Parses a scheduler name: `reg`, `elsc`, `heap`, `aheap`, `mq`,
-    /// `policy:PATH` for an interpreted `.pol` program, or `learned:PATH`
-    /// for a trained model file (both read and verified immediately; the
-    /// cell embeds the source, not the path).
+    /// Parses a scheduler name: a native design (`reg`, `elsc`, `heap`,
+    /// `aheap`, `mq`, `bubble`), `policy:PATH` for a `.pol` program, or
+    /// `learned:PATH` for a trained model file (both read and verified
+    /// immediately; the cell embeds the source, not the path). A file
+    /// that fails to load is reported against its *path* —
+    /// `PATH:line:col: message` for a policy — so the diagnostic is
+    /// clickable from the CLI and from spec files alike.
     fn from_str(s: &str) -> Result<SchedId, String> {
+        let stem = |path: &str| {
+            std::path::Path::new(path)
+                .file_stem()
+                .map_or_else(|| path.to_string(), |x| x.to_string_lossy().into_owned())
+        };
         if let Some(path) = s.strip_prefix("learned:") {
             let src =
                 std::fs::read_to_string(path).map_err(|e| format!("model file {path}: {e}"))?;
-            let stem = std::path::Path::new(path)
-                .file_stem()
-                .map_or_else(|| path.to_string(), |x| x.to_string_lossy().into_owned());
-            return SchedId::learned(format!("learned:{stem}"), src);
+            elsc_learn::Model::parse(&src).map_err(|e| format!("{path}: {e}"))?;
+            return Ok(SchedId::learned_verified(
+                format!("learned:{}", stem(path)),
+                src,
+            ));
         }
         if let Some(path) = s.strip_prefix("policy:") {
             let src =
                 std::fs::read_to_string(path).map_err(|e| format!("policy program {path}: {e}"))?;
-            let stem = std::path::Path::new(path)
-                .file_stem()
-                .map_or_else(|| path.to_string(), |x| x.to_string_lossy().into_owned());
-            return SchedId::policy(format!("policy:{stem}"), src);
+            // A policy error is positioned: `PATH:line:col: message`.
+            elsc_policy::load_str(&src).map_err(|e| format!("{path}:{e}"))?;
+            return Ok(SchedId::policy_verified(
+                format!("policy:{}", stem(path)),
+                src,
+            ));
         }
-        if s == "bubble" {
-            return Ok(SchedId::Bubble);
-        }
-        SchedId::ALL
+        SchedId::NATIVE
             .into_iter()
             .find(|k| k.label() == s)
             .ok_or_else(|| {
@@ -270,12 +319,20 @@ impl std::str::FromStr for Shape {
                 return Ok(Shape::Smp(n));
             }
         }
-        match s.parse::<Topology>() {
-            Ok(t) if t.is_flat() => Ok(Shape::Smp(t.nr_cpus())),
-            Ok(t) => Ok(Shape::Topo(t)),
-            Err(_) => Err(format!(
-                "unknown shape '{s}' (UP, <n>P, or a topology like 2N4C2T)"
-            )),
+        s.parse::<Topology>()
+            .map(Shape::from)
+            .map_err(|_| format!("unknown shape '{s}' (UP, <n>P, or a topology like 2N4C2T)"))
+    }
+}
+
+impl From<Topology> for Shape {
+    /// The SMP shape over a declared tree, canonicalized: a flat tree is
+    /// [`Shape::Smp`].
+    fn from(t: Topology) -> Shape {
+        if t.is_flat() {
+            Shape::Smp(t.nr_cpus())
+        } else {
+            Shape::Topo(t)
         }
     }
 }
@@ -320,6 +377,10 @@ pub enum WorkloadCell {
         /// Cycles per round.
         burst: u64,
     },
+    /// Mixed `SCHED_FIFO`/`SCHED_RR`/`SCHED_OTHER` criticality at its
+    /// fixed default parameters. The CLI's `rtmix` workload; the spec
+    /// grammar does not name it.
+    RtMix,
     /// A VolanoMark-shaped mega-scale cell (100k–1M tasks): the same
     /// chat topology as [`WorkloadCell::Volano`], but executed with
     /// engine metrics on, so the report (and the manifest record) carry
@@ -361,14 +422,15 @@ pub enum WorkloadCell {
 }
 
 impl WorkloadCell {
-    /// Workload name ("volano", "kbuild", "httpd", "stress", "mega",
-    /// "cluster").
+    /// Workload name ("volano", "kbuild", "httpd", "stress", "rtmix",
+    /// "mega", "cluster").
     pub fn name(&self) -> &'static str {
         match self {
             WorkloadCell::Volano { .. } => "volano",
             WorkloadCell::Kbuild { .. } => "kbuild",
             WorkloadCell::Httpd { .. } => "httpd",
             WorkloadCell::Stress { .. } => "stress",
+            WorkloadCell::RtMix => "rtmix",
             WorkloadCell::Mega { .. } => "mega",
             WorkloadCell::Cluster { .. } => "cluster",
         }
@@ -404,6 +466,7 @@ impl WorkloadCell {
                 rounds,
                 burst,
             } => vec![("tasks", tasks), ("rounds", rounds), ("burst", burst)],
+            WorkloadCell::RtMix => Vec::new(),
             WorkloadCell::Mega {
                 rooms,
                 users,
@@ -465,8 +528,110 @@ impl WorkloadCell {
             | WorkloadCell::Mega { .. }
             | WorkloadCell::Cluster { .. } => Some("messages"),
             WorkloadCell::Httpd { .. } => Some("requests_served"),
-            WorkloadCell::Kbuild { .. } | WorkloadCell::Stress { .. } => None,
+            WorkloadCell::Kbuild { .. } | WorkloadCell::Stress { .. } | WorkloadCell::RtMix => None,
         }
+    }
+
+    /// The VolanoMark parameters of a chat-shaped workload (`volano`,
+    /// `mega`, `cluster`): the one place cell parameters become a
+    /// [`VolanoConfig`].
+    ///
+    /// # Panics
+    ///
+    /// Panics for the workloads that are not chat-shaped.
+    pub fn volano_config(&self) -> VolanoConfig {
+        let (rooms, users, messages, think) = match *self {
+            WorkloadCell::Volano {
+                rooms,
+                users,
+                messages,
+                think,
+            }
+            | WorkloadCell::Mega {
+                rooms,
+                users,
+                messages,
+                think,
+            }
+            | WorkloadCell::Cluster {
+                rooms,
+                users,
+                messages,
+                think,
+                ..
+            } => (rooms, users, messages, think),
+            _ => unreachable!("{} is not a chat-shaped workload", self.name()),
+        };
+        VolanoConfig {
+            rooms: rooms as usize,
+            users_per_room: users as usize,
+            messages_per_user: messages as usize,
+            think_cycles: think,
+            ..VolanoConfig::default()
+        }
+    }
+
+    /// Populates one machine with this workload's tasks and pipes.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`WorkloadCell::Cluster`], which spans machines — see
+    /// [`populate_cluster`](WorkloadCell::populate_cluster).
+    pub fn populate(&self, m: &mut Machine) {
+        match *self {
+            WorkloadCell::Volano { .. } | WorkloadCell::Mega { .. } => {
+                volanomark::build(m, &self.volano_config())
+            }
+            WorkloadCell::Kbuild { jobs, units } => kbuild::build(
+                m,
+                &KbuildConfig {
+                    jobs: jobs as usize,
+                    translation_units: units as usize,
+                    ..KbuildConfig::default()
+                },
+            ),
+            WorkloadCell::Httpd {
+                clients,
+                workers,
+                requests,
+            } => httpd::build(
+                m,
+                &HttpdConfig {
+                    clients: clients as usize,
+                    workers: workers as usize,
+                    requests_per_client: requests as usize,
+                    ..HttpdConfig::default()
+                },
+            ),
+            WorkloadCell::Stress {
+                tasks,
+                rounds,
+                burst,
+            } => stress::build(
+                m,
+                &StressConfig {
+                    tasks: tasks as usize,
+                    rounds: rounds as usize,
+                    burst,
+                    ..StressConfig::default()
+                },
+            ),
+            WorkloadCell::RtMix => rtmix::build(m, &RtMixConfig::default()),
+            WorkloadCell::Cluster { .. } => {
+                unreachable!("cluster cells populate a Cluster, not one machine")
+            }
+        }
+    }
+
+    /// Shards a [`WorkloadCell::Cluster`] workload across the nodes of
+    /// `cluster` under its configured dispatcher.
+    pub fn populate_cluster(&self, cluster: &mut Cluster) {
+        assert!(
+            matches!(self, WorkloadCell::Cluster { .. }),
+            "{} cells populate one machine, not a cluster",
+            self.name()
+        );
+        volano::build_sharded(cluster, &self.volano_config());
     }
 }
 
@@ -558,6 +723,65 @@ impl CellConfig {
         }
         id
     }
+
+    /// The machine configuration this cell runs on: its shape's
+    /// calibrated defaults plus seed, lock plan and chaos axes (the node
+    /// template, for a cluster cell — its fault text names *cluster*
+    /// classes and goes to [`cluster_config`](CellConfig::cluster_config)).
+    /// A fault-free cell keeps the machine's default fault seed.
+    pub fn machine_config(&self) -> Result<MachineConfig, String> {
+        let mut cfg = self
+            .shape
+            .machine()
+            .with_seed(self.seed)
+            .with_lock_plan(self.lock_plan)
+            .with_oracle(self.chaos.oracle);
+        if matches!(self.workload, WorkloadCell::Mega { .. }) {
+            // Mega cells gate the engine itself: record dispatch throughput.
+            cfg = cfg.with_engine_metrics(true);
+            // CI's self-test knob: an injected per-dispatch busy loop that
+            // changes wall time but no virtual result, used to prove the
+            // wall_ratio gate actually trips (see `.github/workflows`).
+            if let Ok(v) = std::env::var("ELSC_ENGINE_SLOWDOWN") {
+                let f = v
+                    .trim()
+                    .parse::<u64>()
+                    .map_err(|_| format!("bad ELSC_ENGINE_SLOWDOWN '{v}'"))?;
+                cfg = cfg.with_engine_slowdown(f);
+            }
+        }
+        if !matches!(self.workload, WorkloadCell::Cluster { .. }) {
+            if let Some(text) = self.chaos.plan_text() {
+                let plan: FaultPlan = text.parse().map_err(|e| format!("bad fault plan: {e}"))?;
+                cfg = cfg
+                    .with_faults(Some(plan))
+                    .with_fault_seed(self.chaos.fault_seed);
+            }
+        }
+        Ok(cfg)
+    }
+
+    /// The federation a [`WorkloadCell::Cluster`] cell runs on: `nodes`
+    /// machines of [`machine_config`](CellConfig::machine_config) under
+    /// the cell's dispatcher and cluster fault plan.
+    pub fn cluster_config(&self) -> Result<ClusterConfig, String> {
+        let WorkloadCell::Cluster {
+            nodes, dispatcher, ..
+        } = self.workload
+        else {
+            unreachable!("{} cells have no cluster config", self.workload.name())
+        };
+        let mut ccfg = ClusterConfig::new(nodes as usize, dispatcher, self.machine_config()?);
+        if let Some(text) = self.chaos.plan_text() {
+            let plan: ClusterFaultPlan = text
+                .parse()
+                .map_err(|e| format!("bad cluster fault plan: {e}"))?;
+            ccfg = ccfg
+                .with_faults(Some(plan))
+                .with_fault_seed(self.chaos.fault_seed);
+        }
+        Ok(ccfg)
+    }
 }
 
 impl fmt::Display for CellConfig {
@@ -595,7 +819,7 @@ impl fmt::Display for CellError {
 
 impl std::error::Error for CellError {}
 
-/// The numbers `compare` gates on and the figure binaries render —
+/// The numbers `compare` gates on and `lab render` prints —
 /// extracted from a [`RunReport`] into a flat, manifest-friendly form.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Metrics {
@@ -727,114 +951,18 @@ pub fn execute_cell(cell: &CellConfig) -> Result<CellResult, CellError> {
         // and a merged report.
         return execute_cluster_cell(cell);
     }
-    let mut cfg = cell
-        .shape
-        .machine()
-        .with_seed(cell.seed)
-        .with_lock_plan(cell.lock_plan);
-    if matches!(cell.workload, WorkloadCell::Mega { .. }) {
-        // Mega cells gate the engine itself: record dispatch throughput.
-        cfg = cfg.with_engine_metrics(true);
-        // CI's self-test knob: an injected per-dispatch busy loop that
-        // changes wall time but no virtual result, used to prove the
-        // wall_ratio gate actually trips (see `.github/workflows`).
-        if let Ok(v) = std::env::var("ELSC_ENGINE_SLOWDOWN") {
-            let f = v
-                .trim()
-                .parse::<u64>()
-                .map_err(|_| CellError::Run(format!("bad ELSC_ENGINE_SLOWDOWN '{v}'")))?;
-            cfg = cfg.with_engine_slowdown(f);
-        }
-    }
-    if let Some(text) = cell.chaos.plan_text() {
-        let plan: FaultPlan = text
-            .parse()
-            .map_err(|e| CellError::Run(format!("bad fault plan: {e}")))?;
-        cfg = cfg
-            .with_faults(Some(plan))
-            .with_fault_seed(cell.chaos.fault_seed);
-    }
-    if cell.chaos.oracle {
-        cfg = cfg.with_oracle(true);
-    }
+    let cfg = cell.machine_config().map_err(CellError::Run)?;
     let sched = cell.sched.build(cell.shape.topology());
     let wall_start = std::time::Instant::now();
-    let report = match &cell.workload {
-        WorkloadCell::Volano {
-            rooms,
-            users,
-            messages,
-            think,
-        }
-        | WorkloadCell::Mega {
-            rooms,
-            users,
-            messages,
-            think,
-        } => {
-            let w = VolanoConfig {
-                rooms: *rooms as usize,
-                users_per_room: *users as usize,
-                messages_per_user: *messages as usize,
-                think_cycles: *think,
-                ..VolanoConfig::default()
-            };
-            run_built(cfg, sched, |m| volanomark::build(m, &w))
-        }
-        WorkloadCell::Kbuild { jobs, units } => {
-            let w = KbuildConfig {
-                jobs: *jobs as usize,
-                translation_units: *units as usize,
-                ..KbuildConfig::default()
-            };
-            run_built(cfg, sched, |m| kbuild::build(m, &w))
-        }
-        WorkloadCell::Httpd {
-            clients,
-            workers,
-            requests,
-        } => {
-            let w = HttpdConfig {
-                clients: *clients as usize,
-                workers: *workers as usize,
-                requests_per_client: *requests as usize,
-                ..HttpdConfig::default()
-            };
-            run_built(cfg, sched, |m| httpd::build(m, &w))
-        }
-        WorkloadCell::Stress {
-            tasks,
-            rounds,
-            burst,
-        } => {
-            let w = StressConfig {
-                tasks: *tasks as usize,
-                rounds: *rounds as usize,
-                burst: *burst,
-                ..StressConfig::default()
-            };
-            run_built(cfg, sched, |m| stress::build(m, &w))
-        }
-        // Handled by the early return above.
-        WorkloadCell::Cluster { .. } => unreachable!("cluster cells route to execute_cluster_cell"),
-    }?;
+    let mut machine = Machine::new(cfg, sched);
+    cell.workload.populate(&mut machine);
+    let report = machine.run().map_err(|e| CellError::Run(e.to_string()))?;
     let wall_secs = wall_start.elapsed().as_secs_f64();
     if !report.conservation_ok {
         return Err(CellError::Conservation);
     }
-    if let Some(o) = report.chaos.as_ref().and_then(|c| c.oracle.as_ref()) {
-        if !o.clean() {
-            return Err(CellError::Oracle(format!(
-                "{} unexplained divergence(s), {} invariant violation(s){}",
-                o.unexplained,
-                o.invariant_violations,
-                o.first_unexplained
-                    .as_ref()
-                    .or(o.first_violation.as_ref())
-                    .map(|d| format!(" (first: {d})"))
-                    .unwrap_or_default()
-            )));
-        }
+    if let Some(e) = report.oracle_failure() {
+        return Err(CellError::Oracle(e));
     }
     let mut metrics = Metrics::from_report(&report, cell.workload.metric_key());
     if matches!(cell.workload, WorkloadCell::Mega { .. }) {
@@ -854,59 +982,17 @@ pub fn execute_cell(cell: &CellConfig) -> Result<CellResult, CellError> {
 /// the workload sharded by the cell's dispatcher, conservation and
 /// oracle checked per node, metrics merged across the cluster.
 fn execute_cluster_cell(cell: &CellConfig) -> Result<CellResult, CellError> {
-    let WorkloadCell::Cluster {
-        nodes,
-        dispatcher,
-        rooms,
-        users,
-        messages,
-        think,
-    } = &cell.workload
-    else {
-        unreachable!("caller matched the workload")
-    };
-    let node_cfg = cell
-        .shape
-        .machine()
-        .with_seed(cell.seed)
-        .with_lock_plan(cell.lock_plan)
-        .with_oracle(cell.chaos.oracle);
-    let mut ccfg = ClusterConfig::new(*nodes as usize, *dispatcher, node_cfg);
-    if let Some(text) = cell.chaos.plan_text() {
-        let plan: ClusterFaultPlan = text
-            .parse()
-            .map_err(|e| CellError::Run(format!("bad cluster fault plan: {e}")))?;
-        ccfg = ccfg
-            .with_faults(Some(plan))
-            .with_fault_seed(cell.chaos.fault_seed);
-    }
-    let w = VolanoConfig {
-        rooms: *rooms as usize,
-        users_per_room: *users as usize,
-        messages_per_user: *messages as usize,
-        think_cycles: *think,
-        ..VolanoConfig::default()
-    };
+    let ccfg = cell.cluster_config().map_err(CellError::Run)?;
     let topo = cell.shape.topology();
-    let report = volano::run(ccfg, |_node| cell.sched.build(topo), &w)
-        .map_err(|e| CellError::Run(e.to_string()))?;
+    let mut cluster = Cluster::new(ccfg, |_node| cell.sched.build(topo));
+    cell.workload.populate_cluster(&mut cluster);
+    let report = cluster.run().map_err(|e| CellError::Run(e.to_string()))?;
     for (n, node) in report.nodes.iter().enumerate() {
         if !node.conservation_ok {
             return Err(CellError::Conservation);
         }
-        if let Some(o) = node.chaos.as_ref().and_then(|c| c.oracle.as_ref()) {
-            if !o.clean() {
-                return Err(CellError::Oracle(format!(
-                    "node {n}: {} unexplained divergence(s), {} invariant violation(s){}",
-                    o.unexplained,
-                    o.invariant_violations,
-                    o.first_unexplained
-                        .as_ref()
-                        .or(o.first_violation.as_ref())
-                        .map(|d| format!(" (first: {d})"))
-                        .unwrap_or_default()
-                )));
-            }
+        if let Some(e) = node.oracle_failure() {
+            return Err(CellError::Oracle(format!("node {n}: {e}")));
         }
     }
     Ok(CellResult {
@@ -948,17 +1034,6 @@ fn cluster_metrics(report: &elsc_cluster::ClusterReport) -> Metrics {
     }
 }
 
-/// Builds a machine, populates it via `build`, and runs it.
-fn run_built(
-    cfg: MachineConfig,
-    sched: Box<dyn Scheduler>,
-    build: impl FnOnce(&mut elsc_machine::Machine),
-) -> Result<RunReport, CellError> {
-    let mut m = elsc_machine::Machine::new(cfg, sched);
-    build(&mut m);
-    m.run().map_err(|e| CellError::Run(e.to_string()))
-}
-
 // Compile-time Send audit (see DESIGN.md §7): configs cross into worker
 // threads, results cross back. `Machine` is deliberately *not* Send —
 // workload behaviours hold `Rc` state — so it must never appear in
@@ -996,6 +1071,8 @@ mod tests {
             let shape: Shape = s.parse().unwrap();
             assert_eq!(shape.label(), s);
         }
+        // Any width labels as itself, not just the paper's 1/2/4.
+        assert_eq!(Shape::Smp(8).label(), "8P");
         assert_eq!("up".parse::<Shape>().unwrap(), Shape::Up);
         assert_eq!("4p".parse::<Shape>().unwrap(), Shape::Smp(4));
         assert!("0P".parse::<Shape>().is_err());
@@ -1046,6 +1123,21 @@ mod tests {
             assert_eq!(k.build(Topology::flat(2)).name(), k.label());
         }
         assert!("cfs".parse::<SchedId>().is_err());
+    }
+
+    #[test]
+    fn a_file_that_fails_to_load_is_reported_against_its_path() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        // A policy diagnostic is clickable: PATH:line:col: message.
+        let pol = format!("{root}/policies/bad/undefined_var.pol");
+        let err = format!("policy:{pol}").parse::<SchedId>().unwrap_err();
+        assert!(err.starts_with(&format!("{pol}:6:16: ")), "{err}");
+        // A model has no positions, but still names the file.
+        let not_a_model = format!("{root}/policies/rr.pol");
+        let err = format!("learned:{not_a_model}")
+            .parse::<SchedId>()
+            .unwrap_err();
+        assert!(err.starts_with(&format!("{not_a_model}: ")), "{err}");
     }
 
     #[test]

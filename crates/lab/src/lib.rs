@@ -19,8 +19,9 @@
 //!
 //! The grid itself is a [`SweepSpec`] ([`spec`]): a tiny text format
 //! with builtin specs for every paper artifact (`figure2`…`figure6`,
-//! `table2`, `kernel_share`, plus a CI-sized `smoke`). The `elsc lab`
-//! subcommand and the figure binaries are thin clients of this crate.
+//! `table2`, `kernel_share`, plus a CI-sized `smoke`). The `elsc-sim lab`
+//! subcommand — sweeps, the `render` tables, the compare gate — is a
+//! thin client of this crate.
 //!
 //! See `DESIGN.md` §7 for the cell model and the safety argument for
 //! cross-thread execution.
@@ -47,6 +48,14 @@ pub use compare::{
 pub use manifest::{cell_record, manifest, write_manifest};
 pub use pool::{run_sweep, CellOutcome, RunOptions, SweepRun};
 pub use spec::SweepSpec;
+
+/// Prints the banner every experiment table opens with.
+pub fn header(title: &str, artifact: &str) {
+    println!("================================================================");
+    println!("{title}");
+    println!("reproduces: {artifact}");
+    println!("================================================================");
+}
 
 /// The paper's §6 aggregation rule for repeated runs: when there is more
 /// than one sample, the first is discarded as warm-up and the rest are

@@ -90,7 +90,7 @@ impl SweepRun {
     }
 
     /// The successful outcomes matching a predicate, in canonical cell
-    /// order — the figure binaries' query primitive.
+    /// order — the table renderers' query primitive.
     pub fn select(&self, f: impl Fn(&CellConfig) -> bool) -> Vec<&CellOutcome> {
         self.outcomes.iter().filter(|o| f(&o.cell)).collect()
     }

@@ -681,9 +681,10 @@ impl SweepSpec {
         Some(text.parse().expect("builtin specs always parse"))
     }
 
-    /// Names of every builtin spec, in `--all-figures` run order (the
-    /// non-figure `smoke`, `chaos`, `topo`, `policy`, `cluster`, `mega`,
-    /// and `learn` sweeps are excluded from `--all-figures` by the CLI).
+    /// Names of every builtin spec, in `--all-figures` run order
+    /// (`--all-figures` sweeps the ones the CLI has a renderer for —
+    /// the paper artifacts — and so skips the gate sweeps `smoke`,
+    /// `chaos`, `topo`, `policy`, `cluster`, `mega` and `learn`).
     pub const BUILTINS: [&'static str; 14] = [
         "smoke",
         "figure2",

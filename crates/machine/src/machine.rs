@@ -4,7 +4,7 @@ use elsc_chaos::{
     check_task_invariants, ChaosSummary, Decision, DivergenceClass, FaultInjector, IpiFault,
     Oracle, OracleMode, TaskSnap,
 };
-use elsc_ktask::{CpuId, TaskSpec, TaskState, TaskTable, Tid};
+use elsc_ktask::{CpuId, Task, TaskSpec, TaskState, TaskTable, Tid};
 use elsc_netsim::{Msg, PipeError, PipeId, PipeTable};
 use elsc_sched_api::{
     reschedule_idle, CpuView, DomainAcquire, DomainLocker, LockDomains, LockPlan, LockScratch,
@@ -127,7 +127,7 @@ enum Drive {
     RunCurrent(Cycles),
 }
 
-/// Watchdog state for a run driven by an interpreted policy scheduler
+/// Watchdog state for a run driven by a loaded `.pol` policy scheduler
 /// (one that reports [`Scheduler::loaded_info`]). `None` on native runs,
 /// so they stay byte-identical to the pre-policy machine.
 struct PolicyRun {
@@ -143,7 +143,7 @@ struct PolicyRun {
     /// Set once the watchdog fires: `(when, why)`. The policy scheduler
     /// is gone by then; `insns_final` froze its instruction count.
     ejected: Option<(Cycles, &'static str)>,
-    /// Interpreter instructions executed up to ejection.
+    /// Policy-VM instructions executed up to ejection.
     insns_final: u64,
 }
 
@@ -944,12 +944,11 @@ impl Machine {
         // chosen live task. Waking a non-blocked task must be a no-op;
         // waking a blocked one early is legal but hostile.
         if self.injector.is_some() {
-            let idles: Vec<Tid> = self.cpus.iter().map(|c| c.idle).collect();
             let cands: Vec<Tid> = self
                 .tasks
                 .iter()
                 .map(|t| t.tid)
-                .filter(|tid| !idles.contains(tid))
+                .filter(|&tid| !is_idle_task(&self.cpus, tid))
                 .collect();
             if let Some(i) = self
                 .injector
@@ -1119,13 +1118,11 @@ impl Machine {
         // supervised training row for `elsc-learn`. Pure observation.
         if self.cfg.decision_trace {
             self.trace_decisions += 1;
-            let idles: Vec<Tid> = self.cpus.iter().map(|c| c.idle).collect();
             let prev_mm = self.tasks.task(prev).mm;
             let topo = self.cfg.sched.topology;
             for task in self.tasks.iter() {
-                let eligible = task.state.is_runnable()
-                    && !idles.contains(&task.tid)
-                    && (task.tid == prev || !task.has_cpu);
+                let eligible =
+                    is_runnable_work(&self.cpus, task) && (task.tid == prev || !task.has_cpu);
                 if !eligible {
                     continue;
                 }
@@ -1155,11 +1152,10 @@ impl Machine {
         // excluded; tasks executing elsewhere carry `has_cpu` so the
         // reference scan can apply `can_schedule()` itself.
         let probe = if self.oracle.is_some() {
-            let idles: Vec<Tid> = self.cpus.iter().map(|c| c.idle).collect();
             let snaps: Vec<TaskSnap> = self
                 .tasks
                 .iter()
-                .filter(|task| task.state.is_runnable() && !idles.contains(&task.tid))
+                .filter(|task| is_runnable_work(&self.cpus, task))
                 .map(TaskSnap::of)
                 .collect();
             let pt = self.tasks.task(prev);
@@ -1936,6 +1932,17 @@ impl Machine {
         }
         t3
     }
+}
+
+/// Whether `tid` is some CPU's idle task.
+fn is_idle_task(cpus: &[CpuState], tid: Tid) -> bool {
+    cpus.iter().any(|c| c.idle == tid)
+}
+
+/// The set every pre-decision observer snapshots (the decision trace,
+/// the oracle): runnable, and not an idle task.
+fn is_runnable_work(cpus: &[CpuState], task: &Task) -> bool {
+    task.state.is_runnable() && !is_idle_task(cpus, task.tid)
 }
 
 /// Grows a vector of options so `idx` is addressable.

@@ -327,6 +327,12 @@ impl RunReport {
         }
     }
 
+    /// The oracle's failure sentence, if the oracle ran and the run was
+    /// not clean (see [`OracleReport::failure`](elsc_chaos::OracleReport::failure)).
+    pub fn oracle_failure(&self) -> Option<String> {
+        self.chaos.as_ref()?.oracle.as_ref()?.failure()
+    }
+
     /// Wakeup-to-dispatch latency percentiles (p50/p90/p99/p999), or
     /// `None` if nothing ever woke up.
     pub fn wake_latency(&self) -> Option<Percentiles> {

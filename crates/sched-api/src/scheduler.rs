@@ -69,7 +69,7 @@ impl SchedCtx<'_> {
     }
 }
 
-/// Metadata a loaded (interpreted) policy reports to the machine, so the
+/// Metadata a loaded `.pol` policy reports to the machine, so the
 /// machine can announce it on the observability bus at boot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PolicyLoadInfo {
@@ -94,7 +94,7 @@ pub struct LearnedInfo {
     pub arch: &'static str,
 }
 
-/// A safety violation an interpreted policy committed, reported to the
+/// A safety violation a loaded `.pol` policy committed, reported to the
 /// machine's watchdog.
 ///
 /// Native schedulers never produce these; the defaulted
@@ -104,7 +104,7 @@ pub struct LearnedInfo {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PolicyViolation {
     /// A hook exceeded the per-decision instruction budget and was
-    /// aborted; the interpreter substituted a safe default.
+    /// aborted; the policy runtime substituted a safe default.
     BudgetExhausted {
         /// Instructions executed when the budget tripped.
         insns: u64,
@@ -115,7 +115,7 @@ pub enum PolicyViolation {
     /// (not on the run queue, blocked, or running elsewhere).
     BadPick,
     /// The policy corrupted its own bookkeeping (host-side list state
-    /// desynchronized); the interpreter recovered but the program is
+    /// desynchronized); the policy runtime recovered but the program is
     /// untrustworthy.
     StateCorrupt,
 }
@@ -184,7 +184,7 @@ pub trait Scheduler {
     /// Verifies internal invariants (tests/debug only). Default: no-op.
     fn debug_check(&self, _tasks: &TaskTable) {}
 
-    /// If this scheduler is an interpreted policy, its load metadata.
+    /// If this scheduler is a loaded `.pol` policy, its load metadata.
     /// Native schedulers return `None` (the default).
     fn loaded_info(&self) -> Option<PolicyLoadInfo> {
         None

@@ -2,26 +2,22 @@
 //! unit of work completes, and no runnable task falls off (or lingers
 //! on) a run queue, regardless of scheduler or machine shape.
 
-use elsc::ElscScheduler;
 use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState, TaskTable, Tid};
+use elsc_lab::SchedId;
 use elsc_machine::MachineConfig;
 use elsc_sched_api::{SchedConfig, SchedCtx, Scheduler};
-use elsc_sched_ext::{AffinityHeapScheduler, HeapScheduler, MultiQueueScheduler};
-use elsc_sched_linux::LinuxScheduler;
-use elsc_simcore::{CostModel, CycleMeter, SimRng};
+use elsc_simcore::{CostModel, CycleMeter, SimRng, Topology};
 use elsc_stats::SchedStats;
 use elsc_workloads::httpd::{self, HttpdConfig};
 use elsc_workloads::kbuild::{self, KbuildConfig};
 use elsc_workloads::volanomark::{self, VolanoConfig};
 
+/// Every native design in the registry, sized for a flat `nr_cpus` box.
 fn all_schedulers(nr_cpus: usize) -> Vec<Box<dyn Scheduler>> {
-    vec![
-        Box::new(LinuxScheduler::new()),
-        Box::new(ElscScheduler::new()),
-        Box::new(HeapScheduler::new()),
-        Box::new(AffinityHeapScheduler::new()),
-        Box::new(MultiQueueScheduler::new(nr_cpus)),
-    ]
+    SchedId::NATIVE
+        .iter()
+        .map(|id| id.build(Topology::flat(nr_cpus)))
+        .collect()
 }
 
 #[test]

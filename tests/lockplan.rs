@@ -12,28 +12,16 @@
 //! 4. Schedulers that never opted in (reg, elsc) still run under one
 //!    global domain, exactly as before the refactor.
 
-use elsc::ElscScheduler;
+use elsc_lab::SchedId;
 use elsc_machine::{MachineConfig, RunReport};
 use elsc_sched_api::{LockPlan, Scheduler};
-use elsc_sched_ext::{AffinityHeapScheduler, HeapScheduler, MultiQueueScheduler};
-use elsc_sched_linux::LinuxScheduler;
+use elsc_simcore::Topology;
 use elsc_workloads::volanomark::{self, VolanoConfig};
 
-fn all_schedulers(nr_cpus: usize) -> Vec<Box<dyn Scheduler>> {
-    vec![
-        Box::new(LinuxScheduler::new()),
-        Box::new(ElscScheduler::new()),
-        Box::new(HeapScheduler::new()),
-        Box::new(AffinityHeapScheduler::new()),
-        Box::new(MultiQueueScheduler::new(nr_cpus)),
-    ]
-}
-
 fn build(name: &str, nr_cpus: usize) -> Box<dyn Scheduler> {
-    all_schedulers(nr_cpus)
-        .into_iter()
-        .find(|s| s.name() == name)
+    name.parse::<SchedId>()
         .expect("known scheduler")
+        .build(Topology::flat(nr_cpus))
 }
 
 /// Everything observable that could differ between two runs.
@@ -79,7 +67,8 @@ fn run_with(
 #[test]
 fn global_and_percpu_agree_on_one_cpu() {
     for seed in [1, 7, 23_062, 0x5EED] {
-        for name in ["reg", "elsc", "heap", "aheap", "mq"] {
+        for id in SchedId::NATIVE {
+            let name = id.label();
             let g = run_with(seed, 1, Some(LockPlan::Global), build(name, 1));
             let p = run_with(seed, 1, Some(LockPlan::PerCpu), build(name, 1));
             assert_eq!(
@@ -144,7 +133,7 @@ fn percpu_plan_beats_global_for_mq_on_4p() {
                 .with_seed(23_062)
                 .with_lock_plan(plan)
                 .with_max_secs(2_000.0),
-            Box::new(MultiQueueScheduler::new(4)),
+            build("mq", 4),
             &cfg,
         )
     };
@@ -164,17 +153,27 @@ fn percpu_plan_beats_global_for_mq_on_4p() {
     assert_eq!(percpu.ledger.get("messages"), global.ledger.get("messages"));
 }
 
-/// Schedulers that never opted in keep the pre-refactor regime: one
-/// global domain, machine behaviour unchanged.
+/// Schedulers that never opted in keep the pre-refactor regime — one
+/// global domain, machine behaviour unchanged; the two sharded designs
+/// declare their own.
 #[test]
 fn baseline_schedulers_keep_the_global_plan() {
-    for name in ["reg", "elsc", "heap", "aheap"] {
+    for id in SchedId::NATIVE {
+        let name = id.label();
         let r = run_with(11, 2, None, build(name, 2));
-        assert_eq!(r.lock_plan, "global", "{name} must default to global");
-        assert_eq!(r.lock_domains.len(), 1);
+        let declared = match id {
+            SchedId::Mq => "percpu",
+            // One lock domain per NUMA node; a flat 2P box is one node.
+            SchedId::Bubble => "pernode:2",
+            _ => "global",
+        };
+        assert_eq!(r.lock_plan, declared, "{name}");
+        assert_eq!(
+            r.lock_domains.len(),
+            if declared == "percpu" { 2 } else { 1 },
+            "{name}"
+        );
     }
-    let r = run_with(11, 2, None, build("mq", 2));
-    assert_eq!(r.lock_plan, "percpu", "mq declares the per-CPU plan");
 }
 
 /// A UP kernel build compiles the locks out entirely.
@@ -192,7 +191,7 @@ fn up_builds_never_touch_a_lock() {
                 .with_seed(3)
                 .with_lock_plan(plan)
                 .with_max_secs(2_000.0),
-            Box::new(ElscScheduler::new()),
+            build("elsc", 1),
             &cfg,
         );
         assert_eq!(r.lock_acquisitions, 0);
