@@ -1,6 +1,6 @@
 //! A raw-scheduler rig for microbenchmarks: drives `schedule()` directly,
-//! without the machine simulation, so Criterion measures the algorithm's
-//! *host* cost and the meter reports its *simulated* cost.
+//! without the machine simulation, so a timing loop around it measures the
+//! algorithm's *host* cost and the meter reports its *simulated* cost.
 
 use elsc_ktask::{MmId, TaskSpec, TaskTable, Tid};
 use elsc_sched_api::{SchedConfig, SchedCtx, Scheduler};

@@ -162,6 +162,7 @@ fn workload(a: &Args) -> Result<WorkloadCell, String> {
 /// takes — and [`machine_cfg`] layers the CLI-only observers on top.
 fn cell(a: &Args, sched: SchedId) -> Result<CellConfig, String> {
     let topo = declared_topology(a)?;
+    sched.fits(&topo)?;
     let lock_plan = match a.get("lock-plan") {
         None => None,
         // `pernode` alone resolves against the declared topology; the

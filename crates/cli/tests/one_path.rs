@@ -20,6 +20,34 @@ fn elsc_sim(args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("utf-8 output")
 }
 
+/// `mq` on 300 CPUs and `bubble` on a 300-node tree need more queues
+/// than a task's one-byte queue hint can name. Both front ends refuse
+/// the shape with the same one-line error: exit 1 from the CLI — not a
+/// panic (101), not a wrapped count and exit 0 — and a parse error from
+/// a sweep spec.
+#[test]
+fn shapes_with_more_than_256_queues_are_rejected_by_both_front_ends() {
+    for (sched, shape_flags, shape) in [
+        ("mq", ["--cpus", "300"], "300P"),
+        ("bubble", ["--topology", "300N1C1T"], "300N1C1T"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_elsc-sim"))
+            .args([
+                "stress", "--tasks", "900", "--rounds", "6", "--sched", sched,
+            ])
+            .args(shape_flags)
+            .output()
+            .expect("elsc-sim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{sched}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{sched}: {stderr}");
+        assert!(stderr.contains("at most 256"), "{sched}: {stderr}");
+        let spec = format!("name = big\nworkload = stress\nsched = {sched}\nshape = {shape}");
+        let err = spec.parse::<elsc_lab::SweepSpec>().unwrap_err();
+        assert_eq!(format!("error: {err}\n"), stderr, "{sched}");
+    }
+}
+
 #[test]
 fn ls_lists_exactly_the_registry_rows() {
     let text = elsc_sim(&["ls"]);

@@ -1,8 +1,7 @@
 //! The ELSC `schedule()` implementation (paper §5.2).
 
-use elsc_ktask::{CpuId, SchedClass, TaskTable, Tid};
-use elsc_obs::ObsEvent;
-use elsc_sched_api::{topo_affinity_bonus, SchedCtx, Scheduler, MM_BONUS, RT_GOODNESS_BASE};
+use elsc_ktask::{CpuId, TaskTable, Tid};
+use elsc_sched_api::{frame, topo_affinity_bonus, SchedCtx, Scheduler, MM_BONUS, RT_GOODNESS_BASE};
 use elsc_simcore::CostKind;
 
 use crate::table::ElscTable;
@@ -28,25 +27,6 @@ impl ElscScheduler {
     /// Read access to the table (examples and tests).
     pub fn table(&self) -> &ElscTable {
         &self.table
-    }
-
-    /// Runs the counter-recalculation walk, clearing the zero-section
-    /// annotations so the table merge is consistent, then merges.
-    fn recalculate(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId) {
-        ctx.stats.cpu_mut(cpu).recalc_entries += 1;
-        ctx.emit(ObsEvent::RecalcStart {
-            cpu,
-            nr_running: self.nr_running as u64,
-        });
-        // Zombies awaiting the post-schedule reap are not walked (or
-        // charged for): recalc cost is per *live* task. The walk is a
-        // dense sweep of the hot-field lanes; the `rq_zero` annotation is
-        // cleared in the same pass, ready for `merge_after_recalc`.
-        let n = ctx.tasks.recalc_counters(true) as u64;
-        ctx.stats.cpu_mut(cpu).recalc_tasks += n;
-        ctx.meter.charge_n(ctx.costs, CostKind::RecalcPerTask, n);
-        ctx.emit(ObsEvent::RecalcEnd { cpu, updated: n });
-        self.table.merge_after_recalc();
     }
 
     /// Removes the on-queue marker or list linkage of a task leaving the
@@ -108,9 +88,7 @@ impl Scheduler for ElscScheduler {
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
-        // Bottom halves + administrative work, same as the baseline.
-        ctx.meter.charge(ctx.costs, CostKind::SchedBase);
-        ctx.stats.cpu_mut(cpu).sched_calls += 1;
+        frame::charge_entry(ctx, cpu);
 
         let prev_yielded = ctx.tasks.task(prev).policy.yielded;
 
@@ -121,15 +99,7 @@ impl Scheduler for ElscScheduler {
                 // An exhausted round-robin task gets its quantum refreshed
                 // *before* insertion so it is indexed correctly; it then
                 // goes to the end of its (new) list, as both schedulers do.
-                let rr_exhausted = {
-                    let mut t = ctx.tasks.task_mut(prev);
-                    if t.policy.class == SchedClass::Rr && t.counter == 0 {
-                        t.counter = t.priority;
-                        true
-                    } else {
-                        false
-                    }
-                };
+                let rr_exhausted = frame::refresh_rr_quantum(ctx, prev);
                 // Re-insert prev: it was removed from its list when it was
                 // chosen to run, but kept its on-queue marker.
                 let prev_task = ctx.tasks.task(prev);
@@ -152,20 +122,18 @@ impl Scheduler for ElscScheduler {
         // --- Recalculation check (§5.2) -------------------------------
         if self.table.top().is_none() {
             if self.table.next_top().is_some() {
-                // Runnable tasks exist but all are out of quantum.
-                self.recalculate(ctx, cpu);
+                // Runnable tasks exist but all are out of quantum. The
+                // walk clears the zero-section annotations in the same
+                // pass, so the table merge is consistent.
+                frame::recalculate(ctx, cpu, self.nr_running, true);
+                self.table.merge_after_recalc();
             } else {
                 // The table is completely empty: run the idle task and
                 // skip the rest of the decision process.
-                ctx.stats.cpu_mut(cpu).idle_scheduled += 1;
                 if prev_yielded {
                     ctx.tasks.task_mut(prev).policy.yielded = false;
                 }
-                if prev != idle {
-                    ctx.tasks.task_mut(prev).has_cpu = false;
-                }
-                ctx.tasks.task_mut(idle).has_cpu = true;
-                return idle;
+                return frame::commit(ctx, cpu, prev, idle, idle);
             }
         }
 
@@ -205,9 +173,7 @@ impl Scheduler for ElscScheduler {
         };
 
         // --- Commit ----------------------------------------------------
-        if next == idle {
-            ctx.stats.cpu_mut(cpu).idle_scheduled += 1;
-        } else {
+        if next != idle {
             // Manually remove the chosen task from its list, leaving the
             // on-queue marker (`prev = NULL`, `next` stale).
             ctx.meter.charge(ctx.costs, CostKind::ListOp);
@@ -217,11 +183,7 @@ impl Scheduler for ElscScheduler {
             // Clear SCHED_YIELD to give prev a fair chance next time.
             ctx.tasks.task_mut(prev).policy.yielded = false;
         }
-        if next != prev {
-            ctx.tasks.task_mut(prev).has_cpu = false;
-        }
-        ctx.tasks.task_mut(next).has_cpu = true;
-        next
+        frame::commit(ctx, cpu, prev, next, idle)
     }
 
     fn nr_running(&self) -> usize {
@@ -351,7 +313,7 @@ fn scan_list(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elsc_ktask::{MmId, TaskSpec, TaskState};
+    use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState};
     use elsc_sched_api::SchedConfig;
     use elsc_simcore::{CostModel, CycleMeter};
     use elsc_stats::SchedStats;

@@ -308,6 +308,11 @@ impl FromStr for SweepSpec {
         if shapes.is_empty() {
             shapes = Shape::PAPER.to_vec();
         }
+        for sched in &scheds {
+            for shape in &shapes {
+                sched.fits(&shape.topology())?;
+            }
+        }
         if plans.is_empty() {
             plans.push(None);
         }

@@ -984,7 +984,7 @@ impl Machine {
                 self.cpus[cpu].need_resched = true;
             }
             // Policy tick hook: runs after the machine's own quantum
-            // bookkeeping. Gated on an active interpreted policy, so
+            // bookkeeping. Gated on an active loaded policy, so
             // native runs never see the extra call and stay
             // byte-identical to the pre-policy machine.
             if self.policy.as_ref().is_some_and(|p| p.ejected.is_none()) {
@@ -1438,7 +1438,7 @@ impl Machine {
         Some(t2)
     }
 
-    /// Ejects the active interpreted policy at `t`: freezes its
+    /// Ejects the active loaded policy at `t`: freezes its
     /// instruction count, emits [`ObsEvent::PolicyEjected`], and hands
     /// the run to the baseline ([`Machine::swap_to_baseline`]).
     /// Deterministic: the decision stream up to this point is
@@ -2658,7 +2658,7 @@ mod policy_tests {
         assert_eq!(r.scheduler, "policy:reg");
         let p = r.policy.as_ref().expect("policy summary present");
         assert!(!p.ejected, "reg.pol must never trip the watchdog");
-        assert!(p.insns_executed > 0, "the interpreter actually ran");
+        assert!(p.insns_executed > 0, "the policy VM actually ran");
         let o = r.chaos.as_ref().unwrap().oracle.as_ref().unwrap();
         assert_eq!(
             o.unexplained, 0,

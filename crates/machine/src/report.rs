@@ -81,7 +81,7 @@ impl Ledger {
 
 /// Policy-runtime summary: load-time facts plus what the machine's
 /// watchdog observed over the run. Present only when the run was driven
-/// by an interpreted `.pol` scheduler, so native runs serialize exactly
+/// by a loaded `.pol` scheduler, so native runs serialize exactly
 /// as they did before the policy runtime existed.
 #[derive(Clone, Debug)]
 pub struct PolicySummary {
@@ -91,7 +91,7 @@ pub struct PolicySummary {
     pub static_insns: u64,
     /// The per-decision runtime instruction budget in force.
     pub budget: u64,
-    /// Total interpreter instructions executed over the run (frozen at
+    /// Total policy-VM instructions executed over the run (frozen at
     /// ejection time if the watchdog fired).
     pub insns_executed: u64,
     /// Whether the watchdog ejected the policy mid-run.

@@ -25,11 +25,11 @@
 //! The machine polls [`Scheduler::take_violation`] after every decision
 //! and ejects a violating policy (see the machine crate's watchdog).
 
-use elsc_ktask::recalc::recalculate_counters;
-use elsc_ktask::{CpuId, Lists, MmId, SchedClass, TaskTable, Tid};
+use elsc_ktask::{CpuId, Lists, MmId, TaskTable, Tid};
 use elsc_obs::ObsEvent;
 use elsc_sched_api::{
-    goodness_ignoring_yield, PolicyLoadInfo, PolicyViolation, SchedCtx, Scheduler, IDLE_GOODNESS,
+    frame, goodness_ignoring_yield, PolicyLoadInfo, PolicyViolation, SchedCtx, Scheduler,
+    IDLE_GOODNESS,
 };
 use elsc_simcore::CostKind;
 
@@ -108,24 +108,10 @@ pub(crate) fn set_counter_effect(ctx: &mut SchedCtx<'_>, t: Option<Tid>, v: i64)
     }
 }
 
-/// The `recalc()` effect. Mirrors the native
-/// schedulers' recalculation loop decision-for-decision, including
-/// stats and events.
+/// The `recalc()` effect: the native recalculation step, stats and
+/// events included.
 pub(crate) fn recalc_effect(ctx: &mut SchedCtx<'_>, env: &Env) {
-    let cpu = env.cpu;
-    ctx.stats.cpu_mut(cpu).recalc_entries += 1;
-    ctx.emit(ObsEvent::RecalcStart {
-        cpu,
-        nr_running: env.nr_running as u64,
-    });
-    let n = recalculate_counters(ctx.tasks);
-    ctx.stats.cpu_mut(cpu).recalc_tasks += n as u64;
-    ctx.meter
-        .charge_n(ctx.costs, CostKind::RecalcPerTask, n as u64);
-    ctx.emit(ObsEvent::RecalcEnd {
-        cpu,
-        updated: n as u64,
-    });
+    frame::recalculate(ctx, env.cpu, env.nr_running, false);
 }
 
 /// The pure scan-filter predicates (`can_schedule` / `runnable`) on an
@@ -577,45 +563,16 @@ impl Scheduler for PolicyScheduler {
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
-        // --- Host-managed schedule() preamble, identical to the
-        // baseline scheduler (bottom halves, queue exit, RR refresh,
-        // yield consumption). Policies only replace the selection loop.
-        ctx.meter.charge(ctx.costs, CostKind::SchedBase);
-        ctx.stats.cpu_mut(cpu).sched_calls += 1;
-
-        {
-            let prev_task = ctx.tasks.task(prev);
-            if prev != idle && !prev_task.state.is_runnable() && prev_task.on_runqueue() {
-                self.del_from_runqueue(ctx, prev);
-            }
-        }
-        {
-            let mut prev_task = ctx.tasks.task_mut(prev);
-            let requeue = if prev_task.policy.class == SchedClass::Rr && prev_task.counter == 0 {
-                prev_task.counter = prev_task.priority;
-                prev_task.on_runqueue()
-            } else {
-                false
-            };
-            drop(prev_task);
-            if requeue {
-                self.move_last_runqueue(ctx, prev);
-            }
-        }
-        let prev_mm = ctx.tasks.task(prev).mm;
-        let prev_yielded = {
-            let mut prev_task = ctx.tasks.task_mut(prev);
-            let y = prev_task.policy.yielded;
-            prev_task.policy.yielded = false;
-            y
-        };
+        // The host-managed frame of `schedule()` is the baseline's;
+        // policies only replace the selection loop.
+        let entered = frame::enter(self, ctx, cpu, prev, idle);
 
         // --- The policy's selection loop.
         let mut env = self.env(cpu);
         env.prev = Some(prev);
         env.idle = Some(idle);
-        env.prev_mm = prev_mm;
-        env.prev_yielded = prev_yielded;
+        env.prev_mm = entered.prev_mm;
+        env.prev_yielded = entered.prev_yielded;
         let run = self.run_hook(HookKind::PickNext, ctx, env);
 
         let next = match run.violation {
@@ -653,15 +610,7 @@ impl Scheduler for PolicyScheduler {
             }
         }
 
-        // --- Host-managed epilogue, identical to the baseline.
-        if next == idle {
-            ctx.stats.cpu_mut(cpu).idle_scheduled += 1;
-        }
-        if next != prev {
-            ctx.tasks.task_mut(prev).has_cpu = false;
-        }
-        ctx.tasks.task_mut(next).has_cpu = true;
-        next
+        frame::commit(ctx, cpu, prev, next, idle)
     }
 
     fn nr_running(&self) -> usize {

@@ -9,6 +9,10 @@
 //! * [`Scheduler`] — the five entry points the kernel exposes:
 //!   `add_to_runqueue`, `del_from_runqueue`, `move_first_runqueue`,
 //!   `move_last_runqueue`, and `schedule` itself.
+//! * [`frame`] — the parts of `schedule()` the paper left alone (entry,
+//!   `prev` handling, the recalculation loop, the `has_cpu` hand-over)
+//!   and the baseline's run-list goodness scan, written once for every
+//!   design to call.
 //! * [`resched::reschedule_idle`] — the wakeup placement logic shared by
 //!   all schedulers (the paper keeps it unchanged).
 //! * [`SchedConfig`] — machine-level knobs the schedulers see (CPU count,
@@ -24,6 +28,7 @@
 #![deny(missing_docs)]
 
 pub mod config;
+pub mod frame;
 pub mod goodness;
 pub mod lockplan;
 pub mod resched;

@@ -146,10 +146,15 @@ impl PolicyViolation {
 /// * `schedule(cpu, prev, idle)` — `prev` is the task leaving the CPU
 ///   (its `state` already reflects whether it remains runnable; its
 ///   `has_cpu` is still true). Returns the next task to run, which may be
-///   `prev` or `idle`. On return the chosen task has `has_cpu == true`,
-///   every other task has had a fair evaluation per the design's rules,
-///   and all cycles consumed were charged to `ctx.meter`. The machine
-///   sets `processor` afterwards (so it can detect migrations).
+///   `prev` or `idle`. On return the chosen task has `has_cpu == true`
+///   and a different `prev` has lost it; `prev`'s `SCHED_YIELD` bit is
+///   clear; a `prev` that entered not runnable is off the run queue; a
+///   runnable `SCHED_RR` `prev` that entered with `counter == 0` has
+///   `counter == priority`; every other task has had a fair evaluation
+///   per the design's rules, and all cycles consumed were charged to
+///   `ctx.meter`. The machine sets `processor` afterwards (so it can
+///   detect migrations). The [`frame`](crate::frame) functions implement
+///   these clauses once, for every design to call.
 pub trait Scheduler {
     /// Human-readable name ("reg", "elsc", ...), used in reports.
     fn name(&self) -> &'static str;
@@ -209,7 +214,7 @@ pub trait Scheduler {
         unreachable!("drain() called on a scheduler that cannot be ejected")
     }
 
-    /// Cumulative interpreted instructions executed (policy schedulers
+    /// Cumulative policy-VM instructions executed (policy schedulers
     /// only; native schedulers report 0).
     fn policy_insns_executed(&self) -> u64 {
         0
@@ -242,7 +247,7 @@ pub trait Scheduler {
 
     /// Timer-tick hook: runs once per tick on a busy CPU, *after* the
     /// machine's own quantum bookkeeping, with `current` the running
-    /// task. Interpreted policies use this to run their `tick` hook;
+    /// task. Loaded `.pol` policies use this to run their `tick` hook;
     /// native schedulers keep the no-op default (the machine only calls
     /// it for schedulers that report [`Scheduler::loaded_info`], so
     /// native runs stay byte-identical).

@@ -20,9 +20,11 @@
 
 use std::collections::BTreeMap;
 
-use elsc_ktask::{CpuId, MmId, SchedClass, TaskState, TaskTable, Tid};
-use elsc_sched_api::{topo_affinity_bonus, SchedCtx, Scheduler, MM_BONUS, RT_GOODNESS_BASE};
+use elsc_ktask::{CpuId, MmId, TaskState, TaskTable, Tid};
+use elsc_sched_api::{frame, topo_affinity_bonus, SchedCtx, Scheduler, MM_BONUS};
 use elsc_simcore::CostKind;
+
+use crate::heap::static_key;
 
 /// Heap key: `(static key, tie sequence)`; highest key wins, lowest
 /// sequence is front-most among ties.
@@ -30,15 +32,6 @@ type Key = (i32, u64);
 
 /// Which heap a task belongs to.
 type HeapId = (CpuId, MmId);
-
-/// Static key of a task: real-time above everything.
-fn static_key(t: &elsc_ktask::Task) -> i32 {
-    if t.policy.class.is_realtime() {
-        RT_GOODNESS_BASE + t.rt_priority
-    } else {
-        t.static_goodness()
-    }
-}
 
 /// Per-(processor, address-space) heap scheduler.
 #[derive(Debug, Default)]
@@ -96,15 +89,9 @@ impl AffinityHeapScheduler {
         }
     }
 
+    /// The shared recalculation walk, then a re-key of everything queued.
     fn recalculate(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId) {
-        ctx.stats.cpu_mut(cpu).recalc_entries += 1;
-        // Zombies awaiting the post-schedule reap are not walked (or
-        // charged for): recalc cost is per *live* task. Dense sweep of
-        // the hot-field lanes.
-        let n = ctx.tasks.recalc_counters(false) as u64;
-        ctx.stats.cpu_mut(cpu).recalc_tasks += n;
-        ctx.meter.charge_n(ctx.costs, CostKind::RecalcPerTask, n);
-        // Rebuild all keys.
+        frame::recalculate(ctx, cpu, self.nr_running(), false);
         let tids: Vec<Tid> = self.index.keys().copied().collect();
         for tid in &tids {
             self.remove(*tid);
@@ -150,19 +137,14 @@ impl Scheduler for AffinityHeapScheduler {
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
-        ctx.meter.charge(ctx.costs, CostKind::SchedBase);
-        ctx.stats.cpu_mut(cpu).sched_calls += 1;
+        frame::charge_entry(ctx, cpu);
 
         let prev_yielded = ctx.tasks.task(prev).policy.yielded;
         if prev != idle {
             let runnable = ctx.tasks.task(prev).state == TaskState::Running;
             if runnable {
-                {
-                    let mut t = ctx.tasks.task_mut(prev);
-                    if t.policy.class == SchedClass::Rr && t.counter == 0 {
-                        t.counter = t.priority;
-                    }
-                }
+                // Refreshed before insertion, so the key is current.
+                frame::refresh_rr_quantum(ctx, prev);
                 debug_assert!(self.running > 0);
                 self.running -= 1;
                 ctx.meter.charge(ctx.costs, CostKind::TableIndex);
@@ -237,9 +219,7 @@ impl Scheduler for AffinityHeapScheduler {
             break idle;
         };
 
-        if next == idle {
-            ctx.stats.cpu_mut(cpu).idle_scheduled += 1;
-        } else {
+        if next != idle {
             ctx.meter.charge(ctx.costs, CostKind::ListOp);
             let was_queued = self.remove(next);
             debug_assert!(was_queued);
@@ -248,11 +228,7 @@ impl Scheduler for AffinityHeapScheduler {
         if prev_yielded {
             ctx.tasks.task_mut(prev).policy.yielded = false;
         }
-        if next != prev {
-            ctx.tasks.task_mut(prev).has_cpu = false;
-        }
-        ctx.tasks.task_mut(next).has_cpu = true;
-        next
+        frame::commit(ctx, cpu, prev, next, idle)
     }
 
     fn nr_running(&self) -> usize {
@@ -277,7 +253,7 @@ impl Scheduler for AffinityHeapScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elsc_ktask::TaskSpec;
+    use elsc_ktask::{SchedClass, TaskSpec};
     use elsc_sched_api::SchedConfig;
     use elsc_simcore::{CostModel, CycleMeter};
     use elsc_stats::SchedStats;

@@ -26,10 +26,11 @@
 
 use std::collections::BTreeMap;
 
-use elsc_ktask::recalc::recalculate_counters;
-use elsc_ktask::{CpuId, Lists, MmId, SchedClass, TaskTable, Tid};
-use elsc_sched_api::{goodness_ignoring_yield_on, LockPlan, SchedCtx, Scheduler, IDLE_GOODNESS};
+use elsc_ktask::{CpuId, Lists, MmId, TaskTable, Tid};
+use elsc_sched_api::{frame, LockPlan, SchedCtx, Scheduler, IDLE_GOODNESS};
 use elsc_simcore::{CostKind, Topology};
+
+use crate::MAX_QUEUES;
 
 /// Per-NUMA-node run queues placing mm-keyed task groups.
 #[derive(Debug)]
@@ -48,8 +49,14 @@ pub struct BubbleScheduler {
 
 impl BubbleScheduler {
     /// Creates one queue per node of `topo`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree has more than [`MAX_QUEUES`] nodes (a task
+    /// remembers its node in the one-byte `rq_hint`).
     pub fn new(topo: Topology) -> Self {
         let nodes = topo.nr_nodes();
+        assert!(nodes <= MAX_QUEUES, "bubble: at most {MAX_QUEUES} queues");
         BubbleScheduler {
             topo,
             lists: Lists::new(nodes),
@@ -71,35 +78,6 @@ impl BubbleScheduler {
             .expect("at least one node");
         self.homes.insert(mm, node);
         node
-    }
-
-    /// Scans node queue `q`, returning the best candidate and its
-    /// goodness. `prev` is skipped (the caller evaluates it separately).
-    fn scan_queue(
-        &self,
-        ctx: &mut SchedCtx<'_>,
-        q: usize,
-        cpu: CpuId,
-        prev: Tid,
-        prev_mm: MmId,
-    ) -> (i32, Option<Tid>) {
-        let mut best = (IDLE_GOODNESS, None);
-        let mut cur = self.lists.first(q);
-        while let Some(idx) = cur {
-            let p = ctx.tasks.by_index(idx as usize);
-            let tid = p.tid;
-            let skip = if ctx.cfg.smp { p.has_cpu } else { tid == prev };
-            if !skip {
-                ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                let w = goodness_ignoring_yield_on(&ctx.cfg.topology, p, cpu, prev_mm);
-                if w > best.0 {
-                    best = (w, Some(tid));
-                }
-            }
-            cur = self.lists.next_task(ctx.tasks, idx);
-        }
-        best
     }
 
     /// Moves every queued member of `mm` from node `from` to node `to`
@@ -165,100 +143,37 @@ impl Scheduler for BubbleScheduler {
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
-        ctx.meter.charge(ctx.costs, CostKind::SchedBase);
-        ctx.stats.cpu_mut(cpu).sched_calls += 1;
+        let entered = frame::enter(self, ctx, cpu, prev, idle);
         let my_node = self.topo.node_of(cpu).min(self.counts.len() - 1);
-
-        // Previous-task handling, as in the baseline.
-        {
-            let prev_task = ctx.tasks.task(prev);
-            if prev != idle && !prev_task.state.is_runnable() && prev_task.on_runqueue() {
-                self.del_from_runqueue(ctx, prev);
-            }
-        }
-        {
-            let mut prev_task = ctx.tasks.task_mut(prev);
-            let requeue = if prev_task.policy.class == SchedClass::Rr && prev_task.counter == 0 {
-                prev_task.counter = prev_task.priority;
-                prev_task.on_runqueue()
-            } else {
-                false
-            };
-            drop(prev_task);
-            if requeue {
-                self.move_last_runqueue(ctx, prev);
-            }
-        }
-        let prev_mm = ctx.tasks.task(prev).mm;
-        let mut prev_yielded = {
-            let mut t = ctx.tasks.task_mut(prev);
-            let y = t.policy.yielded;
-            t.policy.yielded = false;
-            y
-        };
-
-        let next = loop {
-            let mut c = IDLE_GOODNESS;
-            let mut next = idle;
-            {
-                let prev_task = ctx.tasks.task(prev);
-                if prev != idle && prev_task.state.is_runnable() {
-                    ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                    ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                    c = if prev_yielded {
-                        prev_yielded = false;
-                        0
-                    } else {
-                        goodness_ignoring_yield_on(&ctx.cfg.topology, prev_task, cpu, prev_mm)
-                    };
-                    next = prev;
-                }
-            }
+        let nr_running = self.nr_running;
+        let next = frame::select(ctx, cpu, prev, idle, entered, nr_running, |ctx, c| {
             // Own node's queue first.
-            let (w, cand) = self.scan_queue(ctx, my_node, cpu, prev, prev_mm);
-            if w > c {
-                c = w;
-                next = cand.expect("goodness above idle implies a task");
+            let best = frame::scan_list(&self.lists, my_node, ctx, cpu, prev, entered.prev_mm);
+            if best.1.is_some() || c != IDLE_GOODNESS {
+                return best;
             }
-            // Steal from the fullest other node when ours is dry — and
-            // re-home the stolen task's whole bubble, so its siblings
-            // follow it here instead of paying an mm switch across the
-            // interconnect on every future wakeup.
-            if next == idle && self.counts.len() > 1 {
-                let victim = (0..self.counts.len())
-                    .filter(|&n| n != my_node && self.counts[n] > 0)
-                    .max_by_key(|&n| self.counts[n]);
-                if let Some(victim) = victim {
-                    // Take the victim node's lock domain before touching
-                    // its list (any CPU on the node names the domain).
-                    ctx.lock_queue_domain(victim * self.topo.cpus_per_node());
-                    let (w, cand) = self.scan_queue(ctx, victim, cpu, prev, prev_mm);
-                    if w > c {
-                        c = w;
-                        next = cand.expect("goodness above idle implies a task");
-                        let mm = ctx.tasks.task(next).mm;
-                        self.rehome(ctx, mm, victim, my_node);
-                    }
-                }
+            // Steal from the fullest other node when neither `prev` nor
+            // our own queue offers a candidate — and re-home the stolen
+            // task's whole bubble, so its siblings follow it here instead
+            // of paying an mm switch across the interconnect on every
+            // future wakeup.
+            let victim = (0..self.counts.len())
+                .filter(|&n| n != my_node && self.counts[n] > 0)
+                .max_by_key(|&n| self.counts[n]);
+            let Some(victim) = victim else {
+                return best;
+            };
+            // Take the victim node's lock domain before touching its
+            // list (any CPU on the node names the domain).
+            ctx.lock_queue_domain(victim * self.topo.cpus_per_node());
+            let stolen = frame::scan_list(&self.lists, victim, ctx, cpu, prev, entered.prev_mm);
+            if let Some(tid) = stolen.1 {
+                let mm = ctx.tasks.task(tid).mm;
+                self.rehome(ctx, mm, victim, my_node);
             }
-            if c != 0 {
-                break next;
-            }
-            ctx.stats.cpu_mut(cpu).recalc_entries += 1;
-            let n = recalculate_counters(ctx.tasks);
-            ctx.stats.cpu_mut(cpu).recalc_tasks += n as u64;
-            ctx.meter
-                .charge_n(ctx.costs, CostKind::RecalcPerTask, n as u64);
-        };
-
-        if next == idle {
-            ctx.stats.cpu_mut(cpu).idle_scheduled += 1;
-        }
-        if next != prev {
-            ctx.tasks.task_mut(prev).has_cpu = false;
-        }
-        ctx.tasks.task_mut(next).has_cpu = true;
-        next
+            stolen
+        });
+        frame::commit(ctx, cpu, prev, next, idle)
     }
 
     fn nr_running(&self) -> usize {

@@ -16,8 +16,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use elsc_ktask::{CpuId, SchedClass, TaskState, TaskTable, Tid};
-use elsc_sched_api::{topo_affinity_bonus, SchedCtx, Scheduler, MM_BONUS, RT_GOODNESS_BASE};
+use elsc_ktask::{CpuId, TaskState, TaskTable, Tid};
+use elsc_sched_api::{frame, topo_affinity_bonus, SchedCtx, Scheduler, MM_BONUS, RT_GOODNESS_BASE};
 use elsc_simcore::CostKind;
 
 /// Key of a queued task: `(static key, tie sequence)`. Higher key wins;
@@ -40,7 +40,7 @@ pub struct HeapScheduler {
 }
 
 /// Static key of a task: real-time tasks above everything.
-fn static_key(t: &elsc_ktask::Task) -> i32 {
+pub(crate) fn static_key(t: &elsc_ktask::Task) -> i32 {
     if t.policy.class.is_realtime() {
         RT_GOODNESS_BASE + t.rt_priority
     } else {
@@ -93,17 +93,6 @@ impl HeapScheduler {
             self.insert(tasks, tid, false);
         }
     }
-
-    fn recalculate(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId) {
-        ctx.stats.cpu_mut(cpu).recalc_entries += 1;
-        // Zombies awaiting the post-schedule reap are not walked (or
-        // charged for): recalc cost is per *live* task. Dense sweep of
-        // the hot-field lanes.
-        let n = ctx.tasks.recalc_counters(false) as u64;
-        ctx.stats.cpu_mut(cpu).recalc_tasks += n;
-        ctx.meter.charge_n(ctx.costs, CostKind::RecalcPerTask, n);
-        self.rebuild(ctx.tasks);
-    }
 }
 
 impl Scheduler for HeapScheduler {
@@ -143,20 +132,15 @@ impl Scheduler for HeapScheduler {
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
-        ctx.meter.charge(ctx.costs, CostKind::SchedBase);
-        ctx.stats.cpu_mut(cpu).sched_calls += 1;
+        frame::charge_entry(ctx, cpu);
 
         let prev_yielded = ctx.tasks.task(prev).policy.yielded;
         // Previous-task handling (mirrors ELSC).
         if prev != idle {
             let runnable = ctx.tasks.task(prev).state == TaskState::Running;
             if runnable {
-                {
-                    let mut t = ctx.tasks.task_mut(prev);
-                    if t.policy.class == SchedClass::Rr && t.counter == 0 {
-                        t.counter = t.priority;
-                    }
-                }
+                // Refreshed before insertion, so the key is current.
+                frame::refresh_rr_quantum(ctx, prev);
                 debug_assert!(self.running > 0);
                 self.running -= 1;
                 ctx.meter.charge(ctx.costs, CostKind::TableIndex);
@@ -228,8 +212,10 @@ impl Scheduler for HeapScheduler {
                 break tid;
             }
             if exhausted {
-                // Top of the structure is out of quantum: recalculate.
-                self.recalculate(ctx, cpu);
+                // Top of the structure is out of quantum: recalculate,
+                // then re-key everything queued.
+                frame::recalculate(ctx, cpu, self.nr_running(), false);
+                self.rebuild(ctx.tasks);
                 continue;
             }
             // Everything at the top is running elsewhere; with equal keys
@@ -238,9 +224,7 @@ impl Scheduler for HeapScheduler {
             break idle;
         };
 
-        if next == idle {
-            ctx.stats.cpu_mut(cpu).idle_scheduled += 1;
-        } else {
+        if next != idle {
             ctx.meter.charge(ctx.costs, CostKind::ListOp);
             let was_queued = self.remove(next);
             debug_assert!(was_queued);
@@ -249,11 +233,7 @@ impl Scheduler for HeapScheduler {
         if prev_yielded {
             ctx.tasks.task_mut(prev).policy.yielded = false;
         }
-        if next != prev {
-            ctx.tasks.task_mut(prev).has_cpu = false;
-        }
-        ctx.tasks.task_mut(next).has_cpu = true;
-        next
+        frame::commit(ctx, cpu, prev, next, idle)
     }
 
     fn nr_running(&self) -> usize {
@@ -278,7 +258,7 @@ impl Scheduler for HeapScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elsc_ktask::{MmId, TaskSpec};
+    use elsc_ktask::{MmId, SchedClass, TaskSpec};
     use elsc_sched_api::SchedConfig;
     use elsc_simcore::{CostModel, CycleMeter};
     use elsc_stats::SchedStats;

@@ -15,9 +15,11 @@
 //! punishes with deterministic ejection (`learn_eject_k` consecutive
 //! misses), reusing the policy watchdog's swap-to-baseline machinery.
 //!
-//! Run-queue semantics are Linux-style (running tasks stay linked, adds
-//! go to the front), so an ejection's drain + reversed re-add into the
-//! baseline scheduler preserves queue order exactly.
+//! The scheduler *is* `reg` plus that verified shortcut: it wraps a
+//! [`LinuxScheduler`], delegates every queue operation to it, and its
+//! fallback is the baseline's own selection — so it can never pick
+//! worse than `reg`, and an ejection's drain + reversed re-add into a
+//! fresh baseline scheduler preserves queue order exactly.
 //!
 //! One deliberate train/inference skew: the machine snapshots trace
 //! features *before* `schedule()` runs, but inference scores *after* the
@@ -27,22 +29,20 @@
 
 use std::collections::HashMap;
 
-use elsc_ktask::{CpuId, Lists, SchedClass, Tid};
+use elsc_ktask::{CpuId, MmId, TaskTable, Tid};
 use elsc_learn::{quantize, Model, FEATURES};
-use elsc_obs::ObsEvent;
 use elsc_sched_api::{
-    goodness_ignoring_yield_on, lane_goodness_ignoring_yield_on, topo_affinity_bonus, LearnedInfo,
-    SchedCtx, Scheduler, IDLE_GOODNESS,
+    frame, goodness_ignoring_yield_on, lane_goodness_ignoring_yield_on, topo_affinity_bonus,
+    LearnedInfo, SchedCtx, Scheduler, IDLE_GOODNESS,
 };
+use elsc_sched_linux::LinuxScheduler;
 use elsc_simcore::CostKind;
 
 /// A scheduler driving its picks from a trained [`Model`].
 #[derive(Debug)]
 pub struct LearnedScheduler {
-    /// The single run-queue list, baseline-style.
-    lists: Lists,
-    /// Tasks on the run queue (running tasks included).
-    nr_running: usize,
+    /// The run queue, its manipulators and the fallback selection.
+    base: LinuxScheduler,
     /// The trained scorer.
     model: Model,
     /// Report name, `learned:<model stem>`.
@@ -67,8 +67,7 @@ impl LearnedScheduler {
     /// report label, conventionally `learned:<model stem>`.
     pub fn new(name: &'static str, model: Model) -> LearnedScheduler {
         LearnedScheduler {
-            lists: Lists::new(1),
-            nr_running: 0,
+            base: LinuxScheduler::new(),
             model,
             name,
             decisions: 0,
@@ -88,16 +87,6 @@ impl LearnedScheduler {
         Ok(LearnedScheduler::new(name, model))
     }
 
-    /// The model architecture label.
-    pub fn arch(&self) -> &'static str {
-        self.model.arch.name()
-    }
-
-    /// Collects the run queue front-to-back (tests and examples).
-    pub fn queue_order(&self, tasks: &elsc_ktask::TaskTable) -> Vec<u32> {
-        self.lists.collect(tasks, 0)
-    }
-
     /// Scores one candidate: features vs this decision's context, then
     /// the model. `depth` is the queue depth sampled at entry.
     fn score_candidate(
@@ -106,7 +95,7 @@ impl LearnedScheduler {
         cpu: CpuId,
         tid: Tid,
         depth: u64,
-        prev_mm: elsc_ktask::MmId,
+        prev_mm: MmId,
     ) -> i64 {
         let task = ctx.tasks.task(tid);
         let recency = self
@@ -124,82 +113,6 @@ impl LearnedScheduler {
         ];
         self.model.score(&quantize(&raw))
     }
-
-    /// The baseline's selection loop, verbatim: full O(n) goodness scan
-    /// with system-wide recalculation when everything is out of quantum.
-    /// The misprediction fallback and the no-prediction path both land
-    /// here, so the learned scheduler can never pick worse than `reg`.
-    fn native_scan(
-        &mut self,
-        ctx: &mut SchedCtx<'_>,
-        cpu: CpuId,
-        prev: Tid,
-        idle: Tid,
-        prev_mm: elsc_ktask::MmId,
-        mut prev_yielded: bool,
-    ) -> Tid {
-        loop {
-            let mut c = IDLE_GOODNESS;
-            let mut next = idle;
-            {
-                let prev_task = ctx.tasks.task(prev);
-                if prev != idle && prev_task.state.is_runnable() {
-                    ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                    ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                    c = if prev_yielded {
-                        prev_yielded = false;
-                        0
-                    } else {
-                        goodness_ignoring_yield_on(&ctx.cfg.topology, prev_task, cpu, prev_mm)
-                    };
-                    next = prev;
-                }
-            }
-            let mut cur = self.lists.first(0);
-            while let Some(idx) = cur {
-                let i = idx as usize;
-                let lanes = ctx.tasks.lanes();
-                let skip = if ctx.cfg.smp {
-                    lanes.has_cpu(i)
-                } else {
-                    i == prev.index()
-                };
-                if !skip {
-                    ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                    ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                    let weight = lane_goodness_ignoring_yield_on(
-                        &ctx.cfg.topology,
-                        ctx.tasks.lanes(),
-                        i,
-                        cpu,
-                        prev_mm,
-                    );
-                    if weight > c {
-                        c = weight;
-                        next = ctx.tasks.by_index(i).tid;
-                    }
-                }
-                cur = self.lists.next_task(ctx.tasks, idx);
-            }
-            if c != 0 {
-                return next;
-            }
-            let stats = ctx.stats.cpu_mut(cpu);
-            stats.recalc_entries += 1;
-            ctx.emit(ObsEvent::RecalcStart {
-                cpu,
-                nr_running: self.nr_running as u64,
-            });
-            let n = elsc_ktask::recalc::recalculate_counters(ctx.tasks);
-            ctx.stats.cpu_mut(cpu).recalc_tasks += n as u64;
-            ctx.meter
-                .charge_n(ctx.costs, CostKind::RecalcPerTask, n as u64);
-            ctx.emit(ObsEvent::RecalcEnd {
-                cpu,
-                updated: n as u64,
-            });
-        }
-    }
 }
 
 impl Scheduler for LearnedScheduler {
@@ -208,207 +121,113 @@ impl Scheduler for LearnedScheduler {
     }
 
     fn add_to_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-        ctx.meter.charge(ctx.costs, CostKind::ListOp);
-        debug_assert!(
-            !ctx.tasks.task(tid).on_runqueue(),
-            "double add to run queue"
-        );
-        self.lists.insert_front(ctx.tasks, 0, tid);
-        self.nr_running += 1;
+        self.base.add_to_runqueue(ctx, tid);
     }
 
     fn del_from_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-        ctx.meter.charge(ctx.costs, CostKind::ListOp);
-        debug_assert!(
-            ctx.tasks.task(tid).on_runqueue(),
-            "del of task not on run queue"
-        );
-        self.lists.remove(ctx.tasks, tid);
-        self.nr_running -= 1;
+        self.base.del_from_runqueue(ctx, tid);
     }
 
     fn move_first_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-        ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
-        self.lists.remove(ctx.tasks, tid);
-        self.lists.insert_front(ctx.tasks, 0, tid);
+        self.base.move_first_runqueue(ctx, tid);
     }
 
     fn move_last_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-        ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
-        self.lists.remove(ctx.tasks, tid);
-        self.lists.insert_back(ctx.tasks, 0, tid);
+        self.base.move_last_runqueue(ctx, tid);
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
-        ctx.meter.charge(ctx.costs, CostKind::SchedBase);
-        ctx.stats.cpu_mut(cpu).sched_calls += 1;
         self.decisions += 1;
         self.last_outcome = None;
         // Queue depth *before* prev leaves, matching the machine's
         // `--decision-trace` sampling point.
-        let depth = self.nr_running as u64;
-
-        // Baseline prev handling: blocked/exiting tasks leave the queue,
-        // exhausted round-robin tasks requeue with a fresh quantum.
-        {
-            let prev_task = ctx.tasks.task(prev);
-            if prev != idle && !prev_task.state.is_runnable() && prev_task.on_runqueue() {
-                self.del_from_runqueue(ctx, prev);
-            }
-        }
-        {
-            let mut prev_task = ctx.tasks.task_mut(prev);
-            let requeue = if prev_task.policy.class == SchedClass::Rr && prev_task.counter == 0 {
-                prev_task.counter = prev_task.priority;
-                prev_task.on_runqueue()
-            } else {
-                false
-            };
-            drop(prev_task);
-            if requeue {
-                self.move_last_runqueue(ctx, prev);
-            }
-        }
-        let prev_mm = ctx.tasks.task(prev).mm;
-        let prev_yielded = {
-            let mut prev_task = ctx.tasks.task_mut(prev);
-            let y = prev_task.policy.yielded;
-            prev_task.policy.yielded = false;
-            y
-        };
+        let depth = self.base.nr_running() as u64;
+        let entered = frame::enter(&mut self.base, ctx, cpu, prev, idle);
+        let prev_mm = entered.prev_mm;
+        let smp = ctx.cfg.smp;
 
         // Prediction pass: model-score every eligible candidate (prev
         // first, then the queue), one TableIndex charge per score — the
         // fixed-topology model evaluates in constant time, like an ELSC
         // table lookup. First-wins argmax mirrors the trainer's eval.
         let mut pick: Option<(i64, Tid)> = None;
-        {
-            let prev_runnable = ctx.tasks.task(prev).state.is_runnable();
-            if prev != idle && prev_runnable {
-                ctx.meter.charge(ctx.costs, CostKind::TableIndex);
-                ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                let s = self.score_candidate(ctx, cpu, prev, depth, prev_mm);
-                pick = Some((s, prev));
-            }
+        if prev != idle && ctx.tasks.task(prev).state.is_runnable() {
+            ctx.meter.charge(ctx.costs, CostKind::TableIndex);
+            ctx.stats.cpu_mut(cpu).tasks_examined += 1;
+            let s = self.score_candidate(ctx, cpu, prev, depth, prev_mm);
+            pick = Some((s, prev));
         }
-        let mut cur = self.lists.first(0);
-        while let Some(idx) = cur {
-            let i = idx as usize;
-            let skip = if ctx.cfg.smp {
-                ctx.tasks.lanes().has_cpu(i)
-            } else {
-                i == prev.index()
-            };
-            if !skip {
-                ctx.meter.charge(ctx.costs, CostKind::TableIndex);
-                ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                let tid = ctx.tasks.by_index(i).tid;
-                let s = self.score_candidate(ctx, cpu, tid, depth, prev_mm);
-                if pick.is_none_or(|(bs, _)| s > bs) {
-                    pick = Some((s, tid));
-                }
+        let tasks: &TaskTable = ctx.tasks;
+        for i in frame::schedulable(self.base.run_list(), 0, tasks, smp, prev) {
+            ctx.meter.charge(ctx.costs, CostKind::TableIndex);
+            ctx.stats.cpu_mut(cpu).tasks_examined += 1;
+            let tid = tasks.by_index(i).tid;
+            let s = self.score_candidate(ctx, cpu, tid, depth, prev_mm);
+            if pick.is_none_or(|(bs, _)| s > bs) {
+                pick = Some((s, tid));
             }
-            cur = self.lists.next_task(ctx.tasks, idx);
         }
 
-        let next = if let Some((_, predicted)) = pick {
-            // Bounded verification: the predicted pick must be schedulable
-            // now (goodness > 0, yield respected) and at least as good as
-            // the first `search_limit()` queue candidates.
-            let g_pick = if predicted == prev && prev_yielded {
+        // Bounded verification: the predicted pick must be schedulable
+        // now (goodness > 0, yield respected) and at least as good as the
+        // first `search_limit()` queue candidates.
+        let verified = pick.and_then(|(_, predicted)| {
+            let g_pick = if predicted == prev && entered.prev_yielded {
                 0
             } else {
-                goodness_ignoring_yield_on(
-                    &ctx.cfg.topology,
-                    ctx.tasks.task(predicted),
-                    cpu,
-                    prev_mm,
-                )
+                let task = ctx.tasks.task(predicted);
+                goodness_ignoring_yield_on(&ctx.cfg.topology, task, cpu, prev_mm)
             };
             ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
             ctx.stats.cpu_mut(cpu).tasks_examined += 1;
             let mut best_bounded = IDLE_GOODNESS;
-            let mut seen = 0usize;
-            let limit = ctx.cfg.search_limit();
-            let mut cur = self.lists.first(0);
-            while let Some(idx) = cur {
-                if seen >= limit {
-                    break;
-                }
-                let i = idx as usize;
-                let skip = if ctx.cfg.smp {
-                    ctx.tasks.lanes().has_cpu(i)
-                } else {
-                    i == prev.index()
-                };
-                if !skip {
-                    ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                    ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                    let w = lane_goodness_ignoring_yield_on(
-                        &ctx.cfg.topology,
-                        ctx.tasks.lanes(),
-                        i,
-                        cpu,
-                        prev_mm,
-                    );
-                    if w > best_bounded {
-                        best_bounded = w;
-                    }
-                    seen += 1;
-                }
-                cur = self.lists.next_task(ctx.tasks, idx);
+            let tasks: &TaskTable = ctx.tasks;
+            let bound = ctx.cfg.search_limit();
+            for i in frame::schedulable(self.base.run_list(), 0, tasks, smp, prev).take(bound) {
+                ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
+                ctx.stats.cpu_mut(cpu).tasks_examined += 1;
+                let topo = &ctx.cfg.topology;
+                let w = lane_goodness_ignoring_yield_on(topo, tasks.lanes(), i, cpu, prev_mm);
+                best_bounded = best_bounded.max(w);
             }
             if g_pick > 0 && g_pick >= best_bounded {
                 self.predictions += 1;
                 self.hits += 1;
                 self.last_outcome = Some(true);
-                predicted
-            } else if best_bounded <= 0 && g_pick <= 0 {
-                // Nothing within the bound is schedulable either: the
-                // world is out of quantum, not the model. No prediction
-                // is scored; the native scan recalculates and picks.
-                self.native_scan(ctx, cpu, prev, idle, prev_mm, prev_yielded)
-            } else {
+                return Some(predicted);
+            }
+            // When nothing within the bound is schedulable either, the
+            // world is out of quantum, not the model: no prediction is
+            // scored, and the baseline recalculates and picks.
+            if best_bounded > 0 || g_pick > 0 {
                 self.predictions += 1;
                 self.last_outcome = Some(false);
                 ctx.meter.charge(ctx.costs, CostKind::Mispredict);
-                self.native_scan(ctx, cpu, prev, idle, prev_mm, prev_yielded)
             }
-        } else {
-            // No scorable candidate (empty queue): the native loop
-            // handles idle selection without scoring a prediction.
-            self.native_scan(ctx, cpu, prev, idle, prev_mm, prev_yielded)
-        };
+            None
+        });
+        // A miss — or no scorable candidate at all (empty queue) — is
+        // the baseline's decision to make.
+        let next = verified.unwrap_or_else(|| self.base.select(ctx, cpu, prev, idle, entered));
 
-        if next == idle {
-            ctx.stats.cpu_mut(cpu).idle_scheduled += 1;
-        } else {
+        if next != idle {
             self.last_picked.insert(next, self.decisions);
         }
-        if next != prev {
-            ctx.tasks.task_mut(prev).has_cpu = false;
-        }
-        ctx.tasks.task_mut(next).has_cpu = true;
-        next
+        frame::commit(ctx, cpu, prev, next, idle)
     }
 
     fn nr_running(&self) -> usize {
-        self.nr_running
+        self.base.nr_running()
     }
 
-    fn debug_check(&self, tasks: &elsc_ktask::TaskTable) {
-        self.lists.check(tasks, 0);
-        assert_eq!(
-            self.lists.len(tasks, 0),
-            self.nr_running,
-            "nr_running out of sync with the run queue"
-        );
+    fn debug_check(&self, tasks: &TaskTable) {
+        self.base.debug_check(tasks);
     }
 
     fn learned_info(&self) -> Option<LearnedInfo> {
         Some(LearnedInfo {
             name: self.name,
-            arch: self.arch(),
+            arch: self.model.arch.name(),
         })
     }
 
@@ -421,22 +240,14 @@ impl Scheduler for LearnedScheduler {
     }
 
     fn drain(&mut self, ctx: &mut SchedCtx<'_>) -> Vec<Tid> {
-        let mut out = Vec::new();
-        while let Some(i) = self.lists.first(0) {
-            let tid = ctx.tasks.by_index(i as usize).tid;
-            ctx.meter.charge(ctx.costs, CostKind::ListOp);
-            self.lists.remove(ctx.tasks, tid);
-            out.push(tid);
-        }
-        self.nr_running = 0;
-        out
+        self.base.drain(ctx)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elsc_ktask::{TaskSpec, TaskState, TaskTable};
+    use elsc_ktask::{TaskSpec, TaskState};
     use elsc_learn::model::Arch;
     use elsc_learn::Q_ONE;
     use elsc_sched_api::SchedConfig;

@@ -36,6 +36,11 @@ pub mod heap;
 pub mod learned;
 pub mod multiqueue;
 
+/// The most queues `mq` (one per CPU) or `bubble` (one per NUMA node)
+/// can be built with: a task remembers its queue in the one-byte
+/// `Task::rq_hint`.
+pub const MAX_QUEUES: usize = 1 << u8::BITS;
+
 pub use affinity_heap::AffinityHeapScheduler;
 pub use bubble::BubbleScheduler;
 pub use heap::HeapScheduler;

@@ -20,10 +20,11 @@
 //! recalculation still runs under whatever the caller holds, as the
 //! kernel's recalc loop did.
 
-use elsc_ktask::recalc::recalculate_counters;
-use elsc_ktask::{CpuId, Lists, SchedClass, TaskTable, Tid};
-use elsc_sched_api::{goodness_ignoring_yield_on, LockPlan, SchedCtx, Scheduler, IDLE_GOODNESS};
+use elsc_ktask::{CpuId, Lists, TaskTable, Tid};
+use elsc_sched_api::{frame, LockPlan, SchedCtx, Scheduler, IDLE_GOODNESS};
 use elsc_simcore::CostKind;
+
+use crate::MAX_QUEUES;
 
 /// Per-CPU run queues with stealing.
 #[derive(Debug)]
@@ -40,48 +41,16 @@ impl MultiQueueScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `nr_cpus == 0`.
+    /// Panics if `nr_cpus == 0`, or exceeds [`MAX_QUEUES`] (a task
+    /// remembers its queue in the one-byte `rq_hint`).
     pub fn new(nr_cpus: usize) -> Self {
         assert!(nr_cpus > 0, "need at least one queue");
+        assert!(nr_cpus <= MAX_QUEUES, "mq: at most {MAX_QUEUES} queues");
         MultiQueueScheduler {
             lists: Lists::new(nr_cpus),
             counts: vec![0; nr_cpus],
             nr_running: 0,
         }
-    }
-
-    /// Which queue a task belongs to.
-    fn home_queue(&self, tasks: &TaskTable, tid: Tid) -> usize {
-        tasks.task(tid).processor % self.counts.len()
-    }
-
-    /// Scans queue `q`, returning the best candidate and its goodness.
-    /// `prev` is skipped (the caller evaluates it separately).
-    fn scan_queue(
-        &self,
-        ctx: &mut SchedCtx<'_>,
-        q: usize,
-        cpu: CpuId,
-        prev: Tid,
-        prev_mm: elsc_ktask::MmId,
-    ) -> (i32, Option<Tid>) {
-        let mut best = (IDLE_GOODNESS, None);
-        let mut cur = self.lists.first(q);
-        while let Some(idx) = cur {
-            let p = ctx.tasks.by_index(idx as usize);
-            let tid = p.tid;
-            let skip = if ctx.cfg.smp { p.has_cpu } else { tid == prev };
-            if !skip {
-                ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                let w = goodness_ignoring_yield_on(&ctx.cfg.topology, p, cpu, prev_mm);
-                if w > best.0 {
-                    best = (w, Some(tid));
-                }
-            }
-            cur = self.lists.next_task(ctx.tasks, idx);
-        }
-        best
     }
 }
 
@@ -92,7 +61,8 @@ impl Scheduler for MultiQueueScheduler {
 
     fn add_to_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
         ctx.meter.charge(ctx.costs, CostKind::ListOp);
-        let q = self.home_queue(ctx.tasks, tid);
+        // Wakeups enqueue on the task's last processor.
+        let q = ctx.tasks.task(tid).processor % self.counts.len();
         ctx.tasks.task_mut(tid).rq_hint = q as u8;
         self.lists.insert_front(ctx.tasks, q, tid);
         self.counts[q] += 1;
@@ -122,104 +92,42 @@ impl Scheduler for MultiQueueScheduler {
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
-        ctx.meter.charge(ctx.costs, CostKind::SchedBase);
-        ctx.stats.cpu_mut(cpu).sched_calls += 1;
+        let entered = frame::enter(self, ctx, cpu, prev, idle);
         let my_q = cpu % self.counts.len();
-
-        // Previous-task handling, as in the baseline.
-        {
-            let prev_task = ctx.tasks.task(prev);
-            if prev != idle && !prev_task.state.is_runnable() && prev_task.on_runqueue() {
-                self.del_from_runqueue(ctx, prev);
-            }
-        }
-        {
-            let mut prev_task = ctx.tasks.task_mut(prev);
-            let requeue = if prev_task.policy.class == SchedClass::Rr && prev_task.counter == 0 {
-                prev_task.counter = prev_task.priority;
-                prev_task.on_runqueue()
-            } else {
-                false
-            };
-            drop(prev_task);
-            if requeue {
-                self.move_last_runqueue(ctx, prev);
-            }
-        }
-        let prev_mm = ctx.tasks.task(prev).mm;
-        let mut prev_yielded = {
-            let mut t = ctx.tasks.task_mut(prev);
-            let y = t.policy.yielded;
-            t.policy.yielded = false;
-            y
-        };
-
-        let next = loop {
-            let mut c = IDLE_GOODNESS;
-            let mut next = idle;
-            {
-                let prev_task = ctx.tasks.task(prev);
-                if prev != idle && prev_task.state.is_runnable() {
-                    ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                    ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                    c = if prev_yielded {
-                        prev_yielded = false;
-                        0
-                    } else {
-                        goodness_ignoring_yield_on(&ctx.cfg.topology, prev_task, cpu, prev_mm)
-                    };
-                    next = prev;
-                }
-            }
+        let (lists, counts) = (&self.lists, &self.counts);
+        let next = frame::select(ctx, cpu, prev, idle, entered, self.nr_running, |ctx, c| {
             // Own queue first.
-            let (w, cand) = self.scan_queue(ctx, my_q, cpu, prev, prev_mm);
-            if w > c {
-                c = w;
-                next = cand.expect("goodness above idle implies a task");
+            let best = frame::scan_list(lists, my_q, ctx, cpu, prev, entered.prev_mm);
+            // Steal from the fullest other queue when neither `prev` nor
+            // our own queue offers a candidate — preferring victims that
+            // share this CPU's LLC. A task stolen from a queue on the
+            // same NUMA node keeps its working set warm in the shared
+            // last-level cache; crossing the node boundary means a cold
+            // start plus interconnect traffic (the machine charges a
+            // doubled migration penalty for it). On a flat tree every
+            // queue is same-node, so the preference degenerates to the
+            // global fullest-queue pick.
+            if best.1.is_some() || c != IDLE_GOODNESS {
+                return best;
             }
-            // Steal from the fullest other queue when ours is empty of
-            // candidates — preferring victims that share this CPU's LLC.
-            // A task stolen from a queue on the same NUMA node keeps its
-            // working set warm in the shared last-level cache; crossing
-            // the node boundary means a cold start plus interconnect
-            // traffic (the machine charges a doubled migration penalty
-            // for it). On a flat tree every queue is same-node, so the
-            // preference degenerates to the old global fullest-queue
-            // pick, byte for byte.
-            if next == idle && self.counts.len() > 1 {
-                let topo = &ctx.cfg.topology;
-                let victim = (0..self.counts.len())
-                    .filter(|&q| q != my_q && self.counts[q] > 0 && topo.same_node(q, cpu))
-                    .max_by_key(|&q| self.counts[q])
-                    .or_else(|| {
-                        (0..self.counts.len())
-                            .filter(|&q| q != my_q && self.counts[q] > 0)
-                            .max_by_key(|&q| self.counts[q])
-                    });
-                if let Some(victim) = victim {
+            let topo = &ctx.cfg.topology;
+            let others = || (0..counts.len()).filter(|&q| q != my_q && counts[q] > 0);
+            let victim = others()
+                .filter(|&q| topo.same_node(q, cpu))
+                .max_by_key(|&q| counts[q])
+                .or_else(|| others().max_by_key(|&q| counts[q]));
+            match victim {
+                Some(victim) => {
                     // Take the victim queue's lock domain before touching
                     // its list (two domains held, canonical order).
                     ctx.lock_queue_domain(victim);
-                    let (w, cand) = self.scan_queue(ctx, victim, cpu, prev, prev_mm);
-                    if w > c {
-                        c = w;
-                        next = cand.expect("goodness above idle implies a task");
-                    }
+                    frame::scan_list(lists, victim, ctx, cpu, prev, entered.prev_mm)
                 }
+                None => best,
             }
-            if c != 0 {
-                break next;
-            }
-            ctx.stats.cpu_mut(cpu).recalc_entries += 1;
-            let n = recalculate_counters(ctx.tasks);
-            ctx.stats.cpu_mut(cpu).recalc_tasks += n as u64;
-            ctx.meter
-                .charge_n(ctx.costs, CostKind::RecalcPerTask, n as u64);
-        };
+        });
 
-        if next == idle {
-            ctx.stats.cpu_mut(cpu).idle_scheduled += 1;
-        } else if next != prev {
+        if next != idle && next != prev {
             // Migrate a stolen task to this CPU's queue so future wakeups
             // land here. Both the source and destination queue domains
             // must be held for the splice (the source was taken by the
@@ -235,11 +143,7 @@ impl Scheduler for MultiQueueScheduler {
                 self.counts[my_q] += 1;
             }
         }
-        if next != prev {
-            ctx.tasks.task_mut(prev).has_cpu = false;
-        }
-        ctx.tasks.task_mut(next).has_cpu = true;
-        next
+        frame::commit(ctx, cpu, prev, next, idle)
     }
 
     fn nr_running(&self) -> usize {

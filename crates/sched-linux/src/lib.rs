@@ -15,12 +15,9 @@
 //! simulated machine the same way.
 #![warn(missing_docs)]
 
-use elsc_ktask::recalc::recalculate_counters;
-use elsc_ktask::{CpuId, Lists, SchedClass, Tid};
-use elsc_obs::ObsEvent;
-use elsc_sched_api::{
-    goodness_ignoring_yield_on, lane_goodness_ignoring_yield_on, SchedCtx, Scheduler, IDLE_GOODNESS,
-};
+use elsc_ktask::{CpuId, Lists, TaskTable, Tid};
+use elsc_sched_api::frame::{self, Entered};
+use elsc_sched_api::{SchedCtx, Scheduler};
 use elsc_simcore::CostKind;
 
 /// The stock Linux 2.3.99-pre4 scheduler ("reg" in the paper's figures).
@@ -47,9 +44,34 @@ impl LinuxScheduler {
         }
     }
 
+    /// The run queue: list 0 of the bank, for a wrapper that walks it
+    /// before falling back to [`select`](LinuxScheduler::select).
+    pub fn run_list(&self) -> &Lists {
+        &self.lists
+    }
+
     /// Collects the run queue front-to-back (tests and examples).
-    pub fn queue_order(&self, tasks: &elsc_ktask::TaskTable) -> Vec<u32> {
+    pub fn queue_order(&self, tasks: &TaskTable) -> Vec<u32> {
         self.lists.collect(tasks, 0)
+    }
+
+    /// The stock selection (§3.3): `prev` first, then the O(n) goodness
+    /// scan of the whole run queue — every task not executing on a
+    /// processor, ties to the task closer to the front — recalculating
+    /// every counter in the system and scanning again while the best
+    /// weight is zero.
+    #[inline]
+    pub fn select(
+        &self,
+        ctx: &mut SchedCtx<'_>,
+        cpu: CpuId,
+        prev: Tid,
+        idle: Tid,
+        entered: Entered,
+    ) -> Tid {
+        frame::select(ctx, cpu, prev, idle, entered, self.nr_running, |ctx, _| {
+            frame::scan_list(&self.lists, 0, ctx, cpu, prev, entered.prev_mm)
+        })
     }
 }
 
@@ -93,145 +115,16 @@ impl Scheduler for LinuxScheduler {
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
-        // Bottom halves + administrative work (paper §3.3.2).
-        ctx.meter.charge(ctx.costs, CostKind::SchedBase);
-        ctx.stats.cpu_mut(cpu).sched_calls += 1;
-
-        // A blocking or exiting previous task leaves the run queue
-        // (`switch (prev->state)` in schedule()).
-        {
-            let prev_task = ctx.tasks.task(prev);
-            if prev != idle && !prev_task.state.is_runnable() && prev_task.on_runqueue() {
-                self.del_from_runqueue(ctx, prev);
-            }
-        }
-
-        // An exhausted round-robin task gets a fresh quantum and goes to
-        // the back of the queue.
-        {
-            let mut prev_task = ctx.tasks.task_mut(prev);
-            let requeue = if prev_task.policy.class == SchedClass::Rr && prev_task.counter == 0 {
-                prev_task.counter = prev_task.priority;
-                prev_task.on_runqueue()
-            } else {
-                false
-            };
-            drop(prev_task);
-            if requeue {
-                self.move_last_runqueue(ctx, prev);
-            }
-        }
-
-        let prev_mm = ctx.tasks.task(prev).mm;
-        // Consume the SCHED_YIELD bit: the yielding task counts as
-        // goodness 0 for this invocation only.
-        let mut prev_yielded = {
-            let mut prev_task = ctx.tasks.task_mut(prev);
-            let y = prev_task.policy.yielded;
-            prev_task.policy.yielded = false;
-            y
-        };
-
-        let next = loop {
-            // `c` starts at the idle task's goodness; the previous task is
-            // considered first if it is still runnable, so it wins all
-            // ties regardless of queue position.
-            let mut c = IDLE_GOODNESS;
-            let mut next = idle;
-            {
-                let prev_task = ctx.tasks.task(prev);
-                if prev != idle && prev_task.state.is_runnable() {
-                    ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                    ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                    c = if prev_yielded {
-                        // `prev_goodness()` consumes the yield: a repeat
-                        // pass (after recalculation) sees normal goodness,
-                        // otherwise a lone yielder would loop forever.
-                        prev_yielded = false;
-                        0
-                    } else {
-                        goodness_ignoring_yield_on(&ctx.cfg.topology, prev_task, cpu, prev_mm)
-                    };
-                    next = prev;
-                }
-            }
-
-            // The O(n) scan: every run-queue task not running elsewhere.
-            // The whole walk — links, skip test, goodness — reads the
-            // dense hot-field lanes; the full `Task` struct is touched
-            // only to materialize the winner's handle.
-            let mut cur = self.lists.first(0);
-            while let Some(idx) = cur {
-                let i = idx as usize;
-                let lanes = ctx.tasks.lanes();
-                // `can_schedule()`: skip tasks executing on a CPU. This
-                // also skips `prev` (counted above), whose has_cpu is
-                // still set. On UP only `prev` itself is skipped; a live
-                // run-queue member is identified by its slab index alone.
-                let skip = if ctx.cfg.smp {
-                    lanes.has_cpu(i)
-                } else {
-                    i == prev.index()
-                };
-                if !skip {
-                    ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                    ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                    let weight = lane_goodness_ignoring_yield_on(
-                        &ctx.cfg.topology,
-                        ctx.tasks.lanes(),
-                        i,
-                        cpu,
-                        prev_mm,
-                    );
-                    if weight > c {
-                        c = weight;
-                        next = ctx.tasks.by_index(i).tid;
-                    }
-                }
-                cur = self.lists.next_task(ctx.tasks, idx);
-            }
-
-            if c != 0 {
-                break next;
-            }
-            // Every candidate is out of quantum (or just yielded):
-            // recalculate every task in the system and scan again
-            // (paper §3.3.2; footnote 1 — an empty run queue schedules
-            // the idle task instead, which the `c != 0` test covers
-            // because `c` stays at -1000).
-            let stats = ctx.stats.cpu_mut(cpu);
-            stats.recalc_entries += 1;
-            ctx.emit(ObsEvent::RecalcStart {
-                cpu,
-                nr_running: self.nr_running as u64,
-            });
-            let n = recalculate_counters(ctx.tasks);
-            ctx.stats.cpu_mut(cpu).recalc_tasks += n as u64;
-            ctx.meter
-                .charge_n(ctx.costs, CostKind::RecalcPerTask, n as u64);
-            ctx.emit(ObsEvent::RecalcEnd {
-                cpu,
-                updated: n as u64,
-            });
-        };
-
-        if next == idle {
-            ctx.stats.cpu_mut(cpu).idle_scheduled += 1;
-        }
-        // Hand over the CPU flag; `processor` is set by the machine so it
-        // can observe migrations.
-        if next != prev {
-            ctx.tasks.task_mut(prev).has_cpu = false;
-        }
-        ctx.tasks.task_mut(next).has_cpu = true;
-        next
+        let entered = frame::enter(self, ctx, cpu, prev, idle);
+        let next = self.select(ctx, cpu, prev, idle, entered);
+        frame::commit(ctx, cpu, prev, next, idle)
     }
 
     fn nr_running(&self) -> usize {
         self.nr_running
     }
 
-    fn debug_check(&self, tasks: &elsc_ktask::TaskTable) {
+    fn debug_check(&self, tasks: &TaskTable) {
         self.lists.check(tasks, 0);
         assert_eq!(
             self.lists.len(tasks, 0),
@@ -239,12 +132,27 @@ impl Scheduler for LinuxScheduler {
             "nr_running out of sync with the run queue"
         );
     }
+
+    /// Running tasks stay linked and adds go to the front, so a drain
+    /// followed by a reversed re-add into a fresh `LinuxScheduler`
+    /// reproduces the queue order exactly.
+    fn drain(&mut self, ctx: &mut SchedCtx<'_>) -> Vec<Tid> {
+        let mut out = Vec::new();
+        while let Some(i) = self.lists.first(0) {
+            let tid = ctx.tasks.by_index(i as usize).tid;
+            ctx.meter.charge(ctx.costs, CostKind::ListOp);
+            self.lists.remove(ctx.tasks, tid);
+            out.push(tid);
+        }
+        self.nr_running = 0;
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elsc_ktask::{MmId, TaskSpec, TaskState, TaskTable};
+    use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState};
     use elsc_sched_api::SchedConfig;
     use elsc_simcore::{CostModel, CycleMeter};
     use elsc_stats::SchedStats;

@@ -4,12 +4,13 @@
 //! scheduler" — is what makes the designs interchangeable. This example
 //! shows **both** routes to a custom design:
 //!
-//! 1. the native route — implement the `Scheduler` trait directly (a
-//!    deliberately naive FIFO scheduler in ~60 lines below), and
+//! 1. the native route — implement the `Scheduler` trait on top of
+//!    `elsc_sched_api::frame` (a deliberately naive FIFO scheduler
+//!    below: its queue structure and its scan, nothing else), and
 //! 2. the policy route — write a few lines of `.pol` text and let the
 //!    `elsc-policy` runtime verify and interpret it (the bundled
-//!    round-robin program here). No Rust, no rebuild; the interpreter
-//!    charges `CostKind::PolicyInsn` per executed node and the machine's
+//!    round-robin program here). No Rust, no rebuild; the policy VM
+//!    charges `CostKind::PolicyInsn` per executed instruction and the machine's
 //!    watchdog ejects a program that misbehaves mid-run.
 //!
 //! Both run the same synthetic stress workload beside ELSC and reg.
@@ -19,31 +20,31 @@
 //! ```
 
 use elsc::ElscScheduler;
-use elsc_ktask::{CpuId, Lists, TaskState, Tid};
+use elsc_ktask::{CpuId, Lists, Tid};
 use elsc_machine::MachineConfig;
 use elsc_policy::PolicyScheduler;
-use elsc_sched_api::{LockPlan, SchedCtx, Scheduler};
+use elsc_sched_api::{frame, LockPlan, SchedCtx, Scheduler, IDLE_GOODNESS};
 use elsc_simcore::CostKind;
 use elsc_workloads::stress::{self, StressConfig};
 
 /// A strict FIFO run queue: no goodness, no priorities, no affinity.
-/// Don't use this at home — it ignores quanta entirely.
-#[derive(Default)]
+/// Don't use this at home — the longest-waiting task always wins, so
+/// quanta mean nothing.
+///
+/// Only the queue structure and the scan are written here; everything
+/// else in `schedule()` comes from `elsc_sched_api::frame` (the same
+/// design is that module's doctest).
 struct FifoScheduler {
-    lists: Option<Lists>,
+    lists: Lists,
     nr: usize,
 }
 
 impl FifoScheduler {
     fn new() -> Self {
         FifoScheduler {
-            lists: Some(Lists::new(1)),
+            lists: Lists::new(1),
             nr: 0,
         }
-    }
-
-    fn lists_mut(&mut self) -> &mut Lists {
-        self.lists.as_mut().expect("initialized")
     }
 }
 
@@ -54,73 +55,53 @@ impl Scheduler for FifoScheduler {
 
     fn add_to_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
         ctx.meter.charge(ctx.costs, CostKind::ListOp);
-        self.lists_mut().insert_back(ctx.tasks, 0, tid);
+        self.lists.insert_back(ctx.tasks, 0, tid);
         self.nr += 1;
     }
 
     fn del_from_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
         ctx.meter.charge(ctx.costs, CostKind::ListOp);
-        self.lists_mut().remove(ctx.tasks, tid);
+        self.lists.remove(ctx.tasks, tid);
         self.nr -= 1;
     }
 
     fn move_first_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
         ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
-        let lists = self.lists_mut();
-        lists.remove(ctx.tasks, tid);
-        lists.insert_front(ctx.tasks, 0, tid);
+        self.lists.remove(ctx.tasks, tid);
+        self.lists.insert_front(ctx.tasks, 0, tid);
     }
 
     fn move_last_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
         ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
-        let lists = self.lists_mut();
-        lists.remove(ctx.tasks, tid);
-        lists.insert_back(ctx.tasks, 0, tid);
+        self.lists.remove(ctx.tasks, tid);
+        self.lists.insert_back(ctx.tasks, 0, tid);
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
-        ctx.meter.charge(ctx.costs, CostKind::SchedBase);
-        ctx.stats.cpu_mut(cpu).sched_calls += 1;
-        // Requeue or drop the previous task. A running task carries the
-        // ELSC-style "on queue but off list" marker; clear it first.
-        if prev != idle {
-            let runnable = ctx.tasks.task(prev).state == TaskState::Running;
-            let marked = ctx.tasks.task(prev).on_runqueue() && !ctx.tasks.task(prev).in_list();
-            if marked {
-                ctx.tasks.task_mut(prev).run_list = elsc_ktask::ListNode::detached();
+        // Entry charge, a blocked prev leaving the queue, the RR refresh
+        // and the yield bit: the frame's.
+        let entered = frame::enter(self, ctx, cpu, prev, idle);
+        // The design's one rule: a still-runnable prev rejoins the back
+        // of the line.
+        if ctx.tasks.task(prev).on_runqueue() {
+            self.move_last_runqueue(ctx, prev);
+        }
+        let lists = &self.lists;
+        let next = frame::select(ctx, cpu, prev, idle, entered, self.nr, |ctx, _| {
+            // The scan: the first task no CPU is running, charged like
+            // one goodness evaluation. `i32::MAX` beats whatever `prev`
+            // scored; a lone `prev` keeps the CPU.
+            match frame::schedulable(lists, 0, ctx.tasks, ctx.cfg.smp, prev).next() {
+                Some(i) => {
+                    ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
+                    ctx.stats.cpu_mut(cpu).tasks_examined += 1;
+                    (i32::MAX, Some(ctx.tasks.by_index(i).tid))
+                }
+                None => (IDLE_GOODNESS, None),
             }
-            if runnable && !ctx.tasks.task(prev).on_runqueue() {
-                self.add_to_runqueue(ctx, prev);
-            } else if !runnable && ctx.tasks.task(prev).on_runqueue() {
-                self.del_from_runqueue(ctx, prev);
-            }
-            ctx.tasks.task_mut(prev).policy.yielded = false;
-        }
-        // Pop the head, skipping tasks running elsewhere.
-        let mut cur = self.lists_mut().first(0);
-        let mut next = idle;
-        while let Some(idx) = cur {
-            let p = ctx.tasks.by_index(idx as usize);
-            ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-            ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-            if !(ctx.cfg.smp && p.has_cpu && p.processor != cpu) {
-                next = p.tid;
-                break;
-            }
-            cur = self.lists_mut().next_task(ctx.tasks, idx);
-        }
-        if next != idle {
-            self.del_from_runqueue(ctx, next);
-            // Keep the on-queue marker convention so re-entry works.
-            ctx.tasks.task_mut(next).run_list.next = elsc_ktask::Link::Head(0);
-        } else {
-            ctx.stats.cpu_mut(cpu).idle_scheduled += 1;
-        }
-        if next != prev {
-            ctx.tasks.task_mut(prev).has_cpu = false;
-        }
-        ctx.tasks.task_mut(next).has_cpu = true;
-        next
+        });
+        // idle accounting and the has_cpu hand-over: the frame's.
+        frame::commit(ctx, cpu, prev, next, idle)
     }
 
     fn nr_running(&self) -> usize {

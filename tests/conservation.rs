@@ -2,9 +2,13 @@
 //! unit of work completes, and no runnable task falls off (or lingers
 //! on) a run queue, regardless of scheduler or machine shape.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState, TaskTable, Tid};
 use elsc_lab::SchedId;
 use elsc_machine::MachineConfig;
+use elsc_obs::{CallbackSink, EventBus, ObsEvent, ObsRecord};
 use elsc_sched_api::{SchedConfig, SchedCtx, Scheduler};
 use elsc_simcore::{CostModel, CycleMeter, SimRng, Topology};
 use elsc_stats::SchedStats;
@@ -155,14 +159,18 @@ enum KernelOp {
 
 const NR_TASKS: usize = 10;
 
-/// One scheduler on a UP machine plus a model of which tasks are
-/// runnable (`queued`) and which one holds the CPU.
+/// One scheduler driving CPU 0 of a UP or SMP machine, plus a model of
+/// which tasks are runnable (`queued`) and which one holds the CPU. On
+/// an SMP shape every other CPU stays parked on its idle task.
 struct RunQueueRig {
     tasks: TaskTable,
     stats: SchedStats,
     meter: CycleMeter,
     costs: CostModel,
     cfg: SchedConfig,
+    /// Probe bus with one sink counting `recalc_start` events.
+    bus: EventBus,
+    recalc_starts: Rc<Cell<u64>>,
     sched: Box<dyn Scheduler>,
     idle: Tid,
     tids: Vec<Tid>,
@@ -171,11 +179,18 @@ struct RunQueueRig {
 }
 
 impl RunQueueRig {
-    fn new(sched: Box<dyn Scheduler>) -> RunQueueRig {
+    fn new(sched: Box<dyn Scheduler>, cfg: SchedConfig) -> RunQueueRig {
         let mut tasks = TaskTable::new();
-        let idle = tasks.spawn(&TaskSpec::named("idle").priority(1));
-        tasks.task_mut(idle).counter = 0;
-        tasks.task_mut(idle).has_cpu = true;
+        let idles: Vec<Tid> = (0..cfg.nr_cpus)
+            .map(|cpu| {
+                let idle = tasks.spawn(&TaskSpec::named("idle").priority(1));
+                let mut t = tasks.task_mut(idle);
+                t.counter = 0;
+                t.processor = cpu;
+                t.has_cpu = true;
+                idle
+            })
+            .collect();
         let tids = (0..NR_TASKS)
             .map(|i| {
                 // Two real-time tasks among the SCHED_OTHER ones, so the
@@ -189,17 +204,30 @@ impl RunQueueRig {
                 let mut t = tasks.task_mut(tid);
                 t.state = TaskState::Interruptible;
                 t.counter = 1 + (i % 20) as i32;
+                // Spread last-run CPUs, so per-CPU designs have remote
+                // queues for CPU 0 to steal from.
+                t.processor = i % cfg.nr_cpus;
                 tid
             })
             .collect();
+        let recalc_starts = Rc::new(Cell::new(0));
+        let mut bus = EventBus::new(0);
+        let seen = Rc::clone(&recalc_starts);
+        bus.add_sink(Box::new(CallbackSink::new(move |rec: &ObsRecord| {
+            if matches!(rec.event, ObsEvent::RecalcStart { .. }) {
+                seen.set(seen.get() + 1);
+            }
+        })));
         RunQueueRig {
             tasks,
-            stats: SchedStats::new(1),
+            stats: SchedStats::new(cfg.nr_cpus),
             meter: CycleMeter::new(),
             costs: CostModel::default(),
-            cfg: SchedConfig::up(),
+            cfg,
+            bus,
+            recalc_starts,
             sched,
-            idle,
+            idle: idles[0],
             tids,
             queued: [false; NR_TASKS],
             current: None,
@@ -213,7 +241,7 @@ impl RunQueueRig {
             meter: &mut self.meter,
             costs: &self.costs,
             cfg: &self.cfg,
-            probe: None,
+            probe: Some(&mut self.bus),
             locks: None,
         };
         f(self.sched.as_mut(), &mut ctx)
@@ -222,12 +250,37 @@ impl RunQueueRig {
     fn schedule(&mut self) {
         let prev = self.current.map_or(self.idle, |i| self.tids[i]);
         let idle = self.idle;
+        let (prev_runnable, rr_exhausted) = {
+            let p = self.tasks.task(prev);
+            let runnable = p.state.is_runnable();
+            (
+                runnable,
+                runnable && p.policy.class == SchedClass::Rr && p.counter == 0,
+            )
+        };
         let next = self.with_ctx(|s, ctx| s.schedule(ctx, 0, prev, idle));
+        let name = self.sched.name();
+        // The trait's `# Contract`, clause by clause.
+        {
+            let p = self.tasks.task(prev);
+            assert!(!p.policy.yielded, "{name} left prev's SCHED_YIELD set");
+            assert!(self.tasks.task(next).has_cpu, "{name}: pick lacks has_cpu");
+            if next != prev {
+                assert!(!p.has_cpu, "{name}: switched-out prev kept has_cpu");
+            }
+            if prev != idle && !prev_runnable {
+                assert!(!p.on_runqueue(), "{name}: blocked prev still queued");
+            }
+            if rr_exhausted {
+                assert_eq!(p.counter, p.priority, "{name}: RR quantum not refreshed");
+            }
+        }
+        // The machine records where the pick runs.
+        self.tasks.task_mut(next).processor = 0;
         // A blocked prev leaves the queue; a runnable one keeps its spot.
         if let Some(i) = self.current {
-            self.queued[i] = self.tasks.task(prev).state.is_runnable();
+            self.queued[i] = prev_runnable;
         }
-        let name = self.sched.name();
         self.current = self.tids.iter().position(|&t| t == next);
         match self.current {
             Some(i) => assert!(self.queued[i], "{name} picked a non-runnable task"),
@@ -288,13 +341,75 @@ impl RunQueueRig {
         let name = self.sched.name();
         assert_eq!(self.sched.nr_running(), runnable, "{name}: nr_running");
     }
+
+    /// What the sequence cost, for the pinned totals.
+    fn totals(&self) -> Totals {
+        let t = self.stats.total();
+        [
+            self.meter.cycles(),
+            self.meter.charges(),
+            t.tasks_examined,
+            t.recalc_entries,
+            t.recalc_tasks,
+            t.yield_reruns,
+        ]
+    }
 }
 
-/// Every scheduler keeps its run-queue structure, its `nr_running` and
-/// the work-conserving rule (never idle with runnable work, never pick a
-/// blocked task) under arbitrary wake/block/preempt/yield/tick/move
-/// sequences. `SimRng`-seeded; the first sequence is a failure an
-/// earlier property run shrank to.
+/// `[meter.cycles(), meter.charges(), tasks_examined, recalc_entries,
+/// recalc_tasks, yield_reruns]`, summed over the 64 sequences.
+type Totals = [u64; 6];
+
+/// The designs under the model: every native row of the registry, plus
+/// the two loadable kinds that run on the shared `schedule()` frame.
+const MODEL_ROWS: [&str; 9] = [
+    "reg",
+    "elsc",
+    "heap",
+    "aheap",
+    "mq",
+    "bubble",
+    "policy:policies/reg.pol",
+    "policy:policies/table.pol",
+    "learned:models/volano-mlp.model",
+];
+
+/// Totals per [`MODEL_ROWS`] entry on the UP build, captured at the
+/// commit before the designs moved onto `elsc_sched_api::frame`. Virtual
+/// cost is part of every design's contract: a refactor must not move it.
+const PINNED_UP: [Totals; 9] = [
+    [2635750, 7513, 3068, 118, 1298, 0],
+    [2538425, 8280, 1523, 20, 220, 279],
+    [2518450, 7819, 1336, 19, 209, 321],
+    [2564615, 8591, 2086, 20, 220, 161],
+    [2635750, 7513, 3068, 118, 1298, 0],
+    [2635750, 7513, 3068, 118, 1298, 0],
+    [3448830, 88821, 3068, 118, 1298, 0],
+    [8017380, 455315, 338, 1415, 15565, 0],
+    [2882920, 13085, 8140, 118, 1298, 0],
+];
+
+/// The same under `SchedConfig::smp(2)` with CPU 1 parked idle, which
+/// takes the scans' `has_cpu` skip branch instead of the UP `prev` test.
+const PINNED_2P: [Totals; 9] = [
+    [2645610, 7640, 3073, 118, 1416, 0],
+    [2543685, 8380, 1569, 20, 240, 282],
+    [2519970, 7838, 1336, 19, 228, 321],
+    [2583435, 8910, 2346, 21, 252, 151],
+    [2719290, 8544, 2225, 238, 2856, 0],
+    [2645610, 7640, 3073, 118, 1416, 0],
+    [3460120, 89091, 3073, 118, 1416, 0],
+    [8130580, 456730, 338, 1415, 16980, 0],
+    [2884125, 13124, 8089, 118, 1416, 0],
+];
+
+/// Every scheduler keeps its run-queue structure, its `nr_running`, the
+/// `Scheduler` contract and the work-conserving rule (never idle with
+/// runnable work, never pick a blocked task) under arbitrary
+/// wake/block/preempt/yield/tick/move sequences — at exactly the pinned
+/// virtual cost, with one `recalc_start` event per counted recalculation.
+/// `SimRng`-seeded; the first sequence is a failure an earlier property
+/// run shrank to.
 #[test]
 fn run_queue_accounting_survives_random_kernel_ops_on_every_scheduler() {
     use KernelOp::*;
@@ -311,30 +426,54 @@ fn run_queue_accounting_survives_random_kernel_ops_on_every_scheduler() {
         Wake(0),
         Wake(1),
     ];
-    for seed in 0..64u64 {
-        let mut rng = SimRng::new(0x5EED_0B5E ^ seed);
-        let mut ops = if seed == 0 {
-            saved.to_vec()
-        } else {
-            Vec::new()
-        };
-        for _ in 0..1 + rng.below(150) {
-            let i = rng.below(NR_TASKS as u64) as usize;
-            ops.push(match rng.below(7) {
-                0 => Wake(i),
-                1 => Block,
-                2 => Preempt,
-                3 => Yield,
-                4 => Tick,
-                5 => MoveFirst(i),
-                _ => MoveLast(i),
-            });
-        }
-        for sched in all_schedulers(1) {
-            let mut rig = RunQueueRig::new(sched);
-            for &op in &ops {
-                rig.apply(op);
+    let sequences: Vec<Vec<KernelOp>> = (0..64u64)
+        .map(|seed| {
+            let mut rng = SimRng::new(0x5EED_0B5E ^ seed);
+            let mut ops = if seed == 0 {
+                saved.to_vec()
+            } else {
+                Vec::new()
+            };
+            for _ in 0..1 + rng.below(150) {
+                let i = rng.below(NR_TASKS as u64) as usize;
+                ops.push(match rng.below(7) {
+                    0 => Wake(i),
+                    1 => Block,
+                    2 => Preempt,
+                    3 => Yield,
+                    4 => Tick,
+                    5 => MoveFirst(i),
+                    _ => MoveLast(i),
+                });
             }
+            ops
+        })
+        .collect();
+    for (cfg, pinned) in [
+        (SchedConfig::up(), &PINNED_UP),
+        (SchedConfig::smp(2), &PINNED_2P),
+    ] {
+        for (row, want) in MODEL_ROWS.iter().zip(pinned) {
+            let id: SchedId = row.parse().expect("bundled scheduler loads");
+            let mut got: Totals = [0; 6];
+            for ops in &sequences {
+                let sched = id.build(Topology::flat(cfg.nr_cpus));
+                let mut rig = RunQueueRig::new(sched, cfg.clone());
+                for &op in ops {
+                    rig.apply(op);
+                }
+                let totals = rig.totals();
+                assert_eq!(
+                    rig.recalc_starts.get(),
+                    totals[3],
+                    "{row} on {}: recalc_start events vs recalc_entries",
+                    cfg.label()
+                );
+                for (sum, x) in got.iter_mut().zip(totals) {
+                    *sum += x;
+                }
+            }
+            assert_eq!(got, *want, "{row} on {}: pinned totals", cfg.label());
         }
     }
 }
