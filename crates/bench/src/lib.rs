@@ -30,7 +30,6 @@ use elsc_workloads::VolanoConfig;
 
 pub mod harness;
 pub mod rig;
-pub mod summary;
 
 pub use elsc_lab::{header, SchedId as SchedKind, Shape};
 
@@ -50,29 +49,6 @@ pub fn volano_cfg(rooms: usize) -> VolanoConfig {
         messages_per_user: messages,
         ..VolanoConfig::default()
     }
-}
-
-/// Runs VolanoMark per the paper's run rules: `ELSC_ITERATIONS` runs
-/// (default 1, paper used 11) with varied seeds, the first discarded as
-/// warm-up when more than one, and the mean throughput reported.
-pub fn volano_throughput(shape: Shape, kind: &SchedKind, cfg: &VolanoConfig) -> f64 {
-    let iterations: usize = std::env::var("ELSC_ITERATIONS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
-    let mut samples = Vec::new();
-    for i in 0..iterations {
-        let machine = shape.machine().with_seed(0x5EED_CAFE + i as u64);
-        let report = elsc_workloads::volanomark::run(machine, kind.build(shape.topology()), cfg);
-        samples.push(elsc_workloads::volanomark::throughput(&report));
-    }
-    if samples.len() > 1 {
-        // "we ran the benchmark 11 times ... and discarded the first run
-        // due to its variant startup costs" (§6).
-        samples.remove(0);
-    }
-    summary::Summary::of(&samples).mean
 }
 
 /// Formats a row of fixed-width columns.

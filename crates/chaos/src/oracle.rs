@@ -429,20 +429,6 @@ impl Oracle {
             DivergenceClass::Topology => self.report.topology += 1,
             DivergenceClass::Design => self.report.design += 1,
             DivergenceClass::Unexplained => {
-                #[cfg(debug_assertions)]
-                if std::env::var_os("ELSC_ORACLE_DEBUG").is_some() {
-                    eprintln!(
-                        "UNEXPLAINED: prev={:?} yielded={} runnable={} chosen={:?} \
-                         expected={:?} yield_rerun={} snaps={:?}",
-                        d.prev,
-                        d.prev_yielded,
-                        d.prev_runnable,
-                        d.chosen,
-                        r.expected,
-                        d.yield_rerun,
-                        d.snaps
-                    );
-                }
                 self.report.unexplained += 1;
                 if self.report.first_unexplained.is_none() {
                     let chosen_g = Self::eval(d, &r, d.chosen);

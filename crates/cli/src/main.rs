@@ -47,8 +47,8 @@ use std::io::BufWriter;
 
 use elsc_cluster::{Cluster, ClusterConfig, ClusterReport, DispatcherId};
 use elsc_lab::{CellConfig, ChaosSpec, SchedId, Shape, WorkloadCell};
-use elsc_machine::{Machine, MachineConfig, RunReport, TraceRecord};
-use elsc_obs::{first_divergence, JsonLinesSink};
+use elsc_machine::{Machine, MachineConfig, RunReport};
+use elsc_obs::{first_divergence, JsonLinesSink, ObsRecord};
 use elsc_policy::PolicyScheduler;
 use elsc_sched_api::{LockPlan, Scheduler};
 use elsc_simcore::Topology;
@@ -235,7 +235,7 @@ struct RunOutcome {
     /// Human-readable trace summary when `--trace N` was given.
     trace_text: Option<String>,
     /// The in-memory trace ring (empty unless tracing was enabled).
-    records: Vec<TraceRecord>,
+    records: Vec<ObsRecord>,
 }
 
 /// Runs the command line's workload on one machine under the scheduler

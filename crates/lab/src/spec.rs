@@ -15,8 +15,8 @@ use elsc_sched_api::LockPlan;
 
 use crate::cell::{CellConfig, ChaosSpec, SchedId, Shape, WorkloadCell};
 
-/// The base seed shared with the bench binaries (`volano_throughput`),
-/// so lab cells and legacy bench runs measure the same simulations.
+/// The base seed of every builtin sweep (iteration `i` runs on
+/// `BASE_SEED + i`); the committed `BENCH_*.json` manifests depend on it.
 pub const BASE_SEED: u64 = 0x5EED_CAFE;
 
 /// Workload parameter names in canonical order, plus their defaults.

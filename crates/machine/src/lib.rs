@@ -53,15 +53,20 @@
 pub mod behavior;
 pub mod config;
 pub mod cpu;
+mod engine;
 pub mod machine;
+mod observe;
 pub mod report;
-pub mod trace;
+mod report_build;
+mod schedule;
+mod supervise;
+mod syscall;
+mod wake;
 
 pub use behavior::{Behavior, Op, SpawnReq, SysView, Syscall};
 pub use config::MachineConfig;
 pub use machine::{Machine, RunError, StepStatus};
 pub use report::{Distributions, EngineSummary, Ledger, PolicySummary, RunReport, TopologySummary};
-pub use trace::{Trace, TraceEvent, TraceRecord};
 
 // Chaos types that appear in [`MachineConfig`] and [`RunReport`], so
 // downstream users do not need a direct `elsc-chaos` dependency.

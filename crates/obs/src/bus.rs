@@ -4,8 +4,8 @@
 //! [`EventBus`]; the bus fans each record out to every attached
 //! [`Sink`]. Three sinks cover the paper-reproduction needs:
 //!
-//! * [`RingSink`] — the bounded in-memory log the old `machine::Trace`
-//!   was, kept for post-run inspection and trace-diffing;
+//! * [`RingSink`] — the bounded in-memory log (`Machine::trace()`), kept
+//!   for post-run inspection and trace-diffing;
 //! * [`JsonLinesSink`] — streams each record as one JSON line to any
 //!   `io::Write`, for `--trace-out <path>`;
 //! * [`CallbackSink`] — hands each record to a closure, for tests and
@@ -27,7 +27,7 @@ pub trait Sink {
     fn finish(&mut self) {}
 }
 
-/// A bounded in-memory event log (the old `machine::Trace`).
+/// A bounded in-memory event log.
 ///
 /// Off by default (capacity 0) and bounded — once full, further events
 /// are dropped and counted, so a trace can never blow up a long run.

@@ -11,16 +11,20 @@
 //!   truncation is surfaced in the report.
 
 use elsc::ElscScheduler;
+use elsc_lab::hash::fnv1a;
+use elsc_lab::SchedId;
 use elsc_machine::{Machine, MachineConfig, RunReport};
-use elsc_obs::{first_divergence, CallbackSink, JsonLinesSink, ObsRecord, Phase};
+use elsc_obs::{first_divergence, JsonLinesSink, ObsRecord, Phase};
 use elsc_sched_api::Scheduler;
 use elsc_sched_linux::LinuxScheduler;
+use elsc_simcore::Topology;
 use elsc_workloads::stress::{self, StressConfig};
 use elsc_workloads::volanomark::{self, VolanoConfig};
+use std::cell::RefCell;
 use std::fs;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 fn small_volano() -> VolanoConfig {
     VolanoConfig {
@@ -165,33 +169,145 @@ fn trace_diff_reports_first_divergence_between_schedulers() {
     assert!(first_divergence(&reg, &reg).identical());
 }
 
-fn fingerprint(r: &RunReport) -> (u64, u64, u64, u64) {
-    let t = r.stats.total();
-    (r.elapsed.get(), t.sched_calls, t.ctx_switches, t.wakeups)
+/// An in-memory JSON-lines stream, shared with the sink writing it.
+#[derive(Clone, Default)]
+struct Stream(Rc<RefCell<Vec<u8>>>);
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The four observers a run can carry, as a bit set.
+const RING: u8 = 1;
+const SINK: u8 = 2;
+const ORACLE: u8 = 4;
+const DECISION_TRACE: u8 = 8;
+const ALL_ON: u8 = RING | SINK | ORACLE | DECISION_TRACE;
+
+/// Runs the small VolanoMark on 2P under `sched` with the observers in
+/// `on` attached; returns the report and the JSON-lines stream (empty
+/// without [`SINK`]).
+fn observed_run(sched: &SchedId, on: u8) -> (RunReport, Vec<u8>) {
+    let cfg = machine_cfg(2)
+        .with_trace(if on & RING != 0 { 100_000 } else { 0 })
+        .with_oracle(on & ORACLE != 0)
+        .with_decision_trace(on & DECISION_TRACE != 0);
+    let mut m = Machine::new(cfg, sched.build(Topology::flat(2)));
+    let stream = Stream::default();
+    if on & SINK != 0 {
+        m.add_sink(Box::new(JsonLinesSink::new(stream.clone())));
+    }
+    volanomark::build(&mut m, &small_volano());
+    let report = m.run().expect("run completes");
+    (report, stream.0.take())
+}
+
+/// The whole report with the observer-owned fields blanked: what must
+/// not depend on who was watching.
+fn unobserved(r: &RunReport) -> (String, String) {
+    let mut r = r.clone();
+    r.chaos = None;
+    r.trace_dropped = 0;
+    (r.to_json(), format!("{r:?}"))
+}
+
+fn bundled(kind: &str, name: &str, src: &str) -> SchedId {
+    match kind {
+        "policy" => SchedId::policy(format!("policy:{name}"), src),
+        _ => SchedId::learned(format!("learned:{name}"), src),
+    }
+    .expect("bundled file loads")
 }
 
 #[test]
 fn observation_does_not_perturb_the_run() {
-    // Bare run: no ring, no sinks.
-    let mut bare = volano_machine(2, 0, Box::new(ElscScheduler::new()), None);
-    let bare_report = bare.run().expect("run completes");
+    // (scheduler, FNV-1a and byte count of the all-observers-on
+    // JSON-lines stream). The digests were captured at the commit before
+    // `do_schedule` became one pipeline over one pre-decision view, so
+    // they pin every emission's position and timestamp across it.
+    let rows = [
+        (SchedId::Reg, 0x9dc5_5298_aa51_3472u64, 1_181_181usize),
+        (SchedId::Elsc, 0xd941_c62d_47fd_b6d8, 1_120_905),
+        (SchedId::Mq, 0x66cd_dfb4_4b21_09c5, 1_236_992),
+        (
+            bundled("policy", "reg", include_str!("../policies/reg.pol")),
+            0x7cdb_85d2_2b3f_d30f,
+            1_226_728,
+        ),
+        (
+            bundled(
+                "learned",
+                "volano-mlp",
+                include_str!("../models/volano-mlp.model"),
+            ),
+            0x3efe_4595_e6d4_b30c,
+            1_180_876,
+        ),
+    ];
+    for (sched, fnv, bytes) in &rows {
+        let name = sched.label();
+        let (bare, _) = observed_run(sched, 0);
+        assert!(bare.chaos.is_none() && bare.trace_dropped == 0);
+        let bare = unobserved(&bare);
+        for on in 1..=ALL_ON {
+            let (report, stream) = observed_run(sched, on);
+            let (json, debug) = unobserved(&report);
+            assert_eq!(bare.0, json, "{name}: observers {on:#06b} moved the report");
+            assert!(bare.1 == debug, "{name}: observers {on:#06b} moved the run");
+            assert_eq!(on & SINK != 0, !stream.is_empty(), "{name}: {on:#06b}");
+            if on == ALL_ON {
+                assert_eq!(
+                    (fnv1a(&stream), stream.len()),
+                    (*fnv, *bytes),
+                    "{name}: the fully observed event stream moved"
+                );
+                let oracle = report.chaos.as_ref().and_then(|c| c.oracle.as_ref());
+                assert!(oracle.is_some_and(|o| o.decisions > 0), "{name}: judged");
+            }
+        }
+    }
+}
 
-    // Fully observed run: ring + callback sink counting every record.
-    let seen = Arc::new(Mutex::new(0u64));
-    let seen2 = Arc::clone(&seen);
-    let mut observed = volano_machine(2, 100_000, Box::new(ElscScheduler::new()), None);
-    observed.add_sink(Box::new(CallbackSink::new(move |_: &ObsRecord| {
-        *seen2.lock().unwrap() += 1;
-    })));
-    let observed_report = observed.run().expect("run completes");
-
-    assert_eq!(
-        fingerprint(&bare_report),
-        fingerprint(&observed_report),
-        "attaching observers must not change the schedule"
-    );
-    assert!(*seen.lock().unwrap() > 0, "the sink saw events");
-    assert_eq!(observed_report.trace_dropped, 0);
+#[test]
+fn ejections_report_the_same_bytes_as_before_the_supervision_merge() {
+    // One watchdog ejection per supervised kind. The report digests were
+    // captured at the commit that still had a separate policy and learned
+    // ejection path; the single supervision record must reproduce both.
+    let rows = [
+        (
+            bundled("policy", "starve", include_str!("../policies/starve.pol")),
+            "starvation",
+            0x2cfa_1d72_08b0_326cu64,
+        ),
+        (
+            bundled(
+                "learned",
+                "adversarial",
+                include_str!("../models/adversarial.model"),
+            ),
+            "accuracy_collapse",
+            0xb3b3_37a1_5812_d2b5,
+        ),
+    ];
+    for (sched, reason, fnv) in &rows {
+        let name = sched.label();
+        let (report, _) = observed_run(sched, 0);
+        let reported = match (&report.policy, &report.learned) {
+            (Some(p), None) => p.eject_reason,
+            (None, Some(l)) => l.eject_reason,
+            _ => panic!("{name}: exactly one supervision summary"),
+        };
+        assert_eq!(reported, Some(*reason), "{name}");
+        assert_eq!(report.scheduler, name, "the run keeps the ejected name");
+        assert_eq!(fnv1a(report.to_json().as_bytes()), *fnv, "{name}");
+    }
 }
 
 #[test]
