@@ -1,7 +1,7 @@
 //! The ELSC `schedule()` implementation (paper §5.2).
 
 use elsc_ktask::{CpuId, TaskTable, Tid};
-use elsc_sched_api::{frame, topo_affinity_bonus, SchedCtx, Scheduler, MM_BONUS, RT_GOODNESS_BASE};
+use elsc_sched_api::{frame, rt_goodness, topo_affinity_bonus, SchedCtx, Scheduler, MM_BONUS};
 use elsc_simcore::CostKind;
 
 use crate::table::ElscTable;
@@ -234,54 +234,50 @@ fn scan_list(
     };
     let mut examined = 0usize;
     let mut cur = sched.table.lists().first(idx);
-    // The whole scan — links, skip test, goodness arithmetic — reads the
-    // dense hot-field lanes; the full `Task` struct is touched only to
-    // materialize a candidate's handle.
     while let Some(i) = cur {
         let next_link = sched.table.lists().next_task(ctx.tasks, i);
-        let li = i as usize;
-        let lanes = ctx.tasks.lanes();
+        // One fetch of the record; skip test, goodness arithmetic and the
+        // candidate's handle all come from it.
+        let t = ctx.tasks.by_index(i as usize);
         // Skip tasks executing on *another* CPU; if everything here is
         // skipped we fall through to the next populated list.
-        if ctx.cfg.smp && lanes.has_cpu(li) && lanes.processor(li) != cpu {
+        if ctx.cfg.smp && t.has_cpu && t.processor != cpu {
             cur = next_link;
             continue;
         }
-        let is_rt = lanes.is_realtime(li);
-        if !is_rt && lanes.counter(li) == 0 {
+        let is_rt = t.policy.class.is_realtime();
+        if !is_rt && t.counter == 0 {
             // The rest of the list is the parked zero section: unusable.
             break;
         }
         ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
         ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-        let lanes = ctx.tasks.lanes();
-        if lanes.yielded(li) {
+        if t.policy.yielded {
             // Run a yielded task only if nothing else turns up.
             if out.yielded.is_none() {
-                out.yielded = Some(ctx.tasks.by_index(li).tid);
+                out.yielded = Some(t.tid);
             }
         } else if is_rt {
             // Real-time: no yield handling, no bonuses — highest
             // rt_priority wins (§5.2).
-            let w = RT_GOODNESS_BASE + lanes.rt_priority(li);
+            let w = rt_goodness(t);
             if out.best.is_none_or(|(_, b)| beats(w, b)) {
-                out.best = Some((ctx.tasks.by_index(li).tid, w));
+                out.best = Some((t.tid, w));
             }
         } else {
             // The affinity term is distance-graded under a declared
             // topology; on a flat tree `topo_affinity_bonus` is exactly
             // the classic `{+15 on same CPU, else 0}`.
-            let mut w = lanes.counter(li)
-                + lanes.priority(li)
-                + topo_affinity_bonus(&ctx.cfg.topology, cpu, lanes.processor(li));
-            let mm_match = lanes.mm(li) == prev_mm;
+            let mut w =
+                t.static_goodness() + topo_affinity_bonus(&ctx.cfg.topology, cpu, t.processor);
+            let mm_match = t.mm == prev_mm;
             if mm_match {
                 w += MM_BONUS;
             }
             if !ctx.cfg.smp
                 && mm_match
                 && idx < crate::table::RT_BASE_LIST - 1
-                && lanes.static_goodness(li) == (4 * idx as i32) + 3
+                && t.static_goodness() == (4 * idx as i32) + 3
             {
                 // Uniprocessor shortcut (§5.2): affinity always matches on
                 // UP, so a shared mm is the maximum possible *bonus* — but
@@ -293,12 +289,12 @@ fn scan_list(
                 // the same static goodness without the +1 mm bonus. The
                 // clamped top list (19) has no bucket maximum, so it never
                 // takes the shortcut.
-                out.best = Some((ctx.tasks.by_index(li).tid, w));
+                out.best = Some((t.tid, w));
                 out.shortcut = true;
                 return out;
             }
             if out.best.is_none_or(|(_, b)| beats(w, b)) {
-                out.best = Some((ctx.tasks.by_index(li).tid, w));
+                out.best = Some((t.tid, w));
             }
         }
         examined += 1;

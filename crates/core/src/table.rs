@@ -107,11 +107,9 @@ impl ElscTable {
     /// Returns the list index used.
     pub fn link(&mut self, tasks: &mut TaskTable, tid: Tid) -> usize {
         let (idx, is_zero) = index_for(tasks.task(tid));
-        {
-            let mut t = tasks.task_mut(tid);
-            t.rq_hint = idx as u8;
-            t.rq_zero = is_zero;
-        }
+        let t = tasks.task_mut(tid);
+        t.rq_hint = idx as u8;
+        t.rq_zero = is_zero;
         if is_zero {
             self.lists.insert_back(tasks, idx, tid);
             self.zero[idx] += 1;
@@ -230,12 +228,11 @@ impl ElscTable {
     }
 
     /// Finds the first zero-section task in list `idx` (the section
-    /// boundary), if any. Walks the hot-field lanes only.
+    /// boundary), if any.
     fn first_zero(&self, tasks: &TaskTable, idx: usize) -> Option<Link> {
-        let lanes = tasks.lanes();
         let mut cur = self.lists.first(idx);
         while let Some(i) = cur {
-            if lanes.rq_zero(i as usize) {
+            if tasks.by_index(i as usize).rq_zero {
                 return Some(Link::Task(i));
             }
             cur = self.lists.next_task(tasks, i);
@@ -315,7 +312,7 @@ impl ElscTable {
     /// Fully detaches a task's node after an `unlink_keep_next` (used
     /// when the marked task re-enters the table).
     pub fn clear_marker(tasks: &mut TaskTable, tid: Tid) {
-        let mut t = tasks.task_mut(tid);
+        let t = tasks.task_mut(tid);
         debug_assert!(
             !t.in_list(),
             "clear_marker on a task still linked into a list"
@@ -436,11 +433,8 @@ mod tests {
         let z = spawn(&mut tasks, 0, 20);
         table.link(&mut tasks, z);
         assert_eq!(table.top(), None);
-        // Simulate the recalculation walk.
-        for mut t in tasks.iter_mut() {
-            t.counter = (t.counter >> 1) + t.priority;
-            t.rq_zero = false;
-        }
+        // The recalculation walk ELSC runs before the merge.
+        tasks.recalc_counters(true);
         table.merge_after_recalc();
         assert_eq!(table.top(), Some(10));
         assert_eq!(table.next_top(), None);

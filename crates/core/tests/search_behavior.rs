@@ -36,11 +36,9 @@ impl Rig {
 
     fn spawn(&mut self, sched: &mut dyn Scheduler, counter: i32, cpu: CpuId, mm: MmId) -> Tid {
         let tid = self.tasks.spawn(&TaskSpec::named("t").mm(mm));
-        {
-            let mut t = self.tasks.task_mut(tid);
-            t.counter = counter;
-            t.processor = cpu;
-        }
+        let t = self.tasks.task_mut(tid);
+        t.counter = counter;
+        t.processor = cpu;
         let mut ctx = SchedCtx {
             tasks: &mut self.tasks,
             stats: &mut self.stats,

@@ -18,9 +18,8 @@
 //! table, the Rust-idiomatic equivalent of the kernel's task pointers: a
 //! stale handle is detected instead of dereferencing freed memory.
 //!
-//! For mega-scale sweeps the table also maintains [`table::HotLanes`], a
-//! struct-of-arrays mirror of the scheduler-hot fields that the goodness
-//! scans and the recalculation loop sweep instead of the full structs.
+//! The [`task::Task`] in the table is the only copy of every one of those
+//! fields: the goodness scans and the recalculation loop read it directly.
 #![deny(missing_docs)]
 
 pub mod list;
@@ -31,7 +30,7 @@ pub mod tid;
 pub mod waitqueue;
 
 pub use list::{Link, ListNode, Lists};
-pub use table::{HotLanes, TaskMut, TaskTable};
+pub use table::TaskTable;
 pub use task::{CpuId, MmId, Policy, SchedClass, Task, TaskSpec, TaskState};
 pub use tid::Tid;
 pub use waitqueue::WaitQueue;

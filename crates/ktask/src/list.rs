@@ -121,14 +121,12 @@ impl Lists {
     /// Links `tid` between two adjacent nodes (`__list_add`).
     fn insert_between(&mut self, tasks: &mut TaskTable, tid: Tid, before: Link, after: Link) {
         let me = Link::Task(tid.index() as u32);
-        {
-            let mut t = tasks.task_mut(tid);
-            debug_assert!(!t.in_list(), "inserting {} while already linked", t.name);
-            t.run_list = ListNode {
-                next: after,
-                prev: before,
-            };
-        }
+        let t = tasks.task_mut(tid);
+        debug_assert!(!t.in_list(), "inserting {} while already linked", t.name);
+        t.run_list = ListNode {
+            next: after,
+            prev: before,
+        };
         self.set_next(tasks, before, me);
         self.set_prev(tasks, after, me);
     }
@@ -222,13 +220,11 @@ impl Lists {
         matches!(self.heads[h].next, Link::Head(_))
     }
 
-    /// The task after `idx` in its list, or `None` at the end.
-    ///
-    /// Reads the link from the [`HotLanes`](crate::table::HotLanes)
-    /// mirror — the scan loops that call this per-candidate stay inside
-    /// the dense lanes instead of touching the full task structs.
+    /// The task after `idx` in its list, or `None` at the end. A scan
+    /// that already holds the `&Task` follows `run_list.next` itself
+    /// rather than looking the record up a second time here.
     pub fn next_task(&self, tasks: &TaskTable, idx: u32) -> Option<u32> {
-        match tasks.lanes().next(idx as usize) {
+        match tasks.by_index(idx as usize).run_list.next {
             Link::Task(i) => Some(i),
             Link::Head(_) => None,
             Link::Nil => panic!("walking from a detached node"),

@@ -48,12 +48,10 @@ pub fn in_recalc_walk(task: &Task) -> bool {
 /// `RecalcPerTask` cycles for each. Zombies awaiting reaping are
 /// skipped (see [`in_recalc_walk`]).
 ///
-/// Implemented as a dense sweep over the [`HotLanes`] mirror
-/// ([`TaskTable::recalc_counters`]) rather than a walk of the full task
-/// structs: at 100k+ tasks the loop is memory-bound, and two contiguous
-/// `i32` lanes stream through the cache where the slab would thrash it.
+/// This is [`TaskTable::recalc_counters`] without the ELSC `rq_zero`
+/// reset: one pass over the slab that applies [`recalculated_counter`]
+/// to every task.
 ///
-/// [`HotLanes`]: crate::table::HotLanes
 /// [`TaskTable::recalc_counters`]: crate::table::TaskTable::recalc_counters
 pub fn recalculate_counters(tasks: &mut TaskTable) -> usize {
     tasks.recalc_counters(false)

@@ -200,6 +200,11 @@ pub struct Task {
     pub name: &'static str,
 }
 
+// The run-list scans read one whole record per candidate, so a field added
+// to `Task` is a field added to every scan's working set; the mega reg
+// cells (thousands of tasks examined per call) are where it would show.
+const _: () = assert!(core::mem::size_of::<Task>() <= 72);
+
 impl Task {
     /// Creates a fresh runnable task from a spec.
     ///

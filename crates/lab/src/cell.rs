@@ -413,8 +413,8 @@ pub enum WorkloadCell {
     /// engine metrics on, so the report (and the manifest record) carry
     /// the simulator's own throughput — `sim_events_per_sec` — beside
     /// the model metrics. Mega cells are the engine gate: they exist to
-    /// measure how fast the calendar event queue and the SoA hot-field
-    /// path push a huge task population, not to reproduce a paper
+    /// measure how fast the calendar event queue and the task-table
+    /// scans push a huge task population, not to reproduce a paper
     /// figure.
     Mega {
         /// Chat rooms (each room is `users × 4` threads).

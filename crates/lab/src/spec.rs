@@ -599,7 +599,7 @@ impl SweepSpec {
             // and 20k tasks (rooms × 20 users × 4 threads) under reg and
             // elsc, engine metrics on. Think-bound, one message per
             // user: the task *population* — the calendar event queue and
-            // the SoA hot-field sweeps — is the thing under test, not
+            // the task-table scans — is the thing under test, not
             // per-user traffic. `ELSC_MEGA_ROOMS` replaces the rooms
             // axis for manual scale-up runs (1250 → 100k tasks,
             // 12500 → 1M). `ELSC_MEGA_POLICY=1` adds the bundled

@@ -179,7 +179,7 @@ impl Machine {
         let cpus = (0..cfg.nr_cpus())
             .map(|id| {
                 let idle = tasks.spawn(&TaskSpec::named("idle").priority(1));
-                let mut t = tasks.task_mut(idle);
+                let t = tasks.task_mut(idle);
                 t.counter = 0;
                 t.processor = id;
                 t.has_cpu = true;

@@ -69,14 +69,11 @@ impl Machine {
         if !self.cpus[cpu].is_idle() {
             // Quantum accounting: the timer interrupt decrements the
             // running task's counter (update_process_times).
-            let expired = {
-                let mut task = self.tasks.task_mut(cur);
-                if task.counter > 0 {
-                    task.counter -= 1;
-                }
-                quantum_expired(&task)
-            };
-            if expired {
+            let task = self.tasks.task_mut(cur);
+            if task.counter > 0 {
+                task.counter -= 1;
+            }
+            if quantum_expired(task) {
                 self.cpus[cpu].need_resched = true;
             }
             // Policy tick hook: runs after the machine's own quantum
@@ -379,12 +376,9 @@ impl Machine {
             return None;
         }
         // Migration detection: the scheduler left `processor` untouched.
-        let migrated = {
-            let mut nt = self.tasks.task_mut(next);
-            let m = nt.processor != cpu;
-            nt.processor = cpu;
-            m
-        };
+        let nt = self.tasks.task_mut(next);
+        let migrated = nt.processor != cpu;
+        nt.processor = cpu;
         if migrated {
             self.bus.emit_at(
                 t2,

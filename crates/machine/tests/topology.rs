@@ -1,7 +1,6 @@
 //! Topology integration tests: the bubble scheduler re-homing whole
-//! address-space groups across NUMA nodes must keep the task table's
-//! SoA lanes in lockstep with the slab and conserve every kernel cycle
-//! in the profiler ledger.
+//! address-space groups across NUMA nodes must conserve every kernel
+//! cycle in the profiler ledger and stay deterministic.
 
 use elsc_ktask::{MmId, TaskSpec};
 use elsc_machine::behavior::Script;
@@ -29,10 +28,9 @@ fn spawn_groups(m: &mut Machine, groups: u32, tasks_per_group: u32) {
 }
 
 #[test]
-fn bubble_rehoming_keeps_lanes_in_lockstep_with_the_slab() {
-    // Step the machine in small barriers so the lockstep invariant is
-    // checked *during* the run — between re-homes, steals, and exits —
-    // not only after the table has drained.
+fn bubble_rehoming_under_stepped_barriers_conserves_cycles() {
+    // Step the machine in small barriers, so re-homes, steals and exits
+    // land on both sides of a `step_until` boundary.
     let topo: Topology = "2N2C1T".parse().unwrap();
     let cfg = MachineConfig::topo(topo).with_max_secs(200.0);
     let mut m = Machine::new(cfg, Box::new(BubbleScheduler::new(topo)));
@@ -42,18 +40,6 @@ fn bubble_rehoming_keeps_lanes_in_lockstep_with_the_slab() {
     let report = loop {
         barrier += 2_000_000;
         let status = m.step_until(Cycles(barrier)).expect("no watchdog");
-        m.tasks().assert_lanes_in_lockstep();
-        // The processor lane is the steal path's read side: every live
-        // slot must agree with its slab record even mid-migration.
-        for idx in 0..m.tasks().lanes().len() {
-            if m.tasks().lanes().live(idx) {
-                assert_eq!(
-                    m.tasks().lanes().processor(idx),
-                    m.tasks().by_index(idx).processor,
-                    "processor lane drifted at slot {idx}"
-                );
-            }
-        }
         if status == StepStatus::Done {
             break m.finish();
         }
@@ -62,7 +48,7 @@ fn bubble_rehoming_keeps_lanes_in_lockstep_with_the_slab() {
     let topo_sum = report.topology.expect("multi-level run reports topology");
     assert_eq!(topo_sum.shape, "2N2C1T");
     // The scenario must actually have moved work between nodes —
-    // otherwise the lockstep walk above never exercised a re-home.
+    // otherwise the run above never exercised a re-home.
     assert!(
         topo_sum.migrations_cross_node > 0,
         "expected cross-node migrations, got same_core={} same_node={} cross_node={}",
@@ -82,9 +68,7 @@ fn bubble_run_is_deterministic_on_smt_topology() {
         let cfg = MachineConfig::topo(topo).with_max_secs(200.0);
         let mut m = Machine::new(cfg, Box::new(BubbleScheduler::new(topo)));
         spawn_groups(&mut m, 4, 4);
-        let r = m.run().expect("run completes");
-        m.tasks().assert_lanes_in_lockstep();
-        r.to_json()
+        m.run().expect("run completes").to_json()
     };
     let a = run();
     assert_eq!(a, run(), "bubble runs must be reproducible");

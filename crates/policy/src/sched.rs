@@ -102,7 +102,7 @@ pub(crate) fn wrap_list(i: i64, nr_lists: usize) -> usize {
 /// `[0, 2 * priority]`, `nil` ignored.
 pub(crate) fn set_counter_effect(ctx: &mut SchedCtx<'_>, t: Option<Tid>, v: i64) {
     if let Some(tid) = t {
-        let mut task = ctx.tasks.task_mut(tid);
+        let task = ctx.tasks.task_mut(tid);
         let cap = i64::from(task.priority).saturating_mul(2);
         task.counter = v.clamp(0, cap) as i32;
     }

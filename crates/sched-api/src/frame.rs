@@ -78,7 +78,7 @@
 //!         let next = frame::select(ctx, cpu, prev, idle, entered, self.nr, |ctx, _| {
 //!             // The scan: the first task no CPU is running.
 //!             match frame::schedulable(lists, 0, ctx.tasks, ctx.cfg.smp, prev).next() {
-//!                 Some(i) => (i32::MAX, Some(ctx.tasks.by_index(i).tid)),
+//!                 Some(t) => (i32::MAX, Some(t.tid)),
 //!                 None => (IDLE_GOODNESS, None),
 //!             }
 //!         });
@@ -112,11 +112,11 @@
 //! assert_eq!(ctx.stats.cpu(0).sched_calls, 3, "charged by the frame");
 //! ```
 
-use elsc_ktask::{CpuId, Lists, MmId, SchedClass, TaskTable, Tid};
+use elsc_ktask::{CpuId, Link, Lists, MmId, SchedClass, Task, TaskTable, Tid};
 use elsc_obs::ObsEvent;
 use elsc_simcore::CostKind;
 
-use crate::goodness::{goodness_ignoring_yield_on, lane_goodness_ignoring_yield_on, IDLE_GOODNESS};
+use crate::goodness::{goodness_ignoring_yield_on, IDLE_GOODNESS};
 use crate::scheduler::{SchedCtx, Scheduler};
 
 /// Charges the fixed cost of entering `schedule()` — bottom halves and
@@ -282,9 +282,10 @@ where
 }
 
 /// The tasks of run list `q` that `can_schedule()` admits, front to
-/// back, as slab indices: on SMP everything not executing on a CPU
-/// (which also excludes `prev`, whose `has_cpu` is still set), on UP
-/// everything but `prev`. Walks the dense hot-field lanes only.
+/// back: on SMP everything not executing on a CPU (which also excludes
+/// `prev`, whose `has_cpu` is still set), on UP everything but `prev`.
+/// One slab lookup per candidate: the link to the next task and the
+/// filter's fields are read from the `&Task` already in hand.
 #[inline]
 pub fn schedulable<'a>(
     lists: &'a Lists,
@@ -292,23 +293,20 @@ pub fn schedulable<'a>(
     tasks: &'a TaskTable,
     smp: bool,
     prev: Tid,
-) -> impl Iterator<Item = usize> + 'a {
-    std::iter::successors(lists.first(q), move |&i| lists.next_task(tasks, i))
-        .map(|i| i as usize)
-        .filter(move |&i| {
-            if smp {
-                !tasks.lanes().has_cpu(i)
-            } else {
-                i != prev.index()
-            }
-        })
+) -> impl Iterator<Item = &'a Task> + 'a {
+    let first = lists.first(q).map(|i| tasks.by_index(i as usize));
+    std::iter::successors(first, move |t| match t.run_list.next {
+        Link::Task(i) => Some(tasks.by_index(i as usize)),
+        Link::Head(_) => None,
+        Link::Nil => panic!("walking from a detached node"),
+    })
+    .filter(move |t| if smp { !t.has_cpu } else { t.tid != prev })
 }
 
 /// The O(n) goodness scan of run list `q`: one `GoodnessEval` charge and
 /// one `tasks_examined` per [`schedulable`] task; returns the best
 /// goodness and its owner — the front-most on ties — or
-/// `(IDLE_GOODNESS, None)`. Goodness is read from the lanes; the full
-/// `Task` struct is touched only to materialize the winner's handle.
+/// `(IDLE_GOODNESS, None)`.
 #[inline]
 pub fn scan_list(
     lists: &Lists,
@@ -318,15 +316,14 @@ pub fn scan_list(
     prev: Tid,
     prev_mm: MmId,
 ) -> (i32, Option<Tid>) {
-    let tasks: &TaskTable = ctx.tasks;
     let mut best = (IDLE_GOODNESS, None);
-    for i in schedulable(lists, q, tasks, ctx.cfg.smp, prev) {
+    for t in schedulable(lists, q, ctx.tasks, ctx.cfg.smp, prev) {
         ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
         ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-        let w = lane_goodness_ignoring_yield_on(&ctx.cfg.topology, tasks.lanes(), i, cpu, prev_mm);
+        let w = goodness_ignoring_yield_on(&ctx.cfg.topology, t, cpu, prev_mm);
         if w > best.0 {
-            best = (w, Some(i));
+            best = (w, Some(t.tid));
         }
     }
-    (best.0, best.1.map(|i| tasks.by_index(i).tid))
+    best
 }

@@ -12,7 +12,7 @@
 //! task waits on the run queue, so the run queue can be kept sorted by it;
 //! only the two small bonuses need evaluating at decision time.
 
-use elsc_ktask::{CpuId, HotLanes, MmId, Task};
+use elsc_ktask::{CpuId, MmId, Task};
 use elsc_simcore::Topology;
 
 /// Goodness floor for real-time tasks (`SCHED_FIFO`/`SCHED_RR`).
@@ -131,38 +131,6 @@ pub fn goodness_ignoring_yield(task: &Task, this_cpu: CpuId, prev_mm: MmId) -> i
     weight
 }
 
-/// [`goodness_ignoring_yield`] computed from the [`HotLanes`] mirror.
-///
-/// The scan loops evaluate goodness per run-queue candidate; reading the
-/// dense lanes instead of the full `Task` struct keeps a 100k-task scan
-/// inside a handful of cache lines per candidate. Must agree with
-/// [`goodness_ignoring_yield`] on every input — the struct variant stays
-/// the specification (and the oracle's reference).
-#[inline]
-pub fn lane_goodness_ignoring_yield(
-    lanes: &HotLanes,
-    idx: usize,
-    this_cpu: CpuId,
-    prev_mm: MmId,
-) -> i32 {
-    if lanes.is_realtime(idx) {
-        return RT_GOODNESS_BASE + lanes.rt_priority(idx);
-    }
-    let counter = lanes.counter(idx);
-    if counter == 0 {
-        // Runnable, but its time slice is used up.
-        return 0;
-    }
-    let mut weight = counter + lanes.priority(idx);
-    if lanes.processor(idx) == this_cpu {
-        weight += PROC_CHANGE_PENALTY;
-    }
-    if lanes.mm(idx) == prev_mm {
-        weight += MM_BONUS;
-    }
-    weight
-}
-
 /// [`goodness_ignoring_yield`] under a declared topology: the flat
 /// `+15`-on-CPU-match affinity bonus generalizes to the distance-graded
 /// [`topo_affinity_bonus`]. On flat trees this equals
@@ -184,33 +152,6 @@ pub fn goodness_ignoring_yield_on(
     let mut weight = task.counter + task.priority;
     weight += topo_affinity_bonus(topo, this_cpu, task.processor);
     if task.mm == prev_mm {
-        weight += MM_BONUS;
-    }
-    weight
-}
-
-/// [`goodness_ignoring_yield_on`] computed from the [`HotLanes`] mirror;
-/// the lane-reading twin, as [`lane_goodness_ignoring_yield`] is to
-/// [`goodness_ignoring_yield`].
-#[inline]
-pub fn lane_goodness_ignoring_yield_on(
-    topo: &Topology,
-    lanes: &HotLanes,
-    idx: usize,
-    this_cpu: CpuId,
-    prev_mm: MmId,
-) -> i32 {
-    if lanes.is_realtime(idx) {
-        return RT_GOODNESS_BASE + lanes.rt_priority(idx);
-    }
-    let counter = lanes.counter(idx);
-    if counter == 0 {
-        // Runnable, but its time slice is used up.
-        return 0;
-    }
-    let mut weight = counter + lanes.priority(idx);
-    weight += topo_affinity_bonus(topo, this_cpu, lanes.processor(idx));
-    if lanes.mm(idx) == prev_mm {
         weight += MM_BONUS;
     }
     weight
@@ -331,47 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_goodness_agrees_with_struct_goodness() {
-        // Exhaustive-ish cross-check of the lane variant against the
-        // struct variant over the interesting corners: RT vs other, zero
-        // counter, both bonuses on/off.
-        let mut table = TaskTable::new();
-        let mut tids = Vec::new();
-        for (counter, priority, processor, mm) in [
-            (0, 20, 0, MmId(1)),
-            (7, 20, 0, MmId(1)),
-            (7, 20, 3, MmId(2)),
-            (80, 40, 1, MmId::KERNEL),
-        ] {
-            let tid = table.spawn(&TaskSpec::default().priority(priority).mm(mm));
-            let mut t = table.task_mut(tid);
-            t.counter = counter;
-            t.processor = processor;
-            drop(t);
-            tids.push(tid);
-        }
-        let rt = table.spawn(&TaskSpec::default().realtime(SchedClass::Fifo, 55));
-        table.task_mut(rt).counter = 0;
-        tids.push(rt);
-        let yielder = table.spawn(&TaskSpec::default().priority(20).mm(MmId(1)));
-        table.task_mut(yielder).counter = 5;
-        table.task_mut(yielder).policy.yielded = true;
-        tids.push(yielder);
-
-        for &tid in &tids {
-            for cpu in [0, 3] {
-                for prev_mm in [MmId::KERNEL, MmId(1), MmId(2)] {
-                    assert_eq!(
-                        lane_goodness_ignoring_yield(table.lanes(), tid.index(), cpu, prev_mm),
-                        goodness_ignoring_yield(table.task(tid), cpu, prev_mm),
-                        "lane/struct goodness disagree for {tid:?} cpu={cpu} prev_mm={prev_mm:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn static_part_matches_task_helper() {
         let t = other_task(9, 20, 99, MmId(7));
         // With no bonuses, goodness equals the static goodness.
@@ -392,10 +292,9 @@ mod tests {
             (80, 40, 1, MmId::KERNEL),
         ] {
             let tid = table.spawn(&TaskSpec::default().priority(priority).mm(mm));
-            let mut t = table.task_mut(tid);
+            let t = table.task_mut(tid);
             t.counter = counter;
             t.processor = processor;
-            drop(t);
             tids.push(tid);
         }
         let rt = table.spawn(&TaskSpec::default().realtime(SchedClass::Fifo, 55));
@@ -408,47 +307,7 @@ mod tests {
                         goodness_ignoring_yield(table.task(tid), cpu, prev_mm),
                         "flat-topology goodness must match for {tid:?} cpu={cpu}"
                     );
-                    assert_eq!(
-                        lane_goodness_ignoring_yield_on(
-                            &flat,
-                            table.lanes(),
-                            tid.index(),
-                            cpu,
-                            prev_mm
-                        ),
-                        lane_goodness_ignoring_yield(table.lanes(), tid.index(), cpu, prev_mm),
-                        "flat-topology lane goodness must match for {tid:?} cpu={cpu}"
-                    );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn topo_lane_goodness_agrees_with_struct_variant() {
-        let numa: elsc_simcore::Topology = "2N4C2T".parse().unwrap();
-        let mut table = TaskTable::new();
-        let mut tids = Vec::new();
-        for processor in [0usize, 1, 3, 8, 15] {
-            let tid = table.spawn(&TaskSpec::default().priority(20).mm(MmId(1)));
-            let mut t = table.task_mut(tid);
-            t.counter = 6;
-            t.processor = processor;
-            drop(t);
-            tids.push(tid);
-        }
-        for &tid in &tids {
-            for cpu in [0usize, 1, 7, 8] {
-                assert_eq!(
-                    lane_goodness_ignoring_yield_on(
-                        &numa,
-                        table.lanes(),
-                        tid.index(),
-                        cpu,
-                        MmId(2)
-                    ),
-                    goodness_ignoring_yield_on(&numa, table.task(tid), cpu, MmId(2)),
-                );
             }
         }
     }

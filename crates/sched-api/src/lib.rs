@@ -36,10 +36,9 @@ pub mod scheduler;
 
 pub use config::SchedConfig;
 pub use goodness::{
-    goodness, goodness_ignoring_yield, goodness_ignoring_yield_on, lane_goodness_ignoring_yield,
-    lane_goodness_ignoring_yield_on, rt_goodness, topo_affinity_bonus, IDLE_GOODNESS,
-    LLC_AFFINITY_BONUS, MM_BONUS, PACKAGE_AFFINITY_BONUS, PROC_CHANGE_PENALTY, RT_GOODNESS_BASE,
-    SMT_AFFINITY_BONUS,
+    goodness, goodness_ignoring_yield, goodness_ignoring_yield_on, rt_goodness,
+    topo_affinity_bonus, IDLE_GOODNESS, LLC_AFFINITY_BONUS, MM_BONUS, PACKAGE_AFFINITY_BONUS,
+    PROC_CHANGE_PENALTY, RT_GOODNESS_BASE, SMT_AFFINITY_BONUS,
 };
 pub use lockplan::{DomainAcquire, DomainLocker, LockDomains, LockPlan, LockScratch};
 pub use resched::{reschedule_idle, CpuView, WakeTarget};

@@ -137,7 +137,7 @@ mod tests {
         let idle = (0..nr_cpus)
             .map(|cpu| {
                 let tid = tasks.spawn(&TaskSpec::named("idle").priority(1));
-                let mut t = tasks.task_mut(tid);
+                let t = tasks.task_mut(tid);
                 t.counter = 0;
                 t.processor = cpu;
                 tid
@@ -146,7 +146,7 @@ mod tests {
         let busy = (0..nr_cpus)
             .map(|cpu| {
                 let tid = tasks.spawn(&TaskSpec::named("busy").mm(MmId(1)));
-                let mut t = tasks.task_mut(tid);
+                let t = tasks.task_mut(tid);
                 t.processor = cpu;
                 t.has_cpu = true;
                 tid
@@ -169,7 +169,7 @@ mod tests {
 
     fn spawn_woken(f: &mut Fixture, counter: i32, last_cpu: usize) -> Tid {
         let tid = f.tasks.spawn(&TaskSpec::named("woken").mm(MmId(2)));
-        let mut t = f.tasks.task_mut(tid);
+        let t = f.tasks.task_mut(tid);
         t.counter = counter;
         t.processor = last_cpu;
         tid

@@ -270,14 +270,14 @@ mod tests {
         }
 
         fn add_to_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-            let mut t = ctx.tasks.task_mut(tid);
+            let t = ctx.tasks.task_mut(tid);
             t.run_list.next = elsc_ktask::Link::Head(0);
             t.run_list.prev = elsc_ktask::Link::Head(0);
             self.n += 1;
         }
 
         fn del_from_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-            let mut t = ctx.tasks.task_mut(tid);
+            let t = ctx.tasks.task_mut(tid);
             t.run_list = elsc_ktask::ListNode::detached();
             self.n -= 1;
         }

@@ -287,11 +287,9 @@ mod tests {
 
         fn spawn_with(&mut self, counter: i32, cpu: CpuId, mm: MmId) -> Tid {
             let tid = self.tasks.spawn(&TaskSpec::named("t").mm(mm));
-            {
-                let mut t = self.tasks.task_mut(tid);
-                t.counter = counter;
-                t.processor = cpu;
-            }
+            let t = self.tasks.task_mut(tid);
+            t.counter = counter;
+            t.processor = cpu;
             let mut ctx = SchedCtx {
                 tasks: &mut self.tasks,
                 stats: &mut self.stats,

@@ -32,8 +32,8 @@ use std::collections::HashMap;
 use elsc_ktask::{CpuId, MmId, TaskTable, Tid};
 use elsc_learn::{quantize, Model, FEATURES};
 use elsc_sched_api::{
-    frame, goodness_ignoring_yield_on, lane_goodness_ignoring_yield_on, topo_affinity_bonus,
-    LearnedInfo, SchedCtx, Scheduler, IDLE_GOODNESS,
+    frame, goodness_ignoring_yield_on, topo_affinity_bonus, LearnedInfo, SchedCtx, Scheduler,
+    IDLE_GOODNESS,
 };
 use elsc_sched_linux::LinuxScheduler;
 use elsc_simcore::CostKind;
@@ -158,10 +158,10 @@ impl Scheduler for LearnedScheduler {
             pick = Some((s, prev));
         }
         let tasks: &TaskTable = ctx.tasks;
-        for i in frame::schedulable(self.base.run_list(), 0, tasks, smp, prev) {
+        for t in frame::schedulable(self.base.run_list(), 0, tasks, smp, prev) {
             ctx.meter.charge(ctx.costs, CostKind::TableIndex);
             ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-            let tid = tasks.by_index(i).tid;
+            let tid = t.tid;
             let s = self.score_candidate(ctx, cpu, tid, depth, prev_mm);
             if pick.is_none_or(|(bs, _)| s > bs) {
                 pick = Some((s, tid));
@@ -183,11 +183,10 @@ impl Scheduler for LearnedScheduler {
             let mut best_bounded = IDLE_GOODNESS;
             let tasks: &TaskTable = ctx.tasks;
             let bound = ctx.cfg.search_limit();
-            for i in frame::schedulable(self.base.run_list(), 0, tasks, smp, prev).take(bound) {
+            for t in frame::schedulable(self.base.run_list(), 0, tasks, smp, prev).take(bound) {
                 ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
                 ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                let topo = &ctx.cfg.topology;
-                let w = lane_goodness_ignoring_yield_on(topo, tasks.lanes(), i, cpu, prev_mm);
+                let w = goodness_ignoring_yield_on(&ctx.cfg.topology, t, cpu, prev_mm);
                 best_bounded = best_bounded.max(w);
             }
             if g_pick > 0 && g_pick >= best_bounded {

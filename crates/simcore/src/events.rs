@@ -5,25 +5,17 @@
 //! what makes whole-machine simulations bit-for-bit reproducible, which the
 //! determinism property tests rely on.
 //!
-//! Two implementations share the contract:
-//!
-//! * [`CalendarEventQueue`] — the default. A hierarchical calendar queue
-//!   (timing wheel): a sorted "spill" run holding the earliest events, a
-//!   ring of [`NR_BUCKETS`] unsorted buckets of [`BUCKET_CYCLES`] cycles
-//!   each covering the near horizon, and a `BTreeMap` overflow for events
-//!   beyond it. Pushes and pops are O(1) amortised regardless of how many
-//!   events are pending, which is what lets mega-scale sweeps (100k–1M
-//!   tasks) run at full speed.
-//! * [`HeapEventQueue`] — the original binary-heap implementation, kept as
-//!   the executable reference. The differential tests below drive both
-//!   with identical randomized traffic and demand identical pop streams,
-//!   and the `heap-queue` cargo feature swaps it back in as [`EventQueue`]
-//!   so whole-machine reports can be compared byte-for-byte against the
-//!   calendar build.
+//! The queue is [`CalendarEventQueue`], a hierarchical calendar queue
+//! (timing wheel): a sorted "spill" run holding the earliest events, a
+//! ring of [`NR_BUCKETS`] unsorted buckets of [`BUCKET_CYCLES`] cycles
+//! each covering the near horizon, and a `BTreeMap` overflow for events
+//! beyond it. Pushes and pops are O(1) amortised regardless of how many
+//! events are pending, which is what lets mega-scale sweeps (100k–1M
+//! tasks) run at full speed. The tests of this module keep the original
+//! binary heap as a reference model, drive both with identical randomized
+//! traffic and demand identical pop streams.
 
-use core::cmp::Ordering;
-use core::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use crate::clock::Cycles;
 
@@ -55,33 +47,7 @@ impl<E> Entry<E> {
     }
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Only the key participates in ordering; payloads need not be Ord.
-        self.key().cmp(&other.key())
-    }
-}
-
 /// The event queue used by the machine model.
-///
-/// This is the calendar implementation by default; building with the
-/// test-only `heap-queue` feature swaps in [`HeapEventQueue`] so that
-/// same-seed whole-machine reports can be compared byte-for-byte between
-/// the two.
 ///
 /// # Examples
 ///
@@ -97,13 +63,7 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(q.pop(), Some((Cycles(10), "late")));
 /// assert_eq!(q.pop(), None);
 /// ```
-#[cfg(not(feature = "heap-queue"))]
 pub type EventQueue<E> = CalendarEventQueue<E>;
-
-/// The event queue used by the machine model (`heap-queue` build: the
-/// reference [`HeapEventQueue`]).
-#[cfg(feature = "heap-queue")]
-pub type EventQueue<E> = HeapEventQueue<E>;
 
 /// A min-ordered event queue keyed by virtual time with FIFO tie-breaking,
 /// implemented as a hierarchical calendar queue (timing wheel).
@@ -123,7 +83,7 @@ pub type EventQueue<E> = HeapEventQueue<E>;
 ///    `BTreeMap`; migrated into the wheel lazily as the cursor advances.
 ///
 /// Every pop returns the globally earliest `(time, seq)` key, so the pop
-/// stream is identical to [`HeapEventQueue`]'s for any push sequence.
+/// stream is a binary heap's for any push sequence.
 pub struct CalendarEventQueue<E> {
     /// Earliest events, descending by key; popped from the end.
     sorted: Vec<Entry<E>>,
@@ -350,101 +310,97 @@ impl<E> CalendarEventQueue<E> {
     }
 }
 
-/// The original `BinaryHeap` implementation, kept as the executable
-/// reference for the calendar queue: same API, same `(time, seq)` FIFO
-/// contract, O(log n) operations. The differential tests in this module
-/// (and the machine-level byte-identity check in CI, via the `heap-queue`
-/// feature) prove the two produce identical pop streams.
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    seq: u64,
-    pushed: u64,
-    popped: u64,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            pushed: 0,
-            popped: 0,
-        }
-    }
-
-    /// Schedules `event` at virtual time `time`.
-    pub fn push(&mut self, time: Cycles, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.pushed += 1;
-        self.heap.push(Reverse(Entry { time, seq, event }));
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(Cycles, E)> {
-        let Reverse(e) = self.heap.pop()?;
-        self.popped += 1;
-        Some((e.time, e.event))
-    }
-
-    /// Returns the time of the earliest pending event without removing it.
-    pub fn peek_time(&self) -> Option<Cycles> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total events pushed over the queue's lifetime (for reports).
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Total events popped over the queue's lifetime (for reports).
-    pub fn total_popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    /// Moves every pending event `delta` cycles later, preserving the
-    /// FIFO tie-break (see [`CalendarEventQueue::shift_pending`]).
-    pub fn shift_pending(&mut self, delta: u64) {
-        if delta == 0 || self.heap.is_empty() {
-            return;
-        }
-        let entries = std::mem::take(&mut self.heap).into_vec();
-        self.heap = entries
-            .into_iter()
-            .map(|Reverse(mut e)| {
-                e.time += delta;
-                Reverse(e)
-            })
-            .collect();
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use core::cmp::{Ordering, Reverse};
+    use std::collections::BinaryHeap;
+
     use super::*;
     use crate::rng::SimRng;
+
+    // Only the key participates in ordering; payloads need not be Ord.
+    impl<E> PartialEq for Entry<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.key() == other.key()
+        }
+    }
+
+    impl<E> Eq for Entry<E> {}
+
+    impl<E> PartialOrd for Entry<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<E> Ord for Entry<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.key().cmp(&other.key())
+        }
+    }
+
+    /// The original `BinaryHeap` implementation, kept as the executable
+    /// reference for the calendar queue: same `(time, seq)` FIFO contract,
+    /// O(log n) operations. The differential test below proves the two
+    /// produce identical pop streams.
+    struct HeapEventQueue<E> {
+        heap: BinaryHeap<Reverse<Entry<E>>>,
+        seq: u64,
+        pushed: u64,
+        popped: u64,
+    }
+
+    impl<E> HeapEventQueue<E> {
+        fn new() -> Self {
+            HeapEventQueue {
+                heap: BinaryHeap::new(),
+                seq: 0,
+                pushed: 0,
+                popped: 0,
+            }
+        }
+
+        fn push(&mut self, time: Cycles, event: E) {
+            let seq = self.seq;
+            self.seq += 1;
+            self.pushed += 1;
+            self.heap.push(Reverse(Entry { time, seq, event }));
+        }
+
+        fn pop(&mut self) -> Option<(Cycles, E)> {
+            let Reverse(e) = self.heap.pop()?;
+            self.popped += 1;
+            Some((e.time, e.event))
+        }
+
+        fn peek_time(&self) -> Option<Cycles> {
+            self.heap.peek().map(|Reverse(e)| e.time)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        fn total_pushed(&self) -> u64 {
+            self.pushed
+        }
+
+        fn total_popped(&self) -> u64 {
+            self.popped
+        }
+
+        /// See [`CalendarEventQueue::shift_pending`].
+        fn shift_pending(&mut self, delta: u64) {
+            let entries = std::mem::take(&mut self.heap).into_vec();
+            self.heap = entries
+                .into_iter()
+                .map(|Reverse(mut e)| {
+                    e.time += delta;
+                    Reverse(e)
+                })
+                .collect();
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

@@ -33,7 +33,7 @@ pub mod topology;
 
 pub use clock::Cycles;
 pub use cost::{CostKind, CostModel, CycleMeter, COST_KINDS};
-pub use events::{CalendarEventQueue, EventQueue, HeapEventQueue};
+pub use events::{CalendarEventQueue, EventQueue};
 pub use histogram::Histogram;
 pub use lockdomain::{DomainStats, LockModel};
 pub use rng::SimRng;

@@ -92,10 +92,10 @@ impl Scheduler for FifoScheduler {
             // one goodness evaluation. `i32::MAX` beats whatever `prev`
             // scored; a lone `prev` keeps the CPU.
             match frame::schedulable(lists, 0, ctx.tasks, ctx.cfg.smp, prev).next() {
-                Some(i) => {
+                Some(t) => {
                     ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
                     ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                    (i32::MAX, Some(ctx.tasks.by_index(i).tid))
+                    (i32::MAX, Some(t.tid))
                 }
                 None => (IDLE_GOODNESS, None),
             }

@@ -184,7 +184,7 @@ impl RunQueueRig {
         let idles: Vec<Tid> = (0..cfg.nr_cpus)
             .map(|cpu| {
                 let idle = tasks.spawn(&TaskSpec::named("idle").priority(1));
-                let mut t = tasks.task_mut(idle);
+                let t = tasks.task_mut(idle);
                 t.counter = 0;
                 t.processor = cpu;
                 t.has_cpu = true;
@@ -201,7 +201,7 @@ impl RunQueueRig {
                     9 => spec.realtime(SchedClass::Rr, 10),
                     _ => spec,
                 });
-                let mut t = tasks.task_mut(tid);
+                let t = tasks.task_mut(tid);
                 t.state = TaskState::Interruptible;
                 t.counter = 1 + (i % 20) as i32;
                 // Spread last-run CPUs, so per-CPU designs have remote
@@ -317,7 +317,7 @@ impl RunQueueRig {
             }
             KernelOp::Tick => {
                 if let Some(i) = self.current {
-                    let mut t = self.tasks.task_mut(self.tids[i]);
+                    let t = self.tasks.task_mut(self.tids[i]);
                     t.counter = (t.counter - 1).max(0);
                 }
             }
