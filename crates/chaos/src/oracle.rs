@@ -227,7 +227,8 @@ struct RefOutcome {
     expected: Tid,
     expected_g: i32,
     /// Post-replay counters (after any reference recalculation), indexed
-    /// like `snaps`.
+    /// like `snaps`. This is the oracle's scratch vector, on loan: the
+    /// judge hands it back when it is done with the outcome.
     counters: Vec<i32>,
 }
 
@@ -320,6 +321,10 @@ impl OracleReport {
 pub struct Oracle {
     mode: OracleMode,
     report: OracleReport,
+    /// The replay's per-snapshot counters, kept between decisions so a
+    /// judged decision allocates nothing once this has grown to the
+    /// widest runnable set.
+    scratch: Vec<i32>,
 }
 
 impl Oracle {
@@ -328,6 +333,7 @@ impl Oracle {
         Oracle {
             mode,
             report: OracleReport::default(),
+            scratch: Vec::new(),
         }
     }
 
@@ -355,8 +361,11 @@ impl Oracle {
     /// snapshot: previous-task-first (ties go to `prev`), strict
     /// `goodness()` maximum over every task not executing elsewhere, and
     /// the system-wide counter recalculation when the best weight is 0.
-    fn reference_pick(d: &Decision<'_>) -> RefOutcome {
-        let mut counters: Vec<i32> = d.snaps.iter().map(|s| s.counter).collect();
+    /// `counters` is scratch: its contents are overwritten, its
+    /// allocation reused, and it comes back inside the outcome.
+    fn reference_pick(d: &Decision<'_>, mut counters: Vec<i32>) -> RefOutcome {
+        counters.clear();
+        counters.extend(d.snaps.iter().map(|s| s.counter));
         let prev_idx = d.snaps.iter().position(|s| s.tid == d.prev);
         // An exhausted SCHED_RR prev gets its quantum refreshed before
         // selection, in both the reference and ELSC.
@@ -418,7 +427,7 @@ impl Oracle {
     /// verdict (class plus the reference pick).
     pub fn judge_full(&mut self, d: &Decision<'_>) -> Verdict {
         self.report.decisions += 1;
-        let r = Self::reference_pick(d);
+        let r = Self::reference_pick(d, std::mem::take(&mut self.scratch));
         let class = self.classify(d, &r);
         match class {
             DivergenceClass::Match => self.report.matches += 1,
@@ -445,10 +454,9 @@ impl Oracle {
                 }
             }
         }
-        Verdict {
-            class,
-            expected: r.expected,
-        }
+        let expected = r.expected;
+        self.scratch = r.counters;
+        Verdict { class, expected }
     }
 
     /// Reference goodness of `tid` under the replay's final counters.
@@ -1062,6 +1070,33 @@ mod tests {
             ..s
         };
         assert!(s2.to_json().starts_with("{\"fault_plan\":null,"));
+    }
+
+    #[test]
+    fn judging_reuses_the_counter_scratch() {
+        // 57 runnable tasks per decision is the observed volano average;
+        // the first judged decision sizes the scratch, the rest reuse it —
+        // including decisions that take the recalculation pass.
+        let snaps: Vec<TaskSnap> = (0..57).map(|i| snap(i + 1, i as i32 % 7, 20, 1)).collect();
+        let exhausted: Vec<TaskSnap> = (0..57).map(|i| snap(i + 1, 0, 20 + i as i32, 1)).collect();
+        let mut o = Oracle::new(OracleMode::Strict);
+        o.judge_full(&decision(&snaps, tid(7)));
+        let (ptr, cap) = (o.scratch.as_ptr(), o.scratch.capacity());
+        assert!(cap >= snaps.len());
+        for i in 0..1000 {
+            let (set, chosen) = if i % 2 == 0 {
+                (&snaps, tid(7))
+            } else {
+                (&exhausted, tid(57))
+            };
+            assert_eq!(
+                o.judge_full(&decision(set, chosen)).class,
+                DivergenceClass::Match
+            );
+            assert_eq!((o.scratch.as_ptr(), o.scratch.capacity()), (ptr, cap));
+        }
+        assert_eq!(o.report().decisions, 1001);
+        assert!(o.report().clean());
     }
 
     #[test]

@@ -223,8 +223,9 @@ pub struct RunReport {
     /// Sample distributions: machine built-ins (`wake_latency`,
     /// `runqueue_len`) plus whatever the workload recorded.
     pub dists: Distributions,
-    /// Trace records dropped by the bounded ring sink (0 unless the ring
-    /// overflowed; attached file/callback sinks never drop).
+    /// Trace records lost on the event bus: dropped by the bounded ring
+    /// once it overflowed, or by an attached sink whose writer failed
+    /// (`--trace-out` onto a full disk). 0 on a complete trace.
     pub trace_dropped: u64,
     /// Cycle-attribution profile: every metered kernel cycle broken down
     /// per CPU × scheduler phase × cost kind.
@@ -475,8 +476,8 @@ impl fmt::Display for RunReport {
         if self.trace_dropped > 0 {
             writeln!(
                 f,
-                "  warning: trace ring dropped {} records (raise trace capacity \
-                 or attach a --trace-out sink)",
+                "  warning: the trace lost {} records (the ring filled up, or a trace \
+                 file stopped taking writes); it is incomplete",
                 self.trace_dropped
             )?;
         }

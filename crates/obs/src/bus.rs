@@ -25,6 +25,11 @@ pub trait Sink {
 
     /// Called once when the run ends; flush buffers here.
     fn finish(&mut self) {}
+
+    /// Records this sink received but lost (a full ring, a failed write).
+    fn dropped(&self) -> u64 {
+        0
+    }
 }
 
 /// A bounded in-memory event log.
@@ -104,38 +109,70 @@ impl Sink for RingSink {
     fn record(&mut self, rec: &ObsRecord) {
         RingSink::record(self, rec.at, rec.event);
     }
+
+    fn dropped(&self) -> u64 {
+        RingSink::dropped(self)
+    }
 }
 
 /// Streams each record as one JSON line to a writer.
+///
+/// The sink owns one line buffer: each record is serialized into it in
+/// place ([`ObsRecord::write_json_line`]), the `\n` is appended, and the
+/// line reaches the writer as a single `write_all` — once the buffer has
+/// grown to the longest line, a record costs no allocation.
 pub struct JsonLinesSink<W: Write> {
     writer: W,
+    line: String,
     written: u64,
+    dropped: u64,
 }
 
 impl<W: Write> JsonLinesSink<W> {
     /// Wraps `writer`.
     pub fn new(writer: W) -> JsonLinesSink<W> {
-        JsonLinesSink { writer, written: 0 }
+        JsonLinesSink {
+            writer,
+            line: String::new(),
+            written: 0,
+            dropped: 0,
+        }
     }
 
     /// Lines written so far.
     pub fn written(&self) -> u64 {
         self.written
     }
+
+    /// Lines the writer refused, plus one for a flush that failed at
+    /// [`finish`](Sink::finish) (a buffering writer reports there what it
+    /// lost, without saying how many lines that was).
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
 }
 
 impl<W: Write> Sink for JsonLinesSink<W> {
     fn record(&mut self, rec: &ObsRecord) {
+        rec.write_json_line(&mut self.line);
+        self.line.push('\n');
         // An observability sink must never abort the simulation; on I/O
-        // failure the line is simply lost (matching the bounded ring's
-        // drop semantics).
-        if writeln!(self.writer, "{}", rec.to_json_line()).is_ok() {
-            self.written += 1;
+        // failure the line is lost and counted (matching the bounded
+        // ring's drop semantics).
+        match self.writer.write_all(self.line.as_bytes()) {
+            Ok(()) => self.written += 1,
+            Err(_) => self.dropped += 1,
         }
     }
 
     fn finish(&mut self) {
-        let _ = self.writer.flush();
+        if self.writer.flush().is_err() {
+            self.dropped += 1;
+        }
+    }
+
+    fn dropped(&self) -> u64 {
+        JsonLinesSink::dropped(self)
     }
 }
 
@@ -227,9 +264,11 @@ impl EventBus {
         &self.ring
     }
 
-    /// Records dropped by the built-in ring.
+    /// Records lost anywhere on the bus: dropped by the built-in ring
+    /// once full, or by an attached sink (a trace file that stopped
+    /// taking writes).
     pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
+        self.ring.dropped() + self.sinks.iter().map(|s| s.dropped()).sum::<u64>()
     }
 
     /// Finishes every sink (flushes writers). Idempotent per sink
@@ -370,5 +409,129 @@ mod tests {
             text,
             "{\"at\":1,\"event\":\"exit\",\"tid\":7}\n{\"at\":2,\"event\":\"queue_depth\",\"cpu\":0,\"depth\":3}\n"
         );
+    }
+
+    /// A mixed stream: short and long lines, numeric and string fields.
+    fn mixed_record(i: u64) -> ObsRecord {
+        let event = match i % 4 {
+            0 => ObsEvent::Exit { tid: tid(i as u32) },
+            1 => ObsEvent::Switch {
+                cpu: 1,
+                from: tid(i as u32),
+                to: tid(i as u32 + 1),
+            },
+            2 => ObsEvent::SchedCandidate {
+                cpu: 0,
+                tid: tid(i as u32),
+                counter: i,
+                priority: 20,
+                rt: 0,
+                mm_match: 1,
+                affinity: 15,
+                recency: 255,
+            },
+            _ => ObsEvent::FaultInjected {
+                cpu: 0,
+                fault: "tick_jitter",
+            },
+        };
+        ObsRecord {
+            at: Cycles(i * 1_000_003),
+            event,
+        }
+    }
+
+    #[test]
+    fn json_lines_sink_reuses_its_line_buffer_and_writes_once_per_record() {
+        /// Counts `write` calls and checks each one carries one whole line.
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: u64,
+            bytes: u64,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                assert_eq!(buf.last(), Some(&b'\n'));
+                assert_eq!(buf.iter().filter(|&&b| b == b'\n').count(), 1);
+                self.writes += 1;
+                self.bytes += buf.len() as u64;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let mut sink = JsonLinesSink::new(CountingWriter::default());
+        // Warm up on the longest line of the mix (the widest `at` and
+        // counter the loop reaches), so the buffer never has to grow again.
+        sink.record(&mixed_record(9_998));
+        let (ptr, cap) = (sink.line.as_ptr(), sink.line.capacity());
+        let mut expected_bytes = sink.writer.bytes;
+        for i in 0..10_000 {
+            let rec = mixed_record(i);
+            sink.record(&rec);
+            expected_bytes += rec.to_json_line().len() as u64 + 1;
+        }
+        assert_eq!((sink.line.as_ptr(), sink.line.capacity()), (ptr, cap));
+        assert_eq!(sink.writer.writes, 10_001);
+        assert_eq!(sink.writer.bytes, expected_bytes);
+        assert_eq!((sink.written(), sink.dropped()), (10_001, 0));
+    }
+
+    #[test]
+    fn lost_lines_are_counted_by_the_sink_and_the_bus() {
+        /// Accepts `room` bytes, then fails every write (a full disk).
+        struct FullAfter {
+            room: usize,
+        }
+        impl Write for FullAfter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if buf.len() > self.room {
+                    self.room = 0;
+                    return Err(std::io::Error::other("no space left on device"));
+                }
+                self.room -= buf.len();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let mut sink = JsonLinesSink::new(FullAfter { room: 200 });
+        for i in 0..50 {
+            sink.record(&mixed_record(i));
+        }
+        sink.finish();
+        assert!(sink.written() > 0 && sink.dropped() > 0);
+        assert_eq!(sink.written() + sink.dropped(), 50);
+
+        // The bus adds its sinks' losses to the ring's own.
+        let mut bus = EventBus::new(2);
+        bus.add_sink(Box::new(JsonLinesSink::new(FullAfter { room: 0 })));
+        for i in 0..5 {
+            bus.emit_at(Cycles(i), ObsEvent::Exit { tid: tid(1) });
+        }
+        assert_eq!(bus.ring().dropped(), 3);
+        assert_eq!(bus.dropped(), 3 + 5);
+    }
+
+    #[test]
+    fn a_failed_flush_counts_as_a_loss() {
+        struct FailingFlush;
+        impl Write for FailingFlush {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(std::io::Error::other("no space left on device"))
+            }
+        }
+        let mut sink = JsonLinesSink::new(FailingFlush);
+        sink.record(&mixed_record(1));
+        assert_eq!(Sink::dropped(&sink), 0);
+        sink.finish();
+        assert_eq!(Sink::dropped(&sink), 1);
     }
 }

@@ -239,10 +239,22 @@ impl ObsRecord {
     /// generation is a simulator-internal liveness check, not an
     /// observable property of the schedule.
     pub fn to_json_line(&self) -> String {
-        let o = Obj::new()
-            .u64("at", self.at.0)
-            .str("event", self.event.kind());
-        let o = match self.event {
+        self.fields(Obj::new()).build()
+    }
+
+    /// [`to_json_line`](ObsRecord::to_json_line) into a caller-owned
+    /// buffer: `line` is overwritten with the same bytes, reusing its
+    /// allocation, so a warmed-up buffer serializes without allocating.
+    pub fn write_json_line(&self, line: &mut String) {
+        *line = self
+            .fields(Obj::with_buffer(std::mem::take(line)))
+            .into_buffer();
+    }
+
+    /// Writes `at`, `event` and the event's fields into `o`.
+    fn fields(&self, o: Obj) -> Obj {
+        let o = o.u64("at", self.at.0).str("event", self.event.kind());
+        match self.event {
             ObsEvent::Switch { cpu, from, to } => o
                 .u64("cpu", cpu as u64)
                 .u64("from", from.index() as u64)
@@ -332,8 +344,7 @@ impl ObsRecord {
                 .u64("cpu", cpu as u64)
                 .str("model", model)
                 .str("reason", reason),
-        };
-        o.build()
+        }
     }
 }
 
@@ -571,6 +582,76 @@ mod tests {
         assert_eq!(
             r11.to_json_line(),
             r#"{"at":55,"event":"learned_ejected","cpu":0,"model":"learned:adversarial","reason":"accuracy_collapse"}"#
+        );
+    }
+
+    #[test]
+    fn json_lines_are_stable_for_the_remaining_kinds_and_time_extremes() {
+        let line = |at: u64, event: ObsEvent| {
+            ObsRecord {
+                at: Cycles(at),
+                event,
+            }
+            .to_json_line()
+        };
+        assert_eq!(
+            line(
+                3,
+                ObsEvent::Wakeup {
+                    tid: tid(8),
+                    by_cpu: 2
+                }
+            ),
+            r#"{"at":3,"event":"wakeup","tid":8,"by_cpu":2}"#
+        );
+        assert_eq!(
+            line(
+                4,
+                ObsEvent::Block {
+                    tid: tid(8),
+                    cpu: 1
+                }
+            ),
+            r#"{"at":4,"event":"block","tid":8,"cpu":1}"#
+        );
+        assert_eq!(
+            line(
+                5,
+                ObsEvent::Migrate {
+                    tid: tid(12),
+                    to_cpu: 3
+                }
+            ),
+            r#"{"at":5,"event":"migrate","tid":12,"to_cpu":3}"#
+        );
+        assert_eq!(
+            line(
+                1_000_000_007,
+                ObsEvent::RecalcEnd {
+                    cpu: 0,
+                    updated: 400
+                }
+            ),
+            r#"{"at":1000000007,"event":"recalc_end","cpu":0,"updated":400}"#
+        );
+        assert_eq!(
+            line(
+                6,
+                ObsEvent::PolicyBudget {
+                    cpu: 1,
+                    insns: 65537,
+                    budget: 65536
+                }
+            ),
+            r#"{"at":6,"event":"policy_budget","cpu":1,"insns":65537,"budget":65536}"#
+        );
+        assert_eq!(
+            line(u64::MAX, ObsEvent::Exit { tid: tid(1) }),
+            r#"{"at":18446744073709551615,"event":"exit","tid":1}"#
+        );
+        assert_eq!(
+            line(0, ObsEvent::QueueDepthSample { cpu: 0, depth: 0 }),
+            r#"{"at":0,"event":"queue_depth","cpu":0,"depth":0}"#
         );
     }
 

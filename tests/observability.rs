@@ -7,8 +7,9 @@
 //!   formula the `kernel_share` binary prints;
 //! * the trace-diff utility reports a first divergence between the
 //!   baseline and ELSC schedulers on a workload where they disagree;
-//! * attaching sinks observes a run without perturbing it, and ring
-//!   truncation is surfaced in the report.
+//! * attaching sinks observes a run without perturbing it, and lost
+//!   trace records (a full ring, a trace file that stops taking writes)
+//!   are surfaced in the report.
 
 use elsc::ElscScheduler;
 use elsc_lab::hash::fnv1a;
@@ -316,8 +317,50 @@ fn ring_truncation_is_surfaced_in_the_report() {
     let report = m.run().expect("run completes");
     assert!(report.trace_dropped > 0, "a 4-slot ring must overflow");
     assert!(
-        report.to_string().contains("warning: trace ring dropped"),
+        report.to_string().contains("warning: the trace lost"),
         "the report must warn about truncation"
+    );
+}
+
+#[test]
+fn a_trace_file_that_stops_taking_writes_is_surfaced_in_the_report() {
+    /// A `--trace-out` target on a disk that fills up after `room` bytes.
+    struct FullDisk {
+        room: usize,
+    }
+    impl Write for FullDisk {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if buf.len() > self.room {
+                self.room = 0;
+                return Err(std::io::Error::other("no space left on device"));
+            }
+            self.room -= buf.len();
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    // A lossless sink beside the failing one: the lines it holds past the
+    // first 4 KB are exactly the ones the full disk lost.
+    let whole = Stream::default();
+    let mut m = volano_machine(2, 0, Box::new(ElscScheduler::new()), None);
+    m.add_sink(Box::new(JsonLinesSink::new(whole.clone())));
+    m.add_sink(Box::new(JsonLinesSink::new(FullDisk { room: 4096 })));
+    let report = m.run().expect("a failing trace sink must not fail the run");
+    let whole = whole.0.take();
+    let newlines = |b: &[u8]| b.iter().filter(|&&b| b == b'\n').count() as u64;
+    let kept = newlines(&whole[..4096]);
+    let lost = newlines(&whole) - kept;
+    assert!(kept > 0 && lost > 0, "{kept} lines fit, {lost} did not");
+    assert_eq!(report.trace_dropped, lost, "every lost line counts");
+    assert!(report
+        .to_json()
+        .contains(&format!("\"trace_dropped\":{lost}")));
+    assert!(
+        report.to_string().contains("warning: the trace lost"),
+        "the report must say the trace is incomplete"
     );
 }
 
