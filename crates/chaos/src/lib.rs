@@ -42,7 +42,7 @@ mod plan;
 
 pub use cluster::{ClusterFaultCounts, ClusterFaultPlan, ClusterInjector, SlowWindow};
 pub use oracle::{
-    check_task_invariants, ChaosSummary, Decision, DivergenceClass, Oracle, OracleMode,
-    OracleReport, TaskSnap, Verdict,
+    check_task_invariants, task_invariants, ChaosSummary, Decision, DivergenceClass, Oracle,
+    OracleMode, OracleReport, TaskSnap, Verdict,
 };
 pub use plan::{FaultCounts, FaultInjector, FaultPlan, IpiFault};

@@ -586,37 +586,48 @@ impl Oracle {
 }
 
 /// Checks the machine-independent run-queue invariants over every live
-/// task: `counter ∈ [0, 2·priority]` and list-linkage coherence
-/// (`in_list() ⇒ on_runqueue()`; a zombie must never stay linked).
-/// Returns one description per violation (empty when all hold).
+/// task — one [`task_invariants`] call per task, in task-table order.
+/// Returns one description per violation (empty when all hold). This is
+/// the reference full walk; the machine's per-decision check visits only
+/// the tasks its change log names and is compared against this one in
+/// debug builds.
 pub fn check_task_invariants(tasks: &TaskTable) -> Vec<String> {
     let mut out = Vec::new();
     for t in tasks.iter() {
-        if t.counter < 0 || t.counter > 2 * t.priority {
-            out.push(format!(
-                "task {} '{}': counter {} outside [0, {}]",
-                t.tid.index(),
-                t.name,
-                t.counter,
-                2 * t.priority
-            ));
-        }
-        if t.in_list() && !t.on_runqueue() {
-            out.push(format!(
-                "task {} '{}': linked into a run-queue list but not marked on-queue",
-                t.tid.index(),
-                t.name
-            ));
-        }
-        if t.state == elsc_ktask::TaskState::Zombie && t.in_list() {
-            out.push(format!(
-                "task {} '{}': zombie still linked into a run-queue list",
-                t.tid.index(),
-                t.name
-            ));
-        }
+        task_invariants(t, &mut out);
     }
     out
+}
+
+/// The run-queue invariants of one task: `counter ∈ [0, 2·priority]` and
+/// list-linkage coherence (`in_list() ⇒ on_runqueue()`; a zombie must
+/// never stay linked). Appends one description per violation to `out`.
+/// Reads nothing but `t`, so a task that passed keeps passing until it is
+/// next handed out mutably.
+pub fn task_invariants(t: &Task, out: &mut Vec<String>) {
+    if t.counter < 0 || t.counter > 2 * t.priority {
+        out.push(format!(
+            "task {} '{}': counter {} outside [0, {}]",
+            t.tid.index(),
+            t.name,
+            t.counter,
+            2 * t.priority
+        ));
+    }
+    if t.in_list() && !t.on_runqueue() {
+        out.push(format!(
+            "task {} '{}': linked into a run-queue list but not marked on-queue",
+            t.tid.index(),
+            t.name
+        ));
+    }
+    if t.state == elsc_ktask::TaskState::Zombie && t.in_list() {
+        out.push(format!(
+            "task {} '{}': zombie still linked into a run-queue list",
+            t.tid.index(),
+            t.name
+        ));
+    }
 }
 
 /// Everything chaos-related a run report carries: the plan label, the

@@ -236,6 +236,9 @@ struct RunOutcome {
     trace_text: Option<String>,
     /// The in-memory trace ring (empty unless tracing was enabled).
     records: Vec<ObsRecord>,
+    /// Records the `--trace-out` file sink failed to write. The bounded
+    /// `--trace N` ring overflowing is by design and not counted here.
+    trace_lost: u64,
 }
 
 /// Runs the command line's workload on one machine under the scheduler
@@ -268,11 +271,15 @@ fn run_one(a: &Args, name: &str, trace_out: Option<&str>) -> Result<RunOutcome, 
         None
     };
     let records = machine.trace().records().to_vec();
+    // The file sink is the only external sink, so whatever the bus lost
+    // beyond the ring's own overflow, the file lost.
+    let trace_lost = report.trace_dropped - machine.trace().dropped();
     Ok(RunOutcome {
         report,
         metric,
         trace_text,
         records,
+        trace_lost,
     })
 }
 
@@ -345,6 +352,13 @@ fn run(a: &Args) -> Result<(), String> {
         }
         if let Some(e) = report.oracle_failure() {
             oracle_failures.push(format!("{name}: {e}"));
+        }
+        if let (Some(path), 1..) = (&trace_out, out.trace_lost) {
+            // A truncated trace is not the trace that was asked for.
+            return Err(format!(
+                "--trace-out {path}: {} trace record(s) were not written",
+                out.trace_lost
+            ));
         }
     }
     if !oracle_failures.is_empty() {
@@ -712,7 +726,8 @@ observability:
                    x cost kind; the paper sec. 4 scheduler-share figure)
   --trace-out P    stream the full event trace to P as JSON lines
                    (deterministic: same seed => byte-identical file);
-                   with several schedulers, P gets a .<sched> suffix
+                   with several schedulers, P gets a .<sched> suffix;
+                   a record the file did not take is an error (exit 1)
   --report-json P  write the whole run report to P as JSON
   --diff           run exactly two schedulers (--sched A,B) on the same
                    seed and report where their traces first diverge

@@ -48,6 +48,60 @@ fn shapes_with_more_than_256_queues_are_rejected_by_both_front_ends() {
     }
 }
 
+/// `--trace-out` onto a device that takes no bytes: the report still
+/// prints, and the lost lines are the exit code — not a truncated file
+/// and exit 0.
+#[test]
+fn a_trace_file_that_lost_lines_fails_the_run() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return; // no such device on this platform
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_elsc-sim"))
+        .args(["volano", "--up", "--sched", "elsc", "--rooms", "1"])
+        .args(["--users", "4", "--messages", "2"])
+        .args(["--trace-out", "/dev/full"])
+        .output()
+        .expect("elsc-sim runs");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stdout.contains("sched: calls="), "report printed: {stdout}");
+    let line = stderr.lines().last().unwrap_or_default();
+    assert!(
+        line.starts_with("error: --trace-out /dev/full: ")
+            && line.ends_with(" trace record(s) were not written"),
+        "{stderr}"
+    );
+}
+
+/// The same run with somewhere to write exits 0 and drops nothing — with
+/// and without a `--trace N` ring small enough to overflow, which is the
+/// ring's design and no error.
+#[test]
+fn a_trace_file_that_took_every_line_does_not() {
+    let dir = std::env::temp_dir().join(format!("elsc-trace-out-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (trace, report) = (dir.join("t.jsonl"), dir.join("r.json"));
+    for ring in [&[][..], &["--trace", "4"]] {
+        elsc_sim(
+            &[
+                &["volano", "--up", "--sched", "elsc", "--rooms", "1"][..],
+                &["--users", "4", "--messages", "2", "--quiet"],
+                &["--trace-out", trace.to_str().unwrap()],
+                &["--report-json", report.to_str().unwrap()],
+                ring,
+            ]
+            .concat(),
+        );
+        let json = std::fs::read_to_string(&report).unwrap();
+        assert_eq!(json.contains("\"trace_dropped\":0"), ring.is_empty());
+        assert!(std::fs::read_to_string(&trace).unwrap().lines().count() > 100);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn ls_lists_exactly_the_registry_rows() {
     let text = elsc_sim(&["ls"]);

@@ -106,8 +106,8 @@ impl ElscTable {
     ///
     /// Returns the list index used.
     pub fn link(&mut self, tasks: &mut TaskTable, tid: Tid) -> usize {
-        let (idx, is_zero) = index_for(tasks.task(tid));
         let t = tasks.task_mut(tid);
+        let (idx, is_zero) = index_for(t);
         t.rq_hint = idx as u8;
         t.rq_zero = is_zero;
         if is_zero {

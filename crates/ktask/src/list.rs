@@ -100,7 +100,11 @@ impl Lists {
         }
     }
 
-    /// Writes the forward link of the node `l` points to.
+    /// Writes the forward link of the node `l` points to. Forced inline,
+    /// like [`set_prev`](Lists::set_prev): every list operation makes
+    /// both writes, and the out-of-line half of `by_index_mut` is enough
+    /// to tip the inliner into leaving them as calls.
+    #[inline(always)]
     fn set_next(&mut self, tasks: &mut TaskTable, l: Link, v: Link) {
         match l {
             Link::Nil => panic!("list op through a NULL link"),
@@ -110,6 +114,7 @@ impl Lists {
     }
 
     /// Writes the backward link of the node `l` points to.
+    #[inline(always)]
     fn set_prev(&mut self, tasks: &mut TaskTable, l: Link, v: Link) {
         match l {
             Link::Nil => panic!("list op through a NULL link"),
@@ -169,8 +174,7 @@ impl Lists {
     ///
     /// Panics if the task is not linked.
     pub fn remove(&mut self, tasks: &mut TaskTable, tid: Tid) {
-        self.unlink(tasks, tid);
-        tasks.task_mut(tid).run_list = ListNode::detached();
+        self.unlink(tasks, tid, false);
     }
 
     /// Unlinks `tid` but clears only `prev`, leaving `next` dangling
@@ -181,18 +185,24 @@ impl Lists {
     ///
     /// Panics if the task is not linked.
     pub fn remove_keep_next(&mut self, tasks: &mut TaskTable, tid: Tid) {
-        self.unlink(tasks, tid);
-        // `next` intentionally left stale (non-Nil); `prev` marks off-list.
-        tasks.task_mut(tid).run_list.prev = Link::Nil;
+        self.unlink(tasks, tid, true);
     }
 
-    /// Common unlink: points neighbours at each other (`__list_del`).
-    fn unlink(&mut self, tasks: &mut TaskTable, tid: Tid) {
-        let node = tasks.task(tid).run_list;
+    /// Common unlink: points neighbours at each other (`__list_del`) and
+    /// marks the task off-list (`prev` NULL); `next` is NULLed too unless
+    /// `keep_next` leaves it stale. One lookup of the task serves the read
+    /// and the write.
+    fn unlink(&mut self, tasks: &mut TaskTable, tid: Tid, keep_next: bool) {
+        let t = tasks.task_mut(tid);
+        let node = t.run_list;
         assert!(
             !node.prev.is_nil() && !node.next.is_nil(),
             "unlink of task not in a list"
         );
+        t.run_list.prev = Link::Nil;
+        if !keep_next {
+            t.run_list.next = Link::Nil;
+        }
         self.set_next(tasks, node.prev, node.next);
         self.set_prev(tasks, node.next, node.prev);
     }

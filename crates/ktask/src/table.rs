@@ -11,16 +11,78 @@
 //! as the kernel's `task_struct` is (paper Table 1). Mutable lookups hand
 //! out a plain `&mut Task`; the run-list scans and the recalculation loop
 //! read and write that record directly.
+//!
+//! # The change log
+//!
+//! An observer that wants to know which tasks changed between two points
+//! (the machine's oracle, between one `schedule()` decision and the next)
+//! does not have to walk the table: every path that can hand out a
+//! `&mut Task` — [`get_mut`](TaskTable::get_mut) /
+//! [`task_mut`](TaskTable::task_mut),
+//! [`by_index_mut`](TaskTable::by_index_mut),
+//! [`iter_mut`](TaskTable::iter_mut) /
+//! [`recalc_counters`](TaskTable::recalc_counters),
+//! [`spawn`](TaskTable::spawn) and [`free`](TaskTable::free); the slab is
+//! private, so the borrow checker guarantees there is no other — records
+//! the slot it touched, and [`drain_touched`](TaskTable::drain_touched)
+//! hands the recorded slots over, each once. Nothing is recorded until a
+//! reader subscribes by draining for the first time (that first drain
+//! reports every occupied slot), and a table nobody watches allocates
+//! nothing for the log. The log is conservative: a slot handed out
+//! mutably is reported whether or not the caller wrote to it.
+//!
+//! The barrier costs an unwatched lookup no instruction of its own. Each
+//! slot carries one 64-bit key — generation in the high half, the
+//! `EMPTY` and `ARMED` flags in the low — so the single comparison a
+//! handle lookup makes anyway (`key == generation << 32`) also answers
+//! "occupied?" and "does the log want to hear about this?". `ARMED` means
+//! *watched and not yet logged since the last drain*: the first mutable
+//! lookup of an armed slot takes the out-of-line path, logs the slot and
+//! disarms it, and every later one is as cheap as if nobody watched.
 
 use crate::recalc;
 use crate::task::{Task, TaskSpec};
 use crate::tid::Tid;
 
-/// One slab slot.
+/// Slot flag: no task lives here (the record is a freed task's corpse).
+const EMPTY: u64 = 1;
+/// Slot flag: the change log is on and has not recorded this slot since
+/// the last drain.
+const ARMED: u64 = 2;
+
+/// The key of an occupied, unarmed slot of generation `gen`.
+#[inline]
+const fn key_of(gen: u32) -> u64 {
+    (gen as u64) << 32
+}
+
+/// One slab slot: its key (see the module docs) and the task record,
+/// which outlives `free` as an unreachable corpse until the slot is
+/// spawned into again. `repr(C)` pins the key behind the record, next to
+/// the state bytes and the list links every lookup goes on to touch — at
+/// 100 000 tasks the slab is far larger than the cache, and a key at the
+/// front of the slot would cost most lookups a second line.
 #[derive(Debug)]
+#[repr(C)]
 struct Slot {
-    gen: u32,
-    task: Option<Task>,
+    task: Task,
+    key: u64,
+}
+
+// The slab stride every scan and walk streams: the 72-byte record plus
+// its key.
+const _: () = assert!(core::mem::size_of::<Slot>() <= 80);
+
+impl Slot {
+    #[inline]
+    fn generation(&self) -> u32 {
+        (self.key >> 32) as u32
+    }
+
+    #[inline]
+    fn occupied(&self) -> bool {
+        self.key & EMPTY == 0
+    }
 }
 
 /// The set of all tasks in the system.
@@ -30,6 +92,12 @@ pub struct TaskTable {
     free: Vec<u32>,
     live: usize,
     spawned: u64,
+    /// Whether a change-log reader has subscribed. While `false` no slot
+    /// is ever armed and `touched` stays empty.
+    watched: bool,
+    /// The slots logged since the last drain, in first-touch order. A
+    /// logged slot is unarmed, so each is here once.
+    touched: Vec<u32>,
 }
 
 impl TaskTable {
@@ -44,17 +112,23 @@ impl TaskTable {
         self.live += 1;
         if let Some(idx) = self.free.pop() {
             let slot = &mut self.slots[idx as usize];
-            debug_assert!(slot.task.is_none());
-            let tid = Tid::from_raw(idx, slot.gen);
-            slot.task = Some(Task::new(tid, spec));
+            debug_assert!(!slot.occupied());
+            let tid = Tid::from_raw(idx, slot.generation());
+            slot.task = Task::new(tid, spec);
+            slot.key &= !EMPTY;
+            self.log_if_armed(idx as usize);
             tid
         } else {
             let idx = u32::try_from(self.slots.len()).expect("task table overflow");
             let tid = Tid::from_raw(idx, 0);
             self.slots.push(Slot {
-                gen: 0,
-                task: Some(Task::new(tid, spec)),
+                task: Task::new(tid, spec),
+                key: key_of(0),
             });
+            if self.watched {
+                // Born logged, hence unarmed.
+                self.touched.push(idx);
+            }
             tid
         }
     }
@@ -67,38 +141,65 @@ impl TaskTable {
     /// run-queue list (freeing a queued task would leave dangling links).
     pub fn free(&mut self, tid: Tid) {
         let slot = &mut self.slots[tid.index()];
-        assert_eq!(slot.gen, tid.generation(), "free of stale {tid:?}");
-        let task = slot.task.take().unwrap_or_else(|| {
-            panic!("double free of {tid:?}");
-        });
+        assert_eq!(slot.generation(), tid.generation(), "free of stale {tid:?}");
+        assert!(slot.occupied(), "double free of {tid:?}");
         assert!(
-            !task.in_list(),
+            !slot.task.in_list(),
             "freeing {} while still linked into a run queue",
-            task
+            slot.task
         );
-        slot.gen = slot.gen.wrapping_add(1);
+        slot.key = key_of(tid.generation().wrapping_add(1)) | EMPTY | (slot.key & ARMED);
         self.free.push(tid.index() as u32);
         self.live -= 1;
+        self.log_if_armed(tid.index());
+    }
+
+    /// Logs slot `idx` unless it already is in the log (or nobody
+    /// watches: then no slot is armed).
+    fn log_if_armed(&mut self, idx: usize) {
+        let slot = &mut self.slots[idx];
+        if slot.key & ARMED != 0 {
+            slot.key &= !ARMED;
+            self.touched.push(idx as u32);
+        }
+    }
+
+    /// The out-of-line half of a mutable lookup whose key test failed:
+    /// either the slot is armed — log it, disarm it, hand it out — or the
+    /// lookup is the caller's bug. `want` is the key the caller expected,
+    /// `None` for a lookup by raw index (any generation will do).
+    #[cold]
+    #[inline(never)]
+    fn log_armed(&mut self, idx: usize, want: Option<u64>) -> Option<&mut Task> {
+        let key = self.slots[idx].key;
+        let occupied_and_armed = match want {
+            Some(want) => key == want | ARMED,
+            None => key & (EMPTY | ARMED) == ARMED,
+        };
+        if !occupied_and_armed {
+            return None;
+        }
+        self.log_if_armed(idx);
+        Some(&mut self.slots[idx].task)
     }
 
     /// Looks up a task, returning `None` for stale handles.
     #[inline]
     pub fn get(&self, tid: Tid) -> Option<&Task> {
         let slot = self.slots.get(tid.index())?;
-        if slot.gen != tid.generation() {
-            return None;
-        }
-        slot.task.as_ref()
+        (slot.key & !ARMED == key_of(tid.generation())).then_some(&slot.task)
     }
 
     /// Mutable lookup, returning `None` for stale handles.
     #[inline]
     pub fn get_mut(&mut self, tid: Tid) -> Option<&mut Task> {
-        let slot = self.slots.get_mut(tid.index())?;
-        if slot.gen != tid.generation() {
-            return None;
+        let want = key_of(tid.generation());
+        // Indexed twice because the borrow of the early return would
+        // otherwise cover the out-of-line call.
+        if self.slots.get(tid.index())?.key == want {
+            return Some(&mut self.slots[tid.index()].task);
         }
-        slot.task.as_mut()
+        self.log_armed(tid.index(), Some(want))
     }
 
     /// Panicking lookup, for code paths where a stale handle is a bug.
@@ -134,9 +235,7 @@ impl TaskTable {
     #[inline]
     #[track_caller]
     pub fn by_index(&self, idx: usize) -> &Task {
-        self.slots[idx]
-            .task
-            .as_ref()
+        self.slot(idx)
             .unwrap_or_else(|| panic!("empty task slot {idx}"))
     }
 
@@ -148,10 +247,46 @@ impl TaskTable {
     #[inline]
     #[track_caller]
     pub fn by_index_mut(&mut self, idx: usize) -> &mut Task {
-        self.slots[idx]
-            .task
-            .as_mut()
+        if self.slots[idx].key & (EMPTY | ARMED) == 0 {
+            return &mut self.slots[idx].task;
+        }
+        self.log_armed(idx, None)
             .unwrap_or_else(|| panic!("empty task slot {idx}"))
+    }
+
+    /// Occupied-slot lookup by raw slab index: the task in slot `idx`, or
+    /// `None` if the slot is empty or past the end of the slab. What a
+    /// [`drain_touched`](TaskTable::drain_touched) reader resolves the
+    /// drained slots with — a freed slot is reported too.
+    #[inline]
+    pub fn slot(&self, idx: usize) -> Option<&Task> {
+        let slot = self.slots.get(idx)?;
+        slot.occupied().then_some(&slot.task)
+    }
+
+    /// Drains the [change log](self#the-change-log): appends to `out`,
+    /// in no particular order and each once, every slot that was spawned
+    /// into, freed or handed out mutably since the previous drain. The
+    /// first call subscribes — recording starts with it — and reports
+    /// every occupied slot, so a reader that applies each drain to its
+    /// own picture of the table is exact from its first call on.
+    pub fn drain_touched(&mut self, out: &mut Vec<u32>) {
+        if !self.watched {
+            self.watched = true;
+            // Every slot is now either logged or armed: the occupied ones
+            // are reported by this drain, the empty ones wait for `spawn`.
+            for (idx, slot) in self.slots.iter_mut().enumerate() {
+                if slot.occupied() {
+                    self.touched.push(idx as u32);
+                } else {
+                    slot.key |= ARMED;
+                }
+            }
+        }
+        for &idx in &self.touched {
+            self.slots[idx as usize].key |= ARMED;
+        }
+        out.append(&mut self.touched);
     }
 
     /// Number of live tasks.
@@ -173,12 +308,20 @@ impl TaskTable {
 
     /// Iterates over all live tasks (`for_each_task`).
     pub fn iter(&self) -> impl Iterator<Item = &Task> {
-        self.slots.iter().filter_map(|s| s.task.as_ref())
+        self.slots.iter().filter(|s| s.occupied()).map(|s| &s.task)
     }
 
     /// Mutably iterates over all live tasks.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Task> {
-        self.slots.iter_mut().filter_map(|s| s.task.as_mut())
+        if self.watched {
+            for idx in 0..self.slots.len() {
+                if self.slots[idx].occupied() {
+                    self.log_if_armed(idx);
+                }
+            }
+        }
+        let live = self.slots.iter_mut().filter(|s| s.occupied());
+        live.map(|s| &mut s.task)
     }
 
     /// Collects the handles of all live tasks.
@@ -323,6 +466,102 @@ mod tests {
         assert_eq!(t.task(z).counter, 4);
     }
 
+    /// Drains the log into a fresh, sorted vector.
+    fn drained(t: &mut TaskTable) -> Vec<u32> {
+        let mut out = Vec::new();
+        t.drain_touched(&mut out);
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn nothing_is_logged_before_the_first_drain() {
+        let mut t = TaskTable::new();
+        let tids: Vec<Tid> = (0..100).map(|_| t.spawn(&TaskSpec::default())).collect();
+        for &tid in &tids {
+            t.task_mut(tid).counter = 1;
+            t.by_index_mut(tid.index()).counter = 2;
+        }
+        t.recalc_counters(true);
+        t.free(tids[3]);
+        assert!(!t.watched);
+        assert!(t.slots.iter().all(|s| s.key & ARMED == 0), "nothing armed");
+        assert_eq!(t.touched.capacity(), 0, "no memory before a reader");
+        // The subscribing drain reports the table as it stands: every
+        // occupied slot, the freed one not among them.
+        let all: Vec<u32> = (0..100).filter(|&i| i != 3).collect();
+        assert_eq!(drained(&mut t), all);
+        assert_eq!(drained(&mut t), [], "a drain empties the log");
+        // A slot that was already empty when the reader arrived is logged
+        // when it is spawned into.
+        assert_eq!(t.spawn(&TaskSpec::default()).index(), 3);
+        assert_eq!(drained(&mut t), [3]);
+    }
+
+    #[test]
+    fn every_mutable_path_is_drained_exactly_once() {
+        let mut t = TaskTable::new();
+        let tids: Vec<Tid> = (0..6).map(|_| t.spawn(&TaskSpec::default())).collect();
+        let slot = |i: usize| tids[i].index() as u32;
+        drained(&mut t); // subscribe
+
+        // Immutable lookups are not logged.
+        let _ = (t.get(tids[0]), t.task(tids[1]), t.by_index(2), t.slot(3));
+        let _ = (t.iter().count(), t.tids(), t.len(), t.is_empty());
+        assert_eq!(drained(&mut t), []);
+
+        // Each mutable lookup is, once, however often it repeats and
+        // whether or not the caller writes through it.
+        t.get_mut(tids[0]).unwrap().counter = 3;
+        let _ = t.get_mut(tids[0]);
+        assert_eq!(drained(&mut t), [slot(0)]);
+        t.task_mut(tids[1]).counter = 3;
+        t.task_mut(tids[1]).counter = 4;
+        assert_eq!(drained(&mut t), [slot(1)]);
+        t.by_index_mut(tids[2].index()).counter = 3;
+        let _ = t.by_index_mut(tids[2].index());
+        assert_eq!(drained(&mut t), [slot(2)]);
+        assert_eq!(drained(&mut t), [], "already handed over");
+
+        // A stale handle resolves to nothing and logs nothing.
+        t.free(tids[5]);
+        assert_eq!(drained(&mut t), [slot(5)], "free is logged");
+        assert!(t.get_mut(tids[5]).is_none());
+        assert_eq!(drained(&mut t), []);
+
+        // The whole-table walks log every occupied slot (and only those).
+        let live: Vec<u32> = (0..5).map(slot).collect();
+        t.iter_mut().for_each(drop);
+        assert_eq!(drained(&mut t), live);
+        t.recalc_counters(false);
+        t.task_mut(tids[4]).counter = 0; // no second entry for slot 4
+        assert_eq!(drained(&mut t), live);
+
+        // spawn: into the reused slot, then into a fresh one.
+        let reused = t.spawn(&TaskSpec::default());
+        assert_eq!(reused.index(), tids[5].index());
+        assert_eq!(drained(&mut t), [slot(5)]);
+        let fresh = t.spawn(&TaskSpec::default());
+        assert_eq!(fresh.index(), 6);
+        assert_eq!(drained(&mut t), [6]);
+    }
+
+    #[test]
+    fn a_slot_freed_and_respawned_between_drains_reads_as_its_new_occupant() {
+        let mut t = TaskTable::new();
+        let old = t.spawn(&TaskSpec::named("old"));
+        let gone = t.spawn(&TaskSpec::named("gone"));
+        drained(&mut t);
+        t.free(old);
+        let new = t.spawn(&TaskSpec::named("new"));
+        t.free(gone);
+        assert_eq!(drained(&mut t), [0, 1], "each slot once");
+        assert_eq!(t.slot(0).map(|task| task.tid), Some(new));
+        assert_eq!(t.slot(0).map(|task| task.name), Some("new"));
+        assert!(t.slot(1).is_none(), "a freed slot is reported, and empty");
+        assert!(t.slot(99).is_none(), "past the slab");
+    }
+
     /// Satellite regression test: generation wraparound and stale-handle
     /// rejection after heavy spawn/free churn — the access pattern the
     /// mega workload exercises at 100k+ tasks.
@@ -355,7 +594,7 @@ mod tests {
         // The slot now has gen 1; walk it to u32::MAX by direct churn.
         // Simulating 4 billion frees is too slow, so poke the slot's
         // generation directly (test-only, same-crate access).
-        t.slots[seed.index()].gen = u32::MAX;
+        t.slots[seed.index()].key = key_of(u32::MAX) | EMPTY;
         let old = t.spawn(&TaskSpec::default());
         assert_eq!(old.generation(), u32::MAX);
         t.free(old); // wraps the slot generation to 0

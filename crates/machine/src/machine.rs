@@ -19,7 +19,7 @@ use crate::behavior::{Behavior, Syscall};
 use crate::config::MachineConfig;
 use crate::cpu::CpuState;
 use crate::engine::Event;
-use crate::observe::DecisionTracer;
+use crate::observe::{DecisionTracer, TaskWatch};
 use crate::report::{Distributions, Ledger};
 use crate::supervise::Supervision;
 
@@ -148,6 +148,9 @@ pub struct Machine {
     pub(crate) tracer: Option<DecisionTracer>,
     /// Reusable buffer for the pre-decision runnable-set snapshot.
     pub(crate) snap_scratch: Vec<TaskSnap>,
+    /// The trace's and the oracle's change-log reader (idle, and the log
+    /// unsubscribed, unless one of them is on).
+    pub(crate) watch: TaskWatch,
     /// Watchdog record of a loaded policy or learned model (None =
     /// native scheduler, so native runs carry no supervision at all).
     pub(crate) supervision: Option<Supervision>,
@@ -226,6 +229,7 @@ impl Machine {
             oracle,
             tracer,
             snap_scratch: Vec::new(),
+            watch: TaskWatch::default(),
             supervision,
             now: Cycles::ZERO,
             live_users: 0,

@@ -49,21 +49,23 @@ impl Machine {
         // Spurious wakeup: aim a wake_up_process() at a deterministically
         // chosen live task. Waking a non-blocked task must be a no-op;
         // waking a blocked one early is legal but hostile.
-        if self.injector.is_some() {
-            let cands: Vec<Tid> = self
-                .tasks
-                .iter()
-                .map(|t| t.tid)
+        // The candidates are the live non-idle tasks in task-table order;
+        // the idle tasks (one per CPU) live as long as the machine, so the
+        // count needs no walk, and the victim is only looked for on the
+        // rare tick the fault fires.
+        let candidates = self.tasks.len() - self.cpus.len();
+        if let Some(i) = self
+            .injector
+            .as_mut()
+            .and_then(|inj| inj.spurious_wakeup(candidates))
+        {
+            let work = self.tasks.iter().map(|t| t.tid);
+            let victim = work
                 .filter(|&tid| !is_idle_task(&self.cpus, tid))
-                .collect();
-            if let Some(i) = self
-                .injector
-                .as_mut()
-                .and_then(|inj| inj.spurious_wakeup(cands.len()))
-            {
-                self.emit_fault(now, cpu, "spurious_wakeup");
-                self.wake_up(cands[i], cpu, now);
-            }
+                .nth(i)
+                .expect("fewer non-idle tasks than counted");
+            self.emit_fault(now, cpu, "spurious_wakeup");
+            self.wake_up(victim, cpu, now);
         }
         let cur = self.cpus[cpu].current;
         if !self.cpus[cpu].is_idle() {

@@ -93,9 +93,16 @@ impl HookRun {
     }
 }
 
-/// Maps a list-index value into the bank (total semantics: modulo).
+/// Maps a list-index value into the bank (total semantics: modulo). An
+/// index already in range — every one a well-formed policy computes —
+/// skips the hardware divide.
+#[inline]
 pub(crate) fn wrap_list(i: i64, nr_lists: usize) -> usize {
-    i.rem_euclid(nr_lists as i64) as usize
+    if (0..nr_lists as i64).contains(&i) {
+        i as usize
+    } else {
+        i.rem_euclid(nr_lists as i64) as usize
+    }
 }
 
 /// The `set_counter(task, value)` effect: clamped to
@@ -685,6 +692,17 @@ mod tests {
     const RR_POL: &str = include_str!("../../../policies/rr.pol");
     const TABLE_POL: &str = include_str!("../../../policies/table.pol");
     const STARVE_POL: &str = include_str!("../../../policies/starve.pol");
+
+    #[test]
+    fn wrap_list_is_rem_euclid_for_every_index() {
+        for nr_lists in 1..=33usize {
+            let extremes = [i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX];
+            for i in (-70..70i64).chain(extremes) {
+                let want = i.rem_euclid(nr_lists as i64) as usize;
+                assert_eq!(wrap_list(i, nr_lists), want, "{i} mod {nr_lists}");
+            }
+        }
+    }
 
     /// Test harness bundling the context pieces around any scheduler.
     struct Rig<S: Scheduler> {
