@@ -6,21 +6,32 @@
 //! with the real data structures and renders it.
 
 use elsc::ElscScheduler;
-use elsc_bench::header;
-use elsc_ktask::{TaskSpec, TaskTable, Tid};
-use elsc_sched_api::{SchedConfig, SchedCtx, Scheduler};
+use elsc_bench::rig::Rig;
+use elsc_ktask::TaskSpec;
+use elsc_lab::header;
+use elsc_sched_api::{SchedConfig, Scheduler};
 use elsc_sched_linux::LinuxScheduler;
-use elsc_simcore::{CostModel, CycleMeter};
-use elsc_stats::SchedStats;
 
 /// The static-goodness values from the paper's figure.
 const GOODNESS: [i32; 4] = [40, 33, 23, 22];
 
-/// Builds a task with the requested static goodness (priority 20).
-fn spawn(tasks: &mut TaskTable, sg: i32) -> Tid {
-    let tid = tasks.spawn(&TaskSpec::named("task").priority(20));
-    tasks.task_mut(tid).counter = sg - 20;
-    tid
+/// A rig around `sched` holding the figure's four tasks (priority 20),
+/// inserted in reverse so the figure's order (40 first) comes out.
+fn populated<S: Scheduler>(sched: S) -> Rig<S> {
+    let mut rig = Rig::around(Box::new(sched), SchedConfig::up());
+    for &sg in GOODNESS.iter().rev() {
+        let tid = rig.tasks.spawn(&TaskSpec::named("task").priority(20));
+        rig.tasks.task_mut(tid).counter = sg - 20;
+        rig.add(tid);
+    }
+    rig
+}
+
+/// Prints ` -> [sg]` for each task-table index in `members`.
+fn print_chain<S: Scheduler>(rig: &Rig<S>, members: Vec<u32>) {
+    for i in members {
+        print!(" -> [{}]", rig.tasks.by_index(i as usize).static_goodness());
+    }
 }
 
 fn main() {
@@ -29,81 +40,24 @@ fn main() {
         "Molloy & Honeyman 2001, Figure 1",
     );
 
-    // (a) The baseline's single list.
-    {
-        let mut tasks = TaskTable::new();
-        let mut stats = SchedStats::new(1);
-        let mut meter = CycleMeter::new();
-        let costs = CostModel::free();
-        let cfg = SchedConfig::up();
-        let mut sched = LinuxScheduler::new();
-        let mut ctx = SchedCtx {
-            tasks: &mut tasks,
-            stats: &mut stats,
-            meter: &mut meter,
-            costs: &costs,
-            cfg: &cfg,
-            probe: None,
-            locks: None,
-        };
-        // Insert in reverse so the figure's order (40 first) comes out.
-        for &sg in GOODNESS.iter().rev() {
-            let tid = spawn(ctx.tasks, sg);
-            sched.add_to_runqueue(&mut ctx, tid);
-        }
-        let order: Vec<i32> = sched
-            .queue_order(&tasks)
-            .into_iter()
-            .map(|i| tasks.by_index(i as usize).static_goodness())
-            .collect();
-        println!("(a) current scheduler: one unsorted list, scanned fully:");
-        print!("    head");
-        for sg in &order {
-            print!(" -> [{sg}]");
-        }
-        println!(" -> head");
-    }
+    let reg = populated(LinuxScheduler::new());
+    println!("(a) current scheduler: one unsorted list, scanned fully:");
+    print!("    head");
+    print_chain(&reg, reg.sched.queue_order(&reg.tasks));
+    println!(" -> head");
 
-    // (b) The ELSC table.
-    {
-        let mut tasks = TaskTable::new();
-        let mut stats = SchedStats::new(1);
-        let mut meter = CycleMeter::new();
-        let costs = CostModel::free();
-        let cfg = SchedConfig::up();
-        let mut sched = ElscScheduler::new();
-        let mut ctx = SchedCtx {
-            tasks: &mut tasks,
-            stats: &mut stats,
-            meter: &mut meter,
-            costs: &costs,
-            cfg: &cfg,
-            probe: None,
-            locks: None,
-        };
-        for &sg in GOODNESS.iter().rev() {
-            let tid = spawn(ctx.tasks, sg);
-            sched.add_to_runqueue(&mut ctx, tid);
+    let elsc = populated(ElscScheduler::new());
+    let table = elsc.sched.table();
+    println!("\n(b) ELSC: a table of lists indexed by static goodness / 4:");
+    for list in (0..30).rev() {
+        let members = table.lists().collect(&elsc.tasks, list);
+        if !members.is_empty() {
+            let is_top = table.top() == Some(list);
+            print!("    list[{list:>2}]{}", if is_top { " <- top" } else { "" });
+            print_chain(&elsc, members);
+            println!();
         }
-        println!("\n(b) ELSC: a table of lists indexed by static goodness / 4:");
-        for list in (0..30).rev() {
-            let members: Vec<i32> = sched
-                .table()
-                .lists()
-                .collect(&tasks, list)
-                .into_iter()
-                .map(|i| tasks.by_index(i as usize).static_goodness())
-                .collect();
-            if !members.is_empty() {
-                let is_top = sched.table().top() == Some(list);
-                print!("    list[{list:>2}]{}", if is_top { " <- top" } else { "" });
-                for sg in members {
-                    print!(" -> [{sg}]");
-                }
-                println!();
-            }
-        }
-        println!("\nselection: the baseline evaluates all 4 tasks; ELSC looks only at");
-        println!("the top list and runs [40] after examining a single candidate.");
     }
+    println!("\nselection: the baseline evaluates all 4 tasks; ELSC looks only at");
+    println!("the top list and runs [40] after examining a single candidate.");
 }

@@ -10,8 +10,8 @@
 //!
 //! `sweep` expands the spec into cells, executes the dirty ones on a
 //! worker pool (cache hits are loaded, not re-run), writes the manifest,
-//! and exits non-zero if any cell failed. `render` sweeps one paper
-//! artifact the same way and prints its table. `compare` diffs two
+//! and exits non-zero if any cell failed. `render` sweeps one experiment
+//! table the same way and prints it. `compare` diffs two
 //! manifests and exits non-zero on regressions or missing cells. `ls`
 //! lists the builtin specs.
 
@@ -51,7 +51,7 @@ pub fn run_lab(a: &Args) -> Result<(), String> {
 fn specs(a: &Args) -> Result<Vec<SweepSpec>, String> {
     let mut chosen = Vec::new();
     if a.flag("all-figures") {
-        // A paper artifact is a builtin with a renderer; the gate
+        // An experiment table is a builtin with a renderer; the gate
         // builtins (smoke, chaos, topo, ...) have none.
         for (name, _) in RENDERERS {
             chosen.push(SweepSpec::builtin(name).expect("every renderer names a builtin"));
@@ -134,8 +134,8 @@ fn sweep(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `lab render NAME`: sweep one paper artifact exactly as `lab sweep`
-/// would, then print its table. A table is never printed over a sweep
+/// `lab render NAME`: sweep one experiment table exactly as `lab sweep`
+/// would, then print it. A table is never printed over a sweep
 /// with failed cells.
 fn render(a: &Args) -> Result<(), String> {
     let name = a.get("spec").unwrap_or("");
@@ -226,17 +226,18 @@ usage:
   elsc-sim lab compare --manifest PATH --baseline PATH [--threshold PCT]
   elsc-sim lab ls
 
-render: sweep one paper artifact (figure2..figure6, table2, kernel_share)
-through the shared cache exactly as `lab sweep --spec NAME` does, then
-print its table in the paper's layout. Takes the sweep options below.
+render: sweep one experiment table (figure2..figure6, table2,
+kernel_share, contention, gooch, latency) through the shared cache
+exactly as `lab sweep --spec NAME` does, then print it. Takes the sweep
+options below.
 
 sweep options:
   --spec NAME      a builtin spec (elsc-sim lab ls)
   --spec-file P    a spec file in the lab text format (see DESIGN.md sec. 7)
-  --all-figures    every paper artifact: figure2..figure6, table2,
-                   kernel_share (manifests under results/lab/; the
-                   smoke, chaos, topo, policy, cluster, mega, and learn
-                   gates are separate specs)
+  --all-figures    every table `render` knows: figure2..figure6, table2,
+                   kernel_share, contention, gooch, latency (manifests
+                   under results/lab/; the smoke, chaos, topo, policy,
+                   cluster, mega, and learn gates are separate specs)
   --workers N      worker threads                  [host parallelism]
   --out PATH       manifest path (single spec only) [results/lab/<name>.json]
   --cache-dir P    result cache directory           [results/lab/cache]
@@ -251,8 +252,9 @@ compare options:
                    manifests carry it [5]; wall_ratio gates separately
                    at a fixed 2x factor
 
-environment: ELSC_MESSAGES (messages/user, default 20),
-ELSC_ITERATIONS (seeds per cell, default 1; first discarded when > 1),
+environment (figure builtins and contention): ELSC_MESSAGES
+(messages/user, default 20), ELSC_ITERATIONS (seeds per cell, default 1;
+first discarded when > 1);
 ELSC_MEGA_ROOMS (rooms list for the mega spec, default \"50, 250\").
 
 exit status: 0 all cells ran and the gate passed; 1 any cell failed,

@@ -118,6 +118,68 @@ fn ls_lists_exactly_the_registry_rows() {
     assert_eq!(listed, registry);
 }
 
+/// The experiments that used to be `elsc-bench` binaries are lab
+/// builtins with a renderer: `lab ls` sizes them, `lab render` of an
+/// unknown name offers them, and `lab render gooch` prints the table
+/// from a sweep it can then replay from the cache byte for byte.
+#[test]
+fn the_former_bench_binaries_are_lab_renders() {
+    let ls = elsc_sim(&["lab", "ls"]);
+    for (name, cells) in [("contention", 27), ("gooch", 25), ("latency", 10)] {
+        let row = ls.lines().find(|l| l.starts_with(name));
+        let row = row.unwrap_or_else(|| panic!("lab ls has no {name} row:\n{ls}"));
+        assert_eq!(row.split_whitespace().nth(1), Some(&*cells.to_string()));
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_elsc-sim"))
+        .args(["lab", "render", "figure9"])
+        .output()
+        .expect("elsc-sim runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("kernel_share, contention, gooch, latency"),
+        "{stderr}"
+    );
+
+    let dir = std::env::temp_dir().join(format!("elsc-cli-gooch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (cache, out) = (dir.join("cache"), dir.join("gooch.json"));
+    let render = || {
+        let args = ["lab", "render", "gooch", "--workers", "2"];
+        let paths = ["--cache-dir", cache.to_str().unwrap()];
+        let text = elsc_sim(&[&args[..], &paths, &["--out", out.to_str().unwrap()]].concat());
+        // Below the two status lines the table is a pure view of the run.
+        let table = text.split_once("\n\n").expect("status, blank, table").1;
+        (text.lines().next().unwrap().to_string(), table.to_string())
+    };
+    let (cold_status, cold) = render();
+    let (warm_status, warm) = render();
+    assert!(
+        cold_status.contains("25 executed, 0 cached"),
+        "{cold_status}"
+    );
+    assert!(
+        warm_status.contains("0 executed, 25 cached"),
+        "{warm_status}"
+    );
+    assert_eq!(cold, warm);
+    let row = |sched: &str| {
+        let line = cold.lines().find(|l| l.starts_with(sched)).unwrap();
+        line.split_whitespace()
+            .map(String::from)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        row("reg")[1..],
+        ["1368", "1541", "2296", "5417", "19067", "13.9"]
+    );
+    assert_eq!(
+        row("elsc")[1..],
+        ["1444", "1556", "1594", "1604", "1606", "1.1"]
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// One cell per workload: the flags on the left and the `CellConfig` on
 /// the right describe the same run, so the reports must not differ by a
 /// byte. Seed 23062 is the CLI's own default, passed by neither side.

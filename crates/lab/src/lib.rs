@@ -18,8 +18,9 @@
 //!    — a regression gate CI runs on every push.
 //!
 //! The grid itself is a [`SweepSpec`] ([`spec`]): a tiny text format
-//! with builtin specs for every paper artifact (`figure2`…`figure6`,
-//! `table2`, `kernel_share`, plus a CI-sized `smoke`). The `elsc-sim lab`
+//! with builtin specs for every experiment (`figure2`…`figure6`,
+//! `table2`, `kernel_share`, `contention`, `gooch`, `latency`, plus a
+//! CI-sized `smoke` and the gate sweeps). The `elsc-sim lab`
 //! subcommand — sweeps, the `render` tables, the compare gate — is a
 //! thin client of this crate.
 //!

@@ -453,8 +453,8 @@ impl SweepSpec {
     }
 
     /// The builtin spec reproducing one paper artifact, or `None` for an
-    /// unknown name. Builtins honour the same environment knobs as the
-    /// bench binaries: `ELSC_MESSAGES` (messages per user, default 20)
+    /// unknown name. The figure builtins and `contention` honour two
+    /// environment knobs: `ELSC_MESSAGES` (messages per user, default 20)
     /// and `ELSC_ITERATIONS` (seeds per cell, default 1; the first run
     /// is discarded as warm-up when more than one, per §6). The `mega`
     /// builtin additionally honours `ELSC_MEGA_ROOMS` (a rooms list
@@ -681,6 +681,40 @@ impl SweepSpec {
                  seed = {seeds}\n\
                  rooms = 5, 25\n messages = {messages}\n"
             ),
+            // §7/§8 `runqueue_lock` contention: each design under its
+            // declared lock plan and under both forced ones, so the
+            // shorter-queue effect and the more-locks effect read apart.
+            // The `default` rows of reg and elsc are figure3's 20-room
+            // cells (cache-shared).
+            "contention" => format!(
+                "name = contention\n\
+                 workload = volano\n\
+                 sched = reg, elsc, mq\n\
+                 shape = 1P, 2P, 4P\n\
+                 plan = default, global, percpu\n\
+                 seed = {seeds}\n\
+                 rooms = 20\n messages = {messages}\n"
+            ),
+            // Reference [5], Gooch's yield benchmark: scheduler cost per
+            // `sched_yield()` against the number of runnable spinners,
+            // every design, UP.
+            "gooch" => format!(
+                "name = gooch\n\
+                 workload = stress\n\
+                 shape = UP\n\
+                 seed = {BASE_SEED}\n\
+                 tasks = 2, 8, 32, 128, 512\n rounds = 40\n burst = 2000\n"
+            ),
+            // §8's Apache question: 512 clients on a 64-worker pool,
+            // every design, 2P and 4P; the renderer reads the latency
+            // percentiles out of each cell's embedded report.
+            "latency" => format!(
+                "name = latency\n\
+                 workload = httpd\n\
+                 shape = 2P, 4P\n\
+                 seed = {BASE_SEED}\n\
+                 clients = 512\n workers = 64\n requests = 8\n"
+            ),
             _ => return None,
         };
         Some(text.parse().expect("builtin specs always parse"))
@@ -688,9 +722,9 @@ impl SweepSpec {
 
     /// Names of every builtin spec, in `--all-figures` run order
     /// (`--all-figures` sweeps the ones the CLI has a renderer for —
-    /// the paper artifacts — and so skips the gate sweeps `smoke`,
+    /// the experiment tables — and so skips the gate sweeps `smoke`,
     /// `chaos`, `topo`, `policy`, `cluster`, `mega` and `learn`).
-    pub const BUILTINS: [&'static str; 14] = [
+    pub const BUILTINS: [&'static str; 17] = [
         "smoke",
         "figure2",
         "figure3",
@@ -699,6 +733,9 @@ impl SweepSpec {
         "figure6",
         "table2",
         "kernel_share",
+        "contention",
+        "gooch",
+        "latency",
         "chaos",
         "topo",
         "policy",
@@ -842,6 +879,14 @@ mod tests {
         for c in SweepSpec::builtin("figure4").unwrap().cells() {
             assert!(f3.contains(&c.id()), "figure4 cell not in figure3: {c}");
         }
+        // The former `elsc-bench` experiments: 3 designs × 3 shapes × 3
+        // plans, 5 designs × 5 queue lengths, 5 designs × 2 shapes.
+        for (name, cells) in [("contention", 27), ("gooch", 25), ("latency", 10)] {
+            assert_eq!(SweepSpec::builtin(name).unwrap().cells().len(), cells);
+        }
+        // contention's declared-plan reg/elsc rows are figure3 cells.
+        let shared = SweepSpec::builtin("contention").unwrap().cells();
+        assert_eq!(shared.iter().filter(|c| f3.contains(&c.id())).count(), 6);
     }
 
     #[test]

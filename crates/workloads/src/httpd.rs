@@ -10,6 +10,9 @@
 //! finishes, a coordinator feeds the workers poison pills so the run
 //! terminates cleanly.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use elsc_ktask::{MmId, TaskSpec};
 use elsc_machine::{Behavior, Machine, MachineConfig, Op, RunReport, SysView};
 use elsc_netsim::{Msg, PipeId};
@@ -61,6 +64,18 @@ impl HttpdConfig {
     }
 }
 
+/// Where a client is in its request cycle.
+enum ClientState {
+    /// Between requests: the next resume sends one, or reports.
+    Thinking,
+    /// The request write completed; the response read comes next.
+    WroteRequest,
+    /// Blocked on the response socket.
+    AwaitingResponse,
+    /// The completion report is written; exit comes next.
+    Reporting,
+}
+
 /// A client: think, request, await response; finally report completion.
 struct Client {
     accept: PipeId,
@@ -68,64 +83,65 @@ struct Client {
     done: PipeId,
     id: u64,
     left: usize,
-    awaiting: bool,
-    reported: bool,
+    state: ClientState,
     work: u64,
     think: u64,
     jitter: f64,
     /// When the in-flight request was issued, for response latency.
-    sent_at: Option<elsc_simcore::Cycles>,
+    sent_at: elsc_simcore::Cycles,
+}
+
+impl Client {
+    /// Tells the coordinator this client is finished.
+    fn report(&mut self) -> Op {
+        self.state = ClientState::Reporting;
+        Op::write_after(1_000, self.done, Msg::tagged(self.id))
+    }
 }
 
 impl Behavior for Client {
     fn resume(&mut self, sys: &mut SysView<'_>) -> Op {
-        if self.awaiting {
-            // A response just arrived.
-            debug_assert!(sys.last_read.is_some());
-            self.awaiting = false;
-            sys.ledger.add("responses", 1);
-            if let Some(sent) = self.sent_at.take() {
-                sys.dists
-                    .record("response_latency", sys.now.saturating_sub(sent).get());
+        match self.state {
+            ClientState::Thinking if self.left > 0 => {
+                self.left -= 1;
+                self.state = ClientState::WroteRequest;
+                self.sent_at = sys.now;
+                let work = sys.rng.jitter(self.work, self.jitter);
+                Op::write_after(work, self.accept, Msg::tagged(self.id))
             }
-            let think = sys.rng.exp(self.think as f64) as u64;
-            return Op::sleep_after(sys.rng.jitter(self.work, self.jitter), think.max(1));
+            ClientState::Thinking => self.report(),
+            ClientState::WroteRequest => {
+                self.state = ClientState::AwaitingResponse;
+                Op::read_after(1_000, self.response)
+            }
+            ClientState::AwaitingResponse if sys.last_read.is_some() => {
+                self.state = ClientState::Thinking;
+                sys.ledger.add("responses", 1);
+                sys.dists.record(
+                    "response_latency",
+                    sys.now.saturating_sub(self.sent_at).get(),
+                );
+                let think = sys.rng.exp(self.think as f64) as u64;
+                Op::sleep_after(sys.rng.jitter(self.work, self.jitter), think.max(1))
+            }
+            // The connection was reset under the read (chaos
+            // `peer_reset`): like `volanomark::ClientRx`, a client that
+            // sees EOF gives up its remaining requests instead of
+            // re-reading a dead socket for ever.
+            ClientState::AwaitingResponse => self.report(),
+            ClientState::Reporting => Op::exit(),
         }
-        if self.left > 0 {
-            self.left -= 1;
-            self.awaiting = true;
-            self.sent_at = Some(sys.now);
-            let work = sys.rng.jitter(self.work, self.jitter);
-            // Request, then (next resume is triggered by the read below
-            // completing; issue write now, read chained via pending).
-            return Op::write_after(work, self.accept, Msg::tagged(self.id));
-        }
-        if !self.reported {
-            self.reported = true;
-            return Op::write_after(1_000, self.done, Msg::tagged(self.id));
-        }
-        Op::exit()
     }
 }
 
-/// After a request write completes the client must read its response;
-/// that chaining needs a second step, so `Client` alternates via the
-/// `awaiting` flag and this helper behavior is not needed — but the write
-/// completion resumes the behavior *before* the response exists. To keep
-/// the state machine honest the client reads immediately after writing:
-/// the read blocks until a worker responds.
-struct ClientRead {
-    inner: Client,
-}
-
-impl Behavior for ClientRead {
-    fn resume(&mut self, sys: &mut SysView<'_>) -> Op {
-        if self.inner.awaiting && sys.last_read.is_none() {
-            // The request write completed; now wait for the response.
-            return Op::read_after(1_000, self.inner.response);
-        }
-        self.inner.resume(sys)
-    }
+/// Where a worker is in its accept/serve cycle.
+enum WorkerState {
+    /// Between requests: the next resume reads the accept queue.
+    Idle,
+    /// Blocked on the accept queue.
+    Accepting,
+    /// The accept queue died: closing the response sockets.
+    Teardown,
 }
 
 /// A worker: serve requests from the accept queue until poisoned.
@@ -134,24 +150,47 @@ struct Worker {
     responses: Vec<PipeId>,
     work: u64,
     jitter: f64,
-    /// Response to send, if a request was just read.
-    serving: Option<u64>,
+    state: WorkerState,
+    /// Index of the next response socket to close, shared by the pool so
+    /// a teardown closes each socket once, whichever workers run it.
+    closed: Rc<Cell<usize>>,
+}
+
+impl Worker {
+    /// Closes the next response socket nobody has closed yet, or exits.
+    fn teardown(&mut self) -> Op {
+        self.state = WorkerState::Teardown;
+        let next = self.closed.get();
+        match self.responses.get(next) {
+            Some(&pipe) => {
+                self.closed.set(next + 1);
+                Op::close_after(200, pipe)
+            }
+            None => Op::exit(),
+        }
+    }
 }
 
 impl Behavior for Worker {
     fn resume(&mut self, sys: &mut SysView<'_>) -> Op {
-        if let Some(msg) = sys.last_read {
-            if msg.tag == POISON {
-                return Op::exit();
+        match (&self.state, sys.last_read) {
+            (WorkerState::Idle, _) => {
+                self.state = WorkerState::Accepting;
+                Op::read_after(2_000, self.accept)
             }
-            self.serving = Some(msg.tag);
+            (WorkerState::Accepting, Some(msg)) if msg.tag == POISON => Op::exit(),
+            (WorkerState::Accepting, Some(msg)) => {
+                self.state = WorkerState::Idle;
+                sys.ledger.add("requests_served", 1);
+                let work = sys.rng.jitter(self.work, self.jitter);
+                let to = self.responses[msg.tag as usize];
+                Op::write_after(work, to, Msg::tagged(msg.tag))
+            }
+            // The listening socket was reset: no request will arrive and
+            // none in flight will be answered, so hang up on every client
+            // — each then sees EOF instead of waiting for ever.
+            (WorkerState::Accepting, None) | (WorkerState::Teardown, _) => self.teardown(),
         }
-        if let Some(client) = self.serving.take() {
-            sys.ledger.add("requests_served", 1);
-            let work = sys.rng.jitter(self.work, self.jitter);
-            return Op::write_after(work, self.responses[client as usize], Msg::tagged(client));
-        }
-        Op::read_after(2_000, self.accept)
     }
 }
 
@@ -161,12 +200,23 @@ struct Coordinator {
     accept: PipeId,
     clients_left: usize,
     poisons_left: usize,
+    /// Whether the previous `resume` issued a read of `done`.
+    awaiting: bool,
 }
 
 impl Behavior for Coordinator {
-    fn resume(&mut self, _sys: &mut SysView<'_>) -> Op {
+    fn resume(&mut self, sys: &mut SysView<'_>) -> Op {
+        if std::mem::take(&mut self.awaiting) && sys.last_read.is_none() {
+            // The completion channel was reset, so the remaining clients
+            // cannot be counted: stop the server the hard way. Closing
+            // the accept queue sends every worker into its teardown.
+            self.clients_left = 0;
+            self.poisons_left = 0;
+            return Op::close_after(500, self.accept);
+        }
         if self.clients_left > 0 {
             self.clients_left -= 1;
+            self.awaiting = true;
             return Op::read_after(1_000, self.done);
         }
         if self.poisons_left > 0 {
@@ -186,6 +236,7 @@ pub fn build(m: &mut Machine, cfg: &HttpdConfig) {
     let accept = m.create_pipe(cfg.backlog);
     let done = m.create_pipe(cfg.clients.max(1));
     let responses: Vec<PipeId> = (0..cfg.clients).map(|_| m.create_pipe(4)).collect();
+    let closed = Rc::new(Cell::new(0));
     for _ in 0..cfg.workers {
         m.spawn(
             &TaskSpec::named("httpd").mm(HTTPD_MM),
@@ -194,27 +245,25 @@ pub fn build(m: &mut Machine, cfg: &HttpdConfig) {
                 responses: responses.clone(),
                 work: cfg.handle_work,
                 jitter: cfg.jitter,
-                serving: None,
+                state: WorkerState::Idle,
+                closed: Rc::clone(&closed),
             }),
         );
     }
     for (id, &response) in responses.iter().enumerate() {
         m.spawn(
             &TaskSpec::named("client").mm(MmId(100 + id as u32)),
-            Box::new(ClientRead {
-                inner: Client {
-                    accept,
-                    response,
-                    done,
-                    id: id as u64,
-                    left: cfg.requests_per_client,
-                    awaiting: false,
-                    reported: false,
-                    work: cfg.client_work,
-                    think: cfg.think_cycles,
-                    jitter: cfg.jitter,
-                    sent_at: None,
-                },
+            Box::new(Client {
+                accept,
+                response,
+                done,
+                id: id as u64,
+                left: cfg.requests_per_client,
+                state: ClientState::Thinking,
+                work: cfg.client_work,
+                think: cfg.think_cycles,
+                jitter: cfg.jitter,
+                sent_at: elsc_simcore::Cycles::ZERO,
             }),
         );
     }
@@ -225,6 +274,7 @@ pub fn build(m: &mut Machine, cfg: &HttpdConfig) {
             accept,
             clients_left: cfg.clients,
             poisons_left: cfg.workers,
+            awaiting: false,
         }),
     );
 }

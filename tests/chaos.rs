@@ -15,9 +15,11 @@
 //!    cycle-conservation invariant.
 
 use elsc::ElscScheduler;
-use elsc_machine::{FaultPlan, MachineConfig, RunReport};
+use elsc_lab::{SchedId, Shape};
+use elsc_machine::{FaultPlan, Machine, MachineConfig, RunReport};
 use elsc_sched_api::Scheduler;
 use elsc_sched_linux::LinuxScheduler;
+use elsc_workloads::httpd::{self, HttpdConfig};
 use elsc_workloads::stress::{self, StressConfig};
 use elsc_workloads::volanomark::{self, VolanoConfig};
 
@@ -180,6 +182,54 @@ fn net_plan_exercises_the_pipe_fault_classes() {
     let c = r.chaos.as_ref().unwrap();
     assert!(c.counts.short_writes > 0, "short writes: {:?}", c.counts);
     assert!(r.conservation_ok);
+}
+
+/// A reset connection ends an `httpd` conversation, it does not wedge
+/// it: whichever pipe dies — the accept queue, one client's response
+/// socket or the completion channel — every task sees EOF and exits, so
+/// the run finishes long before the watchdog with a clean ledger.
+#[test]
+fn httpd_finishes_cleanly_when_peers_reset() {
+    let w = HttpdConfig {
+        workers: 3,
+        clients: 12,
+        requests_per_client: 6,
+        handle_work: 50_000,
+        client_work: 10_000,
+        think_cycles: 100_000,
+        backlog: 4,
+        jitter: 0.2,
+    };
+    for plan in ["peer_reset=0.01", "net"] {
+        let mut resets = 0;
+        for sched in [SchedId::Reg, SchedId::Elsc, SchedId::Mq] {
+            for shape in [Shape::Up, Shape::Smp(2)] {
+                for fault_seed in [1u64, 2, 7] {
+                    let cfg = shape
+                        .machine()
+                        .with_faults(Some(plan.parse().unwrap()))
+                        .with_fault_seed(fault_seed)
+                        .with_max_secs(2.0);
+                    let mut m = Machine::new(cfg, sched.build(shape.topology()));
+                    httpd::build(&mut m, &w);
+                    let what = format!(
+                        "{plan} {} {} seed {fault_seed}",
+                        sched.label(),
+                        shape.label()
+                    );
+                    let r = m.run().unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert!(r.conservation_ok, "{what}: conservation");
+                    assert_eq!(r.tasks_spawned as usize, w.workers + w.clients + 1);
+                    assert!(
+                        r.ledger.get("responses") <= r.ledger.get("requests_served"),
+                        "{what}: a response nobody served"
+                    );
+                    resets += r.chaos.as_ref().unwrap().counts.peer_resets;
+                }
+            }
+        }
+        assert!(resets > 0, "{plan}: the grid injected no reset");
+    }
 }
 
 #[test]

@@ -5,13 +5,13 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState, TaskTable, Tid};
+use elsc_bench::rig::Rig;
+use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState, Tid};
 use elsc_lab::SchedId;
 use elsc_machine::MachineConfig;
 use elsc_obs::{CallbackSink, EventBus, ObsEvent, ObsRecord};
-use elsc_sched_api::{SchedConfig, SchedCtx, Scheduler};
-use elsc_simcore::{CostModel, CycleMeter, SimRng, Topology};
-use elsc_stats::SchedStats;
+use elsc_sched_api::{SchedConfig, Scheduler};
+use elsc_simcore::{SimRng, Topology};
 use elsc_workloads::httpd::{self, HttpdConfig};
 use elsc_workloads::kbuild::{self, KbuildConfig};
 use elsc_workloads::volanomark::{self, VolanoConfig};
@@ -163,16 +163,10 @@ const NR_TASKS: usize = 10;
 /// which tasks are runnable (`queued`) and which one holds the CPU. On
 /// an SMP shape every other CPU stays parked on its idle task.
 struct RunQueueRig {
-    tasks: TaskTable,
-    stats: SchedStats,
-    meter: CycleMeter,
-    costs: CostModel,
-    cfg: SchedConfig,
-    /// Probe bus with one sink counting `recalc_start` events.
-    bus: EventBus,
+    /// The scheduler, its task table and meters; its probe bus has one
+    /// sink counting `recalc_start` events.
+    rig: Rig,
     recalc_starts: Rc<Cell<u64>>,
-    sched: Box<dyn Scheduler>,
-    idle: Tid,
     tids: Vec<Tid>,
     queued: [bool; NR_TASKS],
     current: Option<usize>,
@@ -180,17 +174,16 @@ struct RunQueueRig {
 
 impl RunQueueRig {
     fn new(sched: Box<dyn Scheduler>, cfg: SchedConfig) -> RunQueueRig {
-        let mut tasks = TaskTable::new();
-        let idles: Vec<Tid> = (0..cfg.nr_cpus)
-            .map(|cpu| {
-                let idle = tasks.spawn(&TaskSpec::named("idle").priority(1));
-                let t = tasks.task_mut(idle);
-                t.counter = 0;
-                t.processor = cpu;
-                t.has_cpu = true;
-                idle
-            })
-            .collect();
+        // The rig brings CPU 0's idle task; the other CPUs' follow it.
+        let mut rig = Rig::around(sched, cfg);
+        let tasks = &mut rig.tasks;
+        for cpu in 1..rig.cfg.nr_cpus {
+            let idle = tasks.spawn(&TaskSpec::named("idle").priority(1));
+            let t = tasks.task_mut(idle);
+            t.counter = 0;
+            t.processor = cpu;
+            t.has_cpu = true;
+        }
         let tids = (0..NR_TASKS)
             .map(|i| {
                 // Two real-time tasks among the SCHED_OTHER ones, so the
@@ -206,7 +199,7 @@ impl RunQueueRig {
                 t.counter = 1 + (i % 20) as i32;
                 // Spread last-run CPUs, so per-CPU designs have remote
                 // queues for CPU 0 to steal from.
-                t.processor = i % cfg.nr_cpus;
+                t.processor = i % rig.cfg.nr_cpus;
                 tid
             })
             .collect();
@@ -218,53 +211,37 @@ impl RunQueueRig {
                 seen.set(seen.get() + 1);
             }
         })));
+        rig.probe = Some(bus);
         RunQueueRig {
-            tasks,
-            stats: SchedStats::new(cfg.nr_cpus),
-            meter: CycleMeter::new(),
-            costs: CostModel::default(),
-            cfg,
-            bus,
+            rig,
             recalc_starts,
-            sched,
-            idle: idles[0],
             tids,
             queued: [false; NR_TASKS],
             current: None,
         }
     }
 
-    fn with_ctx<R>(&mut self, f: impl FnOnce(&mut dyn Scheduler, &mut SchedCtx<'_>) -> R) -> R {
-        let mut ctx = SchedCtx {
-            tasks: &mut self.tasks,
-            stats: &mut self.stats,
-            meter: &mut self.meter,
-            costs: &self.costs,
-            cfg: &self.cfg,
-            probe: Some(&mut self.bus),
-            locks: None,
-        };
-        f(self.sched.as_mut(), &mut ctx)
-    }
-
     fn schedule(&mut self) {
-        let prev = self.current.map_or(self.idle, |i| self.tids[i]);
-        let idle = self.idle;
+        let prev = self.current.map_or(self.rig.idle, |i| self.tids[i]);
+        let idle = self.rig.idle;
         let (prev_runnable, rr_exhausted) = {
-            let p = self.tasks.task(prev);
+            let p = self.rig.tasks.task(prev);
             let runnable = p.state.is_runnable();
             (
                 runnable,
                 runnable && p.policy.class == SchedClass::Rr && p.counter == 0,
             )
         };
-        let next = self.with_ctx(|s, ctx| s.schedule(ctx, 0, prev, idle));
-        let name = self.sched.name();
+        let next = self.rig.call(|s, ctx| s.schedule(ctx, 0, prev, idle));
+        let name = self.rig.sched.name();
         // The trait's `# Contract`, clause by clause.
         {
-            let p = self.tasks.task(prev);
+            let p = self.rig.tasks.task(prev);
             assert!(!p.policy.yielded, "{name} left prev's SCHED_YIELD set");
-            assert!(self.tasks.task(next).has_cpu, "{name}: pick lacks has_cpu");
+            assert!(
+                self.rig.tasks.task(next).has_cpu,
+                "{name}: pick lacks has_cpu"
+            );
             if next != prev {
                 assert!(!p.has_cpu, "{name}: switched-out prev kept has_cpu");
             }
@@ -276,7 +253,7 @@ impl RunQueueRig {
             }
         }
         // The machine records where the pick runs.
-        self.tasks.task_mut(next).processor = 0;
+        self.rig.tasks.task_mut(next).processor = 0;
         // A blocked prev leaves the queue; a runnable one keeps its spot.
         if let Some(i) = self.current {
             self.queued[i] = prev_runnable;
@@ -298,36 +275,36 @@ impl RunQueueRig {
         match op {
             KernelOp::Wake(i) if !self.queued[i] => {
                 let tid = self.tids[i];
-                self.tasks.task_mut(tid).state = TaskState::Running;
-                self.with_ctx(|s, ctx| s.add_to_runqueue(ctx, tid));
+                self.rig.tasks.task_mut(tid).state = TaskState::Running;
+                self.rig.call(|s, ctx| s.add_to_runqueue(ctx, tid));
                 self.queued[i] = true;
             }
             KernelOp::Block => {
                 if let Some(i) = self.current {
-                    self.tasks.task_mut(self.tids[i]).state = TaskState::Interruptible;
+                    self.rig.tasks.task_mut(self.tids[i]).state = TaskState::Interruptible;
                 }
                 self.schedule();
             }
             KernelOp::Preempt => self.schedule(),
             KernelOp::Yield => {
                 if let Some(i) = self.current {
-                    self.tasks.task_mut(self.tids[i]).policy.yielded = true;
+                    self.rig.tasks.task_mut(self.tids[i]).policy.yielded = true;
                 }
                 self.schedule();
             }
             KernelOp::Tick => {
                 if let Some(i) = self.current {
-                    let t = self.tasks.task_mut(self.tids[i]);
+                    let t = self.rig.tasks.task_mut(self.tids[i]);
                     t.counter = (t.counter - 1).max(0);
                 }
             }
             KernelOp::MoveFirst(i) | KernelOp::MoveLast(i)
                 if self.queued[i]
                     && self.current != Some(i)
-                    && self.tasks.task(self.tids[i]).in_list() =>
+                    && self.rig.tasks.task(self.tids[i]).in_list() =>
             {
                 let tid = self.tids[i];
-                self.with_ctx(|s, ctx| match op {
+                self.rig.call(|s, ctx| match op {
                     KernelOp::MoveFirst(_) => s.move_first_runqueue(ctx, tid),
                     _ => s.move_last_runqueue(ctx, tid),
                 });
@@ -336,18 +313,18 @@ impl RunQueueRig {
         }
         // After every step the scheduler's own structure is intact and
         // it counts exactly the model's runnable set.
-        self.sched.debug_check(&self.tasks);
+        self.rig.sched.debug_check(&self.rig.tasks);
         let runnable = self.queued.iter().filter(|&&q| q).count();
-        let name = self.sched.name();
-        assert_eq!(self.sched.nr_running(), runnable, "{name}: nr_running");
+        let name = self.rig.sched.name();
+        assert_eq!(self.rig.sched.nr_running(), runnable, "{name}: nr_running");
     }
 
     /// What the sequence cost, for the pinned totals.
     fn totals(&self) -> Totals {
-        let t = self.stats.total();
+        let t = self.rig.stats.total();
         [
-            self.meter.cycles(),
-            self.meter.charges(),
+            self.rig.meter.cycles(),
+            self.rig.meter.charges(),
             t.tasks_examined,
             t.recalc_entries,
             t.recalc_tasks,

@@ -179,3 +179,46 @@ fn force_reexecutes_but_bytes_do_not_move() {
     assert_eq!(cold.manifest().unwrap(), forced.manifest().unwrap());
     drop_cache(&cache);
 }
+
+/// The `gooch` builtin prints what the `elsc-bench` binary it replaced
+/// printed: scheduler cycles per `sched_yield()` against the number of
+/// runnable spinners, per design. The end points are that binary's
+/// numbers at the commit that deleted it; the shapes are reference \[5\]'s
+/// claim (the stock scan grows with n, a sorted queue does not).
+#[test]
+fn gooch_builtin_reproduces_the_deleted_binary() {
+    let spec = SweepSpec::builtin("gooch").expect("gooch is a builtin");
+    let cache = tmp_cache("gooch");
+    let opts = RunOptions {
+        workers: 2,
+        force: false,
+    };
+    let run = run_sweep(&spec, &cache, &opts);
+    assert!(run.ok(), "{:?}", run.failures);
+    let per_yield = |sched: &str, tasks: u64| {
+        let cell =
+            run.select(|c| c.sched.label() == sched && c.workload.param("tasks") == Some(tasks));
+        let m = &cell[0].metrics;
+        (m.cycles_per_schedule * m.sched_calls as f64 / m.yields as f64).round()
+    };
+    assert_eq!(
+        (per_yield("reg", 2), per_yield("reg", 512)),
+        (1_368.0, 19_067.0)
+    );
+    assert_eq!(
+        (per_yield("elsc", 2), per_yield("elsc", 512)),
+        (1_444.0, 1_606.0)
+    );
+    for tasks in [2, 8, 32, 128, 512] {
+        // On one CPU mq's single queue is reg's list.
+        assert_eq!(per_yield("mq", tasks), per_yield("reg", tasks), "n={tasks}");
+    }
+    assert!(per_yield("reg", 512) >= 10.0 * per_yield("reg", 2));
+    for sorted in ["elsc", "heap", "aheap"] {
+        assert!(
+            per_yield(sorted, 512) <= 1.2 * per_yield(sorted, 2),
+            "{sorted} must stay flat"
+        );
+    }
+    drop_cache(&cache);
+}

@@ -1,12 +1,13 @@
 //! Integration tests asserting the paper's qualitative claims end-to-end.
 //!
 //! These are *shape* tests: who wins, in which direction the curves bend.
-//! Absolute numbers belong to the benchmark binaries and `EXPERIMENTS.md`.
+//! Absolute numbers belong to the lab sweeps and `EXPERIMENTS.md`.
 
 use elsc::ElscScheduler;
 use elsc_machine::MachineConfig;
 use elsc_sched_api::Scheduler;
 use elsc_sched_linux::LinuxScheduler;
+use elsc_simcore::CostKind;
 use elsc_workloads::stress::{self, StressConfig};
 use elsc_workloads::volanomark::{self, VolanoConfig};
 
@@ -198,5 +199,45 @@ fn smp_helps_both_schedulers() {
             two.elapsed,
             one.elapsed
         );
+    }
+}
+
+#[test]
+fn elsc_advantage_survives_cost_model_recalibration() {
+    // Not a paper artifact: the reproduction's absolute numbers rest on a
+    // calibrated cost model, so its two most influential knobs — the
+    // per-task `goodness()` evaluation and the run-queue lock's cache-line
+    // transfer — are swept over a 4x range each around the calibration
+    // point (60 and 600 cycles), on a think-bound and a saturated load.
+    // The win is structural (O(n) scan against bounded search): it grows
+    // with the evaluation cost and no point turns into a loss. The bound
+    // is 0.99, not 1: where the scan is cheap or the clients mostly think,
+    // the designs tie to within a fraction of a per cent either way.
+    for think in [VolanoConfig::default().think_cycles, 0] {
+        let mut cfg = volano(10);
+        cfg.think_cycles = think;
+        for (shape, base) in [("UP", MachineConfig::up()), ("4P", MachineConfig::smp(4))] {
+            for goodness in [30u64, 60, 120] {
+                // The transfer cost only matters with a second processor.
+                for transfer in [300u64, 600, 1200] {
+                    if shape == "UP" && transfer != 600 {
+                        continue;
+                    }
+                    let throughput = |sched: Box<dyn Scheduler>| {
+                        let mut machine = base.clone().with_max_secs(2_000.0);
+                        machine.costs.set(CostKind::GoodnessEval, goodness);
+                        machine.costs.set(CostKind::LockTransfer, transfer);
+                        volanomark::throughput(&volanomark::run(machine, sched, &cfg))
+                    };
+                    let ratio = throughput(elsc()) / throughput(reg());
+                    let at =
+                        format!("think {think}, {shape}, {goodness}/eval, {transfer}/transfer");
+                    assert!(ratio >= 0.99, "{at}: elsc/reg {ratio:.4}");
+                    if think == 0 && goodness == 120 {
+                        assert!(ratio >= 1.3, "{at}: elsc/reg {ratio:.4}");
+                    }
+                }
+            }
+        }
     }
 }
