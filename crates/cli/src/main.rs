@@ -51,7 +51,7 @@ use elsc_machine::{Machine, MachineConfig, RunReport};
 use elsc_obs::{first_divergence, JsonLinesSink, ObsRecord};
 use elsc_policy::PolicyScheduler;
 use elsc_sched_api::{LockPlan, Scheduler};
-use elsc_simcore::Topology;
+use elsc_simcore::{Topology, MAX_CPUS};
 use elsc_stats::render::render_proc;
 
 /// Instantiates a scheduler the registry ([`SchedId`]) has parsed. The
@@ -90,7 +90,10 @@ fn declared_topology(a: &Args) -> Result<Topology, String> {
         }
         None => {
             let cpus: usize = a.get_or("cpus", 1).map_err(|e| e.to_string())?;
-            Ok(Topology::flat(if a.flag("up") { 1 } else { cpus.max(1) }))
+            if !(1..=MAX_CPUS).contains(&cpus) {
+                return Err(format!("--cpus {cpus}: a machine has 1 to {MAX_CPUS} CPUs"));
+            }
+            Ok(Topology::flat(if a.flag("up") { 1 } else { cpus }))
         }
     }
 }

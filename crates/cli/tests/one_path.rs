@@ -48,6 +48,44 @@ fn shapes_with_more_than_256_queues_are_rejected_by_both_front_ends() {
     }
 }
 
+/// A CPU count that wraps or could not be allocated is refused up front
+/// with one line naming the bad text and exit 1: the `4294967296²` tree
+/// used to wrap to 0 CPUs and panic (101), `1000N1000C1000T` and
+/// `--cpus 100000000000` to abort on a multi-gigabyte allocation (134),
+/// and `--cpus 0` to run silently as 1P. A spec's `shape` takes the same
+/// ceiling, so the error comes at parse time, not from a pool worker.
+#[test]
+fn cpu_counts_that_overflow_or_cannot_be_allocated_are_rejected() {
+    for (flags, bad) in [
+        (
+            ["--topology", "4294967296N4294967296C1T"],
+            "4294967296N4294967296C1T",
+        ),
+        (["--topology", "1000N1000C1000T"], "1000N1000C1000T"),
+        (["--cpus", "100000000000"], "--cpus 100000000000"),
+        (["--cpus", "0"], "--cpus 0"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_elsc-sim"))
+            .arg("volano")
+            .args(flags)
+            .output()
+            .expect("elsc-sim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flags:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(bad),
+            "{flags:?}: {stderr}"
+        );
+    }
+    let spec = "name = big\nworkload = stress\nsched = elsc\nshape = 4294967296N4294967296C1T";
+    let err = spec.parse::<elsc_lab::SweepSpec>().unwrap_err();
+    assert!(
+        err.to_string().contains("4294967296N4294967296C1T"),
+        "{err}"
+    );
+}
+
 /// `--trace-out` onto a device that takes no bytes: the report still
 /// prints, and the lost lines are the exit code — not a truncated file
 /// and exit 0.

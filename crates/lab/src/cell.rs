@@ -19,7 +19,7 @@ use elsc_sched_ext::{
     MAX_QUEUES,
 };
 use elsc_sched_linux::LinuxScheduler;
-use elsc_simcore::Topology;
+use elsc_simcore::{Topology, TopologyError, MAX_CPUS};
 use elsc_workloads::{
     httpd, kbuild, rtmix, stress, volanomark, HttpdConfig, KbuildConfig, RtMixConfig, StressConfig,
     VolanoConfig,
@@ -343,12 +343,19 @@ impl std::str::FromStr for Shape {
                 if n == 0 {
                     return Err("an SMP shape needs at least one CPU".to_string());
                 }
+                if n > MAX_CPUS {
+                    return Err(format!("shape '{s}' has more than {MAX_CPUS} CPUs"));
+                }
                 return Ok(Shape::Smp(n));
             }
         }
-        s.parse::<Topology>()
-            .map(Shape::from)
-            .map_err(|_| format!("unknown shape '{s}' (UP, <n>P, or a topology like 2N4C2T)"))
+        match s.parse::<Topology>() {
+            Ok(t) => Ok(Shape::from(t)),
+            Err(e @ TopologyError::TooManyCpus(_)) => Err(e.to_string()),
+            Err(TopologyError::Syntax(_)) => Err(format!(
+                "unknown shape '{s}' (UP, <n>P, or a topology like 2N4C2T)"
+            )),
+        }
     }
 }
 
@@ -1116,6 +1123,76 @@ mod tests {
         assert!(!t.topology().is_flat());
         assert_eq!("1N4C1T".parse::<Shape>().unwrap(), Shape::Smp(4));
         assert!("2N0C1T".parse::<Shape>().is_err());
+    }
+
+    /// The CPU ceiling on both spellings: past `MAX_CPUS`, or a product
+    /// that wraps `usize` (the `4294967296²` tree used to read as 0 CPUs
+    /// and panic a pool worker), is an error naming the text.
+    #[test]
+    fn oversized_shapes_are_errors_naming_the_text() {
+        for big in [
+            "4294967296N4294967296C1T",
+            "1000N1000C1000T",
+            "100000000000P",
+            "4097p",
+        ] {
+            let err = big.parse::<Shape>().unwrap_err();
+            assert!(
+                err.contains(big) && err.contains("more than 4096 CPUs"),
+                "{err}"
+            );
+        }
+        assert_eq!("4096P".parse::<Shape>().unwrap().nr_cpus(), MAX_CPUS);
+    }
+
+    /// ROADMAP 6c for the shape grammar, and through its tree arm the
+    /// topology grammar: seeded mutations of valid spellings either parse
+    /// to a shape whose CPU count is in range and which round-trips, or
+    /// are an error — never a panic.
+    #[test]
+    fn mutated_shape_spellings_never_panic() {
+        use elsc_simcore::SimRng;
+        const SEEDS: [&str; 7] = [
+            "UP", "4P", "2N4C2T", "2P2N4C2T", "1N8C1T", "300N1C1T", "4096P",
+        ];
+        const ALPHABET: &[u8] = b"0123456789PNCTpu";
+        let mut rng = SimRng::new(0x05A9_E5EE_D0F6_0C11);
+        let mut pick = |n: usize| rng.below(n as u64) as usize;
+        let (mut accepted, mut oversized) = (0, 0);
+        for _ in 0..20_000 {
+            let mut s: Vec<u8> = SEEDS[pick(SEEDS.len())].bytes().collect();
+            for _ in 0..=pick(3) {
+                let i = pick(s.len() + 1);
+                match pick(4) {
+                    0 if i < s.len() => {
+                        s.remove(i);
+                    }
+                    1 if i < s.len() => s[i] = ALPHABET[pick(ALPHABET.len())],
+                    2 => drop(s.splice(i..i, *b"4294967296")),
+                    _ => s.insert(i, ALPHABET[pick(ALPHABET.len())]),
+                }
+            }
+            let text = String::from_utf8(s).expect("ASCII");
+            let topo = text.parse::<Topology>();
+            oversized += usize::from(matches!(topo, Err(TopologyError::TooManyCpus(_))));
+            let Ok(shape) = text.parse::<Shape>() else {
+                continue;
+            };
+            accepted += 1;
+            let n = shape.nr_cpus();
+            assert!((1..=MAX_CPUS).contains(&n), "{text}: {n} CPUs");
+            assert_eq!(shape.topology().nr_cpus(), n, "{text}");
+            assert_eq!(shape.machine().nr_cpus(), n, "{text}");
+            assert_eq!(shape.label().parse::<Shape>(), Ok(shape), "{text}");
+            if let Ok(t) = topo {
+                assert_eq!(Shape::from(t), shape, "{text}");
+            }
+        }
+        assert!(
+            accepted > 1_000,
+            "the fuzz reaches valid shapes ({accepted})"
+        );
+        assert!(oversized > 100, "and oversized trees ({oversized})");
     }
 
     #[test]

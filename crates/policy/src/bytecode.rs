@@ -32,6 +32,11 @@ pub enum Op {
     Mov,
     /// `r[a] = binop(BINOPS[d], r[b], r[c])`.
     Bin,
+    /// `r[a] = binop(BINOPS[d], r[b], consts[c])` — a binary expression
+    /// whose right operand is an integer literal, in one dispatch. Its
+    /// cost is what the `const` + `bin` pair it replaces would have
+    /// carried (the literal's load has no side effect to order against).
+    BinK,
     /// Unconditional jump to code index `a`.
     Jmp,
     /// Jump to code index `b` when `r[a]` is integer zero.
@@ -43,11 +48,16 @@ pub enum Op {
     RepeatInit,
     /// `r[a] -= 1`; jump back to code index `b` while `r[a] > 0`.
     RepeatNext,
-    /// Snapshot run-queue list `r[b]` (index taken modulo `nr_lists`)
-    /// into iterator slot `a`.
+    /// Point iterator slot `a` at the head of run-queue list `r[b]`
+    /// (index taken modulo `nr_lists`), or jump to the loop exit `c`
+    /// when that list is empty — skipping the `for.next`, whose cost
+    /// is 0, so the charge is the same as falling into it.
     ForBegin,
-    /// Load the next snapshot task of iterator slot `a` into `r[b]`, or
-    /// jump to code index `c` when the snapshot is exhausted.
+    /// Load the task under iterator slot `a`'s cursor into `r[b]` and
+    /// advance the cursor along the live list, or jump to code index `c`
+    /// when the walk is done. Hooks never relink a list (placement and
+    /// rotation are deferred to the host), so the walk yields exactly
+    /// the list's order at hook entry.
     ForNext,
     /// End the hook picking `r[a]` (a task value).
     Pick,
@@ -107,6 +117,7 @@ impl Op {
             Op::Const => "const",
             Op::Mov => "mov",
             Op::Bin => "bin",
+            Op::BinK => "bin.k",
             Op::Jmp => "jmp",
             Op::Jz => "jz",
             Op::Call => "call",
@@ -128,7 +139,8 @@ impl Op {
     }
 }
 
-/// Binary operators by bytecode index (the `d` operand of [`Op::Bin`]).
+/// Binary operators by bytecode index (the `d` operand of [`Op::Bin`]
+/// and [`Op::BinK`]).
 pub const BINOPS: [BinOp; 11] = [
     BinOp::Add,
     BinOp::Sub,
@@ -209,7 +221,8 @@ pub struct Insn {
 pub struct Chunk {
     /// The instruction stream; always ends with a reachable [`Op::Halt`].
     pub code: Vec<Insn>,
-    /// Integer constant pool (literals and `repeat` counts, deduplicated).
+    /// Integer constant pool (literals, `bin.k` operands and `repeat`
+    /// counts, deduplicated).
     pub consts: Vec<i64>,
     /// Register-file size (builtin registers included).
     pub num_regs: u16,
@@ -233,6 +246,10 @@ impl Chunk {
                 }
                 Op::Mov => format!("r{} <- r{}", i.a, i.b),
                 Op::Bin => format!("r{} <- r{} {:?} r{}", i.a, i.b, BINOPS[i.d as usize], i.c),
+                Op::BinK => format!(
+                    "r{} <- r{} {:?} {}",
+                    i.a, i.b, BINOPS[i.d as usize], self.consts[i.c as usize]
+                ),
                 Op::Jmp => format!("-> {}", i.a),
                 Op::Jz => format!("r{} -> {}", i.a, i.b),
                 Op::Call => {
@@ -244,7 +261,7 @@ impl Chunk {
                     }
                 }
                 Op::RepeatNext => format!("r{} -> {}", i.a, i.b),
-                Op::ForBegin => format!("iter{} list r{}", i.a, i.b),
+                Op::ForBegin => format!("iter{} list r{} empty -> {}", i.a, i.b, i.c),
                 Op::ForNext => format!("iter{} r{} else -> {}", i.a, i.b, i.c),
                 Op::Pick | Op::Requeue => format!("r{}", i.a),
                 Op::Place => format!("list r{} {}", i.a, if i.b == 1 { "front" } else { "back" }),

@@ -17,7 +17,9 @@
 //!   instruction's [`cost`](crate::bytecode::Insn::cost) field, so the
 //!   VM's instruction count matches the interpreter's at every
 //!   side-effecting op and at hook exit. Loop back-edges carry cost 0,
-//!   exactly like the interpreter's free `repeat`/`foreach` iteration.
+//!   exactly like the interpreter's free `repeat`/`foreach` iteration,
+//!   and so does `for.next` — which is what lets `for.begin` jump
+//!   straight past an empty list's loop at no change in charge.
 //! * **superinstruction fusion** — the three hot `pick_next` shapes
 //!   (`if can_schedule(t)/runnable(t) { ... }`,
 //!   `if g > c { c = g  best = t }`, `if c != 0 { pick best }`) fuse
@@ -28,6 +30,9 @@
 //!   shape of every bundled `pick_next`) fuses into one native walk,
 //!   [`Op::ScanBest`], which removes all per-task dispatch overhead
 //!   while keeping the interpreter's per-node charge schedule.
+//! * **literal operands** — a binary expression whose right operand is
+//!   an integer literal lowers to one [`Op::BinK`] instead of a `const`
+//!   load plus a `bin`, carrying both charges.
 //! * **constant pooling** — integer literals and `repeat` counts are
 //!   deduplicated into [`Chunk::consts`].
 //!
@@ -64,13 +69,12 @@
 //!     "\
 //! 000: mov          r8 <- r2                     ; cost 2
 //! 001: const        r10 <- 0                     ; cost 3
-//! 002: const        r11 <- 1000                  ; cost 1
-//! 003: bin          r9 <- r10 Sub r11            ; cost 0
-//! 004: const        r10 <- 0                     ; cost 2
-//! 005: scan.best    list r10 can_schedule/goodness best r9 win r8 ; cost 0
-//! 006: pick.ifne0   r9 != 0 ? pick r8            ; cost 4
-//! 007: pick         r8                           ; cost 2
-//! 008: halt                                      ; cost 0
+//! 002: bin.k        r9 <- r10 Sub 1000           ; cost 1
+//! 003: const        r10 <- 0                     ; cost 2
+//! 004: scan.best    list r10 can_schedule/goodness best r9 win r8 ; cost 0
+//! 005: pick.ifne0   r9 != 0 ? pick r8            ; cost 4
+//! 006: pick         r8                           ; cost 2
+//! 007: halt                                      ; cost 0
 //! "
 //! );
 //! ```
@@ -189,7 +193,7 @@ fn compile_hook(body: &Block) -> Result<Chunk, PolicyError> {
     debug_assert!(c.code.iter().all(|i| {
         !matches!(
             i.op,
-            Op::Jmp | Op::Jz | Op::RepeatNext | Op::ForNext | Op::ScanFilter
+            Op::Jmp | Op::Jz | Op::RepeatNext | Op::ForBegin | Op::ForNext | Op::ScanFilter
         ) || (i.a != PATCH && i.b != PATCH && i.c != PATCH)
     }));
     Ok(Chunk {
@@ -307,8 +311,15 @@ impl<'p> Compiler<'p> {
             Expr::Binary { op, lhs, rhs, .. } => {
                 self.pending += 1;
                 let l = self.operand(lhs)?;
-                let r = self.operand(rhs)?;
-                self.emit(Op::Bin, dst, l, r, binop_index(*op));
+                if let Expr::Int(v, _) = **rhs {
+                    // The literal's node charge rides on the `bin.k`.
+                    self.pending += 1;
+                    let k = self.konst(v);
+                    self.emit(Op::BinK, dst, l, k, binop_index(*op));
+                } else {
+                    let r = self.operand(rhs)?;
+                    self.emit(Op::Bin, dst, l, r, binop_index(*op));
+                }
             }
             Expr::Call { func, args, .. } => {
                 self.pending += 1;
@@ -390,7 +401,7 @@ impl<'p> Compiler<'p> {
                 let slot = self.for_depth;
                 self.for_depth += 1;
                 self.max_for_depth = self.max_for_depth.max(self.for_depth);
-                self.emit(Op::ForBegin, u16::from(slot), list_reg, 0, 0);
+                let begin = self.emit(Op::ForBegin, u16::from(slot), list_reg, PATCH, 0);
                 let var_reg = self.alloc();
                 let head = self.code.len() as u16;
                 let next = self.emit_costed(Op::ForNext, 0, u16::from(slot), var_reg, PATCH, 0);
@@ -404,6 +415,7 @@ impl<'p> Compiler<'p> {
                 self.scopes.pop();
                 self.emit_costed(Op::Jmp, 0, head, 0, 0, 0);
                 let exit = self.code.len() as u16;
+                self.code[begin].c = exit;
                 self.code[next].c = exit;
                 for j in self.loops.pop().expect("pushed above").breaks {
                     self.code[j].a = exit;

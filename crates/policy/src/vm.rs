@@ -19,10 +19,14 @@
 //! * **Same watchdog surface** — violations are returned through the
 //!   same `HookRun` the machine's ejection logic consumes.
 //!
-//! The register file and the foreach iterator frames live in a
-//! `VmState` owned by the scheduler and reused across decisions, so
-//! steady-state dispatch performs no heap allocation (list snapshots
-//! walk `Lists::first`/`next_task` into retained buffers).
+//! The register file, the foreach cursors and the `requeue_back` buffer
+//! live in a `VmState` owned by the scheduler and reused across
+//! decisions and hook kinds, so steady-state dispatch performs no heap
+//! allocation. A `foreach` walks the live list through a cursor rather
+//! than a copy: a hook holds `&Lists` and no host function writes a
+//! task's list linkage (placement and rotation are deferred to the
+//! host), so the live walk visits exactly the tasks, in exactly the
+//! order, of the interpreter's entry-time snapshot.
 
 use elsc_ktask::{Lists, Tid};
 use elsc_sched_api::{goodness_ignoring_yield, PolicyViolation, SchedCtx};
@@ -34,20 +38,33 @@ use crate::sched::{
     wrap_list, Env, HookRun, Val,
 };
 
-/// One `foreach` nesting level: the snapshot taken at `for.begin` and
-/// the walk cursor.
-#[derive(Default)]
-struct IterFrame {
-    snap: Vec<Tid>,
-    idx: usize,
-}
-
-/// Reusable VM execution state (register file + iterator frames),
-/// persisted in the scheduler across hook invocations.
+/// Reusable VM execution state, persisted in the scheduler across hook
+/// invocations.
 #[derive(Default)]
 pub(crate) struct VmState {
     regs: Vec<Val>,
-    iters: Vec<IterFrame>,
+    /// One cursor per `foreach` nesting level: the slab index of the
+    /// next task the walk yields, `None` once the list is exhausted.
+    iters: Vec<Option<u32>>,
+    /// The `requeue_back` buffer. A run lends it out as
+    /// [`HookRun::requeued`]; the scheduler hands it back through
+    /// [`reclaim`](Self::reclaim) once the rotations are applied.
+    requeue: Vec<Tid>,
+}
+
+impl VmState {
+    /// Takes back the buffer a run lent out, emptied, so the next run
+    /// of any hook reuses its capacity.
+    pub(crate) fn reclaim(&mut self, mut requeued: Vec<Tid>) {
+        requeued.clear();
+        self.requeue = requeued;
+    }
+
+    /// The requeue buffer itself (allocation-free tests).
+    #[cfg(test)]
+    pub(crate) fn requeue_buffer(&mut self) -> &mut Vec<Tid> {
+        &mut self.requeue
+    }
 }
 
 /// Executes one compiled hook body against the host context.
@@ -64,9 +81,7 @@ pub(crate) fn run_chunk(
         state.regs.resize(chunk.num_regs as usize, Val::Int(0));
     }
     if state.iters.len() < chunk.num_iters as usize {
-        state
-            .iters
-            .resize_with(chunk.num_iters as usize, IterFrame::default);
+        state.iters.resize(chunk.num_iters as usize, None);
     }
     // Builtins are invocation constants: pre-load them once so a
     // builtin reference costs one register read.
@@ -82,7 +97,8 @@ pub(crate) fn run_chunk(
     let mut insns: u64 = 0;
     let mut picked: Option<Option<Tid>> = None;
     let mut placed: Option<(usize, bool)> = None;
-    let mut requeued: Vec<Tid> = Vec::new();
+    let mut requeued = std::mem::take(&mut state.requeue);
+    requeued.clear();
     let mut pc: usize = 0;
 
     // Ends the run with `$v` as the violation (side effects performed
@@ -153,6 +169,14 @@ pub(crate) fn run_chunk(
                     Err(v) => finish!(Some(v)),
                 }
             }
+            Op::BinK => {
+                let l = state.regs[b];
+                let r = Val::Int(chunk.consts[i.c as usize]);
+                match binop(BINOPS[i.d as usize], l, r) {
+                    Ok(v) => state.regs[a] = v,
+                    Err(v) => finish!(Some(v)),
+                }
+            }
             Op::Jmp => {
                 pc = a;
                 continue;
@@ -177,29 +201,23 @@ pub(crate) fn run_chunk(
             }
             Op::ForBegin => {
                 let h = wrap_list(int!(state.regs[b]), lists.nr_lists());
-                let frame = &mut state.iters[a];
-                // Snapshot: hooks never mutate lists (placement and
-                // rotation are deferred to the host), so the walk order
-                // is the list order at hook entry.
-                frame.snap.clear();
-                frame.idx = 0;
-                let mut cur = lists.first(h);
-                while let Some(idx) = cur {
-                    frame.snap.push(ctx.tasks.by_index(idx as usize).tid);
-                    cur = lists.next_task(ctx.tasks, idx);
-                }
-            }
-            Op::ForNext => {
-                let frame = &mut state.iters[a];
-                if frame.idx < frame.snap.len() {
-                    let tid = frame.snap[frame.idx];
-                    frame.idx += 1;
-                    state.regs[b] = Val::Task(Some(tid));
-                } else {
+                let first = lists.first(h);
+                state.iters[a] = first;
+                if first.is_none() {
                     pc = i.c as usize;
                     continue;
                 }
             }
+            Op::ForNext => match state.iters[a] {
+                Some(idx) => {
+                    state.iters[a] = lists.next_task(ctx.tasks, idx);
+                    state.regs[b] = Val::Task(Some(ctx.tasks.by_index(idx as usize).tid));
+                }
+                None => {
+                    pc = i.c as usize;
+                    continue;
+                }
+            },
             Op::Pick => {
                 picked = Some(task!(state.regs[a]));
                 finish!(None);
@@ -266,10 +284,9 @@ pub(crate) fn run_chunk(
                 }
             }
             Op::ScanBest => {
-                // The whole selection loop in one native walk. No
-                // snapshot is needed: hooks defer every list mutation
-                // to the host, and the filter/score host calls only
-                // read. Charges follow the interpreter's per-node
+                // The whole selection loop in one native walk over
+                // the live list, like `for.next` (module docs).
+                // Charges follow the interpreter's per-node
                 // schedule, with the budget checked before each
                 // side-effecting host call (the score's meter charge
                 // and examined-task count must not happen on a decision
@@ -553,31 +570,84 @@ mod tests {
         assert_eq!(rig.tasks.task(t).counter, 5, "body ran exactly count times");
     }
 
-    #[test]
-    fn foreach_ops_walk_the_snapshot_in_list_order() {
-        // foreach t in list(0) { requeue_back(t) } — observe the order.
-        let c = chunk(
+    /// `foreach t in list(L) { requeue_back(t) }`, then a costed halt
+    /// so the exit path's charge is visible.
+    fn requeue_walk(list: i64) -> Chunk {
+        chunk(
             vec![
                 insn(Op::Const, 1, 8, 0, 0, 0),
-                insn(Op::ForBegin, 1, 0, 8, 0, 0),
+                insn(Op::ForBegin, 1, 0, 8, 5, 0),
                 insn(Op::ForNext, 0, 0, 9, 5, 0),
                 insn(Op::Requeue, 1, 9, 0, 0, 0),
                 insn(Op::Jmp, 0, 2, 0, 0, 0),
-                insn(Op::Halt, 0, 0, 0, 0, 0),
+                insn(Op::Halt, 1, 0, 0, 0, 0),
             ],
-            vec![0],
+            vec![list],
             10,
             1,
-        );
+        )
+    }
+
+    #[test]
+    fn foreach_ops_walk_the_snapshot_in_list_order() {
         let mut rig = Rig::new();
         let a = rig.spawn("a");
         let b = rig.spawn("b");
         rig.lists.insert_back(&mut rig.tasks, 0, a);
         rig.lists.insert_back(&mut rig.tasks, 0, b);
         let env = rig.env(0);
-        let run = rig.run(&c, env, 1000);
+        let run = rig.run(&requeue_walk(0), env, 1000);
         assert_eq!(run.violation, None);
         assert_eq!(run.requeued, vec![a, b], "front-to-back walk");
+        // const + for.begin + a requeue per task + halt.
+        assert_eq!(run.insns, 1 + 1 + 2 + 1);
+    }
+
+    /// An empty list exits at `for.begin`: no `for.next` dispatch, and
+    /// the same charge as walking into it (its cost is 0).
+    #[test]
+    fn for_begin_skips_the_loop_on_an_empty_list() {
+        let mut rig = Rig::new();
+        let a = rig.spawn("a");
+        rig.lists.insert_back(&mut rig.tasks, 0, a);
+        let env = rig.env(0);
+        let run = rig.run(&requeue_walk(1), env, 1000);
+        assert_eq!(run.violation, None);
+        assert!(run.requeued.is_empty());
+        assert_eq!(run.insns, 1 + 1 + 1);
+    }
+
+    /// `bin.k` reads its right operand from the constant pool and keeps
+    /// `binop`'s total semantics (`/ 0` is 0) and its type check.
+    #[test]
+    fn bin_k_applies_a_pooled_literal() {
+        // r8 = 20; r9 = r8 / 0; r10 = r8 - 7; set_counter(task, r9 + r10)
+        let c = chunk(
+            vec![
+                insn(Op::Const, 1, 8, 0, 0, 0),
+                insn(Op::BinK, 2, 9, 8, 1, binop_index(BinOp::Div)),
+                insn(Op::BinK, 2, 10, 8, 2, binop_index(BinOp::Sub)),
+                insn(Op::Bin, 1, 11, 9, 10, binop_index(BinOp::Add)),
+                insn(Op::SetCounter, 1, 3, 11, 0, 0),
+                insn(Op::BinK, 2, 12, 3, 2, binop_index(BinOp::Sub)),
+                insn(Op::Halt, 0, 0, 0, 0, 0),
+            ],
+            vec![20, 0, 7],
+            13,
+            0,
+        );
+        let mut rig = Rig::new();
+        let t = rig.spawn("t");
+        let mut env = rig.env(0);
+        env.task = Some(t);
+        let run = rig.run(&c, env, 1000);
+        assert_eq!(rig.tasks.task(t).counter, 13, "20 / 0 + (20 - 7)");
+        assert_eq!(
+            run.violation,
+            Some(PolicyViolation::StateCorrupt),
+            "task - 7 is a type error"
+        );
+        assert_eq!(run.insns, 1 + 2 + 2 + 1 + 1 + 2);
     }
 
     #[test]
@@ -676,6 +746,53 @@ mod tests {
         assert!(
             !has(Op::ForBegin) && !has(Op::GtUpdate2),
             "the scan loop is absorbed into scan.best"
+        );
+    }
+
+    /// `table.pol`'s band walk, golden: an empty band costs three
+    /// dispatches (`for.begin` straight to its exit, `bin.k`,
+    /// `repeat.next`), and every literal right operand is a `bin.k`.
+    #[test]
+    fn table_pol_pick_next_disassembly_is_pinned() {
+        let sched =
+            PolicyScheduler::load_str(include_str!("../../../policies/table.pol"), 1).unwrap();
+        let chunk = sched
+            .compiled()
+            .chunk(crate::ast::HookKind::PickNext)
+            .expect("table.pol defines pick_next");
+        assert_eq!(
+            chunk.disasm(),
+            "\
+000: repeat.init  r8 <- 2                      ; cost 1
+001: bin.k        r9 <- r6 Sub 1               ; cost 4
+002: repeat.init  r10 <- 30                    ; cost 1
+003: for.begin    iter0 list r9 empty -> 16    ; cost 2
+004: for.next     iter0 r11 else -> 16         ; cost 0
+005: scan.filter  can_schedule(r11) else -> 15 ; cost 3
+006: call         r13 <- counter(r11)          ; cost 4
+007: bin.k        r12 <- r13 Gt 0              ; cost 1
+008: jz           r12 -> 11                    ; cost 0
+009: requeue      r11                          ; cost 2
+010: pick         r11                          ; cost 2
+011: call         r12 <- is_rt(r11)            ; cost 3
+012: jz           r12 -> 15                    ; cost 0
+013: requeue      r11                          ; cost 2
+014: pick         r11                          ; cost 2
+015: jmp          -> 4                         ; cost 0
+016: bin.k        r9 <- r9 Sub 1               ; cost 4
+017: repeat.next  r10 -> 3                     ; cost 0
+018: scan.filter  runnable(r1) else -> 23      ; cost 3
+019: call         r11 <- prev_goodness()       ; cost 3
+020: bin.k        r10 <- r11 Gt 0              ; cost 1
+021: jz           r10 -> 23                    ; cost 0
+022: pick         r1                           ; cost 2
+023: recalc                                    ; cost 1
+024: repeat.next  r8 -> 1                      ; cost 0
+025: scan.filter  runnable(r1) else -> 27      ; cost 3
+026: pick         r1                           ; cost 2
+027: pick         r2                           ; cost 2
+028: halt                                      ; cost 0
+"
         );
     }
 

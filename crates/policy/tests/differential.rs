@@ -1,5 +1,6 @@
 //! Differential fuzzing: the bytecode VM versus the reference
-//! interpreter (built only with `--features interp-reference`).
+//! interpreter (built for every test run by the crate's self
+//! dev-dependency with `interp-reference`, so tier-1 runs this file).
 //!
 //! The contract under test: **every** verified `.pol` program produces
 //! identical decisions *and* identical `PolicyInsn`-equivalent budget
@@ -273,6 +274,114 @@ fn vm_budget_exhaustion_mid_hook_matches_interp_exactly() {
     let prog = load_str(src).unwrap();
     for budget in 1..=64u64 {
         assert_vm_matches_reference("hog", &prog, budget, 24);
+    }
+}
+
+/// Programs aimed at this PR's VM paths — the live `foreach` cursor, the
+/// empty-list exit of `for.begin`, and `bin.k` — each held to the
+/// reference at the generous budget and at every budget from 1 to 96,
+/// so aborts land inside each of them.
+const VM_PATH_PROGRAMS: [(&str, &str); 4] = [
+    (
+        // Effects mid-walk, then `break`: `set_counter` (tick) and
+        // `recalc()` (pick_next) write task fields while a cursor sits
+        // on the list; neither may move it.
+        "mid-walk effects",
+        "policy midwalk\nlists 2\n\
+         hook enqueue { enqueue_back(counter(task) % 2) }\n\
+         hook tick {\n\
+           foreach t in list(0) {\n\
+             set_counter(t, counter(t) - 3)\n\
+             if counter(t) < 5 { break }\n\
+           }\n\
+         }\n\
+         hook pick_next {\n\
+           foreach t in list(0) {\n\
+             if counter(t) == 0 { recalc() break }\n\
+             requeue_back(t)\n\
+           }\n\
+           foreach t in list(0) { if can_schedule(t) { pick t } }\n\
+           foreach t in list(1) { if can_schedule(t) { requeue_back(t) pick t } }\n\
+           if runnable(prev) { pick prev }\n\
+           pick idle\n\
+         }\n",
+    ),
+    (
+        // Two cursors on one list at once, the inner one broken out of.
+        "nested walks",
+        "policy nested\nlists 1\n\
+         hook enqueue { enqueue_back(0) }\n\
+         hook pick_next {\n\
+           let best = nil\n\
+           let n = 0\n\
+           foreach a in list(0) {\n\
+             foreach b in list(0) {\n\
+               if counter(b) > counter(a) { n = n + 1 }\n\
+               if n > 4 { break }\n\
+             }\n\
+             if can_schedule(a) { if n % 2 == 0 { best = a } }\n\
+           }\n\
+           if best != nil { requeue_back(best) pick best }\n\
+           if runnable(prev) { pick prev }\n\
+           pick idle\n\
+         }\n",
+    ),
+    (
+        // Mostly empty lists: every band but 3 exits at `for.begin`,
+        // including inside a non-empty outer walk.
+        "empty lists",
+        "policy empties\nlists 8\n\
+         hook enqueue { enqueue_back(3) }\n\
+         hook pick_next {\n\
+           let i = 0\n\
+           let found = nil\n\
+           repeat 8 {\n\
+             foreach t in list(i) {\n\
+               foreach u in list(i + 1) { found = u }\n\
+               if can_schedule(t) { found = t  break }\n\
+             }\n\
+             i = i + 1\n\
+           }\n\
+           foreach t in list(7) { pick t }\n\
+           if found != nil { requeue_back(found) pick found }\n\
+           pick idle\n\
+         }\n",
+    ),
+    (
+        // A literal right operand for every binary operator, `/ 0` and
+        // `% 0` included, in all three hooks that compute.
+        "literal operands",
+        "policy literals\nlists 4\n\
+         hook enqueue {\n\
+           let c = counter(task)\n\
+           enqueue_back((c + 1) * 3 / 2 % 4 - 1)\n\
+         }\n\
+         hook tick {\n\
+           let c = counter(task)\n\
+           set_counter(task, c / 0 + c % 0 + (c == 3) + (c != 4) + (c < 5) + \
+             (c <= 6) + (c > 7) + (c >= 8) + c * 2 - 1)\n\
+         }\n\
+         hook pick_next {\n\
+           let i = 0\n\
+           repeat 4 {\n\
+             foreach t in list(i % 4) {\n\
+               if can_schedule(t) { if counter(t) / 2 >= 0 { requeue_back(t) pick t } }\n\
+             }\n\
+             i = i - -1\n\
+           }\n\
+           if runnable(prev) { pick prev }\n\
+           pick idle\n\
+         }\n",
+    ),
+];
+
+#[test]
+fn vm_path_programs_match_the_reference_at_every_budget() {
+    for (name, src) in VM_PATH_PROGRAMS {
+        let prog = load_str(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        for budget in std::iter::once(DEFAULT_BUDGET).chain(1..=96) {
+            assert_vm_matches_reference(name, &prog, budget, 120);
+        }
     }
 }
 

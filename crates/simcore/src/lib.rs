@@ -38,4 +38,4 @@ pub use histogram::Histogram;
 pub use lockdomain::{DomainStats, LockModel};
 pub use rng::SimRng;
 pub use spinlock::SimSpinLock;
-pub use topology::Topology;
+pub use topology::{Topology, TopologyError, MAX_CPUS};

@@ -17,6 +17,48 @@
 use core::fmt;
 use core::str::FromStr;
 
+/// The most CPUs a declared machine may have. Every front end that
+/// reads a CPU count from text (`--cpus`, `--topology`, a spec's
+/// `shape`) checks it against this one ceiling, so a count that would
+/// wrap, or whose per-CPU state could not be allocated, is an error
+/// naming the bad text rather than a panic or an abort. It sits well
+/// above every machine the repo runs (the largest is 300 CPUs).
+pub const MAX_CPUS: usize = 4096;
+
+/// Why a topology spelling was rejected.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TopologyError {
+    /// Not the `[<P>P]<N>N<C>C<T>T` grammar, or a level with no children.
+    Syntax(String),
+    /// More than [`MAX_CPUS`] CPUs in total (a product that overflows
+    /// `usize` included).
+    TooManyCpus(String),
+}
+
+impl fmt::Display for TopologyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TopologyError::Syntax(s) => {
+                write!(f, "bad topology {s:?} (expected e.g. 2N4C2T or 2P2N4C2T)")
+            }
+            TopologyError::TooManyCpus(s) => {
+                write!(f, "topology {s:?} has more than {MAX_CPUS} CPUs")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TopologyError {}
+
+/// The CPU count of a tree with these arities, if it is at most
+/// [`MAX_CPUS`] (checked: a product that overflows is `None` too).
+fn checked_nr_cpus(levels: [usize; 4]) -> Option<usize> {
+    levels
+        .into_iter()
+        .try_fold(1usize, usize::checked_mul)
+        .filter(|&n| n <= MAX_CPUS)
+}
+
 /// A uniform machine topology tree.
 ///
 /// Parsed from / displayed as the compact grammar `[P]P<N>N<C>C<T>T`
@@ -32,11 +74,13 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Builds a topology tree. Every arity must be at least one.
+    /// Builds a topology tree. Every arity must be at least one, and
+    /// the tree at most [`MAX_CPUS`] CPUs.
     ///
     /// # Panics
     ///
-    /// Panics if any level has zero children.
+    /// Panics if any level has zero children or the tree is too large
+    /// (parse untrusted text with [`str::parse`] instead).
     pub fn new(
         packages: usize,
         nodes_per_package: usize,
@@ -46,6 +90,16 @@ impl Topology {
         assert!(
             packages > 0 && nodes_per_package > 0 && cores_per_node > 0 && threads_per_core > 0,
             "every topology level needs at least one child"
+        );
+        assert!(
+            checked_nr_cpus([
+                packages,
+                nodes_per_package,
+                cores_per_node,
+                threads_per_core
+            ])
+            .is_some(),
+            "a topology has at most {MAX_CPUS} CPUs"
         );
         Topology {
             packages,
@@ -61,7 +115,10 @@ impl Topology {
         Topology::new(1, 1, nr_cpus, 1)
     }
 
-    /// Total CPUs (threads) in the machine.
+    /// Total CPUs (threads) in the machine. Cannot overflow: [`new`]
+    /// admits only trees of at most [`MAX_CPUS`].
+    ///
+    /// [`new`]: Topology::new
     pub fn nr_cpus(&self) -> usize {
         self.packages * self.nodes_per_package * self.cores_per_node * self.threads_per_core
     }
@@ -170,12 +227,12 @@ impl fmt::Display for Topology {
 }
 
 impl FromStr for Topology {
-    type Err = String;
+    type Err = TopologyError;
 
     /// Parses `[<packages>P]<nodes>N<cores>C<threads>T`, e.g. `2N4C2T`
     /// or `2P2N4C2T`.
-    fn from_str(s: &str) -> Result<Topology, String> {
-        let err = || format!("bad topology {s:?} (expected e.g. 2N4C2T or 2P2N4C2T)");
+    fn from_str(s: &str) -> Result<Topology, TopologyError> {
+        let err = || TopologyError::Syntax(s.to_string());
         let rest = s.strip_suffix('T').ok_or_else(err)?;
         let (rest, threads) = split_trailing_number(rest).ok_or_else(err)?;
         let rest = rest.strip_suffix('C').ok_or_else(err)?;
@@ -194,6 +251,9 @@ impl FromStr for Topology {
         };
         if packages == 0 || nodes == 0 || cores == 0 || threads == 0 {
             return Err(err());
+        }
+        if checked_nr_cpus([packages, nodes, cores, threads]).is_none() {
+            return Err(TopologyError::TooManyCpus(s.to_string()));
         }
         Ok(Topology::new(packages, nodes, cores, threads))
     }
@@ -266,6 +326,40 @@ mod tests {
         ] {
             assert!(bad.parse::<Topology>().is_err(), "{bad:?} must not parse");
         }
+    }
+
+    /// A CPU count that wraps `usize` (4294967296² on 64 bits is 0) or
+    /// that no machine could allocate is a `TooManyCpus` error, never a
+    /// tree whose `nr_cpus` lies; `MAX_CPUS` itself still parses.
+    #[test]
+    fn oversized_and_overflowing_trees_are_rejected() {
+        for big in [
+            "4294967296N4294967296C1T",
+            "1000N1000C1000T",
+            "18446744073709551615N1C1T",
+            "2P2049N1C1T",
+            "1N4097C1T",
+        ] {
+            assert_eq!(
+                big.parse::<Topology>(),
+                Err(TopologyError::TooManyCpus(big.to_string()))
+            );
+        }
+        let err = "1000N1000C1000T".parse::<Topology>().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "topology \"1000N1000C1000T\" has more than 4096 CPUs"
+        );
+        assert_eq!(
+            "2P2N1024C1T".parse::<Topology>().unwrap().nr_cpus(),
+            MAX_CPUS
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4096 CPUs")]
+    fn new_refuses_a_tree_past_the_ceiling() {
+        Topology::flat(MAX_CPUS + 1);
     }
 
     #[test]
