@@ -64,6 +64,14 @@ rules() {
 # experiment is a lab builtin printed by `elsc-sim lab render`).
 1 1 shipped crates/bench  -  SchedCtx \{
 0 0 shipped crates/bench  -  harness|criterion_group|ELSC_MESSAGES|(volanomark|httpd|stress)::run\(
+
+# -- One superinstruction: `scan.best` is the policy VM's only fused op
+# (the guard, compare-update and conditional-pick fusions are gone), and
+# the mega builtin takes no policy switch from the environment (a spec
+# file names a policy cell).
+0 0 whole   crates,docs,tests,examples,.github  -  ScanFilter|GtUpdate2|PickIfNe0|scan\.filter|gt\.update2|pick\.ifne0
+0 0 whole   crates,docs,tests,examples,.github,README.md,DESIGN.md,EXPERIMENTS.md,CONTRIBUTING.md  -  ELSC_MEGA_POLICY
+1 - whole   crates/policy/src/vm.rs  -  ScanBest
 EOF
 }
 

@@ -46,6 +46,7 @@ use std::fs::File;
 use std::io::BufWriter;
 
 use elsc_cluster::{Cluster, ClusterConfig, ClusterReport, DispatcherId};
+use elsc_lab::cell::check_cluster_cpus;
 use elsc_lab::{CellConfig, ChaosSpec, SchedId, Shape, WorkloadCell};
 use elsc_machine::{Machine, MachineConfig, RunReport};
 use elsc_obs::{first_divergence, JsonLinesSink, ObsRecord};
@@ -138,16 +139,12 @@ fn workload(a: &Args) -> Result<WorkloadCell, String> {
         },
         "rtmix" => WorkloadCell::RtMix,
         "cluster" => {
-            let nodes = n("nodes", 2)?;
-            if nodes == 0 {
-                return Err("--nodes must be at least 1".to_string());
-            }
             let dispatcher: DispatcherId = match a.get("dispatcher") {
                 None => DispatcherId::LeastLoaded,
                 Some(text) => text.parse().map_err(|e| format!("--dispatcher: {e}"))?,
             };
             WorkloadCell::Cluster {
-                nodes,
+                nodes: n("nodes", 2)?,
                 dispatcher,
                 rooms: n("rooms", 5)?,
                 users: n("users", 20)?,
@@ -166,6 +163,13 @@ fn workload(a: &Args) -> Result<WorkloadCell, String> {
 fn cell(a: &Args, sched: SchedId) -> Result<CellConfig, String> {
     let topo = declared_topology(a)?;
     sched.fits(&topo)?;
+    let workload = workload(a)?;
+    if let Some(k) = workload.zero_size() {
+        return Err(format!("--{k} 0: must be at least 1"));
+    }
+    if let WorkloadCell::Cluster { nodes, .. } = workload {
+        check_cluster_cpus(nodes, topo.nr_cpus()).map_err(|e| format!("--nodes {nodes}: {e}"))?;
+    }
     let lock_plan = match a.get("lock-plan") {
         None => None,
         // `pernode` alone resolves against the declared topology; the
@@ -190,7 +194,7 @@ fn cell(a: &Args, sched: SchedId) -> Result<CellConfig, String> {
         },
         lock_plan,
         seed: a.get_or("seed", 23_062).map_err(|e| e.to_string())?,
-        workload: workload(a)?,
+        workload,
         chaos: ChaosSpec {
             faults: a.get("faults").map(str::to_string),
             fault_seed,

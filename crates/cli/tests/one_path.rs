@@ -52,30 +52,42 @@ fn shapes_with_more_than_256_queues_are_rejected_by_both_front_ends() {
 /// with one line naming the bad text and exit 1: the `4294967296²` tree
 /// used to wrap to 0 CPUs and panic (101), `1000N1000C1000T` and
 /// `--cpus 100000000000` to abort on a multi-gigabyte allocation (134),
-/// and `--cpus 0` to run silently as 1P. A spec's `shape` takes the same
-/// ceiling, so the error comes at parse time, not from a pool worker.
+/// and `--cpus 0` to run silently as 1P. The same holds for a lock plan
+/// with more shards than CPUs and a cluster with more CPUs in total
+/// (both aborted on their allocation), and for a zero-sized workload
+/// (its builder's assert panicked). A spec takes the same checks
+/// (`spec::tests::rejects_malformed_specs`), so the error comes at parse
+/// time, not from a pool worker.
 #[test]
 fn cpu_counts_that_overflow_or_cannot_be_allocated_are_rejected() {
-    for (flags, bad) in [
+    for (args, bad) in [
         (
-            ["--topology", "4294967296N4294967296C1T"],
+            "volano --topology 4294967296N4294967296C1T",
             "4294967296N4294967296C1T",
         ),
-        (["--topology", "1000N1000C1000T"], "1000N1000C1000T"),
-        (["--cpus", "100000000000"], "--cpus 100000000000"),
-        (["--cpus", "0"], "--cpus 0"),
+        ("volano --topology 1000N1000C1000T", "1000N1000C1000T"),
+        ("volano --cpus 100000000000", "--cpus 100000000000"),
+        ("volano --cpus 0", "--cpus 0"),
+        ("volano --rooms 0", "--rooms 0"),
+        ("volano --messages 0", "--messages 0"),
+        ("httpd --clients 0", "--clients 0"),
+        ("httpd --workers 0", "--workers 0"),
+        (
+            "volano --cpus 2 --lock-plan sharded:99999999999",
+            "sharded:99999999999",
+        ),
+        ("cluster --nodes 99999999999", "--nodes 99999999999"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_elsc-sim"))
-            .arg("volano")
-            .args(flags)
+            .args(args.split_whitespace())
             .output()
             .expect("elsc-sim runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{flags:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         assert!(
             stderr.starts_with("error: ") && stderr.contains(bad),
-            "{flags:?}: {stderr}"
+            "{args:?}: {stderr}"
         );
     }
     let spec = "name = big\nworkload = stress\nsched = elsc\nshape = 4294967296N4294967296C1T";

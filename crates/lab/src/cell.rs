@@ -455,6 +455,24 @@ pub enum WorkloadCell {
     },
 }
 
+/// The parameters that size a workload's topology. The workload
+/// builders need at least one of each, so the CLI and the spec grammar
+/// reject a 0 when they parse it.
+pub const SIZE_PARAMS: [&str; 8] = [
+    "rooms", "users", "messages", "clients", "workers", "jobs", "units", "nodes",
+];
+
+/// Checks a cluster of `nodes` machines with `cpus` CPUs each against
+/// the machine's own ceiling, [`MAX_CPUS`], on the total.
+pub fn check_cluster_cpus(nodes: u64, cpus: usize) -> Result<(), String> {
+    match nodes.checked_mul(cpus as u64) {
+        Some(total) if total <= MAX_CPUS as u64 => Ok(()),
+        _ => Err(format!(
+            "{nodes} nodes × {cpus} CPU(s) is past the {MAX_CPUS}-CPU ceiling"
+        )),
+    }
+}
+
 impl WorkloadCell {
     /// Workload name ("volano", "kbuild", "httpd", "stress", "rtmix",
     /// "mega", "cluster").
@@ -552,6 +570,14 @@ impl WorkloadCell {
             .into_iter()
             .find(|(k, _)| *k == name)
             .map(|(_, v)| v)
+    }
+
+    /// The first parameter in [`SIZE_PARAMS`] that is 0, if any.
+    pub fn zero_size(&self) -> Option<&'static str> {
+        self.params()
+            .into_iter()
+            .find(|&(k, v)| v == 0 && SIZE_PARAMS.contains(&k))
+            .map(|(k, _)| k)
     }
 
     /// The ledger key of the workload's headline throughput metric, if

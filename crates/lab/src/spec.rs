@@ -13,7 +13,9 @@ use std::str::FromStr;
 use elsc_cluster::DispatcherId;
 use elsc_sched_api::LockPlan;
 
-use crate::cell::{CellConfig, ChaosSpec, SchedId, Shape, WorkloadCell};
+use crate::cell::{
+    check_cluster_cpus, CellConfig, ChaosSpec, SchedId, Shape, WorkloadCell, SIZE_PARAMS,
+};
 
 /// The base seed of every builtin sweep (iteration `i` runs on
 /// `BASE_SEED + i`); the committed `BENCH_*.json` manifests depend on it.
@@ -291,10 +293,13 @@ impl FromStr for SweepSpec {
                     }
                     let mut axis = Vec::new();
                     for v in vals {
-                        axis.push(
-                            v.parse::<u64>()
-                                .map_err(|_| format!("bad value '{v}' for '{param}'"))?,
-                        );
+                        let n = v
+                            .parse::<u64>()
+                            .map_err(|_| format!("bad value '{v}' for '{param}'"))?;
+                        if n == 0 && SIZE_PARAMS.contains(&param) {
+                            return Err(format!("'{param} = {v}': must be at least 1"));
+                        }
+                        axis.push(n);
                     }
                     param_axes.insert(param.to_string(), axis);
                 }
@@ -311,6 +316,12 @@ impl FromStr for SweepSpec {
         for sched in &scheds {
             for shape in &shapes {
                 sched.fits(&shape.topology())?;
+            }
+        }
+        for &nodes in param_axes.get("nodes").into_iter().flatten() {
+            for shape in &shapes {
+                check_cluster_cpus(nodes, shape.nr_cpus())
+                    .map_err(|e| format!("'nodes = {nodes}': {e}"))?;
             }
         }
         if plans.is_empty() {
@@ -602,19 +613,19 @@ impl SweepSpec {
             // the task-table scans — is the thing under test, not
             // per-user traffic. `ELSC_MEGA_ROOMS` replaces the rooms
             // axis for manual scale-up runs (1250 → 100k tasks,
-            // 12500 → 1M). `ELSC_MEGA_POLICY=1` adds the bundled
-            // `policy:reg` program beside the native designs — policy
-            // cells at mega-scale populations are exactly what the
-            // bytecode VM exists for.
+            // 12500 → 1M). A policy cell at these populations is a spec
+            // file away: `workload = mega`, `sched = reg, elsc,
+            // policy:policies/reg.pol`.
             "mega" => {
                 let rooms = std::env::var("ELSC_MEGA_ROOMS")
                     .ok()
                     .filter(|v| {
                         !v.trim().is_empty()
-                            && v.split(',').all(|r| r.trim().parse::<u64>().is_ok())
+                            && v.split(',')
+                                .all(|r| r.trim().parse::<u64>().is_ok_and(|n| n > 0))
                     })
                     .unwrap_or_else(|| "50, 250".to_string());
-                let mut spec: SweepSpec = format!(
+                let spec: SweepSpec = format!(
                     "name = mega\n\
                      workload = mega\n\
                      sched = reg, elsc\n\
@@ -624,12 +635,6 @@ impl SweepSpec {
                 )
                 .parse()
                 .expect("builtin specs always parse");
-                if std::env::var("ELSC_MEGA_POLICY").is_ok_and(|v| v == "1") {
-                    spec.scheds.push(
-                        SchedId::policy("policy:reg", include_str!("../../../policies/reg.pol"))
-                            .expect("bundled policies verify"),
-                    );
-                }
                 return Some(spec);
             }
             // Learned-scheduler sweep: the two native baselines beside
@@ -839,6 +844,21 @@ mod tests {
         assert!("name = x\nworkload = volano\nrooms" // no '='
             .parse::<SweepSpec>()
             .is_err());
+        // Sizes the builders cannot take, named in the one-line error:
+        // zero-sized workloads panicked a pool worker, and the shard and
+        // node counts aborted the sweep on their allocation.
+        for (workload, line) in [
+            ("volano", "rooms = 0"),
+            ("httpd", "clients = 0"),
+            ("volano", "plan = sharded:99999999999"),
+            ("cluster", "nodes = 99999999999"),
+        ] {
+            let err = format!("name = x\nworkload = {workload}\nsched = elsc\n{line}")
+                .parse::<SweepSpec>()
+                .unwrap_err();
+            let bad = line.trim_start_matches("plan = ");
+            assert!(err.contains(bad) && !err.contains('\n'), "{line}: {err}");
+        }
     }
 
     #[test]
@@ -1102,18 +1122,6 @@ mod tests {
         assert!(cells.iter().any(|c| c.workload.param("rooms") == Some(250)));
         // Mega ids never collide with volano baseline ids.
         assert!(cells.iter().all(|c| c.id().starts_with("mega[")));
-
-        // `ELSC_MEGA_POLICY=1` adds the bundled `policy:reg` program
-        // beside the native designs. Same test so the
-        // env mutation can't race the assertions above.
-        std::env::set_var("ELSC_MEGA_POLICY", "1");
-        let with_policy = SweepSpec::builtin("mega").unwrap();
-        std::env::remove_var("ELSC_MEGA_POLICY");
-        assert_eq!(with_policy.cells().len(), 6);
-        assert!(with_policy
-            .cells()
-            .iter()
-            .any(|c| c.id().contains("policy:reg#")));
     }
 
     #[test]

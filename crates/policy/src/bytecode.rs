@@ -74,39 +74,26 @@ pub enum Op {
     Recalc,
     /// End of the hook body (no pick executed).
     Halt,
-    /// Superinstruction — fused scan-filter guard: evaluate the pure
-    /// predicate `HOSTFNS[d]` (`can_schedule` or `runnable`) on task
-    /// `r[a]` and jump to code index `b` when it is false. Lowered from
-    /// `if can_schedule(t) { ... }` with no `else`.
-    ScanFilter,
-    /// Superinstruction — fused goodness-compare-update, lowered from
-    /// `if X > Y { Y = X  Z = W }`: when `r[a] > r[b]` (both ints),
-    /// charge 4 more instructions and set `r[b] = r[a]`, `r[c] = r[d]`.
-    GtUpdate2,
-    /// Superinstruction — fused conditional pick, lowered from
-    /// `if C != 0 { pick B }`: when `r[a] != 0`, charge 2 more
-    /// instructions and end the hook picking `r[b]`.
-    PickIfNe0,
-    /// Superinstruction — the entire hot `pick_next` selection loop
-    /// (list-scan + compare-goodness + conditional-pick bookkeeping)
-    /// fused into one native walk. Lowered from the exact shape
+    /// Superinstruction — the hot `pick_next` selection loop fused into
+    /// one native walk. Lowered from exactly this shape, the one every
+    /// scoring program uses (any other filter or score takes the plain
+    /// ops):
     ///
     /// ```text
     /// foreach t in list(L) {
-    ///     if can_schedule(t) {        # or runnable(t)
-    ///         let g = goodness(t)     # any one-arg host fn on t
+    ///     if can_schedule(t) {
+    ///         let g = goodness(t)
     ///         if g > C { C = g  B = t }
     ///     }
     /// }
     /// ```
     ///
     /// Operands: `a` = list-index register, `b` = best-score register
-    /// (`C`), `c` = winner register (`B`), `d` = filter fn index in the
-    /// low byte and score fn index in the high byte (both [`HOSTFNS`]).
-    /// Per examined task the VM charges 3 (filter), then 3 more before
-    /// the score call, then 4 after it, then 4 when a new best is
-    /// recorded — the interpreter's exact per-node schedule, with the
-    /// budget checked at every side-effect boundary.
+    /// (`C`), `c` = winner register (`B`). Per examined task the VM
+    /// charges 3 (filter), then 3 more before the score call, then 4
+    /// after it, then 4 when a new best is recorded — the interpreter's
+    /// exact per-node schedule, with the budget checked at every
+    /// side-effect boundary.
     ScanBest,
 }
 
@@ -131,9 +118,6 @@ impl Op {
             Op::SetCounter => "set_counter",
             Op::Recalc => "recalc",
             Op::Halt => "halt",
-            Op::ScanFilter => "scan.filter",
-            Op::GtUpdate2 => "gt.update2",
-            Op::PickIfNe0 => "pick.ifne0",
             Op::ScanBest => "scan.best",
         }
     }
@@ -155,8 +139,7 @@ pub const BINOPS: [BinOp; 11] = [
     BinOp::Ge,
 ];
 
-/// Host functions by bytecode index (the `d` operand of [`Op::Call`]
-/// and [`Op::ScanFilter`]).
+/// Host functions by bytecode index (the `d` operand of [`Op::Call`]).
 pub const HOSTFNS: [HostFn; 14] = [
     HostFn::Goodness,
     HostFn::PrevGoodness,
@@ -267,22 +250,7 @@ impl Chunk {
                 Op::Place => format!("list r{} {}", i.a, if i.b == 1 { "front" } else { "back" }),
                 Op::SetCounter => format!("r{} <- r{}", i.a, i.b),
                 Op::Recalc | Op::Halt => String::new(),
-                Op::ScanFilter => {
-                    format!("{}(r{}) else -> {}", HOSTFNS[i.d as usize].name(), i.a, i.b)
-                }
-                Op::GtUpdate2 => format!(
-                    "r{} > r{} ? r{} r{} <- r{} r{}",
-                    i.a, i.b, i.b, i.c, i.a, i.d
-                ),
-                Op::PickIfNe0 => format!("r{} != 0 ? pick r{}", i.a, i.b),
-                Op::ScanBest => format!(
-                    "list r{} {}/{} best r{} win r{}",
-                    i.a,
-                    HOSTFNS[(i.d & 0xff) as usize].name(),
-                    HOSTFNS[(i.d >> 8) as usize].name(),
-                    i.b,
-                    i.c
-                ),
+                Op::ScanBest => format!("list r{} best r{} win r{}", i.a, i.b, i.c),
             };
             let _ = writeln!(
                 out,

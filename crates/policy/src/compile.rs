@@ -20,16 +20,12 @@
 //!   exactly like the interpreter's free `repeat`/`foreach` iteration,
 //!   and so does `for.next` — which is what lets `for.begin` jump
 //!   straight past an empty list's loop at no change in charge.
-//! * **superinstruction fusion** — the three hot `pick_next` shapes
-//!   (`if can_schedule(t)/runnable(t) { ... }`,
-//!   `if g > c { c = g  best = t }`, `if c != 0 { pick best }`) fuse
-//!   into single dispatches ([`Op::ScanFilter`], [`Op::GtUpdate2`],
-//!   [`Op::PickIfNe0`]) with the conditional part of the interpreter
-//!   charge applied only when the branch is taken — and the *entire*
-//!   selection loop (list-scan + compare-goodness + best-tracking, the
-//!   shape of every bundled `pick_next`) fuses into one native walk,
-//!   [`Op::ScanBest`], which removes all per-task dispatch overhead
-//!   while keeping the interpreter's per-node charge schedule.
+//! * **one superinstruction** — the `can_schedule`-filtered,
+//!   `goodness`-scored selection loop that every scoring `pick_next`
+//!   runs fuses into one native walk, [`Op::ScanBest`], which removes
+//!   all per-task dispatch overhead while keeping the interpreter's
+//!   per-node charge schedule. Everything else, other selection loops
+//!   included, takes the plain ops.
 //! * **literal operands** — a binary expression whose right operand is
 //!   an integer literal lowers to one [`Op::BinK`] instead of a `const`
 //!   load plus a `bin`, carrying both charges.
@@ -71,10 +67,12 @@
 //! 001: const        r10 <- 0                     ; cost 3
 //! 002: bin.k        r9 <- r10 Sub 1000           ; cost 1
 //! 003: const        r10 <- 0                     ; cost 2
-//! 004: scan.best    list r10 can_schedule/goodness best r9 win r8 ; cost 0
-//! 005: pick.ifne0   r9 != 0 ? pick r8            ; cost 4
-//! 006: pick         r8                           ; cost 2
-//! 007: halt                                      ; cost 0
+//! 004: scan.best    list r10 best r9 win r8      ; cost 0
+//! 005: bin.k        r10 <- r9 Ne 0               ; cost 4
+//! 006: jz           r10 -> 8                     ; cost 0
+//! 007: pick         r8                           ; cost 2
+//! 008: pick         r8                           ; cost 2
+//! 009: halt                                      ; cost 0
 //! "
 //! );
 //! ```
@@ -193,7 +191,7 @@ fn compile_hook(body: &Block) -> Result<Chunk, PolicyError> {
     debug_assert!(c.code.iter().all(|i| {
         !matches!(
             i.op,
-            Op::Jmp | Op::Jz | Op::RepeatNext | Op::ForBegin | Op::ForNext | Op::ScanFilter
+            Op::Jmp | Op::Jz | Op::RepeatNext | Op::ForBegin | Op::ForNext
         ) || (i.a != PATCH && i.b != PATCH && i.c != PATCH)
     }));
     Ok(Chunk {
@@ -218,12 +216,12 @@ impl<'p> Compiler<'p> {
         self.code.len() - 1
     }
 
-    /// Emits with an explicit cost (loop back-edges: 0; fused ops keep
-    /// their own accounting).
-    fn emit_costed(&mut self, op: Op, cost: u16, a: u16, b: u16, c: u16, d: u16) -> usize {
+    /// Emits at cost 0, leaving pending charges for the next op (loop
+    /// back-edges and `for.next`: iteration is free in the interpreter).
+    fn emit_free(&mut self, op: Op, a: u16, b: u16, c: u16, d: u16) -> usize {
         self.code.push(Insn {
             op,
-            cost,
+            cost: 0,
             a,
             b,
             c,
@@ -254,16 +252,6 @@ impl<'p> Compiler<'p> {
             }
         }
         None
-    }
-
-    /// The register an expression already lives in, if it is a variable
-    /// or builtin reference. Purely structural — no charges, no code.
-    fn resolved_reg(&self, e: &Expr) -> Option<u16> {
-        match e {
-            Expr::Var(name, _) => self.lookup(name),
-            Expr::Builtin(b, _) => Some(builtin_reg(*b)),
-            _ => None,
-        }
     }
 
     /// Compiles an expression to *some* register: variable and builtin
@@ -383,7 +371,7 @@ impl<'p> Compiler<'p> {
                 self.loops.push(LoopCtx { breaks: Vec::new() });
                 self.block(body)?;
                 // Back-edge: iteration itself is free in the interpreter.
-                self.emit_costed(Op::RepeatNext, 0, ctr, head, 0, 0);
+                self.emit_free(Op::RepeatNext, ctr, head, 0, 0);
                 let exit = self.code.len() as u16;
                 for j in self.loops.pop().expect("pushed above").breaks {
                     self.code[j].a = exit;
@@ -392,7 +380,7 @@ impl<'p> Compiler<'p> {
             Stmt::Foreach {
                 var, list, body, ..
             } => {
-                if self.try_fuse_scan(var, list, body)?.is_some() {
+                if self.try_fuse_scan(var, list, body)? {
                     self.next_reg = mark;
                     return Ok(());
                 }
@@ -404,7 +392,7 @@ impl<'p> Compiler<'p> {
                 let begin = self.emit(Op::ForBegin, u16::from(slot), list_reg, PATCH, 0);
                 let var_reg = self.alloc();
                 let head = self.code.len() as u16;
-                let next = self.emit_costed(Op::ForNext, 0, u16::from(slot), var_reg, PATCH, 0);
+                let next = self.emit_free(Op::ForNext, u16::from(slot), var_reg, PATCH, 0);
                 self.loops.push(LoopCtx { breaks: Vec::new() });
                 // The loop variable and the body share one scope, as in
                 // the interpreter's per-iteration frame.
@@ -413,7 +401,7 @@ impl<'p> Compiler<'p> {
                     self.stmt(st)?;
                 }
                 self.scopes.pop();
-                self.emit_costed(Op::Jmp, 0, head, 0, 0, 0);
+                self.emit_free(Op::Jmp, head, 0, 0, 0);
                 let exit = self.code.len() as u16;
                 self.code[begin].c = exit;
                 self.code[next].c = exit;
@@ -468,18 +456,13 @@ impl<'p> Compiler<'p> {
         then: &'p Block,
         els: Option<&'p Block>,
     ) -> Result<(), PolicyError> {
-        if els.is_none() {
-            if let Some(()) = self.try_fuse(cond, then)? {
-                return Ok(());
-            }
-        }
         self.pending += 1;
         let c = self.operand(cond)?;
         let jz = self.emit(Op::Jz, c, PATCH, 0, 0);
         self.block(then)?;
         match els {
             Some(e) => {
-                let jend = self.emit_costed(Op::Jmp, 0, PATCH, 0, 0, 0);
+                let jend = self.emit_free(Op::Jmp, PATCH, 0, 0, 0);
                 self.code[jz].b = self.code.len() as u16;
                 self.block(e)?;
                 self.code[jend].a = self.code.len() as u16;
@@ -492,12 +475,12 @@ impl<'p> Compiler<'p> {
     }
 
     /// Tries to fuse an entire selection loop into one [`Op::ScanBest`]
-    /// dispatch — the shape every bundled `pick_next` scan takes:
+    /// dispatch — the shape every scoring `pick_next` takes:
     ///
     /// ```text
     /// foreach t in list(L) {
-    ///     if can_schedule(t) {         # or runnable(t)
-    ///         let g = goodness(t)      # any one-arg host fn on t
+    ///     if can_schedule(t) {
+    ///         let g = goodness(t)
     ///         if g > C { C = g  B = t }
     ///     }
     /// }
@@ -511,7 +494,7 @@ impl<'p> Compiler<'p> {
         var: &'p str,
         list: &'p Expr,
         body: &'p Block,
-    ) -> Result<Option<()>, PolicyError> {
+    ) -> Result<bool, PolicyError> {
         let [Stmt::If {
             cond,
             then,
@@ -519,19 +502,18 @@ impl<'p> Compiler<'p> {
             ..
         }] = body.stmts.as_slice()
         else {
-            return Ok(None);
+            return Ok(false);
         };
         let Expr::Call {
-            func: filter, args, ..
+            func: HostFn::CanSchedule,
+            args,
+            ..
         } = cond
         else {
-            return Ok(None);
+            return Ok(false);
         };
-        if !matches!(filter, HostFn::CanSchedule | HostFn::Runnable) {
-            return Ok(None);
-        }
         let [Expr::Var(fa, _)] = args.as_slice() else {
-            return Ok(None);
+            return Ok(false);
         };
         let [Stmt::Let {
             name: g, expr: ge, ..
@@ -542,18 +524,18 @@ impl<'p> Compiler<'p> {
             ..
         }] = then.stmts.as_slice()
         else {
-            return Ok(None);
+            return Ok(false);
         };
         let Expr::Call {
-            func: score,
+            func: HostFn::Goodness,
             args: sargs,
             ..
         } = ge
         else {
-            return Ok(None);
+            return Ok(false);
         };
         let [Expr::Var(sa, _)] = sargs.as_slice() else {
-            return Ok(None);
+            return Ok(false);
         };
         let Expr::Binary {
             op: BinOp::Gt,
@@ -562,10 +544,10 @@ impl<'p> Compiler<'p> {
             ..
         } = cmp
         else {
-            return Ok(None);
+            return Ok(false);
         };
         let (Expr::Var(gl, _), Expr::Var(cn, _)) = (lhs.as_ref(), rhs.as_ref()) else {
-            return Ok(None);
+            return Ok(false);
         };
         let [Stmt::Assign {
             name: a1, expr: e1, ..
@@ -573,10 +555,10 @@ impl<'p> Compiler<'p> {
             name: a2, expr: e2, ..
         }] = upd.stmts.as_slice()
         else {
-            return Ok(None);
+            return Ok(false);
         };
         let (Expr::Var(s1, _), Expr::Var(s2, _)) = (e1, e2) else {
-            return Ok(None);
+            return Ok(false);
         };
         let shape = fa == var
             && sa == var
@@ -591,101 +573,19 @@ impl<'p> Compiler<'p> {
             && a2 != var
             && s2 == var;
         if !shape {
-            return Ok(None);
+            return Ok(false);
         }
         let (Some(c_reg), Some(b_reg)) = (self.lookup(cn), self.lookup(a2)) else {
-            return Ok(None);
+            return Ok(false);
         };
         if c_reg == b_reg {
-            return Ok(None);
+            return Ok(false);
         }
         // Committed: the foreach statement + the list-index expression
         // charge up front; the per-task schedule is the op's own.
         self.pending += 1;
         let list_reg = self.operand(list)?;
-        let d = hostfn_index(*filter) | (hostfn_index(*score) << 8);
-        self.emit(Op::ScanBest, list_reg, c_reg, b_reg, d);
-        Ok(Some(()))
-    }
-
-    /// Tries the three superinstruction shapes on an else-less `if`.
-    /// Returns `Ok(Some(()))` when one matched and was emitted.
-    fn try_fuse(&mut self, cond: &'p Expr, then: &'p Block) -> Result<Option<()>, PolicyError> {
-        // Shape 1: `if can_schedule(t) { ... }` / `if runnable(t) { ... }`
-        // with a register-resident argument → ScanFilter guard.
-        if let Expr::Call { func, args, .. } = cond {
-            if matches!(func, HostFn::CanSchedule | HostFn::Runnable) && args.len() == 1 {
-                if let Some(t) = self.resolved_reg(&args[0]) {
-                    // Interpreter charge either way: if-stmt + call node
-                    // + arg node = 3.
-                    self.pending += 3;
-                    let guard = self.emit(Op::ScanFilter, t, PATCH, 0, hostfn_index(*func));
-                    self.block(then)?;
-                    self.code[guard].b = self.code.len() as u16;
-                    return Ok(Some(()));
-                }
-            }
-        }
-        // Shape 2: `if X > Y { Y = X  Z = W }`, all four register-resident
-        // → GtUpdate2. Static charge 4 (if + Gt + X + Y); the taken
-        // branch's 4 more (two assigns + two sources) are charged by the
-        // VM only when the update fires.
-        if let Expr::Binary {
-            op: BinOp::Gt,
-            lhs,
-            rhs,
-            ..
-        } = cond
-        {
-            if let (Some(xr), Some(yr), [s1, s2]) = (
-                self.resolved_reg(lhs),
-                self.resolved_reg(rhs),
-                then.stmts.as_slice(),
-            ) {
-                if let (
-                    Stmt::Assign {
-                        name: n1, expr: e1, ..
-                    },
-                    Stmt::Assign {
-                        name: n2, expr: e2, ..
-                    },
-                ) = (s1, s2)
-                {
-                    if let (Some(t1), Some(src1), Some(t2), Some(src2)) = (
-                        self.lookup(n1),
-                        self.resolved_reg(e1),
-                        self.lookup(n2),
-                        self.resolved_reg(e2),
-                    ) {
-                        if t1 == yr && src1 == xr && t2 != yr && t2 != xr {
-                            self.pending += 4;
-                            self.emit(Op::GtUpdate2, xr, yr, t2, src2);
-                            return Ok(Some(()));
-                        }
-                    }
-                }
-            }
-        }
-        // Shape 3: `if C != 0 { pick B }`, C and B register-resident
-        // → PickIfNe0. Static charge 4 (if + Ne + C + literal); the
-        // taken pick's 2 more (pick stmt + B) charge only on fire.
-        if let Expr::Binary {
-            op: BinOp::Ne,
-            lhs,
-            rhs,
-            ..
-        } = cond
-        {
-            if let (Some(c), Expr::Int(0, _), [Stmt::Pick { expr, .. }]) =
-                (self.resolved_reg(lhs), rhs.as_ref(), then.stmts.as_slice())
-            {
-                if let Some(b) = self.resolved_reg(expr) {
-                    self.pending += 4;
-                    self.emit(Op::PickIfNe0, c, b, 0, 0);
-                    return Ok(Some(()));
-                }
-            }
-        }
-        Ok(None)
+        self.emit(Op::ScanBest, list_reg, c_reg, b_reg, 0);
+        Ok(true)
     }
 }

@@ -125,9 +125,9 @@ pub(crate) fn recalc_effect(ctx: &mut SchedCtx<'_>, env: &Env) {
 
 /// The pure scan-filter predicates (`can_schedule` / `runnable`) on an
 /// already-resolved task — the single implementation shared by
-/// [`host_call`] and the VM's fused `scan.best` walk, so the two entry
-/// points cannot drift. Any other `f` is treated as `runnable` (the
-/// compiler only fuses these two).
+/// [`host_call`] and the VM's fused `scan.best` walk (`can_schedule`
+/// only), so the two entry points cannot drift. Any other `f` is
+/// treated as `runnable`.
 #[inline]
 pub(crate) fn scan_filter_pred(
     f: HostFn,

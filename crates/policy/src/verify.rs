@@ -711,4 +711,101 @@ mod tests {
             .unwrap_err();
         assert!(err.msg.contains("already declared"), "{}", err.msg);
     }
+
+    /// Checks the host-function table in `docs/POLICY.md` §3 against
+    /// [`HOSTFNS`](crate::bytecode::HOSTFNS): exactly one row per host
+    /// function, in any order, whose call form has the declared name and
+    /// arity and whose signature and hook columns match the verifier's.
+    fn check_host_api_table(doc: &str) -> Result<(), String> {
+        let section = doc
+            .split("## 3. Host API")
+            .nth(1)
+            .and_then(|s| s.split("\n## ").next())
+            .ok_or("no `## 3. Host API` section")?;
+        let mut rows: Vec<[&str; 3]> = Vec::new();
+        for line in section.lines().filter(|l| l.starts_with("| `")) {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            let [_, call, sig, hooks, ..] = cells.as_slice() else {
+                return Err(format!("malformed row: {line}"));
+            };
+            rows.push([call.trim_matches('`'), sig.trim_matches('`'), hooks]);
+        }
+        for f in crate::bytecode::HOSTFNS {
+            let params = fn_params(f);
+            let mut matching = rows.iter().filter(|[call, ..]| {
+                call.split_once('(').is_some_and(|(name, args)| {
+                    let arity = args
+                        .trim_end_matches(')')
+                        .split(',')
+                        .filter(|a| !a.trim().is_empty());
+                    name == f.name() && arity.count() == params.len()
+                })
+            });
+            let Some([call, sig, hooks]) = matching.next() else {
+                return Err(format!(
+                    "no row for `{}` with arity {}",
+                    f.name(),
+                    params.len()
+                ));
+            };
+            if matching.next().is_some() {
+                return Err(format!("two rows for `{}`", f.name()));
+            }
+            let want_sig = params
+                .iter()
+                .map(|t| t.name())
+                .chain(["→", fn_ret(f).name()])
+                .collect::<Vec<_>>()
+                .join(" ");
+            if *sig != want_sig {
+                return Err(format!(
+                    "`{call}`: signature `{sig}`, declared `{want_sig}`"
+                ));
+            }
+            let want_hooks = if pick_next_only(f) {
+                "`pick_next`"
+            } else {
+                "all"
+            };
+            if *hooks != want_hooks {
+                return Err(format!("`{call}`: hooks {hooks}, declared {want_hooks}"));
+            }
+        }
+        if rows.len() != crate::bytecode::HOSTFNS.len() {
+            return Err(format!(
+                "{} rows for {} host functions",
+                rows.len(),
+                crate::bytecode::HOSTFNS.len()
+            ));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn policy_doc_host_api_table_matches_the_declared_host_functions() {
+        let doc = include_str!("../../../docs/POLICY.md");
+        check_host_api_table(doc).unwrap();
+        // The check has teeth: a deleted, duplicated or mistyped row fails.
+        let row = "| `counter(t)` | `task → int` | all | remaining quantum ticks |\n";
+        assert!(doc.contains(row), "fixture row moved");
+        let deleted = doc.replace(row, "");
+        assert!(check_host_api_table(&deleted)
+            .unwrap_err()
+            .contains("`counter`"));
+        let doubled = doc.replace(row, &format!("{row}{row}"));
+        assert!(check_host_api_table(&doubled)
+            .unwrap_err()
+            .contains("two rows"));
+        let extra = doc.replace(
+            row,
+            &format!("{row}| `nice(t)` | `task → int` | all | x |\n"),
+        );
+        assert!(check_host_api_table(&extra)
+            .unwrap_err()
+            .contains("15 rows"));
+        let retyped = doc.replace(row, &row.replace("`task → int`", "`int → int`"));
+        assert!(check_host_api_table(&retyped)
+            .unwrap_err()
+            .contains("signature"));
+    }
 }

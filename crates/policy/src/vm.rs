@@ -242,157 +242,74 @@ pub(crate) fn run_chunk(
             Op::Halt => {
                 finish!(None);
             }
-            Op::ScanFilter => {
-                // Pure predicate (can_schedule/runnable): no meter
-                // charges, so fusing it costs nothing observably.
-                let v = host_call(
-                    ctx,
-                    lists,
-                    &mut env,
-                    HOSTFNS[i.d as usize],
-                    Some(state.regs[a]),
-                );
-                if int!(v) == 0 {
-                    pc = b;
-                    continue;
-                }
-            }
-            Op::GtUpdate2 => {
-                let g = int!(state.regs[a]);
-                let best = int!(state.regs[b]);
-                if g > best {
-                    // The taken branch's interpreter charge: two
-                    // assignment statements + two source nodes.
+            Op::ScanBest => {
+                // The whole selection loop in one native walk over the
+                // live list, like `for.next` (module docs). The filter,
+                // goodness and best-so-far compare are evaluated straight
+                // off the task slot, through the same shared helpers
+                // `host_call` uses. Charges follow the interpreter's
+                // per-node schedule, with the budget checked before each
+                // side-effecting step (the score's meter charge and
+                // examined-task count must not happen on a decision the
+                // interpreter would already have aborted). The best-so-far
+                // value is cached in a local after its first (lazily
+                // type-checked, like the interpreter) register read; the
+                // registers are updated on every new best, so a mid-scan
+                // blowout leaves them exactly where the interpreter would.
+                let h = wrap_list(int!(state.regs[a]), lists.nr_lists());
+                let mut cur = lists.first(h);
+                let smp = ctx.cfg.smp;
+                let cpu = env.cpu;
+                let prev_mm = env.prev_mm;
+                let mut best: Option<i64> = None;
+                while let Some(idx) = cur {
+                    let t = ctx.tasks.by_index(idx as usize);
+                    let tid = t.tid;
+                    let pass =
+                        scan_filter_pred(HostFn::CanSchedule, smp, t, tid, env.prev, env.idle);
+                    // Pure, so safe to compute ahead of the pre-score
+                    // budget check.
+                    let g = if pass {
+                        i64::from(goodness_ignoring_yield(t, cpu, prev_mm))
+                    } else {
+                        0
+                    };
+                    cur = lists.next_task(ctx.tasks, idx);
+                    // Guard if-stmt + call node + arg node.
+                    insns += 3;
+                    if insns > budget {
+                        blown!();
+                    }
+                    if !pass {
+                        continue;
+                    }
+                    // let-stmt + call node + arg node, then the score's
+                    // observable effects.
+                    insns += 3;
+                    if insns > budget {
+                        blown!();
+                    }
+                    charge_goodness_eval(ctx, cpu);
+                    // Inner if-stmt + Gt node + both operand nodes.
                     insns += 4;
                     if insns > budget {
                         blown!();
                     }
-                    state.regs[b] = Val::Int(g);
-                    state.regs[i.c as usize] = state.regs[i.d as usize];
-                }
-            }
-            Op::PickIfNe0 => {
-                if int!(state.regs[a]) != 0 {
-                    // The taken pick's interpreter charge: the pick
-                    // statement + its operand node.
-                    insns += 2;
-                    if insns > budget {
-                        blown!();
-                    }
-                    picked = Some(task!(state.regs[b]));
-                    finish!(None);
-                }
-            }
-            Op::ScanBest => {
-                // The whole selection loop in one native walk over
-                // the live list, like `for.next` (module docs).
-                // Charges follow the interpreter's per-node
-                // schedule, with the budget checked before each
-                // side-effecting host call (the score's meter charge
-                // and examined-task count must not happen on a decision
-                // the interpreter would already have aborted).
-                let filter = HOSTFNS[(i.d & 0xff) as usize];
-                let score = HOSTFNS[(i.d >> 8) as usize];
-                let h = wrap_list(int!(state.regs[a]), lists.nr_lists());
-                let mut cur = lists.first(h);
-                if score == HostFn::Goodness {
-                    // The hot shape (goodness scoring): filter,
-                    // goodness, and the best-so-far compare are
-                    // evaluated straight off the task slot, through
-                    // the same shared predicate/charge helpers
-                    // `host_call` itself uses. The best-so-far value
-                    // is cached in a local after its first (lazily
-                    // type-checked, like the interpreter) register
-                    // read; the registers are updated on every new
-                    // best, so a mid-scan budget blowout leaves them
-                    // exactly where the interpreter would.
-                    let smp = ctx.cfg.smp;
-                    let cpu = env.cpu;
-                    let prev_mm = env.prev_mm;
-                    let mut best: Option<i64> = None;
-                    while let Some(idx) = cur {
-                        let t = ctx.tasks.by_index(idx as usize);
-                        let tid = t.tid;
-                        let pass = scan_filter_pred(filter, smp, t, tid, env.prev, env.idle);
-                        // Pure, so safe to compute ahead of the
-                        // pre-score budget check.
-                        let g = if pass {
-                            i64::from(goodness_ignoring_yield(t, cpu, prev_mm))
-                        } else {
-                            0
-                        };
-                        cur = lists.next_task(ctx.tasks, idx);
-                        // Guard if-stmt + call node + arg node.
-                        insns += 3;
-                        if insns > budget {
-                            blown!();
-                        }
-                        if !pass {
-                            continue;
-                        }
-                        // let-stmt + call node + arg node, then the
-                        // score's observable effects.
-                        insns += 3;
-                        if insns > budget {
-                            blown!();
-                        }
-                        charge_goodness_eval(ctx, cpu);
-                        // Inner if-stmt + Gt node + both operand nodes.
+                    let best_val = match best {
+                        Some(v) => v,
+                        None => int!(state.regs[b]),
+                    };
+                    if g > best_val {
+                        // Two assignments + their source nodes.
                         insns += 4;
                         if insns > budget {
                             blown!();
                         }
-                        let best_val = match best {
-                            Some(v) => v,
-                            None => int!(state.regs[b]),
-                        };
-                        if g > best_val {
-                            // Two assignments + their source nodes.
-                            insns += 4;
-                            if insns > budget {
-                                blown!();
-                            }
-                            best = Some(g);
-                            state.regs[b] = Val::Int(g);
-                            state.regs[i.c as usize] = Val::Task(Some(tid));
-                        } else {
-                            best = Some(best_val);
-                        }
-                    }
-                } else {
-                    while let Some(idx) = cur {
-                        let tid = ctx.tasks.by_index(idx as usize).tid;
-                        cur = lists.next_task(ctx.tasks, idx);
-                        // Guard if-stmt + call node + arg node.
-                        insns += 3;
-                        if insns > budget {
-                            blown!();
-                        }
-                        let t = Some(Val::Task(Some(tid)));
-                        if int!(host_call(ctx, lists, &mut env, filter, t)) == 0 {
-                            continue;
-                        }
-                        // let-stmt + call node + arg node, then the score.
-                        insns += 3;
-                        if insns > budget {
-                            blown!();
-                        }
-                        let g = host_call(ctx, lists, &mut env, score, t);
-                        // Inner if-stmt + Gt node + both operand nodes.
-                        insns += 4;
-                        if insns > budget {
-                            blown!();
-                        }
-                        let g = int!(g);
-                        if g > int!(state.regs[b]) {
-                            // Two assignments + their source nodes.
-                            insns += 4;
-                            if insns > budget {
-                                blown!();
-                            }
-                            state.regs[b] = Val::Int(g);
-                            state.regs[i.c as usize] = Val::Task(Some(tid));
-                        }
+                        best = Some(g);
+                        state.regs[b] = Val::Int(g);
+                        state.regs[i.c as usize] = Val::Task(Some(tid));
+                    } else {
+                        best = Some(best_val);
                     }
                 }
             }
@@ -732,7 +649,7 @@ mod tests {
     }
 
     #[test]
-    fn reg_pol_compiles_to_fused_superinstructions() {
+    fn reg_pol_compiles_to_only_scan_best() {
         let sched =
             PolicyScheduler::load_str(include_str!("../../../policies/reg.pol"), 1).unwrap();
         let chunk = sched
@@ -740,18 +657,19 @@ mod tests {
             .chunk(crate::ast::HookKind::PickNext)
             .expect("reg.pol defines pick_next");
         let has = |op: Op| chunk.code.iter().any(|i| i.op == op);
-        assert!(has(Op::ScanFilter), "prev-check guard fused");
         assert!(has(Op::ScanBest), "the whole selection loop fused");
-        assert!(has(Op::PickIfNe0), "conditional pick fused");
         assert!(
-            !has(Op::ForBegin) && !has(Op::GtUpdate2),
+            !has(Op::ForBegin) && !has(Op::ForNext),
             "the scan loop is absorbed into scan.best"
         );
+        assert!(has(Op::Jz), "every other `if` takes the plain lowering");
     }
 
     /// `table.pol`'s band walk, golden: an empty band costs three
     /// dispatches (`for.begin` straight to its exit, `bin.k`,
-    /// `repeat.next`), and every literal right operand is a `bin.k`.
+    /// `repeat.next`), every literal right operand is a `bin.k`, and
+    /// every `if` is a plain `call`/`jz` (no loop here is `scan.best`'s
+    /// shape).
     #[test]
     fn table_pol_pick_next_disassembly_is_pinned() {
         let sched =
@@ -766,40 +684,43 @@ mod tests {
 000: repeat.init  r8 <- 2                      ; cost 1
 001: bin.k        r9 <- r6 Sub 1               ; cost 4
 002: repeat.init  r10 <- 30                    ; cost 1
-003: for.begin    iter0 list r9 empty -> 16    ; cost 2
-004: for.next     iter0 r11 else -> 16         ; cost 0
-005: scan.filter  can_schedule(r11) else -> 15 ; cost 3
-006: call         r13 <- counter(r11)          ; cost 4
-007: bin.k        r12 <- r13 Gt 0              ; cost 1
-008: jz           r12 -> 11                    ; cost 0
-009: requeue      r11                          ; cost 2
-010: pick         r11                          ; cost 2
-011: call         r12 <- is_rt(r11)            ; cost 3
-012: jz           r12 -> 15                    ; cost 0
-013: requeue      r11                          ; cost 2
-014: pick         r11                          ; cost 2
-015: jmp          -> 4                         ; cost 0
-016: bin.k        r9 <- r9 Sub 1               ; cost 4
-017: repeat.next  r10 -> 3                     ; cost 0
-018: scan.filter  runnable(r1) else -> 23      ; cost 3
-019: call         r11 <- prev_goodness()       ; cost 3
-020: bin.k        r10 <- r11 Gt 0              ; cost 1
-021: jz           r10 -> 23                    ; cost 0
-022: pick         r1                           ; cost 2
-023: recalc                                    ; cost 1
-024: repeat.next  r8 -> 1                      ; cost 0
-025: scan.filter  runnable(r1) else -> 27      ; cost 3
-026: pick         r1                           ; cost 2
-027: pick         r2                           ; cost 2
-028: halt                                      ; cost 0
+003: for.begin    iter0 list r9 empty -> 17    ; cost 2
+004: for.next     iter0 r11 else -> 17         ; cost 0
+005: call         r12 <- can_schedule(r11)     ; cost 3
+006: jz           r12 -> 16                    ; cost 0
+007: call         r14 <- counter(r11)          ; cost 4
+008: bin.k        r13 <- r14 Gt 0              ; cost 1
+009: jz           r13 -> 12                    ; cost 0
+010: requeue      r11                          ; cost 2
+011: pick         r11                          ; cost 2
+012: call         r13 <- is_rt(r11)            ; cost 3
+013: jz           r13 -> 16                    ; cost 0
+014: requeue      r11                          ; cost 2
+015: pick         r11                          ; cost 2
+016: jmp          -> 4                         ; cost 0
+017: bin.k        r9 <- r9 Sub 1               ; cost 4
+018: repeat.next  r10 -> 3                     ; cost 0
+019: call         r10 <- runnable(r1)          ; cost 3
+020: jz           r10 -> 25                    ; cost 0
+021: call         r12 <- prev_goodness()       ; cost 3
+022: bin.k        r11 <- r12 Gt 0              ; cost 1
+023: jz           r11 -> 25                    ; cost 0
+024: pick         r1                           ; cost 2
+025: recalc                                    ; cost 1
+026: repeat.next  r8 -> 1                      ; cost 0
+027: call         r8 <- runnable(r1)           ; cost 3
+028: jz           r8 -> 30                     ; cost 0
+029: pick         r1                           ; cost 2
+030: pick         r2                           ; cost 2
+031: halt                                      ; cost 0
 "
         );
     }
 
-    /// The fused selection loop picks the same winner, charges the same
-    /// instruction schedule, and aborts at the same budget cutoffs as
-    /// the unfused path (which the differential suite pins against the
-    /// interpreter).
+    /// The fused selection loop picks the highest-goodness task, charges
+    /// the interpreter's per-node schedule, and aborts at the same
+    /// budget cutoffs as the unfused path (which the differential suite
+    /// pins against the interpreter).
     #[test]
     fn scan_best_walks_the_list_and_tracks_the_max() {
         // r8 = list 0; r9 = best (-1000); r10 = winner (nil);
@@ -807,14 +728,7 @@ mod tests {
         let c = chunk(
             vec![
                 insn(Op::Const, 1, 8, 0, 0, 0),
-                insn(
-                    Op::ScanBest,
-                    2,
-                    8,
-                    9,
-                    10,
-                    hostfn_index(HostFn::CanSchedule) | (hostfn_index(HostFn::Counter) << 8),
-                ),
+                insn(Op::ScanBest, 2, 8, 9, 10, 0),
                 insn(Op::Requeue, 1, 10, 0, 0, 0),
                 insn(Op::Halt, 0, 0, 0, 0, 0),
             ],
@@ -836,7 +750,8 @@ mod tests {
         rig.state.regs[9] = Val::Int(-1000);
         let run = rig.run(&c, env, 1000);
         assert_eq!(run.violation, None);
-        assert_eq!(run.requeued, vec![b], "highest counter wins");
+        assert_eq!(run.requeued, vec![b], "highest goodness wins");
+        assert_eq!(rig.stats.cpu(0).tasks_examined, 2, "one goodness per task");
         // 1 (const) + 2 (scan entry) + per item 3+3+4, +4 on each new
         // best (both items beat the seed), + 1 (requeue).
         assert_eq!(run.insns, 1 + 2 + 2 * (3 + 3 + 4 + 4) + 1);

@@ -21,7 +21,7 @@ use elsc_ktask::{CpuId, MmId, TaskSpec, TaskState, TaskTable, Tid};
 use elsc_machine::behavior::Script;
 use elsc_machine::{Machine, MachineConfig, Op, RunReport};
 use elsc_netsim::Msg;
-use elsc_policy::{load_str, PolicyScheduler, Program, DEFAULT_BUDGET};
+use elsc_policy::{load_str, HookKind, PolicyScheduler, Program, DEFAULT_BUDGET};
 use elsc_sched_api::{SchedConfig, SchedCtx, Scheduler};
 use elsc_simcore::{CostModel, CycleMeter, SimRng};
 use elsc_stats::SchedStats;
@@ -277,7 +277,7 @@ fn vm_budget_exhaustion_mid_hook_matches_interp_exactly() {
     }
 }
 
-/// Programs aimed at this PR's VM paths — the live `foreach` cursor, the
+/// Programs aimed at the VM's own paths — the live `foreach` cursor, the
 /// empty-list exit of `for.begin`, and `bin.k` — each held to the
 /// reference at the generous budget and at every budget from 1 to 96,
 /// so aborts land inside each of them.
@@ -375,9 +375,139 @@ const VM_PATH_PROGRAMS: [(&str, &str); 4] = [
     ),
 ];
 
+/// `reg.pol`'s two-pass selection loop with its loop variable, filter
+/// and score swapped for the given names.
+macro_rules! reg_loop {
+    ($var:literal, $filter:literal, $score:literal) => {
+        concat!(
+            "policy regloop\nlists 1\n",
+            "hook enqueue { enqueue_front(0) }\n",
+            "hook pick_next {\n",
+            "  let best = idle\n",
+            "  let c = -1000\n",
+            "  repeat 2 {\n",
+            "    c = -1000\n",
+            "    best = idle\n",
+            "    if runnable(prev) { c = prev_goodness()  best = prev }\n",
+            "    foreach ",
+            $var,
+            " in list(0) {\n",
+            "      if ",
+            $filter,
+            "(",
+            $var,
+            ") {\n",
+            "        let g = ",
+            $score,
+            "(",
+            $var,
+            ")\n",
+            "        if g > c { c = g  best = ",
+            $var,
+            " }\n",
+            "      }\n",
+            "    }\n",
+            "    if c != 0 { pick best }\n",
+            "    recalc()\n",
+            "  }\n",
+            "  pick best\n",
+            "}\n",
+        )
+    };
+}
+
+/// The `pick_next` shapes around `scan.best`, the one fused op, with
+/// whether each compiles to it: a guard, a compare-update and a
+/// conditional pick on their own, selection loops filtered, scored or
+/// named one step off the fused shape, and the fused loop itself. Held
+/// to the reference like [`VM_PATH_PROGRAMS`].
+const FUSION_SHAPES: [(&str, bool, &str); 7] = [
+    (
+        "guards",
+        false,
+        "policy guards\nlists 2\n\
+         hook enqueue { enqueue_back(counter(task) % 2)  if runnable(task) { enqueue_front(0) } }\n\
+         hook tick { if runnable(task) { set_counter(task, counter(task) - 1) } }\n\
+         hook pick_next {\n\
+           if runnable(prev) { if counter(prev) > 2 { pick prev } }\n\
+           foreach t in list(0) { if can_schedule(t) { requeue_back(t) pick t } }\n\
+           foreach t in list(1) { if runnable(t) { if can_schedule(t) { pick t } } }\n\
+           if runnable(prev) { pick prev }\n\
+           pick idle\n\
+         }\n",
+    ),
+    (
+        "compare-update outside a scan",
+        false,
+        "policy gtupdate\nlists 1\n\
+         hook enqueue { enqueue_back(0) }\n\
+         hook pick_next {\n\
+           let best = idle\n\
+           let c = -1000\n\
+           let h = list_head(0)\n\
+           if h != nil {\n\
+             let g = goodness(h)\n\
+             if g > c { c = g  best = h }\n\
+           }\n\
+           let p = prev_goodness()\n\
+           if p > c { c = p  best = prev }\n\
+           if c > 0 { if can_schedule(best) { requeue_back(best) pick best } }\n\
+           if runnable(prev) { pick prev }\n\
+           pick idle\n\
+         }\n",
+    ),
+    (
+        "conditional pick",
+        false,
+        "policy ifne\nlists 1\n\
+         hook enqueue { enqueue_back(0) }\n\
+         hook pick_next {\n\
+           let best = list_head(0)\n\
+           let c = counter(best) - 3\n\
+           if c != 0 { pick best }\n\
+           c = counter(prev)\n\
+           best = prev\n\
+           if runnable(prev) { if c != 0 { pick best } }\n\
+           recalc()\n\
+           c = list_len(0)\n\
+           best = list_head(0)\n\
+           if c != 0 { pick best }\n\
+           pick idle\n\
+         }\n",
+    ),
+    (
+        "runnable-filtered loop",
+        false,
+        reg_loop!("t", "runnable", "goodness"),
+    ),
+    (
+        "counter-scored loop",
+        false,
+        reg_loop!("t", "can_schedule", "counter"),
+    ),
+    // The loop variable shadows the winner, so `best = best` writes the
+    // loop variable and the outer `best` is never set.
+    (
+        "shadowed reg loop",
+        false,
+        reg_loop!("best", "can_schedule", "goodness"),
+    ),
+    ("reg loop", true, reg_loop!("t", "can_schedule", "goodness")),
+];
+
 #[test]
 fn vm_path_programs_match_the_reference_at_every_budget() {
-    for (name, src) in VM_PATH_PROGRAMS {
+    let fusion_shapes = FUSION_SHAPES.iter().map(|&(name, fused, src)| {
+        let sched = PolicyScheduler::load_str(src, 1).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let chunk = sched
+            .compiled()
+            .chunk(HookKind::PickNext)
+            .expect("pick_next");
+        let scan_best = chunk.code.iter().any(|i| i.op == elsc_policy::Op::ScanBest);
+        assert_eq!(scan_best, fused, "{name}: scan.best\n{}", chunk.disasm());
+        (name, src)
+    });
+    for (name, src) in VM_PATH_PROGRAMS.into_iter().chain(fusion_shapes) {
         let prog = load_str(src).unwrap_or_else(|e| panic!("{name}: {e}"));
         for budget in std::iter::once(DEFAULT_BUDGET).chain(1..=96) {
             assert_vm_matches_reference(name, &prog, budget, 120);

@@ -23,7 +23,7 @@ use core::str::FromStr;
 
 use elsc_simcore::lockdomain::LockModel;
 use elsc_simcore::spinlock::HolderId;
-use elsc_simcore::Cycles;
+use elsc_simcore::{Cycles, MAX_CPUS};
 
 /// The locking regime a scheduler wants for its run-queue state.
 ///
@@ -93,7 +93,8 @@ impl fmt::Display for LockPlan {
 impl FromStr for LockPlan {
     type Err = String;
 
-    /// Parses `global`, `percpu`, `sharded:N`, or `pernode:K` (N, K ≥ 1).
+    /// Parses `global`, `percpu`, `sharded:N`, or `pernode:K` (N, K ≥ 1,
+    /// and N ≤ [`MAX_CPUS`]: a shard past the CPU count is unreachable).
     /// The CLI additionally accepts bare `pernode`, resolving K from the
     /// declared topology before it reaches this parser.
     ///
@@ -105,6 +106,7 @@ impl FromStr for LockPlan {
     /// assert_eq!("sharded:3".parse::<LockPlan>(), Ok(LockPlan::Sharded(3)));
     /// assert_eq!("pernode:8".parse::<LockPlan>(), Ok(LockPlan::PerNode(8)));
     /// assert!("sharded:0".parse::<LockPlan>().is_err());
+    /// assert!("sharded:99999999999".parse::<LockPlan>().is_err());
     /// assert!("pernode:0".parse::<LockPlan>().is_err());
     /// assert!("banana".parse::<LockPlan>().is_err());
     /// ```
@@ -119,6 +121,11 @@ impl FromStr for LockPlan {
                         .map_err(|_| format!("bad shard count in lock plan '{s}'"))?;
                     if n == 0 {
                         return Err("lock plan needs at least one shard".to_string());
+                    }
+                    if n > MAX_CPUS {
+                        return Err(format!(
+                            "lock plan '{s}' has more shards than the {MAX_CPUS}-CPU ceiling"
+                        ));
                     }
                     Ok(LockPlan::Sharded(n))
                 } else if let Some(per) = s.strip_prefix("pernode:") {
