@@ -50,6 +50,12 @@ rules() {
 1 - whole   crates/machine/src/observe.rs  -  check_task_invariants\(
 1 - shipped crates/machine/src/observe.rs  -  drain_touched
 
+# -- The exchange follows the nodes' pipe change logs: no shipped walk over
+# every bridge; the walk survives as the debug-build reference each
+# exchange is asserted against.
+0 0 joined  crates/cluster/src/federation.rs  -  in[[:space:]]+&(mut[[:space:]]+)?self\.bridges|self\.bridges[[:space:]]*\.(iter|iter_mut|into_iter)\(
+1 - shipped crates/cluster/src/federation.rs  -  drain_pipe_log
+
 # -- One task record, one event queue: the struct-of-arrays mirror, its
 # write-back guard, the lane goodness twins and the selectable-heap cargo
 # feature occur nowhere; the binary heap is simcore's test-only reference.

@@ -2,11 +2,13 @@
 //!
 //! N [`Machine`]s advance in lock-step *exchange epochs*: every node
 //! simulates up to the epoch barrier, then the federation drains each
-//! bridged egress pipe, runs the segments through the connecting
-//! [`Link`]'s delay model, and injects the arrivals into the destination
-//! node's event queue. Every node has already simulated up to the
-//! barrier when the exchange runs, and every arrival lands strictly
-//! *after* it (the link adds propagation latency), so no message can
+//! bridged egress pipe the epoch touched (the nodes' pipe change logs
+//! name them, so an idle bridge costs nothing), runs the segments
+//! through the connecting [`Link`]'s delay model, and injects the
+//! arrivals into the destination node's event queue. Every node has
+//! already simulated up to the barrier when the exchange runs, and
+//! every arrival lands strictly *after* it (the link adds propagation
+//! latency), so no message can
 //! affect an instant a node has already passed — the conservative
 //! synchronisation argument — and the merged result is a pure function
 //! of `(seed, fault_seed, plan, cluster config)` no matter how the
@@ -19,7 +21,7 @@
 
 use elsc_chaos::{ClusterFaultPlan, ClusterInjector};
 use elsc_machine::{Machine, MachineConfig, RunError, StepStatus};
-use elsc_netsim::{Link, LinkConfig, PipeId};
+use elsc_netsim::{Link, LinkConfig, Msg, PipeId};
 use elsc_sched_api::Scheduler;
 use elsc_simcore::Cycles;
 
@@ -141,11 +143,18 @@ struct Bridge {
 pub struct Cluster {
     cfg: ClusterConfig,
     machines: Vec<Machine>,
+    /// Indexed by the token each egress pipe is watched under.
     bridges: Vec<Bridge>,
     /// One directional link per `(from, to)` node pair, shared by every
     /// bridge between that pair (one wire serialises all of a pair's
     /// traffic). Creation order follows bridge registration order.
     links: Vec<((usize, usize), Link)>,
+    /// Reusable exchange buffers: the bridges whose egress changed, and
+    /// one bridge's drained segments.
+    touched: Vec<u32>,
+    msgs: Vec<Msg>,
+    /// Egress drains the exchanges ran (never serialized).
+    bridge_drains: u64,
 }
 
 impl Cluster {
@@ -154,8 +163,7 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the config has no nodes, or if the epoch exceeds the
-    /// link latency (which would break conservative synchronisation).
+    /// Panics if the config has no nodes or a zero-length epoch.
     pub fn new(
         cfg: ClusterConfig,
         mut mk_sched: impl FnMut(usize) -> Box<dyn Scheduler>,
@@ -178,6 +186,9 @@ impl Cluster {
             machines,
             bridges: Vec::new(),
             links: Vec::new(),
+            touched: Vec::new(),
+            msgs: Vec::new(),
+            bridge_drains: 0,
         }
     }
 
@@ -220,6 +231,8 @@ impl Cluster {
     pub fn bridge(&mut self, from: usize, egress: PipeId, to: usize, ingress: PipeId) {
         assert_ne!(from, to, "bridging a node to itself (use a local pipe)");
         let link = self.link_index(from, to);
+        let token = u32::try_from(self.bridges.len()).expect("bridge count overflow");
+        self.machines[from].watch_pipe(egress, token);
         self.bridges.push(Bridge {
             from,
             egress,
@@ -262,18 +275,31 @@ impl Cluster {
         }
     }
 
-    /// Drains every bridge at `barrier`, transmitting segments through
-    /// the links and injecting arrivals. Returns how many segments (and
-    /// FINs) moved.
+    /// Drains, at `barrier`, every bridge whose egress pipe was touched
+    /// since the last exchange, in bridge order: transmits the segments
+    /// through the links and injects the arrivals. Returns how many
+    /// segments (and FINs) moved.
+    ///
+    /// A bridge left out has nothing to move — no segment was queued and
+    /// no close happened, since both go through the pipe log — so the
+    /// result is the same as draining every bridge, and bridge order
+    /// keeps each shared [`Link`]'s transmit order.
     fn exchange(&mut self, barrier: u64) -> u64 {
+        for m in &mut self.machines {
+            m.drain_pipe_log(&mut self.touched);
+        }
+        self.touched.sort_unstable();
         let mut moved = 0;
-        for b in &mut self.bridges {
+        for &token in &self.touched {
+            let b = &mut self.bridges[token as usize];
             if b.closed_sent {
                 continue;
             }
-            let (msgs, closed) = self.machines[b.from].drain_external(b.egress, Cycles(barrier));
+            self.bridge_drains += 1;
+            let closed =
+                self.machines[b.from].drain_external(b.egress, Cycles(barrier), &mut self.msgs);
             let link = &mut self.links[b.link].1;
-            for msg in msgs {
+            for msg in self.msgs.drain(..) {
                 // In-order delivery: a segment sent after a congestion
                 // window may compute an earlier raw arrival than one sent
                 // inside it; clamp to the stream's latest arrival.
@@ -294,6 +320,9 @@ impl Cluster {
                 moved += 1;
             }
         }
+        self.touched.clear();
+        #[cfg(debug_assertions)]
+        reference::assert_nothing_left(self);
         moved
     }
 
@@ -311,7 +340,9 @@ impl Cluster {
         let mut done = vec![false; self.machines.len()];
         let mut barrier = 0u64;
         loop {
-            barrier += self.cfg.epoch_cycles;
+            // Saturating: a barrier at the end of time is past any
+            // watchdog, so the loop still ends.
+            barrier = barrier.saturating_add(self.cfg.epoch_cycles);
             if let Some(inj) = injector.as_mut() {
                 self.inject_faults(inj, barrier);
             }
@@ -341,6 +372,19 @@ impl Cluster {
                     live_users,
                 });
             }
+            if barrier >= self.cfg.node_cfg.max_cycles {
+                // A live node holds only events past its watchdog, so it
+                // could never finish; and a node frozen past every barrier
+                // (`node_pause`) dispatches nothing, so its own watchdog,
+                // which runs at dispatch, would never fire.
+                let node = done.iter().position(|&d| !d).expect("a node is live");
+                return Err(ClusterError::Node {
+                    node,
+                    err: RunError::Watchdog {
+                        at: Cycles(barrier),
+                    },
+                });
+            }
         }
         let fault_counts = injector.map(|inj| *inj.counts()).unwrap_or_default();
         let links = self
@@ -359,6 +403,25 @@ impl Cluster {
             nodes,
             links,
             fault_counts,
+            self.bridge_drains,
         ))
+    }
+}
+
+/// The full walk the exchange skips, kept as the debug-build reference:
+/// after an exchange no bridge may hold a segment or an unsent close.
+#[cfg(debug_assertions)]
+mod reference {
+    use super::Cluster;
+
+    pub(super) fn assert_nothing_left(c: &Cluster) {
+        for (i, b) in c.bridges.iter().enumerate() {
+            let egress = c.machines[b.from].pipe(b.egress);
+            assert!(egress.is_empty(), "bridge {i}: segments left in its egress");
+            assert!(
+                !egress.is_closed() || b.closed_sent,
+                "bridge {i}: close not propagated"
+            );
+        }
     }
 }

@@ -40,6 +40,9 @@ pub struct ClusterReport {
     pub links: Vec<LinkReport>,
     /// Cluster-level faults injected.
     pub fault_counts: ClusterFaultCounts,
+    /// Egress pipes the exchanges drained, summed over every barrier
+    /// (host work, never serialized).
+    pub bridge_drains: u64,
 }
 
 impl ClusterReport {
@@ -49,6 +52,7 @@ impl ClusterReport {
         nodes: Vec<RunReport>,
         links: Vec<LinkReport>,
         fault_counts: ClusterFaultCounts,
+        bridge_drains: u64,
     ) -> ClusterReport {
         ClusterReport {
             dispatcher,
@@ -56,6 +60,7 @@ impl ClusterReport {
             nodes,
             links,
             fault_counts,
+            bridge_drains,
         }
     }
 

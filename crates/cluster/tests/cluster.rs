@@ -4,8 +4,8 @@
 
 use elsc::ElscScheduler;
 use elsc_chaos::ClusterFaultPlan;
-use elsc_cluster::{volano, Cluster, ClusterConfig, DispatcherId};
-use elsc_machine::MachineConfig;
+use elsc_cluster::{volano, Cluster, ClusterConfig, ClusterError, DispatcherId};
+use elsc_machine::{MachineConfig, RunError};
 use elsc_sched_api::Scheduler;
 use elsc_sched_linux::LinuxScheduler;
 use elsc_workloads::volanomark::{self, VolanoConfig};
@@ -87,6 +87,7 @@ fn locality_dispatcher_moves_zero_fabric_traffic() {
     let r = volano::run(cfg, elsc_sched, &tiny()).expect("cluster completes");
     assert_eq!(r.fabric_msgs(), 0, "co-located rooms need no links");
     assert_eq!(r.links.len(), 0, "no bridges at all");
+    assert_eq!(r.bridge_drains, 0, "nothing for the exchange to visit");
     // Load still spreads: rooms rotate across nodes.
     assert!(r.node_tasks().iter().all(|&t| t > 0));
 }
@@ -177,4 +178,88 @@ fn cross_node_wiring_is_what_the_report_says() {
         assert!(l.stats.bytes > 0);
     }
     assert_eq!(r.ledger_total("messages"), wl.total_deliveries());
+}
+
+#[test]
+fn the_exchange_drains_only_bridges_with_traffic() {
+    let cfg = ClusterConfig::new(4, DispatcherId::LeastLoaded, node_cfg(13));
+    let r = volano::run(cfg, elsc_sched, &tiny()).expect("cluster completes");
+    // Every drain moves a segment or a FIN (both count as link messages):
+    // a bridge is visited only after a write or a close reached it.
+    assert!(r.bridge_drains > 0, "split rooms must drain");
+    assert!(
+        r.bridge_drains <= r.fabric_msgs(),
+        "{} drains for {} segments and FINs",
+        r.bridge_drains,
+        r.fabric_msgs()
+    );
+}
+
+#[test]
+fn four_node_exchange_matches_the_full_walk_under_faults() {
+    // Debug builds check after every exchange that no bridge, skipped or
+    // drained, holds a segment or an unsent close; these runs drive that
+    // check through partitions, congestion and node pauses.
+    let wl = VolanoConfig {
+        messages_per_user: 12,
+        ..tiny()
+    };
+    let plans = [
+        None,
+        Some(ClusterFaultPlan::light()),
+        Some(ClusterFaultPlan::heavy()),
+    ];
+    for faults in plans {
+        for seed in [4, 19] {
+            let label = faults.as_ref().map_or("none", |f| f.label()).to_string();
+            let cfg = ClusterConfig::new(
+                4,
+                DispatcherId::LeastLoaded,
+                node_cfg(seed).with_oracle(true),
+            )
+            .with_faults(faults.clone())
+            .with_fault_seed(seed);
+            let r = volano::run(cfg, elsc_sched, &wl).expect("cluster completes");
+            assert_eq!(r.ledger_total("messages"), wl.total_deliveries(), "{label}");
+            assert!(r.bridge_drains <= r.fabric_msgs(), "{label}/{seed}");
+            for node in &r.nodes {
+                let oracle = node
+                    .chaos
+                    .as_ref()
+                    .and_then(|c| c.oracle.as_ref())
+                    .expect("oracle was enabled");
+                assert_eq!(oracle.unexplained, 0, "{label}/{seed}");
+                assert_eq!(oracle.invariant_violations, 0, "{label}/{seed}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_node_frozen_past_every_barrier_trips_the_watchdog() {
+    // Pausing every node every epoch pushes each pending event past the
+    // next barrier, so no node ever dispatches and the per-node watchdog,
+    // which runs at dispatch, never fires. The barrier check must.
+    let node = MachineConfig::smp(2).with_seed(1).with_max_secs(2.0);
+    let max = node.max_cycles;
+    let wl = VolanoConfig {
+        rooms: 1,
+        users_per_room: 2,
+        messages_per_user: 1,
+        ..VolanoConfig::default()
+    };
+    let cfg = ClusterConfig::new(2, DispatcherId::RoundRobin, node)
+        .with_faults(Some("node_pause=1".parse().unwrap()));
+    let epoch = cfg.epoch_cycles;
+    match volano::run(cfg, elsc_sched, &wl) {
+        Err(ClusterError::Node {
+            node: 0,
+            err: RunError::Watchdog { at },
+        }) => assert_eq!(
+            at.get(),
+            max.div_ceil(epoch) * epoch,
+            "first barrier past it"
+        ),
+        other => panic!("want node 0's watchdog, got {other:?}"),
+    }
 }

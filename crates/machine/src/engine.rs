@@ -6,7 +6,7 @@
 //! which is why a one-node cluster is byte-identical to a plain run.
 
 use elsc_ktask::{CpuId, Tid};
-use elsc_netsim::{Msg, PipeId};
+use elsc_netsim::{Msg, Pipe, PipeId};
 use elsc_obs::ObsEvent;
 use elsc_simcore::Cycles;
 
@@ -233,28 +233,52 @@ impl Machine {
     }
 
     /// Drains every queued message from `pipe` for transmission across
-    /// the cluster fabric, waking parked writers at `at` (the NIC pulled
-    /// their backlog). Returns the messages and whether the pipe is
-    /// closed — a closed-and-drained egress means the connection's FIN
-    /// should propagate.
+    /// the cluster fabric, appending them to `out` and waking parked
+    /// writers at `at` (the NIC pulled their backlog). Returns whether the
+    /// pipe is closed — a closed-and-drained egress means the
+    /// connection's FIN should propagate. A [watched](Machine::watch_pipe)
+    /// pipe is re-armed once empty, so the drain itself is not logged.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in this node's past.
-    pub fn drain_external(&mut self, pipe: PipeId, at: Cycles) -> (Vec<Msg>, bool) {
+    pub fn drain_external(&mut self, pipe: PipeId, at: Cycles, out: &mut Vec<Msg>) -> bool {
         assert!(
             at >= self.now,
             "drain {at:?} before node time {:?}",
             self.now
         );
-        let mut out = Vec::new();
         while let Ok((msg, waker)) = self.pipes.pipe_mut(pipe).try_read() {
             out.push(msg);
             if let Some(w) = waker {
                 self.wake_up(w, 0, at);
             }
         }
-        (out, self.pipes.pipe(pipe).is_closed())
+        self.pipes.rearm(pipe);
+        self.pipes.pipe(pipe).is_closed()
+    }
+
+    /// Puts egress `pipe` under the pipe table's change log with `token`:
+    /// the next mutable access to it — a write, a close, a parked or
+    /// woken writer — makes [`Machine::drain_pipe_log`] report `token`,
+    /// once, until [`Machine::drain_external`] re-arms the pipe.
+    pub fn watch_pipe(&mut self, pipe: PipeId, token: u32) {
+        self.pipes.watch(pipe, token);
+    }
+
+    /// Appends to `out` the token of every watched pipe touched since it
+    /// was last armed (see [`Machine::watch_pipe`]).
+    pub fn drain_pipe_log(&mut self, out: &mut Vec<u32>) {
+        self.pipes.drain_touched(out);
+    }
+
+    /// Read access to a pipe.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid id.
+    pub fn pipe(&self, pipe: PipeId) -> &Pipe {
+        self.pipes.pipe(pipe)
     }
 
     /// Records a node-level fault firing (partition, slow-link,

@@ -1324,21 +1324,31 @@ mod step_tests {
                 Op::write_after(10_000, pipe, Msg::tagged(4)),
             ])),
         );
+        // Drained only at barriers whose pipe log names it, as the
+        // federation does.
+        m.watch_pipe(pipe, 5);
         m.start();
         let mut barrier = Cycles::ZERO;
-        let mut drained = Vec::new();
+        let (mut drained, mut log) = (Vec::new(), Vec::new());
         loop {
             barrier += EPOCH;
             let status = m.step_until(barrier).expect("no watchdog");
-            let (msgs, closed) = m.drain_external(pipe, barrier);
-            drained.extend(msgs);
-            assert!(!closed);
+            m.drain_pipe_log(&mut log);
+            match log.as_slice() {
+                [] => assert!(m.pipe(pipe).is_empty(), "a write went unlogged"),
+                [5] => assert!(!m.drain_external(pipe, barrier, &mut drained)),
+                other => panic!("logged {other:?}"),
+            }
+            log.clear();
             if status == StepStatus::Done {
                 break;
             }
         }
         let tags: Vec<u64> = drained.iter().map(|ms| ms.tag).collect();
         assert_eq!(tags, vec![1, 2, 3, 4]);
+        // The drain re-armed the pipe without logging itself.
+        m.drain_pipe_log(&mut log);
+        assert_eq!(log, []);
         m.finish();
     }
 

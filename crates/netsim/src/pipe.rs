@@ -1,4 +1,23 @@
 //! Bounded blocking message pipes.
+//!
+//! # The change log
+//!
+//! A reader that wants to know which pipes changed between two points
+//! (the cluster federation, between one exchange barrier and the next)
+//! does not have to visit every pipe. It [`watch`](PipeTable::watch)es the
+//! pipes it cares about, each under a token of its choosing; the first
+//! time [`pipe_mut`](PipeTable::pipe_mut) — the only path to a `&mut
+//! Pipe`, since the table is private — hands out an *armed* watched pipe,
+//! the table logs the token and disarms the pipe, and
+//! [`drain_touched`](PipeTable::drain_touched) hands the logged tokens
+//! over. A drained pipe stays disarmed until the reader
+//! [`rearm`](PipeTable::rearm)s it, so the reader's own accesses while it
+//! handles the pipe are not logged back to it. The log is conservative: a
+//! pipe handed out mutably is logged whether or not the caller changed it.
+//!
+//! An unwatched pipe costs `pipe_mut` one never-taken branch on a flag in
+//! the pipe it hands out, and a table nobody watches allocates nothing
+//! for the log.
 
 use std::collections::VecDeque;
 
@@ -49,7 +68,16 @@ pub struct Pipe {
     closed: bool,
     total_written: u64,
     total_read: u64,
+    /// Whether the table's change log follows this pipe.
+    watched: bool,
+    /// Watched, and not logged since it was last armed.
+    armed: bool,
+    /// What the change log reports for this pipe.
+    token: u32,
 }
+
+// The change-log fields live in what used to be padding.
+const _: () = assert!(core::mem::size_of::<Pipe>() <= 128);
 
 impl Pipe {
     /// Creates a pipe holding at most `capacity` messages.
@@ -68,6 +96,9 @@ impl Pipe {
             closed: false,
             total_written: 0,
             total_read: 0,
+            watched: false,
+            armed: false,
+            token: 0,
         }
     }
 
@@ -164,6 +195,9 @@ impl Pipe {
 #[derive(Debug, Default)]
 pub struct PipeTable {
     pipes: Vec<Pipe>,
+    /// Tokens of the watched pipes logged since the last drain, in
+    /// first-touch order. A logged pipe is unarmed, so each is here once.
+    touched: Vec<u32>,
 }
 
 impl PipeTable {
@@ -188,13 +222,52 @@ impl PipeTable {
         &self.pipes[id.0 as usize]
     }
 
-    /// Mutable access to a pipe.
+    /// Mutable access to a pipe. An armed watched pipe is
+    /// [logged](self#the-change-log) and disarmed on the way out.
     ///
     /// # Panics
     ///
     /// Panics on an invalid id.
+    #[inline]
     pub fn pipe_mut(&mut self, id: PipeId) -> &mut Pipe {
-        &mut self.pipes[id.0 as usize]
+        let pipe = &mut self.pipes[id.0 as usize];
+        if pipe.armed {
+            pipe.armed = false;
+            self.touched.push(pipe.token);
+        }
+        pipe
+    }
+
+    /// Puts pipe `id` under the [change log](self#the-change-log): from
+    /// now on its next mutable access logs `token`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid id.
+    pub fn watch(&mut self, id: PipeId, token: u32) {
+        let pipe = &mut self.pipes[id.0 as usize];
+        pipe.watched = true;
+        pipe.armed = true;
+        pipe.token = token;
+    }
+
+    /// Arms a watched pipe again after its token was drained, so its next
+    /// mutable access is logged. Does nothing to an unwatched pipe.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid id.
+    pub fn rearm(&mut self, id: PipeId) {
+        let pipe = &mut self.pipes[id.0 as usize];
+        pipe.armed = pipe.watched;
+    }
+
+    /// Drains the [change log](self#the-change-log): appends to `out`, in
+    /// first-touch order, the token of every watched pipe handed out
+    /// mutably since it was last armed, each once. The drained pipes stay
+    /// disarmed until [`rearm`](PipeTable::rearm)ed.
+    pub fn drain_touched(&mut self, out: &mut Vec<u32>) {
+        out.append(&mut self.touched);
     }
 
     /// Number of pipes created.
@@ -350,5 +423,100 @@ mod tests {
         t.pipe_mut(a).try_read().unwrap();
         assert_eq!(t.total_read(), 1);
         assert_eq!(t.total_queued(), 2);
+    }
+
+    /// Drains the log into a fresh vector.
+    fn drained(t: &mut PipeTable) -> Vec<u32> {
+        let mut out = Vec::new();
+        t.drain_touched(&mut out);
+        out
+    }
+
+    #[test]
+    fn an_unwatched_table_logs_nothing() {
+        let mut t = PipeTable::new();
+        let ids: Vec<PipeId> = (0..8).map(|_| t.create(2)).collect();
+        for &id in &ids {
+            t.pipe_mut(id).try_write(Msg::tagged(1)).unwrap();
+            t.pipe_mut(id).readers.park(tid(1));
+            t.pipe_mut(id).try_read().unwrap();
+            t.pipe_mut(id).close();
+        }
+        t.rearm(ids[0]);
+        t.pipe_mut(ids[0]).try_write(Msg::tagged(2)).unwrap_err();
+        assert!(
+            t.pipes.iter().all(|p| !p.watched && !p.armed),
+            "nothing armed"
+        );
+        assert_eq!(t.touched.capacity(), 0, "no memory without a reader");
+        assert_eq!(drained(&mut t), []);
+    }
+
+    #[test]
+    fn a_watched_pipe_is_reported_once_per_drain() {
+        let mut t = PipeTable::new();
+        let quiet = t.create(2);
+        let busy = t.create(2);
+        t.watch(quiet, 10);
+        t.watch(busy, 11);
+        // Immutable access is not logged.
+        let _ = (
+            t.pipe(quiet).len(),
+            t.pipe(busy).is_closed(),
+            t.total_queued(),
+        );
+        assert_eq!(drained(&mut t), []);
+        // However many writes, parks and unparks touch it, once.
+        t.pipe_mut(busy).try_write(Msg::tagged(1)).unwrap();
+        t.pipe_mut(busy).writers.park(tid(2));
+        t.pipe_mut(busy).writers.unpark(tid(2));
+        t.pipe_mut(busy).readers.park(tid(3));
+        t.pipe_mut(busy).try_write(Msg::tagged(2)).unwrap();
+        assert_eq!(drained(&mut t), [11]);
+        // Disarmed until re-armed: later touches stay out of the log.
+        t.pipe_mut(busy).try_read().unwrap();
+        assert_eq!(drained(&mut t), [], "already handed over");
+        // A re-armed pipe is logged again on its next write.
+        t.rearm(busy);
+        assert_eq!(drained(&mut t), [], "re-arming logs nothing");
+        t.pipe_mut(busy).try_write(Msg::tagged(3)).unwrap();
+        t.pipe_mut(quiet).readers.park(tid(4));
+        assert_eq!(drained(&mut t), [11, 10], "first-touch order");
+        assert!(t.touched.capacity() > 0, "the log keeps its buffer");
+    }
+
+    #[test]
+    fn every_mutating_pipe_op_is_logged() {
+        /// (name, fill the pipe before watching it, the op)
+        type Case = (&'static str, bool, fn(&mut Pipe));
+        let ops: [Case; 4] = [
+            ("try_write", false, |p| {
+                assert_eq!(p.try_write(Msg::tagged(1)), Ok(None));
+            }),
+            ("close", false, |p| assert!(p.close().is_empty())),
+            ("deliver", false, |p| {
+                assert_eq!(p.deliver(Msg::tagged(1)), Ok(None));
+            }),
+            ("would-block write", true, |p| {
+                let full = p.try_write(Msg::tagged(2));
+                assert_eq!(full.unwrap_err(), PipeError::WouldBlock);
+            }),
+        ];
+        for (name, fill, op) in ops {
+            let mut t = PipeTable::new();
+            let id = t.create(1);
+            if fill {
+                t.pipe_mut(id).try_write(Msg::tagged(0)).unwrap();
+            }
+            t.watch(id, 7);
+            assert_eq!(drained(&mut t), [], "{name}: watching logs nothing");
+            op(t.pipe_mut(id));
+            assert_eq!(drained(&mut t), [7], "{name}");
+            // With the token drained and the pipe re-armed, the same op
+            // (or any other access) is logged again.
+            t.rearm(id);
+            let _ = t.pipe_mut(id).try_write(Msg::tagged(9));
+            assert_eq!(drained(&mut t), [7], "{name}: re-armed");
+        }
     }
 }
