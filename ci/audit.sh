@@ -73,11 +73,16 @@ rules() {
 
 # -- One superinstruction: `scan.best` is the policy VM's only fused op
 # (the guard, compare-update and conditional-pick fusions are gone), and
-# the mega builtin takes no policy switch from the environment (a spec
-# file names a policy cell).
+# the mega builtin takes neither its policy nor its rooms from the
+# environment (a spec file names a policy cell or a larger population).
 0 0 whole   crates,docs,tests,examples,.github  -  ScanFilter|GtUpdate2|PickIfNe0|scan\.filter|gt\.update2|pick\.ifne0
-0 0 whole   crates,docs,tests,examples,.github,README.md,DESIGN.md,EXPERIMENTS.md,CONTRIBUTING.md  -  ELSC_MEGA_POLICY
+0 0 whole   crates,docs,tests,examples,ci,.github,README.md,DESIGN.md,EXPERIMENTS.md,CONTRIBUTING.md  -  ELSC_MEGA_(POLICY|ROOMS)
 1 - whole   crates/policy/src/vm.rs  -  ScanBest
+
+# -- One CI: the workflow runs job scripts and names no command itself;
+# every check lives once, in ci/lib.sh or a ci/jobs/*.sh line.
+0 0 whole   .github  -  \bcargo\b|elsc-sim
+1 - whole   ci/lib.sh  -  \bcargo\b|elsc-sim
 EOF
 }
 
@@ -120,6 +125,11 @@ done
 # The experiment binaries are lab builtins now; Figure 1 draws structures.
 bins=$(ls crates/bench/src/bin)
 test "$bins" = figure1.rs || { echo "audit: crates/bench/src/bin holds: $bins (want figure1.rs only)"; fail=1; }
+
+# The workflow's matrix is the job scripts plus `identity`, no more, no fewer.
+jobs=$( (cd ci/jobs && ls -- *.sh | sed 's/\.sh$//'; echo identity) | sort | xargs)
+matrix=$(sed -n 's/^ *job: \[\(.*\)\]$/\1/p' .github/workflows/ci.yml | tr -d ' ' | tr ',' '\n' | sort | xargs)
+test "$jobs" = "$matrix" || { echo "audit: ci.yml matrix.job is [$matrix], want [$jobs]"; fail=1; }
 
 test "$fail" -eq 0 && echo "audit: every rule holds"
 exit "$fail"

@@ -254,8 +254,7 @@ compare options:
 
 environment (figure builtins and contention): ELSC_MESSAGES
 (messages/user, default 20), ELSC_ITERATIONS (seeds per cell, default 1;
-first discarded when > 1);
-ELSC_MEGA_ROOMS (rooms list for the mega spec, default \"50, 250\").
+first discarded when > 1).
 
 exit status: 0 all cells ran and the gate passed; 1 any cell failed,
 any regression, or any baseline cell missing; 2 bad usage.

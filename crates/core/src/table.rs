@@ -258,11 +258,6 @@ impl ElscTable {
             .any(|&i| !tasks.by_index(i as usize).rq_zero)
     }
 
-    /// Total linked tasks (walks; tests only).
-    pub fn linked_len(&self, tasks: &TaskTable) -> usize {
-        (0..NR_LISTS).map(|i| self.lists.len(tasks, i)).sum()
-    }
-
     /// Verifies all structural invariants.
     ///
     /// # Panics

@@ -21,6 +21,11 @@ use crate::cell::{
 /// `BASE_SEED + i`); the committed `BENCH_*.json` manifests depend on it.
 pub const BASE_SEED: u64 = 0x5EED_CAFE;
 
+/// The most cells a spec may declare: seed ranges and axis products past
+/// it are parse errors, not allocations. About 6 800× the 154 cells of
+/// `--all-figures`.
+pub const MAX_CELLS: usize = 1 << 20;
+
 /// Workload parameter names in canonical order, plus their defaults.
 /// A spec may omit any of these; it may not invent new ones.
 fn workload_params(workload: &str) -> Option<&'static [(&'static str, u64)]> {
@@ -349,7 +354,7 @@ impl FromStr for SweepSpec {
             })
             .collect();
 
-        Ok(SweepSpec {
+        let spec = SweepSpec {
             name,
             workload,
             scheds,
@@ -361,12 +366,19 @@ impl FromStr for SweepSpec {
             faults,
             fault_seeds,
             oracle,
-        })
+        };
+        match spec.cell_count() {
+            Some(n) if n <= MAX_CELLS => Ok(spec),
+            _ => Err(format!(
+                "the grid declares more than MAX_CELLS = {MAX_CELLS} cells"
+            )),
+        }
     }
 }
 
 /// Parses a seed value list (numbers and half-open `a..b` ranges) —
-/// shared by the `seed` and `fault_seed` axes.
+/// shared by the `seed` and `fault_seed` axes. A list longer than
+/// [`MAX_CELLS`] is an error before anything is allocated for it.
 fn parse_seed_list(vals: &[String]) -> Result<Vec<u64>, String> {
     let mut seeds = Vec::new();
     for v in vals {
@@ -375,6 +387,11 @@ fn parse_seed_list(vals: &[String]) -> Result<Vec<u64>, String> {
             let b: u64 = b.trim().parse().map_err(|_| bad_seed(v))?;
             if a >= b {
                 return Err(format!("empty seed range '{v}'"));
+            }
+            if b - a > MAX_CELLS.saturating_sub(seeds.len()) as u64 {
+                return Err(format!(
+                    "seed range '{v}' takes the list past MAX_CELLS = {MAX_CELLS} seeds"
+                ));
             }
             seeds.extend(a..b);
         } else {
@@ -389,6 +406,37 @@ fn bad_seed(v: &str) -> String {
 }
 
 impl SweepSpec {
+    /// The dispatcher axis exists only for cluster cells; other workloads
+    /// must not multiply by it.
+    fn dispatcher_axis(&self) -> &[DispatcherId] {
+        if self.workload == "cluster" {
+            &self.dispatchers
+        } else {
+            &[DispatcherId::LeastLoaded]
+        }
+    }
+
+    /// How many cells [`cells`](Self::cells) expands to, as the product
+    /// of the axis lengths; `None` when it overflows `usize`.
+    fn cell_count(&self) -> Option<usize> {
+        let faulted = self.faults.iter().filter(|f| f.is_some()).count();
+        let chaos = faulted
+            .checked_mul(self.fault_seeds.len())?
+            .checked_add(self.faults.len() - faulted)?;
+        self.params
+            .iter()
+            .map(|(_, axis)| axis.len())
+            .chain([
+                self.dispatcher_axis().len(),
+                self.shapes.len(),
+                self.scheds.len(),
+                self.plans.len(),
+                self.seeds.len(),
+                chaos,
+            ])
+            .try_fold(1usize, usize::checked_mul)
+    }
+
     /// Expands the grid into cells in the canonical order: workload
     /// parameters vary slowest (first parameter outermost), then the
     /// dispatcher (cluster only), then shape, then scheduler, then lock
@@ -396,13 +444,7 @@ impl SweepSpec {
     /// — it is the manifest order.
     pub fn cells(&self) -> Vec<CellConfig> {
         let mut cells = Vec::new();
-        // The dispatcher axis exists only for cluster cells; other
-        // workloads must not multiply by it.
-        let dispatchers: &[DispatcherId] = if self.workload == "cluster" {
-            &self.dispatchers
-        } else {
-            &[DispatcherId::LeastLoaded]
-        };
+        let dispatchers = self.dispatcher_axis();
         // Odometer over the parameter axes.
         let mut idx = vec![0usize; self.params.len()];
         loop {
@@ -467,120 +509,17 @@ impl SweepSpec {
     /// unknown name. The figure builtins and `contention` honour two
     /// environment knobs: `ELSC_MESSAGES` (messages per user, default 20)
     /// and `ELSC_ITERATIONS` (seeds per cell, default 1; the first run
-    /// is discarded as warm-up when more than one, per §6). The `mega`
-    /// builtin additionally honours `ELSC_MEGA_ROOMS` (a rooms list
-    /// replacing the default `50, 250` axis — e.g. `1250` for a
-    /// 100k-task scale-up run).
+    /// is discarded as warm-up when more than one, per §6).
     pub fn builtin(name: &str) -> Option<SweepSpec> {
-        let messages = env_u64("ELSC_MESSAGES", 20);
-        let iterations = env_u64("ELSC_ITERATIONS", 1).max(1);
-        let seeds = format!("{BASE_SEED}..{}", BASE_SEED + iterations);
-        let text = match name {
-            // Tiny grid for CI smoke runs and the committed baseline:
-            // cold-cache seconds, every scheduler exercised.
-            "smoke" => format!(
-                "name = smoke\n\
-                 workload = volano\n\
-                 sched = reg, elsc, heap, aheap, mq\n\
-                 shape = UP, 2P\n\
-                 seed = {BASE_SEED}\n\
-                 rooms = 1\n users = 4\n messages = 2\n think = 0\n"
-            ),
-            // Figure 2: recalc-loop entries, saturated and think-bound.
-            "figure2" => format!(
-                "name = figure2\n\
-                 workload = volano\n\
-                 sched = elsc, reg\n\
-                 shape = UP, 1P, 2P, 4P\n\
-                 seed = {seeds}\n\
-                 rooms = 10\n messages = {messages}\n\
-                 think = 60000000, 150000000\n"
-            ),
-            // Figure 3: throughput vs rooms. Figure 4 (20-room/5-room
-            // scaling) reads the same grid, so its cells cache-share.
-            "figure3" => format!(
-                "name = figure3\n\
-                 workload = volano\n\
-                 sched = elsc, reg\n\
-                 shape = UP, 1P, 2P, 4P\n\
-                 seed = {seeds}\n\
-                 rooms = 5, 10, 15, 20\n messages = {messages}\n"
-            ),
-            "figure4" => format!(
-                "name = figure4\n\
-                 workload = volano\n\
-                 sched = elsc, reg\n\
-                 shape = UP, 1P, 2P, 4P\n\
-                 seed = {seeds}\n\
-                 rooms = 5, 20\n messages = {messages}\n"
-            ),
-            // Figures 5 and 6 share one 10-room grid over both schedulers
-            // and all four shapes.
-            "figure5" | "figure6" => format!(
-                "name = {name}\n\
-                 workload = volano\n\
-                 sched = elsc, reg\n\
-                 shape = UP, 1P, 2P, 4P\n\
-                 seed = {seeds}\n\
-                 rooms = 10\n messages = {messages}\n"
-            ),
-            // Table 2: kernel compile, {reg, elsc} × {UP, 2P}.
-            "table2" => format!(
-                "name = table2\n\
-                 workload = kbuild\n\
-                 sched = reg, elsc\n\
-                 shape = UP, 2P\n\
-                 seed = {seeds}\n\
-                 jobs = 4\n units = 160\n"
-            ),
-            // Chaos sweep: every scheduler under the oracle, clean and
-            // faulted. Any unexplained divergence from the O(n)
-            // reference scan fails its cell (the §5 equivalence gate).
-            "chaos" => format!(
-                "name = chaos\n\
-                 workload = volano\n\
-                 sched = reg, elsc, heap, aheap, mq\n\
-                 shape = UP, 2P\n\
-                 seed = {BASE_SEED}\n\
-                 oracle = on\n\
-                 faults = none, light, heavy\n\
-                 fault_seed = 1, 2\n\
-                 rooms = 1\n users = 4\n messages = 2\n think = 0\n"
-            ),
-            // Topology sweep: every scheduler (plus the tree-native
-            // bubble design) across a flat shape and two NUMA/SMT trees,
-            // oracle on — divergences a flat scan can't predict must
-            // classify as topology-motivated, never unexplained. The
-            // flat 2P column doubles as the byte-identity anchor: its
-            // cells share ids (and cache entries) with every other
-            // sweep's 2P cells.
-            "topo" => format!(
-                "name = topo\n\
-                 workload = volano\n\
-                 sched = reg, elsc, heap, aheap, mq, bubble\n\
-                 shape = 2P, 2N2C1T, 2N4C2T\n\
-                 seed = {BASE_SEED}\n\
-                 oracle = on\n\
-                 rooms = 2\n users = 6\n messages = 4\n think = 0\n"
-            ),
-            // Policy-runtime smoke sweep: the native baseline beside the
-            // bundled loadable programs, oracle on in every cell (strict
-            // for `policy:reg`, relaxed invariants-only for the rest — see
-            // `elsc_chaos::OracleMode::for_scheduler`). The sources are
-            // embedded at compile time so the builtin works from any
-            // working directory; spec *files* can instead say
-            // `sched = policy:policies/rr.pol`.
+        let mut spec: SweepSpec = builtin_text(name)?
+            .parse()
+            .expect("builtin specs always parse");
+        // The bundled programs and models are embedded at compile time so
+        // these builtins work from any working directory; spec *files*
+        // can instead say `sched = policy:policies/rr.pol` or
+        // `sched = learned:models/volano-logreg.model`.
+        match name {
             "policy" => {
-                let mut spec: SweepSpec = format!(
-                    "name = policy\n\
-                     workload = volano\n\
-                     shape = UP, 2P\n\
-                     seed = {BASE_SEED}\n\
-                     oracle = on\n\
-                     rooms = 1\n users = 4\n messages = 2\n think = 0\n"
-                )
-                .parse()
-                .expect("builtin specs always parse");
                 let bundled = [
                     ("policy:reg", include_str!("../../../policies/reg.pol")),
                     ("policy:rr", include_str!("../../../policies/rr.pol")),
@@ -591,74 +530,8 @@ impl SweepSpec {
                         SchedId::policy(name, src).expect("bundled policies verify")
                     }))
                     .collect();
-                return Some(spec);
             }
-            // Federated cluster sweep: nodes × dispatcher × {reg, elsc}
-            // on the acceptance grid. Thinkless so the fabric, not the
-            // clients, bounds the run; CI-sized like smoke.
-            "cluster" => format!(
-                "name = cluster\n\
-                 workload = cluster\n\
-                 sched = reg, elsc\n\
-                 shape = 2P\n\
-                 seed = {BASE_SEED}\n\
-                 dispatcher = least-loaded, consistent-hash\n\
-                 nodes = 1, 2, 4\n\
-                 rooms = 4\n users = 8\n messages = 4\n think = 0\n"
-            ),
-            // Mega-scale engine gate: volano-shaped populations of 4k
-            // and 20k tasks (rooms × 20 users × 4 threads) under reg and
-            // elsc, engine metrics on. Think-bound, one message per
-            // user: the task *population* — the calendar event queue and
-            // the task-table scans — is the thing under test, not
-            // per-user traffic. `ELSC_MEGA_ROOMS` replaces the rooms
-            // axis for manual scale-up runs (1250 → 100k tasks,
-            // 12500 → 1M). A policy cell at these populations is a spec
-            // file away: `workload = mega`, `sched = reg, elsc,
-            // policy:policies/reg.pol`.
-            "mega" => {
-                let rooms = std::env::var("ELSC_MEGA_ROOMS")
-                    .ok()
-                    .filter(|v| {
-                        !v.trim().is_empty()
-                            && v.split(',')
-                                .all(|r| r.trim().parse::<u64>().is_ok_and(|n| n > 0))
-                    })
-                    .unwrap_or_else(|| "50, 250".to_string());
-                let spec: SweepSpec = format!(
-                    "name = mega\n\
-                     workload = mega\n\
-                     sched = reg, elsc\n\
-                     shape = 2P\n\
-                     seed = {BASE_SEED}\n\
-                     rooms = {rooms}\n users = 20\n messages = 1\n think = 60000000\n"
-                )
-                .parse()
-                .expect("builtin specs always parse");
-                return Some(spec);
-            }
-            // Learned-scheduler sweep: the two native baselines beside
-            // the bundled trained models (a logistic regression and a
-            // tiny MLP, both trained on a committed UP volano decision
-            // trace — see `crates/learn` and `models/`), oracle on in
-            // every cell (strict for reg/elsc, relaxed invariants-only
-            // for `learned:*`). The model files are embedded at compile
-            // time like the bundled policies; spec *files* can instead
-            // say `sched = learned:models/volano-logreg.model`. The
-            // manifest carries each learned cell's verified
-            // `prediction_accuracy` beside `cycles_per_schedule` —
-            // accuracy vs overhead is the sweep's whole point.
             "learn" => {
-                let mut spec: SweepSpec = format!(
-                    "name = learn\n\
-                     workload = volano\n\
-                     shape = UP, 2P\n\
-                     seed = {BASE_SEED}\n\
-                     oracle = on\n\
-                     rooms = 1\n users = 4\n messages = 2\n think = 0\n"
-                )
-                .parse()
-                .expect("builtin specs always parse");
                 let bundled = [
                     (
                         "learned:volano-logreg",
@@ -675,54 +548,10 @@ impl SweepSpec {
                         SchedId::learned(name, src).expect("bundled models parse")
                     }))
                     .collect();
-                return Some(spec);
             }
-            // §4 kernel-share claim: 5 vs 25 rooms, UP and 4P.
-            "kernel_share" => format!(
-                "name = kernel_share\n\
-                 workload = volano\n\
-                 sched = reg, elsc\n\
-                 shape = UP, 4P\n\
-                 seed = {seeds}\n\
-                 rooms = 5, 25\n messages = {messages}\n"
-            ),
-            // §7/§8 `runqueue_lock` contention: each design under its
-            // declared lock plan and under both forced ones, so the
-            // shorter-queue effect and the more-locks effect read apart.
-            // The `default` rows of reg and elsc are figure3's 20-room
-            // cells (cache-shared).
-            "contention" => format!(
-                "name = contention\n\
-                 workload = volano\n\
-                 sched = reg, elsc, mq\n\
-                 shape = 1P, 2P, 4P\n\
-                 plan = default, global, percpu\n\
-                 seed = {seeds}\n\
-                 rooms = 20\n messages = {messages}\n"
-            ),
-            // Reference [5], Gooch's yield benchmark: scheduler cost per
-            // `sched_yield()` against the number of runnable spinners,
-            // every design, UP.
-            "gooch" => format!(
-                "name = gooch\n\
-                 workload = stress\n\
-                 shape = UP\n\
-                 seed = {BASE_SEED}\n\
-                 tasks = 2, 8, 32, 128, 512\n rounds = 40\n burst = 2000\n"
-            ),
-            // §8's Apache question: 512 clients on a 64-worker pool,
-            // every design, 2P and 4P; the renderer reads the latency
-            // percentiles out of each cell's embedded report.
-            "latency" => format!(
-                "name = latency\n\
-                 workload = httpd\n\
-                 shape = 2P, 4P\n\
-                 seed = {BASE_SEED}\n\
-                 clients = 512\n workers = 64\n requests = 8\n"
-            ),
-            _ => return None,
-        };
-        Some(text.parse().expect("builtin specs always parse"))
+            _ => {}
+        }
+        Some(spec)
     }
 
     /// Names of every builtin spec, in `--all-figures` run order
@@ -748,6 +577,205 @@ impl SweepSpec {
         "mega",
         "learn",
     ];
+}
+
+/// The spec text of builtin `name` (`policy` and `learn` then replace
+/// the scheduler axis with their embedded programs and models).
+fn builtin_text(name: &str) -> Option<String> {
+    let messages = env_u64("ELSC_MESSAGES", 20);
+    let iterations = env_u64("ELSC_ITERATIONS", 1).max(1);
+    let seeds = format!("{BASE_SEED}..{}", BASE_SEED + iterations);
+    Some(match name {
+        // Tiny grid for CI smoke runs and the committed baseline:
+        // cold-cache seconds, every scheduler exercised.
+        "smoke" => format!(
+            "name = smoke\n\
+                 workload = volano\n\
+                 sched = reg, elsc, heap, aheap, mq\n\
+                 shape = UP, 2P\n\
+                 seed = {BASE_SEED}\n\
+                 rooms = 1\n users = 4\n messages = 2\n think = 0\n"
+        ),
+        // Figure 2: recalc-loop entries, saturated and think-bound.
+        "figure2" => format!(
+            "name = figure2\n\
+                 workload = volano\n\
+                 sched = elsc, reg\n\
+                 shape = UP, 1P, 2P, 4P\n\
+                 seed = {seeds}\n\
+                 rooms = 10\n messages = {messages}\n\
+                 think = 60000000, 150000000\n"
+        ),
+        // Figure 3: throughput vs rooms. Figure 4 (20-room/5-room
+        // scaling) reads the same grid, so its cells cache-share.
+        "figure3" => format!(
+            "name = figure3\n\
+                 workload = volano\n\
+                 sched = elsc, reg\n\
+                 shape = UP, 1P, 2P, 4P\n\
+                 seed = {seeds}\n\
+                 rooms = 5, 10, 15, 20\n messages = {messages}\n"
+        ),
+        "figure4" => format!(
+            "name = figure4\n\
+                 workload = volano\n\
+                 sched = elsc, reg\n\
+                 shape = UP, 1P, 2P, 4P\n\
+                 seed = {seeds}\n\
+                 rooms = 5, 20\n messages = {messages}\n"
+        ),
+        // Figures 5 and 6 share one 10-room grid over both schedulers
+        // and all four shapes.
+        "figure5" | "figure6" => format!(
+            "name = {name}\n\
+                 workload = volano\n\
+                 sched = elsc, reg\n\
+                 shape = UP, 1P, 2P, 4P\n\
+                 seed = {seeds}\n\
+                 rooms = 10\n messages = {messages}\n"
+        ),
+        // Table 2: kernel compile, {reg, elsc} × {UP, 2P}.
+        "table2" => format!(
+            "name = table2\n\
+                 workload = kbuild\n\
+                 sched = reg, elsc\n\
+                 shape = UP, 2P\n\
+                 seed = {seeds}\n\
+                 jobs = 4\n units = 160\n"
+        ),
+        // Chaos sweep: every scheduler under the oracle, clean and
+        // faulted. Any unexplained divergence from the O(n)
+        // reference scan fails its cell (the §5 equivalence gate).
+        "chaos" => format!(
+            "name = chaos\n\
+                 workload = volano\n\
+                 sched = reg, elsc, heap, aheap, mq\n\
+                 shape = UP, 2P\n\
+                 seed = {BASE_SEED}\n\
+                 oracle = on\n\
+                 faults = none, light, heavy\n\
+                 fault_seed = 1, 2\n\
+                 rooms = 1\n users = 4\n messages = 2\n think = 0\n"
+        ),
+        // Topology sweep: every scheduler (plus the tree-native
+        // bubble design) across a flat shape and two NUMA/SMT trees,
+        // oracle on — divergences a flat scan can't predict must
+        // classify as topology-motivated, never unexplained. The
+        // flat 2P column doubles as the byte-identity anchor: its
+        // cells share ids (and cache entries) with every other
+        // sweep's 2P cells.
+        "topo" => format!(
+            "name = topo\n\
+                 workload = volano\n\
+                 sched = reg, elsc, heap, aheap, mq, bubble\n\
+                 shape = 2P, 2N2C1T, 2N4C2T\n\
+                 seed = {BASE_SEED}\n\
+                 oracle = on\n\
+                 rooms = 2\n users = 6\n messages = 4\n think = 0\n"
+        ),
+        // Policy-runtime smoke sweep: the native baseline beside the
+        // bundled loadable programs, oracle on in every cell (strict
+        // for `policy:reg`, relaxed invariants-only for the rest — see
+        // `elsc_chaos::OracleMode::for_scheduler`).
+        "policy" => format!(
+            "name = policy\n\
+                 workload = volano\n\
+                 shape = UP, 2P\n\
+                 seed = {BASE_SEED}\n\
+                 oracle = on\n\
+                 rooms = 1\n users = 4\n messages = 2\n think = 0\n"
+        ),
+        // Federated cluster sweep: nodes × dispatcher × {reg, elsc}
+        // on the acceptance grid. Thinkless so the fabric, not the
+        // clients, bounds the run; CI-sized like smoke.
+        "cluster" => format!(
+            "name = cluster\n\
+                 workload = cluster\n\
+                 sched = reg, elsc\n\
+                 shape = 2P\n\
+                 seed = {BASE_SEED}\n\
+                 dispatcher = least-loaded, consistent-hash\n\
+                 nodes = 1, 2, 4\n\
+                 rooms = 4\n users = 8\n messages = 4\n think = 0\n"
+        ),
+        // Mega-scale engine gate: volano-shaped populations of 4k
+        // and 20k tasks (rooms × 20 users × 4 threads) under reg and
+        // elsc, engine metrics on. Think-bound, one message per
+        // user: the task *population* — the calendar event queue and
+        // the task-table scans — is the thing under test, not
+        // per-user traffic. Larger populations and policy cells are
+        // spec files: `workload = mega` with `rooms = 1250` (100k
+        // tasks) or `12500` (1M), or `sched = reg, elsc,
+        // policy:policies/reg.pol`.
+        "mega" => format!(
+            "name = mega\n\
+                 workload = mega\n\
+                 sched = reg, elsc\n\
+                 shape = 2P\n\
+                 seed = {BASE_SEED}\n\
+                 rooms = 50, 250\n users = 20\n messages = 1\n think = 60000000\n"
+        ),
+        // Learned-scheduler sweep: the two native baselines beside
+        // the bundled trained models (a logistic regression and a
+        // tiny MLP, both trained on a committed UP volano decision
+        // trace — see `crates/learn` and `models/`), oracle on in
+        // every cell (strict for reg/elsc, relaxed invariants-only
+        // for `learned:*`). The manifest carries each learned cell's
+        // verified `prediction_accuracy` beside `cycles_per_schedule`
+        // — accuracy vs overhead is the sweep's whole point.
+        "learn" => format!(
+            "name = learn\n\
+                 workload = volano\n\
+                 shape = UP, 2P\n\
+                 seed = {BASE_SEED}\n\
+                 oracle = on\n\
+                 rooms = 1\n users = 4\n messages = 2\n think = 0\n"
+        ),
+        // §4 kernel-share claim: 5 vs 25 rooms, UP and 4P.
+        "kernel_share" => format!(
+            "name = kernel_share\n\
+                 workload = volano\n\
+                 sched = reg, elsc\n\
+                 shape = UP, 4P\n\
+                 seed = {seeds}\n\
+                 rooms = 5, 25\n messages = {messages}\n"
+        ),
+        // §7/§8 `runqueue_lock` contention: each design under its
+        // declared lock plan and under both forced ones, so the
+        // shorter-queue effect and the more-locks effect read apart.
+        // The `default` rows of reg and elsc are figure3's 20-room
+        // cells (cache-shared).
+        "contention" => format!(
+            "name = contention\n\
+                 workload = volano\n\
+                 sched = reg, elsc, mq\n\
+                 shape = 1P, 2P, 4P\n\
+                 plan = default, global, percpu\n\
+                 seed = {seeds}\n\
+                 rooms = 20\n messages = {messages}\n"
+        ),
+        // Reference [5], Gooch's yield benchmark: scheduler cost per
+        // `sched_yield()` against the number of runnable spinners,
+        // every design, UP.
+        "gooch" => format!(
+            "name = gooch\n\
+                 workload = stress\n\
+                 shape = UP\n\
+                 seed = {BASE_SEED}\n\
+                 tasks = 2, 8, 32, 128, 512\n rounds = 40\n burst = 2000\n"
+        ),
+        // §8's Apache question: 512 clients on a 64-worker pool,
+        // every design, 2P and 4P; the renderer reads the latency
+        // percentiles out of each cell's embedded report.
+        "latency" => format!(
+            "name = latency\n\
+                 workload = httpd\n\
+                 shape = 2P, 4P\n\
+                 seed = {BASE_SEED}\n\
+                 clients = 512\n workers = 64\n requests = 8\n"
+        ),
+        _ => return None,
+    })
 }
 
 /// Reads a `u64` environment knob with a default.
@@ -859,6 +887,74 @@ mod tests {
             let bad = line.trim_start_matches("plan = ");
             assert!(err.contains(bad) && !err.contains('\n'), "{line}: {err}");
         }
+        // Grids past MAX_CELLS, refused before anything is allocated:
+        // the seed range aborted on an 800 GB allocation, the fault-seed
+        // range on a capacity overflow, and an axis product that fits no
+        // `usize` would otherwise be expanded by `cells()`.
+        let axis: Vec<String> = (1..=2048).map(|v| v.to_string()).collect();
+        let axis = axis.join(", ");
+        let overflow = format!(
+            "rooms = {axis}\nusers = {axis}\nmessages = {axis}\nthink = {axis}\nseed = 0..1048576"
+        );
+        for line in [
+            "seed = 0..100000000000",
+            "faults = light\nfault_seed = 0..18446744073709551615",
+            "seed = 0..1048576\nrooms = 1, 2",
+            &overflow,
+        ] {
+            let err = format!("name = x\nworkload = volano\nsched = elsc\n{line}")
+                .parse::<SweepSpec>()
+                .unwrap_err();
+            assert!(
+                err.contains("MAX_CELLS") && !err.contains('\n'),
+                "{line}: {err}"
+            );
+        }
+    }
+
+    /// Every builtin's spec text, mutated byte by byte and spliced with
+    /// huge numbers and ranges, parses to a grid of at most `MAX_CELLS`
+    /// cells or is an error — never a panic or an abort.
+    #[test]
+    fn mutated_builtin_specs_never_panic() {
+        use elsc_simcore::SimRng;
+        const ALPHABET: &[u8] = b"0123456789.,=#\n PNCT";
+        const SPLICES: [&[u8]; 3] = [b"18446744073709551615", b"..", b", 0..4294967296"];
+        let texts: Vec<String> = SweepSpec::BUILTINS
+            .iter()
+            .map(|name| builtin_text(name).expect("every builtin has text"))
+            .collect();
+        let mut rng = SimRng::new(0x5EC_F022);
+        let mut pick = |n: usize| rng.below(n as u64) as usize;
+        let (mut accepted, mut too_big) = (0, 0);
+        for _ in 0..20_000 {
+            let mut s: Vec<u8> = texts[pick(texts.len())].bytes().collect();
+            for _ in 0..=pick(3) {
+                let i = pick(s.len() + 1);
+                match pick(4) {
+                    0 if i < s.len() => {
+                        s.remove(i);
+                    }
+                    1 if i < s.len() => s[i] = ALPHABET[pick(ALPHABET.len())],
+                    2 => drop(s.splice(i..i, SPLICES[pick(SPLICES.len())].iter().copied())),
+                    _ => s.insert(i, ALPHABET[pick(ALPHABET.len())]),
+                }
+            }
+            let text = String::from_utf8(s).expect("ASCII");
+            match text.parse::<SweepSpec>() {
+                Ok(spec) => {
+                    accepted += 1;
+                    let n = spec.cell_count().expect("an accepted grid fits usize");
+                    assert!((1..=MAX_CELLS).contains(&n), "{text}: {n} cells");
+                }
+                Err(e) => too_big += usize::from(e.contains("MAX_CELLS")),
+            }
+        }
+        assert!(
+            accepted > 1_000,
+            "the fuzz reaches valid specs ({accepted})"
+        );
+        assert!(too_big > 100, "and oversized grids ({too_big})");
     }
 
     #[test]
@@ -883,6 +979,7 @@ mod tests {
             assert_eq!(spec.name, name);
             let cells = spec.cells();
             assert!(!cells.is_empty(), "{name}");
+            assert_eq!(spec.cell_count(), Some(cells.len()), "{name}");
             // Every cell id embeds the full axis tuple.
             for c in &cells {
                 assert!(c.id().contains("sched="), "{name}");

@@ -189,13 +189,6 @@ impl MachineConfig {
         self
     }
 
-    /// Builder-style override of the policy starvation-watchdog
-    /// threshold (consecutive idle picks with runnable work queued).
-    pub fn with_policy_starve_k(mut self, k: u32) -> Self {
-        self.policy_starve_k = k.max(1);
-        self
-    }
-
     /// Builder-style cluster node identity.
     pub fn with_node_id(mut self, node: u32) -> Self {
         self.node_id = node;

@@ -283,11 +283,6 @@ impl Machine {
         &self.ledger
     }
 
-    /// The scheduler's name.
-    pub fn scheduler_name(&self) -> &'static str {
-        self.sched.name()
-    }
-
     /// Read access to the scheduling trace — the event bus's bounded
     /// ring (empty unless [`MachineConfig::trace_capacity`] was set).
     pub fn trace(&self) -> &RingSink {

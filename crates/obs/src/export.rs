@@ -1,10 +1,10 @@
 //! Machine-readable exporters for scheduler statistics.
 //!
 //! The figure binaries and CI want `BENCH_*.json`-style artifacts, not
-//! just pretty-printed tables. These functions render [`SchedStats`]
-//! deterministically as JSON and CSV; `RunReport` (in `elsc-machine`)
-//! composes them with the profiler and latency exports into one
-//! `--report-json` document.
+//! just pretty-printed tables. [`stats_json`] renders [`SchedStats`]
+//! deterministically as JSON; `RunReport` (in `elsc-machine`) composes
+//! it with the profiler and latency exports into one `--report-json`
+//! document.
 
 use crate::json::{array, Obj};
 use elsc_stats::{CpuStats, SchedStats};
@@ -12,8 +12,7 @@ use elsc_stats::{CpuStats, SchedStats};
 /// One exported counter: `(name, extractor)`.
 type Field = (&'static str, fn(&CpuStats) -> u64);
 
-/// The exported counter fields, in a fixed order shared by the JSON and
-/// CSV renderings.
+/// The exported counter fields, in a fixed order.
 const FIELDS: [Field; 18] = [
     ("sched_calls", |c| c.sched_calls),
     ("sched_cycles", |c| c.sched_cycles),
@@ -54,28 +53,6 @@ pub fn stats_json(stats: &SchedStats) -> String {
         .build()
 }
 
-/// Renders counters as CSV: one row per CPU plus a `total` row.
-pub fn stats_csv(stats: &SchedStats) -> String {
-    let mut out = String::from("cpu");
-    for (name, _) in FIELDS {
-        out.push(',');
-        out.push_str(name);
-    }
-    out.push('\n');
-    let mut row = |label: String, c: &CpuStats| {
-        out.push_str(&label);
-        for (_, get) in FIELDS {
-            out.push_str(&format!(",{}", get(c)));
-        }
-        out.push('\n');
-    };
-    for (i, c) in stats.per_cpu().iter().enumerate() {
-        row(i.to_string(), c);
-    }
-    row("total".to_string(), &stats.total());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,19 +77,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_cpu_and_total_rows() {
-        let c = stats_csv(&sample());
-        let lines: Vec<&str> = c.lines().collect();
-        assert_eq!(lines.len(), 4, "header + 2 cpus + total");
-        assert!(lines[0].starts_with("cpu,sched_calls,"));
-        assert!(lines[1].starts_with("0,10,"));
-        assert!(lines[3].starts_with("total,14,"));
-    }
-
-    #[test]
     fn exports_are_deterministic() {
         let s = sample();
         assert_eq!(stats_json(&s), stats_json(&s));
-        assert_eq!(stats_csv(&s), stats_csv(&s));
     }
 }

@@ -1,10 +1,9 @@
 //! Percentile latency recording.
 //!
 //! The §8 question — whether ELSC helps *latency*, not just throughput —
-//! needs tail percentiles. [`LatencyRecorder`] wraps the simcore
-//! [`Histogram`] and renders a fixed p50/p90/p99/p999 summary that
-//! exports to JSON for CI artifacts. The machine feeds it
-//! wakeup-to-dispatch latencies; workloads can feed it anything else.
+//! needs tail percentiles. [`Percentiles`] summarizes a simcore
+//! [`Histogram`] as a fixed p50/p90/p99/p999 record that exports to JSON
+//! for CI artifacts.
 
 use crate::json::Obj;
 use elsc_simcore::Histogram;
@@ -66,57 +65,17 @@ impl core::fmt::Display for Percentiles {
     }
 }
 
-/// Records samples and summarizes them as [`Percentiles`].
-#[derive(Clone, Debug, Default)]
-pub struct LatencyRecorder {
-    hist: Histogram,
-}
-
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> LatencyRecorder {
-        LatencyRecorder::default()
-    }
-
-    /// Wraps an already-populated histogram (e.g. a run's
-    /// `wake_latency` distribution).
-    pub fn from_histogram(hist: Histogram) -> LatencyRecorder {
-        LatencyRecorder { hist }
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        self.hist.record(v);
-    }
-
-    /// Number of samples so far.
-    pub fn count(&self) -> u64 {
-        self.hist.count()
-    }
-
-    /// The underlying histogram.
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
-    }
-
-    /// Current percentile summary.
-    pub fn percentiles(&self) -> Percentiles {
-        Percentiles::of(&self.hist)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn percentiles_are_ordered() {
-        let mut r = LatencyRecorder::new();
+        let mut h = Histogram::new();
         for v in 1..=10_000u64 {
-            r.record(v);
+            h.record(v);
         }
-        let p = r.percentiles();
+        let p = Percentiles::of(&h);
         assert_eq!(p.count, 10_000);
         assert!(p.p50 <= p.p90 && p.p90 <= p.p99 && p.p99 <= p.p999);
         assert!(p.p999 <= p.max);
@@ -125,27 +84,17 @@ mod tests {
 
     #[test]
     fn empty_recorder_is_all_zero() {
-        let p = LatencyRecorder::new().percentiles();
+        let p = Percentiles::of(&Histogram::new());
         assert_eq!(p.count, 0);
         assert_eq!(p.p999, 0);
         assert_eq!(p.max, 0);
     }
 
     #[test]
-    fn from_histogram_adopts_samples() {
-        let mut h = Histogram::new();
-        h.record(100);
-        h.record(200);
-        let r = LatencyRecorder::from_histogram(h);
-        assert_eq!(r.count(), 2);
-        assert_eq!(r.percentiles().max, 200);
-    }
-
-    #[test]
     fn json_has_all_fields() {
-        let mut r = LatencyRecorder::new();
-        r.record(5);
-        let j = r.percentiles().to_json();
+        let mut h = Histogram::new();
+        h.record(5);
+        let j = Percentiles::of(&h).to_json();
         for key in ["count", "mean", "p50", "p90", "p99", "p999", "max"] {
             assert!(j.contains(&format!("\"{key}\":")), "missing {key} in {j}");
         }
@@ -153,9 +102,9 @@ mod tests {
 
     #[test]
     fn display_is_one_line() {
-        let mut r = LatencyRecorder::new();
-        r.record(42);
-        let s = r.percentiles().to_string();
+        let mut h = Histogram::new();
+        h.record(42);
+        let s = Percentiles::of(&h).to_string();
         assert!(s.contains("p999="));
         assert!(!s.contains('\n'));
     }

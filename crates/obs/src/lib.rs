@@ -17,7 +17,7 @@
 //!    or a callback. [`first_divergence`] aligns two runs and reports
 //!    where they first disagree.
 //! 3. **Exporters** ([`latency`], [`export`], [`json`]) — p50/p90/p99/
-//!    p999 latency summaries and deterministic JSON/CSV serialization so
+//!    p999 latency summaries and deterministic JSON serialization so
 //!    figure binaries and CI emit machine-readable artifacts.
 //!
 //! Everything here is observation-only: a run with sinks attached and a
@@ -36,6 +36,6 @@ pub mod profiler;
 pub use bus::{CallbackSink, EventBus, JsonLinesSink, RingSink, Sink};
 pub use diff::{first_divergence, DiffReport, Divergence};
 pub use event::{ObsEvent, ObsRecord};
-pub use export::{stats_csv, stats_json};
-pub use latency::{LatencyRecorder, Percentiles};
+pub use export::stats_json;
+pub use latency::Percentiles;
 pub use profiler::{CycleProfiler, Phase, ProfileReport, PHASES};

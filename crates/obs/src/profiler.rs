@@ -286,27 +286,6 @@ impl ProfileReport {
             .raw("cpus", cpus)
             .build()
     }
-
-    /// Renders the profile as CSV rows: `cpu,phase,kind,cycles` (kind
-    /// `-` for raw cycles), zero cells omitted, with a header line.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("cpu,phase,kind,cycles\n");
-        for cpu in 0..self.nr_cpus() {
-            for &p in Phase::all() {
-                for &k in CostKind::all() {
-                    let v = self.cell(cpu, p, k);
-                    if v > 0 {
-                        out.push_str(&format!("{cpu},{},{},{v}\n", p.name(), k.name()));
-                    }
-                }
-                let r = self.raw_of(cpu, p);
-                if r > 0 {
-                    out.push_str(&format!("{cpu},{},-,{r}\n", p.name()));
-                }
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for ProfileReport {
@@ -456,10 +435,6 @@ mod tests {
         assert!(j.contains("\"kernel_cycles\":150"));
         assert!(j.contains("\"sched_share\":"));
         assert!(j.contains("\"goodness_eval\""));
-        let csv = r.to_csv();
-        assert!(csv.starts_with("cpu,phase,kind,cycles\n"));
-        assert!(csv.contains("0,schedule,goodness_eval,120\n"));
-        assert!(csv.contains("0,lock_spin,-,30\n"));
         // Display renders the share.
         let text = r.to_string();
         assert!(text.contains("scheduler share"));

@@ -274,17 +274,6 @@ pub enum BinOp {
     Ge,
 }
 
-impl BinOp {
-    /// Whether this operator compares (operands may be tasks for
-    /// `==`/`!=`; result is always an int).
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
-    }
-}
-
 /// The host functions a policy may call. Signatures are fixed; the
 /// verifier checks arity and argument types.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

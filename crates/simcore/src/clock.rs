@@ -47,12 +47,6 @@ impl Cycles {
         self.0 as f64 / hz as f64
     }
 
-    /// Converts this span to milliseconds at the given clock frequency.
-    #[inline]
-    pub fn as_millis(self, hz: u64) -> f64 {
-        self.as_secs(hz) * 1_000.0
-    }
-
     /// Saturating subtraction: returns `self - other`, or zero if `other`
     /// is later than `self`.
     #[inline]
@@ -188,7 +182,6 @@ mod tests {
     fn seconds_conversion() {
         let hz = 400_000_000;
         assert_eq!(Cycles(hz).as_secs(hz), 1.0);
-        assert_eq!(Cycles(hz / 2).as_millis(hz), 500.0);
     }
 
     #[test]

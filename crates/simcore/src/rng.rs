@@ -60,11 +60,6 @@ impl SimRng {
         result
     }
 
-    /// Returns the next 32 random bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniformly distributed value in `[0, n)`.
     ///
     /// # Panics
@@ -131,14 +126,6 @@ impl SimRng {
         }
         let lo = mean.saturating_sub(spread);
         self.range(lo, mean + spread + 1)
-    }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
     }
 
     /// Splits off an independent generator (for per-task streams).
@@ -255,16 +242,6 @@ mod tests {
         assert_eq!(r.jitter(0, 0.5), 0);
         assert_eq!(r.jitter(100, 0.0), 100);
         assert_eq!(r.jitter(1, 0.1), 1); // spread rounds to zero
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::new(10);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -144,14 +144,6 @@ impl SimSpinLock {
     pub fn is_held(&self) -> bool {
         self.held
     }
-
-    /// Resets statistics (not ownership state).
-    pub fn reset_stats(&mut self) {
-        self.total_spin = Cycles::ZERO;
-        self.total_held = Cycles::ZERO;
-        self.acquisitions = 0;
-        self.contended = 0;
-    }
 }
 
 #[cfg(test)]
@@ -229,19 +221,6 @@ mod tests {
         let mut l = SimSpinLock::new(0);
         l.acquire(Cycles(100), 0);
         l.release(Cycles(50));
-    }
-
-    #[test]
-    fn reset_stats_clears_counters_only() {
-        let mut l = SimSpinLock::new(0);
-        let a = l.acquire(Cycles(0), 0);
-        l.release(a + 100);
-        l.reset_stats();
-        assert_eq!(l.acquisitions(), 0);
-        assert_eq!(l.total_held(), Cycles::ZERO);
-        // free_at is preserved: a later acquire still sees the busy window.
-        let b = l.acquire(Cycles(0), 0);
-        assert_eq!(b, Cycles(100));
     }
 
     /// Acquire/release with `SimRng` arrival gaps and hold times:

@@ -81,21 +81,6 @@ pub fn render_proc(stats: &SchedStats) -> String {
     out
 }
 
-/// Renders a compact single-line summary for logs and examples.
-pub fn render_summary(stats: &SchedStats) -> String {
-    let t = stats.total();
-    format!(
-        "sched_calls={} cyc/sched={:.0} examined/sched={:.2} recalcs={} new_cpu={} ctx={} share={:.1}%",
-        t.sched_calls,
-        t.cycles_per_schedule(),
-        t.tasks_examined_per_schedule(),
-        t.recalc_entries,
-        t.picked_new_cpu,
-        t.ctx_switches,
-        t.sched_time_share() * 100.0,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,13 +125,5 @@ mod tests {
             .map(|w| w.parse().unwrap())
             .collect();
         assert_eq!(nums, vec![10, 4, 14]);
-    }
-
-    #[test]
-    fn summary_mentions_key_counters() {
-        let text = render_summary(&sample());
-        assert!(text.contains("sched_calls=14"));
-        assert!(text.contains("recalcs=2"));
-        assert!(text.contains("new_cpu=3"));
     }
 }
