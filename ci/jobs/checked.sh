@@ -20,7 +20,8 @@ grep -q '"sched":"elsc"' "$T/mega.json"
 expect_exit 1 "at most 256" "$bin" stress --tasks 900 --rounds 6 --cpus 300 --sched mq
 
 # Debug assertions compile in the reference task-table walks that every
-# judged decision's incremental snapshot and invariant check are asserted
-# equal to (`machine::observe::reference`).
+# judged decision's incremental runnable set and invariant check are
+# asserted equal to (`machine::observe::reference`), and the check that
+# nothing syncs the set between a decision and its judge.
 RUSTFLAGS="-C overflow-checks=on -C debug-assertions=on" cargo test --release --offline \
   --target-dir target/checked -p elsc-repro --test chaos --test observability

@@ -43,6 +43,6 @@ mod plan;
 pub use cluster::{ClusterFaultCounts, ClusterFaultPlan, ClusterInjector, SlowWindow};
 pub use oracle::{
     check_task_invariants, task_invariants, ChaosSummary, Decision, DivergenceClass, Oracle,
-    OracleMode, OracleReport, TaskSnap, Verdict,
+    OracleMode, OracleReport, RunnableSet, SlotSet, TaskSnap, Verdict,
 };
 pub use plan::{FaultCounts, FaultInjector, FaultPlan, IpiFault};

@@ -6,7 +6,7 @@
 //! `observe`, `supervise`, `syscall`, `wake`, and the builder in `report`
 //! (`DESIGN.md` §6 has the map).
 
-use elsc_chaos::{FaultInjector, Oracle, OracleMode, TaskSnap};
+use elsc_chaos::{FaultInjector, Oracle, OracleMode};
 use elsc_ktask::{CpuId, TaskSpec, TaskTable, Tid};
 use elsc_netsim::{Msg, PipeId, PipeTable};
 use elsc_sched_api::{CpuView, LockPlan, LockScratch, Scheduler};
@@ -146,8 +146,6 @@ pub struct Machine {
     pub(crate) oracle: Option<Oracle>,
     /// The `--decision-trace` observer (None = not tracing decisions).
     pub(crate) tracer: Option<DecisionTracer>,
-    /// Reusable buffer for the pre-decision runnable-set snapshot.
-    pub(crate) snap_scratch: Vec<TaskSnap>,
     /// The trace's and the oracle's change-log reader (idle, and the log
     /// unsubscribed, unless one of them is on).
     pub(crate) watch: TaskWatch,
@@ -228,7 +226,6 @@ impl Machine {
             injector,
             oracle,
             tracer,
-            snap_scratch: Vec::new(),
             watch: TaskWatch::default(),
             supervision,
             now: Cycles::ZERO,

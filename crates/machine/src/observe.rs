@@ -6,15 +6,14 @@
 //! costs one `Option` test per decision, and the order of their emissions
 //! is part of the trace format (`DESIGN.md` §6). The trace and the oracle
 //! both read the runnable set as it stood *before* the scheduler ran:
-//! [`DecisionView`], filled into a reused buffer. Neither the view nor the
-//! oracle's invariant check walks the task table: [`TaskWatch`] follows
-//! the table's change log, so a decision costs the observers the tasks
-//! that were touched since the last one, not every live task. Pure
-//! observation — no simulated cycle is charged, no task state is touched.
+//! [`TaskWatch`]'s slot-indexed [`RunnableSet`], which nothing copies.
+//! Neither it nor the oracle's invariant check walks the task table: the
+//! watch follows the table's change log, so a decision costs the
+//! observers the tasks that were touched since the last one, not every
+//! live task. Pure observation — no simulated cycle is charged, no task
+//! state is touched.
 
-use std::collections::HashMap;
-
-use elsc_chaos::{task_invariants, Decision, DivergenceClass, TaskSnap};
+use elsc_chaos::{task_invariants, Decision, DivergenceClass, RunnableSet, SlotSet, TaskSnap};
 use elsc_ktask::{CpuId, MmId, Task, TaskTable, Tid};
 use elsc_obs::{EventBus, ObsEvent};
 use elsc_sched_api::topo_affinity_bonus;
@@ -23,10 +22,9 @@ use elsc_simcore::{Cycles, Topology};
 use crate::cpu::CpuState;
 use crate::machine::{is_idle_task, Machine};
 
-/// The scheduling state one decision starts from, frozen before the
-/// scheduler under test mutates counters, clears `SCHED_YIELD` or
-/// recalculates. Built by [`Machine::observe_before`], handed back to
-/// [`Machine::observe_after`].
+/// The part of one decision's starting state that is not in the runnable
+/// set: `prev`'s pre-call state and the deciding CPU's. Built by
+/// [`Machine::observe_before`], handed back to [`Machine::observe_after`].
 pub(crate) struct DecisionView {
     /// The deciding CPU, its outgoing task and its idle task.
     cpu: CpuId,
@@ -36,13 +34,8 @@ pub(crate) struct DecisionView {
     depth: u64,
     prev_mm: MmId,
     prev_yielded: bool,
-    prev_runnable: bool,
     /// The deciding CPU's `yield_reruns` counter entering the call.
     yield_reruns: u64,
-    /// Every runnable non-idle task, in task-table order; empty unless
-    /// the trace or the oracle is on. Tasks executing elsewhere carry
-    /// `has_cpu`, so each reader applies `can_schedule()` itself.
-    snaps: Vec<TaskSnap>,
 }
 
 /// The `--decision-trace` observer: a `sched_candidate` burst before the
@@ -52,22 +45,31 @@ pub(crate) struct DecisionView {
 pub(crate) struct DecisionTracer {
     /// Decisions traced so far (the recency feature's clock).
     decisions: u64,
-    /// Per-task decision index of the last traced win.
-    last_picked: HashMap<Tid, u64>,
+    /// Per slot, the task that last won a traced decision there and the
+    /// decision index of the win. The slot's next tenant has another
+    /// generation, so it reads as never picked.
+    last_won: Vec<Option<(Tid, u64)>>,
 }
 
 impl DecisionTracer {
-    fn before(&mut self, view: &DecisionView, bus: &mut EventBus, topo: &Topology, t: Cycles) {
+    fn before(
+        &mut self,
+        view: &DecisionView,
+        runnable: &RunnableSet,
+        bus: &mut EventBus,
+        topo: &Topology,
+        t: Cycles,
+    ) {
         self.decisions += 1;
         let cpu = view.cpu;
-        for s in &view.snaps {
+        for s in runnable.iter() {
             if s.tid != view.prev && s.has_cpu {
                 continue;
             }
-            let recency = self
-                .last_picked
-                .get(&s.tid)
-                .map_or(255, |&won| (self.decisions - won).min(255));
+            let recency = match self.last_won.get(s.tid.index()) {
+                Some(&Some((tid, won))) if tid == s.tid => (self.decisions - won).min(255),
+                _ => 255,
+            };
             bus.emit_at(
                 t,
                 ObsEvent::SchedCandidate {
@@ -95,7 +97,11 @@ impl DecisionTracer {
             },
         );
         if next != view.idle {
-            self.last_picked.insert(next, self.decisions);
+            let idx = next.index();
+            if idx >= self.last_won.len() {
+                self.last_won.resize(idx + 1, None);
+            }
+            self.last_won[idx] = Some((next, self.decisions));
         }
     }
 }
@@ -106,96 +112,50 @@ fn is_work(t: &Task, cpus: &[CpuState]) -> bool {
     t.state.is_runnable() && !is_idle_task(cpus, t.tid)
 }
 
-/// The positions of the set bits of `word`, lowest first.
-fn bits(mut word: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (word != 0).then(|| {
-            let b = word.trailing_zeros() as usize;
-            word &= word - 1;
-            b
-        })
-    })
-}
-
-/// A set of task-table slots, one bit each.
-#[derive(Default)]
-struct SlotSet(Vec<u64>);
-
-impl SlotSet {
-    fn set(&mut self, idx: usize, member: bool) {
-        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-        if word >= self.0.len() {
-            if !member {
-                return;
-            }
-            self.0.resize(word + 1, 0);
-        }
-        if member {
-            self.0[word] |= bit;
-        } else {
-            self.0[word] &= !bit;
-        }
-    }
-
-    /// The members in ascending slot order.
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let words = self.0.iter().enumerate();
-        words.flat_map(|(w, &word)| bits(word).map(move |b| w * 64 + b))
-    }
-
-    /// Visits the members in ascending slot order and drops those `keep`
-    /// returns `false` for.
-    fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        for (w, word) in self.0.iter_mut().enumerate() {
-            for b in bits(*word) {
-                if !keep(w * 64 + b) {
-                    *word &= !(1u64 << b);
-                }
-            }
-        }
-    }
-}
-
 /// The observers' picture of the task table, kept current from the
 /// table's change log ([`TaskTable::drain_touched`]) instead of by
-/// walking it. Two slot sets, both read in slot order — which is
-/// task-table order, so the snapshot and the violation list come out
-/// exactly as the full walks produce them (debug builds run those beside
-/// it and compare, see [`reference`]):
+/// walking it. Both sets are read in slot order — which is task-table
+/// order, so the candidate burst and the violation list come out exactly
+/// as the full walks produce them (debug builds run those beside it and
+/// compare, see [`reference`]):
 ///
-/// * `runnable` — the slots holding a runnable non-idle task: the
-///   [`DecisionView`] snapshot is one `TaskSnap` per member.
+/// * `runnable` — a [`TaskSnap`] of every runnable non-idle task, by slot:
+///   what the tracer and the oracle read. A sync refreshes only the slots
+///   the log hands over.
 /// * `pending` — the slots touched since their task last *passed* the
 ///   invariants. A task that fails stays pending, so a violation nobody
 ///   repairs is counted again on every decision, as the full walk counts
 ///   it; a task that passed cannot start failing without being handed out
 ///   mutably, which puts it back.
+///
+/// **Condition:** between [`Machine::observe_before`] and the judge in
+/// [`Machine::observe_after`] nothing syncs, so `runnable` is the state
+/// the decision started from by construction — the scheduler's writes
+/// wait in the change log. `frozen` marks the scheduler's part of that
+/// window; a sync inside it is a debug-build panic.
 #[derive(Default)]
 pub(crate) struct TaskWatch {
     drained: Vec<u32>,
-    runnable: SlotSet,
+    runnable: RunnableSet,
     pending: SlotSet,
     violations: Vec<String>,
+    frozen: bool,
 }
 
 impl TaskWatch {
     /// Applies everything the table logged since the last call. The first
     /// call subscribes to the log and is handed every occupied slot.
     fn sync(&mut self, tasks: &mut TaskTable, cpus: &[CpuState]) {
+        debug_assert!(!self.frozen, "sync between a decision and its judge");
         tasks.drain_touched(&mut self.drained);
         for idx in self.drained.drain(..) {
             let idx = idx as usize;
-            let work = tasks.slot(idx).is_some_and(|t| is_work(t, cpus));
-            self.runnable.set(idx, work);
+            match tasks.slot(idx).filter(|t| is_work(t, cpus)) {
+                Some(t) => self.runnable.insert(TaskSnap::of(t)),
+                None => self.runnable.remove(idx),
+            }
             self.pending.set(idx, true);
         }
-    }
-
-    /// Appends a snapshot of every runnable non-idle task, in task-table
-    /// order. Exact as of the last [`sync`](TaskWatch::sync).
-    fn snapshot(&self, tasks: &TaskTable, out: &mut Vec<TaskSnap>) {
-        let work = self.runnable.iter().map(|idx| tasks.by_index(idx));
-        out.extend(work.map(TaskSnap::of));
     }
 
     /// Checks the run-queue invariants of every pending task, in
@@ -223,10 +183,11 @@ impl TaskWatch {
 mod reference {
     use super::*;
 
-    pub(super) fn assert_snapshot(snaps: &[TaskSnap], tasks: &TaskTable, cpus: &[CpuState]) {
+    pub(super) fn assert_runnable(runnable: &RunnableSet, tasks: &TaskTable, cpus: &[CpuState]) {
         let work = tasks.iter().filter(|t| is_work(t, cpus));
         let full: Vec<TaskSnap> = work.map(TaskSnap::of).collect();
-        assert_eq!(snaps, full, "incremental snapshot != full table walk");
+        let view: Vec<TaskSnap> = runnable.iter().copied().collect();
+        assert_eq!(view, full, "incremental runnable set != full table walk");
     }
 
     pub(super) fn assert_violations(violations: &[String], tasks: &TaskTable) {
@@ -240,8 +201,8 @@ mod reference {
 
 impl Machine {
     /// Pipeline step 2: sample the queue depth and freeze the view — the
-    /// runnable set only if the trace or the oracle will read it, from
-    /// the change log rather than a table walk — then emit the trace's
+    /// runnable set brought up to date from the change log, only if the
+    /// trace or the oracle will read it — then emit the trace's
     /// candidates.
     pub(crate) fn observe_before(&mut self, cpu: CpuId, prev: Tid, t: Cycles) -> DecisionView {
         let depth = self.sched.nr_running() as u64;
@@ -249,36 +210,38 @@ impl Machine {
         self.bus
             .emit_at(t, ObsEvent::QueueDepthSample { cpu, depth });
         let pt = self.tasks.task(prev);
-        let mut view = DecisionView {
+        let view = DecisionView {
             cpu,
             prev,
             idle: self.cpus[cpu].idle,
             depth,
             prev_mm: pt.mm,
             prev_yielded: pt.policy.yielded,
-            prev_runnable: pt.state.is_runnable(),
             yield_reruns: self.stats.cpu(cpu).yield_reruns,
-            snaps: std::mem::take(&mut self.snap_scratch),
         };
         if self.tracer.is_some() || self.oracle.is_some() {
             self.watch.sync(&mut self.tasks, &self.cpus);
-            self.watch.snapshot(&self.tasks, &mut view.snaps);
+            self.watch.frozen = true;
             #[cfg(debug_assertions)]
-            reference::assert_snapshot(&view.snaps, &self.tasks, &self.cpus);
+            reference::assert_runnable(&self.watch.runnable, &self.tasks, &self.cpus);
         }
         if let Some(tracer) = self.tracer.as_mut() {
-            tracer.before(&view, &mut self.bus, &self.cfg.sched.topology, t);
+            let topo = &self.cfg.sched.topology;
+            tracer.before(&view, &self.watch.runnable, &mut self.bus, topo, t);
         }
         view
     }
 
     /// Pipeline step 4: close the trace burst with the label, then replay
-    /// the reference O(n) scan over the view, classify the decision and
-    /// check the run-queue invariants the scheduler must have preserved —
-    /// on every task touched since it last passed them. The check has to
-    /// come after the decision: an exiting `prev` is legitimately a linked
-    /// zombie on entry, and only the decision unlinks it.
-    pub(crate) fn observe_after(&mut self, mut view: DecisionView, next: Tid, t_done: Cycles) {
+    /// the reference O(n) scan over the frozen runnable set, classify the
+    /// decision and check the run-queue invariants the scheduler must have
+    /// preserved — on every task touched since it last passed them. The
+    /// check has to come after the decision: an exiting `prev` is
+    /// legitimately a linked zombie on entry, and only the decision
+    /// unlinks it.
+    pub(crate) fn observe_after(&mut self, view: DecisionView, next: Tid, t_done: Cycles) {
+        // The decision is over; the judge below still reads the frozen set.
+        self.watch.frozen = false;
         if let Some(tracer) = self.tracer.as_mut() {
             tracer.after(&view, &mut self.bus, next, t_done);
         }
@@ -290,13 +253,12 @@ impl Machine {
                 idle: view.idle,
                 prev_mm: view.prev_mm,
                 prev_yielded: view.prev_yielded,
-                prev_runnable: view.prev_runnable,
                 chosen: next,
                 yield_rerun: self.stats.cpu(cpu).yield_reruns > view.yield_reruns,
                 search_limit: self.cfg.sched.search_limit(),
                 smp: self.cfg.sched.smp,
                 topology: self.cfg.sched.topology,
-                snaps: &view.snaps,
+                runnable: &self.watch.runnable,
             });
             if verdict.class != DivergenceClass::Match {
                 self.bus.emit_at(
@@ -317,8 +279,6 @@ impl Machine {
                 oracle.record_violations(violations);
             }
         }
-        view.snaps.clear();
-        self.snap_scratch = view.snaps;
     }
 }
 
@@ -481,7 +441,6 @@ mod tests {
             let cpus = [CpuState::new(0, idle)];
             let mut live = vec![idle];
             let mut watch = TaskWatch::default();
-            let mut snaps = Vec::new();
             // Arbitrary (also invalid) scheduling state, through whichever
             // `&mut Task` the step obtained.
             let scribble = |t: &mut elsc_ktask::Task, rng: &mut SimRng| {
@@ -536,11 +495,10 @@ mod tests {
                     continue; // several mutations between two syncs
                 }
                 watch.sync(&mut tasks, &cpus);
-                snaps.clear();
-                watch.snapshot(&tasks, &mut snaps);
                 let work = tasks.iter().filter(|t| is_work(t, &cpus));
                 let full: Vec<TaskSnap> = work.map(TaskSnap::of).collect();
-                assert_eq!(snaps, full, "seed {seed} step {step}");
+                let view: Vec<TaskSnap> = watch.runnable.iter().copied().collect();
+                assert_eq!(view, full, "seed {seed} step {step}");
                 let reference = check_task_invariants(&tasks);
                 assert_eq!(watch.check(&tasks), reference, "seed {seed} step {step}");
                 // Unrepaired violations are reported again, untouched.

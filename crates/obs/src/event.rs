@@ -7,7 +7,7 @@
 //! deterministic JSON line, so same-seed runs produce byte-identical
 //! trace files.
 
-use crate::json::Obj;
+use crate::json::{push_escaped, push_u64};
 use elsc_ktask::{CpuId, Tid};
 use elsc_simcore::Cycles;
 
@@ -221,6 +221,54 @@ impl ObsEvent {
     }
 }
 
+/// A field value of a trace line.
+trait Value {
+    fn put(self, out: &mut String);
+}
+
+impl Value for u64 {
+    fn put(self, out: &mut String) {
+        push_u64(out, self);
+    }
+}
+
+impl Value for usize {
+    fn put(self, out: &mut String) {
+        push_u64(out, self as u64);
+    }
+}
+
+impl Value for Tid {
+    fn put(self, out: &mut String) {
+        push_u64(out, self.index() as u64);
+    }
+}
+
+impl Value for &str {
+    fn put(self, out: &mut String) {
+        push_escaped(out, self);
+    }
+}
+
+/// The `match` that writes an event's part of a trace line: for each
+/// variant, `,"event":"KIND"` and then `,"FIELD":VALUE` per field, in
+/// declaration order. The JSON keys are the field names, so every key is a
+/// fragment built at compile time; the first shares the kind's fragment.
+macro_rules! write_fields {
+    ($out:ident, $event:expr; $($variant:ident $kind:literal { $k0:ident $(, $key:ident)* }),* $(,)?) => {
+        match $event {
+            $(ObsEvent::$variant { $k0 $(, $key)* } => {
+                $out.push_str(concat!(",\"event\":\"", $kind, "\",\"", stringify!($k0), "\":"));
+                Value::put($k0, $out);
+                $(
+                    $out.push_str(concat!(",\"", stringify!($key), "\":"));
+                    Value::put($key, $out);
+                )*
+            })*
+        }
+    };
+}
+
 /// A timestamped observability record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObsRecord {
@@ -239,22 +287,64 @@ impl ObsRecord {
     /// generation is a simulator-internal liveness check, not an
     /// observable property of the schedule.
     pub fn to_json_line(&self) -> String {
-        self.fields(Obj::new()).build()
+        let mut line = String::new();
+        self.write_json_line(&mut line);
+        line
     }
 
     /// [`to_json_line`](ObsRecord::to_json_line) into a caller-owned
     /// buffer: `line` is overwritten with the same bytes, reusing its
     /// allocation, so a warmed-up buffer serializes without allocating.
+    ///
+    /// Every key is a `'static` fragment, quoted and punctuated at compile
+    /// time; only string values (policy and model names come from user
+    /// file names) are escaped at run time.
     pub fn write_json_line(&self, line: &mut String) {
-        *line = self
-            .fields(Obj::with_buffer(std::mem::take(line)))
-            .into_buffer();
+        line.clear();
+        line.push_str("{\"at\":");
+        push_u64(line, self.at.0);
+        write_fields! { line, self.event;
+            Switch "switch" { cpu, from, to },
+            Wakeup "wakeup" { tid, by_cpu },
+            Block "block" { tid, cpu },
+            Exit "exit" { tid },
+            Migrate "migrate" { tid, to_cpu },
+            RecalcStart "recalc_start" { cpu, nr_running },
+            RecalcEnd "recalc_end" { cpu, updated },
+            LockContended "lock_contended" { cpu, domain, spin },
+            QueueDepthSample "queue_depth" { cpu, depth },
+            FaultInjected "fault" { cpu, fault },
+            OracleDivergence "oracle_divergence" { cpu, chosen, expected, class },
+            PolicyLoaded "policy_loaded" { policy, insns, budget },
+            PolicyBudget "policy_budget" { cpu, insns, budget },
+            PolicyEjected "policy_ejected" { cpu, policy, reason },
+            SchedCandidate "sched_candidate" {
+                cpu, tid, counter, priority, rt, mm_match, affinity, recency
+            },
+            SchedDecision "sched_decision" { cpu, prev, chosen, depth },
+            LearnedLoaded "learned_loaded" { model, arch },
+            LearnedEjected "learned_ejected" { cpu, model, reason },
+        }
+        line.push('}');
+    }
+}
+
+/// The `Obj`-based encoder [`ObsRecord::write_json_line`] replaced: every
+/// key escaped and separated at run time. Kept as the reference the
+/// static-fragment encoder is compared against, byte for byte.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::json::Obj;
+
+    pub(super) fn to_json_line(r: &ObsRecord) -> String {
+        fields(r, Obj::new()).build()
     }
 
     /// Writes `at`, `event` and the event's fields into `o`.
-    fn fields(&self, o: Obj) -> Obj {
-        let o = o.u64("at", self.at.0).str("event", self.event.kind());
-        match self.event {
+    fn fields(r: &ObsRecord, o: Obj) -> Obj {
+        let o = o.u64("at", r.at.0).str("event", r.event.kind());
+        match r.event {
             ObsEvent::Switch { cpu, from, to } => o
                 .u64("cpu", cpu as u64)
                 .u64("from", from.index() as u64)
@@ -356,93 +446,119 @@ mod tests {
         Tid::from_raw(i, 0)
     }
 
-    #[test]
-    fn kinds_are_distinct() {
-        let events = [
+    /// One event of every kind: each number `n` (CPUs and domains too),
+    /// each tid `t`, each string `s`.
+    fn every_event(n: u64, t: Tid, s: &'static str) -> [ObsEvent; 18] {
+        let c = n as usize;
+        [
             ObsEvent::Switch {
-                cpu: 0,
-                from: tid(0),
-                to: tid(1),
+                cpu: c,
+                from: t,
+                to: t,
             },
-            ObsEvent::Wakeup {
-                tid: tid(1),
-                by_cpu: 0,
-            },
-            ObsEvent::Block {
-                tid: tid(1),
-                cpu: 0,
-            },
-            ObsEvent::Exit { tid: tid(1) },
-            ObsEvent::Migrate {
-                tid: tid(1),
-                to_cpu: 1,
-            },
+            ObsEvent::Wakeup { tid: t, by_cpu: c },
+            ObsEvent::Block { tid: t, cpu: c },
+            ObsEvent::Exit { tid: t },
+            ObsEvent::Migrate { tid: t, to_cpu: c },
             ObsEvent::RecalcStart {
-                cpu: 0,
-                nr_running: 3,
+                cpu: c,
+                nr_running: n,
             },
-            ObsEvent::RecalcEnd { cpu: 0, updated: 3 },
+            ObsEvent::RecalcEnd { cpu: c, updated: n },
             ObsEvent::LockContended {
-                cpu: 1,
-                domain: 0,
-                spin: 600,
+                cpu: c,
+                domain: c,
+                spin: n,
             },
-            ObsEvent::QueueDepthSample { cpu: 0, depth: 5 },
-            ObsEvent::FaultInjected {
-                cpu: 0,
-                fault: "ipi_drop",
-            },
+            ObsEvent::QueueDepthSample { cpu: c, depth: n },
+            ObsEvent::FaultInjected { cpu: c, fault: s },
             ObsEvent::OracleDivergence {
-                cpu: 0,
-                chosen: tid(2),
-                expected: tid(3),
-                class: "tie",
+                cpu: c,
+                chosen: t,
+                expected: t,
+                class: s,
             },
             ObsEvent::PolicyLoaded {
-                policy: "policy:rr",
-                insns: 40,
-                budget: 65536,
+                policy: s,
+                insns: n,
+                budget: n,
             },
             ObsEvent::PolicyBudget {
-                cpu: 0,
-                insns: 65537,
-                budget: 65536,
+                cpu: c,
+                insns: n,
+                budget: n,
             },
             ObsEvent::PolicyEjected {
-                cpu: 0,
-                policy: "policy:rr",
-                reason: "starvation",
+                cpu: c,
+                policy: s,
+                reason: s,
             },
             ObsEvent::SchedCandidate {
-                cpu: 0,
-                tid: tid(2),
-                counter: 6,
-                priority: 20,
-                rt: 0,
-                mm_match: 1,
-                affinity: 12,
-                recency: 255,
+                cpu: c,
+                tid: t,
+                counter: n,
+                priority: n,
+                rt: n,
+                mm_match: n,
+                affinity: n,
+                recency: n,
             },
             ObsEvent::SchedDecision {
-                cpu: 0,
-                prev: tid(1),
-                chosen: tid(2),
-                depth: 4,
+                cpu: c,
+                prev: t,
+                chosen: t,
+                depth: n,
             },
-            ObsEvent::LearnedLoaded {
-                model: "learned:volano-logreg",
-                arch: "logreg",
-            },
+            ObsEvent::LearnedLoaded { model: s, arch: s },
             ObsEvent::LearnedEjected {
-                cpu: 0,
-                model: "learned:adversarial",
-                reason: "accuracy_collapse",
+                cpu: c,
+                model: s,
+                reason: s,
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn kinds_are_distinct() {
+        let events = every_event(3, tid(1), "x");
         let mut kinds: Vec<_> = events.iter().map(|e| e.kind()).collect();
         kinds.sort_unstable();
         kinds.dedup();
         assert_eq!(kinds.len(), events.len());
+    }
+
+    #[test]
+    fn static_fragments_match_the_obj_encoder() {
+        let texts = [
+            "",
+            "policy:reg",
+            "a\"b",
+            "back\\slash",
+            "two\nlines",
+            "bell\u{7}",
+        ];
+        let big = Tid::from_raw(u32::MAX, u32::MAX);
+        // A reused buffer holding a longer line: nothing of it may survive.
+        let mut line = "x".repeat(512);
+        for at in [0, u64::MAX] {
+            for n in [0, u64::MAX] {
+                for t in [tid(0), big] {
+                    for s in texts {
+                        for event in every_event(n, t, s) {
+                            let r = ObsRecord {
+                                at: Cycles(at),
+                                event,
+                            };
+                            let want = reference::to_json_line(&r);
+                            assert_eq!(r.to_json_line(), want);
+                            r.write_json_line(&mut line);
+                            assert_eq!(line, want);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(line.contains("\\u0007"), "{line}");
     }
 
     #[test]

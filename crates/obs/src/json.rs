@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 
 /// Appends `s` to `out` as a quoted JSON string (RFC 8259 escaping).
-fn push_escaped(out: &mut String, s: &str) {
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
     if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
         for c in s.chars() {
@@ -36,7 +36,7 @@ fn push_escaped(out: &mut String, s: &str) {
 }
 
 /// Appends `v` in decimal, without going through `fmt`.
-fn push_u64(out: &mut String, mut v: u64) {
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
     let mut digits = [0u8; 20]; // u64::MAX has 20 digits
     let mut start = digits.len();
     loop {
