@@ -10,6 +10,14 @@ test -s chaos-manifest.json
 twice_cmp "$T/f.json" "$BIN" volanomark --rooms 2 --users 4 --messages 3 --sched elsc --quiet \
   --faults heavy --fault-seed 42 --oracle --report-json
 
+# Plans that cannot finish or say one thing twice are refused, not run:
+# every write cut short never lands (the run hung until killed), and a
+# repeated class silently kept its last rate.
+expect_exit 1 "short_write.*below 1" timeout 60 "$BIN" volano --sched elsc --cpus 2 --rooms 1 \
+  --users 4 --messages 2 --faults short_write=1
+expect_exit 1 "given twice" timeout 60 "$BIN" volano --sched elsc --cpus 2 --rooms 1 \
+  --users 4 --messages 2 --faults lock_hold=0.5,lock_hold=0.9
+
 # The core crate with a deliberate off-by-one in the goodness comparison,
 # built into its own target dir. The oracle must reject it on *both*
 # shapes: affinity slack is only granted when the expected task sits in a

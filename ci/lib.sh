@@ -18,16 +18,21 @@ same_bytes() {
 }
 
 # lab_gate BIN SPEC BASELINE [WORKERS]: a cold sweep into a fresh cache
-# writes SPEC-manifest.json; a warm re-sweep must equal it byte for byte
-# (given WORKERS: a cold sweep on 1 worker, then one on WORKERS); it must
-# be BASELINE's bytes; and `lab compare` keeps the 2x wall_ratio gate and
-# names any metric that moved.
+# writes SPEC-manifest.json; no report in it may have dropped a trace
+# record; a warm re-sweep must equal it byte for byte (given WORKERS: a
+# cold sweep on 1 worker, then one on WORKERS); it must be BASELINE's
+# bytes; and `lab compare` keeps the 2x wall_ratio gate and names any
+# metric that moved.
 lab_gate() {
   local bin=$1 spec=$2 base=$3 m=$2-manifest.json c
   c=$(mktemp -d -p "$T")
   local cold=(--cache-dir "$c/a") again=(--cache-dir "$c/a")
   if test $# -gt 3; then cold+=(--workers 1) again=(--cache-dir "$c/b" --workers "$4"); fi
   "$bin" lab sweep --spec "$spec" "${cold[@]}" --out "$m"
+  if grep -o '"trace_dropped":[0-9]*' "$m" | grep -qv ':0$'; then
+    echo "$m: a report dropped trace records"
+    return 1
+  fi
   "$bin" lab sweep --spec "$spec" "${again[@]}" --out "$c/again.json"
   cmp "$m" "$c/again.json"
   same_bytes "$m" "$base" || { echo "$m is not the bytes of $base"; return 1; }

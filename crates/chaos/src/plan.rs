@@ -123,7 +123,9 @@ impl FromStr for FaultPlan {
 
     /// Parses a preset name (`light`, `heavy`, `net`) or a comma-separated
     /// `key=rate` list over the plan's field names, e.g.
-    /// `ipi_drop=0.1,tick_jitter=0.2`.
+    /// `ipi_drop=0.1,tick_jitter=0.2`. Every rate is in `[0, 1]`, each
+    /// class is named at most once, and `short_write` stays below 1: a
+    /// writer whose every attempt is cut short never makes progress.
     fn from_str(s: &str) -> Result<FaultPlan, String> {
         let s = s.trim();
         match s {
@@ -134,6 +136,7 @@ impl FromStr for FaultPlan {
             _ => {}
         }
         let mut plan = FaultPlan::zero(s);
+        let mut seen: Vec<&str> = Vec::new();
         for part in s.split(',') {
             let Some((key, val)) = part.split_once('=') else {
                 return Err(format!(
@@ -149,7 +152,8 @@ impl FromStr for FaultPlan {
                     "fault rate for '{key}' must be in [0,1], got {rate}"
                 ));
             }
-            let slot = match key.trim() {
+            let key = key.trim();
+            let slot = match key {
                 "ipi_delay" => &mut plan.ipi_delay,
                 "ipi_drop" => &mut plan.ipi_drop,
                 "spurious_wakeup" => &mut plan.spurious_wakeup,
@@ -159,6 +163,15 @@ impl FromStr for FaultPlan {
                 "peer_reset" => &mut plan.peer_reset,
                 other => return Err(format!("unknown fault class '{other}'")),
             };
+            if seen.contains(&key) {
+                return Err(format!("fault class '{key}' given twice"));
+            }
+            if key == "short_write" && rate >= 1.0 {
+                return Err(format!(
+                    "fault rate for 'short_write' must be below 1 (every write retried, none lands), got {rate}"
+                ));
+            }
+            seen.push(key);
             *slot = rate;
         }
         Ok(plan)
@@ -382,6 +395,112 @@ mod tests {
         assert!("warp_core=0.1".parse::<FaultPlan>().is_err());
     }
 
+    /// Every class a `key=rate` list may name.
+    const CLASSES: [&str; 7] = [
+        "ipi_delay",
+        "ipi_drop",
+        "spurious_wakeup",
+        "tick_jitter",
+        "lock_hold",
+        "short_write",
+        "peer_reset",
+    ];
+
+    #[test]
+    fn a_plan_that_cannot_finish_or_repeats_a_class_is_rejected() {
+        // Every write cut short and retried: no write ever lands, so
+        // `volano --faults short_write=1` ran until it was killed.
+        for spec in [
+            "short_write=1",
+            "short_write=1.0",
+            "ipi_drop=0.1,short_write=1",
+        ] {
+            let err = spec.parse::<FaultPlan>().unwrap_err();
+            assert!(
+                err.contains("short_write") && err.contains("below 1"),
+                "{spec}: {err}"
+            );
+        }
+        assert_eq!(
+            "short_write=0.99".parse::<FaultPlan>().unwrap().short_write,
+            0.99
+        );
+        // Each of the other classes may run at 1: all of them finish.
+        for class in CLASSES.iter().filter(|&&c| c != "short_write") {
+            assert!(format!("{class}=1").parse::<FaultPlan>().is_ok(), "{class}");
+        }
+        // A class named twice was accepted silently, last rate winning.
+        for spec in [
+            "lock_hold=0.5,lock_hold=0.9",
+            "ipi_drop=0, ipi_drop=0",
+            "tick_jitter=0.1,short_write=0.2,tick_jitter=0.1",
+        ] {
+            let err = spec.parse::<FaultPlan>().unwrap_err();
+            assert!(
+                err.contains("given twice") && !err.contains('\n'),
+                "{spec}: {err}"
+            );
+        }
+    }
+
+    /// The presets and valid key=rate lists, mutated byte by byte and
+    /// spliced with class names and odd rates, parse to a plan that keeps
+    /// the range rules or are an error — never a panic.
+    #[test]
+    fn mutated_fault_plans_never_panic() {
+        const ALPHABET: &[u8] = b"0123456789.,=-e _lightnoz";
+        const SPLICES: [&[u8]; 6] = [b"=1", b"=0.5", b",short_write=", b"NaN", b"inf", b"1e-9"];
+        let mut rng = SimRng::new(0xFA_0175);
+        let mut pick = |n: usize| rng.below(n as u64) as usize;
+        let mut accepted = 0;
+        for _ in 0..20_000 {
+            let base = if pick(4) == 0 {
+                ["light", "heavy", "net", "none"][pick(4)].to_string()
+            } else {
+                (0..=pick(3))
+                    .map(|_| format!("{}=0.{}", CLASSES[pick(7)], pick(100)))
+                    .collect::<Vec<_>>()
+                    .join(",")
+            };
+            let mut s: Vec<u8> = base.into_bytes();
+            for _ in 0..pick(4) {
+                let i = pick(s.len() + 1);
+                match pick(4) {
+                    0 if i < s.len() => {
+                        s.remove(i);
+                    }
+                    1 if i < s.len() => s[i] = ALPHABET[pick(ALPHABET.len())],
+                    2 => drop(s.splice(i..i, SPLICES[pick(SPLICES.len())].iter().copied())),
+                    _ => s.insert(i, ALPHABET[pick(ALPHABET.len())]),
+                }
+            }
+            let text = String::from_utf8(s).expect("ASCII");
+            let Ok(plan) = text.parse::<FaultPlan>() else {
+                continue;
+            };
+            accepted += 1;
+            let rates = [
+                plan.ipi_delay,
+                plan.ipi_drop,
+                plan.spurious_wakeup,
+                plan.tick_jitter,
+                plan.lock_hold,
+                plan.short_write,
+                plan.peer_reset,
+            ];
+            assert!(
+                rates.iter().all(|r| (0.0..=1.0).contains(r)),
+                "{text}: {plan:?}"
+            );
+            assert!(plan.short_write < 1.0, "{text}: {plan:?}");
+            assert_eq!(plan.label(), text.trim(), "the label is the spec");
+        }
+        assert!(
+            accepted > 1_000,
+            "the fuzz reaches valid plans ({accepted})"
+        );
+    }
+
     #[test]
     fn same_seed_same_decisions() {
         let run = |seed| {
@@ -434,7 +553,12 @@ mod tests {
 
     #[test]
     fn counts_track_injections() {
-        let mut inj = FaultInjector::new("short_write=1.0".parse().unwrap(), 3);
+        // A rate of 1 is refused by the parser but not by the injector.
+        let plan = FaultPlan {
+            short_write: 1.0,
+            ..FaultPlan::zero("short_write=1.0")
+        };
+        let mut inj = FaultInjector::new(plan, 3);
         for _ in 0..5 {
             assert!(inj.short_write());
         }

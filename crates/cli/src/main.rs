@@ -743,7 +743,8 @@ chaos (fault injection & the differential oracle):
   --faults PLAN    inject deterministic faults: a preset (light, heavy,
                    net) or a comma list of key=rate pairs (ipi_delay,
                    ipi_drop, spurious_wakeup, tick_jitter, lock_hold,
-                   short_write, peer_reset)
+                   short_write, peer_reset), each once, rates in [0,1]
+                   and short_write below 1
   --fault-seed N   RNG seed for the fault streams; the same seed gives a
                    byte-identical run and report        [0xFA175EED]
   --oracle         replay an O(n) reference goodness() scan beside every

@@ -13,6 +13,8 @@
 //! spawn order, same RNG draws — which is what makes a 1-node cluster
 //! cell byte-identical to the standalone cell (pinned by test).
 
+use std::sync::Arc;
+
 use elsc_sched_api::Scheduler;
 use elsc_workloads::volanomark::{
     new_room_monitor, spawn_client_pair, spawn_server_pair, VolanoConfig,
@@ -36,7 +38,7 @@ pub fn build_sharded(cluster: &mut Cluster, cfg: &VolanoConfig) -> Vec<usize> {
     for room in 0..cfg.rooms {
         let home = dispatcher.place_room(room, room_weight);
         homes.push(home);
-        let outboxes: Vec<_> = (0..users)
+        let outboxes: Arc<[_]> = (0..users)
             .map(|_| cluster.machine(home).create_pipe(cap))
             .collect();
         let monitor = new_room_monitor();

@@ -106,6 +106,12 @@ impl TaskTable {
         TaskTable::default()
     }
 
+    /// Makes room for `additional` more tasks without growing the slab
+    /// again. A capacity hint only: it spawns nothing.
+    pub fn reserve(&mut self, additional: usize) {
+        self.slots.reserve_exact(additional);
+    }
+
     /// Creates a new task from `spec` and returns its handle.
     pub fn spawn(&mut self, spec: &TaskSpec) -> Tid {
         self.spawned += 1;
@@ -364,6 +370,20 @@ mod tests {
         assert_eq!(t.task(a).name, "a");
         assert_eq!(t.task(b).name, "b");
         assert_eq!(t.task(a).tid, a);
+    }
+
+    #[test]
+    fn a_reserved_table_spawns_without_growing() {
+        let mut t = TaskTable::new();
+        t.spawn(&TaskSpec::named("idle"));
+        t.reserve(1_000);
+        let cap = t.slots.capacity();
+        assert!(cap >= 1_001);
+        for _ in 0..1_000 {
+            t.spawn(&TaskSpec::named("t"));
+        }
+        assert_eq!(t.slots.capacity(), cap, "sized once");
+        assert_eq!(t.len(), 1_001);
     }
 
     #[test]

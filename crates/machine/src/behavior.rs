@@ -31,8 +31,10 @@ pub enum Syscall {
     /// woken immediately so it can observe `Closed` — tasks must never
     /// stay parked on a dead pipe until the deadlock detector trips.
     Close(PipeId),
-    /// Fork a new task running the given behaviour.
-    Spawn(SpawnReq),
+    /// Fork a new task running the given behaviour. Boxed: a request is
+    /// rare and large, and every task's pending syscall is sized by the
+    /// largest variant.
+    Spawn(Box<SpawnReq>),
 }
 
 impl core::fmt::Debug for Syscall {

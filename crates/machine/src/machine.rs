@@ -75,6 +75,13 @@ pub(crate) struct Pending {
     pub(crate) syscall: Syscall,
 }
 
+// Every task carries a `TaskRun`, so its bytes are paid per simulated
+// task: a `Syscall` is a write's pipe and message (the rare spawn request
+// is boxed), and a `Pending` that syscall plus its cycle count.
+const _: () = assert!(core::mem::size_of::<Syscall>() <= 24);
+const _: () = assert!(core::mem::size_of::<Pending>() <= 32);
+const _: () = assert!(core::mem::size_of::<TaskRun>() <= 144);
+
 /// Machine-side per-task state (parallel to the kernel's task struct).
 pub(crate) struct TaskRun {
     pub(crate) behavior: Option<Box<dyn Behavior>>,
@@ -238,6 +245,18 @@ impl Machine {
             topo_migrations: [0; 3],
             wall_secs: 0.0,
         }
+    }
+
+    /// Makes room for `tasks` more tasks and `pipes` more pipes, so a
+    /// builder that knows its population sizes every table once. A
+    /// capacity hint only: it changes no report byte. Without it the
+    /// tables grow by doubling, and once an earlier machine in the same
+    /// process has freed its large tables the allocator serves that
+    /// growth from the heap, where the abandoned halves stay resident.
+    pub fn reserve(&mut self, tasks: usize, pipes: usize) {
+        self.tasks.reserve(tasks);
+        self.runs.reserve_exact(tasks);
+        self.pipes.reserve(pipes);
     }
 
     /// Creates a pipe with the given message capacity.
@@ -580,10 +599,10 @@ mod tests {
             &TaskSpec::named("parent").mm(MmId(1)),
             Box::new(Script::new(vec![Op::compute(
                 1_000,
-                Syscall::Spawn(crate::behavior::SpawnReq {
+                Syscall::Spawn(Box::new(crate::behavior::SpawnReq {
                     spec: TaskSpec::named("child").mm(MmId(2)),
                     behavior: Box::new(Script::new(vec![Op::compute(50_000, Syscall::Nop)])),
-                }),
+                })),
             )])),
         );
         let r = m.run().expect("completes");

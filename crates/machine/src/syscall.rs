@@ -185,7 +185,8 @@ impl Machine {
                     self.emit_fault(t, cpu, "short_write");
                     // Retry the write via a yield, like a would-block
                     // poll. Time advanced, so progress is preserved
-                    // with probability one for any rate < 1.
+                    // with probability one for any rate < 1 (a plan
+                    // refuses 1).
                     self.retry(cur, Syscall::Write(pipe, msg));
                     self.sched_yield(cur, cpu);
                     return Reschedule(t);

@@ -80,7 +80,10 @@ pub struct Pipe {
 const _: () = assert!(core::mem::size_of::<Pipe>() <= 128);
 
 impl Pipe {
-    /// Creates a pipe holding at most `capacity` messages.
+    /// Creates a pipe holding at most `capacity` messages. The queue
+    /// allocates on the first message, not here: most pipes never hold
+    /// more than a few at once, and a large machine has tens of
+    /// thousands of them.
     ///
     /// # Panics
     ///
@@ -90,7 +93,7 @@ impl Pipe {
         assert!(capacity > 0, "pipe capacity must be positive");
         Pipe {
             capacity,
-            queue: VecDeque::with_capacity(capacity),
+            queue: VecDeque::new(),
             readers: WaitQueue::new(),
             writers: WaitQueue::new(),
             closed: false,
@@ -204,6 +207,12 @@ impl PipeTable {
     /// Creates an empty table.
     pub fn new() -> PipeTable {
         PipeTable::default()
+    }
+
+    /// Makes room for `additional` more pipes without growing the table
+    /// again. A capacity hint only: it creates nothing.
+    pub fn reserve(&mut self, additional: usize) {
+        self.pipes.reserve_exact(additional);
     }
 
     /// Creates a pipe and returns its id.
@@ -398,6 +407,55 @@ mod tests {
         assert_eq!(p.deliver(Msg::tagged(1)).unwrap_err(), PipeError::Closed);
         assert!(p.is_empty());
         assert_eq!(p.total_written(), 0);
+    }
+
+    #[test]
+    fn a_pipe_allocates_on_its_first_message_and_keeps_its_bounds() {
+        let mut p = Pipe::new(3);
+        assert_eq!(p.queue.capacity(), 0, "a new pipe owns no buffer");
+        // The bound is `capacity`, not what the buffer happens to hold.
+        for i in 0..3 {
+            p.try_write(Msg::tagged(i)).unwrap();
+        }
+        assert!(p.is_full());
+        assert_eq!(
+            p.try_write(Msg::tagged(99)).unwrap_err(),
+            PipeError::WouldBlock
+        );
+        // A NIC delivery still goes past it, growing the buffer.
+        for i in 3..9 {
+            p.deliver(Msg::tagged(i)).unwrap();
+        }
+        assert_eq!(p.len(), 9);
+        // FIFO across growth and wrap-around: drain some, refill past the
+        // front of the buffer, grow again, then read everything back.
+        let mut next = 0;
+        for _ in 0..5 {
+            assert_eq!(p.try_read().unwrap().0.tag, next);
+            next += 1;
+        }
+        for i in 9..40 {
+            p.deliver(Msg::tagged(i)).unwrap();
+        }
+        while let Ok((msg, _)) = p.try_read() {
+            assert_eq!(msg.tag, next);
+            next += 1;
+        }
+        assert_eq!(next, 40);
+        assert_eq!((p.total_written(), p.total_read()), (40, 40));
+    }
+
+    #[test]
+    fn a_reserved_table_creates_without_growing() {
+        let mut t = PipeTable::new();
+        t.reserve(100);
+        let cap = t.pipes.capacity();
+        assert!(cap >= 100);
+        for _ in 0..100 {
+            t.create(16);
+        }
+        assert_eq!(t.pipes.capacity(), cap, "sized once");
+        assert_eq!(t.len(), 100, "a hint creates nothing by itself");
     }
 
     #[test]

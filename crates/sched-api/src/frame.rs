@@ -307,6 +307,10 @@ pub fn schedulable<'a>(
 /// one `tasks_examined` per [`schedulable`] task; returns the best
 /// goodness and its owner — the front-most on ties — or
 /// `(IDLE_GOODNESS, None)`.
+///
+/// The candidates are counted in a local and charged once after the
+/// walk: stores to the meter and the statistics inside the loop would
+/// keep it from holding its loads in registers.
 #[inline]
 pub fn scan_list(
     lists: &Lists,
@@ -317,13 +321,15 @@ pub fn scan_list(
     prev_mm: MmId,
 ) -> (i32, Option<Tid>) {
     let mut best = (IDLE_GOODNESS, None);
+    let mut n = 0;
     for t in schedulable(lists, q, ctx.tasks, ctx.cfg.smp, prev) {
-        ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-        ctx.stats.cpu_mut(cpu).tasks_examined += 1;
+        n += 1;
         let w = goodness_ignoring_yield_on(&ctx.cfg.topology, t, cpu, prev_mm);
         if w > best.0 {
             best = (w, Some(t.tid));
         }
     }
+    ctx.meter.charge_n(ctx.costs, CostKind::GoodnessEval, n);
+    ctx.stats.cpu_mut(cpu).tasks_examined += n;
     best
 }

@@ -233,6 +233,9 @@ const HTTPD_MM: MmId = MmId(1);
 /// Populates a machine with the web-server workload.
 pub fn build(m: &mut Machine, cfg: &HttpdConfig) {
     assert!(cfg.workers > 0 && cfg.clients > 0);
+    // Workers, clients and the coordinator; accept, done and one
+    // response pipe per client.
+    m.reserve(cfg.workers + cfg.clients + 1, cfg.clients + 2);
     let accept = m.create_pipe(cfg.backlog);
     let done = m.create_pipe(cfg.clients.max(1));
     let responses: Vec<PipeId> = (0..cfg.clients).map(|_| m.create_pipe(4)).collect();

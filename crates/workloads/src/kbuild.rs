@@ -94,11 +94,11 @@ struct Make {
 }
 
 impl Make {
-    fn compile_req(&mut self) -> SpawnReq {
+    fn compile_req(&mut self) -> Box<SpawnReq> {
         let phases = self.cfg.io_blocks_per_unit.max(1);
         let mm = MmId(self.next_mm);
         self.next_mm += 1;
-        SpawnReq {
+        Box::new(SpawnReq {
             spec: TaskSpec::named("cc1").mm(mm),
             behavior: Box::new(Compile {
                 phases_left: phases,
@@ -108,7 +108,7 @@ impl Make {
                 done_pipe: self.done_pipe,
                 reported: false,
             }),
-        }
+        })
     }
 }
 

@@ -51,6 +51,7 @@ impl Behavior for FiniteSpinner {
 
 /// Populates a machine with the stress tasks.
 pub fn build(m: &mut Machine, cfg: &StressConfig) {
+    m.reserve(cfg.tasks, 0);
     for i in 0..cfg.tasks {
         let mm = if cfg.shared_mm {
             MmId(1)

@@ -28,6 +28,7 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use elsc_ktask::{MmId, TaskSpec};
 use elsc_machine::{Behavior, Machine, MachineConfig, Op, RunReport, SysView, Syscall};
@@ -229,7 +230,8 @@ pub fn new_room_monitor() -> RoomMonitor {
 /// its client and broadcast it to every room member's outbox.
 struct ServerRx {
     c2s: PipeId,
-    outboxes: Vec<PipeId>,
+    /// The room's outboxes, one list shared by every reader of the room.
+    outboxes: Arc<[PipeId]>,
     to_read: u32,
     route_work: u64,
     fanout_work: u64,
@@ -423,15 +425,15 @@ pub fn spawn_client_pair(m: &mut Machine, cfg: &VolanoConfig, c2s: PipeId, s2c: 
 /// forwards this user's `outbox` onto `s2c`.
 ///
 /// All pipes must live on `m`'s pipe table, and every reader of a room
-/// must share the room's `outboxes` slice (same order) and `monitor` —
-/// [`build`] is the single-machine reference caller.
+/// shares the room's one `outboxes` list and `monitor` — [`build`] is
+/// the single-machine reference caller.
 pub fn spawn_server_pair(
     m: &mut Machine,
     cfg: &VolanoConfig,
     c2s: PipeId,
     s2c: PipeId,
     outbox: PipeId,
-    outboxes: &[PipeId],
+    outboxes: &Arc<[PipeId]>,
     monitor: &RoomMonitor,
 ) {
     let per_user_expected = (cfg.users_per_room * cfg.messages_per_user) as u32;
@@ -439,7 +441,7 @@ pub fn spawn_server_pair(
         &TaskSpec::named("server_rx").mm(SERVER_MM),
         Box::new(ServerRx {
             c2s,
-            outboxes: outboxes.to_vec(),
+            outboxes: Arc::clone(outboxes),
             to_read: cfg.messages_per_user as u32,
             route_work: cfg.server_route_work,
             fanout_work: cfg.fanout_work,
@@ -465,12 +467,18 @@ pub fn spawn_server_pair(
     );
 }
 
+/// Pipes [`build`] creates: per user an outbox, `c2s` and `s2c`.
+fn total_pipes(cfg: &VolanoConfig) -> usize {
+    cfg.rooms * cfg.users_per_room * 3
+}
+
 /// Populates a machine with the VolanoMark topology.
 pub fn build(m: &mut Machine, cfg: &VolanoConfig) {
     assert!(cfg.rooms > 0 && cfg.users_per_room > 0 && cfg.messages_per_user > 0);
+    m.reserve(cfg.total_threads(), total_pipes(cfg));
     let users = cfg.users_per_room;
     for room in 0..cfg.rooms {
-        let outboxes: Vec<PipeId> = (0..users)
+        let outboxes: Arc<[PipeId]> = (0..users)
             .map(|_| m.create_pipe(cfg.pipe_capacity))
             .collect();
         let monitor = new_room_monitor();
@@ -555,6 +563,33 @@ mod tests {
             },
         );
         assert_eq!(r.tasks_spawned, 8);
+    }
+
+    /// `build` sizes the machine's tables from `total_threads` and
+    /// `total_pipes`; what it then spawns and creates must be exactly
+    /// that, or the tables grow again (or hold memory nobody uses).
+    #[test]
+    fn the_reservation_matches_what_build_spawns_and_creates() {
+        for (rooms, users) in [(1, 1), (1, 4), (3, 2), (2, 20)] {
+            let cfg = VolanoConfig {
+                rooms,
+                users_per_room: users,
+                messages_per_user: 1,
+                ..VolanoConfig::default()
+            };
+            let mut m = Machine::new(MachineConfig::smp(2), Box::new(ElscScheduler::new()));
+            let idle = m.tasks().total_spawned();
+            build(&mut m, &cfg);
+            let spawned = m.tasks().total_spawned() - idle;
+            assert_eq!(
+                spawned as usize,
+                cfg.total_threads(),
+                "{rooms}x{users} tasks"
+            );
+            // Pipe ids are dense, so the next one counts those created.
+            let created = m.create_pipe(1).0 as usize;
+            assert_eq!(created, total_pipes(&cfg), "{rooms}x{users} pipes");
+        }
     }
 
     #[test]
