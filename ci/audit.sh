@@ -79,6 +79,12 @@ rules() {
 0 0 whole   crates,docs,tests,examples,ci,.github,README.md,DESIGN.md,EXPERIMENTS.md,CONTRIBUTING.md  -  ELSC_MEGA_(POLICY|ROOMS)
 1 - whole   crates/policy/src/vm.rs  -  ScanBest
 
+# -- One workload registry (`lab::WorkloadCell`): a workload's parameter
+# names and lab defaults are spelled in `lab/src/cell.rs` only; the spec
+# grammar and the CLI read them from there.
+0 0 shipped crates/lab/src/spec.rs,crates/cli/src/main.rs,crates/cli/src/args.rs  -  "(jobs|units|clients|requests|tasks|rounds|burst|nodes)"
+1 - shipped crates/lab/src/cell.rs  -  "(jobs|units|clients|requests|tasks|rounds|burst|nodes)"
+
 # -- One CI: the workflow runs job scripts and names no command itself;
 # every check lives once, in ci/lib.sh or a ci/jobs/*.sh line.
 0 0 whole   .github  -  \bcargo\b|elsc-sim

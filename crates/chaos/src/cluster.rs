@@ -21,11 +21,16 @@ use std::str::FromStr;
 use elsc_obs::json::Obj;
 use elsc_simcore::SimRng;
 
+use crate::plan::parse_rates;
+
 /// Salt folded into the fault seed for the cluster-level streams.
 /// Distinct from the machine-level `CHAOS_STREAM_SALT`, so a node's
 /// internal fault schedule and the fabric's schedule never correlate
 /// even when both derive from the same operator-supplied seed.
 const CLUSTER_STREAM_SALT: u64 = 0x00C1_0572_FA17_u64;
+
+/// Every class a cluster plan's `key=rate` list may name, in field order.
+const CLASSES: [&str; 3] = ["partition", "slow_link", "node_pause"];
 
 /// Injection rates for the node-level fault classes. All rates are
 /// per-epoch probabilities in `[0, 1]`: the wire classes are drawn once
@@ -51,16 +56,6 @@ pub struct ClusterFaultPlan {
 }
 
 impl ClusterFaultPlan {
-    /// A plan with every rate zero (the k=v parsing base).
-    fn zero(label: &str) -> ClusterFaultPlan {
-        ClusterFaultPlan {
-            partition: 0.0,
-            slow_link: 0.0,
-            node_pause: 0.0,
-            label: label.to_string(),
-        }
-    }
-
     /// The `light` preset: occasional short partitions, congestion, and
     /// stalls. VolanoMark clusters complete under it with room to spare.
     pub fn light() -> ClusterFaultPlan {
@@ -68,7 +63,7 @@ impl ClusterFaultPlan {
             partition: 0.002,
             slow_link: 0.004,
             node_pause: 0.002,
-            ..ClusterFaultPlan::zero("light")
+            label: "light".to_string(),
         }
     }
 
@@ -79,7 +74,7 @@ impl ClusterFaultPlan {
             partition: 0.008,
             slow_link: 0.016,
             node_pause: 0.008,
-            ..ClusterFaultPlan::zero("heavy")
+            label: "heavy".to_string(),
         }
     }
 
@@ -100,42 +95,23 @@ impl FromStr for ClusterFaultPlan {
 
     /// Parses a preset name (`light`, `heavy`) or a comma-separated
     /// `key=rate` list over the plan's field names, e.g.
-    /// `partition=0.01,node_pause=0.05`.
+    /// `partition=0.01,node_pause=0.05`, by the machine plan's rules:
+    /// each class at most once, every rate in `[0, 1]`.
     fn from_str(s: &str) -> Result<ClusterFaultPlan, String> {
         let s = s.trim();
         match s {
             "light" => return Ok(ClusterFaultPlan::light()),
             "heavy" => return Ok(ClusterFaultPlan::heavy()),
-            "" | "none" => {
-                return Err("empty cluster fault plan (use a preset or key=rate list)".into())
-            }
             _ => {}
         }
-        let mut plan = ClusterFaultPlan::zero(s);
-        for part in s.split(',') {
-            let Some((key, val)) = part.split_once('=') else {
-                return Err(format!(
-                    "bad cluster fault spec '{part}': expected key=rate (or a preset: light|heavy)"
-                ));
-            };
-            let rate: f64 = val
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad fault rate '{val}' for '{key}'"))?;
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(format!(
-                    "fault rate for '{key}' must be in [0,1], got {rate}"
-                ));
-            }
-            let slot = match key.trim() {
-                "partition" => &mut plan.partition,
-                "slow_link" => &mut plan.slow_link,
-                "node_pause" => &mut plan.node_pause,
-                other => return Err(format!("unknown cluster fault class '{other}'")),
-            };
-            *slot = rate;
-        }
-        Ok(plan)
+        let [partition, slow_link, node_pause] =
+            parse_rates(s, "cluster fault", "light|heavy", CLASSES)?;
+        Ok(ClusterFaultPlan {
+            partition,
+            slow_link,
+            node_pause,
+            label: s.to_string(),
+        })
     }
 }
 
@@ -289,6 +265,61 @@ mod tests {
         assert!("warp_core=0.1".parse::<ClusterFaultPlan>().is_err());
     }
 
+    /// A class given twice was accepted silently, last rate winning:
+    /// `cluster --faults partition=0.5,partition=0.0` ran with no
+    /// partitions. The machine plan's rules hold here too.
+    #[test]
+    fn a_plan_that_repeats_a_class_is_rejected() {
+        for spec in [
+            "partition=0.5,partition=0.0",
+            "node_pause=0, node_pause=0",
+            "slow_link=0.1,partition=0.2,slow_link=0.1",
+        ] {
+            let err = spec.parse::<ClusterFaultPlan>().unwrap_err();
+            assert!(
+                err.contains("given twice") && !err.contains('\n'),
+                "{spec}: {err}"
+            );
+        }
+        for class in CLASSES {
+            assert!(format!("{class}=1").parse::<ClusterFaultPlan>().is_ok());
+            assert!(format!("{class}=1.5").parse::<ClusterFaultPlan>().is_err());
+        }
+    }
+
+    /// The presets and valid key=rate lists, mutated the way the machine
+    /// plan's fuzz mutates them, parse to a plan inside the rules or are
+    /// an error — never a panic.
+    #[test]
+    fn mutated_cluster_plans_never_panic() {
+        let mut accepted = 0;
+        for text in crate::plan::mutated_plans(0xC1_0572, &["light", "heavy", "none"], &CLASSES) {
+            let Ok(plan) = text.parse::<ClusterFaultPlan>() else {
+                continue;
+            };
+            accepted += 1;
+            let rates = [plan.partition, plan.slow_link, plan.node_pause];
+            assert!(
+                rates.iter().all(|r| (0.0..=1.0).contains(r)),
+                "{text}: {plan:?}"
+            );
+            assert_eq!(plan.label(), text.trim(), "the label is the spec");
+            let keys: Vec<&str> = text
+                .split(',')
+                .filter_map(|p| p.split_once('='))
+                .map(|(k, _)| k.trim())
+                .collect();
+            assert!(
+                (0..keys.len()).all(|i| !keys[..i].contains(&keys[i])),
+                "{text}: a class given twice"
+            );
+        }
+        assert!(
+            accepted > 1_000,
+            "the fuzz reaches valid plans ({accepted})"
+        );
+    }
+
     #[test]
     fn same_seed_same_schedule() {
         let run = |seed| {
@@ -323,7 +354,7 @@ mod tests {
 
     #[test]
     fn zero_rates_inject_nothing() {
-        let mut inj = ClusterInjector::new(ClusterFaultPlan::zero("off"), 1);
+        let mut inj = ClusterInjector::new("partition=0".parse().unwrap(), 1);
         for _ in 0..200 {
             assert_eq!(inj.partition(), None);
             assert_eq!(inj.slow_link(), None);

@@ -50,20 +50,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan with every rate zero (useful as a k=v parsing base).
-    fn zero(label: &str) -> FaultPlan {
-        FaultPlan {
-            ipi_delay: 0.0,
-            ipi_drop: 0.0,
-            spurious_wakeup: 0.0,
-            tick_jitter: 0.0,
-            lock_hold: 0.0,
-            short_write: 0.0,
-            peer_reset: 0.0,
-            label: label.to_string(),
-        }
-    }
-
     /// The `light` preset: every completion-safe fault class at low
     /// rates. Workloads still finish; the scheduler just lives in a
     /// noisier machine. No peer resets.
@@ -76,7 +62,7 @@ impl FaultPlan {
             lock_hold: 0.05,
             short_write: 0.05,
             peer_reset: 0.0,
-            ..FaultPlan::zero("light")
+            label: "light".to_string(),
         }
     }
 
@@ -91,7 +77,7 @@ impl FaultPlan {
             lock_hold: 0.10,
             short_write: 0.10,
             peer_reset: 0.0,
-            ..FaultPlan::zero("heavy")
+            label: "heavy".to_string(),
         }
     }
 
@@ -118,6 +104,59 @@ impl fmt::Display for FaultPlan {
     }
 }
 
+/// Every class a machine plan's `key=rate` list may name, in field order.
+const CLASSES: [&str; 7] = [
+    "ipi_delay",
+    "ipi_drop",
+    "spurious_wakeup",
+    "tick_jitter",
+    "lock_hold",
+    "short_write",
+    "peer_reset",
+];
+
+/// Parses the `key=rate[,key=rate]` list `s` of a `what` plan (`fault`,
+/// `cluster fault`) over `classes`, into the rates in `classes` order.
+/// Each class is named at most once and every rate is in `[0, 1]`; a
+/// class left out is 0. `presets` is what the errors offer instead —
+/// callers match their preset names before this.
+pub(crate) fn parse_rates<const N: usize>(
+    s: &str,
+    what: &str,
+    presets: &str,
+    classes: [&str; N],
+) -> Result<[f64; N], String> {
+    if s.is_empty() || s == "none" {
+        return Err(format!("empty {what} plan (use a preset or key=rate list)"));
+    }
+    let mut rates: [Option<f64>; N] = [None; N];
+    for part in s.split(',') {
+        let Some((key, val)) = part.split_once('=') else {
+            return Err(format!(
+                "bad {what} spec '{part}': expected key=rate (or a preset: {presets})"
+            ));
+        };
+        let rate: f64 = val
+            .trim()
+            .parse()
+            .map_err(|_| format!("bad fault rate '{val}' for '{key}'"))?;
+        if !(0.0..=1.0).contains(&rate) {
+            return Err(format!(
+                "fault rate for '{key}' must be in [0,1], got {rate}"
+            ));
+        }
+        let key = key.trim();
+        let slot = match classes.iter().position(|&c| c == key) {
+            Some(i) => &mut rates[i],
+            None => return Err(format!("unknown {what} class '{key}'")),
+        };
+        if slot.replace(rate).is_some() {
+            return Err(format!("{what} class '{key}' given twice"));
+        }
+    }
+    Ok(rates.map(|r| r.unwrap_or(0.0)))
+}
+
 impl FromStr for FaultPlan {
     type Err = String;
 
@@ -132,49 +171,25 @@ impl FromStr for FaultPlan {
             "light" => return Ok(FaultPlan::light()),
             "heavy" => return Ok(FaultPlan::heavy()),
             "net" => return Ok(FaultPlan::net()),
-            "" | "none" => return Err("empty fault plan (use a preset or key=rate list)".into()),
             _ => {}
         }
-        let mut plan = FaultPlan::zero(s);
-        let mut seen: Vec<&str> = Vec::new();
-        for part in s.split(',') {
-            let Some((key, val)) = part.split_once('=') else {
-                return Err(format!(
-                    "bad fault spec '{part}': expected key=rate (or a preset: light|heavy|net)"
-                ));
-            };
-            let rate: f64 = val
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad fault rate '{val}' for '{key}'"))?;
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(format!(
-                    "fault rate for '{key}' must be in [0,1], got {rate}"
-                ));
-            }
-            let key = key.trim();
-            let slot = match key {
-                "ipi_delay" => &mut plan.ipi_delay,
-                "ipi_drop" => &mut plan.ipi_drop,
-                "spurious_wakeup" => &mut plan.spurious_wakeup,
-                "tick_jitter" => &mut plan.tick_jitter,
-                "lock_hold" => &mut plan.lock_hold,
-                "short_write" => &mut plan.short_write,
-                "peer_reset" => &mut plan.peer_reset,
-                other => return Err(format!("unknown fault class '{other}'")),
-            };
-            if seen.contains(&key) {
-                return Err(format!("fault class '{key}' given twice"));
-            }
-            if key == "short_write" && rate >= 1.0 {
-                return Err(format!(
-                    "fault rate for 'short_write' must be below 1 (every write retried, none lands), got {rate}"
-                ));
-            }
-            seen.push(key);
-            *slot = rate;
+        let [ipi_delay, ipi_drop, spurious_wakeup, tick_jitter, lock_hold, short_write, peer_reset] =
+            parse_rates(s, "fault", "light|heavy|net", CLASSES)?;
+        if short_write >= 1.0 {
+            return Err(format!(
+                "fault rate for 'short_write' must be below 1 (every write retried, none lands), got {short_write}"
+            ));
         }
-        Ok(plan)
+        Ok(FaultPlan {
+            ipi_delay,
+            ipi_drop,
+            spurious_wakeup,
+            tick_jitter,
+            lock_hold,
+            short_write,
+            peer_reset,
+            label: s.to_string(),
+        })
     }
 }
 
@@ -366,6 +381,43 @@ impl FaultInjector {
 }
 
 #[cfg(test)]
+/// 20 000 plan texts for a parser fuzz: the `presets`, or up to four
+/// `class=rate` pairs over `classes`, each mutated byte by byte and
+/// spliced with class names and odd rates.
+pub(crate) fn mutated_plans(seed: u64, presets: &[&str], classes: &[&str]) -> Vec<String> {
+    const ALPHABET: &[u8] = b"0123456789.,=-e _lightnoz";
+    const SPLICES: [&[u8]; 6] = [b"=1", b"=0.5", b",", b"NaN", b"inf", b"1e-9"];
+    let mut rng = SimRng::new(seed);
+    let mut pick = |n: usize| rng.below(n as u64) as usize;
+    (0..20_000)
+        .map(|_| {
+            let base = if pick(4) == 0 {
+                presets[pick(presets.len())].to_string()
+            } else {
+                (0..=pick(3))
+                    .map(|_| format!("{}=0.{}", classes[pick(classes.len())], pick(100)))
+                    .collect::<Vec<_>>()
+                    .join(",")
+            };
+            let mut s: Vec<u8> = base.into_bytes();
+            for _ in 0..pick(4) {
+                let i = pick(s.len() + 1);
+                match pick(5) {
+                    0 if i < s.len() => {
+                        s.remove(i);
+                    }
+                    1 if i < s.len() => s[i] = ALPHABET[pick(ALPHABET.len())],
+                    2 => drop(s.splice(i..i, SPLICES[pick(SPLICES.len())].iter().copied())),
+                    3 => drop(s.splice(i..i, classes[pick(classes.len())].bytes())),
+                    _ => s.insert(i, ALPHABET[pick(ALPHABET.len())]),
+                }
+            }
+            String::from_utf8(s).expect("ASCII")
+        })
+        .collect()
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -394,17 +446,6 @@ mod tests {
         assert!("none".parse::<FaultPlan>().is_err());
         assert!("warp_core=0.1".parse::<FaultPlan>().is_err());
     }
-
-    /// Every class a `key=rate` list may name.
-    const CLASSES: [&str; 7] = [
-        "ipi_delay",
-        "ipi_drop",
-        "spurious_wakeup",
-        "tick_jitter",
-        "lock_hold",
-        "short_write",
-        "peer_reset",
-    ];
 
     #[test]
     fn a_plan_that_cannot_finish_or_repeats_a_class_is_rejected() {
@@ -448,33 +489,8 @@ mod tests {
     /// the range rules or are an error — never a panic.
     #[test]
     fn mutated_fault_plans_never_panic() {
-        const ALPHABET: &[u8] = b"0123456789.,=-e _lightnoz";
-        const SPLICES: [&[u8]; 6] = [b"=1", b"=0.5", b",short_write=", b"NaN", b"inf", b"1e-9"];
-        let mut rng = SimRng::new(0xFA_0175);
-        let mut pick = |n: usize| rng.below(n as u64) as usize;
         let mut accepted = 0;
-        for _ in 0..20_000 {
-            let base = if pick(4) == 0 {
-                ["light", "heavy", "net", "none"][pick(4)].to_string()
-            } else {
-                (0..=pick(3))
-                    .map(|_| format!("{}=0.{}", CLASSES[pick(7)], pick(100)))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            let mut s: Vec<u8> = base.into_bytes();
-            for _ in 0..pick(4) {
-                let i = pick(s.len() + 1);
-                match pick(4) {
-                    0 if i < s.len() => {
-                        s.remove(i);
-                    }
-                    1 if i < s.len() => s[i] = ALPHABET[pick(ALPHABET.len())],
-                    2 => drop(s.splice(i..i, SPLICES[pick(SPLICES.len())].iter().copied())),
-                    _ => s.insert(i, ALPHABET[pick(ALPHABET.len())]),
-                }
-            }
-            let text = String::from_utf8(s).expect("ASCII");
+        for text in mutated_plans(0xFA_0175, &["light", "heavy", "net", "none"], &CLASSES) {
             let Ok(plan) = text.parse::<FaultPlan>() else {
                 continue;
             };
@@ -494,6 +510,15 @@ mod tests {
             );
             assert!(plan.short_write < 1.0, "{text}: {plan:?}");
             assert_eq!(plan.label(), text.trim(), "the label is the spec");
+            let keys: Vec<&str> = text
+                .split(',')
+                .filter_map(|p| p.split_once('='))
+                .map(|(k, _)| k.trim())
+                .collect();
+            assert!(
+                (0..keys.len()).all(|i| !keys[..i].contains(&keys[i])),
+                "{text}: a class given twice"
+            );
         }
         assert!(
             accepted > 1_000,
@@ -539,7 +564,7 @@ mod tests {
 
     #[test]
     fn zero_rates_inject_nothing() {
-        let mut inj = FaultInjector::new(FaultPlan::zero("off"), 1);
+        let mut inj = FaultInjector::new("ipi_drop=0".parse().unwrap(), 1);
         for _ in 0..100 {
             assert_eq!(inj.ipi_fault(100), IpiFault::None);
             assert_eq!(inj.tick_period(1000), (1000, false));
@@ -556,7 +581,7 @@ mod tests {
         // A rate of 1 is refused by the parser but not by the injector.
         let plan = FaultPlan {
             short_write: 1.0,
-            ..FaultPlan::zero("short_write=1.0")
+            .."short_write=0".parse::<FaultPlan>().unwrap()
         };
         let mut inj = FaultInjector::new(plan, 3);
         for _ in 0..5 {

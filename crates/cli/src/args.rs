@@ -2,6 +2,8 @@
 
 use std::collections::BTreeMap;
 
+use elsc_lab::WorkloadCell;
+
 /// Parsed command line: a subcommand plus `--key value` / `--flag` pairs.
 #[derive(Debug, Default, Clone)]
 pub struct Args {
@@ -62,32 +64,21 @@ const FLAGS: &[&str] = &[
     "all-figures",
 ];
 
-/// Option names that take a value. Anything not listed here or in
-/// [`FLAGS`] is rejected instead of silently accepted.
+/// Option names that take a value, beside the workload parameters of
+/// the registry ([`WorkloadCell::is_param`]). Anything else that is not
+/// in [`FLAGS`] is rejected instead of silently accepted.
 const OPTIONS: &[&str] = &[
     "sched",
     "cpus",
     "topology",
     "seed",
     "trace",
-    "rooms",
-    "users",
-    "messages",
-    "jobs",
-    "units",
-    "clients",
-    "workers",
-    "requests",
-    "tasks",
-    "rounds",
-    "burst",
     "trace-out",
     "report-json",
     "lock-plan",
     "faults",
     "fault-seed",
     // `cluster` subcommand options.
-    "nodes",
     "dispatcher",
     "epoch",
     // policy runtime options.
@@ -129,7 +120,7 @@ impl Args {
                         return Err(ArgError::BadValue { key, value: v });
                     }
                     out.flags.push(key);
-                } else if OPTIONS.contains(&key.as_str()) {
+                } else if OPTIONS.contains(&key.as_str()) || WorkloadCell::is_param(&key) {
                     let value = match inline {
                         Some(v) => v,
                         None => it
@@ -156,6 +147,11 @@ impl Args {
     /// Whether a boolean flag was given.
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
+    }
+
+    /// The names of the options given, in order.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.options.keys().map(String::as_str)
     }
 
     /// A string option.
@@ -196,6 +192,13 @@ mod tests {
     fn equals_syntax() {
         let a = parse(&["stress", "--tasks=500"]).unwrap();
         assert_eq!(a.get_or("tasks", 0usize).unwrap(), 500);
+    }
+
+    #[test]
+    fn workload_parameters_are_the_registry_s() {
+        let a = parse(&["volano", "--think", "0", "--jobs=2", "--nodes", "3"]).unwrap();
+        assert_eq!(a.keys().collect::<Vec<_>>(), ["jobs", "nodes", "think"]);
+        assert!(parse(&["volano", "--thinks", "0"]).is_err());
     }
 
     #[test]

@@ -1,39 +1,16 @@
 //! `elsc-sim`: run any workload under any scheduler from the shell.
 //!
 //! ```text
-//! elsc-sim <workload> [options]
-//!
-//! workloads:
-//!   volano    VolanoMark chat benchmark (paper §4/§6)
-//!   kbuild    kernel compile, make -jN (paper Table 2)
-//!   httpd     Apache-like web server (paper §8)
-//!   stress    synthetic run-queue stress
-//!   cluster   federated VolanoMark across N simulated machines
-//!
-//! common options:
-//!   --sched LIST   comma list of reg,elsc,heap,aheap,mq,bubble and/or
-//!                  policy:FILE.pol, learned:FILE.model   [reg,elsc]
-//!   --cpus N       processors                            [1]
-//!   --up           non-SMP kernel build (forces 1 CPU)
-//!   --seed N       simulation seed                       [23062]
-//!   --proc         print the /proc-style statistics table
-//!   --latency      print latency/queue-length distributions
-//!   --trace N      keep and summarize up to N trace records
-//!   --lock-plan P  force the run-queue locking regime
-//!                  (global | percpu | sharded:N)
-//!
-//! volano: --rooms N --users N --messages N
-//! kbuild: --jobs N --units N
-//! httpd:  --clients N --workers N --requests N
-//! stress: --tasks N --rounds N --burst CYCLES
+//! elsc-sim <workload> [--sched LIST] [--cpus N] [--seed N] [workload flags]
 //! ```
 //!
 //! (`elsc-sim --help` is the full manual.) The flags describe a run the
 //! same way a lab sweep does: [`cell`] turns them into an
 //! `elsc_lab::CellConfig`, whose registry types (`SchedId`, `Shape`,
 //! `WorkloadCell`) build the scheduler, the machine configuration and
-//! the populated machine. Nothing in this file names a scheduler or a
-//! workload config directly.
+//! the populated machine. The workloads, their flags and their defaults
+//! are the registry's (`WorkloadCell::ALL`); nothing in this file names a
+//! scheduler or a workload config directly.
 
 mod args;
 mod lab;
@@ -46,7 +23,6 @@ use std::fs::File;
 use std::io::BufWriter;
 
 use elsc_cluster::{Cluster, ClusterConfig, ClusterReport, DispatcherId};
-use elsc_lab::cell::check_cluster_cpus;
 use elsc_lab::{CellConfig, ChaosSpec, SchedId, Shape, WorkloadCell};
 use elsc_machine::{Machine, MachineConfig, RunReport};
 use elsc_obs::{first_divergence, JsonLinesSink, ObsRecord};
@@ -110,50 +86,42 @@ fn policy_budget(a: &Args) -> Result<Option<u64>, String> {
     }
 }
 
-/// The workload the command line names, with the CLI's own flag
-/// defaults (10 messages per user where the lab's specs default to 20).
+/// The registry entry `name` at the CLI's documented defaults: the
+/// lab's, except for fewer messages on the chat benchmarks.
+fn cli_default(name: &str) -> Option<WorkloadCell> {
+    // `volanomark` is the benchmark's proper name; accept both.
+    let mut w = WorkloadCell::named(if name == "volanomark" { "volano" } else { name })?;
+    let differ: &[(&str, u64)] = match w {
+        WorkloadCell::Volano { .. } => &[("messages", 10)],
+        WorkloadCell::Cluster { .. } => &[("rooms", 5), ("users", 20), ("messages", 10)],
+        _ => &[],
+    };
+    for &(k, v) in differ {
+        w.set(k, v).expect("a parameter of the workload");
+    }
+    Some(w)
+}
+
+/// The workload the command line names, with its flags applied. A flag
+/// of another workload is refused in the spec grammar's words.
 fn workload(a: &Args) -> Result<WorkloadCell, String> {
-    let n = |flag: &str, default: u64| a.get_or(flag, default).map_err(|e| e.to_string());
-    let think = elsc_workloads::VolanoConfig::default().think_cycles;
-    Ok(match a.command.as_deref().unwrap_or("") {
-        // `volanomark` is the benchmark's proper name; accept both.
-        "volano" | "volanomark" => WorkloadCell::Volano {
-            rooms: n("rooms", 5)?,
-            users: n("users", 20)?,
-            messages: n("messages", 10)?,
-            think,
-        },
-        "kbuild" => WorkloadCell::Kbuild {
-            jobs: n("jobs", 4)?,
-            units: n("units", 160)?,
-        },
-        "httpd" => WorkloadCell::Httpd {
-            clients: n("clients", 64)?,
-            workers: n("workers", 8)?,
-            requests: n("requests", 10)?,
-        },
-        "stress" => WorkloadCell::Stress {
-            tasks: n("tasks", 100)?,
-            rounds: n("rounds", 50)?,
-            burst: n("burst", 20_000)?,
-        },
-        "rtmix" => WorkloadCell::RtMix,
-        "cluster" => {
-            let dispatcher: DispatcherId = match a.get("dispatcher") {
-                None => DispatcherId::LeastLoaded,
-                Some(text) => text.parse().map_err(|e| format!("--dispatcher: {e}"))?,
-            };
-            WorkloadCell::Cluster {
-                nodes: n("nodes", 2)?,
-                dispatcher,
-                rooms: n("rooms", 5)?,
-                users: n("users", 20)?,
-                messages: n("messages", 10)?,
-                think,
-            }
+    let name = a.command.as_deref().unwrap_or("");
+    let mut w =
+        cli_default(name).ok_or_else(|| format!("unknown workload '{name}' (see --help)"))?;
+    for key in a.keys() {
+        match key {
+            // `--epoch` paces the cluster's exchange: it goes where the
+            // dispatcher axis goes.
+            "dispatcher" | "epoch" if !w.takes("dispatcher") => return Err(w.refusal(key)),
+            _ if !WorkloadCell::is_param(key) => {}
+            _ if !w.takes(key) => return Err(w.refusal(key)),
+            _ => w.set(key, a.get_or(key, 0).map_err(|e| e.to_string())?)?,
         }
-        other => return Err(format!("unknown workload '{other}' (see --help)")),
-    })
+    }
+    if let (Some(text), WorkloadCell::Cluster { dispatcher, .. }) = (a.get("dispatcher"), &mut w) {
+        *dispatcher = text.parse().map_err(|e| format!("--dispatcher: {e}"))?;
+    }
+    Ok(w)
 }
 
 /// The run the command line describes, as the lab cell it is: every
@@ -164,12 +132,9 @@ fn cell(a: &Args, sched: SchedId) -> Result<CellConfig, String> {
     let topo = declared_topology(a)?;
     sched.fits(&topo)?;
     let workload = workload(a)?;
-    if let Some(k) = workload.zero_size() {
-        return Err(format!("--{k} 0: must be at least 1"));
-    }
-    if let WorkloadCell::Cluster { nodes, .. } = workload {
-        check_cluster_cpus(nodes, topo.nr_cpus()).map_err(|e| format!("--nodes {nodes}: {e}"))?;
-    }
+    workload
+        .check(topo.nr_cpus())
+        .map_err(|(k, v, e)| format!("--{k} {v}: {e}"))?;
     let lock_plan = match a.get("lock-plan") {
         None => None,
         // `pernode` alone resolves against the declared topology; the
@@ -573,18 +538,8 @@ fn run_ls(a: &Args) -> Result<(), String> {
         println!("  (none found; train one with elsc-sim learn train)");
     }
     println!("\nworkloads:");
-    for (name, what) in [
-        ("volano", "VolanoMark chat benchmark (paper sec. 4/6)"),
-        ("kbuild", "kernel compile, make -jN (paper Table 2)"),
-        ("httpd", "Apache-like web server (paper sec. 8)"),
-        ("stress", "synthetic run-queue stress"),
-        ("rtmix", "mixed SCHED_FIFO/SCHED_RR/SCHED_OTHER criticality"),
-        (
-            "cluster",
-            "federated VolanoMark over netsim links (elsc-cluster)",
-        ),
-    ] {
-        println!("  {name:<10} {what}");
+    for w in WorkloadCell::ALL {
+        println!("  {:<10} {}", w.name(), w.describe());
     }
     println!("\ncluster dispatchers (elsc-sim cluster --dispatcher NAME):");
     for d in DispatcherId::ALL {
@@ -642,8 +597,7 @@ fn main() {
         return;
     }
     if a.flag("help") || a.command.is_none() {
-        // The module doc at the top of this file is the manual.
-        print!("{}", USAGE);
+        print!("{}", usage());
         return;
     }
     if a.command.as_deref() == Some("ls") {
@@ -666,7 +620,30 @@ fn main() {
     }
 }
 
-/// Help text.
+/// Help text: [`USAGE`] with the registry's workloads before its
+/// options and their flags, at the CLI's defaults, after them.
+fn usage() -> String {
+    let (head, options) = USAGE
+        .split_once("\ncommon options:")
+        .expect("usage has options");
+    let mut list = String::new();
+    let mut flags = String::new();
+    for w in WorkloadCell::ALL {
+        list += &format!("  {:<9} {}\n", w.name(), w.describe());
+        let w = cli_default(w.name()).expect("a registry name");
+        flags += &format!("  {:<9}", w.name());
+        for (k, v) in w.params() {
+            flags += &format!(" --{k} {v}");
+        }
+        flags += "\n";
+    }
+    format!(
+        "{head}\nworkloads (volanomark = volano):\n{list}\ncommon options:{options}\n\
+         workload flags, at their defaults (another workload's flag is an error):\n{flags}"
+    )
+}
+
+/// The help text around the registry's workloads and their flags.
 const USAGE: &str = "\
 elsc-sim: scheduler simulator for 'Scalable Linux Scheduling' (CITI TR 01-7)
 
@@ -677,13 +654,6 @@ usage: elsc-sim <workload> [options]
                                                     policies, workloads)
        elsc-sim lab <sweep|render|compare|ls> ...  (elsc-sim lab --help)
        elsc-sim learn <train|eval> [options]       (elsc-sim learn --help)
-
-workloads:
-  volano    VolanoMark chat benchmark (paper sec. 4/6; alias: volanomark)
-  kbuild    kernel compile, make -jN (paper Table 2)
-  httpd     Apache-like web server (paper sec. 8)
-  stress    synthetic run-queue stress
-  rtmix     mixed SCHED_FIFO/SCHED_RR/SCHED_OTHER criticality
 
 common options:
   --sched LIST   comma list of reg,elsc,heap,aheap,mq,bubble, and/or
@@ -752,20 +722,15 @@ chaos (fault injection & the differential oracle):
                    run-queue invariant violation makes the run exit
                    non-zero (the paper's sec. 5 equivalence claim)
 
-cluster (federated VolanoMark across N simulated machines):
-  --nodes N        machines in the federation            [2]
+cluster (federated VolanoMark across --nodes simulated machines):
   --dispatcher D   placement policy: round-robin, least-loaded,
                    consistent-hash, or locality          [least-loaded]
   --epoch CYCLES   exchange-epoch length                 [400000]
   --faults PLAN    *cluster* fault classes: a preset (light, heavy) or
-                   key=rate pairs (partition, slow_link, node_pause)
-  --rooms/--users/--messages as for volano; per-node machine options
-  (--cpus, --up, --seed, --lock-plan, --oracle) apply to every node
-
-volano: --rooms N --users N --messages N
-kbuild: --jobs N --units N
-httpd:  --clients N --workers N --requests N
-stress: --tasks N --rounds N --burst CYCLES
+                   key=rate pairs (partition, slow_link, node_pause),
+                   each once, rates in [0,1]
+  per-node machine options (--cpus, --up, --seed, --lock-plan, --oracle)
+  apply to every node
 ";
 
 #[cfg(test)]

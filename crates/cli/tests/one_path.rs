@@ -48,6 +48,43 @@ fn shapes_with_more_than_256_queues_are_rejected_by_both_front_ends() {
     }
 }
 
+/// A flag the named workload does not take is refused, not ignored:
+/// each of these exited 0 and ran without it. The CLI exits 1 with one
+/// line, and a spec naming the same key for the same workload fails to
+/// parse with the same words.
+#[test]
+fn a_flag_the_workload_does_not_take_is_refused_by_both_front_ends() {
+    for (args, key) in [
+        ("kbuild --jobs 2 --units 6 --rooms 5", "rooms = 5"),
+        ("kbuild --jobs 2 --units 6 --rooms 0", "rooms = 0"),
+        ("stress --tasks 2 --rounds 1 --clients 9", "clients = 9"),
+        (
+            "volano --rooms 1 --users 2 --messages 1 --nodes 3",
+            "nodes = 3",
+        ),
+        (
+            "volano --rooms 1 --users 2 --messages 1 --dispatcher bogus",
+            "dispatcher = bogus",
+        ),
+        (
+            "httpd --clients 2 --workers 1 --requests 1 --epoch 0",
+            "epoch = 0",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_elsc-sim"))
+            .args(args.split_whitespace())
+            .output()
+            .expect("elsc-sim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let workload = args.split_whitespace().next().unwrap();
+        let spec = format!("name = x\nworkload = {workload}\n{key}");
+        let err = spec.parse::<elsc_lab::SweepSpec>().unwrap_err();
+        assert_eq!(format!("error: {err}\n"), stderr, "{args:?}");
+        assert!(err.contains(key.split(' ').next().unwrap()) && err.contains(workload));
+    }
+}
+
 /// A CPU count that wraps or could not be allocated is refused up front
 /// with one line naming the bad text and exit 1: the `4294967296²` tree
 /// used to wrap to 0 CPUs and panic (101), `1000N1000C1000T` and
@@ -166,6 +203,26 @@ fn ls_lists_exactly_the_registry_rows() {
         .map(|id| format!("  {:<10} {}", id.label(), id.describe()))
         .collect();
     assert_eq!(listed, registry);
+    // The workload rows are the workload registry, and `--help` names
+    // every workload and its flags too.
+    let listed: Vec<&str> = text
+        .lines()
+        .skip_while(|l| *l != "workloads:")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .collect();
+    let registry: Vec<String> = WorkloadCell::ALL
+        .iter()
+        .map(|w| format!("  {:<10} {}", w.name(), w.describe()))
+        .collect();
+    assert_eq!(listed, registry);
+    let help = elsc_sim(&["--help"]);
+    for w in WorkloadCell::ALL {
+        assert!(help.contains(w.describe()), "{}", w.name());
+        for (k, _) in w.params() {
+            assert!(help.contains(&format!("--{k} ")), "--{k}");
+        }
+    }
 }
 
 /// The experiments that used to be `elsc-bench` binaries are lab
@@ -230,80 +287,29 @@ fn the_former_bench_binaries_are_lab_renders() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// One cell per workload: the flags on the left and the `CellConfig` on
-/// the right describe the same run, so the reports must not differ by a
-/// byte. Seed 23062 is the CLI's own default, passed by neither side.
+/// One cell per registry workload: the flags built from the cell's own
+/// parameters and the `CellConfig` itself describe the same run, so the
+/// reports must not differ by a byte. Every parameter is shrunk to at
+/// most 3 (a non-default `--think`), a cluster takes a non-default
+/// dispatcher, and a workload added to the registry is covered by
+/// construction. Seed 23062 is the CLI's own default, passed by neither
+/// side.
 #[test]
 fn cli_reports_equal_the_equivalent_lab_cells() {
-    let think = 60_000_000;
-    let cases: [(&[&str], WorkloadCell); 6] = [
-        (
-            &["volano", "--rooms", "1", "--users", "4", "--messages", "2"],
-            WorkloadCell::Volano {
-                rooms: 1,
-                users: 4,
-                messages: 2,
-                think,
-            },
-        ),
-        (
-            &["kbuild", "--jobs", "2", "--units", "6"],
-            WorkloadCell::Kbuild { jobs: 2, units: 6 },
-        ),
-        (
-            &[
-                "httpd",
-                "--clients",
-                "6",
-                "--workers",
-                "2",
-                "--requests",
-                "2",
-            ],
-            WorkloadCell::Httpd {
-                clients: 6,
-                workers: 2,
-                requests: 2,
-            },
-        ),
-        (
-            &["stress", "--tasks", "6", "--rounds", "3", "--burst", "9000"],
-            WorkloadCell::Stress {
-                tasks: 6,
-                rounds: 3,
-                burst: 9_000,
-            },
-        ),
-        (&["rtmix"], WorkloadCell::RtMix),
-        (
-            &[
-                "cluster",
-                "--nodes",
-                "2",
-                "--dispatcher",
-                "round-robin",
-                "--rooms",
-                "2",
-                "--users",
-                "4",
-                "--messages",
-                "2",
-            ],
-            WorkloadCell::Cluster {
-                nodes: 2,
-                dispatcher: DispatcherId::RoundRobin,
-                rooms: 2,
-                users: 4,
-                messages: 2,
-                think,
-            },
-        ),
-    ];
     let dir = std::env::temp_dir().join(format!("elsc-cli-one-path-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for (flags, workload) in cases {
+    for mut workload in WorkloadCell::ALL {
+        let mut args = vec![workload.name().to_string()];
+        for (k, v) in workload.params() {
+            workload.set(k, v.min(3)).unwrap();
+            args.extend([format!("--{k}"), v.min(3).to_string()]);
+        }
+        if let WorkloadCell::Cluster { dispatcher, .. } = &mut workload {
+            *dispatcher = DispatcherId::RoundRobin;
+            args.extend(["--dispatcher".into(), "round-robin".into()]);
+        }
         let path = dir.join(format!("{}.json", workload.name()));
-        let mut args = flags.to_vec();
+        let mut args: Vec<&str> = args.iter().map(String::as_str).collect();
         args.extend(["--sched", "elsc", "--cpus", "2", "--oracle", "--quiet"]);
         args.extend(["--report-json", path.to_str().unwrap()]);
         elsc_sim(&args);

@@ -412,8 +412,7 @@ pub enum WorkloadCell {
         burst: u64,
     },
     /// Mixed `SCHED_FIFO`/`SCHED_RR`/`SCHED_OTHER` criticality at its
-    /// fixed default parameters. The CLI's `rtmix` workload; the spec
-    /// grammar does not name it.
+    /// fixed default parameters.
     RtMix,
     /// A VolanoMark-shaped mega-scale cell (100k–1M tasks): the same
     /// chat topology as [`WorkloadCell::Volano`], but executed with
@@ -458,24 +457,76 @@ pub enum WorkloadCell {
 /// The parameters that size a workload's topology. The workload
 /// builders need at least one of each, so the CLI and the spec grammar
 /// reject a 0 when they parse it.
-pub const SIZE_PARAMS: [&str; 8] = [
+const SIZE_PARAMS: [&str; 8] = [
     "rooms", "users", "messages", "clients", "workers", "jobs", "units", "nodes",
 ];
 
-/// Checks a cluster of `nodes` machines with `cpus` CPUs each against
-/// the machine's own ceiling, [`MAX_CPUS`], on the total.
-pub fn check_cluster_cpus(nodes: u64, cpus: usize) -> Result<(), String> {
-    match nodes.checked_mul(cpus as u64) {
-        Some(total) if total <= MAX_CPUS as u64 => Ok(()),
-        _ => Err(format!(
-            "{nodes} nodes × {cpus} CPU(s) is past the {MAX_CPUS}-CPU ceiling"
-        )),
-    }
-}
+/// Mean client think time of the chat-shaped workloads' lab defaults,
+/// cycles (`VolanoConfig`'s own default).
+const THINK: u64 = 60_000_000;
 
+/// The workload registry. Every workload is one entry of
+/// [`WorkloadCell::ALL`] (its lab defaults) plus its arm in
+/// [`name`](Self::name), [`describe`](Self::describe),
+/// `visit_params` (parameter names in canonical order),
+/// [`metric_key`](Self::metric_key) and [`populate`](Self::populate).
+/// The spec grammar and the CLI both start from an entry and
+/// [`set`](Self::set) parameters by name, so they accept the same names
+/// and refuse the same keys in the same words.
 impl WorkloadCell {
-    /// Workload name ("volano", "kbuild", "httpd", "stress", "rtmix",
-    /// "mega", "cluster").
+    /// Every workload, at the lab's defaults, in the order `elsc-sim ls`
+    /// and `--help` list them.
+    pub const ALL: [WorkloadCell; 7] = [
+        WorkloadCell::Volano {
+            rooms: 5,
+            users: 20,
+            messages: 20,
+            think: THINK,
+        },
+        WorkloadCell::Kbuild {
+            jobs: 4,
+            units: 160,
+        },
+        WorkloadCell::Httpd {
+            clients: 64,
+            workers: 8,
+            requests: 10,
+        },
+        WorkloadCell::Stress {
+            tasks: 100,
+            rounds: 50,
+            burst: 20_000,
+        },
+        WorkloadCell::RtMix,
+        // The population, not the per-user traffic, is under test: mega
+        // trades message count for task count.
+        WorkloadCell::Mega {
+            rooms: 250,
+            users: 20,
+            messages: 1,
+            think: THINK,
+        },
+        WorkloadCell::Cluster {
+            nodes: 2,
+            dispatcher: DispatcherId::LeastLoaded,
+            rooms: 4,
+            users: 8,
+            messages: 4,
+            think: THINK,
+        },
+    ];
+
+    /// The registry entry called `name`, at its lab defaults.
+    pub fn named(name: &str) -> Option<WorkloadCell> {
+        WorkloadCell::ALL.into_iter().find(|w| w.name() == name)
+    }
+
+    /// Whether some workload takes parameter `key`.
+    pub fn is_param(key: &str) -> bool {
+        WorkloadCell::ALL.iter().any(|w| w.param(key).is_some())
+    }
+
+    /// Workload name, as the spec grammar and the CLI spell it.
     pub fn name(&self) -> &'static str {
         match self {
             WorkloadCell::Volano { .. } => "volano",
@@ -488,48 +539,63 @@ impl WorkloadCell {
         }
     }
 
-    /// The workload's parameters as `(name, value)` pairs in canonical
-    /// order — the order used by cell ids, cache keys, and manifests.
-    pub fn params(&self) -> Vec<(&'static str, u64)> {
-        match *self {
+    /// One-line description, as `elsc-sim ls` and `--help` print it.
+    pub fn describe(&self) -> &'static str {
+        match self {
+            WorkloadCell::Volano { .. } => "VolanoMark chat benchmark (paper sec. 4/6)",
+            WorkloadCell::Kbuild { .. } => "kernel compile, make -jN (paper Table 2)",
+            WorkloadCell::Httpd { .. } => "Apache-like web server (paper sec. 8)",
+            WorkloadCell::Stress { .. } => "synthetic run-queue stress",
+            WorkloadCell::RtMix => "mixed SCHED_FIFO/SCHED_RR/SCHED_OTHER criticality",
+            WorkloadCell::Mega { .. } => "VolanoMark at 100k-1M tasks, engine metrics on",
+            WorkloadCell::Cluster { .. } => "federated VolanoMark over netsim links (elsc-cluster)",
+        }
+    }
+
+    /// Visits the parameters by name, in canonical order: the one place
+    /// a parameter's name meets its field.
+    fn visit_params(&mut self, mut f: impl FnMut(&'static str, &mut u64)) {
+        match self {
             WorkloadCell::Volano {
                 rooms,
                 users,
                 messages,
                 think,
-            } => vec![
-                ("rooms", rooms),
-                ("users", users),
-                ("messages", messages),
-                ("think", think),
-            ],
-            WorkloadCell::Kbuild { jobs, units } => vec![("jobs", jobs), ("units", units)],
-            WorkloadCell::Httpd {
-                clients,
-                workers,
-                requests,
-            } => vec![
-                ("clients", clients),
-                ("workers", workers),
-                ("requests", requests),
-            ],
-            WorkloadCell::Stress {
-                tasks,
-                rounds,
-                burst,
-            } => vec![("tasks", tasks), ("rounds", rounds), ("burst", burst)],
-            WorkloadCell::RtMix => Vec::new(),
-            WorkloadCell::Mega {
+            }
+            | WorkloadCell::Mega {
                 rooms,
                 users,
                 messages,
                 think,
-            } => vec![
-                ("rooms", rooms),
-                ("users", users),
-                ("messages", messages),
-                ("think", think),
-            ],
+            } => {
+                f("rooms", rooms);
+                f("users", users);
+                f("messages", messages);
+                f("think", think);
+            }
+            WorkloadCell::Kbuild { jobs, units } => {
+                f("jobs", jobs);
+                f("units", units);
+            }
+            WorkloadCell::Httpd {
+                clients,
+                workers,
+                requests,
+            } => {
+                f("clients", clients);
+                f("workers", workers);
+                f("requests", requests);
+            }
+            WorkloadCell::Stress {
+                tasks,
+                rounds,
+                burst,
+            } => {
+                f("tasks", tasks);
+                f("rounds", rounds);
+                f("burst", burst);
+            }
+            WorkloadCell::RtMix => {}
             WorkloadCell::Cluster {
                 nodes,
                 dispatcher: _,
@@ -537,14 +603,63 @@ impl WorkloadCell {
                 users,
                 messages,
                 think,
-            } => vec![
-                ("nodes", nodes),
-                ("rooms", rooms),
-                ("users", users),
-                ("messages", messages),
-                ("think", think),
-            ],
+            } => {
+                f("nodes", nodes);
+                f("rooms", rooms);
+                f("users", users);
+                f("messages", messages);
+                f("think", think);
+            }
         }
+    }
+
+    /// The workload's parameters as `(name, value)` pairs in canonical
+    /// order — the order used by cell ids, cache keys, and manifests.
+    pub fn params(&self) -> Vec<(&'static str, u64)> {
+        let mut params = Vec::new();
+        self.clone().visit_params(|k, v| params.push((k, *v)));
+        params
+    }
+
+    /// Reads one parameter by name (`None` if the workload has no such
+    /// parameter).
+    pub fn param(&self, name: &str) -> Option<u64> {
+        let mut found = None;
+        self.clone().visit_params(|k, v| {
+            if k == name {
+                found = Some(*v);
+            }
+        });
+        found
+    }
+
+    /// Whether this workload takes `key`: one of its parameters, or the
+    /// dispatcher axis of `cluster`.
+    pub fn takes(&self, key: &str) -> bool {
+        self.param(key).is_some()
+            || key == "dispatcher" && matches!(self, WorkloadCell::Cluster { .. })
+    }
+
+    /// Sets parameter `key`; a key this workload does not take is
+    /// [refused](Self::refusal).
+    pub fn set(&mut self, key: &str, value: u64) -> Result<(), String> {
+        let mut found = false;
+        self.visit_params(|k, slot| {
+            if k == key {
+                (*slot, found) = (value, true);
+            }
+        });
+        if found {
+            Ok(())
+        } else {
+            Err(self.refusal(key))
+        }
+    }
+
+    /// The one-line error for a key this workload does not take, as both
+    /// front ends print it.
+    pub fn refusal(&self, key: &str) -> String {
+        format!("'{key}' is not a parameter of workload '{}'", self.name())
     }
 
     /// The `key=value` tokens of the cell id's parameter segment: every
@@ -563,21 +678,31 @@ impl WorkloadCell {
         v
     }
 
-    /// Reads one parameter by name (`None` if the workload has no such
-    /// parameter).
-    pub fn param(&self, name: &str) -> Option<u64> {
-        self.params()
-            .into_iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v)
-    }
-
-    /// The first parameter in [`SIZE_PARAMS`] that is 0, if any.
-    pub fn zero_size(&self) -> Option<&'static str> {
-        self.params()
-            .into_iter()
-            .find(|&(k, v)| v == 0 && SIZE_PARAMS.contains(&k))
-            .map(|(k, _)| k)
+    /// Checks that this workload builds on machines of `cpus` CPUs: no
+    /// size parameter (`SIZE_PARAMS`) is 0, and a cluster's nodes ×
+    /// `cpus` stays within [`MAX_CPUS`]. `Err` names the parameter, its
+    /// value and the rule, for each front end to spell.
+    pub fn check(&self, cpus: usize) -> Result<(), (&'static str, u64, String)> {
+        let mut zero = None;
+        self.clone().visit_params(|k, v| {
+            if *v == 0 && SIZE_PARAMS.contains(&k) {
+                zero = zero.or(Some(k));
+            }
+        });
+        if let Some(k) = zero {
+            return Err((k, 0, "must be at least 1".to_string()));
+        }
+        if let WorkloadCell::Cluster { nodes, .. } = *self {
+            match nodes.checked_mul(cpus as u64) {
+                Some(total) if total <= MAX_CPUS as u64 => {}
+                _ => {
+                    let e =
+                        format!("{nodes} nodes × {cpus} CPU(s) is past the {MAX_CPUS}-CPU ceiling");
+                    return Err(("nodes", nodes, e));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The ledger key of the workload's headline throughput metric, if
@@ -600,33 +725,15 @@ impl WorkloadCell {
     ///
     /// Panics for the workloads that are not chat-shaped.
     pub fn volano_config(&self) -> VolanoConfig {
-        let (rooms, users, messages, think) = match *self {
-            WorkloadCell::Volano {
-                rooms,
-                users,
-                messages,
-                think,
-            }
-            | WorkloadCell::Mega {
-                rooms,
-                users,
-                messages,
-                think,
-            }
-            | WorkloadCell::Cluster {
-                rooms,
-                users,
-                messages,
-                think,
-                ..
-            } => (rooms, users, messages, think),
-            _ => unreachable!("{} is not a chat-shaped workload", self.name()),
+        let p = |k| match self.param(k) {
+            Some(v) => v,
+            None => unreachable!("{} is not a chat-shaped workload", self.name()),
         };
         VolanoConfig {
-            rooms: rooms as usize,
-            users_per_room: users as usize,
-            messages_per_user: messages as usize,
-            think_cycles: think,
+            rooms: p("rooms") as usize,
+            users_per_room: p("users") as usize,
+            messages_per_user: p("messages") as usize,
+            think_cycles: p("think"),
             ..VolanoConfig::default()
         }
     }

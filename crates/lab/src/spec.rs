@@ -13,9 +13,7 @@ use std::str::FromStr;
 use elsc_cluster::DispatcherId;
 use elsc_sched_api::LockPlan;
 
-use crate::cell::{
-    check_cluster_cpus, CellConfig, ChaosSpec, SchedId, Shape, WorkloadCell, SIZE_PARAMS,
-};
+use crate::cell::{CellConfig, ChaosSpec, SchedId, Shape, WorkloadCell};
 
 /// The base seed of every builtin sweep (iteration `i` runs on
 /// `BASE_SEED + i`); the committed `BENCH_*.json` manifests depend on it.
@@ -26,95 +24,13 @@ pub const BASE_SEED: u64 = 0x5EED_CAFE;
 /// `--all-figures`.
 pub const MAX_CELLS: usize = 1 << 20;
 
-/// Workload parameter names in canonical order, plus their defaults.
-/// A spec may omit any of these; it may not invent new ones.
-fn workload_params(workload: &str) -> Option<&'static [(&'static str, u64)]> {
-    match workload {
-        "volano" => Some(&[
-            ("rooms", 5),
-            ("users", 20),
-            ("messages", 20),
-            ("think", 60_000_000),
-        ]),
-        "kbuild" => Some(&[("jobs", 4), ("units", 160)]),
-        "httpd" => Some(&[("clients", 64), ("workers", 8), ("requests", 10)]),
-        "stress" => Some(&[("tasks", 100), ("rounds", 50), ("burst", 20_000)]),
-        // Mega-scale engine cells: volano's chat topology (4 threads per
-        // user) with engine metrics on. Defaults trade message count for
-        // task count — the population, not the per-user traffic, is the
-        // thing under test.
-        "mega" => Some(&[
-            ("rooms", 250),
-            ("users", 20),
-            ("messages", 1),
-            ("think", 60_000_000),
-        ]),
-        "cluster" => Some(&[
-            ("nodes", 2),
-            ("rooms", 4),
-            ("users", 8),
-            ("messages", 4),
-            ("think", 60_000_000),
-        ]),
-        _ => None,
-    }
-}
-
-/// Builds a [`WorkloadCell`] from a workload name and a complete
-/// parameter assignment (one value per canonical parameter). The
-/// dispatcher is an axis only for `cluster`; other workloads ignore it.
-fn workload_cell(
-    workload: &str,
-    dispatcher: DispatcherId,
-    vals: &BTreeMap<&str, u64>,
-) -> WorkloadCell {
-    let p = |k: &str| vals[k];
-    match workload {
-        "volano" => WorkloadCell::Volano {
-            rooms: p("rooms"),
-            users: p("users"),
-            messages: p("messages"),
-            think: p("think"),
-        },
-        "kbuild" => WorkloadCell::Kbuild {
-            jobs: p("jobs"),
-            units: p("units"),
-        },
-        "httpd" => WorkloadCell::Httpd {
-            clients: p("clients"),
-            workers: p("workers"),
-            requests: p("requests"),
-        },
-        "stress" => WorkloadCell::Stress {
-            tasks: p("tasks"),
-            rounds: p("rounds"),
-            burst: p("burst"),
-        },
-        "mega" => WorkloadCell::Mega {
-            rooms: p("rooms"),
-            users: p("users"),
-            messages: p("messages"),
-            think: p("think"),
-        },
-        "cluster" => WorkloadCell::Cluster {
-            nodes: p("nodes"),
-            dispatcher,
-            rooms: p("rooms"),
-            users: p("users"),
-            messages: p("messages"),
-            think: p("think"),
-        },
-        other => unreachable!("workload '{other}' validated at parse time"),
-    }
-}
-
 /// A parsed sweep specification: one workload, and the list of values
 /// for every axis of the experiment grid.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepSpec {
     /// The sweep's name — the manifest file stem under `results/lab/`.
     pub name: String,
-    /// The workload ("volano", "kbuild", "httpd", "stress").
+    /// The workload: a [`WorkloadCell::name`] of the registry.
     pub workload: String,
     /// Schedulers to sweep.
     pub scheds: Vec<SchedId>,
@@ -156,7 +72,7 @@ impl FromStr for SweepSpec {
     /// plan, seed `1`). Seed lists accept Rust-style half-open ranges
     /// (`0..3` is `0, 1, 2`). Any other key must be a parameter of the
     /// chosen workload (e.g. `rooms` for `volano`); omitted parameters
-    /// take the workload's paper defaults.
+    /// take the workload's lab defaults ([`WorkloadCell::ALL`]).
     ///
     /// ```
     /// use elsc_lab::SweepSpec;
@@ -212,8 +128,9 @@ impl FromStr for SweepSpec {
         };
         let name = single(&raw, "name")?.ok_or("spec is missing 'name'")?;
         let workload = single(&raw, "workload")?.ok_or("spec is missing 'workload'")?;
-        let canon = workload_params(&workload).ok_or_else(|| {
-            format!("unknown workload '{workload}' (volano|kbuild|httpd|stress|mega|cluster)")
+        let base = WorkloadCell::named(&workload).ok_or_else(|| {
+            let names: Vec<&str> = WorkloadCell::ALL.iter().map(WorkloadCell::name).collect();
+            format!("unknown workload '{workload}' ({})", names.join("|"))
         })?;
 
         let mut scheds = Vec::new();
@@ -250,10 +167,8 @@ impl FromStr for SweepSpec {
                 "seed" => seeds.extend(parse_seed_list(vals)?),
                 "fault_seed" => fault_seeds.extend(parse_seed_list(vals)?),
                 "dispatcher" => {
-                    if workload != "cluster" {
-                        return Err(format!(
-                            "'dispatcher' is an axis of the cluster workload, not '{workload}'"
-                        ));
+                    if !base.takes(key) {
+                        return Err(base.refusal(key));
                     }
                     for v in vals {
                         dispatchers.push(v.parse::<DispatcherId>()?);
@@ -269,7 +184,7 @@ impl FromStr for SweepSpec {
                             // machine's `,` pair separator. Cluster cells
                             // take *cluster* fault classes.
                             let text = v.replace(';', ",");
-                            if workload == "cluster" {
+                            if matches!(base, WorkloadCell::Cluster { .. }) {
                                 text.parse::<elsc_cluster::ClusterFaultPlan>()
                                     .map_err(|e| format!("bad cluster fault plan '{v}': {e}"))?;
                             } else {
@@ -291,20 +206,15 @@ impl FromStr for SweepSpec {
                     };
                 }
                 param => {
-                    if !canon.iter().any(|(k, _)| *k == param) {
-                        return Err(format!(
-                            "'{param}' is not a parameter of workload '{workload}'"
-                        ));
+                    if !base.takes(param) {
+                        return Err(base.refusal(param));
                     }
                     let mut axis = Vec::new();
                     for v in vals {
-                        let n = v
-                            .parse::<u64>()
-                            .map_err(|_| format!("bad value '{v}' for '{param}'"))?;
-                        if n == 0 && SIZE_PARAMS.contains(&param) {
-                            return Err(format!("'{param} = {v}': must be at least 1"));
-                        }
-                        axis.push(n);
+                        axis.push(
+                            v.parse::<u64>()
+                                .map_err(|_| format!("bad value '{v}' for '{param}'"))?,
+                        );
                     }
                     param_axes.insert(param.to_string(), axis);
                 }
@@ -323,12 +233,6 @@ impl FromStr for SweepSpec {
                 sched.fits(&shape.topology())?;
             }
         }
-        for &nodes in param_axes.get("nodes").into_iter().flatten() {
-            for shape in &shapes {
-                check_cluster_cpus(nodes, shape.nr_cpus())
-                    .map_err(|e| format!("'nodes = {nodes}': {e}"))?;
-            }
-        }
         if plans.is_empty() {
             plans.push(None);
         }
@@ -345,14 +249,21 @@ impl FromStr for SweepSpec {
             fault_seeds.push(1);
         }
         // Parameter axes in the workload's canonical order, defaults
-        // filled in for omissions.
-        let params = canon
-            .iter()
-            .map(|&(k, dflt)| {
-                let axis = param_axes.remove(k).unwrap_or_else(|| vec![dflt]);
-                (k.to_string(), axis)
-            })
-            .collect();
+        // filled in for omissions. Every value must build on the largest
+        // shape (the cluster CPU ceiling grows with it).
+        let cpus = shapes.iter().map(|s| s.nr_cpus()).max().unwrap_or(1);
+        let mut params = Vec::new();
+        for (k, dflt) in base.params() {
+            let axis = param_axes.remove(k).unwrap_or_else(|| vec![dflt]);
+            for &v in &axis {
+                let mut probe = base.clone();
+                probe.set(k, v)?;
+                probe
+                    .check(cpus)
+                    .map_err(|(k, v, e)| format!("'{k} = {v}': {e}"))?;
+            }
+            params.push((k.to_string(), axis));
+        }
 
         let spec = SweepSpec {
             name,
@@ -406,10 +317,15 @@ fn bad_seed(v: &str) -> String {
 }
 
 impl SweepSpec {
+    /// The registry entry the spec names, at its lab defaults.
+    fn base(&self) -> WorkloadCell {
+        WorkloadCell::named(&self.workload).expect("the workload was validated at parse time")
+    }
+
     /// The dispatcher axis exists only for cluster cells; other workloads
     /// must not multiply by it.
     fn dispatcher_axis(&self) -> &[DispatcherId] {
-        if self.workload == "cluster" {
+        if self.base().takes("dispatcher") {
             &self.dispatchers
         } else {
             &[DispatcherId::LeastLoaded]
@@ -444,18 +360,20 @@ impl SweepSpec {
     /// — it is the manifest order.
     pub fn cells(&self) -> Vec<CellConfig> {
         let mut cells = Vec::new();
-        let dispatchers = self.dispatcher_axis();
+        let (base, dispatchers) = (self.base(), self.dispatcher_axis());
         // Odometer over the parameter axes.
         let mut idx = vec![0usize; self.params.len()];
         loop {
-            let vals: BTreeMap<&str, u64> = self
-                .params
-                .iter()
-                .zip(&idx)
-                .map(|((k, axis), &i)| (k.as_str(), axis[i]))
-                .collect();
+            let mut workload = base.clone();
+            for ((k, axis), &i) in self.params.iter().zip(&idx) {
+                workload
+                    .set(k, axis[i])
+                    .expect("parameters validated at parse time");
+            }
             for &dispatcher in dispatchers {
-                let workload = workload_cell(&self.workload, dispatcher, &vals);
+                if let WorkloadCell::Cluster { dispatcher: d, .. } = &mut workload {
+                    *d = dispatcher;
+                }
                 for &shape in &self.shapes {
                     for sched in &self.scheds {
                         for &lock_plan in &self.plans {
@@ -955,6 +873,38 @@ mod tests {
             "the fuzz reaches valid specs ({accepted})"
         );
         assert!(too_big > 100, "and oversized grids ({too_big})");
+    }
+
+    /// Every registry workload is a spec workload at its lab defaults,
+    /// and a key the workload does not take is refused in one wording.
+    #[test]
+    fn every_registry_workload_parses_and_foreign_keys_are_refused() {
+        for w in WorkloadCell::ALL {
+            let spec: SweepSpec = format!(
+                "name = r\nworkload = {}\nsched = elsc\nshape = UP",
+                w.name()
+            )
+            .parse()
+            .unwrap();
+            assert_eq!(spec.cells().len(), 1, "{}", w.name());
+            assert_eq!(spec.cells()[0].workload, w);
+        }
+        for (workload, key) in [
+            ("kbuild", "rooms"),
+            ("rtmix", "tasks"),
+            ("volano", "dispatcher"),
+        ] {
+            let err = format!("name = x\nworkload = {workload}\n{key} = 1")
+                .parse::<SweepSpec>()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                format!("'{key}' is not a parameter of workload '{workload}'")
+            );
+        }
+        assert!("name = x\nworkload = volanomark"
+            .parse::<SweepSpec>()
+            .is_err());
     }
 
     #[test]

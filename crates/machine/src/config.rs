@@ -50,11 +50,6 @@ pub struct MachineConfig {
     /// Run the differential scheduler oracle beside every `schedule()`
     /// call. Pure observation: enabling it never changes the schedule.
     pub oracle: bool,
-    /// Policy-runtime watchdog: eject an interpreted policy that picks
-    /// idle this many *consecutive* decisions while a runnable,
-    /// unclaimed task sits on the run queue. Ignored for native
-    /// schedulers.
-    pub policy_starve_k: u32,
     /// This machine's node id in a federated cluster (0 for the first
     /// node and for every standalone run). Purely an identity: it labels
     /// per-node sections of the merged cluster report and error
@@ -74,7 +69,7 @@ pub struct MachineConfig {
     pub decision_trace: bool,
     /// Learned-scheduler watchdog: eject a `learned:<model>` scheduler
     /// after this many *consecutive* mispredictions (the accuracy-
-    /// collapse analogue of [`MachineConfig::policy_starve_k`]). Ignored
+    /// collapse analogue of a policy's starvation limit). Ignored
     /// for native and policy schedulers.
     pub learn_eject_k: u32,
     /// Wall-clock-only busy-work multiplier on the event dispatch loop,
@@ -102,7 +97,6 @@ impl MachineConfig {
             faults: None,
             fault_seed: 0xFA17_5EED,
             oracle: false,
-            policy_starve_k: 8,
             node_id: 0,
             engine_metrics: false,
             decision_trace: false,

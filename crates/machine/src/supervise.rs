@@ -18,6 +18,11 @@ use crate::config::MachineConfig;
 use crate::machine::Machine;
 use crate::report::{LearnedSummary, PolicySummary};
 
+/// Policy watchdog: an interpreted policy that picks idle this many
+/// *consecutive* decisions while a runnable, unclaimed task sits on the
+/// run queue is ejected.
+const POLICY_STARVE_K: u32 = 8;
+
 /// What is being supervised: the load-time facts the scheduler reported.
 enum Kind {
     Policy(PolicyLoadInfo),
@@ -100,7 +105,7 @@ impl Supervision {
                 if let Some(v) = sched.take_violation() {
                     return Some(v.label());
                 }
-                (starving(), cfg.policy_starve_k, "starvation")
+                (starving(), POLICY_STARVE_K, "starvation")
             }
             // A decision without a prediction (an idle pick) neither
             // extends nor resets the streak.

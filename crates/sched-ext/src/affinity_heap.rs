@@ -253,76 +253,28 @@ impl Scheduler for AffinityHeapScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rig::Rig;
     use elsc_ktask::{SchedClass, TaskSpec};
     use elsc_sched_api::SchedConfig;
-    use elsc_simcore::{CostModel, CycleMeter};
-    use elsc_stats::SchedStats;
 
-    struct Rig {
-        tasks: TaskTable,
-        stats: SchedStats,
-        meter: CycleMeter,
-        costs: CostModel,
-        cfg: SchedConfig,
-        sched: AffinityHeapScheduler,
-        idle: Tid,
+    fn rig(cfg: SchedConfig) -> Rig<AffinityHeapScheduler> {
+        Rig::new(cfg, AffinityHeapScheduler::new())
     }
 
-    impl Rig {
-        fn new(cfg: SchedConfig) -> Rig {
-            let mut tasks = TaskTable::new();
-            let idle = tasks.spawn(&TaskSpec::named("idle").priority(1));
-            tasks.task_mut(idle).counter = 0;
-            tasks.task_mut(idle).has_cpu = true;
-            Rig {
-                tasks,
-                stats: SchedStats::new(cfg.nr_cpus),
-                meter: CycleMeter::new(),
-                costs: CostModel::default(),
-                cfg,
-                sched: AffinityHeapScheduler::new(),
-                idle,
-            }
-        }
-
+    impl Rig<AffinityHeapScheduler> {
         fn spawn_with(&mut self, counter: i32, cpu: CpuId, mm: MmId) -> Tid {
             let tid = self.tasks.spawn(&TaskSpec::named("t").mm(mm));
             let t = self.tasks.task_mut(tid);
             t.counter = counter;
             t.processor = cpu;
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            self.sched.add_to_runqueue(&mut ctx, tid);
+            self.add(tid);
             tid
-        }
-
-        fn schedule(&mut self, cpu: CpuId, prev: Tid) -> Tid {
-            let idle = self.idle;
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            let next = self.sched.schedule(&mut ctx, cpu, prev, idle);
-            self.sched.debug_check(&self.tasks);
-            next
         }
     }
 
     #[test]
     fn empty_schedules_idle() {
-        let mut rig = Rig::new(SchedConfig::smp(2));
+        let mut rig = rig(SchedConfig::smp(2));
         assert_eq!(rig.schedule(0, rig.idle), rig.idle);
     }
 
@@ -331,7 +283,7 @@ mod tests {
         // ELSC can pass over a task whose bonuses would win; this design
         // must not. Task a: static 39, wrong CPU, wrong mm -> 39.
         // Task b: static 30, this CPU, matching mm -> 46. Exact pick: b.
-        let mut rig = Rig::new(SchedConfig::smp(2));
+        let mut rig = rig(SchedConfig::smp(2));
         rig.tasks.task_mut(rig.idle).mm = MmId(7);
         let _a = rig.spawn_with(19, 1, MmId(3)); // 39
         let b = rig.spawn_with(10, 0, MmId(7)); // 30 + 15 + 1
@@ -341,7 +293,7 @@ mod tests {
 
     #[test]
     fn examines_one_candidate_per_heap() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         // 12 tasks, but only 2 distinct (cpu, mm) heaps.
         for i in 0..12 {
             rig.spawn_with(20, 0, MmId(1 + (i % 2) as u32));
@@ -352,7 +304,7 @@ mod tests {
 
     #[test]
     fn exhausted_tops_trigger_recalc() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let a = rig.spawn_with(0, 0, MmId(1));
         let next = rig.schedule(0, rig.idle);
         assert_eq!(next, a);
@@ -361,7 +313,7 @@ mod tests {
 
     #[test]
     fn lone_yielder_reruns_without_recalc() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let y = rig.spawn_with(20, 0, MmId(1));
         assert_eq!(rig.schedule(0, rig.idle), y);
         rig.tasks.task_mut(y).policy.yielded = true;
@@ -372,43 +324,23 @@ mod tests {
 
     #[test]
     fn empty_heaps_are_garbage_collected() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let a = rig.spawn_with(20, 0, MmId(1));
         assert_eq!(rig.sched.heaps.len(), 1);
-        {
-            let mut ctx = SchedCtx {
-                tasks: &mut rig.tasks,
-                stats: &mut rig.stats,
-                meter: &mut rig.meter,
-                costs: &rig.costs,
-                cfg: &rig.cfg,
-                probe: None,
-                locks: None,
-            };
-            rig.sched.del_from_runqueue(&mut ctx, a);
-        }
+        rig.del(a);
         assert!(rig.sched.heaps.is_empty());
         assert_eq!(rig.sched.nr_running(), 0);
     }
 
     #[test]
     fn realtime_tops_every_heap() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let _other = rig.spawn_with(40, 0, MmId(1));
         let rt = {
             let tid = rig
                 .tasks
                 .spawn(&TaskSpec::named("rt").realtime(SchedClass::Fifo, 5));
-            let mut ctx = SchedCtx {
-                tasks: &mut rig.tasks,
-                stats: &mut rig.stats,
-                meter: &mut rig.meter,
-                costs: &rig.costs,
-                cfg: &rig.cfg,
-                probe: None,
-                locks: None,
-            };
-            rig.sched.add_to_runqueue(&mut ctx, tid);
+            rig.add(tid);
             tid
         };
         assert_eq!(rig.schedule(0, rig.idle), rt);

@@ -200,83 +200,27 @@ impl Scheduler for BubbleScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rig::Rig;
     use elsc_ktask::TaskSpec;
     use elsc_sched_api::SchedConfig;
-    use elsc_simcore::{CostModel, CycleMeter};
-    use elsc_stats::SchedStats;
 
-    struct Rig {
-        tasks: TaskTable,
-        stats: SchedStats,
-        meter: CycleMeter,
-        costs: CostModel,
-        cfg: SchedConfig,
-        sched: BubbleScheduler,
-        idles: Vec<Tid>,
+    fn rig(topo: &str) -> Rig<BubbleScheduler> {
+        let topo: Topology = topo.parse().unwrap();
+        Rig::per_cpu(SchedConfig::topo(topo), BubbleScheduler::new(topo))
     }
 
-    impl Rig {
-        fn new(topo: &str) -> Rig {
-            let topo: Topology = topo.parse().unwrap();
-            let nr_cpus = topo.nr_cpus();
-            let cfg = SchedConfig::topo(topo);
-            let mut tasks = TaskTable::new();
-            let idles = (0..nr_cpus)
-                .map(|c| {
-                    let t = tasks.spawn(&TaskSpec::named("idle").priority(1));
-                    tasks.task_mut(t).counter = 0;
-                    tasks.task_mut(t).processor = c;
-                    tasks.task_mut(t).has_cpu = true;
-                    t
-                })
-                .collect();
-            Rig {
-                tasks,
-                stats: SchedStats::new(nr_cpus),
-                meter: CycleMeter::new(),
-                costs: CostModel::default(),
-                cfg,
-                sched: BubbleScheduler::new(topo),
-                idles,
-            }
-        }
-
+    impl Rig<BubbleScheduler> {
         fn spawn_mm(&mut self, name: &'static str, mm: MmId, cpu: CpuId) -> Tid {
             let tid = self.tasks.spawn(&TaskSpec::named(name).mm(mm));
             self.tasks.task_mut(tid).processor = cpu;
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            self.sched.add_to_runqueue(&mut ctx, tid);
+            self.add(tid);
             tid
-        }
-
-        fn schedule(&mut self, cpu: CpuId) -> Tid {
-            let idle = self.idles[cpu];
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            let next = self.sched.schedule(&mut ctx, cpu, idle, idle);
-            self.sched.debug_check(&self.tasks);
-            next
         }
     }
 
     #[test]
     fn a_bubble_shares_one_home_node() {
-        let mut rig = Rig::new("2N2C1T");
+        let mut rig = rig("2N2C1T");
         // Two tasks of mm 7, last run on CPUs in *different* nodes: both
         // must enqueue on the bubble's home, not their last processor.
         let a = rig.spawn_mm("a", MmId(7), 0);
@@ -290,7 +234,7 @@ mod tests {
 
     #[test]
     fn groups_spread_across_nodes() {
-        let mut rig = Rig::new("2N2C1T");
+        let mut rig = rig("2N2C1T");
         let a = rig.spawn_mm("a", MmId(1), 0);
         let b = rig.spawn_mm("b", MmId(2), 0);
         assert_ne!(
@@ -302,12 +246,12 @@ mod tests {
 
     #[test]
     fn node_mates_scan_the_shared_queue() {
-        let mut rig = Rig::new("2N2C1T");
+        let mut rig = rig("2N2C1T");
         let a = rig.spawn_mm("a", MmId(1), 0);
         let b = rig.spawn_mm("b", MmId(1), 0);
         // Both CPUs of node 0 drain the one node queue.
-        let first = rig.schedule(0);
-        let second = rig.schedule(1);
+        let first = rig.schedule_idle(0);
+        let second = rig.schedule_idle(1);
         assert!(first == a || first == b);
         assert!(second == a || second == b);
         assert_ne!(first, second);
@@ -315,7 +259,7 @@ mod tests {
 
     #[test]
     fn stealing_rehomes_the_whole_bubble() {
-        let mut rig = Rig::new("2N2C1T");
+        let mut rig = rig("2N2C1T");
         // Bubble of three on node 0 (first group placed → node 0).
         let a = rig.spawn_mm("a", MmId(5), 0);
         let _b = rig.spawn_mm("b", MmId(5), 0);
@@ -323,7 +267,7 @@ mod tests {
         let home = rig.tasks.task(a).rq_hint;
         // A CPU on the other node runs dry and steals.
         let thief_cpu = if home == 0 { 2 } else { 0 };
-        let stolen = rig.schedule(thief_cpu);
+        let stolen = rig.schedule_idle(thief_cpu);
         assert_ne!(stolen, rig.idles[thief_cpu]);
         // The *entire* group moved with it, and the home followed.
         let new_home = rig.tasks.task(stolen).rq_hint;
@@ -338,12 +282,12 @@ mod tests {
 
     #[test]
     fn flat_trees_degenerate_to_one_global_queue() {
-        let mut rig = Rig::new("1N4C1T");
+        let mut rig = rig("1N4C1T");
         let a = rig.spawn_mm("a", MmId(1), 0);
         let b = rig.spawn_mm("b", MmId(2), 3);
         assert_eq!(rig.tasks.task(a).rq_hint, 0);
         assert_eq!(rig.tasks.task(b).rq_hint, 0);
-        assert_ne!(rig.schedule(2), rig.idles[2]);
+        assert_ne!(rig.schedule_idle(2), rig.idles[2]);
     }
 
     #[test]
@@ -355,8 +299,8 @@ mod tests {
 
     #[test]
     fn idle_when_everything_empty() {
-        let mut rig = Rig::new("2N2C1T");
-        assert_eq!(rig.schedule(0), rig.idles[0]);
+        let mut rig = rig("2N2C1T");
+        assert_eq!(rig.schedule_idle(0), rig.idles[0]);
         assert_eq!(rig.stats.cpu(0).idle_scheduled, 1);
     }
 }

@@ -258,101 +258,39 @@ impl Scheduler for HeapScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rig::Rig;
     use elsc_ktask::{MmId, SchedClass, TaskSpec};
     use elsc_sched_api::SchedConfig;
-    use elsc_simcore::{CostModel, CycleMeter};
-    use elsc_stats::SchedStats;
 
-    struct Rig {
-        tasks: TaskTable,
-        stats: SchedStats,
-        meter: CycleMeter,
-        costs: CostModel,
-        cfg: SchedConfig,
-        sched: HeapScheduler,
-        idle: Tid,
+    fn rig(cfg: SchedConfig) -> Rig<HeapScheduler> {
+        Rig::new(cfg, HeapScheduler::new())
     }
 
-    impl Rig {
-        fn new(cfg: SchedConfig) -> Rig {
-            let mut tasks = TaskTable::new();
-            let idle = tasks.spawn(&TaskSpec::named("idle").priority(1));
-            tasks.task_mut(idle).counter = 0;
-            tasks.task_mut(idle).has_cpu = true;
-            Rig {
-                tasks,
-                stats: SchedStats::new(cfg.nr_cpus),
-                meter: CycleMeter::new(),
-                costs: CostModel::default(),
-                cfg,
-                sched: HeapScheduler::new(),
-                idle,
-            }
-        }
-
-        fn add(&mut self, tid: Tid) {
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            self.sched.add_to_runqueue(&mut ctx, tid);
-        }
-
+    impl Rig<HeapScheduler> {
         fn spawn(&mut self, name: &'static str) -> Tid {
             let tid = self.tasks.spawn(&TaskSpec::named(name));
             self.add(tid);
             tid
         }
-
-        fn schedule(&mut self, cpu: CpuId, prev: Tid) -> Tid {
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            let next = self.sched.schedule(&mut ctx, cpu, prev, self.idle);
-            self.sched.debug_check(&self.tasks);
-            next
-        }
     }
 
     #[test]
     fn empty_schedules_idle() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         assert_eq!(rig.schedule(0, rig.idle), rig.idle);
         assert_eq!(rig.stats.cpu(0).idle_scheduled, 1);
     }
 
     #[test]
     fn picks_highest_static_goodness() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let weak = rig.spawn("weak");
         let strong = rig.spawn("strong");
         rig.tasks.task_mut(weak).counter = 1;
         rig.tasks.task_mut(strong).counter = 20;
         // Keys were computed at insert; re-add with fresh counters.
-        {
-            let mut ctx = SchedCtx {
-                tasks: &mut rig.tasks,
-                stats: &mut rig.stats,
-                meter: &mut rig.meter,
-                costs: &rig.costs,
-                cfg: &rig.cfg,
-                probe: None,
-                locks: None,
-            };
-            rig.sched.del_from_runqueue(&mut ctx, weak);
-            rig.sched.add_to_runqueue(&mut ctx, weak);
-        }
+        rig.del(weak);
+        rig.add(weak);
         assert_eq!(rig.schedule(0, rig.idle), strong);
     }
 
@@ -360,30 +298,21 @@ mod tests {
     fn exact_best_across_classes_unlike_elsc() {
         // The heap picks the absolute best static goodness, not just the
         // best within a bucket of 4.
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
         let b = rig.spawn("b");
         rig.tasks.task_mut(a).counter = 19;
         rig.tasks.task_mut(b).counter = 20;
         for t in [a, b] {
-            let mut ctx = SchedCtx {
-                tasks: &mut rig.tasks,
-                stats: &mut rig.stats,
-                meter: &mut rig.meter,
-                costs: &rig.costs,
-                cfg: &rig.cfg,
-                probe: None,
-                locks: None,
-            };
-            rig.sched.del_from_runqueue(&mut ctx, t);
-            rig.sched.add_to_runqueue(&mut ctx, t);
+            rig.del(t);
+            rig.add(t);
         }
         assert_eq!(rig.schedule(0, rig.idle), b);
     }
 
     #[test]
     fn running_task_is_out_of_structure() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
         assert_eq!(rig.schedule(0, rig.idle), a);
         assert_eq!(rig.sched.nr_running(), 1);
@@ -391,26 +320,15 @@ mod tests {
         // Re-enters on the next schedule.
         let b = rig.spawn("b");
         rig.tasks.task_mut(b).counter = 1;
-        {
-            let mut ctx = SchedCtx {
-                tasks: &mut rig.tasks,
-                stats: &mut rig.stats,
-                meter: &mut rig.meter,
-                costs: &rig.costs,
-                cfg: &rig.cfg,
-                probe: None,
-                locks: None,
-            };
-            rig.sched.del_from_runqueue(&mut ctx, b);
-            rig.sched.add_to_runqueue(&mut ctx, b);
-        }
+        rig.del(b);
+        rig.add(b);
         assert_eq!(rig.schedule(0, a), a, "prev re-wins on static goodness");
         assert_eq!(rig.sched.nr_running(), 2);
     }
 
     #[test]
     fn exhausted_tasks_trigger_recalc() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
         assert_eq!(rig.schedule(0, rig.idle), a);
         rig.tasks.task_mut(a).counter = 0;
@@ -422,7 +340,7 @@ mod tests {
 
     #[test]
     fn lone_yielder_reruns_without_recalc() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let y = rig.spawn("y");
         assert_eq!(rig.schedule(0, rig.idle), y);
         rig.tasks.task_mut(y).policy.yielded = true;
@@ -433,7 +351,7 @@ mod tests {
 
     #[test]
     fn mm_bonus_breaks_ties() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let prev = rig.spawn("prev");
         rig.tasks.task_mut(prev).mm = MmId(5);
         assert_eq!(rig.schedule(0, rig.idle), prev);
@@ -447,7 +365,7 @@ mod tests {
 
     #[test]
     fn blocked_prev_leaves_structure() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
         assert_eq!(rig.schedule(0, rig.idle), a);
         rig.tasks.task_mut(a).state = TaskState::Interruptible;
@@ -457,7 +375,7 @@ mod tests {
 
     #[test]
     fn realtime_on_top() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let other = rig.tasks.spawn(&TaskSpec::named("other"));
         rig.tasks.task_mut(other).counter = 40;
         rig.add(other);

@@ -246,12 +246,12 @@ impl Scheduler for LearnedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rig::Rig;
     use elsc_ktask::{TaskSpec, TaskState};
     use elsc_learn::model::Arch;
     use elsc_learn::Q_ONE;
     use elsc_sched_api::SchedConfig;
-    use elsc_simcore::{CostModel, CycleMeter};
-    use elsc_stats::SchedStats;
+    use elsc_simcore::CostModel;
 
     /// Model scoring `+counter`: agrees with goodness on equal-priority
     /// timesharing tasks, so its predictions verify.
@@ -269,68 +269,22 @@ mod tests {
         m
     }
 
-    struct Rig {
-        tasks: TaskTable,
-        stats: SchedStats,
-        meter: CycleMeter,
-        costs: CostModel,
-        cfg: SchedConfig,
-        sched: LearnedScheduler,
-        idle: Tid,
+    fn rig(cfg: SchedConfig, model: Model) -> Rig<LearnedScheduler> {
+        Rig::new(cfg, LearnedScheduler::new("learned:test", model))
     }
 
-    impl Rig {
-        fn new(cfg: SchedConfig, model: Model) -> Rig {
-            let mut tasks = TaskTable::new();
-            let idle = tasks.spawn(&TaskSpec::named("idle").priority(1));
-            tasks.task_mut(idle).counter = 0;
-            tasks.task_mut(idle).has_cpu = true;
-            Rig {
-                tasks,
-                stats: SchedStats::new(cfg.nr_cpus),
-                meter: CycleMeter::new(),
-                costs: CostModel::default(),
-                cfg,
-                sched: LearnedScheduler::new("learned:test", model),
-                idle,
-            }
-        }
-
+    impl Rig<LearnedScheduler> {
         fn spawn(&mut self, name: &'static str, counter: i32) -> Tid {
             let tid = self.tasks.spawn(&TaskSpec::named(name));
             self.tasks.task_mut(tid).counter = counter;
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            self.sched.add_to_runqueue(&mut ctx, tid);
+            self.add(tid);
             tid
-        }
-
-        fn schedule(&mut self, cpu: CpuId, prev: Tid) -> Tid {
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            let next = self.sched.schedule(&mut ctx, cpu, prev, self.idle);
-            self.sched.debug_check(&self.tasks);
-            next
         }
     }
 
     #[test]
     fn verified_hit_dispatches_the_prediction() {
-        let mut rig = Rig::new(SchedConfig::up(), good_model());
+        let mut rig = rig(SchedConfig::up(), good_model());
         rig.spawn("a", 5);
         let b = rig.spawn("b", 15);
         let next = rig.schedule(0, rig.idle);
@@ -343,7 +297,7 @@ mod tests {
 
     #[test]
     fn misprediction_charges_and_falls_back_to_native_pick() {
-        let mut rig = Rig::new(SchedConfig::up(), bad_model());
+        let mut rig = rig(SchedConfig::up(), bad_model());
         rig.spawn("a", 5);
         let b = rig.spawn("b", 15);
         let next = rig.schedule(0, rig.idle);
@@ -358,7 +312,7 @@ mod tests {
 
     #[test]
     fn empty_queue_schedules_idle_without_predicting() {
-        let mut rig = Rig::new(SchedConfig::up(), good_model());
+        let mut rig = rig(SchedConfig::up(), good_model());
         let next = rig.schedule(0, rig.idle);
         assert_eq!(next, rig.idle);
         assert_eq!(rig.sched.prediction_stats(), (0, 0));
@@ -368,7 +322,7 @@ mod tests {
 
     #[test]
     fn quantum_exhaustion_recalculates_without_scoring_a_miss() {
-        let mut rig = Rig::new(SchedConfig::up(), good_model());
+        let mut rig = rig(SchedConfig::up(), good_model());
         let a = rig.spawn("a", 0);
         let b = rig.spawn("b", 0);
         let next = rig.schedule(0, rig.idle);
@@ -383,7 +337,7 @@ mod tests {
 
     #[test]
     fn blocking_prev_leaves_the_queue() {
-        let mut rig = Rig::new(SchedConfig::up(), good_model());
+        let mut rig = rig(SchedConfig::up(), good_model());
         let a = rig.spawn("a", 10);
         let b = rig.spawn("b", 10);
         rig.tasks.task_mut(a).has_cpu = true;
@@ -396,7 +350,7 @@ mod tests {
 
     #[test]
     fn smp_skips_tasks_running_elsewhere() {
-        let mut rig = Rig::new(SchedConfig::smp(2), good_model());
+        let mut rig = rig(SchedConfig::smp(2), good_model());
         let a = rig.spawn("a", 40);
         let b = rig.spawn("b", 1);
         rig.tasks.task_mut(a).has_cpu = true; // on the other CPU
@@ -406,29 +360,20 @@ mod tests {
 
     #[test]
     fn drain_preserves_queue_order() {
-        let mut rig = Rig::new(SchedConfig::up(), good_model());
+        let mut rig = rig(SchedConfig::up(), good_model());
         let a = rig.spawn("a", 5);
         let b = rig.spawn("b", 5);
         // Adds insert at the front: queue order is b, a.
-        let mut ctx = SchedCtx {
-            tasks: &mut rig.tasks,
-            stats: &mut rig.stats,
-            meter: &mut rig.meter,
-            costs: &rig.costs,
-            cfg: &rig.cfg,
-            probe: None,
-            locks: None,
-        };
-        let drained = rig.sched.drain(&mut ctx);
+        let drained = rig.call(|s, ctx| s.drain(ctx));
         assert_eq!(drained, vec![b, a]);
         assert_eq!(rig.sched.nr_running(), 0);
-        assert!(!ctx.tasks.task(a).on_runqueue());
-        assert!(!ctx.tasks.task(b).on_runqueue());
+        assert!(!rig.tasks.task(a).on_runqueue());
+        assert!(!rig.tasks.task(b).on_runqueue());
     }
 
     #[test]
     fn yielding_prev_is_not_verified_as_a_hit() {
-        let mut rig = Rig::new(SchedConfig::up(), good_model());
+        let mut rig = rig(SchedConfig::up(), good_model());
         let y = rig.spawn("y", 20);
         let o = rig.spawn("o", 5);
         rig.tasks.task_mut(y).policy.yielded = true;
@@ -455,7 +400,7 @@ mod tests {
         // lets it, which it does for equal-goodness candidates.
         let mut m = Model::zeroed(Arch::LogReg);
         m.w[6] = Q_ONE;
-        let mut rig = Rig::new(SchedConfig::up(), m);
+        let mut rig = rig(SchedConfig::up(), m);
         let a = rig.spawn("a", 10);
         let b = rig.spawn("b", 10);
         let first = rig.schedule(0, rig.idle);

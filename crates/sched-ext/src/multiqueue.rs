@@ -170,104 +170,49 @@ impl Scheduler for MultiQueueScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rig::Rig;
     use elsc_ktask::TaskSpec;
     use elsc_sched_api::SchedConfig;
-    use elsc_simcore::{CostModel, CycleMeter};
-    use elsc_stats::SchedStats;
 
-    struct Rig {
-        tasks: TaskTable,
-        stats: SchedStats,
-        meter: CycleMeter,
-        costs: CostModel,
-        cfg: SchedConfig,
-        sched: MultiQueueScheduler,
-        idles: Vec<Tid>,
+    fn rig(nr_cpus: usize) -> Rig<MultiQueueScheduler> {
+        Rig::per_cpu(SchedConfig::smp(nr_cpus), MultiQueueScheduler::new(nr_cpus))
     }
 
-    impl Rig {
-        fn new(nr_cpus: usize) -> Rig {
-            let cfg = SchedConfig::smp(nr_cpus);
-            let mut tasks = TaskTable::new();
-            let idles = (0..nr_cpus)
-                .map(|c| {
-                    let t = tasks.spawn(&TaskSpec::named("idle").priority(1));
-                    tasks.task_mut(t).counter = 0;
-                    tasks.task_mut(t).processor = c;
-                    tasks.task_mut(t).has_cpu = true;
-                    t
-                })
-                .collect();
-            Rig {
-                tasks,
-                stats: SchedStats::new(nr_cpus),
-                meter: CycleMeter::new(),
-                costs: CostModel::default(),
-                cfg,
-                sched: MultiQueueScheduler::new(nr_cpus),
-                idles,
-            }
-        }
-
+    impl Rig<MultiQueueScheduler> {
         fn spawn_on(&mut self, name: &'static str, cpu: CpuId) -> Tid {
             let tid = self.tasks.spawn(&TaskSpec::named(name));
             self.tasks.task_mut(tid).processor = cpu;
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            self.sched.add_to_runqueue(&mut ctx, tid);
+            self.add(tid);
             tid
-        }
-
-        fn schedule(&mut self, cpu: CpuId) -> Tid {
-            let idle = self.idles[cpu];
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            let next = self.sched.schedule(&mut ctx, cpu, idle, idle);
-            self.sched.debug_check(&self.tasks);
-            next
         }
     }
 
     #[test]
     fn tasks_land_on_their_home_queue() {
-        let mut rig = Rig::new(2);
+        let mut rig = rig(2);
         let a = rig.spawn_on("a", 0);
         let b = rig.spawn_on("b", 1);
-        assert_eq!(rig.schedule(0), a);
-        assert_eq!(rig.schedule(1), b);
+        assert_eq!(rig.schedule_idle(0), a);
+        assert_eq!(rig.schedule_idle(1), b);
     }
 
     #[test]
     fn own_queue_scan_ignores_other_queues() {
-        let mut rig = Rig::new(2);
+        let mut rig = rig(2);
         let _a = rig.spawn_on("a", 0);
         let _b = rig.spawn_on("b", 0);
         rig.meter.take();
-        rig.schedule(1); // steals, but only after scanning its empty queue
-                         // Examined tasks should be the steal scan only (2 tasks).
+        rig.schedule_idle(1); // steals, but only after scanning its empty queue
+                              // Examined tasks should be the steal scan only (2 tasks).
         assert_eq!(rig.stats.cpu(1).tasks_examined, 2);
     }
 
     #[test]
     fn stealing_takes_from_busiest_queue() {
-        let mut rig = Rig::new(2);
+        let mut rig = rig(2);
         let _a = rig.spawn_on("a", 0);
         let _b = rig.spawn_on("b", 0);
-        let stolen = rig.schedule(1);
+        let stolen = rig.schedule_idle(1);
         assert_ne!(stolen, rig.idles[1]);
         // The stolen task now belongs to queue 1.
         assert_eq!(rig.tasks.task(stolen).rq_hint, 1);
@@ -278,25 +223,25 @@ mod tests {
         // 2N2C1T: node 0 = CPUs {0,1}, node 1 = {2,3}. Queue 0 is the
         // fullest, but queue 2 shares CPU 3's LLC — the steal must take
         // the node-mate's task, not cross the node boundary.
-        let mut rig = Rig::new(4);
+        let mut rig = rig(4);
         rig.cfg.topology = "2N2C1T".parse().unwrap();
         let _a = rig.spawn_on("a", 0);
         let _b = rig.spawn_on("b", 0);
         let _c = rig.spawn_on("c", 0);
         let d = rig.spawn_on("d", 2);
-        let stolen = rig.schedule(3);
+        let stolen = rig.schedule_idle(3);
         assert_eq!(stolen, d, "same-node victim beats the fullest queue");
         // With every same-node queue now empty, the fullest remote queue
         // is still fair game (work beats locality when it's that or idle).
-        let stolen2 = rig.schedule(3);
+        let stolen2 = rig.schedule_idle(3);
         assert_ne!(stolen2, rig.idles[3]);
         assert_eq!(rig.tasks.task(stolen2).rq_hint, 3);
     }
 
     #[test]
     fn idle_when_everything_empty() {
-        let mut rig = Rig::new(2);
-        assert_eq!(rig.schedule(0), rig.idles[0]);
+        let mut rig = rig(2);
+        assert_eq!(rig.schedule_idle(0), rig.idles[0]);
         assert_eq!(rig.stats.cpu(0).idle_scheduled, 1);
     }
 
@@ -304,20 +249,20 @@ mod tests {
     fn scan_cost_divides_by_cpu_count() {
         // 40 tasks spread over 4 queues: a schedule() on one CPU scans
         // ~10 tasks, not 40.
-        let mut rig = Rig::new(4);
+        let mut rig = rig(4);
         for i in 0..40 {
             rig.spawn_on("t", i % 4);
         }
-        rig.schedule(0);
+        rig.schedule_idle(0);
         assert_eq!(rig.stats.cpu(0).tasks_examined, 10);
     }
 
     #[test]
     fn exhausted_queue_triggers_recalc() {
-        let mut rig = Rig::new(1);
+        let mut rig = rig(1);
         let a = rig.spawn_on("a", 0);
         rig.tasks.task_mut(a).counter = 0;
-        let next = rig.schedule(0);
+        let next = rig.schedule_idle(0);
         assert_eq!(next, a);
         assert_eq!(rig.stats.cpu(0).recalc_entries, 1);
     }
