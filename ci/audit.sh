@@ -48,7 +48,15 @@ rules() {
 0 0 shipped crates/machine/src  -  check_task_invariants\(
 0 0 joined  crates/machine/src/observe.rs  -  tasks[[:space:]]*\.iter(_mut)?\(\)
 1 - whole   crates/machine/src/observe.rs  -  check_task_invariants\(
-1 - shipped crates/machine/src/observe.rs  -  drain_touched
+1 - shipped crates/machine/src/observe.rs  -  drain_touched\(reader,
+
+# -- reg answers its goodness scan from the index, which follows the same
+# change log: no shipped walk of the run queue in the crate (the virtual
+# model still charges one); the walk survives as the debug-build
+# reference every reg decision is asserted against.
+0 0 shipped crates/sched-linux/src  -  scan_list|schedulable\(
+1 - whole   crates/sched-linux/src  -  frame::scan_list\(
+1 - shipped crates/sched-linux/src/index.rs  -  drain_touched\(reader,
 
 # -- The exchange follows the nodes' pipe change logs: no shipped walk over
 # every bridge; the walk survives as the debug-build reference each

@@ -30,7 +30,7 @@ pub mod tid;
 pub mod waitqueue;
 
 pub use list::{Link, ListNode, Lists};
-pub use table::TaskTable;
+pub use table::{LogReader, TaskTable, MAX_READERS};
 pub use task::{CpuId, MmId, Policy, SchedClass, Task, TaskSpec, TaskState};
 pub use tid::Tid;
 pub use waitqueue::WaitQueue;

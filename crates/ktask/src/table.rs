@@ -15,7 +15,8 @@
 //! # The change log
 //!
 //! An observer that wants to know which tasks changed between two points
-//! (the machine's oracle, between one `schedule()` decision and the next)
+//! (the machine's oracle between one `schedule()` decision and the next,
+//! the baseline scheduler's goodness index between two of its calls)
 //! does not have to walk the table: every path that can hand out a
 //! `&mut Task` — [`get_mut`](TaskTable::get_mut) /
 //! [`task_mut`](TaskTable::task_mut),
@@ -24,21 +25,29 @@
 //! [`recalc_counters`](TaskTable::recalc_counters),
 //! [`spawn`](TaskTable::spawn) and [`free`](TaskTable::free); the slab is
 //! private, so the borrow checker guarantees there is no other — records
-//! the slot it touched, and [`drain_touched`](TaskTable::drain_touched)
-//! hands the recorded slots over, each once. Nothing is recorded until a
-//! reader subscribes by draining for the first time (that first drain
-//! reports every occupied slot), and a table nobody watches allocates
-//! nothing for the log. The log is conservative: a slot handed out
-//! mutably is reported whether or not the caller wrote to it.
+//! the slot it touched. A reader [subscribes](TaskTable::subscribe) and
+//! gets a [`LogReader`]; [`drain_touched`](TaskTable::drain_touched)
+//! hands that reader the slots recorded since its previous drain, each
+//! once, whatever the other readers did in between (its first drain
+//! reports every occupied slot). Up to [`MAX_READERS`] readers may
+//! subscribe at once; a table nobody watches allocates nothing for the
+//! log. The log is conservative: a slot handed out mutably is reported
+//! whether or not the caller wrote to it.
 //!
 //! The barrier costs an unwatched lookup no instruction of its own. Each
-//! slot carries one 64-bit key — generation in the high half, the
-//! `EMPTY` and `ARMED` flags in the low — so the single comparison a
-//! handle lookup makes anyway (`key == generation << 32`) also answers
-//! "occupied?" and "does the log want to hear about this?". `ARMED` means
-//! *watched and not yet logged since the last drain*: the first mutable
-//! lookup of an armed slot takes the out-of-line path, logs the slot and
-//! disarms it, and every later one is as cheap as if nobody watched.
+//! slot carries one 64-bit key — generation in the high half, the `EMPTY`
+//! flag and one `ARMED` bit per reader in the low — so the single
+//! comparison a handle lookup makes anyway (`key == generation << 32`)
+//! also answers "occupied?" and "does any reader want to hear about
+//! this?". A reader's bit means *watched by it and not yet logged for it
+//! since its last drain*: the first mutable lookup of a slot armed for
+//! anyone takes the out-of-line path, appends the slot to the log of
+//! every reader armed on it and disarms them, and every later lookup is
+//! as cheap as if nobody watched. A reader's log therefore holds each
+//! slot at most once: one that stops draining — a scheduler swapped out
+//! mid-run — costs at most one entry per slot, and no more slow lookups.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::recalc;
 use crate::task::{Task, TaskSpec};
@@ -46,9 +55,23 @@ use crate::tid::Tid;
 
 /// Slot flag: no task lives here (the record is a freed task's corpse).
 const EMPTY: u64 = 1;
-/// Slot flag: the change log is on and has not recorded this slot since
-/// the last drain.
-const ARMED: u64 = 2;
+
+/// How many change-log readers may be subscribed to one table at once.
+pub const MAX_READERS: usize = 8;
+
+/// Slot flags: reader `r` is subscribed and has not had this slot logged
+/// since its last drain (bit `1 + r`). `ARMED` is every reader's bit.
+const ARMED: u64 = ((1 << MAX_READERS) - 1) << 1;
+
+/// Reader `r`'s `ARMED` bit.
+#[inline]
+const fn armed_bit(r: usize) -> u64 {
+    2 << r
+}
+
+/// The tables created so far: each table's serial, so a reader handed to
+/// another table is refused instead of draining someone else's log.
+static TABLES: AtomicU64 = AtomicU64::new(0);
 
 /// The key of an occupied, unarmed slot of generation `gen`.
 #[inline]
@@ -85,19 +108,46 @@ impl Slot {
     }
 }
 
+/// A subscription to a table's [change log](self#the-change-log): what
+/// [`TaskTable::drain_touched`] takes to know whose log to hand over.
+/// Neither `Clone` nor `Copy`, so one subscription has one reader.
+#[derive(Debug)]
+pub struct LogReader {
+    table: u64,
+    id: u8,
+}
+
 /// The set of all tasks in the system.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TaskTable {
     slots: Vec<Slot>,
     free: Vec<u32>,
     live: usize,
     spawned: u64,
-    /// Whether a change-log reader has subscribed. While `false` no slot
-    /// is ever armed and `touched` stays empty.
-    watched: bool,
-    /// The slots logged since the last drain, in first-touch order. A
-    /// logged slot is unarmed, so each is here once.
-    touched: Vec<u32>,
+    /// This table's serial (see `TABLES`).
+    serial: u64,
+    /// One bit per subscribed reader, at its `ARMED` position. While zero
+    /// no slot is ever armed and every log stays empty.
+    readers: u64,
+    /// Per reader, the slots logged since its last drain, in first-touch
+    /// order. A slot logged for a reader is unarmed for it, so each is
+    /// in its log once. Grown by `subscribe`: a table nobody watches
+    /// holds no log at all.
+    logs: Vec<Vec<u32>>,
+}
+
+impl Default for TaskTable {
+    fn default() -> Self {
+        TaskTable {
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+            spawned: 0,
+            serial: TABLES.fetch_add(1, Ordering::Relaxed),
+            readers: 0,
+            logs: Vec::new(),
+        }
+    }
 }
 
 impl TaskTable {
@@ -131,10 +181,8 @@ impl TaskTable {
                 task: Task::new(tid, spec),
                 key: key_of(0),
             });
-            if self.watched {
-                // Born logged, hence unarmed.
-                self.touched.push(idx);
-            }
+            // Born logged for every reader, hence unarmed.
+            self.log_for(self.readers, idx);
             tid
         }
     }
@@ -160,13 +208,25 @@ impl TaskTable {
         self.log_if_armed(tid.index());
     }
 
-    /// Logs slot `idx` unless it already is in the log (or nobody
-    /// watches: then no slot is armed).
+    /// Logs slot `idx` for every reader it is armed for, and disarms it
+    /// (nothing, when nobody watches: then no slot is armed).
     fn log_if_armed(&mut self, idx: usize) {
         let slot = &mut self.slots[idx];
-        if slot.key & ARMED != 0 {
+        let armed = slot.key & ARMED;
+        if armed != 0 {
             slot.key &= !ARMED;
-            self.touched.push(idx as u32);
+            self.log_for(armed, idx as u32);
+        }
+    }
+
+    /// Appends slot `idx` to the log of every reader whose bit is in
+    /// `bits`.
+    #[inline]
+    fn log_for(&mut self, bits: u64, idx: u32) {
+        let mut rest = bits >> 1;
+        while rest != 0 {
+            self.logs[rest.trailing_zeros() as usize].push(idx);
+            rest &= rest - 1;
         }
     }
 
@@ -178,10 +238,11 @@ impl TaskTable {
     #[inline(never)]
     fn log_armed(&mut self, idx: usize, want: Option<u64>) -> Option<&mut Task> {
         let key = self.slots[idx].key;
-        let occupied_and_armed = match want {
-            Some(want) => key == want | ARMED,
-            None => key & (EMPTY | ARMED) == ARMED,
+        let occupied = match want {
+            Some(want) => key & !ARMED == want,
+            None => key & EMPTY == 0,
         };
+        let occupied_and_armed = occupied && key & ARMED != 0;
         if !occupied_and_armed {
             return None;
         }
@@ -270,29 +331,79 @@ impl TaskTable {
         slot.occupied().then_some(&slot.task)
     }
 
-    /// Drains the [change log](self#the-change-log): appends to `out`,
-    /// in no particular order and each once, every slot that was spawned
-    /// into, freed or handed out mutably since the previous drain. The
-    /// first call subscribes — recording starts with it — and reports
-    /// every occupied slot, so a reader that applies each drain to its
-    /// own picture of the table is exact from its first call on.
-    pub fn drain_touched(&mut self, out: &mut Vec<u32>) {
-        if !self.watched {
-            self.watched = true;
-            // Every slot is now either logged or armed: the occupied ones
-            // are reported by this drain, the empty ones wait for `spawn`.
-            for (idx, slot) in self.slots.iter_mut().enumerate() {
-                if slot.occupied() {
-                    self.touched.push(idx as u32);
-                } else {
-                    slot.key |= ARMED;
-                }
+    /// Subscribes a new reader to the [change log](self#the-change-log).
+    /// Recording for it starts now, and its first drain reports every
+    /// occupied slot, so a reader that applies each drain to its own
+    /// picture of the table is exact from its first drain on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`MAX_READERS`] readers are subscribed already.
+    pub fn subscribe(&mut self) -> LogReader {
+        let id = (!self.readers & ARMED).trailing_zeros() as usize - 1;
+        assert!(
+            id < MAX_READERS,
+            "more than {MAX_READERS} change-log readers"
+        );
+        let bit = armed_bit(id);
+        self.readers |= bit;
+        if id >= self.logs.len() {
+            self.logs.resize_with(id + 1, Vec::new);
+        }
+        // Every slot is now either logged or armed for the reader: the
+        // occupied ones are in its first drain, the empty ones wait for
+        // `spawn`.
+        let log = &mut self.logs[id];
+        for (idx, slot) in self.slots.iter_mut().enumerate() {
+            if slot.occupied() {
+                log.push(idx as u32);
+            } else {
+                slot.key |= bit;
             }
         }
-        for &idx in &self.touched {
-            self.slots[idx as usize].key |= ARMED;
+        LogReader {
+            table: self.serial,
+            id: id as u8,
         }
-        out.append(&mut self.touched);
+    }
+
+    /// Ends `reader`'s subscription: its log is freed and no slot is
+    /// armed for it any more. One pass over the slab.
+    pub fn unsubscribe(&mut self, reader: LogReader) {
+        let id = self.reader_id(&reader);
+        let bit = armed_bit(id);
+        for slot in &mut self.slots {
+            slot.key &= !bit;
+        }
+        self.readers &= !bit;
+        self.logs[id] = Vec::new();
+    }
+
+    /// Drains `reader`'s part of the [change log](self#the-change-log):
+    /// appends to `out`, in no particular order and each once, every slot
+    /// that was spawned into, freed or handed out mutably since the
+    /// reader's previous drain (since it subscribed, for the first: then
+    /// every occupied slot is reported too).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reader` was subscribed to another table.
+    pub fn drain_touched(&mut self, reader: &LogReader, out: &mut Vec<u32>) {
+        let id = self.reader_id(reader);
+        let bit = armed_bit(id);
+        for &idx in &self.logs[id] {
+            self.slots[idx as usize].key |= bit;
+        }
+        out.append(&mut self.logs[id]);
+    }
+
+    /// The log index of `reader`, which must be this table's.
+    fn reader_id(&self, reader: &LogReader) -> usize {
+        assert_eq!(
+            reader.table, self.serial,
+            "a change-log reader of another table"
+        );
+        reader.id as usize
     }
 
     /// Number of live tasks.
@@ -319,7 +430,7 @@ impl TaskTable {
 
     /// Mutably iterates over all live tasks.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Task> {
-        if self.watched {
+        if self.readers != 0 {
             for idx in 0..self.slots.len() {
                 if self.slots[idx].occupied() {
                     self.log_if_armed(idx);
@@ -486,10 +597,10 @@ mod tests {
         assert_eq!(t.task(z).counter, 4);
     }
 
-    /// Drains the log into a fresh, sorted vector.
-    fn drained(t: &mut TaskTable) -> Vec<u32> {
+    /// Drains `reader`'s log into a fresh, sorted vector.
+    fn drained(t: &mut TaskTable, reader: &LogReader) -> Vec<u32> {
         let mut out = Vec::new();
-        t.drain_touched(&mut out);
+        t.drain_touched(reader, &mut out);
         out.sort_unstable();
         out
     }
@@ -504,18 +615,25 @@ mod tests {
         }
         t.recalc_counters(true);
         t.free(tids[3]);
-        assert!(!t.watched);
+        assert_eq!(t.readers, 0);
         assert!(t.slots.iter().all(|s| s.key & ARMED == 0), "nothing armed");
-        assert_eq!(t.touched.capacity(), 0, "no memory before a reader");
-        // The subscribing drain reports the table as it stands: every
-        // occupied slot, the freed one not among them.
+        assert_eq!(t.logs.capacity(), 0, "no memory before a reader");
+        // The subscriber's first drain reports the table as it stands:
+        // every occupied slot, the freed one not among them.
+        let r = t.subscribe();
         let all: Vec<u32> = (0..100).filter(|&i| i != 3).collect();
-        assert_eq!(drained(&mut t), all);
-        assert_eq!(drained(&mut t), [], "a drain empties the log");
+        assert_eq!(drained(&mut t, &r), all);
+        assert_eq!(drained(&mut t, &r), [], "a drain empties the log");
         // A slot that was already empty when the reader arrived is logged
         // when it is spawned into.
         assert_eq!(t.spawn(&TaskSpec::default()).index(), 3);
-        assert_eq!(drained(&mut t), [3]);
+        assert_eq!(drained(&mut t, &r), [3]);
+        // Unsubscribing disarms every slot and frees the log.
+        t.task_mut(tids[0]).counter = 5;
+        t.unsubscribe(r);
+        assert_eq!(t.readers, 0);
+        assert!(t.slots.iter().all(|s| s.key & ARMED == 0), "nothing armed");
+        assert!(t.logs.iter().all(|l| l.capacity() == 0), "log freed");
     }
 
     #[test]
@@ -523,47 +641,48 @@ mod tests {
         let mut t = TaskTable::new();
         let tids: Vec<Tid> = (0..6).map(|_| t.spawn(&TaskSpec::default())).collect();
         let slot = |i: usize| tids[i].index() as u32;
-        drained(&mut t); // subscribe
+        let r = t.subscribe();
+        drained(&mut t, &r);
 
         // Immutable lookups are not logged.
         let _ = (t.get(tids[0]), t.task(tids[1]), t.by_index(2), t.slot(3));
         let _ = (t.iter().count(), t.tids(), t.len(), t.is_empty());
-        assert_eq!(drained(&mut t), []);
+        assert_eq!(drained(&mut t, &r), []);
 
         // Each mutable lookup is, once, however often it repeats and
         // whether or not the caller writes through it.
         t.get_mut(tids[0]).unwrap().counter = 3;
         let _ = t.get_mut(tids[0]);
-        assert_eq!(drained(&mut t), [slot(0)]);
+        assert_eq!(drained(&mut t, &r), [slot(0)]);
         t.task_mut(tids[1]).counter = 3;
         t.task_mut(tids[1]).counter = 4;
-        assert_eq!(drained(&mut t), [slot(1)]);
+        assert_eq!(drained(&mut t, &r), [slot(1)]);
         t.by_index_mut(tids[2].index()).counter = 3;
         let _ = t.by_index_mut(tids[2].index());
-        assert_eq!(drained(&mut t), [slot(2)]);
-        assert_eq!(drained(&mut t), [], "already handed over");
+        assert_eq!(drained(&mut t, &r), [slot(2)]);
+        assert_eq!(drained(&mut t, &r), [], "already handed over");
 
         // A stale handle resolves to nothing and logs nothing.
         t.free(tids[5]);
-        assert_eq!(drained(&mut t), [slot(5)], "free is logged");
+        assert_eq!(drained(&mut t, &r), [slot(5)], "free is logged");
         assert!(t.get_mut(tids[5]).is_none());
-        assert_eq!(drained(&mut t), []);
+        assert_eq!(drained(&mut t, &r), []);
 
         // The whole-table walks log every occupied slot (and only those).
         let live: Vec<u32> = (0..5).map(slot).collect();
         t.iter_mut().for_each(drop);
-        assert_eq!(drained(&mut t), live);
+        assert_eq!(drained(&mut t, &r), live);
         t.recalc_counters(false);
         t.task_mut(tids[4]).counter = 0; // no second entry for slot 4
-        assert_eq!(drained(&mut t), live);
+        assert_eq!(drained(&mut t, &r), live);
 
         // spawn: into the reused slot, then into a fresh one.
         let reused = t.spawn(&TaskSpec::default());
         assert_eq!(reused.index(), tids[5].index());
-        assert_eq!(drained(&mut t), [slot(5)]);
+        assert_eq!(drained(&mut t, &r), [slot(5)]);
         let fresh = t.spawn(&TaskSpec::default());
         assert_eq!(fresh.index(), 6);
-        assert_eq!(drained(&mut t), [6]);
+        assert_eq!(drained(&mut t, &r), [6]);
     }
 
     #[test]
@@ -571,15 +690,134 @@ mod tests {
         let mut t = TaskTable::new();
         let old = t.spawn(&TaskSpec::named("old"));
         let gone = t.spawn(&TaskSpec::named("gone"));
-        drained(&mut t);
+        let r = t.subscribe();
+        drained(&mut t, &r);
         t.free(old);
         let new = t.spawn(&TaskSpec::named("new"));
         t.free(gone);
-        assert_eq!(drained(&mut t), [0, 1], "each slot once");
+        assert_eq!(drained(&mut t, &r), [0, 1], "each slot once");
         assert_eq!(t.slot(0).map(|task| task.tid), Some(new));
         assert_eq!(t.slot(0).map(|task| task.name), Some("new"));
         assert!(t.slot(1).is_none(), "a freed slot is reported, and empty");
         assert!(t.slot(99).is_none(), "past the slab");
+    }
+
+    /// Two readers drain at random, independent points of a random
+    /// mutation stream, and a third never drains. Each drain must hand its
+    /// reader exactly the slots touched since that reader's last drain,
+    /// each once; a mirror each reader keeps from its drains alone must
+    /// equal a full walk of the table; and the idle reader's log never
+    /// holds more entries than the slab has slots.
+    #[test]
+    fn interleaved_readers_each_see_every_touched_slot_once() {
+        use elsc_simcore::SimRng;
+        use std::collections::BTreeSet;
+
+        /// What a reader can know of a slot: its tenant and a field.
+        fn look(t: &TaskTable, idx: usize) -> Option<(Tid, i32)> {
+            t.slot(idx).map(|task| (task.tid, task.counter))
+        }
+        struct Reader {
+            log: Option<LogReader>,
+            touched: BTreeSet<u32>,
+            mirror: Vec<Option<(Tid, i32)>>,
+        }
+        for seed in 0..6 {
+            let mut rng = SimRng::new(0x2EAD_0000 + seed);
+            let mut t = TaskTable::new();
+            let mut live: Vec<Tid> = (0..8).map(|_| t.spawn(&TaskSpec::default())).collect();
+            let mut readers: Vec<Reader> = (0..2)
+                .map(|_| Reader {
+                    log: None,
+                    touched: BTreeSet::new(),
+                    mirror: Vec::new(),
+                })
+                .collect();
+            let idle = t.subscribe();
+            for step in 0..4_000 {
+                // Subscribe a reader late, at a random point.
+                for r in readers.iter_mut().filter(|r| r.log.is_none()) {
+                    if rng.chance(0.01) {
+                        r.log = Some(t.subscribe());
+                        let occupied = (0..t.slots.len()).filter(|&i| t.slots[i].occupied());
+                        r.touched = occupied.map(|i| i as u32).collect();
+                        r.mirror.clear();
+                    }
+                }
+                let pick = live[rng.below(live.len() as u64) as usize];
+                let touched: Vec<u32> = match rng.below(9) {
+                    0 => {
+                        let tid = t.spawn(&TaskSpec::default());
+                        live.push(tid);
+                        vec![tid.index() as u32]
+                    }
+                    1 if live.len() > 1 => {
+                        t.free(pick);
+                        live.retain(|&x| x != pick);
+                        vec![pick.index() as u32]
+                    }
+                    2 => {
+                        t.task_mut(pick).counter = rng.below(50) as i32;
+                        vec![pick.index() as u32]
+                    }
+                    3 => {
+                        let _ = t.get_mut(pick); // handed out, not written
+                        vec![pick.index() as u32]
+                    }
+                    4 => {
+                        t.by_index_mut(pick.index()).counter += 1;
+                        vec![pick.index() as u32]
+                    }
+                    5 if rng.chance(0.2) => {
+                        t.recalc_counters(false);
+                        live.iter().map(|x| x.index() as u32).collect()
+                    }
+                    _ => {
+                        let _ = (t.task(pick).counter, t.iter().count(), t.slot(pick.index()));
+                        vec![]
+                    }
+                };
+                for r in readers.iter_mut().filter(|r| r.log.is_some()) {
+                    r.touched.extend(&touched);
+                }
+                for r in &mut readers {
+                    let Some(log) = &r.log else { continue };
+                    if !rng.chance(0.3) {
+                        continue;
+                    }
+                    let mut out = Vec::new();
+                    t.drain_touched(log, &mut out);
+                    let once: BTreeSet<u32> = out.iter().copied().collect();
+                    assert_eq!(
+                        once.len(),
+                        out.len(),
+                        "seed {seed} step {step}: a slot twice"
+                    );
+                    assert_eq!(
+                        once, r.touched,
+                        "seed {seed} step {step}: the touched slots"
+                    );
+                    r.touched.clear();
+                    for idx in out {
+                        let idx = idx as usize;
+                        if idx >= r.mirror.len() {
+                            r.mirror.resize(idx + 1, None);
+                        }
+                        r.mirror[idx] = look(&t, idx);
+                    }
+                    let walk: Vec<_> = (0..r.mirror.len().max(t.slots.len()))
+                        .map(|i| look(&t, i))
+                        .collect();
+                    r.mirror.resize(walk.len(), None);
+                    assert_eq!(r.mirror, walk, "seed {seed} step {step}: mirror != walk");
+                }
+                assert!(
+                    t.logs[idle.id as usize].len() <= t.slots.len(),
+                    "seed {seed} step {step}: the idle reader's log outgrew the slab"
+                );
+            }
+            assert!(readers.iter().all(|r| r.log.is_some()), "both subscribed");
+        }
     }
 
     /// Satellite regression test: generation wraparound and stale-handle

@@ -91,27 +91,25 @@ impl Model {
 
     /// Scores one quantized candidate feature vector. Higher = more
     /// likely to be the pick; the scheduler takes the argmax.
+    ///
+    /// Each layer is summed in `i128`, where no product of two `i64`s and
+    /// no sum of a row of them can overflow, and saturates to the `i64`
+    /// range. So no model [`parse`](Model::parse) accepts can overflow on
+    /// any input — a feature such as the queue depth has no fixed maximum
+    /// — and on every input where the `i64` arithmetic does not overflow
+    /// the score is exactly its result.
     pub fn score(&self, x: &[i64; FEATURES]) -> i64 {
         match self.arch {
-            Arch::LogReg => {
-                let mut z = self.b;
-                for (w, xi) in self.w.iter().zip(x) {
-                    z += (w * xi) >> 16;
-                }
-                z
-            }
+            Arch::LogReg => dot(self.b, &self.w, x),
             Arch::Mlp => {
-                let mut z = self.b2;
+                let mut z = self.b2 as i128;
                 for j in 0..HIDDEN {
-                    let mut h = self.b1[j];
-                    for (w, xi) in self.w1[j].iter().zip(x) {
-                        h += (w * xi) >> 16;
-                    }
+                    let h = dot(self.b1[j], &self.w1[j], x);
                     if h > 0 {
-                        z += (self.w2[j] * h) >> 16;
+                        z += (self.w2[j] as i128 * h as i128) >> 16;
                     }
                 }
-                z
+                saturate(z)
             }
         }
     }
@@ -153,9 +151,19 @@ impl Model {
         out
     }
 
-    /// Parses a model file produced by [`Model::to_text`].
+    /// Parses a model file produced by [`Model::to_text`]. Every error
+    /// names the line it is about (`line 3: ...`), counting from 1.
     pub fn parse(text: &str) -> Result<Model, String> {
-        let mut lines = text.lines();
+        let mut lines = Numbered {
+            lines: text.lines(),
+            at: 0,
+        };
+        Model::parse_lines(&mut lines).map_err(|e| format!("line {}: {e}", lines.at))
+    }
+
+    /// [`Model::parse`] without the line numbers: every error is about the
+    /// line `lines` handed out last.
+    fn parse_lines<'a>(lines: &mut Numbered<'a>) -> Result<Model, String> {
         let magic = lines.next().ok_or("empty model file")?;
         if magic != MODEL_MAGIC {
             return Err(format!("bad magic {magic:?} (want {MODEL_MAGIC:?})"));
@@ -200,6 +208,34 @@ impl Model {
         }
         Ok(m)
     }
+}
+
+/// A model file's lines, counting the ones handed out: `at` is the number
+/// of the last line asked for (one past the end once the file has run
+/// out).
+struct Numbered<'a> {
+    lines: std::str::Lines<'a>,
+    at: usize,
+}
+
+impl<'a> Numbered<'a> {
+    fn next(&mut self) -> Option<&'a str> {
+        self.at += 1;
+        self.lines.next()
+    }
+}
+
+/// `acc + Σ (w·x >> 16)` in `i128`, saturated to the `i64` range.
+fn dot(acc: i64, w: &[i64; FEATURES], x: &[i64; FEATURES]) -> i64 {
+    let z = w.iter().zip(x).fold(acc as i128, |z, (&w, &x)| {
+        z + ((w as i128 * x as i128) >> 16)
+    });
+    saturate(z)
+}
+
+/// `z` clamped to the `i64` range.
+fn saturate(z: i128) -> i64 {
+    z.clamp(i64::MIN as i128, i64::MAX as i128) as i64
 }
 
 /// Formats one `key v0 v1 ...` weight row.
@@ -297,6 +333,118 @@ mod tests {
         // Truncated body.
         let short: String = text.lines().take(5).map(|l| format!("{l}\n")).collect();
         assert!(Model::parse(&short).is_err());
+    }
+
+    #[test]
+    fn parse_errors_name_their_line() {
+        let text = Model::zeroed(Arch::LogReg).to_text();
+        let err = |t: &str| Model::parse(t).unwrap_err();
+        assert_eq!(err(""), "line 1: empty model file");
+        assert!(err("not a model\n").starts_with("line 1: bad magic"));
+        assert!(err(&text.replace("arch logreg", "arch forest")).starts_with("line 2: "));
+        assert!(err(&text.replace("features 7", "features 9")).starts_with("line 3: "));
+        assert!(err(&text.replace("seed 0", "seed x")).starts_with("line 5: bad number"));
+        assert!(err(&text.replace("w 0 0", "w 0 0 0 0 0 0 0 0 0")).starts_with("line 6: "));
+        assert!(err(&format!("{text}junk\n")).starts_with("line 8: trailing line"));
+        let short: String = text.lines().take(5).map(|l| format!("{l}\n")).collect();
+        assert_eq!(err(&short), "line 6: model file truncated before \"w\"");
+    }
+
+    #[test]
+    fn extreme_weights_saturate_instead_of_overflowing() {
+        // Accepted by the parser; the i64 arithmetic overflowed on the
+        // first product of the all-SCALE input.
+        let mut text = Model::zeroed(Arch::LogReg).to_text();
+        text = text.replace("w 0 0 0 0 0 0 0", "w 9223372036854775807 0 0 0 0 0 0");
+        let mut m = Model::parse(&text).expect("accepted");
+        assert_eq!(m.score(&[Q_ONE; FEATURES]), i64::MAX, "in range: exact");
+        m.b = 1;
+        assert_eq!(m.score(&[Q_ONE; FEATURES]), i64::MAX, "one past: saturated");
+        assert_eq!(m.score(&[i64::MAX; FEATURES]), i64::MAX);
+        let mut mlp = Model::zeroed(Arch::Mlp);
+        mlp.w1[0] = [i64::MAX; FEATURES];
+        mlp.w2 = [i64::MAX; HIDDEN];
+        mlp.b2 = i64::MAX;
+        assert_eq!(mlp.score(&[i64::MAX; FEATURES]), i64::MAX);
+        mlp.w2 = [i64::MIN; HIDDEN];
+        mlp.b2 = i64::MIN;
+        assert_eq!(mlp.score(&[i64::MAX; FEATURES]), i64::MIN);
+    }
+
+    /// The committed models, mutated byte by byte and spliced with keys,
+    /// extreme numbers and line breaks, parse to a model that round-trips
+    /// and scores the all-SCALE feature vector without overflow, or are
+    /// an error naming its line — never a panic.
+    #[test]
+    fn mutated_models_never_panic() {
+        const ALPHABET: &[u8] = b"0123456789- \nwbhsaelgrmp";
+        const SPLICES: [&str; 8] = [
+            "9223372036854775807",
+            "-9223372036854775808",
+            "99999999999999999999",
+            "\n",
+            " 1",
+            "w1 ",
+            "arch mlp",
+            "hidden 8",
+        ];
+        let bases = [
+            include_str!("../../../models/volano-logreg.model"),
+            include_str!("../../../models/volano-mlp.model"),
+            include_str!("../../../models/adversarial.model"),
+        ];
+        let mut rng = elsc_simcore::SimRng::new(0x30DE_1F00);
+        let mut pick = |n: usize| rng.below(n as u64) as usize;
+        // The old `i64` arithmetic, checked: `None` where it overflowed.
+        let narrow = |m: &Model, x: &[i64; FEATURES]| -> Option<i64> {
+            let dot = |acc: i64, w: &[i64; FEATURES]| {
+                w.iter()
+                    .zip(x)
+                    .try_fold(acc, |z, (w, xi)| z.checked_add(w.checked_mul(*xi)? >> 16))
+            };
+            match m.arch {
+                Arch::LogReg => dot(m.b, &m.w),
+                Arch::Mlp => (0..HIDDEN).try_fold(m.b2, |z, j| {
+                    let h = dot(m.b1[j], &m.w1[j])?;
+                    if h > 0 {
+                        z.checked_add(m.w2[j].checked_mul(h)? >> 16)
+                    } else {
+                        Some(z)
+                    }
+                }),
+            }
+        };
+        let (mut accepted, mut overflowed) = (0, 0);
+        for _ in 0..20_000 {
+            let mut s = bases[pick(bases.len())].as_bytes().to_vec();
+            for _ in 0..=pick(4) {
+                let i = pick(s.len() + 1);
+                match pick(5) {
+                    0 if i < s.len() => {
+                        s.remove(i);
+                    }
+                    1 if i < s.len() => s[i] = ALPHABET[pick(ALPHABET.len())],
+                    2 | 3 => drop(s.splice(i..i, SPLICES[pick(SPLICES.len())].bytes())),
+                    _ => s.insert(i, ALPHABET[pick(ALPHABET.len())]),
+                }
+            }
+            let text = String::from_utf8(s).expect("ASCII");
+            match Model::parse(&text) {
+                Ok(m) => {
+                    accepted += 1;
+                    assert_eq!(Model::parse(&m.to_text()).as_ref(), Ok(&m), "{text}");
+                    let x = [Q_ONE; FEATURES];
+                    let z = m.score(&x);
+                    match narrow(&m, &x) {
+                        Some(exact) => assert_eq!(z, exact, "{text}"),
+                        None => overflowed += 1,
+                    }
+                }
+                Err(e) => assert!(e.starts_with("line "), "{e}"),
+            }
+        }
+        assert!(accepted > 1_000, "{accepted} accepted");
+        assert!(overflowed > 0, "the fuzz reaches weights i64 overflowed on");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! state is touched.
 
 use elsc_chaos::{task_invariants, Decision, DivergenceClass, RunnableSet, SlotSet, TaskSnap};
-use elsc_ktask::{CpuId, MmId, Task, TaskTable, Tid};
+use elsc_ktask::{CpuId, LogReader, MmId, Task, TaskTable, Tid};
 use elsc_obs::{EventBus, ObsEvent};
 use elsc_sched_api::topo_affinity_bonus;
 use elsc_simcore::{Cycles, Topology};
@@ -113,11 +113,12 @@ fn is_work(t: &Task, cpus: &[CpuState]) -> bool {
 }
 
 /// The observers' picture of the task table, kept current from the
-/// table's change log ([`TaskTable::drain_touched`]) instead of by
-/// walking it. Both sets are read in slot order — which is task-table
-/// order, so the candidate burst and the violation list come out exactly
-/// as the full walks produce them (debug builds run those beside it and
-/// compare, see [`reference`]):
+/// table's change log ([`TaskTable::drain_touched`]; the watch is one
+/// reader of it, the baseline scheduler's goodness index may be another)
+/// instead of by walking it. Both sets are read in slot order — which is
+/// task-table order, so the candidate burst and the violation list come
+/// out exactly as the full walks produce them (debug builds run those
+/// beside it and compare, see [`reference`]):
 ///
 /// * `runnable` — a [`TaskSnap`] of every runnable non-idle task, by slot:
 ///   what the tracer and the oracle read. A sync refreshes only the slots
@@ -135,6 +136,9 @@ fn is_work(t: &Task, cpus: &[CpuState]) -> bool {
 /// window; a sync inside it is a debug-build panic.
 #[derive(Default)]
 pub(crate) struct TaskWatch {
+    /// The watch's subscription to the change log, taken by its first
+    /// sync.
+    reader: Option<LogReader>,
     drained: Vec<u32>,
     runnable: RunnableSet,
     pending: SlotSet,
@@ -147,7 +151,8 @@ impl TaskWatch {
     /// call subscribes to the log and is handed every occupied slot.
     fn sync(&mut self, tasks: &mut TaskTable, cpus: &[CpuState]) {
         debug_assert!(!self.frozen, "sync between a decision and its judge");
-        tasks.drain_touched(&mut self.drained);
+        let reader = self.reader.get_or_insert_with(|| tasks.subscribe());
+        tasks.drain_touched(reader, &mut self.drained);
         for idx in self.drained.drain(..) {
             let idx = idx as usize;
             match tasks.slot(idx).filter(|t| is_work(t, cpus)) {

@@ -25,6 +25,13 @@
 //!   [`charge_entry`], [`refresh_rr_quantum`], [`recalculate`],
 //!   [`commit`].
 //!
+//! The scan is the design's to answer, but its *cost* is the model's:
+//! [`scan_list`] walks a run list and charges one `GoodnessEval` per
+//! [`schedulable`] task, which is what `bubble` runs. `reg` charges the
+//! same walk from a count and answers from a host-side goodness index
+//! (`elsc-sched-linux`); its debug builds run [`scan_list`] beside the
+//! index on every scan and assert that both agree.
+//!
 //! # Writing a scheduler
 //!
 //! A complete round-robin FIFO design: four queue manipulators, and a
@@ -306,7 +313,8 @@ pub fn schedulable<'a>(
 /// The O(n) goodness scan of run list `q`: one `GoodnessEval` charge and
 /// one `tasks_examined` per [`schedulable`] task; returns the best
 /// goodness and its owner — the front-most on ties — or
-/// `(IDLE_GOODNESS, None)`.
+/// `(IDLE_GOODNESS, None)`. `bubble`'s scan, and the reference `reg`'s
+/// goodness index is checked against in debug builds.
 ///
 /// The candidates are counted in a local and charged once after the
 /// walk: stores to the meter and the statistics inside the loop would

@@ -131,6 +131,38 @@ pub fn goodness_ignoring_yield(task: &Task, this_cpu: CpuId, prev_mm: MmId) -> i
     weight
 }
 
+/// [`goodness_ignoring_yield_on`] split the way ELSC splits it (§5): the
+/// part that holds while the task waits, and whether the two dynamic
+/// bonuses — [`topo_affinity_bonus`] for the deciding CPU and
+/// [`MM_BONUS`] for sharing `prev`'s address space — are added to it.
+/// A real-time task's `1000 + rt_priority` and an exhausted task's 0 are
+/// static whole; otherwise the static part is `counter + priority`.
+///
+/// ```
+/// use elsc_ktask::{SchedClass, TaskSpec, TaskTable};
+/// use elsc_sched_api::goodness::goodness_parts;
+///
+/// let mut table = TaskTable::new();
+/// let tid = table.spawn(&TaskSpec::default().priority(20));
+/// table.task_mut(tid).counter = 7;
+/// assert_eq!(goodness_parts(table.task(tid)), (27, true));
+/// table.task_mut(tid).counter = 0;
+/// assert_eq!(goodness_parts(table.task(tid)), (0, false));
+/// let rt = table.spawn(&TaskSpec::default().realtime(SchedClass::Fifo, 5));
+/// assert_eq!(goodness_parts(table.task(rt)), (1005, false));
+/// ```
+#[inline]
+pub fn goodness_parts(task: &Task) -> (i32, bool) {
+    if task.policy.class.is_realtime() {
+        return (rt_goodness(task), false);
+    }
+    if task.counter == 0 {
+        // Runnable, but its time slice is used up.
+        return (0, false);
+    }
+    (task.counter + task.priority, true)
+}
+
 /// [`goodness_ignoring_yield`] under a declared topology: the flat
 /// `+15`-on-CPU-match affinity bonus generalizes to the distance-graded
 /// [`topo_affinity_bonus`]. On flat trees this equals
@@ -142,14 +174,10 @@ pub fn goodness_ignoring_yield_on(
     this_cpu: CpuId,
     prev_mm: MmId,
 ) -> i32 {
-    if task.policy.class.is_realtime() {
-        return rt_goodness(task);
+    let (mut weight, dynamic) = goodness_parts(task);
+    if !dynamic {
+        return weight;
     }
-    if task.counter == 0 {
-        // Runnable, but its time slice is used up.
-        return 0;
-    }
-    let mut weight = task.counter + task.priority;
     weight += topo_affinity_bonus(topo, this_cpu, task.processor);
     if task.mm == prev_mm {
         weight += MM_BONUS;

@@ -1,24 +1,32 @@
 //! The baseline scheduler: Linux 2.3.99-pre4's `schedule()` (paper §3).
 //!
 //! The run queue is a single circular doubly-linked list of all
-//! `TASK_RUNNING` tasks, kept in no particular order. Task selection walks
-//! the *entire* list, evaluating `goodness()` for every task not currently
-//! executing on another processor, and picks the maximum — ties go to the
-//! task closer to the front. If the best weight is zero (every runnable
-//! task out of quantum, or the only candidate just yielded), the scheduler
-//! recalculates the counters of **every task in the system** and scans
-//! again.
+//! `TASK_RUNNING` tasks, kept in no particular order. Task selection
+//! examines the *entire* list, evaluating `goodness()` for every task not
+//! currently executing on another processor, and picks the maximum — ties
+//! go to the task closer to the front. If the best weight is zero (every
+//! runnable task out of quantum, or the only candidate just yielded), the
+//! scheduler recalculates the counters of **every task in the system** and
+//! scans again.
 //!
 //! This is the O(n)-per-invocation algorithm whose cost the paper measures
-//! at 37–55 % of kernel time under VolanoMark; the reproduction charges
-//! one `GoodnessEval` per examined task so that cost surfaces in the
-//! simulated machine the same way.
+//! at 37–55 % of kernel time under VolanoMark. The virtual model charges
+//! the walk: one `GoodnessEval` and one `tasks_examined` per schedulable
+//! task, so that cost surfaces in the simulated machine the same way. The
+//! host does not walk: it answers from a goodness index (`index.rs`) fed by
+//! the run-queue hooks and the task table's change log, which returns the
+//! walk's pick and the walk's count. Debug builds run the walk beside it
+//! on every decision and assert that both agree.
 #![warn(missing_docs)]
+
+mod index;
 
 use elsc_ktask::{CpuId, Lists, TaskTable, Tid};
 use elsc_sched_api::frame::{self, Entered};
 use elsc_sched_api::{SchedCtx, Scheduler};
 use elsc_simcore::CostKind;
+
+use index::GoodnessIndex;
 
 /// The stock Linux 2.3.99-pre4 scheduler ("reg" in the paper's figures).
 #[derive(Debug)]
@@ -27,6 +35,8 @@ pub struct LinuxScheduler {
     lists: Lists,
     /// Number of tasks on the run queue (running tasks included).
     nr_running: usize,
+    /// The host's answer to the goodness scan.
+    index: GoodnessIndex,
 }
 
 impl Default for LinuxScheduler {
@@ -41,6 +51,7 @@ impl LinuxScheduler {
         LinuxScheduler {
             lists: Lists::new(1),
             nr_running: 0,
+            index: GoodnessIndex::new(),
         }
     }
 
@@ -59,18 +70,25 @@ impl LinuxScheduler {
     /// scan of the whole run queue — every task not executing on a
     /// processor, ties to the task closer to the front — recalculating
     /// every counter in the system and scanning again while the best
-    /// weight is zero.
+    /// weight is zero. Each scan charges the walk it models and is
+    /// answered by the index.
     #[inline]
     pub fn select(
-        &self,
+        &mut self,
         ctx: &mut SchedCtx<'_>,
         cpu: CpuId,
         prev: Tid,
         idle: Tid,
         entered: Entered,
     ) -> Tid {
+        let (lists, index) = (&self.lists, &mut self.index);
         frame::select(ctx, cpu, prev, idle, entered, self.nr_running, |ctx, _| {
-            frame::scan_list(&self.lists, 0, ctx, cpu, prev, entered.prev_mm)
+            let (best, n) = index.best(lists, ctx.tasks, ctx.cfg, cpu, prev, entered.prev_mm);
+            #[cfg(debug_assertions)]
+            reference::assert_walk_agrees(lists, ctx, cpu, prev, entered.prev_mm, best, n);
+            ctx.meter.charge_n(ctx.costs, CostKind::GoodnessEval, n);
+            ctx.stats.cpu_mut(cpu).tasks_examined += n;
+            best
         })
     }
 }
@@ -89,6 +107,7 @@ impl Scheduler for LinuxScheduler {
             "double add to run queue"
         );
         self.lists.insert_front(ctx.tasks, 0, tid);
+        self.index.stamp_front(tid);
         self.nr_running += 1;
     }
 
@@ -106,12 +125,14 @@ impl Scheduler for LinuxScheduler {
         ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
         self.lists.remove(ctx.tasks, tid);
         self.lists.insert_front(ctx.tasks, 0, tid);
+        self.index.stamp_front(tid);
     }
 
     fn move_last_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
         ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
         self.lists.remove(ctx.tasks, tid);
         self.lists.insert_back(ctx.tasks, 0, tid);
+        self.index.stamp_back(tid);
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
@@ -145,7 +166,41 @@ impl Scheduler for LinuxScheduler {
             out.push(tid);
         }
         self.nr_running = 0;
+        self.index.clear(ctx.tasks);
         out
+    }
+}
+
+/// The walk the index replaces, run beside it on every scan of a debug
+/// build — tier-1 and CI's `checked` job — so every reg and `learned:*`
+/// decision in the test suite checks the index against it.
+#[cfg(debug_assertions)]
+mod reference {
+    use super::*;
+    use elsc_ktask::MmId;
+
+    /// Asserts that the O(n) walk of the run queue picks `best` and
+    /// examines `n` tasks. The walk's own charges are rolled back: the
+    /// caller charges the index's count.
+    pub(super) fn assert_walk_agrees(
+        lists: &Lists,
+        ctx: &mut SchedCtx<'_>,
+        cpu: CpuId,
+        prev: Tid,
+        prev_mm: MmId,
+        best: (i32, Option<Tid>),
+        n: u64,
+    ) {
+        let (meter, examined) = (*ctx.meter, ctx.stats.cpu(cpu).tasks_examined);
+        let walked = frame::scan_list(lists, 0, ctx, cpu, prev, prev_mm);
+        let walked_n = ctx.stats.cpu(cpu).tasks_examined - examined;
+        *ctx.meter = meter;
+        ctx.stats.cpu_mut(cpu).tasks_examined = examined;
+        assert_eq!(
+            (walked, walked_n),
+            (best, n),
+            "goodness index != the run-queue walk on cpu {cpu}, prev {prev:?}"
+        );
     }
 }
 
