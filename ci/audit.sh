@@ -38,7 +38,7 @@ rules() {
 # dance (both in `Machine::sched_call`), one task-table snapshot, one
 # supervision record instead of the policy/learned twins.
 1 1 shipped crates/machine/src  -  SchedCtx \{
-1 1 shipped crates/machine/src  -  LockDomains::new\(
+1 1 shipped crates/machine/src  -  \.lock_home\(
 1 1 shipped crates/machine/src  -  TaskSnap::of
 0 0 shipped crates/machine/src  -  struct (PolicyRun|LearnedRun)\b|fn eject_(policy|learned)\b
 
@@ -63,6 +63,14 @@ rules() {
 # exchange is asserted against.
 0 0 joined  crates/cluster/src/federation.rs  -  in[[:space:]]+&(mut[[:space:]]+)?self\.bridges|self\.bridges[[:space:]]*\.(iter|iter_mut|into_iter)\(
 1 - shipped crates/cluster/src/federation.rs  -  drain_pipe_log
+
+# -- One run-queue lock type: `sched_api::LockModel` owns the plan, the
+# per-domain busy intervals and the call's held set, and is the only
+# `DomainLocker` the machine lends; the single-lock type, the per-call
+# view and its scratch storage occur nowhere.
+0 0 whole   crates,tests  -  SimSpinLock|LockScratch|LockDomains\b
+1 - whole   crates/sched-api/src/lockplan.rs  -  pub struct LockModel\b
+1 1 whole   crates,tests,examples  -  impl DomainLocker for
 
 # -- One task record, one event queue: the struct-of-arrays mirror, its
 # write-back guard, the lane goodness twins and the selectable-heap cargo

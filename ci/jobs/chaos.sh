@@ -20,6 +20,12 @@ expect_exit 1 "given twice" timeout 60 "$BIN" volano --sched elsc --cpus 2 --roo
 expect_exit 1 "cluster fault class 'partition' given twice" timeout 60 "$BIN" cluster --rooms 1 \
   --users 2 --messages 1 --faults partition=0.5,partition=0.0 --sched elsc
 
+# A manifest nested 200 000 deep is an error naming its byte offset,
+# not a stack overflow that aborts the process (exit 134).
+{ head -c 200000 /dev/zero | tr '\0' '['; head -c 200000 /dev/zero | tr '\0' ']'; } >"$T/deep.json"
+expect_exit 1 "nesting deeper than .* at byte [0-9]" "$BIN" lab compare --manifest "$T/deep.json" \
+  --baseline "$T/deep.json"
+
 # A flag the named workload does not take is refused in the spec
 # grammar's words; each of these ran without it and exited 0.
 refused() { expect_exit 1 "^error: '$1' is not a parameter of workload '$2'$" "$BIN" "${@:3}"; }

@@ -5,10 +5,16 @@
 //! must load a previously written manifest (possibly produced by an older
 //! build) and diff its metrics. This is a straightforward recursive-
 //! descent parser for RFC 8259 JSON — strict enough to reject garbage,
-//! small enough to audit in one sitting.
+//! small enough to audit in one sitting. Every error names the byte
+//! offset it stopped at, and nesting is bounded by [`MAX_DEPTH`], so a
+//! hostile or corrupt file is an `Err`, never a stack overflow.
 
 use std::collections::BTreeMap;
-use std::str::Chars;
+
+/// The deepest array/object nesting [`Value::parse`] accepts. The
+/// committed manifests nest at most 11 deep (a cluster cell's per-node
+/// reports); anything past this is not a file this workspace wrote.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -31,17 +37,19 @@ pub enum Value {
 
 impl Value {
     /// Parses a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
+    /// trailing garbage rejected). An error names the byte offset where
+    /// parsing stopped: `... at byte N`.
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut p = Parser {
-            it: text.chars(),
+            text,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
         if p.peek().is_some() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
+            return Err(p.err("trailing garbage"));
         }
         Ok(v)
     }
@@ -87,19 +95,29 @@ impl Value {
     }
 }
 
-/// Parser state: a char cursor with a byte position for error messages.
+/// Parser state: the text, the byte position of the cursor (always on a
+/// char boundary), and the current array/object nesting depth.
 struct Parser<'a> {
-    it: Chars<'a>,
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
+    /// An error message naming the current byte offset.
+    fn err(&self, what: impl std::fmt::Display) -> String {
+        format!("{what} at byte {}", self.pos)
+    }
+
     fn peek(&self) -> Option<char> {
-        self.it.clone().next()
+        match self.text.as_bytes().get(self.pos) {
+            Some(&b) if b.is_ascii() => Some(char::from(b)),
+            _ => self.text[self.pos..].chars().next(),
+        }
     }
 
     fn bump(&mut self) -> Option<char> {
-        let c = self.it.next();
+        let c = self.peek();
         if let Some(c) = c {
             self.pos += c.len_utf8();
         }
@@ -113,12 +131,12 @@ impl Parser<'_> {
     }
 
     fn expect(&mut self, c: char) -> Result<(), String> {
-        match self.bump() {
-            Some(got) if got == c => Ok(()),
-            got => Err(format!(
-                "expected '{c}' at byte {}, found {:?}",
-                self.pos, got
-            )),
+        match self.peek() {
+            Some(got) if got == c => {
+                self.bump();
+                Ok(())
+            }
+            got => Err(self.err(format_args!("expected '{c}', found {got:?}"))),
         }
     }
 
@@ -132,14 +150,25 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some(c @ ('{' | '[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format_args!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if c == '{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some('"') => Ok(Value::Str(self.string()?)),
             Some('t') => self.literal("true", Value::Bool(true)),
             Some('f') => self.literal("false", Value::Bool(false)),
             Some('n') => self.literal("null", Value::Null),
             Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
+            other => Err(self.err(format_args!("unexpected {other:?}"))),
         }
     }
 
@@ -159,11 +188,14 @@ impl Parser<'_> {
             let v = self.value()?;
             map.insert(key, v);
             self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some('}') => return Ok(Value::Obj(map)),
-                got => return Err(format!("expected ',' or '}}', found {got:?}")),
-            }
+            match self.peek() {
+                Some(',') => self.bump(),
+                Some('}') => {
+                    self.bump();
+                    return Ok(Value::Obj(map));
+                }
+                got => return Err(self.err(format_args!("expected ',' or '}}', found {got:?}"))),
+            };
         }
     }
 
@@ -178,11 +210,14 @@ impl Parser<'_> {
         loop {
             items.push(self.value()?);
             self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some(']') => return Ok(Value::Arr(items)),
-                got => return Err(format!("expected ',' or ']', found {got:?}")),
-            }
+            match self.peek() {
+                Some(',') => self.bump(),
+                Some(']') => {
+                    self.bump();
+                    return Ok(Value::Arr(items));
+                }
+                got => return Err(self.err(format_args!("expected ',' or ']', found {got:?}"))),
+            };
         }
     }
 
@@ -190,8 +225,19 @@ impl Parser<'_> {
         self.expect('"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or escape in one go (both
+            // are ASCII, so the run ends on a char boundary).
+            let start = self.pos;
+            let bytes = self.text.as_bytes();
+            while bytes
+                .get(self.pos)
+                .is_some_and(|&b| b != b'"' && b != b'\\')
+            {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.bump() {
-                None => return Err("unterminated string".to_string()),
+                None => return Err(self.err("unterminated string")),
                 Some('"') => return Ok(out),
                 Some('\\') => match self.bump() {
                     Some('"') => out.push('"'),
@@ -205,16 +251,18 @@ impl Parser<'_> {
                     Some('u') => {
                         let mut code = 0u32;
                         for _ in 0..4 {
-                            let c = self.bump().ok_or("truncated \\u escape")?;
+                            let c = self
+                                .bump()
+                                .ok_or_else(|| self.err("truncated \\u escape"))?;
                             code = code * 16
                                 + c.to_digit(16)
-                                    .ok_or_else(|| format!("bad hex digit '{c}'"))?;
+                                    .ok_or_else(|| self.err(format_args!("bad hex digit '{c}'")))?;
                         }
                         // Surrogate pairs are not produced by our writer;
                         // map lone surrogates to the replacement char.
                         out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                     }
-                    got => return Err(format!("bad escape {got:?}")),
+                    got => return Err(self.err(format_args!("bad escape {got:?}"))),
                 },
                 Some(c) => out.push(c),
             }
@@ -222,18 +270,18 @@ impl Parser<'_> {
     }
 
     fn number(&mut self) -> Result<Value, String> {
-        let mut text = String::new();
+        let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                text.push(c);
                 self.bump();
             } else {
                 break;
             }
         }
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Value::Num)
-            .map_err(|_| format!("bad number '{text}'"))
+            .map_err(|_| self.err(format_args!("bad number '{text}'")))
     }
 }
 
@@ -287,6 +335,42 @@ mod tests {
         assert_eq!(v.get("cells").unwrap().as_f64(), Some(32.0));
         assert_eq!(v.get("share").unwrap().as_f64(), Some(0.375));
         assert_eq!(v.get("list").unwrap().as_arr().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn every_error_names_its_byte_offset() {
+        for (text, at) in [
+            ("", "at byte 0"),
+            (
+                "{\"a\":1 2}",
+                "expected ',' or '}', found Some('2') at byte 7",
+            ),
+            ("[1 2]", "expected ',' or ']', found Some('2') at byte 3"),
+            ("\"abc", "unterminated string at byte 4"),
+            ("\"\\u12", "truncated \\u escape at byte 5"),
+            ("\"\\u12x4\"", "bad hex digit 'x' at byte 6"),
+            ("\"\\q\"", "bad escape Some('q') at byte 3"),
+            ("-1e", "bad number '-1e' at byte 3"),
+            ("[1] x", "trailing garbage at byte 4"),
+        ] {
+            let e = Value::parse(text).unwrap_err();
+            assert!(e.ends_with(at), "{text:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Value::parse(&deep(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            Value::parse(&deep(MAX_DEPTH + 1)).unwrap_err(),
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let objects = "{\"a\":".repeat(200_000);
+        assert!(Value::parse(&objects)
+            .unwrap_err()
+            .contains("nesting deeper"));
+        assert!(Value::parse(&deep(200_000)).is_err());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 use elsc_chaos::{FaultInjector, Oracle, OracleMode};
 use elsc_ktask::{CpuId, TaskSpec, TaskTable, Tid};
 use elsc_netsim::{Msg, PipeId, PipeTable};
-use elsc_sched_api::{CpuView, LockPlan, LockScratch, Scheduler};
-use elsc_simcore::{CostKind, CycleMeter, Cycles, EventQueue, LockModel, SimRng};
+use elsc_sched_api::{CpuView, LockModel, Scheduler};
+use elsc_simcore::{CostKind, CycleMeter, Cycles, EventQueue, SimRng};
 use elsc_stats::SchedStats;
 
 use elsc_obs::{CycleProfiler, EventBus, Phase, RingSink, Sink};
@@ -132,10 +132,9 @@ pub struct Machine {
     pub(crate) events: EventQueue<Event>,
     /// Pending events that are not ticks (deadlock detection).
     pub(crate) pending_wakeish: usize,
-    /// The locking regime in effect: the scheduler's declared plan unless
-    /// overridden by [`MachineConfig::lock_plan`].
-    pub(crate) plan: LockPlan,
-    /// The bank of run-queue lock domains (one under [`LockPlan::Global`]).
+    /// The run-queue locks, under the scheduler's declared plan unless
+    /// [`MachineConfig::lock_plan`] overrides it; lent to the scheduler
+    /// for each locked call.
     pub(crate) locks: LockModel,
     rng: SimRng,
     pub(crate) ledger: Ledger,
@@ -164,9 +163,6 @@ pub struct Machine {
     pub(crate) last_exit: Cycles,
     pub(crate) to_free: Vec<Tid>,
     pub(crate) ran: bool,
-    /// Reusable held-set/acquisition-log storage for the per-call lock
-    /// domain bookkeeping (allocation-free dispatch).
-    pub(crate) lock_scratch: LockScratch,
     /// Reusable per-wakeup CPU snapshot buffer for `reschedule_idle()`.
     pub(crate) view_scratch: Vec<CpuView>,
     /// Migration distance breakdown under a declared multi-level tree:
@@ -198,10 +194,7 @@ impl Machine {
             .collect();
         let nr_cpus = cfg.nr_cpus();
         let plan = cfg.lock_plan.unwrap_or_else(|| sched.lock_plan(nr_cpus));
-        let locks = LockModel::new(
-            plan.nr_domains(nr_cpus),
-            cfg.costs.get(CostKind::LockTransfer),
-        );
+        let locks = LockModel::new(plan, nr_cpus, cfg.costs.get(CostKind::LockTransfer));
         let bus = EventBus::new(cfg.trace_capacity);
         let injector = cfg
             .faults
@@ -222,7 +215,6 @@ impl Machine {
             cpus,
             events: EventQueue::new(),
             pending_wakeish: 0,
-            plan,
             locks,
             rng,
             ledger: Ledger::new(),
@@ -240,7 +232,6 @@ impl Machine {
             last_exit: Cycles::ZERO,
             to_free: Vec::new(),
             ran: false,
-            lock_scratch: LockScratch::default(),
             view_scratch: Vec::new(),
             topo_migrations: [0; 3],
             wall_secs: 0.0,

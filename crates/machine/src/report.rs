@@ -6,7 +6,8 @@ use std::fmt;
 use elsc_chaos::ChaosSummary;
 use elsc_obs::json::{array, num, Obj};
 use elsc_obs::{stats_json, Percentiles, ProfileReport};
-use elsc_simcore::{Cycles, DomainStats, Histogram};
+use elsc_sched_api::DomainStats;
+use elsc_simcore::{Cycles, Histogram};
 use elsc_stats::SchedStats;
 
 /// Named counters workloads increment from inside behaviours

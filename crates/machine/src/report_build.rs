@@ -36,7 +36,7 @@ impl Machine {
             ledger: self.ledger.clone(),
             lock_spin: self.locks.total_spin(),
             lock_acquisitions: self.locks.total_acquisitions(),
-            lock_plan: self.plan.label(),
+            lock_plan: self.locks.plan().label(),
             lock_domains: self.locks.domain_stats(),
             tasks_spawned: self.tasks.total_spawned() - self.cfg.nr_cpus() as u64,
             messages_read: self.pipes.total_read(),

@@ -8,7 +8,7 @@
 
 use elsc_ktask::{CpuId, SchedClass, Task, Tid};
 use elsc_obs::{ObsEvent, Phase};
-use elsc_sched_api::{DomainAcquire, DomainLocker, LockDomains, SchedCtx, Scheduler};
+use elsc_sched_api::{DomainAcquire, DomainLocker, SchedCtx, Scheduler};
 use elsc_simcore::{CostKind, CycleMeter, Cycles};
 
 use crate::engine::Event;
@@ -226,29 +226,16 @@ impl Machine {
     ) -> (R, Cycles) {
         // The home domain is taken up front, its spin charged to `cpu`.
         let home = match lock {
-            Some(queue_cpu) if self.cfg.sched.smp => {
-                let domain = self.plan.domain_for_cpu(queue_cpu, self.cfg.nr_cpus());
-                let at = self.locks.acquire(domain, t, cpu);
-                let spin = at.saturating_sub(t).get();
-                self.account_domain_acquire(cpu, DomainAcquire { domain, spin, at });
-                Some((at, domain))
-            }
+            Some(queue_cpu) if self.cfg.sched.smp => Some(self.locks.lock_home(queue_cpu, cpu, t)),
             _ => None,
         };
-        let t_acq = home.map_or(t, |(owned, _)| owned);
+        if let Some(a) = home {
+            self.account_domain_acquire(cpu, a);
+        }
+        let locked = home.is_some();
+        let t_acq = home.map_or(t, |a| a.at);
         let mut meter = CycleMeter::new();
         self.bus.set_now(t_acq);
-        let mut domains = home.map(|(_, domain)| {
-            LockDomains::new(
-                &mut self.locks,
-                self.plan,
-                self.cfg.sched.nr_cpus,
-                cpu,
-                t_acq,
-                domain,
-                &mut self.lock_scratch,
-            )
-        });
         let out = {
             let mut ctx = SchedCtx {
                 tasks: &mut self.tasks,
@@ -257,7 +244,7 @@ impl Machine {
                 costs: &self.cfg.costs,
                 cfg: &self.cfg.sched,
                 probe: Some(&mut self.bus),
-                locks: domains.as_mut().map(|d| d as &mut dyn DomainLocker),
+                locks: locked.then_some(&mut self.locks as &mut dyn DomainLocker),
             };
             f(&mut *self.sched, &mut ctx)
         };
@@ -267,21 +254,17 @@ impl Machine {
         // for the domain spins correspondingly longer — the one step here
         // that is specific to the decision path.
         let hold_extra = match self.injector.as_mut() {
-            Some(inj) if phase == Phase::Schedule && domains.is_some() => {
-                inj.lock_hold(cycles).unwrap_or(0)
-            }
+            Some(inj) if phase == Phase::Schedule && locked => inj.lock_hold(cycles).unwrap_or(0),
             _ => 0,
         };
-        // Release every held domain before any further `&mut self` work:
-        // the domain set borrows the lock bank. Mid-call spins stretch
-        // the call, so they are part of the held interval.
-        let (extra_spin, n_taken) = match domains {
-            Some(d) => {
-                let extra = d.extra_spin();
-                let taken = d.release_all(t_acq + cycles + extra + hold_extra);
-                (extra, taken.len())
-            }
-            None => (0, 0),
+        // Release every held domain. Mid-call spins stretch the call, so
+        // they are part of the held interval.
+        let (extra_spin, n_taken) = if locked {
+            let extra = self.locks.extra_spin();
+            self.locks.release_all(t_acq + cycles + extra + hold_extra);
+            (extra, self.locks.taken().len())
+        } else {
+            (0, 0)
         };
         self.charge_kernel_meter(cpu, phase, &meter);
         if hold_extra > 0 {
@@ -292,16 +275,16 @@ impl Machine {
             self.charge_kernel_raw(cpu, Phase::LockSpin, hold_extra);
         }
         for k in 0..n_taken {
-            let a = self.lock_scratch.taken()[k];
+            let a = self.locks.taken()[k];
             self.account_domain_acquire(cpu, a);
         }
         (out, t_acq + cycles + extra_spin + hold_extra)
     }
 
     /// Folds one lock-domain acquisition — the home domain, or a mid-call
-    /// one logged by [`LockDomains`] — into the stats, the profiler's
-    /// conservation total, and the trace — attributed to `cpu`, whose
-    /// call paid for the spin.
+    /// one logged in [`LockModel::taken`](elsc_sched_api::LockModel::taken)
+    /// — into the stats, the profiler's conservation total, and the trace
+    /// — attributed to `cpu`, whose call paid for the spin.
     fn account_domain_acquire(&mut self, cpu: CpuId, a: DomainAcquire) {
         let c = self.stats.cpu_mut(cpu);
         c.lock_acquisitions += 1;

@@ -18,9 +18,10 @@
 //! * [`SchedConfig`] — machine-level knobs the schedulers see (CPU count,
 //!   SMP vs UP build, ELSC search limit, declared topology tree).
 //! * [`LockPlan`] — the locking regime each scheduler declares for its
-//!   run-queue state (global, per-CPU, sharded, or per-NUMA-node), with
-//!   [`LockDomains`] handling per-call multi-domain acquisition in
-//!   `double_rq_lock` order.
+//!   run-queue state (global, per-CPU, sharded, or per-NUMA-node), and
+//!   [`LockModel`], the one model of those locks: a busy interval per
+//!   domain plus the current call's held set, taken in `double_rq_lock`
+//!   order. The machine lends it to schedulers as their [`DomainLocker`].
 //!
 //! The baseline lives in `elsc-sched-linux`, the paper's contribution in
 //! the `elsc` crate, and the §8 future-work designs in `elsc-sched-ext`;
@@ -40,6 +41,16 @@ pub use goodness::{
     topo_affinity_bonus, IDLE_GOODNESS, LLC_AFFINITY_BONUS, MM_BONUS, PACKAGE_AFFINITY_BONUS,
     PROC_CHANGE_PENALTY, RT_GOODNESS_BASE, SMT_AFFINITY_BONUS,
 };
-pub use lockplan::{DomainAcquire, DomainLocker, LockDomains, LockPlan, LockScratch};
+pub use lockplan::{DomainAcquire, DomainLocker, DomainStats, LockModel, LockPlan};
 pub use resched::{reschedule_idle, CpuView, WakeTarget};
 pub use scheduler::{LearnedInfo, PolicyLoadInfo, PolicyViolation, SchedCtx, Scheduler};
+
+// The single-lock and per-domain rules of `LockModel`, each checked on a
+// hand-computed case. The module names are those of the single-lock and
+// domain-bank models the rules were first written for.
+#[cfg(test)]
+#[path = "lock_tests/lockdomain.rs"]
+mod lockdomain;
+#[cfg(test)]
+#[path = "lock_tests/spinlock.rs"]
+mod spinlock;

@@ -5,11 +5,16 @@
 //! * a warm-cache re-run executes zero cells and produces the same
 //!   bytes;
 //! * `compare` flags an injected 10% regression at the default 5%
-//!   threshold and passes on identical manifests.
+//!   threshold and passes on identical manifests;
+//! * no mutation of a committed manifest makes the reader panic or
+//!   overflow its stack, and a cache record that does not parse is a
+//!   dirty cell, never an aborted sweep.
 
 use std::path::PathBuf;
 
+use elsc_lab::jsonv::Value;
 use elsc_lab::{compare, run_sweep, Cache, RunOptions, SweepSpec};
+use elsc_simcore::SimRng;
 
 /// A fresh, empty cache under the system temp dir.
 fn tmp_cache(tag: &str) -> Cache {
@@ -220,5 +225,102 @@ fn gooch_builtin_reproduces_the_deleted_binary() {
             "{sorted} must stay flat"
         );
     }
+    drop_cache(&cache);
+}
+
+/// `[[[…]]]` nested `n` deep.
+fn deep_array(n: usize) -> String {
+    format!("{}{}", "[".repeat(n), "]".repeat(n))
+}
+
+/// Whether `e` ends in the reader's position suffix, `at byte N`.
+fn names_byte_offset(e: &str) -> bool {
+    e.rsplit_once("at byte ")
+        .is_some_and(|(_, n)| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+}
+
+/// 20 000 `SimRng` mutations of a committed manifest — truncations, byte
+/// flips, splices and deep nesting, one to three per case — through the
+/// reader and the compare gate. Nothing panics or overflows the stack;
+/// every reader error names the byte offset it stopped at, and so does
+/// every compare error that comes from the reader (the others name the
+/// missing key of a manifest that parsed). The manifest is
+/// `BENCH_engine.json` cut to its first cell, to keep the debug-build
+/// test quick.
+#[test]
+fn mutated_manifests_are_errors_with_offsets_never_panics() {
+    let full = include_str!("../BENCH_engine.json");
+    let base = &format!("{}]}}", &full[..full.find(",{\"id\":").unwrap()]);
+    assert_eq!(compare(base, base, 0.05).unwrap().checked, 1);
+    let mut rng = SimRng::new(0x1500_F022);
+    let below = |rng: &mut SimRng, n: usize| rng.below(n.max(1) as u64) as usize;
+    let (mut parsed, mut failed) = (0, 0);
+    for case in 0..20_000 {
+        let mut text = base.as_bytes().to_vec();
+        for _ in 0..1 + below(&mut rng, 3) {
+            let at = below(&mut rng, text.len() + 1);
+            match below(&mut rng, 4) {
+                0 => text.truncate(at),
+                1 if at < text.len() => text[at] = rng.below(256) as u8,
+                2 => {
+                    let from = below(&mut rng, text.len());
+                    let len = below(&mut rng, 64).min(text.len() - from);
+                    let chunk = text[from..from + len].to_vec();
+                    text.splice(at..at, chunk);
+                }
+                _ => {
+                    let depth = if case % 1000 == 0 {
+                        200_000
+                    } else {
+                        below(&mut rng, 400)
+                    };
+                    let open = if rng.chance(0.5) { "[" } else { "{\"k\":" };
+                    text.splice(at..at, open.repeat(depth).into_bytes());
+                }
+            }
+        }
+        let text = String::from_utf8_lossy(&text);
+        match Value::parse(&text) {
+            Ok(_) => parsed += 1,
+            Err(e) => {
+                failed += 1;
+                assert!(names_byte_offset(&e), "case {case}: {e}");
+            }
+        }
+        if let Err(e) = compare(&text, base, 0.05) {
+            assert!(
+                names_byte_offset(&e) || !e.contains("manifest: "),
+                "case {case}: {e}"
+            );
+        }
+    }
+    assert!(
+        parsed > 0 && failed > 10_000,
+        "{parsed} parsed, {failed} failed"
+    );
+}
+
+/// A cache record replaced by an array nested 200 000 deep is a record
+/// that does not parse: its cell runs again, every other cell is a hit,
+/// and the manifest keeps its bytes.
+#[test]
+fn deeply_nested_cache_record_reruns_its_cell() {
+    let cache = tmp_cache("deep");
+    let opts = RunOptions {
+        workers: 1,
+        force: false,
+    };
+    let cold = run_sweep(&spec(), &cache, &opts);
+    assert!(cold.ok());
+    let cell = &cold.outcomes[3].cell;
+    let record = cache.dir().join(format!("{}.json", Cache::key(cell)));
+    assert!(record.is_file(), "the cache keeps one file per cell");
+    std::fs::write(&record, deep_array(200_000)).unwrap();
+
+    let warm = run_sweep(&spec(), &cache, &opts);
+    assert!(warm.ok());
+    assert_eq!((warm.executed, warm.cached), (1, 7));
+    assert!(!warm.outcomes[3].from_cache);
+    assert_eq!(cold.manifest().unwrap(), warm.manifest().unwrap());
     drop_cache(&cache);
 }
