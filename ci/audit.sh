@@ -42,6 +42,15 @@ rules() {
 1 1 shipped crates/machine/src  -  TaskSnap::of
 0 0 shipped crates/machine/src  -  struct (PolicyRun|LearnedRun)\b|fn eject_(policy|learned)\b
 
+# -- One supervision seam: the `Scheduler` trait is the paper's five
+# functions plus `name`, `nr_running`, `lock_plan`, `debug_check` and the
+# `supervised` accessor. What only loaded schedulers need lives on the
+# `Supervised` side-trait, and the policy's violation type in elsc-policy.
+0 0 shipped crates,examples  -  fn (loaded_info|take_violation|learned_info|take_prediction|prediction_stats)\b
+0 0 whole   crates,tests,examples  -  \b(PolicyLoadInfo|LearnedInfo)\b
+1 1 shipped crates/sched-api/src  -  pub trait Supervised\b
+0 0 shipped crates/sched-api/src  -  enum PolicyViolation\b
+
 # -- Observers follow the change log: no full invariant walk and no
 # task-table iteration per decision; the walk survives as the debug-build
 # reference the incremental path is asserted equal to.

@@ -254,7 +254,8 @@ compare options:
 
 environment (figure builtins and contention): ELSC_MESSAGES
 (messages/user, default 20), ELSC_ITERATIONS (seeds per cell, default 1;
-first discarded when > 1).
+first discarded when > 1). Anything but a whole number of at least 1 is
+bad usage.
 
 exit status: 0 all cells ran and the gate passed; 1 any cell failed,
 any regression, or any baseline cell missing; 2 bad usage.

@@ -579,6 +579,11 @@ fn main() {
             print!("{}", lab::LAB_USAGE);
             return;
         }
+        // The builtins read two environment knobs; a bad one is bad usage.
+        if let Err(e) = elsc_lab::SweepSpec::check_env() {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
         if let Err(e) = lab::run_lab(&a) {
             eprintln!("error: {e}");
             std::process::exit(1);

@@ -135,6 +135,41 @@ fn cpu_counts_that_overflow_or_cannot_be_allocated_are_rejected() {
     );
 }
 
+/// The lab builtins' two environment knobs: `ELSC_MESSAGES=0` panicked
+/// (exit 101, "builtin specs always parse") and `ELSC_MESSAGES=abc` ran
+/// and cached the default 20 messages as if asked for. Every refused
+/// value is one line naming the variable, with the lab's usage exit
+/// code, before any cell runs.
+#[test]
+fn a_malformed_lab_environment_knob_is_bad_usage() {
+    let cache = std::env::temp_dir().join(format!("elsc-lab-knobs-{}", std::process::id()));
+    for (var, value) in [
+        ("ELSC_MESSAGES", "0"),
+        ("ELSC_MESSAGES", "abc"),
+        ("ELSC_ITERATIONS", "0"),
+        ("ELSC_ITERATIONS", "abc"),
+        ("ELSC_ITERATIONS", "99999999999999999999"),
+        ("ELSC_ITERATIONS", "100000"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_elsc-sim"))
+            .args(["lab", "sweep", "--spec", "figure3", "--cache-dir"])
+            .arg(&cache)
+            .arg("--out")
+            .arg(cache.join("m.json"))
+            .env(var, value)
+            .output()
+            .expect("elsc-sim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{var}={value}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{var}={value}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {var}={value}: ")),
+            "{var}={value}: {stderr}"
+        );
+        assert!(!cache.exists(), "{var}={value}: nothing ran");
+    }
+}
+
 /// `--trace-out` onto a device that takes no bytes: the report still
 /// prints, and the lost lines are the exit code — not a truncated file
 /// and exit 0.

@@ -428,10 +428,38 @@ impl SweepSpec {
     /// environment knobs: `ELSC_MESSAGES` (messages per user, default 20)
     /// and `ELSC_ITERATIONS` (seeds per cell, default 1; the first run
     /// is discarded as warm-up when more than one, per §6).
+    ///
+    /// # Panics
+    ///
+    /// On a knob [`check_env`](Self::check_env) refuses.
     pub fn builtin(name: &str) -> Option<SweepSpec> {
-        let mut spec: SweepSpec = builtin_text(name)?
-            .parse()
-            .expect("builtin specs always parse");
+        let knobs = env_knobs().unwrap_or_else(|e| panic!("{e}"));
+        SweepSpec::builtin_with(name, knobs).map(|spec| spec.unwrap_or_else(|e| panic!("{e}")))
+    }
+
+    /// Checks the two environment knobs the builtins read: each is unset
+    /// or a whole number of at least 1, and every builtin parses under
+    /// them.
+    ///
+    /// # Errors
+    ///
+    /// The first refusal, as one line naming the variable.
+    pub fn check_env() -> Result<(), String> {
+        let knobs = env_knobs()?;
+        for name in SweepSpec::BUILTINS {
+            SweepSpec::builtin_with(name, knobs).expect("every listed builtin has a text")?;
+        }
+        Ok(())
+    }
+
+    /// Builtin `name` under the knob values `(messages, iterations)`.
+    /// `Err` only when so many iterations take its grid past
+    /// [`MAX_CELLS`].
+    fn builtin_with(name: &str, knobs: (u64, u64)) -> Option<Result<SweepSpec, String>> {
+        let mut spec: SweepSpec = match builtin_text(name, knobs)?.parse() {
+            Ok(spec) => spec,
+            Err(e) => return Some(Err(format!("ELSC_ITERATIONS={}: {name}: {e}", knobs.1))),
+        };
         // The bundled programs and models are embedded at compile time so
         // these builtins work from any working directory; spec *files*
         // can instead say `sched = policy:policies/rr.pol` or
@@ -469,7 +497,7 @@ impl SweepSpec {
             }
             _ => {}
         }
-        Some(spec)
+        Some(Ok(spec))
     }
 
     /// Names of every builtin spec, in `--all-figures` run order
@@ -497,12 +525,11 @@ impl SweepSpec {
     ];
 }
 
-/// The spec text of builtin `name` (`policy` and `learn` then replace
-/// the scheduler axis with their embedded programs and models).
-fn builtin_text(name: &str) -> Option<String> {
-    let messages = env_u64("ELSC_MESSAGES", 20);
-    let iterations = env_u64("ELSC_ITERATIONS", 1).max(1);
-    let seeds = format!("{BASE_SEED}..{}", BASE_SEED + iterations);
+/// The spec text of builtin `name` under the knob values `(messages,
+/// iterations)` (`policy` and `learn` then replace the scheduler axis
+/// with their embedded programs and models).
+fn builtin_text(name: &str, (messages, iterations): (u64, u64)) -> Option<String> {
+    let seeds = format!("{BASE_SEED}..{}", BASE_SEED.saturating_add(iterations));
     Some(match name {
         // Tiny grid for CI smoke runs and the committed baseline:
         // cold-cache seconds, every scheduler exercised.
@@ -696,12 +723,22 @@ fn builtin_text(name: &str) -> Option<String> {
     })
 }
 
-/// Reads a `u64` environment knob with a default.
-fn env_u64(var: &str, default: u64) -> u64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The builtins' environment knobs, `(ELSC_MESSAGES, ELSC_ITERATIONS)`,
+/// at `(20, 1)` when unset. Anything but a whole number of at least 1 is
+/// an error naming the variable.
+fn env_knobs() -> Result<(u64, u64), String> {
+    let count = |var: &str, default: u64| match std::env::var_os(var) {
+        None => Ok(default),
+        Some(raw) => raw
+            .to_str()
+            .and_then(|v| v.parse().ok())
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| {
+                let raw = raw.to_string_lossy();
+                format!("{var}={raw}: expected a whole number of at least 1")
+            }),
+    };
+    Ok((count("ELSC_MESSAGES", 20)?, count("ELSC_ITERATIONS", 1)?))
 }
 
 #[cfg(test)]
@@ -838,9 +875,10 @@ mod tests {
         use elsc_simcore::SimRng;
         const ALPHABET: &[u8] = b"0123456789.,=#\n PNCT";
         const SPLICES: [&[u8]; 3] = [b"18446744073709551615", b"..", b", 0..4294967296"];
+        let knobs = env_knobs().expect("valid or unset knobs");
         let texts: Vec<String> = SweepSpec::BUILTINS
             .iter()
-            .map(|name| builtin_text(name).expect("every builtin has text"))
+            .map(|name| builtin_text(name, knobs).expect("every builtin has text"))
             .collect();
         let mut rng = SimRng::new(0x5EC_F022);
         let mut pick = |n: usize| rng.below(n as u64) as usize;

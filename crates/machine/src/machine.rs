@@ -176,7 +176,7 @@ pub struct Machine {
 
 impl Machine {
     /// Builds a machine with the given configuration and scheduler.
-    pub fn new(cfg: MachineConfig, sched: Box<dyn Scheduler>) -> Machine {
+    pub fn new(cfg: MachineConfig, mut sched: Box<dyn Scheduler>) -> Machine {
         let mut tasks = TaskTable::new();
         let mut runs: Vec<Option<TaskRun>> = Vec::new();
         let mut rng = SimRng::new(cfg.seed);
@@ -204,7 +204,7 @@ impl Machine {
             .oracle
             .then(|| Oracle::new(OracleMode::for_scheduler(sched.name())));
         let tracer = cfg.decision_trace.then(DecisionTracer::default);
-        let supervision = Supervision::of(&*sched);
+        let supervision = Supervision::of(&mut *sched);
         Machine {
             cfg,
             tasks,
@@ -1072,7 +1072,7 @@ mod trace_tests {
 #[cfg(test)]
 mod policy_tests {
     use super::*;
-    use crate::behavior::{Op, Script};
+    use crate::behavior::{Op, Script, SpawnReq};
     use elsc_ktask::MmId;
     use elsc_obs::ObsEvent;
     use elsc_policy::PolicyScheduler;
@@ -1168,6 +1168,82 @@ mod policy_tests {
         assert!(p.ejected);
         assert_eq!(p.eject_reason, Some("budget_exhausted"));
         assert_eq!(p.budget, 64);
+    }
+
+    #[test]
+    fn the_policy_tick_hook_forces_reschedules_until_the_policy_is_ejected() {
+        // The tick hook zeroes the running task's counter, so only the
+        // machine's re-check after the hook can see an expired quantum
+        // on the first tick; the pick_next hook starves the queue once
+        // the forked tasks arrive, so the watchdog ejects the policy mid-run.
+        let src = "policy zap\nlists 1\nhook enqueue { enqueue_front(0) }\n\
+                   hook tick { set_counter(task, 0) }\n\
+                   hook pick_next {\n  if nr_running > 3 { pick idle }\n\
+                   let best = idle\n  let c = -1000\n\
+                   if runnable(prev) { c = prev_goodness()\n best = prev }\n\
+                   foreach t in list(0) { if can_schedule(t) {\n\
+                   let g = goodness(t)\n if g > c { c = g\n best = t } } }\n\
+                   if c == 0 { recalc() }\n  pick best\n}\n";
+        let tick = MachineConfig::up().tick_cycles;
+        let run = |hog_ticks: u64| {
+            let cfg = MachineConfig::up().with_max_secs(50.0).with_trace(100_000);
+            let mut m = Machine::new(cfg, policy(src, 1));
+            let hogs = [1, 2].map(|mm| {
+                let work = Op::compute(hog_ticks * tick, Syscall::Nop);
+                m.spawn(
+                    &TaskSpec::named("hog").mm(MmId(mm)),
+                    Box::new(Script::new(vec![work])),
+                )
+            });
+            // Twenty ticks in, a third task wakes and forks two more.
+            let fork = |mm| {
+                Syscall::Spawn(Box::new(SpawnReq {
+                    spec: TaskSpec::named("child").mm(MmId(mm)),
+                    behavior: Box::new(Script::new(vec![Op::compute(10_000, Syscall::Nop)])),
+                }))
+            };
+            let ops = vec![
+                Op::sleep_after(1_000, 20 * tick),
+                Op::compute(1_000, fork(4)),
+                Op::compute(1_000, fork(5)),
+            ];
+            m.spawn(
+                &TaskSpec::named("parent").mm(MmId(3)),
+                Box::new(Script::new(ops)),
+            );
+            let r = m.run().expect("the baseline takes over and finishes");
+            let p = r.policy.clone().expect("policy summary present");
+            assert_eq!(p.eject_reason, Some("starvation"));
+            let at = p.ejected_at.expect("ejected");
+            // Hog-to-hog switches per tick, before and after ejection.
+            let rate = |before: bool| {
+                let swaps = m.trace().records().iter().filter(|rec| {
+                    (rec.at < at) == before
+                        && matches!(rec.event, ObsEvent::Switch { from, to, .. }
+                            if hogs.contains(&from) && hogs.contains(&to))
+                });
+                let span = if before {
+                    at.get()
+                } else {
+                    r.elapsed.get() - at.get()
+                };
+                swaps.count() as f64 * tick as f64 / span as f64
+            };
+            (p.insns_executed, at, rate(true), rate(false))
+        };
+        let (insns, at, before, after) = run(100);
+        assert!(insns > 0);
+        assert!(
+            before > 0.25,
+            "every tick zeroes the quantum: {before} swaps/tick"
+        );
+        assert!(
+            after < 0.1,
+            "the baseline runs whole quanta: {after} swaps/tick"
+        );
+        // A longer run after the ejection runs no more policy code.
+        let (longer_insns, longer_at, _, _) = run(200);
+        assert_eq!((longer_insns, longer_at), (insns, at));
     }
 
     #[test]

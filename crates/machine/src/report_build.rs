@@ -8,7 +8,7 @@ use crate::report::{EngineSummary, RunReport, TopologySummary};
 
 impl Machine {
     /// Renders the report of a finished (or failed) run.
-    pub(crate) fn report(&self) -> RunReport {
+    pub(crate) fn report(&mut self) -> RunReport {
         debug_assert_eq!(
             self.kernel_cycles,
             self.profiler.total(),
@@ -19,7 +19,7 @@ impl Machine {
         let (policy, learned) = self
             .supervision
             .as_ref()
-            .map_or((None, None), |s| s.summaries(&*self.sched));
+            .map_or((None, None), |s| s.summaries(&mut *self.sched));
         RunReport {
             // An ejected policy or learned run still reports under its
             // original name: the run *was* that scheduler plus its
@@ -27,7 +27,7 @@ impl Machine {
             scheduler: self
                 .supervision
                 .as_ref()
-                .map_or_else(|| self.sched.name(), |s| s.name()),
+                .map_or_else(|| self.sched.name(), |s| s.load.name()),
             config: self.cfg.label(),
             seed: self.cfg.seed,
             elapsed: self.last_exit,

@@ -78,18 +78,16 @@ impl Machine {
             if quantum_expired(task) {
                 self.cpus[cpu].need_resched = true;
             }
-            // Policy tick hook: runs after the machine's own quantum
-            // bookkeeping, in interrupt context — no run-queue lock, and
-            // its cycles are attributed without advancing the clock.
-            // Gated on an active loaded policy, so native runs never see
-            // the extra call.
-            if self
-                .supervision
-                .as_ref()
-                .is_some_and(Supervision::runs_tick_hook)
-            {
+            // The loaded scheduler's tick hook: runs after the machine's
+            // own quantum bookkeeping, in interrupt context — no run-queue
+            // lock, and its cycles are attributed without advancing the
+            // clock. Gated on a live supervised scheduler, so native runs
+            // never see the extra call.
+            if self.supervision.as_ref().is_some_and(Supervision::live) {
                 self.sched_call(None, cpu, now, Phase::Schedule, |sched, ctx| {
-                    sched.on_tick(ctx, cpu, cur)
+                    if let Some(s) = sched.supervised() {
+                        s.on_tick(ctx, cpu, cur);
+                    }
                 });
                 // The hook may have zeroed the running task's counter;
                 // honour the expired quantum exactly as above.
@@ -200,7 +198,7 @@ impl Machine {
         self.observe_after(view, next, t_done);
         // 5. Supervision: a misbehaving policy or model is ejected here;
         //    the pick for this decision stands.
-        self.supervise(cpu, next == idle, t_done);
+        self.supervise(cpu, t_done);
         // 6. Commit: switch contexts.
         self.cpus[cpu].need_resched = false;
         self.cpus[cpu].gen += 1; // cancel any outstanding Resume

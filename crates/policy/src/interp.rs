@@ -10,11 +10,12 @@
 //! effects) are the ones in [`crate::sched`] that the VM itself calls.
 
 use elsc_ktask::{Lists, Tid};
-use elsc_sched_api::{PolicyViolation, SchedCtx};
+use elsc_sched_api::SchedCtx;
 
 use crate::ast::{Block, Builtin, Expr, Stmt};
 use crate::sched::{
-    binop, host_call, recalc_effect, set_counter_effect, wrap_list, Env, HookRun, Val,
+    binop, host_call, recalc_effect, set_counter_effect, wrap_list, Env, HookRun, PolicyViolation,
+    Val,
 };
 
 /// How a statement sequence ended.

@@ -73,7 +73,7 @@ pub use ast::{Block, Expr, HookKind, ListsDecl, Program, Span, Stmt};
 pub use bytecode::{Chunk, CompiledPolicy, Insn, Op};
 pub use compile::compile;
 pub use parse::parse;
-pub use sched::{PolicyScheduler, DEFAULT_BUDGET};
+pub use sched::{PolicyScheduler, PolicyViolation, DEFAULT_BUDGET};
 pub use verify::verify;
 
 use core::fmt;

@@ -22,14 +22,15 @@
 //!   running elsewhere); an illegal pick becomes
 //!   [`PolicyViolation::BadPick`] plus a safe fallback.
 //!
-//! The machine polls [`Scheduler::take_violation`] after every decision
-//! and ejects a violating policy (see the machine crate's watchdog).
+//! The host also judges starvation (idle picked while a runnable task no
+//! CPU holds waits in the list bank). The machine reads the violation or
+//! that judgement through [`Supervised::take_verdict`] after every
+//! decision and ejects the policy (see the machine crate's watchdog).
 
 use elsc_ktask::{CpuId, Lists, MmId, TaskTable, Tid};
 use elsc_obs::ObsEvent;
 use elsc_sched_api::{
-    frame, goodness_ignoring_yield, PolicyLoadInfo, PolicyViolation, SchedCtx, Scheduler,
-    IDLE_GOODNESS,
+    frame, goodness_ignoring_yield, Load, SchedCtx, Scheduler, Supervised, Verdict, IDLE_GOODNESS,
 };
 use elsc_simcore::CostKind;
 
@@ -43,6 +44,39 @@ use crate::PolicyError;
 /// plus a handful per scanned task) while still bounding a runaway
 /// `foreach`-over-everything hook to something finite.
 pub const DEFAULT_BUDGET: u64 = 65_536;
+
+/// A safety violation a loaded policy committed. The policy runtime has
+/// already substituted a safe decision; the machine's watchdog ejects
+/// the policy on its [`label`](PolicyViolation::label).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PolicyViolation {
+    /// A hook exceeded the per-decision instruction budget and was
+    /// aborted; the policy runtime substituted a safe default.
+    BudgetExhausted {
+        /// Instructions executed when the budget tripped.
+        insns: u64,
+        /// The budget that was in force.
+        budget: u64,
+    },
+    /// `pick_next` chose a task that is not legally runnable on this CPU
+    /// (not on the run queue, blocked, or running elsewhere).
+    BadPick,
+    /// The policy corrupted its own bookkeeping (host-side list state
+    /// desynchronized); the policy runtime recovered but the program is
+    /// untrustworthy.
+    StateCorrupt,
+}
+
+impl PolicyViolation {
+    /// Static label used in obs events and reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            PolicyViolation::BudgetExhausted { .. } => "budget_exhausted",
+            PolicyViolation::BadPick => "bad_pick",
+            PolicyViolation::StateCorrupt => "state_corrupt",
+        }
+    }
+}
 
 /// One runtime value: the IR is two-typed. The VM's registers hold
 /// `Val`s.
@@ -66,7 +100,9 @@ pub(crate) struct Env {
     pub(crate) nr_cpus: usize,
 }
 
-/// What one hook invocation produced.
+/// What one hook invocation produced (the default: an undefined hook's
+/// no-op run).
+#[derive(Default)]
 pub(crate) struct HookRun {
     /// IR nodes executed (also charged as `PolicyInsn` by the caller).
     pub(crate) insns: u64,
@@ -80,19 +116,6 @@ pub(crate) struct HookRun {
     pub(crate) requeued: Vec<Tid>,
     /// Why the hook aborted, if it did.
     pub(crate) violation: Option<PolicyViolation>,
-}
-
-impl HookRun {
-    /// The no-op run of an undefined hook.
-    pub(crate) fn empty() -> HookRun {
-        HookRun {
-            insns: 0,
-            picked: None,
-            placed: None,
-            requeued: Vec::new(),
-            violation: None,
-        }
-    }
 }
 
 /// Maps a list-index value into the bank (total semantics: modulo). An
@@ -321,6 +344,8 @@ pub struct PolicyScheduler {
     budget: u64,
     insns_total: u64,
     violation: Option<PolicyViolation>,
+    /// The last decision picked idle over queued, unclaimed work.
+    starving: bool,
 }
 
 impl PolicyScheduler {
@@ -352,6 +377,7 @@ impl PolicyScheduler {
             budget: DEFAULT_BUDGET,
             insns_total: 0,
             violation: None,
+            starving: false,
         })
     }
 
@@ -384,11 +410,6 @@ impl PolicyScheduler {
         &self.compiled
     }
 
-    /// The verified program.
-    pub fn program(&self) -> &Program {
-        &self.prog
-    }
-
     /// Collects list `h` front to back (tests and examples).
     pub fn queue_order(&self, tasks: &TaskTable, h: usize) -> Vec<u32> {
         self.lists.collect(tasks, h)
@@ -415,7 +436,7 @@ impl PolicyScheduler {
         if self.reference {
             return match self.prog.hook(hook) {
                 Some(block) => crate::interp::run_block(block, &self.lists, ctx, env, self.budget),
-                None => HookRun::empty(),
+                None => HookRun::default(),
             };
         }
         // The compiler emits a chunk exactly for each defined hook.
@@ -428,7 +449,7 @@ impl PolicyScheduler {
                 self.budget,
                 &mut self.vm_state,
             ),
-            None => HookRun::empty(),
+            None => HookRun::default(),
         }
     }
 
@@ -627,7 +648,16 @@ impl Scheduler for PolicyScheduler {
         }
         self.vm_state.reclaim(run.requeued);
 
-        frame::commit(ctx, cpu, prev, next, idle)
+        let next = frame::commit(ctx, cpu, prev, next, idle);
+        // The watchdog's starvation judgement: idle picked while a
+        // runnable task no CPU holds waits in the bank (the SMP scan
+        // filter skips exactly the tasks some CPU holds).
+        self.starving = next == idle
+            && (0..self.lists.nr_lists()).any(|h| {
+                frame::schedulable(&self.lists, h, ctx.tasks, true, prev)
+                    .any(|t| t.state.is_runnable())
+            });
+        next
     }
 
     fn nr_running(&self) -> usize {
@@ -646,16 +676,44 @@ impl Scheduler for PolicyScheduler {
         );
     }
 
-    fn loaded_info(&self) -> Option<PolicyLoadInfo> {
-        Some(PolicyLoadInfo {
+    fn supervised(&mut self) -> Option<&mut dyn Supervised> {
+        Some(self)
+    }
+}
+
+impl Supervised for PolicyScheduler {
+    fn load(&self) -> Load {
+        Load::Policy {
             name: self.name,
             static_insns: self.prog.total_static_insns(),
             budget: self.budget,
-        })
+        }
     }
 
-    fn take_violation(&mut self) -> Option<PolicyViolation> {
-        self.violation.take()
+    /// A contract violation (budget blowout, illegal pick, corrupted
+    /// state) breaks the policy at once; starving the queue is bad.
+    fn take_verdict(&mut self) -> Verdict {
+        match self.violation.take() {
+            Some(v) => Verdict::Broken(v.label()),
+            None if self.starving => Verdict::Bad("starvation"),
+            None => Verdict::Sound,
+        }
+    }
+
+    fn counters(&self) -> [u64; 2] {
+        [self.insns_total, 0]
+    }
+
+    fn on_tick(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, current: Tid) {
+        if self.prog.hook(HookKind::Tick).is_none() {
+            return;
+        }
+        let mut env = self.env(cpu);
+        env.task = Some(current);
+        let run = self.run_hook(HookKind::Tick, ctx, env);
+        if let Some(v) = run.violation {
+            self.note_violation(ctx, cpu, v);
+        }
     }
 
     fn drain(&mut self, ctx: &mut SchedCtx<'_>) -> Vec<Tid> {
@@ -670,22 +728,6 @@ impl Scheduler for PolicyScheduler {
         }
         self.nr_running = 0;
         out
-    }
-
-    fn policy_insns_executed(&self) -> u64 {
-        self.insns_total
-    }
-
-    fn on_tick(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, current: Tid) {
-        if self.prog.hook(HookKind::Tick).is_none() {
-            return;
-        }
-        let mut env = self.env(cpu);
-        env.task = Some(current);
-        let run = self.run_hook(HookKind::Tick, ctx, env);
-        if let Some(v) = run.violation {
-            self.note_violation(ctx, cpu, v);
-        }
     }
 }
 
@@ -894,8 +936,8 @@ mod tests {
         }
         assert_eq!(cv, ci);
         assert_eq!(
-            vm.sched.policy_insns_executed(),
-            interp.sched.policy_insns_executed(),
+            vm.sched.counters()[0],
+            interp.sched.counters()[0],
             "PolicyInsn totals must match exactly"
         );
         assert_eq!(
@@ -921,8 +963,8 @@ mod tests {
                     let next = rig.schedule(0, rig.idle);
                     (
                         next.index(),
-                        rig.sched.take_violation(),
-                        rig.sched.policy_insns_executed(),
+                        rig.sched.violation.take(),
+                        rig.sched.counters()[0],
                         rig.stats.cpu(0).tasks_examined,
                         rig.meter.take(),
                     )
@@ -978,7 +1020,7 @@ mod tests {
             assert_eq!((now.as_ptr(), now.capacity()), buf, "step {step}");
         }
         assert!(wakeups > 1_000, "enqueue hooks interleaved ({wakeups})");
-        assert_eq!(rig.sched.take_violation(), None);
+        assert_eq!(rig.sched.violation.take(), None);
     }
 
     #[test]
@@ -989,7 +1031,7 @@ mod tests {
             let mut rig = Rig::new(SchedConfig::up(), sched.with_budget(64));
             rig.spawn("w");
             rig.schedule(0, rig.idle);
-            rig.sched.take_violation()
+            rig.sched.violation.take()
         };
         let vm = mk(policy(src, 1));
         assert_eq!(
@@ -1019,7 +1061,7 @@ mod tests {
             ic > nc,
             "interpreted decision ({ic}) must cost more than native ({nc})"
         );
-        assert!(interp.sched.policy_insns_executed() > 0);
+        assert!(interp.sched.counters()[0] > 0);
     }
 
     #[test]
@@ -1049,7 +1091,34 @@ mod tests {
         let next = rig.schedule(0, rig.idle);
         assert_eq!(next, rig.idle, "starve.pol always picks idle");
         // Per-decision it is legal; only the machine watchdog catches it.
-        assert_eq!(rig.sched.take_violation(), None);
+        assert_eq!(rig.sched.violation.take(), None);
+    }
+
+    /// The host's own starvation judgement: idle picked while a runnable
+    /// task no CPU holds waits in the bank is bad; idle over a queue whose
+    /// only task runs elsewhere is sound; a latched violation outranks
+    /// both.
+    #[test]
+    fn verdict_judges_starvation_from_the_list_bank() {
+        let mut rig = Rig::new(SchedConfig::up(), policy(STARVE_POL, 1));
+        rig.spawn("w");
+        rig.schedule(0, rig.idle);
+        assert_eq!(rig.sched.take_verdict(), Verdict::Bad("starvation"));
+
+        let mut rig = Rig::new(SchedConfig::smp(2), policy(STARVE_POL, 2));
+        let w = rig.spawn("w");
+        rig.tasks.task_mut(w).has_cpu = true; // running on the other CPU
+        rig.schedule(0, rig.idle);
+        assert_eq!(rig.sched.take_verdict(), Verdict::Sound);
+
+        let src = "policy badprev\nlists 1\nhook pick_next { pick prev }";
+        let mut rig = Rig::new(SchedConfig::up(), policy(src, 1));
+        let a = rig.spawn("a");
+        rig.spawn("b");
+        rig.tasks.task_mut(a).has_cpu = true;
+        rig.tasks.task_mut(a).state = TaskState::Interruptible;
+        assert_eq!(rig.schedule(0, a), rig.idle);
+        assert_eq!(rig.sched.take_verdict(), Verdict::Broken("bad_pick"));
     }
 
     #[test]
@@ -1064,12 +1133,12 @@ mod tests {
         let next = rig.schedule(0, rig.idle);
         // Fallback: prev (= idle here) not runnable as a worker → idle.
         assert_eq!(next, rig.idle);
-        let v = rig.sched.take_violation();
+        let v = rig.sched.violation.take();
         assert!(
             matches!(v, Some(PolicyViolation::BudgetExhausted { budget: 64, .. })),
             "expected budget violation, got {v:?}"
         );
-        assert_eq!(rig.sched.take_violation(), None, "take clears it");
+        assert_eq!(rig.sched.violation.take(), None, "take clears it");
         let _ = w;
     }
 
@@ -1084,7 +1153,7 @@ mod tests {
         rig.tasks.task_mut(a).state = TaskState::Interruptible;
         let next = rig.schedule(0, a);
         assert_eq!(next, rig.idle, "fallback for a blocked prev is idle");
-        assert_eq!(rig.sched.take_violation(), Some(PolicyViolation::BadPick));
+        assert_eq!(rig.sched.violation.take(), Some(PolicyViolation::BadPick));
         let _ = b;
     }
 
@@ -1153,7 +1222,7 @@ mod tests {
         let before = rig.tasks.task(a).counter;
         rig.with(|s, ctx| s.on_tick(ctx, 0, a));
         assert_eq!(rig.tasks.task(a).counter, before + 2);
-        assert!(rig.sched.policy_insns_executed() > 0);
+        assert!(rig.sched.counters()[0] > 0);
     }
 
     #[test]
@@ -1174,11 +1243,18 @@ mod tests {
 
     #[test]
     fn loaded_info_reports_name_and_budget() {
-        let sched = policy(REG_POL, 1).with_budget(1234);
-        let info = sched.loaded_info().unwrap();
-        assert_eq!(info.name, "policy:reg");
-        assert_eq!(info.budget, 1234);
-        assert!(info.static_insns > 0);
+        let mut sched = policy(REG_POL, 1).with_budget(1234);
+        let Some(Load::Policy {
+            name,
+            static_insns,
+            budget,
+        }) = sched.supervised().map(|s| s.load())
+        else {
+            panic!("a policy reports a policy load");
+        };
+        assert_eq!(name, "policy:reg");
+        assert_eq!(budget, 1234);
+        assert!(static_insns > 0);
     }
 
     #[test]

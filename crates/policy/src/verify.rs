@@ -18,8 +18,8 @@
 //!   every path, and a defined `enqueue` hook provably executes a
 //!   placement, so the host never has to guess.
 //!
-//! Verification also fills [`Program::static_insns`], which the
-//! interpreter reports through `PolicyLoadInfo` and the machine announces
+//! Verification also fills [`Program::static_insns`], which the policy
+//! scheduler reports through `Supervised::load` and the machine announces
 //! on the observability bus.
 
 use crate::ast::{BinOp, Block, Builtin, Expr, HookKind, HostFn, Program, Span, Stmt};

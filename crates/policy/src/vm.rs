@@ -29,13 +29,13 @@
 //! order, of the interpreter's entry-time snapshot.
 
 use elsc_ktask::{Lists, Tid};
-use elsc_sched_api::{goodness_ignoring_yield, PolicyViolation, SchedCtx};
+use elsc_sched_api::{goodness_ignoring_yield, SchedCtx};
 
 use crate::ast::HostFn;
 use crate::bytecode::{Chunk, Op, BINOPS, BUILTIN_REGS, HOSTFNS, NO_ARG};
 use crate::sched::{
     binop, charge_goodness_eval, host_call, recalc_effect, scan_filter_pred, set_counter_effect,
-    wrap_list, Env, HookRun, Val,
+    wrap_list, Env, HookRun, PolicyViolation, Val,
 };
 
 /// Reusable VM execution state, persisted in the scheduler across hook

@@ -13,7 +13,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use elsc_policy::{load_str, PolicyScheduler};
-use elsc_sched_api::Scheduler;
+use elsc_sched_api::{Load, Scheduler};
 use elsc_simcore::SimRng;
 
 fn policies_dir() -> PathBuf {
@@ -49,11 +49,22 @@ fn every_bundled_policy_loads_and_builds_a_scheduler() {
         let prog = load_str(src).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(prog.total_static_insns() > 0, "{name}: empty program?");
         for nr_cpus in [1usize, 2, 4] {
-            let sched =
+            let mut sched =
                 PolicyScheduler::new(prog.clone(), nr_cpus).expect("verified programs compile");
-            let info = sched.loaded_info().expect("policies report load info");
-            assert!(info.name.starts_with("policy:"), "{name}");
-            assert!(info.budget > 0, "{name}");
+            let load = sched
+                .supervised()
+                .expect("policies report load info")
+                .load();
+            let Load::Policy {
+                name: reported,
+                budget,
+                ..
+            } = load
+            else {
+                panic!("{name}: a policy reports a policy load, got {load:?}");
+            };
+            assert!(reported.starts_with("policy:"), "{name}");
+            assert!(budget > 0, "{name}");
         }
     }
 }

@@ -22,7 +22,7 @@ use elsc_machine::behavior::Script;
 use elsc_machine::{Machine, MachineConfig, Op, RunReport};
 use elsc_netsim::Msg;
 use elsc_policy::{load_str, HookKind, PolicyScheduler, Program, DEFAULT_BUDGET};
-use elsc_sched_api::{SchedConfig, SchedCtx, Scheduler};
+use elsc_sched_api::{SchedConfig, SchedCtx, Scheduler, Supervised, Verdict};
 use elsc_simcore::{CostModel, CycleMeter, SimRng};
 use elsc_stats::SchedStats;
 
@@ -186,13 +186,16 @@ fn drive(prog: &Program, reference: bool, budget: u64, steps: u32) -> Trace {
             &mut |s, ctx| s.schedule(ctx, 0, prev, idle),
         );
         picks.push(current.index());
-        violations.push(sched.take_violation().map(|v| v.label()));
+        violations.push(match sched.take_verdict() {
+            Verdict::Broken(label) => Some(label),
+            _ => None,
+        });
     }
     let s = stats.cpu(0);
     Trace {
         picks,
         violations,
-        insns: sched.policy_insns_executed(),
+        insns: sched.counters()[0],
         tasks_examined: s.tasks_examined,
         recalc_entries: s.recalc_entries,
         idle_scheduled: s.idle_scheduled,

@@ -9,6 +9,10 @@
 //! * [`Scheduler`] — the five entry points the kernel exposes:
 //!   `add_to_runqueue`, `del_from_runqueue`, `move_first_runqueue`,
 //!   `move_last_runqueue`, and `schedule` itself.
+//! * [`Supervised`] — what a *loaded* scheduler (a `.pol` policy, a
+//!   learned model) adds, reached through [`Scheduler::supervised`]: its
+//!   [`Load`] facts, a [`Verdict`] on each decision, report counters, the
+//!   tick hook, and the drain the machine's watchdog ejects it with.
 //! * [`frame`] — the parts of `schedule()` the paper left alone (entry,
 //!   `prev` handling, the recalculation loop, the `has_cpu` hand-over)
 //!   and the baseline's run-list goodness scan, written once for every
@@ -43,7 +47,7 @@ pub use goodness::{
 };
 pub use lockplan::{DomainAcquire, DomainLocker, DomainStats, LockModel, LockPlan};
 pub use resched::{reschedule_idle, CpuView, WakeTarget};
-pub use scheduler::{LearnedInfo, PolicyLoadInfo, PolicyViolation, SchedCtx, Scheduler};
+pub use scheduler::{Load, SchedCtx, Scheduler, Supervised, Verdict};
 
 // The single-lock and per-domain rules of `LockModel`, each checked on a
 // hand-computed case. The module names are those of the single-lock and

@@ -69,68 +69,6 @@ impl SchedCtx<'_> {
     }
 }
 
-/// Metadata a loaded `.pol` policy reports to the machine, so the
-/// machine can announce it on the observability bus at boot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PolicyLoadInfo {
-    /// The policy's declared name (leaked to `'static` at load time).
-    pub name: &'static str,
-    /// Static instruction count across all hooks (the verifier's budget
-    /// accounting).
-    pub static_insns: u64,
-    /// The runtime per-decision instruction budget in force.
-    pub budget: u64,
-}
-
-/// Metadata a learned scheduler (`learned:<model>`, see `elsc-learn`)
-/// reports to the machine, so the machine can announce the model at boot
-/// and run the accuracy watchdog over it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LearnedInfo {
-    /// The scheduler's reported name (`learned:<model stem>`, leaked to
-    /// `'static` at load time).
-    pub name: &'static str,
-    /// Model architecture label (`"logreg"` or `"mlp"`).
-    pub arch: &'static str,
-}
-
-/// A safety violation a loaded `.pol` policy committed, reported to the
-/// machine's watchdog.
-///
-/// Native schedulers never produce these; the defaulted
-/// [`Scheduler::take_violation`] returns `None`. The machine reacts by
-/// *ejecting* the policy: swapping in the vanilla baseline scheduler and
-/// emitting `PolicyEjected` on the observability bus.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PolicyViolation {
-    /// A hook exceeded the per-decision instruction budget and was
-    /// aborted; the policy runtime substituted a safe default.
-    BudgetExhausted {
-        /// Instructions executed when the budget tripped.
-        insns: u64,
-        /// The budget that was in force.
-        budget: u64,
-    },
-    /// `pick_next` chose a task that is not legally runnable on this CPU
-    /// (not on the run queue, blocked, or running elsewhere).
-    BadPick,
-    /// The policy corrupted its own bookkeeping (host-side list state
-    /// desynchronized); the policy runtime recovered but the program is
-    /// untrustworthy.
-    StateCorrupt,
-}
-
-impl PolicyViolation {
-    /// Static label used in obs events and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PolicyViolation::BudgetExhausted { .. } => "budget_exhausted",
-            PolicyViolation::BadPick => "bad_pick",
-            PolicyViolation::StateCorrupt => "state_corrupt",
-        }
-    }
-}
-
 /// A pluggable scheduler: the baseline, ELSC, or an experimental design.
 ///
 /// # Contract
@@ -189,69 +127,101 @@ pub trait Scheduler {
     /// Verifies internal invariants (tests/debug only). Default: no-op.
     fn debug_check(&self, _tasks: &TaskTable) {}
 
-    /// If this scheduler is a loaded `.pol` policy, its load metadata.
-    /// Native schedulers return `None` (the default).
-    fn loaded_info(&self) -> Option<PolicyLoadInfo> {
+    /// The supervision surface of a scheduler that is *loaded* rather
+    /// than compiled in (a `.pol` policy, a learned model). Native
+    /// designs keep the `None` default: the machine never supervises,
+    /// ticks into or ejects them.
+    fn supervised(&mut self) -> Option<&mut dyn Supervised> {
         None
     }
+}
 
-    /// Takes (and clears) the most recent safety violation, if any.
-    ///
-    /// The machine polls this after every `schedule()` call; a `Some`
-    /// triggers watchdog ejection. Native schedulers never violate and
-    /// keep the `None` default.
-    fn take_violation(&mut self) -> Option<PolicyViolation> {
-        None
+impl dyn Scheduler {
+    /// Cumulative policy-VM instructions executed: a loaded policy's
+    /// first counter, 0 for every other scheduler.
+    pub fn policy_insns_executed(&mut self) -> u64 {
+        match self.supervised() {
+            Some(s) if matches!(s.load(), Load::Policy { .. }) => s.counters()[0],
+            _ => 0,
+        }
     }
+}
 
-    /// Removes every task from the run queue and returns them in queue
-    /// order (front to back, highest-priority list first), leaving each
-    /// task detached (`!on_runqueue()`). Used by the machine's watchdog to
-    /// migrate run-queue state into a replacement scheduler during
-    /// ejection. Native schedulers are never ejected; the default panics
-    /// to catch misuse.
-    fn drain(&mut self, _ctx: &mut SchedCtx<'_>) -> Vec<Tid> {
-        unreachable!("drain() called on a scheduler that cannot be ejected")
-    }
+/// What a loaded scheduler reports at load time, so the machine can
+/// announce it on the observability bus and pick its watchdog's limit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Load {
+    /// A `.pol` program on the policy VM.
+    Policy {
+        /// `policy:<name>`, leaked to `'static` at load time.
+        name: &'static str,
+        /// Static instruction count across all hooks (the verifier's
+        /// budget accounting).
+        static_insns: u64,
+        /// The runtime per-decision instruction budget in force.
+        budget: u64,
+    },
+    /// A trained model (`learned:<model>`, see `elsc-learn`).
+    Learned {
+        /// `learned:<model stem>`, leaked to `'static` at load time.
+        name: &'static str,
+        /// Model architecture label (`"logreg"` or `"mlp"`).
+        arch: &'static str,
+    },
+}
 
-    /// Cumulative policy-VM instructions executed (policy schedulers
-    /// only; native schedulers report 0).
-    fn policy_insns_executed(&self) -> u64 {
-        0
+impl Load {
+    /// The scheduler's reported name.
+    pub fn name(&self) -> &'static str {
+        match *self {
+            Load::Policy { name, .. } | Load::Learned { name, .. } => name,
+        }
     }
+}
 
-    /// If this scheduler drives its picks from a trained model, its
-    /// load metadata. Native schedulers return `None` (the default).
-    fn learned_info(&self) -> Option<LearnedInfo> {
-        None
-    }
+/// A loaded scheduler's own judgement of the decision it just made. The
+/// machine's watchdog counts consecutive [`Verdict::Bad`]s against the
+/// kind's limit and ejects on a [`Verdict::Broken`] at once; the reasons
+/// are the labels the report and the ejection event carry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// Nothing to judge (a model made no prediction): the bad streak
+    /// neither grows nor resets.
+    Abstain,
+    /// A sound decision: the bad streak resets.
+    Sound,
+    /// A bad decision: the bad streak grows.
+    Bad(&'static str),
+    /// A broken contract (a blown budget, an illegal pick, corrupted
+    /// state): the scheduler must go now.
+    Broken(&'static str),
+}
 
-    /// Takes (and clears) the outcome of the model prediction the last
-    /// `schedule()` call made: `Some(true)` for a verified hit,
-    /// `Some(false)` for a misprediction (the scheduler fell back to the
-    /// native scan), `None` when no prediction was attempted (no
-    /// candidates, or not a learned scheduler — the default).
-    ///
-    /// The machine polls this after every `schedule()` call on learned
-    /// runs; a streak of `Some(false)` long enough to trip
-    /// `MachineConfig::learn_eject_k` ejects the model.
-    fn take_prediction(&mut self) -> Option<bool> {
-        None
-    }
+/// What a loaded scheduler adds to the five entry points: the machine's
+/// watchdog reads it through [`Scheduler::supervised`] and, on ejection,
+/// drains the run queue into the vanilla baseline.
+pub trait Supervised {
+    /// The load-time facts.
+    fn load(&self) -> Load;
 
-    /// Cumulative `(predictions, verified hits)` the model has made
-    /// (learned schedulers only; native schedulers report zeros).
-    fn prediction_stats(&self) -> (u64, u64) {
-        (0, 0)
-    }
+    /// Takes the verdict on the last `schedule()` call. The machine
+    /// asks once after every decision until it ejects the scheduler.
+    fn take_verdict(&mut self) -> Verdict;
+
+    /// Cumulative counters for the report: `[insns executed, 0]` for a
+    /// policy, `[predictions, verified hits]` for a model.
+    fn counters(&self) -> [u64; 2];
 
     /// Timer-tick hook: runs once per tick on a busy CPU, *after* the
     /// machine's own quantum bookkeeping, with `current` the running
-    /// task. Loaded `.pol` policies use this to run their `tick` hook;
-    /// native schedulers keep the no-op default (the machine only calls
-    /// it for schedulers that report [`Scheduler::loaded_info`], so
-    /// native runs stay byte-identical).
+    /// task. Policies run their `tick` hook here; models have none.
     fn on_tick(&mut self, _ctx: &mut SchedCtx<'_>, _cpu: CpuId, _current: Tid) {}
+
+    /// Removes every task from the run queue and returns them in queue
+    /// order (front to back, highest-priority list first), leaving each
+    /// task detached (`!on_runqueue()`): ejection re-adds them, reversed,
+    /// into a fresh baseline.
+    fn drain(&mut self, ctx: &mut SchedCtx<'_>) -> Vec<Tid>;
 }
 
 #[cfg(test)]

@@ -32,8 +32,8 @@ use std::collections::HashMap;
 use elsc_ktask::{CpuId, MmId, TaskTable, Tid};
 use elsc_learn::{quantize, Model, FEATURES};
 use elsc_sched_api::{
-    frame, goodness_ignoring_yield_on, topo_affinity_bonus, LearnedInfo, SchedCtx, Scheduler,
-    IDLE_GOODNESS,
+    frame, goodness_ignoring_yield_on, topo_affinity_bonus, Load, SchedCtx, Scheduler, Supervised,
+    Verdict, IDLE_GOODNESS,
 };
 use elsc_sched_linux::LinuxScheduler;
 use elsc_simcore::CostKind;
@@ -57,9 +57,9 @@ pub struct LearnedScheduler {
     predictions: u64,
     /// Predictions that survived verification.
     hits: u64,
-    /// Outcome of the last decision's prediction, for the machine's
-    /// watchdog poll.
-    last_outcome: Option<bool>,
+    /// The watchdog's verdict on the last decision's prediction: sound
+    /// for a verified hit, bad for a miss, abstaining without one.
+    verdict: Verdict,
 }
 
 impl LearnedScheduler {
@@ -74,7 +74,7 @@ impl LearnedScheduler {
             last_picked: HashMap::new(),
             predictions: 0,
             hits: 0,
-            last_outcome: None,
+            verdict: Verdict::Abstain,
         }
     }
 
@@ -138,7 +138,7 @@ impl Scheduler for LearnedScheduler {
 
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
         self.decisions += 1;
-        self.last_outcome = None;
+        self.verdict = Verdict::Abstain;
         // Queue depth *before* prev leaves, matching the machine's
         // `--decision-trace` sampling point.
         let depth = self.base.nr_running() as u64;
@@ -192,7 +192,7 @@ impl Scheduler for LearnedScheduler {
             if g_pick > 0 && g_pick >= best_bounded {
                 self.predictions += 1;
                 self.hits += 1;
-                self.last_outcome = Some(true);
+                self.verdict = Verdict::Sound;
                 return Some(predicted);
             }
             // When nothing within the bound is schedulable either, the
@@ -200,7 +200,7 @@ impl Scheduler for LearnedScheduler {
             // scored, and the baseline recalculates and picks.
             if best_bounded > 0 || g_pick > 0 {
                 self.predictions += 1;
-                self.last_outcome = Some(false);
+                self.verdict = Verdict::Bad("accuracy_collapse");
                 ctx.meter.charge(ctx.costs, CostKind::Mispredict);
             }
             None
@@ -223,19 +223,25 @@ impl Scheduler for LearnedScheduler {
         self.base.debug_check(tasks);
     }
 
-    fn learned_info(&self) -> Option<LearnedInfo> {
-        Some(LearnedInfo {
+    fn supervised(&mut self) -> Option<&mut dyn Supervised> {
+        Some(self)
+    }
+}
+
+impl Supervised for LearnedScheduler {
+    fn load(&self) -> Load {
+        Load::Learned {
             name: self.name,
             arch: self.model.arch.name(),
-        })
+        }
     }
 
-    fn take_prediction(&mut self) -> Option<bool> {
-        self.last_outcome.take()
+    fn take_verdict(&mut self) -> Verdict {
+        std::mem::replace(&mut self.verdict, Verdict::Abstain)
     }
 
-    fn prediction_stats(&self) -> (u64, u64) {
-        (self.predictions, self.hits)
+    fn counters(&self) -> [u64; 2] {
+        [self.predictions, self.hits]
     }
 
     fn drain(&mut self, ctx: &mut SchedCtx<'_>) -> Vec<Tid> {
@@ -289,9 +295,9 @@ mod tests {
         let b = rig.spawn("b", 15);
         let next = rig.schedule(0, rig.idle);
         assert_eq!(next, b);
-        assert_eq!(rig.sched.prediction_stats(), (1, 1));
-        assert_eq!(rig.sched.take_prediction(), Some(true));
-        assert_eq!(rig.sched.take_prediction(), None, "take clears");
+        assert_eq!(rig.sched.counters(), [1, 1]);
+        assert_eq!(rig.sched.take_verdict(), Verdict::Sound);
+        assert_eq!(rig.sched.take_verdict(), Verdict::Abstain, "take clears");
         assert_eq!(rig.meter.kind_cycles()[CostKind::Mispredict as usize], 0);
     }
 
@@ -302,8 +308,8 @@ mod tests {
         let b = rig.spawn("b", 15);
         let next = rig.schedule(0, rig.idle);
         assert_eq!(next, b, "fallback must pick the goodness winner");
-        assert_eq!(rig.sched.prediction_stats(), (1, 0));
-        assert_eq!(rig.sched.take_prediction(), Some(false));
+        assert_eq!(rig.sched.counters(), [1, 0]);
+        assert_eq!(rig.sched.take_verdict(), Verdict::Bad("accuracy_collapse"));
         assert_eq!(
             rig.meter.kind_cycles()[CostKind::Mispredict as usize],
             CostModel::default().get(CostKind::Mispredict)
@@ -315,8 +321,8 @@ mod tests {
         let mut rig = rig(SchedConfig::up(), good_model());
         let next = rig.schedule(0, rig.idle);
         assert_eq!(next, rig.idle);
-        assert_eq!(rig.sched.prediction_stats(), (0, 0));
-        assert_eq!(rig.sched.take_prediction(), None);
+        assert_eq!(rig.sched.counters(), [0, 0]);
+        assert_eq!(rig.sched.take_verdict(), Verdict::Abstain);
         assert_eq!(rig.stats.cpu(0).recalc_entries, 0, "footnote 1 holds");
     }
 
@@ -329,8 +335,8 @@ mod tests {
         assert!(next == a || next == b);
         assert_eq!(rig.stats.cpu(0).recalc_entries, 1);
         assert_eq!(
-            rig.sched.prediction_stats(),
-            (0, 0),
+            rig.sched.counters(),
+            [0, 0],
             "an unschedulable world is not the model's miss"
         );
     }
@@ -386,10 +392,12 @@ mod tests {
     #[test]
     fn from_text_round_trips_and_names() {
         let text = good_model().to_text();
-        let s = LearnedScheduler::from_text("volano-logreg", &text).unwrap();
+        let mut s = LearnedScheduler::from_text("volano-logreg", &text).unwrap();
         assert_eq!(s.name(), "learned:volano-logreg");
-        let info = s.learned_info().unwrap();
-        assert_eq!(info.arch, "logreg");
+        let Some(Load::Learned { arch, .. }) = s.supervised().map(|s| s.load()) else {
+            panic!("a model reports a learned load");
+        };
+        assert_eq!(arch, "logreg");
         assert!(LearnedScheduler::from_text("x", "garbage").is_err());
     }
 
@@ -407,7 +415,7 @@ mod tests {
         let prev = first;
         let second = rig.schedule(0, prev);
         assert_ne!(first, second, "least-recent candidate wins round 2");
-        assert_eq!(rig.sched.prediction_stats(), (2, 2));
+        assert_eq!(rig.sched.counters(), [2, 2]);
         let _ = (a, b);
     }
 }

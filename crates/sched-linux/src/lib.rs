@@ -91,6 +91,23 @@ impl LinuxScheduler {
             best
         })
     }
+
+    /// Empties the run queue front to back, leaving each task detached,
+    /// for a wrapper that is being ejected (`learned:*`). Running tasks
+    /// stay linked and adds go to the front, so a reversed re-add into a
+    /// fresh `LinuxScheduler` reproduces the queue order exactly.
+    pub fn drain(&mut self, ctx: &mut SchedCtx<'_>) -> Vec<Tid> {
+        let mut out = Vec::new();
+        while let Some(i) = self.lists.first(0) {
+            let tid = ctx.tasks.by_index(i as usize).tid;
+            ctx.meter.charge(ctx.costs, CostKind::ListOp);
+            self.lists.remove(ctx.tasks, tid);
+            out.push(tid);
+        }
+        self.nr_running = 0;
+        self.index.clear(ctx.tasks);
+        out
+    }
 }
 
 impl Scheduler for LinuxScheduler {
@@ -152,22 +169,6 @@ impl Scheduler for LinuxScheduler {
             self.nr_running,
             "nr_running out of sync with the run queue"
         );
-    }
-
-    /// Running tasks stay linked and adds go to the front, so a drain
-    /// followed by a reversed re-add into a fresh `LinuxScheduler`
-    /// reproduces the queue order exactly.
-    fn drain(&mut self, ctx: &mut SchedCtx<'_>) -> Vec<Tid> {
-        let mut out = Vec::new();
-        while let Some(i) = self.lists.first(0) {
-            let tid = ctx.tasks.by_index(i as usize).tid;
-            ctx.meter.charge(ctx.costs, CostKind::ListOp);
-            self.lists.remove(ctx.tasks, tid);
-            out.push(tid);
-        }
-        self.nr_running = 0;
-        self.index.clear(ctx.tasks);
-        out
     }
 }
 

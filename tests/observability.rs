@@ -276,15 +276,33 @@ fn observation_does_not_perturb_the_run() {
     }
 }
 
+/// A policy that verifies but walks its run queue three deep on every
+/// decision: once the queue is long enough, the walk exhausts the default
+/// per-decision budget and the watchdog ejects it.
+const SPIN_POL: &str = "policy spin\nlists 1\n\
+    hook enqueue { enqueue_front(0) }\n\
+    hook pick_next {\n\
+      foreach a in list(0) { foreach b in list(0) { foreach c in list(0) {\n\
+        repeat 64 { let x = 1 }\n\
+      } } }\n\
+      foreach t in list(0) { if can_schedule(t) { pick t } }\n\
+      if runnable(prev) { pick prev }\n\
+      pick idle\n\
+    }\n";
+
 #[test]
 fn ejections_report_the_same_bytes_as_before_the_supervision_merge() {
-    // One watchdog ejection per supervised kind. The report digests were
-    // captured at the commit that still had a separate policy and learned
-    // ejection path; the single supervision record must reproduce both.
+    // One watchdog ejection per supervised kind. The report digests of
+    // the first two rows were captured at the commit that still had a
+    // separate policy and learned ejection path; the single supervision
+    // record must reproduce both. The last two were captured before the
+    // loaded-scheduler hooks left the `Scheduler` trait: a policy's
+    // contract violation, and a policy that is never ejected and so
+    // reports its live counters.
     let rows = [
         (
             bundled("policy", "starve", include_str!("../policies/starve.pol")),
-            "starvation",
+            Some("starvation"),
             0x2cfa_1d72_08b0_326cu64,
         ),
         (
@@ -293,8 +311,18 @@ fn ejections_report_the_same_bytes_as_before_the_supervision_merge() {
                 "adversarial",
                 include_str!("../models/adversarial.model"),
             ),
-            "accuracy_collapse",
+            Some("accuracy_collapse"),
             0xb3b3_37a1_5812_d2b5,
+        ),
+        (
+            bundled("policy", "spin", SPIN_POL),
+            Some("budget_exhausted"),
+            0xbfc3_5131_6412_eba7,
+        ),
+        (
+            bundled("policy", "rr", include_str!("../policies/rr.pol")),
+            None,
+            0x93b2_e0c6_512c_8f3f,
         ),
     ];
     for (sched, reason, fnv) in &rows {
@@ -305,7 +333,7 @@ fn ejections_report_the_same_bytes_as_before_the_supervision_merge() {
             (None, Some(l)) => l.eject_reason,
             _ => panic!("{name}: exactly one supervision summary"),
         };
-        assert_eq!(reported, Some(*reason), "{name}");
+        assert_eq!(reported, *reason, "{name}");
         assert_eq!(report.scheduler, name, "the run keeps the ejected name");
         assert_eq!(fnv1a(report.to_json().as_bytes()), *fnv, "{name}");
     }
