@@ -10,3 +10,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # queue, `crates/bench` as rig + `figure1` + one microbench, and this CI
 # as job scripts — has a row that fails when a second copy comes back.
 bash ci/audit.sh
+# The A/B runner's statistics (median, IQR, sign test, verdict) on
+# synthetic samples; the runner itself builds and times, so CI only checks
+# its arithmetic.
+bash ci/ab.sh --selftest

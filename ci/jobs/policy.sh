@@ -7,6 +7,16 @@ for f in policies/bad/*.pol; do
   expect_exit 1 "$f:[0-9]*:[0-9]*:" "$BIN" stress --tasks 4 --rounds 2 --quiet --sched "policy:$f"
 done
 
+# Nesting is bounded (docs/POLICY.md §1): 10 000 parentheses are one
+# positioned error, and `ls` lists the file as invalid, where both used to
+# overflow the stack and abort (exit 134).
+mkdir "$T/deep"
+{ printf 'policy p\nlists 1\nhook pick_next { let x = '; printf '(%.0s' $(seq 10000); printf 1
+  printf ')%.0s' $(seq 10000); printf ' pick idle }\n'; } >"$T/deep/deep.pol"
+expect_exit 1 "deep.pol:3:[0-9]*: nesting deeper than 128" "$BIN" stress --tasks 4 --rounds 2 \
+  --quiet --sched "policy:$T/deep/deep.pol"
+expect_exit 0 "INVALID: 3:[0-9]*: nesting deeper than 128" "$BIN" ls --policy-dir "$T/deep"
+
 # policy:reg is held to the paper's §5 strict contract: any unexplained
 # divergence from the O(n) reference scan fails (UP + 2P, 10 seeds).
 for seed in 1 2 3 4 5 6 7 8 9 10; do

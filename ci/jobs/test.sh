@@ -38,11 +38,13 @@ traced() {
 # A dropped trace line is never acceptable.
 traced volano-elsc-observed 'obs\.trace_overhead_ratio' 3.2 'chaos\.oracle_overhead_ratio' 4 \
   'obs\.trace_dropped' 1
-# A .pol policy costs less than twice native: policy:table / native elsc
+# A .pol policy costs little more than native: policy:table / native elsc
 # on the same cell. 2.3-3.1 while the VM copied every walked list and
 # dispatched const+bin pairs per empty band; 1.2-1.5 with the live cursor,
-# the empty-list exit and `bin.k`.
-traced policy-table-10r 'policy\.overhead_ratio' 2
+# the empty-list exit and `bin.k` (bound 2); 0.70-1.38 over 6 passes with
+# the band seek skipping empty lists natively. The bound is that last
+# maximum + 20 %, the rule of the observer bounds above.
+traced policy-table-10r 'policy\.overhead_ratio' 1.66
 
 # Lock-plan override smoke.
 for plan in percpu global; do

@@ -52,6 +52,19 @@ pub enum Op {
     /// (index taken modulo `nr_lists`), or jump to the loop exit `c`
     /// when that list is empty — skipping the `for.next`, whose cost
     /// is 0, so the charge is the same as falling into it.
+    ///
+    /// `d == 1` (`seek` in the disassembly) marks the head of a band
+    /// walk, `repeat N { foreach t in list(X) { … }  X = X ± k }`: the
+    /// compiler has proven that `c` is `bin.k r[b] <- r[b] Add|Sub k`
+    /// and that `c + 1` is the enclosing `repeat.next`, which loops
+    /// back here on a counter other than `r[b]`. On an empty list the
+    /// VM then runs that latch in closed form instead of dispatching
+    /// it: per skipped list it charges `bin.k` + `repeat.next`, steps
+    /// `X` with `binop`'s wrapping arithmetic and counts the counter
+    /// down, leaving past the `repeat.next` when it runs out, else
+    /// charges this op again and tests the next head. The budget is
+    /// checked at every charge, so the count and the trip point are
+    /// those of the three dispatches it replaces.
     ForBegin,
     /// Load the task under iterator slot `a`'s cursor into `r[b]` and
     /// advance the cursor along the live list, or jump to code index `c`
@@ -244,7 +257,13 @@ impl Chunk {
                     }
                 }
                 Op::RepeatNext => format!("r{} -> {}", i.a, i.b),
-                Op::ForBegin => format!("iter{} list r{} empty -> {}", i.a, i.b, i.c),
+                Op::ForBegin => format!(
+                    "iter{} list r{} empty -> {}{}",
+                    i.a,
+                    i.b,
+                    i.c,
+                    if i.d == 1 { " seek" } else { "" }
+                ),
                 Op::ForNext => format!("iter{} r{} else -> {}", i.a, i.b, i.c),
                 Op::Pick | Op::Requeue => format!("r{}", i.a),
                 Op::Place => format!("list r{} {}", i.a, if i.b == 1 { "front" } else { "back" }),

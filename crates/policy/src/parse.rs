@@ -26,6 +26,13 @@
 //! value names ([`Builtin`]); anything else becomes a local-variable
 //! reference for the verifier to check. All failures are spanned
 //! [`PolicyError`]s — the parser never panics on any input.
+//!
+//! Nesting is bounded by [`MAX_NESTING`]: the parser itself recurses
+//! into blocks, parentheses, unary minus and call arguments, and every
+//! later pass (verifier, compiler, the reference interpreter, `Drop`)
+//! recurses over the tree it builds, so a deeper program is rejected
+//! here, at the token that crosses the bound, before anything can run
+//! out of stack.
 
 use crate::ast::{BinOp, Block, Builtin, Expr, HookKind, HostFn, ListsDecl, Program, Span, Stmt};
 use crate::lex::{lex, Tok, Token};
@@ -39,13 +46,27 @@ use crate::PolicyError;
 /// problem.
 pub fn parse(src: &str) -> Result<Program, PolicyError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        nest: 0,
+    };
     p.program()
 }
+
+/// The deepest program the parser accepts: the blocks, parentheses,
+/// unary minuses and call argument lists around a point, plus the
+/// height of the expression tree at that point, where a
+/// left-associative chain `a + b + c …` is one level deeper per
+/// operator. Every bundled program nests far less deep.
+pub const MAX_NESTING: u32 = 128;
 
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Blocks, parentheses, unary minuses and argument lists open
+    /// around the current token.
+    nest: u32,
 }
 
 impl Parser {
@@ -63,6 +84,46 @@ impl Parser {
 
     fn err<T>(&self, span: Span, msg: impl Into<String>) -> Result<T, PolicyError> {
         Err(PolicyError::new(span, msg))
+    }
+
+    /// Opens one nesting level at `span`, or fails there past
+    /// [`MAX_NESTING`]. [`leave`](Self::leave) closes it; an error
+    /// abandons the whole parse, so it needs no closing.
+    fn enter(&mut self, span: Span) -> Result<(), PolicyError> {
+        self.nest += 1;
+        self.height(span, 0)?;
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.nest -= 1;
+    }
+
+    /// `h`, the height of an expression built at `span`, if it fits
+    /// under the levels open around it.
+    fn height(&self, span: Span, h: u32) -> Result<u32, PolicyError> {
+        if self.nest + h > MAX_NESTING {
+            return self.err(span, format!("nesting deeper than {MAX_NESTING}"));
+        }
+        Ok(h)
+    }
+
+    /// A binary node over two parsed operands, with its height.
+    fn binary(
+        &self,
+        op: BinOp,
+        (lhs, hl): (Expr, u32),
+        (rhs, hr): (Expr, u32),
+        span: Span,
+    ) -> Result<(Expr, u32), PolicyError> {
+        let h = self.height(span, hl.max(hr) + 1)?;
+        let e = Expr::Binary {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+            span,
+        };
+        Ok((e, h))
     }
 
     fn expect(&mut self, want: Tok, what: &str) -> Result<Span, PolicyError> {
@@ -166,7 +227,8 @@ impl Parser {
     }
 
     fn block(&mut self) -> Result<Block, PolicyError> {
-        self.expect(Tok::LBrace, "'{'")?;
+        let open = self.expect(Tok::LBrace, "'{'")?;
+        self.enter(open)?;
         let mut stmts = Vec::new();
         loop {
             if self.peek().tok == Tok::RBrace {
@@ -179,6 +241,7 @@ impl Parser {
             }
             stmts.push(self.stmt()?);
         }
+        self.leave();
         Ok(Block { stmts })
     }
 
@@ -297,6 +360,11 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, PolicyError> {
+        Ok(self.cmp()?.0)
+    }
+
+    /// An expression and its height; so do the three below.
+    fn cmp(&mut self) -> Result<(Expr, u32), PolicyError> {
         let lhs = self.add()?;
         let op = match self.peek().tok {
             Tok::EqEq => BinOp::Eq,
@@ -309,15 +377,10 @@ impl Parser {
         };
         let span = self.next().span;
         let rhs = self.add()?;
-        Ok(Expr::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-            span,
-        })
+        self.binary(op, lhs, rhs, span)
     }
 
-    fn add(&mut self) -> Result<Expr, PolicyError> {
+    fn add(&mut self) -> Result<(Expr, u32), PolicyError> {
         let mut lhs = self.mul()?;
         loop {
             let op = match self.peek().tok {
@@ -327,16 +390,11 @@ impl Parser {
             };
             let span = self.next().span;
             let rhs = self.mul()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            lhs = self.binary(op, lhs, rhs, span)?;
         }
     }
 
-    fn mul(&mut self) -> Result<Expr, PolicyError> {
+    fn mul(&mut self) -> Result<(Expr, u32), PolicyError> {
         let mut lhs = self.unary()?;
         loop {
             let op = match self.peek().tok {
@@ -347,32 +405,26 @@ impl Parser {
             };
             let span = self.next().span;
             let rhs = self.unary()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            lhs = self.binary(op, lhs, rhs, span)?;
         }
     }
 
-    fn unary(&mut self) -> Result<Expr, PolicyError> {
+    fn unary(&mut self) -> Result<(Expr, u32), PolicyError> {
         let t = self.next();
         let span = t.span;
         match t.tok {
             Tok::Minus => {
+                self.enter(span)?;
                 let inner = self.unary()?;
-                Ok(Expr::Binary {
-                    op: BinOp::Sub,
-                    lhs: Box::new(Expr::Int(0, span)),
-                    rhs: Box::new(inner),
-                    span,
-                })
+                self.leave();
+                self.binary(BinOp::Sub, (Expr::Int(0, span), 1), inner, span)
             }
-            Tok::Int(n) => Ok(Expr::Int(n, span)),
+            Tok::Int(n) => Ok((Expr::Int(n, span), 1)),
             Tok::LParen => {
-                let e = self.expr()?;
+                self.enter(span)?;
+                let e = self.cmp()?;
                 self.expect(Tok::RParen, "')'")?;
+                self.leave();
                 Ok(e)
             }
             Tok::Ident(name) => {
@@ -382,10 +434,14 @@ impl Parser {
                         return self.err(span, format!("unknown function '{name}'"));
                     };
                     self.next(); // consume '('
+                    self.enter(span)?;
                     let mut args = Vec::new();
+                    let mut h = 0;
                     if self.peek().tok != Tok::RParen {
                         loop {
-                            args.push(self.expr()?);
+                            let (arg, ha) = self.cmp()?;
+                            args.push(arg);
+                            h = h.max(ha);
                             if self.peek().tok == Tok::Comma {
                                 self.next();
                             } else {
@@ -394,11 +450,13 @@ impl Parser {
                         }
                     }
                     self.expect(Tok::RParen, "')'")?;
-                    Ok(Expr::Call { func, args, span })
+                    self.leave();
+                    let h = self.height(span, h + 1)?;
+                    Ok((Expr::Call { func, args, span }, h))
                 } else if let Some(b) = Builtin::from_name(&name) {
-                    Ok(Expr::Builtin(b, span))
+                    Ok((Expr::Builtin(b, span), 1))
                 } else {
-                    Ok(Expr::Var(name, span))
+                    Ok((Expr::Var(name, span), 1))
                 }
             }
             other => self.err(
@@ -500,6 +558,42 @@ mod tests {
         let Expr::Binary { op: BinOp::Gt, .. } = expr else {
             panic!("top must be comparison, got {expr:?}")
         };
+    }
+
+    /// Every way to nest — parentheses, unary minus, call arguments,
+    /// blocks and a left-associative chain — fails past the bound with
+    /// a positioned error, and parses at the deepest level it allows.
+    #[test]
+    fn nesting_is_bounded_at_every_construct() {
+        let n = MAX_NESTING as usize;
+        // (name, head, one level's opening, leaf, one level's closing, the
+        // most levels that fit): the hook's block is one level and an
+        // operator's height counts its leaves, so most shapes fit n - 2.
+        let shapes = [
+            ("parens", "let x = ", "(", "1", ")", n - 1),
+            ("unary minus", "let x = ", "-", "1", "", n - 2),
+            (
+                "call arguments",
+                "let x = ",
+                "priority(",
+                "task",
+                ")",
+                n - 2,
+            ),
+            ("blocks", "", "if 1 > 0 { ", "", "}", n - 2),
+            ("a chain", "let x = 1", " + 1", "", "", n - 2),
+        ];
+        for (name, head, open, leaf, close, fit) in shapes {
+            let src = |k: usize| {
+                let body = format!("{head}{}{leaf}{}", open.repeat(k), close.repeat(k));
+                format!("policy p\nlists 1\nhook tick {{\n{body}\n}}")
+            };
+            parse(&src(fit)).unwrap_or_else(|e| panic!("{name} at {fit}: {e}"));
+            let err = parse(&src(n)).expect_err(name);
+            assert_eq!(err.msg, format!("nesting deeper than {n}"), "{name}");
+            assert_eq!(err.span.line, 4, "{name}: {err}");
+            assert!(err.span.col > 1, "{name}: {err}");
+        }
     }
 
     #[test]

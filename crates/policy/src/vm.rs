@@ -27,11 +27,18 @@
 //! task's list linkage (placement and rotation are deferred to the
 //! host), so the live walk visits exactly the tasks, in exactly the
 //! order, of the interpreter's entry-time snapshot.
+//!
+//! A band walk's `for.begin` (marked `seek` by the compiler, see
+//! [`Op::ForBegin`]) that finds its list empty runs the walk's latch —
+//! the `bin.k` step and the `repeat.next` — in locals rather than
+//! dispatching them: one head test per empty list, with the three ops'
+//! charges and budget checks, and the step and counter registers
+//! written once, when a list holds tasks or the counter runs out.
 
 use elsc_ktask::{Lists, Tid};
 use elsc_sched_api::{goodness_ignoring_yield, SchedCtx};
 
-use crate::ast::HostFn;
+use crate::ast::{BinOp, HostFn};
 use crate::bytecode::{Chunk, Op, BINOPS, BUILTIN_REGS, HOSTFNS, NO_ARG};
 use crate::sched::{
     binop, charge_goodness_eval, host_call, recalc_effect, scan_filter_pred, set_counter_effect,
@@ -200,8 +207,50 @@ pub(crate) fn run_chunk(
                 }
             }
             Op::ForBegin => {
-                let h = wrap_list(int!(state.regs[b]), lists.nr_lists());
-                let first = lists.first(h);
+                let mut x = int!(state.regs[b]);
+                let mut first = lists.first(wrap_list(x, lists.nr_lists()));
+                if first.is_none() && i.d == 1 {
+                    // A band walk's head (`seek`, see `Op::ForBegin`):
+                    // the `bin.k` latch at `c` and the `repeat.next`
+                    // after it run here in closed form, one head test
+                    // per skipped list. Only register traffic sits
+                    // between the charges, and it is written back once.
+                    let (step, back) = (chunk.code[i.c as usize], chunk.code[i.c as usize + 1]);
+                    let k = chunk.consts[step.c as usize];
+                    let sub = BINOPS[step.d as usize] == BinOp::Sub;
+                    let step_cost = u64::from(step.cost) + u64::from(back.cost);
+                    let mut n = int!(state.regs[back.a as usize]);
+                    loop {
+                        insns += step_cost;
+                        if insns > budget {
+                            blown!();
+                        }
+                        x = if sub {
+                            x.wrapping_sub(k)
+                        } else {
+                            x.wrapping_add(k)
+                        };
+                        n -= 1;
+                        if n <= 0 {
+                            break;
+                        }
+                        insns += u64::from(i.cost);
+                        if insns > budget {
+                            blown!();
+                        }
+                        first = lists.first(wrap_list(x, lists.nr_lists()));
+                        if first.is_some() {
+                            break;
+                        }
+                    }
+                    state.regs[b] = Val::Int(x);
+                    state.regs[back.a as usize] = Val::Int(n);
+                    if first.is_none() {
+                        // The counter ran out: leave the repeat.
+                        pc = i.c as usize + 2;
+                        continue;
+                    }
+                }
                 state.iters[a] = first;
                 if first.is_none() {
                     pc = i.c as usize;
@@ -665,11 +714,12 @@ mod tests {
         assert!(has(Op::Jz), "every other `if` takes the plain lowering");
     }
 
-    /// `table.pol`'s band walk, golden: an empty band costs three
-    /// dispatches (`for.begin` straight to its exit, `bin.k`,
-    /// `repeat.next`), every literal right operand is a `bin.k`, and
-    /// every `if` is a plain `call`/`jz` (no loop here is `scan.best`'s
-    /// shape).
+    /// `table.pol`'s band walk, golden: the walk's `for.begin` is a
+    /// `seek` (its exit is the `band = band - 1` latch and then the
+    /// `repeat.next` back to it, so an empty band costs one head test,
+    /// not three dispatches), every literal right operand is a `bin.k`,
+    /// and every `if` is a plain `call`/`jz` (no loop here is
+    /// `scan.best`'s shape).
     #[test]
     fn table_pol_pick_next_disassembly_is_pinned() {
         let sched =
@@ -684,7 +734,7 @@ mod tests {
 000: repeat.init  r8 <- 2                      ; cost 1
 001: bin.k        r9 <- r6 Sub 1               ; cost 4
 002: repeat.init  r10 <- 30                    ; cost 1
-003: for.begin    iter0 list r9 empty -> 17    ; cost 2
+003: for.begin    iter0 list r9 empty -> 17 seek ; cost 2
 004: for.next     iter0 r11 else -> 17         ; cost 0
 005: call         r12 <- can_schedule(r11)     ; cost 3
 006: jz           r12 -> 16                    ; cost 0

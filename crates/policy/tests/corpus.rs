@@ -5,13 +5,15 @@
 //! with a spanned diagnostic). On top of that, two property suites —
 //! driven by the simulator's own deterministic [`SimRng`], no external
 //! dependency — hammer the loader with random token soup and with
-//! mutated copies of the real programs. The invariant under test is the
-//! loader's contract: **every** input yields `Ok` or a `PolicyError`
-//! with a 1-based span; nothing panics.
+//! mutated copies of the real programs, and a third with programs
+//! nested up to 100 000 deep. The invariant under test is the loader's
+//! contract: **every** input yields `Ok` or a `PolicyError` with a
+//! 1-based span; nothing panics, and nothing overflows the stack.
 
 use std::fs;
 use std::path::PathBuf;
 
+use elsc_policy::parse::MAX_NESTING;
 use elsc_policy::{load_str, PolicyScheduler};
 use elsc_sched_api::{Load, Scheduler};
 use elsc_simcore::SimRng;
@@ -259,4 +261,55 @@ fn mutated_real_programs_never_panic_the_loader() {
             }
         }
     }
+}
+
+/// Programs nested `depth` deep, one way each: parentheses, unary minus,
+/// call arguments, `if` blocks, `repeat` blocks, `+` and `*` chains, and
+/// parentheses around a chain in every level.
+const DEEP: [fn(usize) -> String; 8] = [
+    |k| format!("let x = {}1{}", "(".repeat(k), ")".repeat(k)),
+    |k| format!("let x = {}1", "-".repeat(k)),
+    |k| format!("let x = {}1{}", "counter(".repeat(k), ")".repeat(k)),
+    |k| format!("{}{}", "if 1 > 0 { ".repeat(k), "}".repeat(k)),
+    |k| format!("{}{}", "repeat 1 { ".repeat(k), "}".repeat(k)),
+    |k| format!("let x = 1{}", " + 1".repeat(k)),
+    |k| format!("let x = 1{}", " * 2".repeat(k)),
+    |k| format!("let x = {}1{}", "(1 + ".repeat(k), ")".repeat(k)),
+];
+
+/// Past [`MAX_NESTING`] every shape is one positioned `nesting deeper
+/// than` error, up to 100 000 levels, on the test thread's default stack
+/// in a debug build; at the bound whatever loads also compiles (the
+/// compiler and the scheduler's drop recurse over the same tree).
+#[test]
+fn deep_nesting_never_overflows_the_loader() {
+    let bound = MAX_NESTING as usize;
+    let mut loaded = 0;
+    for (shape, deep) in DEEP.iter().enumerate() {
+        for depth in [bound - 2, bound, bound + 1, 1_000, 10_000, 100_000] {
+            let src = format!(
+                "policy deep\nlists 1\nhook pick_next {{\n{}\npick idle\n}}\n",
+                deep(depth)
+            );
+            match load_str(&src) {
+                Ok(prog) => {
+                    assert!(depth <= bound, "shape {shape} at {depth} loaded");
+                    PolicyScheduler::new(prog, 2).expect("verified programs compile");
+                    loaded += 1;
+                }
+                Err(e) => {
+                    assert!(e.span.line >= 1 && e.span.col >= 1);
+                    if depth > bound {
+                        assert_eq!(
+                            e.msg,
+                            format!("nesting deeper than {MAX_NESTING}"),
+                            "shape {shape} at {depth}"
+                        );
+                        assert_eq!(e.span.line, 4, "shape {shape} at {depth}: {e}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(loaded >= 5, "only {loaded} programs at the bound loaded");
 }

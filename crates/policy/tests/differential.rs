@@ -498,19 +498,182 @@ const FUSION_SHAPES: [(&str, bool, &str); 7] = [
     ("reg loop", true, reg_loop!("t", "can_schedule", "goodness")),
 ];
 
+/// A band walk over `lists` lists: `let b = start`, then `repeat count`
+/// of a `foreach` over `list(index)` that takes the first schedulable
+/// task, followed by `tail` (the latch and anything after it). Tasks
+/// land on `counter % lists`, so most lists are empty; the pick after
+/// the walk reads `b`, so where the walk left it is observable.
+macro_rules! band_walk {
+    ($lists:literal, $start:literal, $count:literal, $index:literal, $tail:literal) => {
+        concat!(
+            "policy band\nlists ",
+            $lists,
+            "\nhook enqueue { enqueue_back(counter(task) % ",
+            $lists,
+            ") }\n",
+            "hook tick { set_counter(task, counter(task) - 1) }\n",
+            "hook pick_next {\n",
+            "  let b = ",
+            $start,
+            "\n  let c = 0\n  let step = 1\n",
+            "  repeat ",
+            $count,
+            " {\n",
+            "    foreach t in list(",
+            $index,
+            ") {\n",
+            "      if can_schedule(t) { requeue_back(t) pick t }\n",
+            "    }\n",
+            "    ",
+            $tail,
+            "\n  }\n",
+            "  foreach t in list(b) { if runnable(t) { pick t } }\n",
+            "  if runnable(prev) { pick prev }\n",
+            "  pick idle\n",
+            "}\n",
+        )
+    };
+}
+
+/// The `repeat` band walks around the `for.begin` seek, with whether
+/// each compiles to it: the walks it must take (down, up, a step of
+/// 3, through negative indices, a counter that runs out first, a
+/// `break` in the walk, and the seek nested in an outer `repeat`), and
+/// the near misses that keep the plain lowering. Held to the reference
+/// like [`VM_PATH_PROGRAMS`].
+const SEEK_SHAPES: [(&str, bool, &str); 13] = [
+    (
+        "down by 1",
+        true,
+        band_walk!("8", "7", "8", "b", "b = b - 1"),
+    ),
+    ("up by 1", true, band_walk!("8", "0", "8", "b", "b = b + 1")),
+    (
+        "a step of 3",
+        true,
+        band_walk!("7", "2", "7", "b", "b = b + 3"),
+    ),
+    (
+        "through negative indices",
+        true,
+        band_walk!("3", "1", "10", "b", "b = b - 1"),
+    ),
+    (
+        "the counter runs out first",
+        true,
+        band_walk!("16", "0", "3", "b", "b = b + 1"),
+    ),
+    (
+        "break in the walk",
+        true,
+        "policy brk\nlists 6\n\
+         hook enqueue { enqueue_back(counter(task) % 6) }\n\
+         hook pick_next {\n\
+           let found = nil\n\
+           let b = 5\n\
+           repeat 6 {\n\
+             foreach t in list(b) {\n\
+               if can_schedule(t) { found = t  break }\n\
+             }\n\
+             b = b - 1\n\
+           }\n\
+           if found != nil { requeue_back(found) pick found }\n\
+           if runnable(prev) { pick prev }\n\
+           pick idle\n\
+         }\n",
+    ),
+    (
+        "nested in a repeat",
+        true,
+        "policy twice\nlists 30\n\
+         hook enqueue { enqueue_back(counter(task) + 4) }\n\
+         hook pick_next {\n\
+           repeat 2 {\n\
+             let band = nr_lists - 1\n\
+             repeat 30 {\n\
+               foreach t in list(band) {\n\
+                 if can_schedule(t) { if counter(t) > 0 { requeue_back(t) pick t } }\n\
+               }\n\
+               band = band - 1\n\
+             }\n\
+             recalc()\n\
+           }\n\
+           pick idle\n\
+         }\n",
+    ),
+    (
+        "the latch assigns another variable",
+        false,
+        band_walk!("8", "7", "8", "b", "c = b - 1"),
+    ),
+    (
+        "the step is a variable",
+        false,
+        band_walk!("8", "7", "8", "b", "b = b - step"),
+    ),
+    (
+        "a statement after the latch",
+        false,
+        band_walk!("8", "7", "8", "b", "b = b - 1  c = c + 1"),
+    ),
+    (
+        "a multiplying latch",
+        false,
+        band_walk!("8", "1", "8", "b", "b = b * 3"),
+    ),
+    (
+        "a computed list index",
+        false,
+        band_walk!("8", "6", "8", "b + 1", "b = b - 1"),
+    ),
+    (
+        "percpu.pol's guard",
+        false,
+        "policy guard\nlists 8\n\
+         hook enqueue { enqueue_back(counter(task) % 8) }\n\
+         hook pick_next {\n\
+           let i = 0\n\
+           repeat 64 {\n\
+             if i < nr_lists {\n\
+               foreach t in list(i) { if can_schedule(t) { requeue_back(t) pick t } }\n\
+             }\n\
+             i = i + 1\n\
+           }\n\
+           if runnable(prev) { pick prev }\n\
+           pick idle\n\
+         }\n",
+    ),
+];
+
+/// Whether `src`'s `pick_next` holds an op `has` accepts, with the
+/// disassembly to show when it does not match.
+fn pick_next_has(name: &str, src: &str, has: fn(&elsc_policy::Insn) -> bool) -> (bool, String) {
+    let sched = PolicyScheduler::load_str(src, 1).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let chunk = sched
+        .compiled()
+        .chunk(HookKind::PickNext)
+        .expect("pick_next");
+    (chunk.code.iter().any(has), chunk.disasm())
+}
+
 #[test]
 fn vm_path_programs_match_the_reference_at_every_budget() {
     let fusion_shapes = FUSION_SHAPES.iter().map(|&(name, fused, src)| {
-        let sched = PolicyScheduler::load_str(src, 1).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let chunk = sched
-            .compiled()
-            .chunk(HookKind::PickNext)
-            .expect("pick_next");
-        let scan_best = chunk.code.iter().any(|i| i.op == elsc_policy::Op::ScanBest);
-        assert_eq!(scan_best, fused, "{name}: scan.best\n{}", chunk.disasm());
+        let (scan_best, disasm) = pick_next_has(name, src, |i| i.op == elsc_policy::Op::ScanBest);
+        assert_eq!(scan_best, fused, "{name}: scan.best\n{disasm}");
         (name, src)
     });
-    for (name, src) in VM_PATH_PROGRAMS.into_iter().chain(fusion_shapes) {
+    let seek_shapes = SEEK_SHAPES.iter().map(|&(name, seeks, src)| {
+        let (seek, disasm) =
+            pick_next_has(name, src, |i| i.op == elsc_policy::Op::ForBegin && i.d == 1);
+        assert_eq!(seek, seeks, "{name}: seek\n{disasm}");
+        (name, src)
+    });
+    for (name, src) in VM_PATH_PROGRAMS
+        .into_iter()
+        .chain(fusion_shapes)
+        .chain(seek_shapes)
+    {
         let prog = load_str(src).unwrap_or_else(|e| panic!("{name}: {e}"));
         for budget in std::iter::once(DEFAULT_BUDGET).chain(1..=96) {
             assert_vm_matches_reference(name, &prog, budget, 120);
@@ -545,14 +708,18 @@ fn machine_run(cfg: MachineConfig, prog: &Program, budget: u64, reference: bool)
 
 /// The machine-level contract: a whole run's report is byte-identical
 /// on the VM and on the reference — same schedule, same cycles, same
-/// `PolicyInsn` totals.
+/// `PolicyInsn` totals — for `reg.pol` (`scan.best`) and `table.pol`
+/// (the band walk's seek).
 #[test]
 fn full_runs_are_byte_identical_to_the_reference() {
-    let reg = fs::read_to_string(policies_dir().join("reg.pol")).expect("reg.pol");
-    let prog = load_str(&reg).expect("reg.pol loads");
-    let json =
-        |reference| machine_run(MachineConfig::smp(2), &prog, DEFAULT_BUDGET, reference).to_json();
-    assert_eq!(json(false), json(true));
+    for name in ["reg.pol", "table.pol"] {
+        let src = fs::read_to_string(policies_dir().join(name)).expect(name);
+        let prog = load_str(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let json = |reference| {
+            machine_run(MachineConfig::smp(2), &prog, DEFAULT_BUDGET, reference).to_json()
+        };
+        assert_eq!(json(false), json(true), "{name}");
+    }
 }
 
 /// Budget exhaustion mid-`pick_next` on the VM: the watchdog ejects at
