@@ -110,6 +110,19 @@ rules() {
 0 0 shipped crates/lab/src/spec.rs,crates/cli/src/main.rs,crates/cli/src/args.rs  -  "(jobs|units|clients|requests|tasks|rounds|burst|nodes)"
 1 - shipped crates/lab/src/cell.rs  -  "(jobs|units|clients|requests|tasks|rounds|burst|nodes)"
 
+# -- One static-goodness order: the sorted member set is defined once, in
+# `sched-api/src/order.rs`; reg's index keeps no copy, and heap and aheap
+# share one queue record on it (`sched-ext/src/sorted.rs`) instead of
+# per-task maps, with the hooks, prologue and epilogue written there once.
+# Their `BTreeMap` predecessors survive only as the test-only twins.
+0 0 whole   crates  ^crates/sched-api/src/order\.rs:  struct (Member|Members)\b
+0 0 whole   crates/sched-linux  -  struct (Member|Members)\b
+1 - whole   crates/sched-api/src/order.rs  -  struct (Member|Members)\b
+0 0 shipped crates/sched-ext/src/heap.rs,crates/sched-ext/src/affinity_heap.rs,crates/sched-ext/src/sorted.rs  -  HashMap|BTreeMap<(Tid|Key)\b
+1 - whole   crates/sched-ext/tests/twins  -  HashMap|BTreeMap<(Tid|Key)\b
+0 0 shipped crates/sched-ext/src/heap.rs,crates/sched-ext/src/affinity_heap.rs  -  fn (add_to|del_from|move_first|move_last)_runqueue|fn schedule\(|frame::commit
+1 - shipped crates/sched-ext/src/sorted.rs  -  fn (add_to|del_from|move_first|move_last)_runqueue|fn schedule\(|frame::commit
+
 # -- One CI: the workflow runs job scripts and names no command itself;
 # every check lives once, in ci/lib.sh or a ci/jobs/*.sh line.
 0 0 whole   .github  -  \bcargo\b|elsc-sim
@@ -126,6 +139,15 @@ shipped() {
          skip && /^}/ { skip = 0 }' "$f"
   done
 }
+
+# The shipped-lines ledger: each crate's shipped lines under `crates/*/src`
+# and their total, the figures ci/shipped-lines.txt records.
+ledger() {
+  for d in crates/*/src; do
+    printf '%-20s %6d\n' "${d%/src}" "$(shipped "$d" | grep -c '')"
+  done | awk '{ print; n += $2 } END { printf "%-20s %6d\n", "total", n }'
+}
+if test "${1:-}" = --ledger; then ledger; exit 0; fi
 
 fail=0
 while read -r lo hi text paths except pattern; do
@@ -161,6 +183,19 @@ test "$bins" = figure1.rs || { echo "audit: crates/bench/src/bin holds: $bins (w
 jobs=$( (cd ci/jobs && ls -- *.sh | sed 's/\.sh$//'; echo identity) | sort | xargs)
 matrix=$(sed -n 's/^ *job: \[\(.*\)\]$/\1/p' .github/workflows/ci.yml | tr -d ' ' | tr ',' '\n' | sort | xargs)
 test "$jobs" = "$matrix" || { echo "audit: ci.yml matrix.job is [$matrix], want [$jobs]"; fail=1; }
+
+# Shipped lines per crate, against the committed ledger: a change that
+# moves a total re-records it (`bash ci/audit.sh --ledger >
+# ci/shipped-lines.txt`) and gives the reason in CHANGES.md.
+now=$(ledger)
+printf '%s\n' "$now" | sed 's/^/shipped /'
+if ! printf '%s\n' "$now" | cmp -s - ci/shipped-lines.txt; then
+  echo "audit: shipped lines differ from ci/shipped-lines.txt:"
+  printf '%s\n' "$now" | awk 'NR == FNR { was[$1] = $2; next }
+    $2 != was[$1] { printf "    %-20s %6d -> %6d (%+d)\n", $1, was[$1], $2, $2 - was[$1] }' \
+    ci/shipped-lines.txt -
+  fail=1
+fi
 
 test "$fail" -eq 0 && echo "audit: every rule holds"
 exit "$fail"

@@ -23,7 +23,10 @@
 //!   on-queue marker, so `schedule()` re-indexes `prev` before searching
 //!   — `elsc`, `heap`, `aheap`. These take the pieces only:
 //!   [`charge_entry`], [`refresh_rr_quantum`], [`recalculate`],
-//!   [`commit`].
+//!   [`commit`]. `elsc` calls them from its own `schedule()`; `heap` and
+//!   `aheap` share one, `elsc-sched-ext`'s `SortedQueue` record, which
+//!   also holds their run-queue hooks and files tasks in the
+//!   [`order`](crate::order) sets reg's goodness index uses.
 //!
 //! The scan is the design's to answer, but its *cost* is the model's:
 //! [`scan_list`] walks a run list and charges one `GoodnessEval` per

@@ -17,6 +17,9 @@
 //!   `prev` handling, the recalculation loop, the `has_cpu` hand-over)
 //!   and the baseline's run-list goodness scan, written once for every
 //!   design to call.
+//! * [`order`] — the one static-goodness order: sorted sets of run-queue
+//!   members keyed by (goodness, tie stamp), which reg's goodness index
+//!   and the two §8 heap designs partition each their own way.
 //! * [`resched::reschedule_idle`] — the wakeup placement logic shared by
 //!   all schedulers (the paper keeps it unchanged).
 //! * [`SchedConfig`] — machine-level knobs the schedulers see (CPU count,
@@ -36,6 +39,7 @@ pub mod config;
 pub mod frame;
 pub mod goodness;
 pub mod lockplan;
+pub mod order;
 pub mod resched;
 pub mod scheduler;
 

@@ -7,7 +7,10 @@
 //!   the absolute best task available simply by examining the top of each
 //!   heap" — [`heap::HeapScheduler`] (one global ordered structure) and
 //!   [`affinity_heap::AffinityHeapScheduler`] (a heap per
-//!   processor × address-space pair, giving *exact* selection).
+//!   processor × address-space pair, giving *exact* selection). Both are
+//!   one queue record, [`sorted::SortedQueue`], over the sorted sets of
+//!   `elsc_sched_api::order`; each design brings only its partition, its
+//!   tie and re-stamp rules and its selection candidates.
 //! * "perhaps a multi-priority-queue solution would be more beneficial to
 //!   help the scheduler scale to multiple processors" —
 //!   [`multiqueue::MultiQueueScheduler`], per-CPU run queues with work
@@ -35,6 +38,7 @@ pub mod bubble;
 pub mod heap;
 pub mod learned;
 pub mod multiqueue;
+pub mod sorted;
 
 /// The most queues `mq` (one per CPU) or `bubble` (one per NUMA node)
 /// can be built with: a task remembers its queue in the one-byte

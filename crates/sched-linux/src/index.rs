@@ -1,66 +1,62 @@
 //! The host side of reg's goodness scan: an index that answers "which
 //! schedulable task has the highest goodness, front-most on ties" without
-//! walking the run queue.
-//!
-//! The simulated kernel still walks the whole list — the caller charges
-//! one `GoodnessEval` per schedulable task from the count this index
-//! keeps — but the simulator no longer pays O(n) host time for it.
+//! walking the run queue. The simulated kernel still walks the whole list
+//! — the caller charges one `GoodnessEval` per schedulable task from the
+//! count this index keeps — but the simulator no longer pays O(n) host
+//! time for it. DESIGN.md §14 ("reg's goodness index") walks through it.
 //!
 //! # The key
 //!
 //! Goodness is a static part plus a bonus ([`goodness_parts`], the split
-//! ELSC is built on, paper §5). The static part is `counter + priority`,
-//! or the whole goodness of a real-time (`1000 + rt_priority`) or
-//! exhausted (0) task. The bonus depends only on the deciding CPU and the
-//! task's `processor`, plus [`MM_BONUS`] when the task shares `prev`'s
-//! address space. So the members are kept in sorted sets keyed by
-//! `(static part, list-position stamp)` — higher static part first,
-//! lower stamp first among equals:
+//! ELSC is built on, paper §5): `counter + priority`, or the whole
+//! goodness of a real-time (`1000 + rt_priority`) or exhausted (0) task,
+//! plus a bonus that depends only on the deciding CPU and the task's
+//! `processor`, and [`MM_BONUS`] for sharing `prev`'s address space. So
+//! the members sit in [`Members`] sets — the one static-goodness order,
+//! `elsc_sched_api::order` — keyed by `(static part, list-position
+//! stamp)`:
 //!
 //! * `flat` — real-time and exhausted tasks, whose goodness is the key;
 //! * `by_cpu[p]` — the other tasks that last ran on CPU `p`, whose
-//!   goodness is the key plus `p`'s affinity bonus, plus [`MM_BONUS`]
-//!   for a task that shares `prev`'s address space.
+//!   goodness is the key plus `p`'s affinity bonus and the mm bonus.
 //!
 //! A decision reads the head of `flat` and of every `by_cpu[p]`. The head
 //! of `by_cpu[p]` wins its set unless a task within [`MM_BONUS`] of it
 //! shares `prev`'s address space; the set is read on from its head only
-//! while the address-space bonus could still lift a task past it, and
-//! stops at the first task that shares the address space. With few
-//! address spaces (a VolanoMark run has two) that is a step or two; it is
-//! never more than the two top goodness levels of one set.
+//! while that bonus could still lift a task past it, and stops at the
+//! first task that shares the address space: a step or two with
+//! VolanoMark's two address spaces, never more than the set's two top
+//! goodness levels.
 //!
 //! # The stamps
 //!
-//! The run queue only ever grows at its ends (`list_add` for new and
-//! woken tasks and `move_first_runqueue`, `list_add_tail` for
-//! `move_last_runqueue`), and a running task keeps its place. So the
-//! index stamps the queue front to back once, when it is built at the
-//! first decision, and from then on each hook stamps the task it links —
-//! front inserts count down from -1, tail inserts count up from the
-//! queue's length — and ascending stamps are list order: the hooks stay
-//! O(1), and nothing is renumbered.
+//! The run queue only grows at its ends (`list_add`, `list_add_tail`) and
+//! a running task keeps its place. So the index stamps the queue front to
+//! back once, when it is built at the first decision, and from then on
+//! each hook stamps the task it links — front inserts count down from -1,
+//! tail inserts up from the queue's length. Ascending stamps are list
+//! order: the hooks stay O(1), and nothing is renumbered.
 //!
 //! # What the index hears
 //!
-//! Everything else that moves a task's key — clock ticks, the counter
-//! recalculation, the RR quantum refresh, `processor` after a migration,
-//! `has_cpu` at every hand-over, a task linked or unlinked — reaches the
-//! index only through the task table's change log: it is one
-//! [`LogReader`], subscribed when the index is built (so building a
-//! workload costs it nothing) and drained at the start of every scan.
-//! A drained slot is re-classified from the task as it stands, and moved
-//! between the sets only if its place or key changed. A drain that hands
-//! over more slots than there are members (the recalculation touches
-//! every task) re-sorts the sets instead of moving tasks one by one.
+//! Everything else that moves a key — clock ticks, the recalculation, the
+//! RR quantum refresh, a migration, `has_cpu` at every hand-over, a task
+//! linked or unlinked — reaches the index through one [`LogReader`] on
+//! the task table's change log, subscribed when the index is built (so
+//! building a workload costs it nothing) and drained at the start of
+//! every scan. A drained slot is re-classified from the task as it
+//! stands, and moved between the sets only if its place or key changed;
+//! a drain of more slots than there are members (the recalculation
+//! touches every task) re-sorts the sets instead.
 //!
 //! On SMP a task with `has_cpu` set is *held*: counted, but in no set,
 //! since no CPU may pick it — which also keeps the clock ticks of running
-//! tasks out of the sets. On UP the filter is "not `prev`", so every
-//! member is in the sets, and a decision steps over `prev`.
+//! tasks out of the sets. On UP every member is in the sets, and a
+//! decision steps over `prev`.
 
 use elsc_ktask::{CpuId, Lists, LogReader, MmId, Task, TaskTable, Tid};
 use elsc_sched_api::goodness::{goodness_parts, topo_affinity_bonus, MM_BONUS};
+use elsc_sched_api::order::{rank, Member, Members};
 use elsc_sched_api::{SchedConfig, IDLE_GOODNESS};
 
 /// Where a slot sits in the index.
@@ -89,103 +85,13 @@ struct Entry {
     filed_stamp: i64,
 }
 
-/// A set member: a goodness (or static part), a list-position stamp, the
-/// slot and its address space, in 24 bytes. The better task is the
-/// greater [`Rank`]: higher goodness, then lower stamp.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Member {
-    /// The stamp turned around, so that an earlier one is greater.
-    early: u64,
-    /// The goodness with its sign bit flipped, so that it compares as
-    /// unsigned.
-    goodness: u32,
-    slot: u32,
-    mm: MmId,
-}
-
-/// A member's sort key, both halves compared at once.
-type Rank = u128;
-
-fn rank(goodness: i32, stamp: i64) -> Rank {
-    Member::new(goodness, stamp, 0, MmId::KERNEL).rank()
-}
-
-impl Member {
-    fn new(goodness: i32, stamp: i64, slot: usize, mm: MmId) -> Member {
-        Member {
-            early: !((stamp as u64) ^ 1 << 63),
-            goodness: goodness as u32 ^ 1 << 31,
-            slot: slot as u32,
-            mm,
-        }
-    }
-
-    fn rank(&self) -> Rank {
-        (self.goodness as u128) << 64 | self.early as u128
-    }
-
-    fn goodness(&self) -> i32 {
-        (self.goodness ^ 1 << 31) as i32
-    }
-
-    #[cfg(test)]
-    fn stamp(&self) -> i64 {
-        (!self.early ^ 1 << 63) as i64
-    }
-
-    /// The same task `by` goodness higher.
-    fn lifted(&self, by: i32) -> Member {
-        Member {
-            goodness: (self.goodness() + by) as u32 ^ 1 << 31,
-            ..*self
-        }
-    }
-}
-
-/// A sorted set of members, worst first: the head is the last element,
-/// where picks and most inserts happen.
-#[derive(Debug, Default)]
-struct Members(Vec<Member>);
-
-impl Members {
-    /// Where `rank` goes: the number of members below it. Picks and
-    /// wake-ups happen near the head, so the search starts there.
-    fn position(&self, rank: Rank) -> usize {
-        const NEAR: usize = 8;
-        let v = &self.0;
-        let near = v.len().saturating_sub(NEAR);
-        match v[near..].iter().rposition(|x| x.rank() < rank) {
-            Some(i) => near + i + 1,
-            None => v[..near].partition_point(|x| x.rank() < rank),
-        }
-    }
-
-    fn insert(&mut self, m: Member) {
-        let at = self.position(m.rank());
-        self.0.insert(at, m);
-    }
-
-    fn remove(&mut self, rank: Rank) {
-        let at = self.position(rank);
-        debug_assert!(
-            self.0.get(at).is_some_and(|x| x.rank() == rank),
-            "index set out of step"
-        );
-        self.0.remove(at);
-    }
-
-    /// Best first, without slot `skip`.
-    fn best_first(&self, skip: u32) -> impl Iterator<Item = &Member> {
-        self.0.iter().rev().filter(move |m| m.slot != skip)
-    }
-}
-
 /// reg's goodness index (see the module docs).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct GoodnessIndex {
     /// Per slot, its stamp and where it is filed.
     entries: Vec<Entry>,
-    /// The next front stamp (counts down) and tail stamp (counts up).
+    /// The next front stamp (counts down) and tail stamp (counts up),
+    /// set when the index is built.
     front: i64,
     back: i64,
     /// The change-log subscription, from the first scan on.
@@ -203,21 +109,6 @@ pub(crate) struct GoodnessIndex {
 }
 
 impl GoodnessIndex {
-    pub(crate) fn new() -> Self {
-        GoodnessIndex {
-            entries: Vec::new(),
-            front: -1,
-            back: 0,
-            reader: None,
-            smp: false,
-            drained: Vec::new(),
-            members: 0,
-            held: 0,
-            flat: Members::default(),
-            by_cpu: Vec::new(),
-        }
-    }
-
     fn entry_mut(&mut self, slot: usize) -> &mut Entry {
         if slot >= self.entries.len() {
             self.entries.resize(slot + 1, Entry::default());
@@ -357,30 +248,12 @@ impl GoodnessIndex {
         }
     }
 
-    /// Refills every set from the entries, sorted, each at its exact size.
+    /// Refills every set from the entries, sorted.
     fn rebuild(&mut self) {
-        let (mut flat, mut by_cpu) = (0, vec![0; self.by_cpu.len()]);
-        for e in &self.entries {
-            match e.place {
-                Place::Flat => flat += 1,
-                Place::Cpu(p, _) => {
-                    let p = p as usize;
-                    if p >= by_cpu.len() {
-                        by_cpu.resize(p + 1, 0);
-                    }
-                    by_cpu[p] += 1;
-                }
-                Place::Out | Place::Held => {}
-            }
-        }
-        self.by_cpu.resize_with(by_cpu.len(), Members::default);
         // Fresh vectors, not cleared ones: the first build files every
         // task of a freshly started workload, and the queue soon shrinks.
-        for (set, n) in
-            std::iter::once((&mut self.flat, flat)).chain(self.by_cpu.iter_mut().zip(by_cpu))
-        {
-            set.0 = Vec::with_capacity(n);
-        }
+        self.flat = Members::default();
+        self.by_cpu.fill_with(Members::default);
         for slot in 0..self.entries.len() {
             let e = self.entries[slot];
             let m = Member::new(e.filed_static, e.filed_stamp, slot, Self::mm_of(e.place));
@@ -388,8 +261,7 @@ impl GoodnessIndex {
                 set.0.push(m);
             }
         }
-        self.flat.0.sort_unstable_by_key(Member::rank);
-        for set in &mut self.by_cpu {
+        for set in std::iter::once(&mut self.flat).chain(&mut self.by_cpu) {
             set.0.sort_unstable_by_key(Member::rank);
         }
     }
@@ -483,37 +355,5 @@ impl GoodnessIndex {
             None => (IDLE_GOODNESS, None),
         };
         (answer, n)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn members_order_by_goodness_then_stamp_and_round_trip() {
-        let worst_first = [
-            (i32::MIN, 0),
-            (-3, 4),
-            (0, i64::MAX),
-            (41, 9),
-            (41, 0),
-            (41, -1),
-            (1099, -5),
-            (i32::MAX, i64::MIN),
-        ];
-        let members: Vec<Member> = worst_first
-            .iter()
-            .enumerate()
-            .map(|(slot, &(g, stamp))| Member::new(g, stamp, slot, MmId(7)))
-            .collect();
-        assert!(
-            members.windows(2).all(|w| w[0].rank() < w[1].rank()),
-            "better is greater"
-        );
-        for (m, &case) in members.iter().zip(&worst_first) {
-            assert_eq!((m.goodness(), m.stamp()), case);
-        }
-        assert_eq!(members[4].lifted(1).rank(), rank(42, 0));
     }
 }

@@ -51,7 +51,7 @@ impl LinuxScheduler {
         LinuxScheduler {
             lists: Lists::new(1),
             nr_running: 0,
-            index: GoodnessIndex::new(),
+            index: GoodnessIndex::default(),
         }
     }
 
