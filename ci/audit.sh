@@ -123,6 +123,23 @@ rules() {
 0 0 shipped crates/sched-ext/src/heap.rs,crates/sched-ext/src/affinity_heap.rs  -  fn (add_to|del_from|move_first|move_last)_runqueue|fn schedule\(|frame::commit
 1 - shipped crates/sched-ext/src/sorted.rs  -  fn (add_to|del_from|move_first|move_last)_runqueue|fn schedule\(|frame::commit
 
+# -- One run-queue list bank: the list half of the four run-queue
+# manipulators (surgery, ListOp charges, counts, `nr_running`, each task's
+# list) lives in `sched-api/src/queues.rs`, which reg, mq, bubble and the
+# `.pol` host share. A bank is built there, in ELSC's table and in ktask's
+# own code only; `rq_hint` is written there and in ELSC's table only; the
+# policy host's side table and the 256-queue cap a one-byte `rq_hint`
+# forced are gone (the staleness rows read the change log that records
+# their removal).
+0 0 shipped crates/*/src  ^crates/(sched-api/src/queues\.rs|core/src/|ktask/src/)  Lists::new\(
+1 - shipped crates/sched-api/src/queues.rs  -  Lists::new\(
+0 0 shipped crates/*/src  ^crates/(sched-api/src/queues\.rs|core/src/table\.rs):  rq_hint = [^=]
+1 - shipped crates/sched-api/src/queues.rs  -  rq_hint = [^=]
+0 0 whole   crates/policy/src  -  list_of|remember_list
+1 - whole   CHANGES.md  -  list_of|remember_list
+0 0 whole   crates,tests,examples,docs,ci,.github,benchmark,README.md,DESIGN.md,EXPERIMENTS.md,CONTRIBUTING.md  ^ci/audit\.sh:  MAX_QUEUES|fn fits\b
+1 - whole   CHANGES.md  -  MAX_QUEUES|fn fits\b
+
 # -- One CI: the workflow runs job scripts and names no command itself;
 # every check lives once, in ci/lib.sh or a ci/jobs/*.sh line.
 0 0 whole   .github  -  \bcargo\b|elsc-sim

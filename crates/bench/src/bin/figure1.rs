@@ -43,7 +43,7 @@ fn main() {
     let reg = populated(LinuxScheduler::new());
     println!("(a) current scheduler: one unsorted list, scanned fully:");
     print!("    head");
-    print_chain(&reg, reg.sched.queue_order(&reg.tasks));
+    print_chain(&reg, reg.sched.run_list().collect(&reg.tasks, 0));
     println!(" -> head");
 
     let elsc = populated(ElscScheduler::new());

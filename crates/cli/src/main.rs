@@ -130,7 +130,6 @@ fn workload(a: &Args) -> Result<WorkloadCell, String> {
 /// takes — and [`machine_cfg`] layers the CLI-only observers on top.
 fn cell(a: &Args, sched: SchedId) -> Result<CellConfig, String> {
     let topo = declared_topology(a)?;
-    sched.fits(&topo)?;
     let workload = workload(a)?;
     workload
         .check(topo.nr_cpus())

@@ -20,32 +20,45 @@ fn elsc_sim(args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("utf-8 output")
 }
 
-/// `mq` on 300 CPUs and `bubble` on a 300-node tree need more queues
-/// than a task's one-byte queue hint can name. Both front ends refuse
-/// the shape with the same one-line error: exit 1 from the CLI — not a
-/// panic (101), not a wrapped count and exit 0 — and a parse error from
-/// a sweep spec.
+/// `mq` on 300 CPUs and `bubble` on a 300-node tree keep more queues
+/// than a one-byte queue hint could name; the two-byte `rq_hint` names
+/// them all. Both front ends run the shape to completion with a clean
+/// oracle — exit 0 from the CLI, a clean cell from a sweep spec — and
+/// give the same report bytes.
 #[test]
-fn shapes_with_more_than_256_queues_are_rejected_by_both_front_ends() {
+fn shapes_with_more_than_256_queues_run_clean_on_both_front_ends() {
+    let dir = std::env::temp_dir().join(format!("elsc-cli-300-queues-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
     for (sched, shape_flags, shape) in [
         ("mq", ["--cpus", "300"], "300P"),
         ("bubble", ["--topology", "300N1C1T"], "300N1C1T"),
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_elsc-sim"))
-            .args([
-                "stress", "--tasks", "900", "--rounds", "6", "--sched", sched,
-            ])
-            .args(shape_flags)
-            .output()
-            .expect("elsc-sim runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{sched}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{sched}: {stderr}");
-        assert!(stderr.contains("at most 256"), "{sched}: {stderr}");
-        let spec = format!("name = big\nworkload = stress\nsched = {sched}\nshape = {shape}");
-        let err = spec.parse::<elsc_lab::SweepSpec>().unwrap_err();
-        assert_eq!(format!("error: {err}\n"), stderr, "{sched}");
+        let path = dir.join(format!("{sched}.json"));
+        let mut args = vec![
+            "stress", "--tasks", "600", "--rounds", "1", "--sched", sched,
+        ];
+        args.extend(shape_flags);
+        args.extend([
+            "--oracle",
+            "--quiet",
+            "--report-json",
+            path.to_str().unwrap(),
+        ]);
+        elsc_sim(&args);
+        let spec = format!(
+            "name = big\nworkload = stress\nsched = {sched}\nshape = {shape}\n\
+             tasks = 600\nrounds = 1\nseed = 23062\noracle = on"
+        );
+        let cells = spec.parse::<elsc_lab::SweepSpec>().unwrap().cells();
+        assert_eq!(cells.len(), 1, "{sched}");
+        let lab = execute_cell(&cells[0]).expect("the cell runs clean");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            lab.report_json,
+            "{sched}"
+        );
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A flag the named workload does not take is refused, not ignored:

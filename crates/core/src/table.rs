@@ -108,7 +108,7 @@ impl ElscTable {
     pub fn link(&mut self, tasks: &mut TaskTable, tid: Tid) -> usize {
         let t = tasks.task_mut(tid);
         let (idx, is_zero) = index_for(t);
-        t.rq_hint = idx as u8;
+        t.rq_hint = idx as u16;
         t.rq_zero = is_zero;
         if is_zero {
             self.lists.insert_back(tasks, idx, tid);

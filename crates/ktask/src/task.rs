@@ -189,10 +189,12 @@ pub struct Task {
     /// `int processor`: the processor the task last ran on (or is running
     /// on when `has_cpu` is set).
     pub processor: CpuId,
-    /// Scheduler-private annotation: the run-queue class this task was
-    /// indexed into (the ELSC table list index; the ELSC patch adds the
-    /// equivalent field to `task_struct`). Unused by the baseline.
-    pub rq_hint: u8,
+    /// Scheduler-private annotation: the run list this task was filed
+    /// on — the ELSC table list index (the ELSC patch adds the equivalent
+    /// field to `task_struct`), or the list of a `RunQueues` bank in the
+    /// baseline and the list-bank designs. Two bytes, so a bank of one
+    /// list per CPU can name every list up to `MAX_CPUS`.
+    pub rq_hint: u16,
     /// Scheduler-private annotation: whether the task was inserted into
     /// the zero-counter section of its list (ELSC only).
     pub rq_zero: bool,

@@ -16,7 +16,6 @@ use elsc_machine::{FaultPlan, Machine, MachineConfig, RunReport};
 use elsc_sched_api::{LockPlan, Scheduler};
 use elsc_sched_ext::{
     AffinityHeapScheduler, BubbleScheduler, HeapScheduler, LearnedScheduler, MultiQueueScheduler,
-    MAX_QUEUES,
 };
 use elsc_sched_linux::LinuxScheduler;
 use elsc_simcore::{Topology, TopologyError, MAX_CPUS};
@@ -170,35 +169,14 @@ impl SchedId {
         }
     }
 
-    /// Whether this design can be built for `topo`: `mq` keeps one queue
-    /// per CPU and `bubble` one per NUMA node, and neither can address
-    /// more than [`MAX_QUEUES`]. The CLI and spec parsing call this, so
-    /// an oversized shape is a plain error before [`build`](Self::build)
-    /// would assert.
-    pub fn fits(&self, topo: &Topology) -> Result<(), String> {
-        let (queues, per) = match self {
-            SchedId::Mq => (topo.nr_cpus(), "CPU"),
-            SchedId::Bubble => (topo.nr_nodes(), "NUMA node"),
-            _ => return Ok(()),
-        };
-        if queues > MAX_QUEUES {
-            return Err(format!(
-                "{} keeps one run queue per {per} and supports at most {MAX_QUEUES}; \
-                 shape {} needs {queues}",
-                self.label(),
-                Shape::from(*topo).label()
-            ));
-        }
-        Ok(())
-    }
-
     /// Instantiates the scheduler. The declared topology sizes the
     /// structural designs: `Mq` (and policies with `lists percpu`) per
     /// CPU, `Bubble` per NUMA node.
     ///
     /// # Panics
     ///
-    /// Panics on a shape [`fits`](Self::fits) rejects.
+    /// Panics if a policy or model that verified when this id was made
+    /// no longer loads.
     pub fn build(&self, topo: Topology) -> Box<dyn Scheduler> {
         let nr_cpus = topo.nr_cpus();
         match self {

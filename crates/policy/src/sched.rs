@@ -30,7 +30,8 @@
 use elsc_ktask::{CpuId, Lists, MmId, TaskTable, Tid};
 use elsc_obs::ObsEvent;
 use elsc_sched_api::{
-    frame, goodness_ignoring_yield, Load, SchedCtx, Scheduler, Supervised, Verdict, IDLE_GOODNESS,
+    frame, goodness_ignoring_yield, Load, RunQueues, SchedCtx, Scheduler, Supervised, Verdict,
+    IDLE_GOODNESS,
 };
 use elsc_simcore::CostKind;
 
@@ -333,14 +334,12 @@ pub struct PolicyScheduler {
     /// persisted across decisions so steady-state dispatch allocates
     /// nothing.
     vm_state: VmState,
-    lists: Lists,
-    /// Which list each task (by slab index) was inserted into.
-    list_of: Vec<usize>,
+    /// The declared list bank.
+    rq: RunQueues,
     /// `generation + 1` of the last slab occupant whose `on_fork` ran;
     /// 0 = never. Detects the first enqueue of each task lifetime.
     forked: Vec<u32>,
     nr_cpus: usize,
-    nr_running: usize,
     budget: u64,
     insns_total: u64,
     violation: Option<PolicyViolation>,
@@ -361,7 +360,7 @@ impl PolicyScheduler {
     pub fn new(prog: Program, nr_cpus: usize) -> Result<PolicyScheduler, PolicyError> {
         let compiled = crate::compile(&prog)?;
         let name: &'static str = Box::leak(format!("policy:{}", prog.name).into_boxed_str());
-        let lists = Lists::new(prog.lists.count(nr_cpus).max(1));
+        let rq = RunQueues::new(prog.lists.count(nr_cpus).max(1));
         Ok(PolicyScheduler {
             prog,
             name,
@@ -369,11 +368,9 @@ impl PolicyScheduler {
             #[cfg(any(test, feature = "interp-reference"))]
             reference: false,
             vm_state: VmState::default(),
-            lists,
-            list_of: Vec::new(),
+            rq,
             forked: Vec::new(),
             nr_cpus,
-            nr_running: 0,
             budget: DEFAULT_BUDGET,
             insns_total: 0,
             violation: None,
@@ -410,11 +407,6 @@ impl PolicyScheduler {
         &self.compiled
     }
 
-    /// Collects list `h` front to back (tests and examples).
-    pub fn queue_order(&self, tasks: &TaskTable, h: usize) -> Vec<u32> {
-        self.lists.collect(tasks, h)
-    }
-
     /// Runs `hook` (no-op if the program does not define it) and
     /// charges what it executed. Only `pick_next` may `requeue_back`
     /// (the verifier's rule), so any other hook hands the VM's lent
@@ -435,7 +427,9 @@ impl PolicyScheduler {
         #[cfg(any(test, feature = "interp-reference"))]
         if self.reference {
             return match self.prog.hook(hook) {
-                Some(block) => crate::interp::run_block(block, &self.lists, ctx, env, self.budget),
+                Some(block) => {
+                    crate::interp::run_block(block, self.rq.lists(), ctx, env, self.budget)
+                }
                 None => HookRun::default(),
             };
         }
@@ -443,7 +437,7 @@ impl PolicyScheduler {
         match self.compiled.chunk(hook) {
             Some(chunk) => vm::run_chunk(
                 chunk,
-                &self.lists,
+                self.rq.lists(),
                 ctx,
                 env,
                 self.budget,
@@ -461,7 +455,7 @@ impl PolicyScheduler {
             task: None,
             prev_mm: MmId::KERNEL,
             prev_yielded: false,
-            nr_running: self.nr_running,
+            nr_running: self.rq.nr_running(),
             nr_cpus: self.nr_cpus,
         }
     }
@@ -475,18 +469,6 @@ impl PolicyScheduler {
         if self.violation.is_none() {
             self.violation = Some(v);
         }
-    }
-
-    fn remember_list(&mut self, tid: Tid, list: usize) {
-        let idx = tid.index();
-        if self.list_of.len() <= idx {
-            self.list_of.resize(idx + 1, 0);
-        }
-        self.list_of[idx] = list;
-    }
-
-    fn list_of(&self, tid: Tid) -> usize {
-        self.list_of.get(tid.index()).copied().unwrap_or(0)
     }
 
     /// Is `cand` a task `schedule()` may legally hand the CPU?
@@ -512,7 +494,7 @@ impl core::fmt::Debug for PolicyScheduler {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("PolicyScheduler")
             .field("name", &self.name)
-            .field("nr_running", &self.nr_running)
+            .field("nr_running", &self.rq.nr_running())
             .field("budget", &self.budget)
             .field("insns_total", &self.insns_total)
             .finish_non_exhaustive()
@@ -526,10 +508,6 @@ impl Scheduler for PolicyScheduler {
 
     fn add_to_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
         ctx.meter.charge(ctx.costs, CostKind::ListOp);
-        debug_assert!(
-            !ctx.tasks.task(tid).on_runqueue(),
-            "double add to run queue"
-        );
         // `on_fork`: runs once per task lifetime, before its first
         // enqueue. Generation-stamped so a recycled slab slot counts as
         // a new task.
@@ -566,37 +544,19 @@ impl Scheduler for PolicyScheduler {
         } else {
             (0, true)
         };
-        if front {
-            self.lists.insert_front(ctx.tasks, list, tid);
-        } else {
-            self.lists.insert_back(ctx.tasks, list, tid);
-        }
-        self.remember_list(tid, list);
-        self.nr_running += 1;
+        self.rq.insert(ctx, list, front, tid);
     }
 
     fn del_from_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-        ctx.meter.charge(ctx.costs, CostKind::ListOp);
-        debug_assert!(
-            ctx.tasks.task(tid).on_runqueue(),
-            "del of task not on run queue"
-        );
-        self.lists.remove(ctx.tasks, tid);
-        self.nr_running -= 1;
+        self.rq.remove(ctx, tid);
     }
 
     fn move_first_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-        ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
-        let h = self.list_of(tid);
-        self.lists.remove(ctx.tasks, tid);
-        self.lists.insert_front(ctx.tasks, h, tid);
+        self.rq.requeue(ctx, tid, true);
     }
 
     fn move_last_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-        ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
-        let h = self.list_of(tid);
-        self.lists.remove(ctx.tasks, tid);
-        self.lists.insert_back(ctx.tasks, h, tid);
+        self.rq.requeue(ctx, tid, false);
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
@@ -653,27 +613,19 @@ impl Scheduler for PolicyScheduler {
         // runnable task no CPU holds waits in the bank (the SMP scan
         // filter skips exactly the tasks some CPU holds).
         self.starving = next == idle
-            && (0..self.lists.nr_lists()).any(|h| {
-                frame::schedulable(&self.lists, h, ctx.tasks, true, prev)
+            && (0..self.rq.lists().nr_lists()).any(|h| {
+                frame::schedulable(self.rq.lists(), h, ctx.tasks, true, prev)
                     .any(|t| t.state.is_runnable())
             });
         next
     }
 
     fn nr_running(&self) -> usize {
-        self.nr_running
+        self.rq.nr_running()
     }
 
     fn debug_check(&self, tasks: &TaskTable) {
-        let mut total = 0;
-        for h in 0..self.lists.nr_lists() {
-            self.lists.check(tasks, h);
-            total += self.lists.len(tasks, h);
-        }
-        assert_eq!(
-            total, self.nr_running,
-            "nr_running out of sync with the list bank"
-        );
+        self.rq.debug_check(tasks);
     }
 
     fn supervised(&mut self) -> Option<&mut dyn Supervised> {
@@ -717,17 +669,7 @@ impl Supervised for PolicyScheduler {
     }
 
     fn drain(&mut self, ctx: &mut SchedCtx<'_>) -> Vec<Tid> {
-        let mut out = Vec::new();
-        for h in 0..self.lists.nr_lists() {
-            while let Some(i) = self.lists.first(h) {
-                let tid = ctx.tasks.by_index(i as usize).tid;
-                ctx.meter.charge(ctx.costs, CostKind::ListOp);
-                self.lists.remove(ctx.tasks, tid);
-                out.push(tid);
-            }
-        }
-        self.nr_running = 0;
-        out
+        self.rq.drain(ctx)
     }
 }
 
@@ -1166,7 +1108,7 @@ mod tests {
         let a = rig.spawn("a");
         let b = rig.spawn("b");
         assert_eq!(
-            rig.sched.queue_order(&rig.tasks, 0),
+            rig.sched.rq.lists().collect(&rig.tasks, 0),
             vec![a.index() as u32, b.index() as u32],
             "enqueue_back keeps FIFO order"
         );
@@ -1179,7 +1121,7 @@ mod tests {
         let a = rig.spawn("a");
         let b = rig.spawn("b");
         assert_eq!(
-            rig.sched.queue_order(&rig.tasks, 0),
+            rig.sched.rq.lists().collect(&rig.tasks, 0),
             vec![b.index() as u32, a.index() as u32],
             "default placement matches the baseline (front)"
         );
@@ -1260,8 +1202,8 @@ mod tests {
     #[test]
     fn percpu_lists_resolve_to_cpu_count() {
         let sched = policy(RR_POL, 4);
-        assert_eq!(sched.lists.nr_lists(), 4);
+        assert_eq!(sched.rq.lists().nr_lists(), 4);
         let up = policy(RR_POL, 1);
-        assert_eq!(up.lists.nr_lists(), 1);
+        assert_eq!(up.rq.lists().nr_lists(), 1);
     }
 }

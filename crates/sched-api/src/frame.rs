@@ -37,21 +37,18 @@
 //!
 //! # Writing a scheduler
 //!
-//! A complete round-robin FIFO design: four queue manipulators, and a
-//! `schedule()` that is [`enter`] → [`select`] around a one-line scan →
-//! [`commit`].
+//! A complete round-robin FIFO design: the four queue manipulators on a
+//! one-list [`RunQueues`](crate::RunQueues) bank, and a `schedule()`
+//! that is [`enter`] → [`select`] around a one-line scan → [`commit`].
 //!
 //! ```
-//! use elsc_ktask::{CpuId, Lists, TaskSpec, TaskTable, Tid};
-//! use elsc_sched_api::{frame, SchedConfig, SchedCtx, Scheduler, IDLE_GOODNESS};
+//! use elsc_ktask::{CpuId, TaskSpec, TaskTable, Tid};
+//! use elsc_sched_api::{frame, RunQueues, SchedConfig, SchedCtx, Scheduler, IDLE_GOODNESS};
 //! use elsc_simcore::{CostKind, CostModel, CycleMeter};
 //! use elsc_stats::SchedStats;
 //!
 //! /// The longest-waiting task always beats `prev`.
-//! struct Fifo {
-//!     lists: Lists,
-//!     nr: usize,
-//! }
+//! struct Fifo(RunQueues);
 //!
 //! impl Scheduler for Fifo {
 //!     fn name(&self) -> &'static str {
@@ -59,23 +56,16 @@
 //!     }
 //!     fn add_to_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
 //!         ctx.meter.charge(ctx.costs, CostKind::ListOp);
-//!         self.lists.insert_back(ctx.tasks, 0, tid);
-//!         self.nr += 1;
+//!         self.0.insert(ctx, 0, false, tid);
 //!     }
 //!     fn del_from_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-//!         ctx.meter.charge(ctx.costs, CostKind::ListOp);
-//!         self.lists.remove(ctx.tasks, tid);
-//!         self.nr -= 1;
+//!         self.0.remove(ctx, tid);
 //!     }
 //!     fn move_first_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-//!         ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
-//!         self.lists.remove(ctx.tasks, tid);
-//!         self.lists.insert_front(ctx.tasks, 0, tid);
+//!         self.0.requeue(ctx, tid, true);
 //!     }
 //!     fn move_last_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-//!         ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
-//!         self.lists.remove(ctx.tasks, tid);
-//!         self.lists.insert_back(ctx.tasks, 0, tid);
+//!         self.0.requeue(ctx, tid, false);
 //!     }
 //!     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
 //!         let entered = frame::enter(self, ctx, cpu, prev, idle);
@@ -84,10 +74,10 @@
 //!         if ctx.tasks.task(prev).on_runqueue() {
 //!             self.move_last_runqueue(ctx, prev);
 //!         }
-//!         let lists = &self.lists;
-//!         let next = frame::select(ctx, cpu, prev, idle, entered, self.nr, |ctx, _| {
+//!         let rq = &self.0;
+//!         let next = frame::select(ctx, cpu, prev, idle, entered, rq.nr_running(), |ctx, _| {
 //!             // The scan: the first task no CPU is running.
-//!             match frame::schedulable(lists, 0, ctx.tasks, ctx.cfg.smp, prev).next() {
+//!             match frame::schedulable(rq.lists(), 0, ctx.tasks, ctx.cfg.smp, prev).next() {
 //!                 Some(t) => (i32::MAX, Some(t.tid)),
 //!                 None => (IDLE_GOODNESS, None),
 //!             }
@@ -95,7 +85,7 @@
 //!         frame::commit(ctx, cpu, prev, next, idle)
 //!     }
 //!     fn nr_running(&self) -> usize {
-//!         self.nr
+//!         self.0.nr_running()
 //!     }
 //! }
 //!
@@ -113,7 +103,7 @@
 //!     probe: None,
 //!     locks: None,
 //! };
-//! let mut fifo = Fifo { lists: Lists::new(1), nr: 0 };
+//! let mut fifo = Fifo(RunQueues::new(1));
 //! fifo.add_to_runqueue(&mut ctx, a);
 //! fifo.add_to_runqueue(&mut ctx, b);
 //! assert_eq!(fifo.schedule(&mut ctx, 0, idle, idle), a);

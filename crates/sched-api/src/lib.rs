@@ -20,6 +20,12 @@
 //! * [`order`] — the one static-goodness order: sorted sets of run-queue
 //!   members keyed by (goodness, tie stamp), which reg's goodness index
 //!   and the two §8 heap designs partition each their own way.
+//! * [`RunQueues`] — the list half of the four run-queue manipulators for
+//!   the designs that file tasks in a bank of unsorted run lists (`reg`,
+//!   `mq`, `bubble`, the `.pol` host): insert, remove, requeue and
+//!   migrate with their `ListOp` charges, the per-list counts and
+//!   `nr_running`, each task's list in `Task::rq_hint`, the drain and
+//!   the consistency check.
 //! * [`resched::reschedule_idle`] — the wakeup placement logic shared by
 //!   all schedulers (the paper keeps it unchanged).
 //! * [`SchedConfig`] — machine-level knobs the schedulers see (CPU count,
@@ -40,6 +46,7 @@ pub mod frame;
 pub mod goodness;
 pub mod lockplan;
 pub mod order;
+pub mod queues;
 pub mod resched;
 pub mod scheduler;
 
@@ -50,6 +57,7 @@ pub use goodness::{
     PROC_CHANGE_PENALTY, RT_GOODNESS_BASE, SMT_AFFINITY_BONUS,
 };
 pub use lockplan::{DomainAcquire, DomainLocker, DomainStats, LockModel, LockPlan};
+pub use queues::RunQueues;
 pub use resched::{reschedule_idle, CpuView, WakeTarget};
 pub use scheduler::{Load, SchedCtx, Scheduler, Supervised, Verdict};
 

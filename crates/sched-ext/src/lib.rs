@@ -20,7 +20,10 @@
 //! A third design goes beyond the paper's sketches:
 //! [`bubble::BubbleScheduler`] places whole address-space *groups* down
 //! a declared NUMA/SMT topology tree — per-node queues, sticky group
-//! homes, and whole-group re-homing on steal.
+//! homes, and whole-group re-homing on steal. `mq` and `bubble` file
+//! tasks in `elsc_sched_api::RunQueues`, the list bank `reg` and the
+//! `.pol` host use too; each brings only its home queue and its victim
+//! choice.
 //!
 //! A fourth replaces the selection heuristic itself:
 //! [`learned::LearnedScheduler`] ranks candidates with an offline-trained
@@ -39,11 +42,6 @@ pub mod heap;
 pub mod learned;
 pub mod multiqueue;
 pub mod sorted;
-
-/// The most queues `mq` (one per CPU) or `bubble` (one per NUMA node)
-/// can be built with: a task remembers its queue in the one-byte
-/// `Task::rq_hint`.
-pub const MAX_QUEUES: usize = 1 << u8::BITS;
 
 pub use affinity_heap::AffinityHeapScheduler;
 pub use bubble::BubbleScheduler;

@@ -20,36 +20,22 @@
 //! recalculation still runs under whatever the caller holds, as the
 //! kernel's recalc loop did.
 
-use elsc_ktask::{CpuId, Lists, TaskTable, Tid};
-use elsc_sched_api::{frame, LockPlan, SchedCtx, Scheduler, IDLE_GOODNESS};
+use elsc_ktask::{CpuId, TaskTable, Tid};
+use elsc_sched_api::{frame, LockPlan, RunQueues, SchedCtx, Scheduler, IDLE_GOODNESS};
 use elsc_simcore::CostKind;
-
-use crate::MAX_QUEUES;
 
 /// Per-CPU run queues with stealing.
 #[derive(Debug)]
 pub struct MultiQueueScheduler {
     /// One list per CPU.
-    lists: Lists,
-    /// Tasks per queue.
-    counts: Vec<usize>,
-    nr_running: usize,
+    rq: RunQueues,
 }
 
 impl MultiQueueScheduler {
-    /// Creates queues for `nr_cpus` processors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nr_cpus == 0`, or exceeds [`MAX_QUEUES`] (a task
-    /// remembers its queue in the one-byte `rq_hint`).
+    /// Creates queues for `nr_cpus` processors (at least one).
     pub fn new(nr_cpus: usize) -> Self {
-        assert!(nr_cpus > 0, "need at least one queue");
-        assert!(nr_cpus <= MAX_QUEUES, "mq: at most {MAX_QUEUES} queues");
         MultiQueueScheduler {
-            lists: Lists::new(nr_cpus),
-            counts: vec![0; nr_cpus],
-            nr_running: 0,
+            rq: RunQueues::new(nr_cpus),
         }
     }
 }
@@ -62,42 +48,29 @@ impl Scheduler for MultiQueueScheduler {
     fn add_to_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
         ctx.meter.charge(ctx.costs, CostKind::ListOp);
         // Wakeups enqueue on the task's last processor.
-        let q = ctx.tasks.task(tid).processor % self.counts.len();
-        ctx.tasks.task_mut(tid).rq_hint = q as u8;
-        self.lists.insert_front(ctx.tasks, q, tid);
-        self.counts[q] += 1;
-        self.nr_running += 1;
+        let q = ctx.tasks.task(tid).processor % self.rq.lists().nr_lists();
+        self.rq.insert(ctx, q, true, tid);
     }
 
     fn del_from_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-        ctx.meter.charge(ctx.costs, CostKind::ListOp);
-        let q = ctx.tasks.task(tid).rq_hint as usize;
-        self.lists.remove(ctx.tasks, tid);
-        self.counts[q] -= 1;
-        self.nr_running -= 1;
+        self.rq.remove(ctx, tid);
     }
 
     fn move_first_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-        ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
-        let q = ctx.tasks.task(tid).rq_hint as usize;
-        self.lists.remove(ctx.tasks, tid);
-        self.lists.insert_front(ctx.tasks, q, tid);
+        self.rq.requeue(ctx, tid, true);
     }
 
     fn move_last_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-        ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
-        let q = ctx.tasks.task(tid).rq_hint as usize;
-        self.lists.remove(ctx.tasks, tid);
-        self.lists.insert_back(ctx.tasks, q, tid);
+        self.rq.requeue(ctx, tid, false);
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
         let entered = frame::enter(self, ctx, cpu, prev, idle);
-        let my_q = cpu % self.counts.len();
-        let (lists, counts) = (&self.lists, &self.counts);
-        let next = frame::select(ctx, cpu, prev, idle, entered, self.nr_running, |ctx, c| {
+        let rq = &self.rq;
+        let my_q = cpu % rq.lists().nr_lists();
+        let next = frame::select(ctx, cpu, prev, idle, entered, rq.nr_running(), |ctx, c| {
             // Own queue first.
-            let best = frame::scan_list(lists, my_q, ctx, cpu, prev, entered.prev_mm);
+            let best = frame::scan_list(rq.lists(), my_q, ctx, cpu, prev, entered.prev_mm);
             // Steal from the fullest other queue when neither `prev` nor
             // our own queue offers a candidate — preferring victims that
             // share this CPU's LLC. A task stolen from a queue on the
@@ -111,17 +84,15 @@ impl Scheduler for MultiQueueScheduler {
                 return best;
             }
             let topo = &ctx.cfg.topology;
-            let others = || (0..counts.len()).filter(|&q| q != my_q && counts[q] > 0);
-            let victim = others()
-                .filter(|&q| topo.same_node(q, cpu))
-                .max_by_key(|&q| counts[q])
-                .or_else(|| others().max_by_key(|&q| counts[q]));
+            let victim = rq
+                .fullest_other(my_q, |q| topo.same_node(q, cpu))
+                .or_else(|| rq.fullest_other(my_q, |_| true));
             match victim {
                 Some(victim) => {
                     // Take the victim queue's lock domain before touching
                     // its list (two domains held, canonical order).
                     ctx.lock_queue_domain(victim);
-                    frame::scan_list(lists, victim, ctx, cpu, prev, entered.prev_mm)
+                    frame::scan_list(rq.lists(), victim, ctx, cpu, prev, entered.prev_mm)
                 }
                 None => best,
             }
@@ -132,22 +103,17 @@ impl Scheduler for MultiQueueScheduler {
             // land here. Both the source and destination queue domains
             // must be held for the splice (the source was taken by the
             // steal scan; this is a free re-check).
-            let q = ctx.tasks.task(next).rq_hint as usize;
+            let q = RunQueues::queue_of(ctx.tasks, next);
             if q != my_q && ctx.tasks.task(next).in_list() {
                 ctx.lock_queue_domain(q);
-                ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
-                self.lists.remove(ctx.tasks, next);
-                self.counts[q] -= 1;
-                ctx.tasks.task_mut(next).rq_hint = my_q as u8;
-                self.lists.insert_front(ctx.tasks, my_q, next);
-                self.counts[my_q] += 1;
+                self.rq.move_to(ctx, next, my_q);
             }
         }
         frame::commit(ctx, cpu, prev, next, idle)
     }
 
     fn nr_running(&self) -> usize {
-        self.nr_running
+        self.rq.nr_running()
     }
 
     /// Per-CPU queues want per-CPU locks: this is the §8 regime the
@@ -157,13 +123,7 @@ impl Scheduler for MultiQueueScheduler {
     }
 
     fn debug_check(&self, tasks: &TaskTable) {
-        let mut total = 0;
-        for q in 0..self.counts.len() {
-            self.lists.check(tasks, q);
-            assert_eq!(self.lists.len(tasks, q), self.counts[q], "count on {q}");
-            total += self.counts[q];
-        }
-        assert_eq!(total, self.nr_running, "nr_running out of sync");
+        self.rq.debug_check(tasks);
     }
 }
 
@@ -236,6 +196,20 @@ mod tests {
         let stolen2 = rig.schedule_idle(3);
         assert_ne!(stolen2, rig.idles[3]);
         assert_eq!(rig.tasks.task(stolen2).rq_hint, 3);
+    }
+
+    #[test]
+    fn queues_past_256_keep_their_tasks() {
+        // A one-byte queue hint would file CPU 299's task as queue 43.
+        let mut rig = rig(300);
+        let a = rig.spawn_on("a", 299);
+        let b = rig.spawn_on("b", 299);
+        assert_eq!(rig.tasks.task(a).rq_hint, 299);
+        assert_eq!(rig.schedule_idle(299), b);
+        // CPU 3 runs dry and steals `a` from queue 299.
+        assert_eq!(rig.schedule_idle(3), a);
+        assert_eq!(rig.tasks.task(a).rq_hint, 3);
+        rig.sched.debug_check(&rig.tasks);
     }
 
     #[test]

@@ -1,24 +1,27 @@
-//! `heap` and `aheap` on the shared `SortedQueue` against their twins —
-//! the `BTreeMap` implementations they replaced (`twins/`) — over random
-//! operation sequences: the same operations applied to both, and every
-//! decision required to agree on the pick, the run-queue count, the
-//! statistics and every cycle the meter was charged.
+//! `heap` and `aheap` on the shared `SortedQueue`, and `mq` and `bubble`
+//! on the shared `RunQueues` list bank, against their twins — the
+//! implementations they replaced (`twins/`) — over random operation
+//! sequences: the same operations applied to both, and every decision
+//! required to agree on the pick, the run-queue count, the statistics,
+//! every cycle the meter was charged and, on SMP shapes, every mid-call
+//! lock-domain acquisition and the instant it was owned.
 //!
 //! The generator has the shape of `elsc-sched-linux`'s index-against-walk
 //! test, and draws from the design under test: which tasks are queued
-//! comes from `on_runqueue()`, which only the new side maintains.
+//! comes from `on_runqueue()`, which only the new side of the heap pairs
+//! maintains.
 
 mod twins;
 
 use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState, TaskTable, Tid};
-use elsc_sched_api::{SchedConfig, SchedCtx, Scheduler};
-use elsc_simcore::{CostModel, CycleMeter, SimRng, Topology};
+use elsc_sched_api::{DomainLocker, LockModel, SchedConfig, SchedCtx, Scheduler};
+use elsc_simcore::{CostModel, CycleMeter, Cycles, SimRng, Topology};
 use elsc_stats::SchedStats;
 
-use elsc_sched_ext::{AffinityHeapScheduler, HeapScheduler};
+use elsc_sched_ext::{AffinityHeapScheduler, BubbleScheduler, HeapScheduler, MultiQueueScheduler};
 
 /// One simulated machine: a task table, per-CPU idle and current tasks,
-/// and a scheduler.
+/// a scheduler, and on SMP shapes the lock domains it declares.
 struct Sim<S> {
     tasks: TaskTable,
     stats: SchedStats,
@@ -26,6 +29,9 @@ struct Sim<S> {
     costs: CostModel,
     cfg: SchedConfig,
     sched: S,
+    locks: Option<LockModel>,
+    /// When the last locked call released its domains.
+    clock: Cycles,
     idle: Vec<Tid>,
     current: Vec<Tid>,
 }
@@ -48,19 +54,39 @@ impl<S: Scheduler> Sim<S> {
             tasks.task_mut(t).processor = i % cfg.nr_cpus;
             tasks.task_mut(t).state = TaskState::Interruptible;
         }
+        let costs = CostModel::default();
+        let locks = cfg.smp.then(|| {
+            let transfer = costs.get(elsc_simcore::CostKind::LockTransfer);
+            LockModel::new(sched.lock_plan(cfg.nr_cpus), cfg.nr_cpus, transfer)
+        });
         Sim {
             tasks,
             stats: SchedStats::new(cfg.nr_cpus),
             meter: CycleMeter::new(),
-            costs: CostModel::default(),
+            costs,
             current: idle.clone(),
             idle,
             cfg,
             sched,
+            locks,
+            clock: Cycles::ZERO,
         }
     }
 
-    fn call<R>(&mut self, f: impl FnOnce(&mut S, &mut SchedCtx<'_>) -> R) -> R {
+    /// Runs `f` as one scheduler call. A call on `lock`'s CPU takes that
+    /// CPU's home domain first and holds every domain it took until the
+    /// call's charges have elapsed, as the machine does; the meter is
+    /// never reset here, so the held span grows with it, the same on
+    /// both sides.
+    fn call<R>(
+        &mut self,
+        lock: Option<usize>,
+        f: impl FnOnce(&mut S, &mut SchedCtx<'_>) -> R,
+    ) -> R {
+        let locks = self.locks.as_mut().zip(lock).map(|(l, cpu)| {
+            let at = l.lock_home(cpu, cpu, self.clock).at;
+            (l, at)
+        });
         let mut ctx = SchedCtx {
             tasks: &mut self.tasks,
             stats: &mut self.stats,
@@ -70,21 +96,28 @@ impl<S: Scheduler> Sim<S> {
             probe: None,
             locks: None,
         };
-        f(&mut self.sched, &mut ctx)
+        let Some((l, at)) = locks else {
+            return f(&mut self.sched, &mut ctx);
+        };
+        ctx.locks = Some(&mut *l as &mut dyn DomainLocker);
+        let out = f(&mut self.sched, &mut ctx);
+        self.clock = at + self.meter.cycles() + l.extra_spin();
+        l.release_all(self.clock);
+        out
     }
 
     fn apply(&mut self, op: Op) -> Option<Tid> {
         match op {
             Op::Add(t) => {
                 self.tasks.task_mut(t).state = TaskState::Running;
-                self.call(|s, ctx| s.add_to_runqueue(ctx, t));
+                self.call(None, |s, ctx| s.add_to_runqueue(ctx, t));
             }
             Op::Del(t) => {
-                self.call(|s, ctx| s.del_from_runqueue(ctx, t));
+                self.call(None, |s, ctx| s.del_from_runqueue(ctx, t));
                 self.tasks.task_mut(t).state = TaskState::Interruptible;
             }
-            Op::MoveFirst(t) => self.call(|s, ctx| s.move_first_runqueue(ctx, t)),
-            Op::MoveLast(t) => self.call(|s, ctx| s.move_last_runqueue(ctx, t)),
+            Op::MoveFirst(t) => self.call(None, |s, ctx| s.move_first_runqueue(ctx, t)),
+            Op::MoveLast(t) => self.call(None, |s, ctx| s.move_last_runqueue(ctx, t)),
             Op::Tick(t) => {
                 let task = self.tasks.task_mut(t);
                 task.counter = (task.counter - 1).max(0);
@@ -107,7 +140,7 @@ impl<S: Scheduler> Sim<S> {
                     Prelude::RrExpiry => self.tasks.task_mut(prev).counter = 0,
                     Prelude::Block => self.tasks.task_mut(prev).state = TaskState::Interruptible,
                 }
-                let next = self.call(|s, ctx| s.schedule(ctx, cpu, prev, idle));
+                let next = self.call(Some(cpu), |s, ctx| s.schedule(ctx, cpu, prev, idle));
                 // The machine records where the pick runs.
                 self.tasks.task_mut(next).processor = cpu;
                 self.current[cpu] = next;
@@ -141,9 +174,11 @@ enum Op {
     Decide { cpu: usize, prelude: Prelude },
 }
 
-/// The operation classes the test counts: the twelve above the decision
-/// and the `has_cpu` hand-over a decision makes when it switches.
-const CLASSES: [&str; 13] = [
+/// The operation classes the test counts: the twelve above the decision,
+/// the `has_cpu` hand-over a decision makes when it switches, and a
+/// decision that moved a queued task to another list (an `mq` steal, a
+/// `bubble` rehome).
+const CLASSES: [&str; 14] = [
     "add",
     "del",
     "move_first",
@@ -157,6 +192,7 @@ const CLASSES: [&str; 13] = [
     "zero_counter",
     "block",
     "handover",
+    "queue_move",
 ];
 
 /// Draws the next operation from the state of the design under test,
@@ -213,8 +249,14 @@ fn draw<S: Scheduler>(rng: &mut SimRng, sim: &Sim<S>, pool: &[Tid]) -> (Op, Opti
     }
 }
 
-/// The design under test and its twin, as constructors.
-type Pair<N, T> = (fn() -> N, fn() -> T);
+/// The design under test and its twin, as constructors for a shape.
+type Pair<N, T> = (fn(&SchedConfig) -> N, fn(&SchedConfig) -> T);
+
+/// The list each queued task of `pool` is filed on.
+fn filed(tasks: &TaskTable, pool: &[Tid]) -> Vec<Option<u16>> {
+    let on_list = |t: &elsc_ktask::Task| t.in_list().then_some(t.rq_hint);
+    pool.iter().map(|&t| on_list(tasks.task(t))).collect()
+}
 
 /// Runs `decisions` decisions of `design` against `twin` on `cfg` from
 /// `seed`, asserting agreement after every decision; adds to the
@@ -224,7 +266,7 @@ fn run<N: Scheduler, T: Scheduler>(
     cfg: SchedConfig,
     seed: u64,
     decisions: u64,
-    hits: &mut [u64; 13],
+    hits: &mut [u64; 14],
 ) {
     let mut rng = SimRng::new(seed);
     let n = 4 + rng.below(40) as usize;
@@ -260,8 +302,8 @@ fn run<N: Scheduler, T: Scheduler>(
             }
         })
         .collect();
-    let mut new = Sim::new(cfg.clone(), design(), &specs, &counters);
-    let mut old = Sim::new(cfg.clone(), twin(), &specs, &counters);
+    let mut new = Sim::new(cfg.clone(), design(&cfg), &specs, &counters);
+    let mut old = Sim::new(cfg.clone(), twin(&cfg), &specs, &counters);
     let pool: Vec<Tid> = new.tasks.tids()[cfg.nr_cpus..].to_vec();
     let name = new.sched.name();
     let mut decided = 0;
@@ -270,7 +312,7 @@ fn run<N: Scheduler, T: Scheduler>(
         step += 1;
         let (op, class) = draw(&mut rng, &new, &pool);
         let before = match op {
-            Op::Decide { cpu, .. } => Some(new.current[cpu]),
+            Op::Decide { cpu, .. } => Some((new.current[cpu], filed(&new.tasks, &pool))),
             _ => None,
         };
         let picked = new.apply(op);
@@ -280,9 +322,14 @@ fn run<N: Scheduler, T: Scheduler>(
         if let Some(c) = class {
             hits[c] += 1;
         }
-        if before.is_some() {
+        if let Some((prev, was_filed)) = before {
             decided += 1;
-            hits[12] += (picked != before) as u64;
+            hits[12] += (picked != Some(prev)) as u64;
+            let moved = was_filed
+                .iter()
+                .zip(filed(&new.tasks, &pool))
+                .any(|(was, is)| matches!((was, is), (Some(a), Some(b)) if *a != b));
+            hits[13] += moved as u64;
             assert_eq!(
                 new.sched.nr_running(),
                 old.sched.nr_running(),
@@ -290,19 +337,43 @@ fn run<N: Scheduler, T: Scheduler>(
             );
             assert_eq!(new.stats, old.stats, "{at}: statistics");
             assert_eq!(new.meter, old.meter, "{at}: charges");
+            let taken = |l: &Option<LockModel>| l.as_ref().map(|l| l.taken().to_vec());
+            assert_eq!(taken(&new.locks), taken(&old.locks), "{at}: lock domains");
         }
     }
 }
 
-/// 100 000 decisions of `pair` over UP, 2P, 4P and `2N2C2T`.
-fn differential<N: Scheduler, T: Scheduler>(pair: Pair<N, T>, base: u64) {
-    let shapes = [
+/// The shapes the heap designs run on.
+fn heap_shapes() -> [SchedConfig; 4] {
+    [
         SchedConfig::up(),
         SchedConfig::smp(2),
         SchedConfig::smp(4),
         SchedConfig::topo("2N2C2T".parse::<Topology>().expect("shape")),
-    ];
-    let mut hits = [0u64; 13];
+    ]
+}
+
+/// The shapes the list-bank designs run on: every one has more than one
+/// CPU to steal with, and the two trees more than one node.
+fn list_shapes() -> [SchedConfig; 4] {
+    [
+        SchedConfig::smp(2),
+        SchedConfig::smp(4),
+        SchedConfig::topo("2N2C1T".parse::<Topology>().expect("shape")),
+        SchedConfig::topo("2N2C2T".parse::<Topology>().expect("shape")),
+    ]
+}
+
+/// 100 000 decisions of `pair`, 25 seeds × 1 000 on each of `shapes`;
+/// every operation class but the queue moves must occur more than 100
+/// times, and those too when the design `moves` tasks between lists.
+fn differential<N: Scheduler, T: Scheduler>(
+    pair: Pair<N, T>,
+    base: u64,
+    shapes: [SchedConfig; 4],
+    moves: bool,
+) {
+    let mut hits = [0u64; 14];
     let mut decisions = 0;
     for (i, cfg) in shapes.iter().enumerate() {
         for seed in 0..25 {
@@ -317,7 +388,8 @@ fn differential<N: Scheduler, T: Scheduler>(pair: Pair<N, T>, base: u64) {
         }
     }
     assert!(decisions >= 100_000);
-    for (class, &n) in CLASSES.iter().zip(&hits) {
+    let classes = if moves { 14 } else { 13 };
+    for (class, &n) in CLASSES.iter().zip(&hits).take(classes) {
         assert!(n > 100, "operation class {class} hit {n} times");
     }
 }
@@ -325,8 +397,13 @@ fn differential<N: Scheduler, T: Scheduler>(pair: Pair<N, T>, base: u64) {
 #[test]
 fn heap_decides_like_its_btreemap_twin() {
     differential(
-        (HeapScheduler::new, twins::heap::HeapScheduler::new),
+        (
+            |_| HeapScheduler::new(),
+            |_| twins::heap::HeapScheduler::new(),
+        ),
         0x4EA9_0000,
+        heap_shapes(),
+        false,
     );
 }
 
@@ -334,9 +411,37 @@ fn heap_decides_like_its_btreemap_twin() {
 fn aheap_decides_like_its_btreemap_twin() {
     differential(
         (
-            AffinityHeapScheduler::new,
-            twins::affinity_heap::AffinityHeapScheduler::new,
+            |_| AffinityHeapScheduler::new(),
+            |_| twins::affinity_heap::AffinityHeapScheduler::new(),
         ),
         0xA4EA_0000,
+        heap_shapes(),
+        false,
+    );
+}
+
+#[test]
+fn mq_decides_like_its_hand_written_twin() {
+    differential(
+        (
+            |cfg| MultiQueueScheduler::new(cfg.nr_cpus),
+            |cfg| twins::multiqueue::MultiQueueScheduler::new(cfg.nr_cpus),
+        ),
+        0x3A0_0000,
+        list_shapes(),
+        true,
+    );
+}
+
+#[test]
+fn bubble_decides_like_its_hand_written_twin() {
+    differential(
+        (
+            |cfg| BubbleScheduler::new(cfg.topology),
+            |cfg| twins::bubble::BubbleScheduler::new(cfg.topology),
+        ),
+        0xB0B_0000,
+        list_shapes(),
+        true,
     );
 }

@@ -1,4 +1,7 @@
-//! The parent implementations of the two heap designs, test-only.
+//! The parent implementations of the heap and list-bank designs,
+//! test-only.
 
 pub mod affinity_heap;
+pub mod bubble;
 pub mod heap;
+pub mod multiqueue;

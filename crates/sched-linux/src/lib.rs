@@ -23,7 +23,7 @@ mod index;
 
 use elsc_ktask::{CpuId, Lists, TaskTable, Tid};
 use elsc_sched_api::frame::{self, Entered};
-use elsc_sched_api::{SchedCtx, Scheduler};
+use elsc_sched_api::{RunQueues, SchedCtx, Scheduler};
 use elsc_simcore::CostKind;
 
 use index::GoodnessIndex;
@@ -31,10 +31,8 @@ use index::GoodnessIndex;
 /// The stock Linux 2.3.99-pre4 scheduler ("reg" in the paper's figures).
 #[derive(Debug)]
 pub struct LinuxScheduler {
-    /// The single run-queue list (`runqueue_head`).
-    lists: Lists,
-    /// Number of tasks on the run queue (running tasks included).
-    nr_running: usize,
+    /// The single run-queue list (`runqueue_head`) and `nr_running`.
+    rq: RunQueues,
     /// The host's answer to the goodness scan.
     index: GoodnessIndex,
 }
@@ -49,21 +47,16 @@ impl LinuxScheduler {
     /// Creates an empty run queue.
     pub fn new() -> Self {
         LinuxScheduler {
-            lists: Lists::new(1),
-            nr_running: 0,
+            rq: RunQueues::new(1),
             index: GoodnessIndex::default(),
         }
     }
 
     /// The run queue: list 0 of the bank, for a wrapper that walks it
-    /// before falling back to [`select`](LinuxScheduler::select).
+    /// before falling back to [`select`](LinuxScheduler::select), and for
+    /// tests and examples that read the queue order.
     pub fn run_list(&self) -> &Lists {
-        &self.lists
-    }
-
-    /// Collects the run queue front-to-back (tests and examples).
-    pub fn queue_order(&self, tasks: &TaskTable) -> Vec<u32> {
-        self.lists.collect(tasks, 0)
+        self.rq.lists()
     }
 
     /// The stock selection (§3.3): `prev` first, then the O(n) goodness
@@ -81,15 +74,23 @@ impl LinuxScheduler {
         idle: Tid,
         entered: Entered,
     ) -> Tid {
-        let (lists, index) = (&self.lists, &mut self.index);
-        frame::select(ctx, cpu, prev, idle, entered, self.nr_running, |ctx, _| {
-            let (best, n) = index.best(lists, ctx.tasks, ctx.cfg, cpu, prev, entered.prev_mm);
-            #[cfg(debug_assertions)]
-            reference::assert_walk_agrees(lists, ctx, cpu, prev, entered.prev_mm, best, n);
-            ctx.meter.charge_n(ctx.costs, CostKind::GoodnessEval, n);
-            ctx.stats.cpu_mut(cpu).tasks_examined += n;
-            best
-        })
+        let (lists, index) = (self.rq.lists(), &mut self.index);
+        frame::select(
+            ctx,
+            cpu,
+            prev,
+            idle,
+            entered,
+            self.rq.nr_running(),
+            |ctx, _| {
+                let (best, n) = index.best(lists, ctx.tasks, ctx.cfg, cpu, prev, entered.prev_mm);
+                #[cfg(debug_assertions)]
+                reference::assert_walk_agrees(lists, ctx, cpu, prev, entered.prev_mm, best, n);
+                ctx.meter.charge_n(ctx.costs, CostKind::GoodnessEval, n);
+                ctx.stats.cpu_mut(cpu).tasks_examined += n;
+                best
+            },
+        )
     }
 
     /// Empties the run queue front to back, leaving each task detached,
@@ -97,14 +98,7 @@ impl LinuxScheduler {
     /// stay linked and adds go to the front, so a reversed re-add into a
     /// fresh `LinuxScheduler` reproduces the queue order exactly.
     pub fn drain(&mut self, ctx: &mut SchedCtx<'_>) -> Vec<Tid> {
-        let mut out = Vec::new();
-        while let Some(i) = self.lists.first(0) {
-            let tid = ctx.tasks.by_index(i as usize).tid;
-            ctx.meter.charge(ctx.costs, CostKind::ListOp);
-            self.lists.remove(ctx.tasks, tid);
-            out.push(tid);
-        }
-        self.nr_running = 0;
+        let out = self.rq.drain(ctx);
         self.index.clear(ctx.tasks);
         out
     }
@@ -119,36 +113,21 @@ impl Scheduler for LinuxScheduler {
     /// (paper §3.2).
     fn add_to_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
         ctx.meter.charge(ctx.costs, CostKind::ListOp);
-        debug_assert!(
-            !ctx.tasks.task(tid).on_runqueue(),
-            "double add to run queue"
-        );
-        self.lists.insert_front(ctx.tasks, 0, tid);
+        self.rq.insert(ctx, 0, true, tid);
         self.index.stamp_front(tid);
-        self.nr_running += 1;
     }
 
     fn del_from_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-        ctx.meter.charge(ctx.costs, CostKind::ListOp);
-        debug_assert!(
-            ctx.tasks.task(tid).on_runqueue(),
-            "del of task not on run queue"
-        );
-        self.lists.remove(ctx.tasks, tid);
-        self.nr_running -= 1;
+        self.rq.remove(ctx, tid);
     }
 
     fn move_first_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-        ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
-        self.lists.remove(ctx.tasks, tid);
-        self.lists.insert_front(ctx.tasks, 0, tid);
+        self.rq.requeue(ctx, tid, true);
         self.index.stamp_front(tid);
     }
 
     fn move_last_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-        ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
-        self.lists.remove(ctx.tasks, tid);
-        self.lists.insert_back(ctx.tasks, 0, tid);
+        self.rq.requeue(ctx, tid, false);
         self.index.stamp_back(tid);
     }
 
@@ -159,16 +138,11 @@ impl Scheduler for LinuxScheduler {
     }
 
     fn nr_running(&self) -> usize {
-        self.nr_running
+        self.rq.nr_running()
     }
 
     fn debug_check(&self, tasks: &TaskTable) {
-        self.lists.check(tasks, 0);
-        assert_eq!(
-            self.lists.len(tasks, 0),
-            self.nr_running,
-            "nr_running out of sync with the run queue"
-        );
+        self.rq.debug_check(tasks);
     }
 }
 
@@ -306,7 +280,7 @@ mod tests {
         // Same counter/priority/mm; b was added later so it is at the
         // *front* (add inserts at the head).
         assert_eq!(
-            rig.sched.queue_order(&rig.tasks),
+            rig.sched.run_list().collect(&rig.tasks, 0),
             vec![b.index() as u32, a.index() as u32]
         );
         let next = rig.schedule(0, rig.idle);
@@ -324,7 +298,7 @@ mod tests {
         let before = rig.stats.cpu(0).tasks_examined;
         // Second call: the whole queue is examined again — the paper's
         // "redundant calculation".
-        let t = rig.sched.queue_order(&rig.tasks)[0];
+        let t = rig.sched.run_list().collect(&rig.tasks, 0)[0];
         let running = rig.tasks.by_index(t as usize).tid;
         rig.schedule(0, running);
         assert_eq!(rig.stats.cpu(0).tasks_examined - before, 10);
@@ -430,7 +404,7 @@ mod tests {
         rig.tasks.task_mut(prev).has_cpu = true;
         rig.tasks.task_mut(prev).state = TaskState::Interruptible;
         assert_eq!(
-            rig.sched.queue_order(&rig.tasks)[0],
+            rig.sched.run_list().collect(&rig.tasks, 0)[0],
             stranger.index() as u32
         );
         let next = rig.schedule(0, prev);
@@ -457,7 +431,7 @@ mod tests {
         // hold is the quantum refresh and the queue order.
         assert_eq!(rig.tasks.task(rr).counter, rig.tasks.task(rr).priority);
         assert_eq!(
-            rig.sched.queue_order(&rig.tasks).last().copied(),
+            rig.sched.run_list().collect(&rig.tasks, 0).last().copied(),
             Some(rr.index() as u32)
         );
         let _ = next;

@@ -159,7 +159,7 @@ fn move_first_biases_tie_selection() {
         rig.sched.move_first_runqueue(&mut ctx, a);
     }
     assert_eq!(
-        rig.sched.queue_order(&rig.tasks),
+        rig.sched.run_list().collect(&rig.tasks, 0),
         vec![a.index() as u32, b.index() as u32]
     );
     assert_eq!(rig.schedule(rig.idle), a);

@@ -20,10 +20,10 @@
 //! ```
 
 use elsc::ElscScheduler;
-use elsc_ktask::{CpuId, Lists, Tid};
+use elsc_ktask::{CpuId, Tid};
 use elsc_machine::MachineConfig;
 use elsc_policy::PolicyScheduler;
-use elsc_sched_api::{frame, LockPlan, SchedCtx, Scheduler, IDLE_GOODNESS};
+use elsc_sched_api::{frame, LockPlan, RunQueues, SchedCtx, Scheduler, IDLE_GOODNESS};
 use elsc_simcore::CostKind;
 use elsc_workloads::stress::{self, StressConfig};
 
@@ -31,19 +31,18 @@ use elsc_workloads::stress::{self, StressConfig};
 /// Don't use this at home — the longest-waiting task always wins, so
 /// quanta mean nothing.
 ///
-/// Only the queue structure and the scan are written here; everything
-/// else in `schedule()` comes from `elsc_sched_api::frame` (the same
-/// design is that module's doctest).
+/// Only where a task is filed and the scan are written here: the list
+/// surgery, its charges and `nr_running` are `elsc_sched_api::RunQueues`',
+/// and everything else in `schedule()` comes from `elsc_sched_api::frame`
+/// (the same design is that module's doctest).
 struct FifoScheduler {
-    lists: Lists,
-    nr: usize,
+    rq: RunQueues,
 }
 
 impl FifoScheduler {
     fn new() -> Self {
         FifoScheduler {
-            lists: Lists::new(1),
-            nr: 0,
+            rq: RunQueues::new(1),
         }
     }
 }
@@ -54,27 +53,22 @@ impl Scheduler for FifoScheduler {
     }
 
     fn add_to_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
+        // The design charges its add before deciding where the task goes;
+        // the bank charges its own removes and moves.
         ctx.meter.charge(ctx.costs, CostKind::ListOp);
-        self.lists.insert_back(ctx.tasks, 0, tid);
-        self.nr += 1;
+        self.rq.insert(ctx, 0, false, tid);
     }
 
     fn del_from_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-        ctx.meter.charge(ctx.costs, CostKind::ListOp);
-        self.lists.remove(ctx.tasks, tid);
-        self.nr -= 1;
+        self.rq.remove(ctx, tid);
     }
 
     fn move_first_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-        ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
-        self.lists.remove(ctx.tasks, tid);
-        self.lists.insert_front(ctx.tasks, 0, tid);
+        self.rq.requeue(ctx, tid, true);
     }
 
     fn move_last_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
-        ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
-        self.lists.remove(ctx.tasks, tid);
-        self.lists.insert_back(ctx.tasks, 0, tid);
+        self.rq.requeue(ctx, tid, false);
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
@@ -86,12 +80,12 @@ impl Scheduler for FifoScheduler {
         if ctx.tasks.task(prev).on_runqueue() {
             self.move_last_runqueue(ctx, prev);
         }
-        let lists = &self.lists;
-        let next = frame::select(ctx, cpu, prev, idle, entered, self.nr, |ctx, _| {
+        let rq = &self.rq;
+        let next = frame::select(ctx, cpu, prev, idle, entered, rq.nr_running(), |ctx, _| {
             // The scan: the first task no CPU is running, charged like
             // one goodness evaluation. `i32::MAX` beats whatever `prev`
             // scored; a lone `prev` keeps the CPU.
-            match frame::schedulable(lists, 0, ctx.tasks, ctx.cfg.smp, prev).next() {
+            match frame::schedulable(rq.lists(), 0, ctx.tasks, ctx.cfg.smp, prev).next() {
                 Some(t) => {
                     ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
                     ctx.stats.cpu_mut(cpu).tasks_examined += 1;
@@ -105,7 +99,7 @@ impl Scheduler for FifoScheduler {
     }
 
     fn nr_running(&self) -> usize {
-        self.nr
+        self.rq.nr_running()
     }
 
     /// The locking regime this design wants. One shared FIFO list means
