@@ -7,7 +7,9 @@
 #   TEXT    whole    every line of every file under PATHS
 #           shipped  each `*.rs` under PATHS up to its `#[cfg(test)]` tail,
 #                    minus top-level `#[cfg(debug_assertions)]` items (the
-#                    full-walk reference no release build has)
+#                    full-walk reference no release build has), skipping
+#                    every file a `#[cfg(test)]` or `#[cfg(any(test, …))]`
+#                    `mod` declaration makes test-only
 #           joined   shipped, newlines squashed (patterns that span lines)
 #   PATHS   comma-separated globs; directories are walked
 #   EXCEPT  regex over `path:line:` of hits that do not count, or `-`
@@ -147,9 +149,32 @@ rules() {
 EOF
 }
 
+# The files whose whole module is declared test-only: a `mod NAME;` under
+# `#[cfg(test)]` or `#[cfg(any(test, …))]`, other attributes (a `#[path]`
+# among them) allowed between. The declarations say which files these
+# are, so a new test-only module needs no edit here.
+test_only() {
+  find crates src -name '*.rs' 2>/dev/null | sort | while read -r f; do
+    awk -v f="$f" '
+      BEGIN {
+        dir = f
+        if (f ~ /\/(lib|main|mod)\.rs$/) sub(/\/[^\/]*$/, "", dir); else sub(/\.rs$/, "", dir)
+      }
+      /^[[:space:]]*#\[cfg\((any\()?test[,)]/ { armed = 1; path = ""; next }
+      armed && /^[[:space:]]*#\[path = "/ { path = $0; sub(/^[^"]*"/, "", path); sub(/".*/, "", path); next }
+      armed && /^[[:space:]]*#\[/ { next }
+      armed && /^[[:space:]]*(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+;/ {
+        name = $0; sub(/^.*mod /, "", name); sub(/;.*/, "", name)
+        if (path != "") print dir "/" path; else print dir "/" name ".rs\n" dir "/" name "/mod.rs"
+      }
+      { armed = 0 }' "$f"
+  done
+}
+test_only_files=$(test_only)
+
 # `path:line:text` of the shipped lines of every `*.rs` under the paths.
 shipped() {
-  find "$@" -name '*.rs' 2>/dev/null | sort | while read -r f; do
+  find "$@" -name '*.rs' 2>/dev/null | sort | grep -vxF -e "$test_only_files" | while read -r f; do
     awk '/^#\[cfg\(test\)\]/ { exit }
          /^#\[cfg\(debug_assertions\)\]/ { skip = 1 }
          !skip { print FILENAME ":" FNR ":" $0 }
