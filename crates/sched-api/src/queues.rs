@@ -14,7 +14,7 @@ const _: () = assert!(MAX_CPUS <= u16::MAX as usize + 1);
 
 /// A bank of run lists with a count per list, `nr_running`, and each
 /// queued task's list in its `rq_hint`.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct RunQueues {
     lists: Lists,
     counts: Vec<usize>,

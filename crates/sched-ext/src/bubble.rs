@@ -66,14 +66,18 @@ impl BubbleScheduler {
         node
     }
 
-    /// Moves every queued member of `mm` from node `from` to node `to`,
-    /// front of `from` first, and re-homes the bubble.
+    /// Moves every queued member of `mm` from node `from` to node `to`
+    /// and re-homes the bubble.
     fn rehome(&mut self, ctx: &mut SchedCtx<'_>, mm: MmId, from: usize, to: usize) {
-        let members: Vec<Tid> = (self.rq.lists().collect(ctx.tasks, from).into_iter())
-            .map(|i| ctx.tasks.by_index(i as usize))
-            .filter(|p| p.mm == mm)
-            .map(|p| p.tid)
-            .collect();
+        let mut members = Vec::new();
+        let mut cur = self.rq.lists().first(from);
+        while let Some(idx) = cur {
+            let p = ctx.tasks.by_index(idx as usize);
+            if p.mm == mm {
+                members.push(p.tid);
+            }
+            cur = self.rq.lists().next_task(ctx.tasks, idx);
+        }
         for tid in members {
             self.rq.move_to(ctx, tid, to);
         }
