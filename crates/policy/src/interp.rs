@@ -9,8 +9,8 @@
 //! The host semantics (`host_call`, `binop`, the `recalc`/`set_counter`
 //! effects) are the ones in [`crate::sched`] that the VM itself calls.
 
-use elsc_ktask::{Lists, Tid};
-use elsc_sched_api::SchedCtx;
+use elsc_ktask::Tid;
+use elsc_sched_api::{RunQueues, SchedCtx};
 
 use crate::ast::{Block, Builtin, Expr, Stmt};
 use crate::sched::{
@@ -32,14 +32,14 @@ enum Flow {
 /// Interprets one hook body.
 pub(crate) fn run_block(
     block: &Block,
-    lists: &Lists,
+    rq: &RunQueues,
     ctx: &mut SchedCtx<'_>,
     env: Env,
     budget: u64,
 ) -> HookRun {
     let mut interp = Interp {
         ctx,
-        lists,
+        rq,
         env,
         scopes: vec![Vec::new()],
         insns: 0,
@@ -61,7 +61,7 @@ pub(crate) fn run_block(
 /// The tree-walking interpreter for one hook invocation.
 struct Interp<'a, 'p, 'c> {
     ctx: &'a mut SchedCtx<'c>,
-    lists: &'a Lists,
+    rq: &'a RunQueues,
     env: Env,
     /// Innermost scope last; names borrow from the program.
     scopes: Vec<Vec<(&'p str, Val)>>,
@@ -160,13 +160,14 @@ impl<'a, 'p, 'c> Interp<'a, 'p, 'c> {
             } => {
                 let h = {
                     let i = self.eval_int(list)?;
-                    wrap_list(i, self.lists.nr_lists())
+                    wrap_list(i, self.rq.lists().nr_lists())
                 };
                 // Snapshot: hooks never mutate lists (placement and
                 // rotation are deferred to the host), so the walk order
                 // is the list order at hook entry.
                 let snapshot: Vec<Tid> = self
-                    .lists
+                    .rq
+                    .lists()
                     .collect(self.ctx.tasks, h)
                     .into_iter()
                     .map(|i| self.ctx.tasks.by_index(i as usize).tid)
@@ -198,7 +199,7 @@ impl<'a, 'p, 'c> Interp<'a, 'p, 'c> {
             Stmt::Place { front, list, .. } => {
                 let i = self.eval_int(list)?;
                 // The last placement executed wins.
-                self.placed = Some((wrap_list(i, self.lists.nr_lists()), *front));
+                self.placed = Some((wrap_list(i, self.rq.lists().nr_lists()), *front));
                 Ok(Flow::Normal)
             }
             Stmt::Requeue { task, .. } => {
@@ -250,7 +251,7 @@ impl<'a, 'p, 'c> Interp<'a, 'p, 'c> {
                     Some(a) => Some(self.eval(a)?),
                     None => None,
                 };
-                Ok(host_call(self.ctx, self.lists, &mut self.env, *func, arg))
+                Ok(host_call(self.ctx, self.rq, &mut self.env, *func, arg))
             }
         }
     }
@@ -263,7 +264,7 @@ impl<'a, 'p, 'c> Interp<'a, 'p, 'c> {
             Builtin::Task => Val::Task(self.env.task),
             Builtin::Nil => Val::Task(None),
             Builtin::NrCpus => Val::Int(self.env.nr_cpus as i64),
-            Builtin::NrLists => Val::Int(self.lists.nr_lists() as i64),
+            Builtin::NrLists => Val::Int(self.rq.lists().nr_lists() as i64),
             Builtin::NrRunning => Val::Int(self.env.nr_running as i64),
         }
     }

@@ -27,7 +27,7 @@
 //! that judgement through [`Supervised::take_verdict`] after every
 //! decision and ejects the policy (see the machine crate's watchdog).
 
-use elsc_ktask::{CpuId, Lists, MmId, TaskTable, Tid};
+use elsc_ktask::{CpuId, MmId, TaskTable, Tid};
 use elsc_obs::ObsEvent;
 use elsc_sched_api::{
     frame, goodness_ignoring_yield, Load, RunQueues, SchedCtx, Scheduler, Supervised, Verdict,
@@ -186,7 +186,7 @@ pub(crate) fn charge_goodness_eval(ctx: &mut SchedCtx<'_>, cpu: CpuId) {
 /// faulting.
 pub(crate) fn host_call(
     ctx: &mut SchedCtx<'_>,
-    lists: &Lists,
+    rq: &RunQueues,
     env: &mut Env,
     f: HostFn,
     arg: Option<Val>,
@@ -270,13 +270,14 @@ pub(crate) fn host_call(
                 env.idle,
             ))),
         },
-        HostFn::ListLen => {
-            let h = wrap_list(int_arg(), lists.nr_lists());
-            Val::Int(lists.len(ctx.tasks, h) as i64)
-        }
+        HostFn::ListLen => Val::Int(rq.count(wrap_list(int_arg(), rq.lists().nr_lists())) as i64),
         HostFn::ListHead => {
-            let h = wrap_list(int_arg(), lists.nr_lists());
-            Val::Task(lists.first(h).map(|i| ctx.tasks.by_index(i as usize).tid))
+            let h = wrap_list(int_arg(), rq.lists().nr_lists());
+            Val::Task(
+                rq.lists()
+                    .first(h)
+                    .map(|i| ctx.tasks.by_index(i as usize).tid),
+            )
         }
     }
 }
@@ -427,22 +428,15 @@ impl PolicyScheduler {
         #[cfg(any(test, feature = "interp-reference"))]
         if self.reference {
             return match self.prog.hook(hook) {
-                Some(block) => {
-                    crate::interp::run_block(block, self.rq.lists(), ctx, env, self.budget)
-                }
+                Some(block) => crate::interp::run_block(block, &self.rq, ctx, env, self.budget),
                 None => HookRun::default(),
             };
         }
         // The compiler emits a chunk exactly for each defined hook.
         match self.compiled.chunk(hook) {
-            Some(chunk) => vm::run_chunk(
-                chunk,
-                self.rq.lists(),
-                ctx,
-                env,
-                self.budget,
-                &mut self.vm_state,
-            ),
+            Some(chunk) => {
+                vm::run_chunk(chunk, &self.rq, ctx, env, self.budget, &mut self.vm_state)
+            }
             None => HookRun::default(),
         }
     }

@@ -35,8 +35,8 @@
 //! charges and budget checks, and the step and counter registers
 //! written once, when a list holds tasks or the counter runs out.
 
-use elsc_ktask::{Lists, Tid};
-use elsc_sched_api::{goodness_ignoring_yield, SchedCtx};
+use elsc_ktask::Tid;
+use elsc_sched_api::{goodness_ignoring_yield, RunQueues, SchedCtx};
 
 use crate::ast::{BinOp, HostFn};
 use crate::bytecode::{Chunk, Op, BINOPS, BUILTIN_REGS, HOSTFNS, NO_ARG};
@@ -77,12 +77,13 @@ impl VmState {
 /// Executes one compiled hook body against the host context.
 pub(crate) fn run_chunk(
     chunk: &Chunk,
-    lists: &Lists,
+    rq: &RunQueues,
     ctx: &mut SchedCtx<'_>,
     mut env: Env,
     budget: u64,
     state: &mut VmState,
 ) -> HookRun {
+    let lists = rq.lists();
     debug_assert!(chunk.num_regs >= BUILTIN_REGS);
     if state.regs.len() < chunk.num_regs as usize {
         state.regs.resize(chunk.num_regs as usize, Val::Int(0));
@@ -196,7 +197,7 @@ pub(crate) fn run_chunk(
             }
             Op::Call => {
                 let arg = (i.b != NO_ARG).then(|| state.regs[b]);
-                state.regs[a] = host_call(ctx, lists, &mut env, HOSTFNS[i.d as usize], arg);
+                state.regs[a] = host_call(ctx, rq, &mut env, HOSTFNS[i.d as usize], arg);
             }
             Op::RepeatNext => {
                 let n = int!(state.regs[a]) - 1;
@@ -386,7 +387,7 @@ mod tests {
         meter: CycleMeter,
         costs: CostModel,
         cfg: SchedConfig,
-        lists: Lists,
+        rq: RunQueues,
         state: VmState,
     }
 
@@ -398,7 +399,7 @@ mod tests {
                 meter: CycleMeter::new(),
                 costs: CostModel::default(),
                 cfg: SchedConfig::up(),
-                lists: Lists::new(2),
+                rq: RunQueues::new(2),
                 state: VmState::default(),
             }
         }
@@ -420,6 +421,20 @@ mod tests {
             }
         }
 
+        /// Files `tid` at the back of list 0.
+        fn queue(&mut self, tid: Tid) {
+            let mut ctx = SchedCtx {
+                tasks: &mut self.tasks,
+                stats: &mut self.stats,
+                meter: &mut self.meter,
+                costs: &self.costs,
+                cfg: &self.cfg,
+                probe: None,
+                locks: None,
+            };
+            self.rq.insert(&mut ctx, 0, false, tid);
+        }
+
         fn run(&mut self, chunk: &Chunk, env: Env, budget: u64) -> HookRun {
             let mut ctx = SchedCtx {
                 tasks: &mut self.tasks,
@@ -430,7 +445,7 @@ mod tests {
                 probe: None,
                 locks: None,
             };
-            run_chunk(chunk, &self.lists, &mut ctx, env, budget, &mut self.state)
+            run_chunk(chunk, &self.rq, &mut ctx, env, budget, &mut self.state)
         }
     }
 
@@ -559,8 +574,8 @@ mod tests {
         let mut rig = Rig::new();
         let a = rig.spawn("a");
         let b = rig.spawn("b");
-        rig.lists.insert_back(&mut rig.tasks, 0, a);
-        rig.lists.insert_back(&mut rig.tasks, 0, b);
+        rig.queue(a);
+        rig.queue(b);
         let env = rig.env(0);
         let run = rig.run(&requeue_walk(0), env, 1000);
         assert_eq!(run.violation, None);
@@ -575,7 +590,7 @@ mod tests {
     fn for_begin_skips_the_loop_on_an_empty_list() {
         let mut rig = Rig::new();
         let a = rig.spawn("a");
-        rig.lists.insert_back(&mut rig.tasks, 0, a);
+        rig.queue(a);
         let env = rig.env(0);
         let run = rig.run(&requeue_walk(1), env, 1000);
         assert_eq!(run.violation, None);
@@ -791,8 +806,8 @@ mod tests {
         let b = rig.spawn("b");
         rig.tasks.task_mut(a).counter = 3;
         rig.tasks.task_mut(b).counter = 9;
-        rig.lists.insert_back(&mut rig.tasks, 0, a);
-        rig.lists.insert_back(&mut rig.tasks, 0, b);
+        rig.queue(a);
+        rig.queue(b);
         let mut env = rig.env(0);
         env.nr_running = 2;
         // Seed best below both counters so each item updates it once.
@@ -811,7 +826,7 @@ mod tests {
             let mut rig2 = Rig::new();
             let a2 = rig2.spawn("a");
             rig2.tasks.task_mut(a2).counter = 3;
-            rig2.lists.insert_back(&mut rig2.tasks, 0, a2);
+            rig2.queue(a2);
             let env2 = rig2.env(0);
             let run = rig2.run(&c, env2, budget as u64);
             if let Some(PolicyViolation::BudgetExhausted { insns, .. }) = run.violation {
