@@ -1,10 +1,17 @@
-//! The differential oracle: replay the baseline O(n) `goodness()` scan
-//! beside the scheduler under test and classify every divergence.
+//! The differential oracle: answer what the baseline O(n) `goodness()`
+//! scan would pick, beside the scheduler under test, and classify every
+//! divergence.
 //!
 //! On every `schedule()` call the machine freezes the runnable set
 //! *before* handing control to the scheduler ([`RunnableSet`]), lets the
-//! scheduler decide, then asks [`Oracle::judge`] to replay Linux 2.3.99's
-//! reference semantics over the frozen set and compare. A divergence is only
+//! scheduler decide, then asks [`Oracle::judge`] for Linux 2.3.99's
+//! reference pick over the frozen set and compares. The set files its
+//! members in a goodness index as they change — keyed by static goodness
+//! and slot, split by last CPU, with the dynamic bonuses bounded the way
+//! ELSC bounds them (paper §5) — so the reference pick's first pass and
+//! the `Truncation` list count are read from the index; only the
+//! recalculation pass walks the members, and a debug build walks every
+//! decision to hold the index to the walk. A divergence is only
 //! acceptable when it falls into one of the documented classes below;
 //! anything else increments `unexplained` — and an unexplained
 //! divergence is a test failure, a lab-cell failure, and a non-zero CLI
@@ -23,6 +30,7 @@
 
 use elsc_ktask::{CpuId, MmId, Task, TaskTable, Tid};
 use elsc_obs::json::Obj;
+use elsc_sched_api::order::{rank, Member, Members};
 use elsc_sched_api::{
     topo_affinity_bonus, IDLE_GOODNESS, MM_BONUS, PROC_CHANGE_PENALTY, RT_GOODNESS_BASE,
 };
@@ -167,18 +175,118 @@ impl SlotSet {
     }
 }
 
+/// The ELSC table's list count: 20 time-sharing lists, 10 real-time.
+const NR_LISTS: usize = 30;
+
+/// Which set of the goodness index a member is filed in, and under what
+/// static part: the split [`snap_goodness`] makes — a static part plus
+/// bonuses that depend only on the deciding CPU and `prev->mm`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Filing {
+    /// Real-time (`1000 + rt_priority`) or out of quantum (0): the whole
+    /// goodness, in `flat`.
+    Flat(i32),
+    /// Anyone else: `counter + priority`, in `by_cpu[processor]`.
+    Cpu(CpuId, i32),
+}
+
+impl Filing {
+    fn of(s: &TaskSnap) -> Filing {
+        if s.rt {
+            Filing::Flat(RT_GOODNESS_BASE + s.rt_priority)
+        } else if s.counter == 0 {
+            Filing::Flat(0)
+        } else {
+            Filing::Cpu(s.processor, s.counter + s.priority)
+        }
+    }
+}
+
+/// The members filed by static goodness, so that a decision's first
+/// pass and its `Truncation` count need not walk them. Every set is keyed
+/// by (static part, slot): the slot is the tie stamp, so the lowest slot
+/// wins a tie, as it does in the walk.
+///
+/// A member running on a CPU (`has_cpu`, *held*) stays in its set, and
+/// the query steps over it on SMP: every context switch sets `has_cpu` on
+/// one task and clears it on another, so a held member that left its set
+/// would cost a set edit per toggle, two per switch.
+#[derive(Debug, Default)]
+struct GoodnessIndex {
+    flat: Members,
+    by_cpu: Vec<Members>,
+    /// The slots of the held members, in no order.
+    held: Vec<u32>,
+    /// Members per ELSC list at their own counter, held ones included.
+    lists: [u32; NR_LISTS],
+}
+
+impl GoodnessIndex {
+    /// Moves slot `slot` from its filing as `old` to its filing as `new`
+    /// (`None`: not a member), touching only what differs.
+    fn refile(&mut self, slot: usize, old: Option<&TaskSnap>, new: Option<&TaskSnap>) {
+        let list = |s: Option<&TaskSnap>| s.map(|s| snap_list(s, s.counter));
+        if list(old) != list(new) {
+            if let Some(l) = list(old) {
+                self.lists[l] -= 1;
+            }
+            if let Some(l) = list(new) {
+                self.lists[l] += 1;
+            }
+        }
+        let held = |s: Option<&TaskSnap>| s.is_some_and(|s| s.has_cpu);
+        if held(old) != held(new) {
+            if held(new) {
+                self.held.push(slot as u32);
+            } else {
+                let at = self.held.iter().position(|&h| h as usize == slot);
+                self.held.swap_remove(at.expect("held slot filed"));
+            }
+        }
+        let filing = |s: Option<&TaskSnap>| s.map(|s| (Filing::of(s), s.mm));
+        if filing(old) == filing(new) {
+            return;
+        }
+        if let Some((f, _)) = filing(old) {
+            let (set, g) = self.set_mut(f);
+            set.remove(rank(g, slot as i64));
+        }
+        if let Some((f, mm)) = filing(new) {
+            let (set, g) = self.set_mut(f);
+            set.insert(Member::new(g, slot as i64, slot, mm));
+        }
+    }
+
+    /// The set `f` files into, and the static part it files under.
+    fn set_mut(&mut self, f: Filing) -> (&mut Members, i32) {
+        match f {
+            Filing::Flat(g) => (&mut self.flat, g),
+            Filing::Cpu(p, g) => {
+                if p >= self.by_cpu.len() {
+                    self.by_cpu.resize_with(p + 1, Members::default);
+                }
+                (&mut self.by_cpu[p], g)
+            }
+        }
+    }
+}
+
 /// The runnable set a decision is judged against, stored by task-table
 /// slot: one [`TaskSnap`] per slot that ever held a runnable task, and a
 /// membership bit saying which of them are runnable now. The machine keeps
 /// one current from the task table's change log, refreshing only the slots
 /// it hands over, and lends it to the judge as it stood before the
 /// decision; a test builds one from a list of snaps. Idle tasks are never
-/// members.
-#[derive(Clone, Debug, Default)]
+/// members. `insert` and `remove` also keep the members filed in a
+/// goodness index, which answers the judge's first pass and list
+/// occupancy.
+#[derive(Debug, Default)]
 pub struct RunnableSet {
     /// Indexed by slot; the entry of a non-member slot is stale.
     snaps: Vec<TaskSnap>,
     members: SlotSet,
+    len: usize,
+    index: GoodnessIndex,
 }
 
 impl RunnableSet {
@@ -189,13 +297,25 @@ impl RunnableSet {
             // The filler is stale from the start: its slots are not members.
             self.snaps.resize(idx + 1, snap);
         }
+        let old = self.members.contains(idx).then(|| self.snaps[idx]);
+        if old == Some(snap) {
+            return;
+        }
+        if old.is_none() {
+            self.members.set(idx, true);
+            self.len += 1;
+        }
+        self.index.refile(idx, old.as_ref(), Some(&snap));
         self.snaps[idx] = snap;
-        self.members.set(idx, true);
     }
 
     /// Drops slot `idx` from the set.
     pub fn remove(&mut self, idx: usize) {
-        self.members.set(idx, false);
+        if self.members.contains(idx) {
+            self.index.refile(idx, Some(&self.snaps[idx]), None);
+            self.members.set(idx, false);
+            self.len -= 1;
+        }
     }
 
     /// `tid`'s snap, if `tid` is a member: the slot is in the set and holds
@@ -209,6 +329,11 @@ impl RunnableSet {
     /// The members in ascending slot order, which is task-table order.
     pub fn iter(&self) -> impl Iterator<Item = &TaskSnap> + '_ {
         self.members.iter().map(|idx| &self.snaps[idx])
+    }
+
+    /// How many members there are.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 }
 
@@ -382,6 +507,13 @@ pub struct OracleReport {
     pub first_unexplained: Option<String>,
     /// Details of the first invariant violation (diagnostics).
     pub first_violation: Option<String>,
+    /// Snapshot members the judge walked: the recalculation passes and
+    /// their occupancy counts; the index answers everything else. A host
+    /// cost count, never serialized.
+    pub walked: u64,
+    /// The members of the frozen sets of the decisions that took the
+    /// recalculation pass. Never serialized.
+    pub recalc_members: u64,
 }
 
 impl OracleReport {
@@ -440,7 +572,10 @@ impl OracleReport {
 
 /// The differential oracle: judges every decision and accumulates a
 /// report. Pure observer — owns no task state, charges no cycles, and
-/// allocates nothing per decision.
+/// allocates nothing per decision. It reads the reference pick from the
+/// frozen set's goodness index with its own query — not reg's, so one
+/// wrong query cannot both make a pick and approve it — and walks the set
+/// only on the recalculation pass.
 #[derive(Clone, Debug)]
 pub struct Oracle {
     mode: OracleMode,
@@ -476,45 +611,157 @@ impl Oracle {
         }
     }
 
+    /// Where the reference scan starts a pass: `prev` if it is still
+    /// runnable — considered first, so it wins all ties; its
+    /// `SCHED_YIELD` counts for the first pass only — else idle.
+    fn start(d: &Decision<'_>, recalced: bool) -> (i32, Tid) {
+        match d.runnable.get(d.prev) {
+            None => (IDLE_GOODNESS, d.idle),
+            Some(_) if d.prev_yielded && !recalced => (0, d.prev),
+            Some(p) => (d.goodness(p, recalced), d.prev),
+        }
+    }
+
+    /// One pass of the reference scan, walked: the strict `goodness()`
+    /// maximum over every member `can_schedule()` admits, from
+    /// [`start`](Oracle::start). Adds the members it visits to `visited`.
+    fn walk_pass(d: &Decision<'_>, recalced: bool, visited: &mut u64) -> (i32, Tid) {
+        let (mut c, mut next) = Self::start(d, recalced);
+        for s in d.runnable.iter() {
+            *visited += 1;
+            // can_schedule(): skip tasks executing on a CPU (which skips
+            // prev too — it was counted above).
+            let skip = if d.smp { s.has_cpu } else { s.tid == d.prev };
+            if skip {
+                continue;
+            }
+            let w = d.goodness(s, recalced);
+            if w > c {
+                c = w;
+                next = s.tid;
+            }
+        }
+        (c, next)
+    }
+
+    /// The first pass's best candidate other than `prev`, from the goodness
+    /// index: the `flat` head against each `by_cpu[p]` head lifted by `p`'s
+    /// affinity bonus — or, when [`MM_BONUS`] lifts one past the head, by
+    /// the first member that shares `prev`'s address space. A set whose
+    /// head cannot reach the best so far is ruled out by the head alone.
+    /// Lifted members rank as the walk picks: higher goodness, then lower
+    /// slot. Heads are the first members `can_schedule()` admits: on SMP
+    /// none that is held, on UP anyone but `prev`.
+    fn indexed_best(d: &Decision<'_>) -> Option<Member> {
+        let set = d.runnable;
+        let prev = set.get(d.prev).map_or(u32::MAX, |_| d.prev.index() as u32);
+        let admits = |m: &&Member| match d.smp {
+            true => !set.snaps[m.slot as usize].has_cpu,
+            false => m.slot != prev,
+        };
+        let index = &set.index;
+        let mut best = index.flat.0.iter().rev().find(admits).copied();
+        // The deciding CPU's own set first: its bonus is the largest, so
+        // the other sets can mostly be ruled out by their head.
+        let own = (d.cpu < index.by_cpu.len()).then_some(d.cpu);
+        let others = (0..index.by_cpu.len()).filter(|&p| p != d.cpu);
+        for p in own.into_iter().chain(others) {
+            let mut order = index.by_cpu[p].0.iter().rev().filter(admits);
+            let Some(&head) = order.next() else {
+                continue;
+            };
+            let bonus = topo_affinity_bonus(&d.topology, d.cpu, p);
+            if best.is_some_and(|b| head.goodness() + bonus + MM_BONUS < b.goodness()) {
+                continue;
+            }
+            let kin = if head.mm == d.prev_mm {
+                head.lifted(MM_BONUS)
+            } else {
+                order
+                    .map(|m| m.lifted(MM_BONUS))
+                    .take_while(|m| m.rank() > head.rank())
+                    .find(|m| m.mm == d.prev_mm)
+                    .unwrap_or(head)
+            };
+            let g = kin.lifted(bonus);
+            if best.is_none_or(|b| g.rank() > b.rank()) {
+                best = Some(g);
+            }
+        }
+        best
+    }
+
     /// Replays the reference `schedule()` semantics over the frozen set:
     /// previous-task-first (ties go to `prev`), strict `goodness()` maximum
     /// over every task not executing elsewhere, and the system-wide
-    /// counter recalculation when the best weight is 0. One visit per
-    /// runnable task and pass; counters are derived, not copied.
-    fn reference_pick(d: &Decision<'_>) -> RefOutcome {
-        let prev = d.runnable.get(d.prev);
-        for recalced in [false, true] {
-            let (mut c, mut next) = match prev {
-                None => (IDLE_GOODNESS, d.idle),
-                // prev is considered first and therefore wins all ties; its
-                // SCHED_YIELD counts for the first pass only.
-                Some(_) if d.prev_yielded && !recalced => (0, d.prev),
-                Some(p) => (d.goodness(p, recalced), d.prev),
-            };
-            for s in d.runnable.iter() {
-                // can_schedule(): skip tasks executing on a CPU (which
-                // skips prev too — it was counted above).
-                let skip = if d.smp { s.has_cpu } else { s.tid == d.prev };
-                if skip {
-                    continue;
-                }
-                let w = d.goodness(s, recalced);
-                if w > c {
-                    c = w;
-                    next = s.tid;
-                }
-            }
-            if c != 0 || recalced {
-                return RefOutcome {
-                    expected: next,
-                    expected_g: c,
-                    recalced,
-                };
-            }
+    /// counter recalculation when the best weight is 0. The first pass is
+    /// answered from the set's goodness index; only the recalculation pass
+    /// walks the members. Counters are derived, not copied.
+    fn reference_pick(&mut self, d: &Decision<'_>) -> RefOutcome {
+        let (mut c, mut next) = Self::start(d, false);
+        if let Some(b) = Self::indexed_best(d).filter(|b| b.goodness() > c) {
+            (c, next) = (b.goodness(), d.runnable.snaps[b.slot as usize].tid);
+        }
+        let recalced = c == 0;
+        if recalced {
             // Every candidate out of quantum (or a lone yielder): the
             // reference recalculates every counter and scans again.
+            self.report.recalc_members += d.runnable.len() as u64;
+            (c, next) = Self::walk_pass(d, true, &mut self.report.walked);
         }
-        unreachable!("the recalculation pass always returns")
+        RefOutcome {
+            expected: next,
+            expected_g: c,
+            recalced,
+        }
+    }
+
+    /// [`reference_pick`](Oracle::reference_pick) with both passes walked:
+    /// what a debug build holds the index to on every decision.
+    #[cfg(debug_assertions)]
+    fn walked_pick(d: &Decision<'_>) -> RefOutcome {
+        let (c, next) = Self::walk_pass(d, false, &mut 0);
+        let recalced = c == 0;
+        let (c, next) = if recalced {
+            Self::walk_pass(d, true, &mut 0)
+        } else {
+            (c, next)
+        };
+        RefOutcome {
+            expected: next,
+            expected_g: c,
+            recalced,
+        }
+    }
+
+    /// How many members of ELSC list `list` the bounded search could
+    /// examine on this decision — all but those running on another CPU —
+    /// capped at one past the search limit. Read from the index's list
+    /// counts; the recalculation pass moves every counter, so after it the
+    /// members are walked.
+    fn occupancy(&mut self, d: &Decision<'_>, r: &RefOutcome, list: usize) -> usize {
+        let cap = d.search_limit + 1;
+        let walk = |visited: &mut u64| {
+            let eligible = d.runnable.iter().filter(|s| {
+                *visited += 1;
+                !(d.smp && s.has_cpu && s.processor != d.cpu)
+                    && snap_list(s, d.counter(s, r.recalced)) == list
+            });
+            eligible.take(cap).count()
+        };
+        if r.recalced {
+            return walk(&mut self.report.walked);
+        }
+        // An exhausted RR prev's quantum refresh moves neither its goodness
+        // nor its list: real-time lists ignore the counter.
+        let set = d.runnable;
+        let elsewhere = set.index.held.iter().filter(|&&slot| {
+            let s = &set.snaps[slot as usize];
+            d.smp && s.processor != d.cpu && snap_list(s, s.counter) == list
+        });
+        let n = (set.index.lists[list] as usize - elsewhere.count()).min(cap);
+        debug_assert_eq!(n, walk(&mut 0), "list occupancy index != the walk");
+        n
     }
 
     /// Judges one decision, updates the report, and returns the class.
@@ -526,7 +773,16 @@ impl Oracle {
     /// verdict (class plus the reference pick).
     pub fn judge_full(&mut self, d: &Decision<'_>) -> Verdict {
         self.report.decisions += 1;
-        let r = Self::reference_pick(d);
+        let r = self.reference_pick(d);
+        #[cfg(debug_assertions)]
+        {
+            let w = Self::walked_pick(d);
+            assert_eq!(
+                (r.expected, r.expected_g, r.recalced),
+                (w.expected, w.expected_g, w.recalced),
+                "goodness index != the reference walk: {d:?}"
+            );
+        }
         let class = self.classify(d, &r);
         match class {
             DivergenceClass::Match => self.report.matches += 1,
@@ -565,7 +821,7 @@ impl Oracle {
         s.map_or(IDLE_GOODNESS, |s| d.goodness(s, r.recalced))
     }
 
-    fn classify(&self, d: &Decision<'_>, r: &RefOutcome) -> DivergenceClass {
+    fn classify(&mut self, d: &Decision<'_>, r: &RefOutcome) -> DivergenceClass {
         if d.chosen == r.expected {
             return DivergenceClass::Match;
         }
@@ -622,16 +878,9 @@ impl Oracle {
         let list_of = |s: &TaskSnap| snap_list(s, d.counter(s, r.recalced));
         // Truncation: the list the reference winner lives in held more
         // eligible tasks than the bounded search examines, so ELSC
-        // provably could not have seen every candidate. The set's second
-        // walk, and it stops once the count is past the limit.
+        // provably could not have seen every candidate.
         let list = list_of(e);
-        let occupancy = d
-            .runnable
-            .iter()
-            .filter(|s| !(d.smp && s.has_cpu && s.processor != d.cpu) && list_of(s) == list)
-            .take(d.search_limit + 1)
-            .count();
-        if occupancy > d.search_limit {
+        if self.occupancy(d, r, list) > d.search_limit {
             return DivergenceClass::Truncation;
         }
         if let Some(c) = chosen {
@@ -1452,22 +1701,27 @@ mod tests {
         // 57 runnable tasks per decision is the observed volano average.
         // Between decisions the set is refreshed the way the machine's
         // change log refreshes it: members rewritten in place, one leaving
-        // and coming back. Neither buffer moves or grows, and the judge
+        // and coming back. Once every member has been filed both ways, no
+        // buffer of the set or of its index moves or grows, and the judge
         // needs no buffer of its own — including on the decisions that take
         // the recalculation pass.
         let fresh: Vec<TaskSnap> = (0..57).map(|i| snap(i + 1, i as i32 % 7, 20, 1)).collect();
         let exhausted: Vec<TaskSnap> = (0..57).map(|i| snap(i + 1, 0, 20 + i as i32, 1)).collect();
         let mut set = runnable(&fresh);
         let buffers = |set: &RunnableSet| {
-            let (snaps, members) = (&set.snaps, &set.members.0);
-            (
-                snaps.as_ptr(),
-                snaps.capacity(),
-                members.as_ptr(),
-                members.capacity(),
-            )
+            let index = &set.index;
+            let sets = std::iter::once(&index.flat.0).chain(index.by_cpu.iter().map(|m| &m.0));
+            let mut all: Vec<(usize, usize)> =
+                sets.map(|v| (v.as_ptr() as usize, v.capacity())).collect();
+            all.extend([
+                (set.snaps.as_ptr() as usize, set.snaps.capacity()),
+                (set.members.0.as_ptr() as usize, set.members.0.capacity()),
+                (index.by_cpu.as_ptr() as usize, index.by_cpu.capacity()),
+                (index.held.as_ptr() as usize, index.held.capacity()),
+            ]);
+            all
         };
-        let before = buffers(&set);
+        let mut before = Vec::new();
         let mut o = Oracle::new(OracleMode::Strict);
         for i in 0..1000 {
             let (snaps, chosen) = if i % 2 == 0 {
@@ -1483,10 +1737,16 @@ mod tests {
                 o.judge_full(&decision(&set, chosen)).class,
                 DivergenceClass::Match
             );
-            assert_eq!(buffers(&set), before);
+            // The first two decisions file every member both ways.
+            match (i, buffers(&set)) {
+                (0, _) => {}
+                (1, now) => before = now,
+                (_, now) => assert_eq!(now, before, "decision {i}"),
+            }
         }
         assert_eq!(o.report().decisions, 1000);
         assert!(o.report().clean());
+        assert_eq!(o.report().recalc_members, 500 * 57);
     }
 
     #[test]
@@ -1498,9 +1758,135 @@ mod tests {
         assert_eq!(o.report().first_violation.as_deref(), Some("first"));
     }
 
-    /// A random decision for [`one_pass_judge_equals_the_dense_reference`]:
-    /// its runnable set, and the decision with `chosen` still to be drawn.
-    fn random_decision<'a>(rng: &mut SimRng, set: &'a mut RunnableSet) -> Decision<'a> {
+    /// The persistent runnable set [`one_pass_judge_equals_the_dense_reference`]
+    /// judges against, mutated between decisions as the machine's change
+    /// log refreshes it, so the index is updated in place rather than
+    /// rebuilt: members re-inserted with another counter, processor,
+    /// `has_cpu`, class or address space, members removed, new members
+    /// inserted — into a free slot, or over a member's slot under a new
+    /// generation.
+    struct Churn {
+        set: RunnableSet,
+        /// A crowd of near-equal tasks makes ties and long lists.
+        crowd: bool,
+        /// The most members a decision draws.
+        most: u64,
+        /// Inserts over a member's slot that changed its snap.
+        refiles: u64,
+        /// The last decision's `prev` as it was before it ran, if it was
+        /// a member.
+        last_prev: Option<TaskSnap>,
+        /// Whether the last decision ran everyone out of quantum.
+        exhausted: bool,
+    }
+
+    impl Churn {
+        fn new() -> Churn {
+            Churn {
+                set: RunnableSet::default(),
+                crowd: false,
+                most: 6,
+                refiles: 0,
+                last_prev: None,
+                exhausted: false,
+            }
+        }
+
+        fn slots(&self) -> Vec<usize> {
+            self.set.iter().map(|s| s.tid.index()).collect()
+        }
+
+        fn any_member(&self, rng: &mut SimRng) -> Option<TaskSnap> {
+            let slots = self.slots();
+            let i = rng.below(slots.len().max(1) as u64) as usize;
+            slots.get(i).map(|&idx| self.set.snaps[idx])
+        }
+
+        /// A random counter for a task of priority `p`.
+        fn counter(&self, rng: &mut SimRng, p: i32) -> i32 {
+            if self.crowd {
+                18 + rng.below(6) as i32
+            } else {
+                rng.below(2 * p as u64 + 1) as i32
+            }
+        }
+
+        fn fresh(&self, rng: &mut SimRng, tid: Tid, nr_cpus: usize) -> TaskSnap {
+            let priority = if self.crowd {
+                20
+            } else {
+                [10, 20, 40][rng.below(3) as usize]
+            };
+            let rt = rng.chance(0.05);
+            TaskSnap {
+                tid,
+                counter: self.counter(rng, priority),
+                priority,
+                rt,
+                rr: rt && rng.chance(0.5),
+                rt_priority: rng.below(100) as i32,
+                mm: MmId(if self.crowd { 1 } else { rng.below(3) as u32 }),
+                processor: if self.crowd && rng.chance(0.7) {
+                    0
+                } else {
+                    rng.below(nr_cpus as u64) as usize
+                },
+                has_cpu: nr_cpus > 1 && rng.chance(0.2),
+                yielded: false,
+            }
+        }
+
+        /// Inserts `s`, counting it as a re-file if it replaces a
+        /// member's different snap.
+        fn put(&mut self, s: TaskSnap) {
+            let idx = s.tid.index();
+            if self.set.members.contains(idx) && self.set.snaps[idx] != s {
+                self.refiles += 1;
+            }
+            self.set.insert(s);
+        }
+
+        /// One random change to the set.
+        fn mutate(&mut self, rng: &mut SimRng, nr_cpus: usize) {
+            let Some(mut s) = self.any_member(rng) else {
+                return self.add(rng, nr_cpus);
+            };
+            match rng.below(8) {
+                0 => return self.set.remove(s.tid.index()),
+                1 => s.counter = self.counter(rng, s.priority),
+                2 => s.processor = rng.below(nr_cpus as u64) as usize,
+                3 => s.has_cpu = !s.has_cpu && rng.chance(0.3),
+                4 => {
+                    s.rt = !s.rt && rng.chance(0.2);
+                    s.rr = s.rt && rng.chance(0.5);
+                }
+                5 => s.mm = MmId(rng.below(3) as u32),
+                6 => {
+                    // The slot was freed and taken again between two syncs.
+                    let generation = s.tid.generation() + 1;
+                    let tid = Tid::from_raw(s.tid.index() as u32, generation);
+                    s = self.fresh(rng, tid, nr_cpus);
+                }
+                _ => s.counter = 0,
+            }
+            self.put(s);
+        }
+
+        /// Inserts a new member into a random slot (a member's slot is
+        /// taken over).
+        fn add(&mut self, rng: &mut SimRng, nr_cpus: usize) {
+            // Slot 0 is the idle task; slots past 64 span a second word.
+            let idx = 1 + rng.below(150) as u32;
+            let tid = Tid::from_raw(idx, rng.below(3) as u32);
+            let s = self.fresh(rng, tid, nr_cpus);
+            self.put(s);
+        }
+    }
+
+    /// A random decision for [`one_pass_judge_equals_the_dense_reference`]
+    /// over `churn`'s set after a few random changes, with `chosen` still
+    /// to be drawn.
+    fn random_decision<'a>(rng: &mut SimRng, churn: &'a mut Churn) -> Decision<'a> {
         let topology: Topology = match rng.below(4) {
             0 => Topology::flat(1),
             1 => Topology::flat(2),
@@ -1509,47 +1895,53 @@ mod tests {
         };
         let nr_cpus = topology.nr_cpus();
         let smp = nr_cpus > 1;
-        let exhausted = rng.chance(0.1); // takes the recalculation pass
-        let crowd = rng.chance(0.5);
-        let most = if rng.chance(0.5) { 6 } else { 24 };
-        let n = rng.below(most);
-        let mut snaps: Vec<TaskSnap> = Vec::new();
-        while (snaps.len() as u64) < n {
-            // Slot 0 is the idle task; slots past 64 span a second word.
-            let idx = 1 + rng.below(150) as u32;
-            if snaps.iter().any(|s| s.tid.index() == idx as usize) {
-                continue;
+        if rng.chance(0.05) {
+            churn.crowd = !churn.crowd;
+        }
+        if rng.chance(0.05) {
+            churn.most = if churn.most == 6 { 24 } else { 6 };
+        }
+        // The last prev left its CPU, or is still running there.
+        if let Some(s) = churn.last_prev.take() {
+            if churn.set.get(s.tid).is_some() {
+                churn.put(TaskSnap {
+                    has_cpu: smp && rng.chance(0.2),
+                    ..s
+                });
             }
-            // A crowd of near-equal tasks makes ties and long lists.
-            let (priority, counter) = if crowd {
-                (20, 18 + rng.below(6) as i32)
-            } else {
-                let p = [10, 20, 40][rng.below(3) as usize];
-                (p, rng.below(2 * p as u64 + 1) as i32)
-            };
-            let rt = rng.chance(0.05);
-            snaps.push(TaskSnap {
-                tid: Tid::from_raw(idx, rng.below(3) as u32),
-                counter: if exhausted { 0 } else { counter },
-                priority,
-                rt,
-                rr: rt && rng.chance(0.5),
-                rt_priority: rng.below(100) as i32,
-                mm: MmId(if crowd { 1 } else { rng.below(3) as u32 }),
-                processor: if crowd && rng.chance(0.7) {
-                    0
-                } else {
-                    rng.below(nr_cpus as u64) as usize
-                },
-                has_cpu: smp && rng.chance(0.2),
-                yielded: false,
-            });
+        }
+        let n = rng.below(churn.most) as usize;
+        while churn.set.len() > n {
+            let slots = churn.slots();
+            churn
+                .set
+                .remove(slots[rng.below(slots.len() as u64) as usize]);
+        }
+        while churn.set.len() < n {
+            churn.add(rng, nr_cpus);
+        }
+        for _ in 0..rng.below(4) {
+            churn.mutate(rng, nr_cpus);
+        }
+        // Everyone out of quantum (takes the recalculation pass unless a
+        // real-time member is runnable), or everyone's quantum refilled
+        // after that.
+        let was_exhausted = churn.exhausted;
+        churn.exhausted = rng.chance(0.1);
+        if churn.exhausted || was_exhausted {
+            for idx in churn.slots() {
+                let s = churn.set.snaps[idx];
+                let counter = match churn.exhausted {
+                    true => 0,
+                    false => churn.counter(rng, s.priority),
+                };
+                churn.put(TaskSnap { counter, ..s });
+            }
         }
         let mut prev_yielded = false;
-        let prev = match rng.below(4) {
-            0 | 1 if n > 0 => {
-                let i = rng.below(n) as usize;
-                let p = &mut snaps[i];
+        let prev = match (rng.below(4), churn.any_member(rng)) {
+            (0 | 1, Some(mut p)) => {
+                churn.last_prev = Some(p);
                 p.has_cpu |= smp;
                 if rng.chance(0.2) {
                     // An exhausted SCHED_RR prev: its quantum is refreshed.
@@ -1557,16 +1949,14 @@ mod tests {
                 }
                 prev_yielded = rng.chance(0.3);
                 p.yielded = prev_yielded;
+                churn.put(p);
                 p.tid
             }
-            2 => tid(0),
+            (2, _) => tid(0),
             _ => Tid::from_raw(200 + rng.below(8) as u32, 0), // blocked
         };
-        let prev_mm = snaps
-            .iter()
-            .find(|s| s.tid == prev)
-            .map_or(MmId(rng.below(3) as u32), |s| s.mm);
-        *set = runnable(&snaps);
+        let set = &churn.set;
+        let prev_mm = set.get(prev).map_or(MmId(rng.below(3) as u32), |s| s.mm);
         Decision {
             cpu: rng.below(nr_cpus as u64) as usize,
             prev,
@@ -1578,13 +1968,15 @@ mod tests {
             search_limit: 1 + rng.below(8) as usize,
             smp,
             topology,
-            runnable: &*set,
+            runnable: set,
         }
     }
 
-    /// The one-pass judge over the slot-indexed set gives the dense
-    /// multi-pass judge's verdict on every decision, and the same report —
-    /// `first_unexplained` text included — at the end.
+    /// The one-pass judge over the slot-indexed set, its first pass and
+    /// occupancy read from the goodness index, gives the dense multi-pass
+    /// judge's verdict on every decision, and the same report —
+    /// `first_unexplained` text included — at the end. The set persists
+    /// across decisions, so the index is re-filed, not rebuilt.
     #[test]
     fn one_pass_judge_equals_the_dense_reference() {
         let mut rng = SimRng::new(0x0_0AC1_E5EE);
@@ -1597,9 +1989,10 @@ mod tests {
         };
         let mut dense = modes.map(dense_oracle);
         let mut picker = dense_oracle(OracleMode::Strict);
-        let mut set = RunnableSet::default();
-        for case in 0..100_000 {
-            let mut d = random_decision(&mut rng, &mut set);
+        let mut churn = Churn::new();
+        let mut fallbacks = 0;
+        for case in 0..150_000 {
+            let mut d = random_decision(&mut rng, &mut churn);
             let members: Vec<Tid> = d.runnable.iter().map(|s| s.tid).collect();
             let member = members.get(rng.below(members.len().max(1) as u64) as usize);
             d.chosen = match rng.below(8) {
@@ -1613,11 +2006,18 @@ mod tests {
                 _ => d.prev,
             };
             let m = rng.below(2) as usize;
+            let walked = one_pass[m].report().walked;
             let got = one_pass[m].judge_full(&d);
             assert_eq!(got, dense[m].judge_full(&d), "case {case}: {d:?}");
+            fallbacks += (one_pass[m].report().walked > walked) as u64;
         }
         for m in 0..2 {
-            assert_eq!(one_pass[m].report(), &dense[m].report, "{:?}", modes[m]);
+            let counts = OracleReport {
+                walked: 0,
+                recalc_members: 0,
+                ..one_pass[m].report().clone()
+            };
+            assert_eq!(counts, dense[m].report, "{:?}", modes[m]);
         }
         let (strict, relaxed) = (one_pass[0].report(), one_pass[1].report());
         for (class, n) in [
@@ -1630,6 +2030,8 @@ mod tests {
             ("unexplained", strict.unexplained),
             ("design", relaxed.design),
             ("relaxed topology", relaxed.topology),
+            ("re-file", churn.refiles),
+            ("recalculation fallback", fallbacks),
         ] {
             assert!(n > 100, "{class}: only {n} decisions");
         }

@@ -237,13 +237,14 @@ impl Machine {
         view
     }
 
-    /// Pipeline step 4: close the trace burst with the label, then replay
-    /// the reference O(n) scan over the frozen runnable set, classify the
-    /// decision and check the run-queue invariants the scheduler must have
-    /// preserved — on every task touched since it last passed them. The
-    /// check has to come after the decision: an exiting `prev` is
-    /// legitimately a linked zombie on entry, and only the decision
-    /// unlinks it.
+    /// Pipeline step 4: close the trace burst with the label, then ask the
+    /// oracle for the reference scan's pick over the frozen runnable set
+    /// (read from the set's goodness index; only a recalculation pass
+    /// walks it), classify the decision and check the run-queue invariants
+    /// the scheduler must have preserved — on every task touched since it
+    /// last passed them. The check has to come after the decision: an
+    /// exiting `prev` is legitimately a linked zombie on entry, and only
+    /// the decision unlinks it.
     pub(crate) fn observe_after(&mut self, view: DecisionView, next: Tid, t_done: Cycles) {
         // The decision is over; the judge below still reads the frozen set.
         self.watch.frozen = false;

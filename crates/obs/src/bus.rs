@@ -118,12 +118,12 @@ impl Sink for RingSink {
 /// Streams each record as one JSON line to a writer.
 ///
 /// The sink owns one line buffer: each record is serialized into it in
-/// place ([`ObsRecord::write_json_line`]), the `\n` is appended, and the
-/// line reaches the writer as a single `write_all` — once the buffer has
+/// place, as the bytes of [`ObsRecord::write_json_line`], the `\n` is
+/// appended, and the line reaches the writer as a single `write_all` — once the buffer has
 /// grown to the longest line, a record costs no allocation.
 pub struct JsonLinesSink<W: Write> {
     writer: W,
-    line: String,
+    line: Vec<u8>,
     written: u64,
     dropped: u64,
 }
@@ -133,7 +133,7 @@ impl<W: Write> JsonLinesSink<W> {
     pub fn new(writer: W) -> JsonLinesSink<W> {
         JsonLinesSink {
             writer,
-            line: String::new(),
+            line: Vec::new(),
             written: 0,
             dropped: 0,
         }
@@ -154,12 +154,12 @@ impl<W: Write> JsonLinesSink<W> {
 
 impl<W: Write> Sink for JsonLinesSink<W> {
     fn record(&mut self, rec: &ObsRecord) {
-        rec.write_json_line(&mut self.line);
-        self.line.push('\n');
+        rec.write_json_bytes(&mut self.line);
+        self.line.push(b'\n');
         // An observability sink must never abort the simulation; on I/O
         // failure the line is lost and counted (matching the bounded
         // ring's drop semantics).
-        match self.writer.write_all(self.line.as_bytes()) {
+        match self.writer.write_all(&self.line) {
             Ok(()) => self.written += 1,
             Err(_) => self.dropped += 1,
         }

@@ -7,7 +7,7 @@
 //! deterministic JSON line, so same-seed runs produce byte-identical
 //! trace files.
 
-use crate::json::{push_escaped, push_u64};
+use crate::json::{into_string, push_escaped, push_u64};
 use elsc_ktask::{CpuId, Tid};
 use elsc_simcore::Cycles;
 
@@ -223,29 +223,29 @@ impl ObsEvent {
 
 /// A field value of a trace line.
 trait Value {
-    fn put(self, out: &mut String);
+    fn put(self, out: &mut Vec<u8>);
 }
 
 impl Value for u64 {
-    fn put(self, out: &mut String) {
+    fn put(self, out: &mut Vec<u8>) {
         push_u64(out, self);
     }
 }
 
 impl Value for usize {
-    fn put(self, out: &mut String) {
+    fn put(self, out: &mut Vec<u8>) {
         push_u64(out, self as u64);
     }
 }
 
 impl Value for Tid {
-    fn put(self, out: &mut String) {
+    fn put(self, out: &mut Vec<u8>) {
         push_u64(out, self.index() as u64);
     }
 }
 
 impl Value for &str {
-    fn put(self, out: &mut String) {
+    fn put(self, out: &mut Vec<u8>) {
         push_escaped(out, self);
     }
 }
@@ -258,10 +258,10 @@ macro_rules! write_fields {
     ($out:ident, $event:expr; $($variant:ident $kind:literal { $k0:ident $(, $key:ident)* }),* $(,)?) => {
         match $event {
             $(ObsEvent::$variant { $k0 $(, $key)* } => {
-                $out.push_str(concat!(",\"event\":\"", $kind, "\",\"", stringify!($k0), "\":"));
+                $out.extend_from_slice(concat!(",\"event\":\"", $kind, "\",\"", stringify!($k0), "\":").as_bytes());
                 Value::put($k0, $out);
                 $(
-                    $out.push_str(concat!(",\"", stringify!($key), "\":"));
+                    $out.extend_from_slice(concat!(",\"", stringify!($key), "\":").as_bytes());
                     Value::put($key, $out);
                 )*
             })*
@@ -295,13 +295,21 @@ impl ObsRecord {
     /// [`to_json_line`](ObsRecord::to_json_line) into a caller-owned
     /// buffer: `line` is overwritten with the same bytes, reusing its
     /// allocation, so a warmed-up buffer serializes without allocating.
+    pub fn write_json_line(&self, line: &mut String) {
+        let mut bytes = std::mem::take(line).into_bytes();
+        self.write_json_bytes(&mut bytes);
+        *line = into_string(bytes);
+    }
+
+    /// The line's bytes into `line`, overwritten — what the trace sink
+    /// hands its writer, unchecked: the bytes are UTF-8 by construction.
     ///
     /// Every key is a `'static` fragment, quoted and punctuated at compile
     /// time; only string values (policy and model names come from user
     /// file names) are escaped at run time.
-    pub fn write_json_line(&self, line: &mut String) {
+    pub(crate) fn write_json_bytes(&self, line: &mut Vec<u8>) {
         line.clear();
-        line.push_str("{\"at\":");
+        line.extend_from_slice(b"{\"at\":");
         push_u64(line, self.at.0);
         write_fields! { line, self.event;
             Switch "switch" { cpu, from, to },
@@ -325,7 +333,7 @@ impl ObsRecord {
             LearnedLoaded "learned_loaded" { model, arch },
             LearnedEjected "learned_ejected" { cpu, model, reason },
         }
-        line.push('}');
+        line.push(b'}');
     }
 }
 

@@ -4,85 +4,112 @@
 //! only ever *writes* JSON (reports, trace lines) — it never parses it.
 //! This module covers that: an escaper, deterministic number formatting
 //! so same-seed runs serialize byte-identically, and [`Obj`], a streaming
-//! object writer that appends keys and values to one `String` in call
+//! object writer that appends keys and values to one buffer in call
 //! order. Nothing is rendered into an intermediate `String` first, so a
 //! caller that hands its buffer back ([`Obj::with_buffer`] /
-//! [`Obj::into_buffer`]) writes objects without allocating at all — the
-//! trace sink's per-event path.
+//! [`Obj::into_buffer`]) writes objects without allocating at all.
+//!
+//! The writers fill byte buffers: everything they append is either a
+//! `&str` or ASCII, so the bytes are UTF-8 by construction. A buffer is
+//! checked once, where it leaves this crate as a `String`; the trace
+//! sink's path hands bytes to its writer and is never checked.
 
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Appends `s` to `out` as a quoted JSON string (RFC 8259 escaping).
-pub(crate) fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
+pub(crate) fn push_escaped(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
     if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
+        for &b in s.as_bytes() {
+            match b {
+                b'"' => out.extend_from_slice(b"\\\""),
+                b'\\' => out.extend_from_slice(b"\\\\"),
+                b'\n' => out.extend_from_slice(b"\\n"),
+                b'\r' => out.extend_from_slice(b"\\r"),
+                b'\t' => out.extend_from_slice(b"\\t"),
+                b if b < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", b);
                 }
-                c => out.push(c),
+                // Bytes of multi-byte characters are never below 0x80.
+                b => out.push(b),
             }
         }
     } else {
-        out.push_str(s);
+        out.extend_from_slice(s.as_bytes());
     }
-    out.push('"');
+    out.push(b'"');
 }
 
-/// Appends `v` in decimal, without going through `fmt`.
-pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+/// `"00"`, `"01"`, … `"99"`, back to back: the two digits of every value
+/// below 100.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// Appends `v` in decimal, two digits per division, without going
+/// through `fmt`.
+pub(crate) fn push_u64(out: &mut Vec<u8>, mut v: u64) {
     let mut digits = [0u8; 20]; // u64::MAX has 20 digits
     let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+    while v >= 10 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        start -= 2;
+        digits[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits are UTF-8"));
+    if v > 0 || start == digits.len() {
+        start -= 1;
+        digits[start] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// Appends an `f64` deterministically (finite values via `Display`,
 /// non-finite as `null` since JSON has no representation for them).
-fn push_f64(out: &mut String, v: f64) {
+fn push_f64(out: &mut Vec<u8>, v: f64) {
     if v.is_finite() {
         // `Display` for f64 is the shortest roundtrip representation and
         // is deterministic across runs — exactly what byte-identical
         // artifacts need.
         let _ = write!(out, "{v}");
     } else {
-        out.push_str("null");
+        out.extend_from_slice(b"null");
     }
+}
+
+/// The `String` a writer's buffer leaves this crate as: the one UTF-8
+/// check its bytes get.
+pub(crate) fn into_string(buf: Vec<u8>) -> String {
+    String::from_utf8(buf).expect("the JSON writers append only `&str`s and ASCII")
 }
 
 /// Escapes a string per RFC 8259 and wraps it in quotes.
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+    let mut out = Vec::with_capacity(s.len() + 2);
     push_escaped(&mut out, s);
-    out
+    into_string(out)
 }
 
 /// Formats an `f64` deterministically (finite values via `Display`,
 /// non-finite as `null`).
 pub fn num(v: f64) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     push_f64(&mut out, v);
-    out
+    into_string(out)
 }
 
 /// A streaming JSON object writer: fields are appended to one buffer in
 /// call order (so key order is insertion order).
 pub struct Obj {
     /// `{` followed by the fields written so far.
-    buf: String,
+    buf: Vec<u8>,
 }
 
 impl Default for Obj {
@@ -100,25 +127,26 @@ impl Obj {
     /// Creates an empty object that writes into `buf`'s allocation (its
     /// old contents are discarded). Pair with [`Obj::into_buffer`] to
     /// write object after object through one buffer.
-    pub fn with_buffer(mut buf: String) -> Obj {
+    pub fn with_buffer(buf: String) -> Obj {
+        let mut buf = buf.into_bytes();
         buf.clear();
-        buf.push('{');
+        buf.push(b'{');
         Obj { buf }
     }
 
     /// Appends the separator and the quoted key.
     fn key(&mut self, key: &str) {
         if self.buf.len() > 1 {
-            self.buf.push(',');
+            self.buf.push(b',');
         }
         push_escaped(&mut self.buf, key);
-        self.buf.push(':');
+        self.buf.push(b':');
     }
 
     /// Adds a pre-rendered JSON value under `key`.
     pub fn raw(mut self, key: &str, value: impl AsRef<str>) -> Obj {
         self.key(key);
-        self.buf.push_str(value.as_ref());
+        self.buf.extend_from_slice(value.as_ref().as_bytes());
         self
     }
 
@@ -157,8 +185,8 @@ impl Obj {
     /// Renders the object and returns the buffer with its spare capacity,
     /// for callers that pass it to [`Obj::with_buffer`] again.
     pub fn into_buffer(mut self) -> String {
-        self.buf.push('}');
-        self.buf
+        self.buf.push(b'}');
+        into_string(self.buf)
     }
 }
 
@@ -370,6 +398,30 @@ mod tests {
             assert_eq!(escape(&text), reference::escape(&text), "case {case}");
             let v = random_f64(&mut rng);
             assert_eq!(num(v), reference::num(v), "case {case}: {v:?}");
+        }
+    }
+
+    #[test]
+    fn push_u64_writes_what_to_string_writes() {
+        let check = |v: u64| {
+            let mut out = b"x".to_vec();
+            push_u64(&mut out, v);
+            assert_eq!(out[1..], *v.to_string().as_bytes(), "{v}");
+        };
+        for v in [0, 9, 10, 99, 100, u64::MAX] {
+            check(v);
+        }
+        let mut ten = 1u64;
+        for _ in 0..20 {
+            check(ten - 1);
+            check(ten);
+            ten = ten.saturating_mul(10);
+        }
+        let mut rng = SimRng::new(0xd161_7a11);
+        for _ in 0..10_000 {
+            // Every width, not only the near-20-digit values most draws are.
+            let v = rng.next_u64() >> rng.below(64);
+            check(v);
         }
     }
 

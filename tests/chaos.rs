@@ -125,6 +125,34 @@ fn reg_oracle_is_clean_on_up() {
     }
 }
 
+/// The judge walks the frozen set only for the recalculation pass: every
+/// other decision's reference pick and list occupancy come from the set's
+/// goodness index. So the members it walks are exactly the members of the
+/// decisions that took that pass — one visit each — on a 2P elsc volano
+/// cell, where a full walk would visit every member of every decision.
+#[test]
+fn the_judge_walks_only_the_recalculation_passes() {
+    let cfg = MachineConfig::smp(2).with_seed(1).with_oracle(true);
+    let w = VolanoConfig {
+        rooms: 2,
+        messages_per_user: 20,
+        ..VolanoConfig::default()
+    };
+    let r = volanomark::run(
+        cfg.with_max_secs(2_000.0),
+        Box::new(ElscScheduler::new()),
+        &w,
+    );
+    let o = r.chaos.as_ref().unwrap().oracle.as_ref().unwrap();
+    assert!(o.clean(), "{:?}", o.first_unexplained);
+    assert!(o.decisions > 1000, "{} decisions", o.decisions);
+    assert!(
+        o.recalc_members > 0,
+        "no decision took the recalculation pass"
+    );
+    assert_eq!(o.walked, o.recalc_members);
+}
+
 /// Faults perturb *when* decisions happen, never *what* the scheduler may
 /// legally decide: the oracle must stay clean under heavy injection.
 #[test]
