@@ -21,8 +21,9 @@
 //!   their own salted streams so fabric faults never correlate with any
 //!   node's internal fault schedule.
 //!
-//! * **Differential oracle** ([`Oracle`]): a pessimistic O(n) reference
-//!   `goodness()` scan replayed beside the scheduler under test on every
+//! * **Differential oracle** ([`Oracle`]): the pick of a pessimistic O(n)
+//!   reference `goodness()` scan, answered from a goodness index over the
+//!   frozen runnable set, beside the scheduler under test on every
 //!   `schedule()` decision. Any divergence that is not explained by a
 //!   documented, bounded-search-permitted tie is counted as
 //!   *unexplained* — the §5 equivalence claim as a machine-checked
