@@ -1701,27 +1701,35 @@ mod tests {
         // 57 runnable tasks per decision is the observed volano average.
         // Between decisions the set is refreshed the way the machine's
         // change log refreshes it: members rewritten in place, one leaving
-        // and coming back. Once every member has been filed both ways, no
-        // buffer of the set or of its index moves or grows, and the judge
-        // needs no buffer of its own — including on the decisions that take
-        // the recalculation pass.
+        // and coming back. The set's own buffers never move or grow; the
+        // index's do only while the first two decisions file every member
+        // both ways. The judge needs no buffer of its own — including on
+        // the decisions that take the recalculation pass.
         let fresh: Vec<TaskSnap> = (0..57).map(|i| snap(i + 1, i as i32 % 7, 20, 1)).collect();
         let exhausted: Vec<TaskSnap> = (0..57).map(|i| snap(i + 1, 0, 20 + i as i32, 1)).collect();
         let mut set = runnable(&fresh);
-        let buffers = |set: &RunnableSet| {
+        let views = |set: &RunnableSet| {
+            let (snaps, members) = (&set.snaps, &set.members.0);
+            (
+                snaps.as_ptr(),
+                snaps.capacity(),
+                members.as_ptr(),
+                members.capacity(),
+            )
+        };
+        let index = |set: &RunnableSet| {
             let index = &set.index;
             let sets = std::iter::once(&index.flat.0).chain(index.by_cpu.iter().map(|m| &m.0));
             let mut all: Vec<(usize, usize)> =
                 sets.map(|v| (v.as_ptr() as usize, v.capacity())).collect();
             all.extend([
-                (set.snaps.as_ptr() as usize, set.snaps.capacity()),
-                (set.members.0.as_ptr() as usize, set.members.0.capacity()),
                 (index.by_cpu.as_ptr() as usize, index.by_cpu.capacity()),
                 (index.held.as_ptr() as usize, index.held.capacity()),
             ]);
             all
         };
-        let mut before = Vec::new();
+        let before = views(&set);
+        let mut index_before = Vec::new();
         let mut o = Oracle::new(OracleMode::Strict);
         for i in 0..1000 {
             let (snaps, chosen) = if i % 2 == 0 {
@@ -1737,11 +1745,11 @@ mod tests {
                 o.judge_full(&decision(&set, chosen)).class,
                 DivergenceClass::Match
             );
-            // The first two decisions file every member both ways.
-            match (i, buffers(&set)) {
+            assert_eq!(views(&set), before, "decision {i}");
+            match (i, index(&set)) {
                 (0, _) => {}
-                (1, now) => before = now,
-                (_, now) => assert_eq!(now, before, "decision {i}"),
+                (1, now) => index_before = now,
+                (_, now) => assert_eq!(now, index_before, "decision {i}"),
             }
         }
         assert_eq!(o.report().decisions, 1000);

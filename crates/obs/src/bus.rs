@@ -118,9 +118,9 @@ impl Sink for RingSink {
 /// Streams each record as one JSON line to a writer.
 ///
 /// The sink owns one line buffer: each record is serialized into it in
-/// place, as the bytes of [`ObsRecord::write_json_line`], the `\n` is
-/// appended, and the line reaches the writer as a single `write_all` — once the buffer has
-/// grown to the longest line, a record costs no allocation.
+/// place (`ObsRecord::write_json_bytes`), the `\n` is appended, and
+/// the line reaches the writer as a single `write_all` — once the buffer
+/// has grown to the longest line, a record costs no allocation.
 pub struct JsonLinesSink<W: Write> {
     writer: W,
     line: Vec<u8>,

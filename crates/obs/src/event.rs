@@ -287,22 +287,16 @@ impl ObsRecord {
     /// generation is a simulator-internal liveness check, not an
     /// observable property of the schedule.
     pub fn to_json_line(&self) -> String {
-        let mut line = String::new();
-        self.write_json_line(&mut line);
-        line
+        let mut line = Vec::new();
+        self.write_json_bytes(&mut line);
+        into_string(line)
     }
 
-    /// [`to_json_line`](ObsRecord::to_json_line) into a caller-owned
-    /// buffer: `line` is overwritten with the same bytes, reusing its
-    /// allocation, so a warmed-up buffer serializes without allocating.
-    pub fn write_json_line(&self, line: &mut String) {
-        let mut bytes = std::mem::take(line).into_bytes();
-        self.write_json_bytes(&mut bytes);
-        *line = into_string(bytes);
-    }
-
-    /// The line's bytes into `line`, overwritten — what the trace sink
-    /// hands its writer, unchecked: the bytes are UTF-8 by construction.
+    /// [`to_json_line`](ObsRecord::to_json_line)'s bytes into a
+    /// caller-owned buffer: `line` is overwritten, reusing its allocation,
+    /// so a warmed-up buffer serializes without allocating. This is what
+    /// the trace sink hands its writer, unchecked: the bytes are UTF-8 by
+    /// construction.
     ///
     /// Every key is a `'static` fragment, quoted and punctuated at compile
     /// time; only string values (policy and model names come from user
@@ -337,7 +331,7 @@ impl ObsRecord {
     }
 }
 
-/// The `Obj`-based encoder [`ObsRecord::write_json_line`] replaced: every
+/// The `Obj`-based encoder [`ObsRecord::write_json_bytes`] replaced: every
 /// key escaped and separated at run time. Kept as the reference the
 /// static-fragment encoder is compared against, byte for byte.
 #[cfg(test)]
@@ -547,7 +541,7 @@ mod tests {
         ];
         let big = Tid::from_raw(u32::MAX, u32::MAX);
         // A reused buffer holding a longer line: nothing of it may survive.
-        let mut line = "x".repeat(512);
+        let mut line = vec![b'x'; 512];
         for at in [0, u64::MAX] {
             for n in [0, u64::MAX] {
                 for t in [tid(0), big] {
@@ -559,13 +553,14 @@ mod tests {
                             };
                             let want = reference::to_json_line(&r);
                             assert_eq!(r.to_json_line(), want);
-                            r.write_json_line(&mut line);
-                            assert_eq!(line, want);
+                            r.write_json_bytes(&mut line);
+                            assert_eq!(line, want.as_bytes());
                         }
                     }
                 }
             }
         }
+        let line = String::from_utf8(line).unwrap();
         assert!(line.contains("\\u0007"), "{line}");
     }
 

@@ -56,20 +56,20 @@ const DIGIT_PAIRS: [u8; 200] = {
 /// Appends `v` in decimal, two digits per division, without going
 /// through `fmt`.
 pub(crate) fn push_u64(out: &mut Vec<u8>, mut v: u64) {
-    // Most trace fields (CPUs, queue depths, flags) are below 100: one copy.
-    if v < 100 {
-        let pair = v as usize * 2;
-        return out.extend_from_slice(&DIGIT_PAIRS[pair + (v < 10) as usize..pair + 2]);
-    }
     let mut digits = [0u8; 20]; // u64::MAX has 20 digits
     let mut start = digits.len();
-    while v >= 10 {
+    while v >= 100 {
         let pair = (v % 100) as usize * 2;
         v /= 100;
         start -= 2;
         digits[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    if v > 0 {
+    // One or two leading digits are left.
+    if v >= 10 {
+        let pair = v as usize * 2;
+        start -= 2;
+        digits[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
         start -= 1;
         digits[start] = b'0' + v as u8;
     }
