@@ -96,7 +96,7 @@ rules() {
 # Criterion look-alike, reads no environment and runs no workload (every
 # experiment is a lab builtin printed by `elsc-sim lab render`).
 1 1 shipped crates/bench  -  SchedCtx \{
-0 0 shipped crates/bench  -  harness|criterion_group|ELSC_MESSAGES|(volanomark|httpd|stress)::run\(
+0 0 shipped crates/bench  -  harness|criterion_group|(volanomark|httpd|stress)::run\(
 
 # -- One superinstruction: `scan.best` is the policy VM's only fused op
 # (the guard, compare-update and conditional-pick fusions are gone), and
@@ -141,6 +141,26 @@ rules() {
 1 - whole   CHANGES.md  -  list_of|remember_list
 0 0 whole   crates,tests,examples,docs,ci,.github,benchmark,README.md,DESIGN.md,EXPERIMENTS.md,CONTRIBUTING.md  ^ci/audit\.sh:  MAX_QUEUES|fn fits\b
 1 - whole   CHANGES.md  -  MAX_QUEUES|fn fits\b
+
+# -- Every sweep is a spec file: the builtins are `specs/*.spec` and the
+# paper-length runs the recipes `specs/paper/*.spec`; no environment
+# variable rewrites a builtin (`benchmark/` still scrubs the two removed
+# names from its children's environment; the staleness row reads the
+# change log that records their removal).
+0 0 whole   crates,docs,tests,examples,ci,.github,.claude,specs,README.md,DESIGN.md,EXPERIMENTS.md,CONTRIBUTING.md  ^ci/audit\.sh:  ELSC_(MESSAGES|ITERATIONS)
+1 - whole   CHANGES.md  -  ELSC_(MESSAGES|ITERATIONS)
+
+# -- One goodness: `goodness_ignoring_yield_on` over the declared
+# topology (on a flat tree, the classic +15 rule). The flat twins, which
+# let `policy:*` ignore the tree, occur nowhere; `order.rs`'s
+# `Member::goodness` is a sort key's accessor, not a weight function.
+0 0 whole   crates,tests,examples  ^crates/sched-api/src/order\.rs:  fn goodness_ignoring_yield\b|pub fn goodness\b
+1 1 whole   crates  -  pub fn goodness_ignoring_yield_on\b
+
+# -- One counter table: the 18 per-CPU counters are named once, in
+# `elsc_stats::CpuStats::COUNTERS`, which the proc rendering and the JSON
+# export both read.
+1 1 whole   crates  -  ^ *\("idle_cycles",
 
 # -- One CI: the workflow runs job scripts and names no command itself;
 # every check lives once, in ci/lib.sh or a ci/jobs/*.sh line.

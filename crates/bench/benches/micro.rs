@@ -16,7 +16,8 @@ use elsc::index_for;
 use elsc_bench::rig::Rig;
 use elsc_bench::SchedKind;
 use elsc_ktask::{MmId, TaskSpec, TaskTable};
-use elsc_sched_api::{goodness, SchedConfig};
+use elsc_sched_api::{goodness_ignoring_yield_on, SchedConfig};
+use elsc_simcore::Topology;
 
 /// Timed batches per probe; the median is printed.
 const BATCHES: usize = 5;
@@ -42,8 +43,10 @@ fn main() {
     let tid = tasks.spawn(&TaskSpec::named("t").mm(MmId(3)));
     tasks.task_mut(tid).counter = 11;
     let task = tasks.task(tid);
+    let flat = Topology::flat(1);
     ns_per_op("goodness_eval", 1_000_000, || {
-        black_box(goodness(black_box(task), black_box(0), black_box(MmId(3))));
+        let (t, cpu, mm) = (black_box(task), black_box(0), black_box(MmId(3)));
+        black_box(goodness_ignoring_yield_on(black_box(&flat), t, cpu, mm));
     });
     ns_per_op("elsc_index_for", 1_000_000, || {
         black_box(index_for(black_box(task)));

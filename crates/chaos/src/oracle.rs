@@ -211,7 +211,7 @@ impl Filing {
 /// the query steps over it on SMP: every context switch sets `has_cpu` on
 /// one task and clears it on another, so a held member that left its set
 /// would cost a set edit per toggle, two per switch.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct GoodnessIndex {
     flat: Members,
     by_cpu: Vec<Members>,
@@ -280,7 +280,7 @@ impl GoodnessIndex {
 /// members. `insert` and `remove` also keep the members filed in a
 /// goodness index, which answers the judge's first pass and list
 /// occupancy.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct RunnableSet {
     /// Indexed by slot; the entry of a non-member slot is stale.
     snaps: Vec<TaskSnap>,
@@ -334,6 +334,14 @@ impl RunnableSet {
     /// How many members there are.
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+}
+
+/// The members only: the stale slots and the goodness index would bury a
+/// failed check's message.
+impl std::fmt::Debug for RunnableSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -1257,7 +1265,7 @@ mod reference {
 mod tests {
     use super::*;
     use elsc_ktask::{SchedClass, TaskSpec, TaskTable};
-    use elsc_sched_api::goodness_ignoring_yield;
+    use elsc_sched_api::goodness_ignoring_yield_on;
     use elsc_simcore::SimRng;
 
     fn tid(i: u32) -> Tid {
@@ -1306,6 +1314,14 @@ mod tests {
     }
 
     #[test]
+    fn a_set_prints_only_its_members() {
+        let (a, b, c) = (snap(1, 5, 20, 1), snap(2, 6, 20, 1), snap(3, 7, 20, 1));
+        let mut set = runnable(&[a, b, c]);
+        set.remove(b.tid.index());
+        assert_eq!(format!("{set:?}"), format!("{:?}", [a, c]));
+    }
+
+    #[test]
     fn oracle_mode_strips_the_policy_prefix() {
         assert_eq!(OracleMode::for_scheduler("reg"), OracleMode::Strict);
         assert_eq!(OracleMode::for_scheduler("policy:reg"), OracleMode::Strict);
@@ -1332,7 +1348,7 @@ mod tests {
                     let s = TaskSnap::of(t);
                     assert_eq!(
                         snap_goodness(&s, s.counter, &flat, cpu, mm),
-                        goodness_ignoring_yield(t, cpu, mm),
+                        goodness_ignoring_yield_on(&flat, t, cpu, mm),
                         "task {} cpu {cpu} mm {mm:?}",
                         t.name
                     );

@@ -3,7 +3,8 @@
 //! ```text
 //! elsc-sim lab sweep   [--spec NAME | --spec-file PATH | --all-figures]
 //!                      [--workers N] [--out PATH] [--cache-dir PATH] [--force]
-//! elsc-sim lab render  NAME [--workers N] [--out PATH] [--cache-dir PATH] [--force]
+//! elsc-sim lab render  NAME [--spec-file PATH] [--workers N] [--out PATH]
+//!                      [--cache-dir PATH] [--force]
 //! elsc-sim lab compare --manifest PATH --baseline PATH [--threshold PCT]
 //! elsc-sim lab ls
 //! ```
@@ -64,8 +65,7 @@ fn specs(a: &Args) -> Result<Vec<SweepSpec>, String> {
         );
     }
     if let Some(path) = a.get("spec-file") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        chosen.push(text.parse().map_err(|e| format!("{path}: {e}"))?);
+        chosen.push(spec_file(path)?);
     }
     if chosen.is_empty() {
         return Err(
@@ -73,6 +73,12 @@ fn specs(a: &Args) -> Result<Vec<SweepSpec>, String> {
         );
     }
     Ok(chosen)
+}
+
+/// The spec in the file at `path`.
+fn spec_file(path: &str) -> Result<SweepSpec, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    text.parse().map_err(|e| format!("{path}: {e}"))
 }
 
 /// Runs one spec through the shared cache on the worker pool, prints
@@ -135,15 +141,19 @@ fn sweep(a: &Args) -> Result<(), String> {
 }
 
 /// `lab render NAME`: sweep one experiment table exactly as `lab sweep`
-/// would, then print it. A table is never printed over a sweep
-/// with failed cells.
+/// would, then print it. The grid is `--spec-file`'s when given (a
+/// paper-length recipe, say), else builtin `NAME`'s. A table is never
+/// printed over a sweep with failed cells.
 fn render(a: &Args) -> Result<(), String> {
     let name = a.get("spec").unwrap_or("");
     let (_, table) = RENDERERS.iter().find(|(n, _)| *n == name).ok_or_else(|| {
         let known: Vec<&str> = RENDERERS.iter().map(|(n, _)| *n).collect();
         format!("no renderer for '{name}' (one of: {})", known.join(", "))
     })?;
-    let spec = SweepSpec::builtin(name).expect("every renderer names a builtin");
+    let spec = match a.get("spec-file") {
+        Some(path) => spec_file(path)?,
+        None => SweepSpec::builtin(name).expect("every renderer names a builtin"),
+    };
     let run = sweep_one(a, &spec, true)?;
     if !run.ok() {
         return Err(format!("{} cell(s) failed", run.failures.len()));
@@ -222,14 +232,15 @@ elsc-sim lab: parallel experiment orchestrator (sweeps, cache, gate)
 usage:
   elsc-sim lab sweep   [--spec NAME | --spec-file PATH | --all-figures]
                        [--workers N] [--out PATH] [--cache-dir PATH] [--force]
-  elsc-sim lab render  NAME [--workers N] [--out PATH] [--cache-dir PATH] [--force]
+  elsc-sim lab render  NAME [--spec-file PATH] [--workers N] [--out PATH]
+                       [--cache-dir PATH] [--force]
   elsc-sim lab compare --manifest PATH --baseline PATH [--threshold PCT]
   elsc-sim lab ls
 
 render: sweep one experiment table (figure2..figure6, table2,
 kernel_share, contention, gooch, latency) through the shared cache
 exactly as `lab sweep --spec NAME` does, then print it. Takes the sweep
-options below.
+options below; --spec-file P sweeps P's grid instead of builtin NAME's.
 
 sweep options:
   --spec NAME      a builtin spec (elsc-sim lab ls)
@@ -252,10 +263,12 @@ compare options:
                    manifests carry it [5]; wall_ratio gates separately
                    at a fixed 2x factor
 
-environment (figure builtins and contention): ELSC_MESSAGES
-(messages/user, default 20), ELSC_ITERATIONS (seeds per cell, default 1;
-first discarded when > 1). Anything but a whole number of at least 1 is
-bad usage.
+paper length: figure2..figure6, kernel_share and contention run 20
+messages per user; specs/paper/NAME.spec is builtin NAME at the paper's 100:
+  for f in specs/paper/*.spec; do elsc-sim lab sweep --spec-file \"$f\"; done
+  elsc-sim lab render figure3 --spec-file specs/paper/figure3.spec
+More seeds per cell is `seed = A..B` in a spec file (the first run is
+discarded as warm-up).
 
 exit status: 0 all cells ran and the gate passed; 1 any cell failed,
 any regression, or any baseline cell missing; 2 bad usage.

@@ -148,41 +148,6 @@ fn cpu_counts_that_overflow_or_cannot_be_allocated_are_rejected() {
     );
 }
 
-/// The lab builtins' two environment knobs: `ELSC_MESSAGES=0` panicked
-/// (exit 101, "builtin specs always parse") and `ELSC_MESSAGES=abc` ran
-/// and cached the default 20 messages as if asked for. Every refused
-/// value is one line naming the variable, with the lab's usage exit
-/// code, before any cell runs.
-#[test]
-fn a_malformed_lab_environment_knob_is_bad_usage() {
-    let cache = std::env::temp_dir().join(format!("elsc-lab-knobs-{}", std::process::id()));
-    for (var, value) in [
-        ("ELSC_MESSAGES", "0"),
-        ("ELSC_MESSAGES", "abc"),
-        ("ELSC_ITERATIONS", "0"),
-        ("ELSC_ITERATIONS", "abc"),
-        ("ELSC_ITERATIONS", "99999999999999999999"),
-        ("ELSC_ITERATIONS", "100000"),
-    ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_elsc-sim"))
-            .args(["lab", "sweep", "--spec", "figure3", "--cache-dir"])
-            .arg(&cache)
-            .arg("--out")
-            .arg(cache.join("m.json"))
-            .env(var, value)
-            .output()
-            .expect("elsc-sim runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{var}={value}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{var}={value}: {stderr}");
-        assert!(
-            stderr.starts_with(&format!("error: {var}={value}: ")),
-            "{var}={value}: {stderr}"
-        );
-        assert!(!cache.exists(), "{var}={value}: nothing ran");
-    }
-}
-
 /// `--trace-out` onto a device that takes no bytes: the report still
 /// prints, and the lost lines are the exit code — not a truncated file
 /// and exit 0.
@@ -381,4 +346,33 @@ fn cli_reports_equal_the_equivalent_lab_cells() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `lab render NAME --spec-file PATH` prints NAME's table over the file's
+/// grid (a paper-length recipe, say) instead of builtin NAME's.
+#[test]
+fn render_takes_its_grid_from_a_spec_file() {
+    let dir = std::env::temp_dir().join(format!("elsc-cli-render-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("gooch.spec");
+    let grid = "name = gooch-short\nworkload = stress\nsched = reg, elsc\nshape = UP\n";
+    std::fs::write(
+        &spec,
+        format!("{grid}tasks = 2, 8\nrounds = 4\nburst = 200\n"),
+    )
+    .unwrap();
+    let text = elsc_sim(
+        &[
+            &["lab", "render", "gooch", "--workers", "2"][..],
+            &["--spec-file", spec.to_str().unwrap()],
+            &["--cache-dir", dir.join("cache").to_str().unwrap()],
+            &["--out", dir.join("m.json").to_str().unwrap()],
+        ]
+        .concat(),
+    );
+    assert!(text.starts_with("sweep gooch-short: 4 cells"), "{text}");
+    let table = text.split_once("\n\n").expect("status, blank, table").1;
+    assert!(table.contains("n=8") && !table.contains("n=32"), "{table}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

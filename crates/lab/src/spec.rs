@@ -1,5 +1,7 @@
 //! Sweep specifications: the text format that names an experiment grid,
-//! and the builtin specs that reproduce the paper's figures.
+//! and the builtin specs that reproduce the paper's figures (the
+//! committed files `specs/*.spec`; `specs/paper/` holds their
+//! paper-length recipes).
 //!
 //! A spec is a tiny `key = value, value` document (see
 //! [`SweepSpec::from_str`]) that pins one workload and lists the axis
@@ -15,8 +17,8 @@ use elsc_sched_api::LockPlan;
 
 use crate::cell::{CellConfig, ChaosSpec, SchedId, Shape, WorkloadCell};
 
-/// The base seed of every builtin sweep (iteration `i` runs on
-/// `BASE_SEED + i`); the committed `BENCH_*.json` manifests depend on it.
+/// The seed every builtin spec file names (`seed = 1592642302`); the
+/// committed `BENCH_*.json` manifests depend on it.
 pub const BASE_SEED: u64 = 0x5EED_CAFE;
 
 /// The most cells a spec may declare: seed ranges and axis products past
@@ -58,6 +60,22 @@ pub struct SweepSpec {
     pub fault_seeds: Vec<u64>,
     /// Run the differential oracle in every cell (`oracle = on`).
     pub oracle: bool,
+}
+
+/// [`SweepSpec::BUILTINS`] and their texts from one list of names:
+/// builtin `NAME` is the committed file `specs/NAME.spec`.
+macro_rules! builtins {
+    ($($name:literal),* $(,)?) => {
+        /// Names of every builtin spec, in `--all-figures` run order
+        /// (`--all-figures` sweeps the ones the CLI has a renderer for —
+        /// the experiment tables — and so skips the gate sweeps `smoke`,
+        /// `chaos`, `topo`, `policy`, `cluster`, `mega` and `learn`).
+        pub const BUILTINS: [&'static str; 17] = [$($name),*];
+
+        /// The text of each of [`BUILTINS`](Self::BUILTINS), in order.
+        const TEXTS: [&'static str; 17] =
+            [$(include_str!(concat!("../../../specs/", $name, ".spec"))),*];
+    };
 }
 
 impl FromStr for SweepSpec {
@@ -419,45 +437,20 @@ impl SweepSpec {
     }
 
     /// The builtin spec reproducing one paper artifact, or `None` for an
-    /// unknown name. The figure builtins and `contention` honour two
-    /// environment knobs: `ELSC_MESSAGES` (messages per user, default 20)
-    /// and `ELSC_ITERATIONS` (seeds per cell, default 1; the first run
-    /// is discarded as warm-up when more than one, per §6).
-    ///
-    /// # Panics
-    ///
-    /// On a knob [`check_env`](Self::check_env) refuses.
+    /// unknown name: the text of `specs/NAME.spec`, embedded at compile
+    /// time so `--spec NAME` works from any working directory. The
+    /// paper-length (100 messages per user) grids are the recipes under
+    /// `specs/paper/`, swept with `--spec-file`; more seeds per cell are
+    /// `seed = A..B` in a spec file (the first run is discarded as
+    /// warm-up when more than one, per §6).
     pub fn builtin(name: &str) -> Option<SweepSpec> {
-        let knobs = env_knobs().unwrap_or_else(|e| panic!("{e}"));
-        SweepSpec::builtin_with(name, knobs).map(|spec| spec.unwrap_or_else(|e| panic!("{e}")))
-    }
-
-    /// Checks the two environment knobs the builtins read: each is unset
-    /// or a whole number of at least 1, and every builtin parses under
-    /// them.
-    ///
-    /// # Errors
-    ///
-    /// The first refusal, as one line naming the variable.
-    pub fn check_env() -> Result<(), String> {
-        let knobs = env_knobs()?;
-        for name in SweepSpec::BUILTINS {
-            SweepSpec::builtin_with(name, knobs).expect("every listed builtin has a text")?;
-        }
-        Ok(())
-    }
-
-    /// Builtin `name` under the knob values `(messages, iterations)`.
-    /// `Err` only when so many iterations take its grid past
-    /// [`MAX_CELLS`].
-    fn builtin_with(name: &str, knobs: (u64, u64)) -> Option<Result<SweepSpec, String>> {
-        let mut spec: SweepSpec = match builtin_text(name, knobs)?.parse() {
-            Ok(spec) => spec,
-            Err(e) => return Some(Err(format!("ELSC_ITERATIONS={}: {name}: {e}", knobs.1))),
-        };
-        // The bundled programs and models are embedded at compile time so
-        // these builtins work from any working directory; spec *files*
-        // can instead say `sched = policy:policies/rr.pol` or
+        let i = SweepSpec::BUILTINS.iter().position(|&n| n == name)?;
+        let mut spec: SweepSpec = SweepSpec::TEXTS[i]
+            .parse()
+            .unwrap_or_else(|e| panic!("specs/{name}.spec: {e}"));
+        // The bundled programs and models are embedded at compile time
+        // too; spec *files* can instead say
+        // `sched = policy:policies/rr.pol` or
         // `sched = learned:models/volano-logreg.model`.
         match name {
             "policy" => {
@@ -492,14 +485,10 @@ impl SweepSpec {
             }
             _ => {}
         }
-        Some(Ok(spec))
+        Some(spec)
     }
 
-    /// Names of every builtin spec, in `--all-figures` run order
-    /// (`--all-figures` sweeps the ones the CLI has a renderer for —
-    /// the experiment tables — and so skips the gate sweeps `smoke`,
-    /// `chaos`, `topo`, `policy`, `cluster`, `mega` and `learn`).
-    pub const BUILTINS: [&'static str; 17] = [
+    builtins![
         "smoke",
         "figure2",
         "figure3",
@@ -518,222 +507,6 @@ impl SweepSpec {
         "mega",
         "learn",
     ];
-}
-
-/// The spec text of builtin `name` under the knob values `(messages,
-/// iterations)` (`policy` and `learn` then replace the scheduler axis
-/// with their embedded programs and models).
-fn builtin_text(name: &str, (messages, iterations): (u64, u64)) -> Option<String> {
-    let seeds = format!("{BASE_SEED}..{}", BASE_SEED.saturating_add(iterations));
-    Some(match name {
-        // Tiny grid for CI smoke runs and the committed baseline:
-        // cold-cache seconds, every scheduler exercised.
-        "smoke" => format!(
-            "name = smoke\n\
-                 workload = volano\n\
-                 sched = reg, elsc, heap, aheap, mq\n\
-                 shape = UP, 2P\n\
-                 seed = {BASE_SEED}\n\
-                 rooms = 1\n users = 4\n messages = 2\n think = 0\n"
-        ),
-        // Figure 2: recalc-loop entries, saturated and think-bound.
-        "figure2" => format!(
-            "name = figure2\n\
-                 workload = volano\n\
-                 sched = elsc, reg\n\
-                 shape = UP, 1P, 2P, 4P\n\
-                 seed = {seeds}\n\
-                 rooms = 10\n messages = {messages}\n\
-                 think = 60000000, 150000000\n"
-        ),
-        // Figure 3: throughput vs rooms. Figure 4 (20-room/5-room
-        // scaling) reads the same grid, so its cells cache-share.
-        "figure3" => format!(
-            "name = figure3\n\
-                 workload = volano\n\
-                 sched = elsc, reg\n\
-                 shape = UP, 1P, 2P, 4P\n\
-                 seed = {seeds}\n\
-                 rooms = 5, 10, 15, 20\n messages = {messages}\n"
-        ),
-        "figure4" => format!(
-            "name = figure4\n\
-                 workload = volano\n\
-                 sched = elsc, reg\n\
-                 shape = UP, 1P, 2P, 4P\n\
-                 seed = {seeds}\n\
-                 rooms = 5, 20\n messages = {messages}\n"
-        ),
-        // Figures 5 and 6 share one 10-room grid over both schedulers
-        // and all four shapes.
-        "figure5" | "figure6" => format!(
-            "name = {name}\n\
-                 workload = volano\n\
-                 sched = elsc, reg\n\
-                 shape = UP, 1P, 2P, 4P\n\
-                 seed = {seeds}\n\
-                 rooms = 10\n messages = {messages}\n"
-        ),
-        // Table 2: kernel compile, {reg, elsc} × {UP, 2P}.
-        "table2" => format!(
-            "name = table2\n\
-                 workload = kbuild\n\
-                 sched = reg, elsc\n\
-                 shape = UP, 2P\n\
-                 seed = {seeds}\n\
-                 jobs = 4\n units = 160\n"
-        ),
-        // Chaos sweep: every scheduler under the oracle, clean and
-        // faulted. Any unexplained divergence from the O(n)
-        // reference scan fails its cell (the §5 equivalence gate).
-        "chaos" => format!(
-            "name = chaos\n\
-                 workload = volano\n\
-                 sched = reg, elsc, heap, aheap, mq\n\
-                 shape = UP, 2P\n\
-                 seed = {BASE_SEED}\n\
-                 oracle = on\n\
-                 faults = none, light, heavy\n\
-                 fault_seed = 1, 2\n\
-                 rooms = 1\n users = 4\n messages = 2\n think = 0\n"
-        ),
-        // Topology sweep: every scheduler (plus the tree-native
-        // bubble design) across a flat shape and two NUMA/SMT trees,
-        // oracle on — divergences a flat scan can't predict must
-        // classify as topology-motivated, never unexplained. The
-        // flat 2P column doubles as the byte-identity anchor: its
-        // cells share ids (and cache entries) with every other
-        // sweep's 2P cells.
-        "topo" => format!(
-            "name = topo\n\
-                 workload = volano\n\
-                 sched = reg, elsc, heap, aheap, mq, bubble\n\
-                 shape = 2P, 2N2C1T, 2N4C2T\n\
-                 seed = {BASE_SEED}\n\
-                 oracle = on\n\
-                 rooms = 2\n users = 6\n messages = 4\n think = 0\n"
-        ),
-        // Policy-runtime smoke sweep: the native baseline beside the
-        // bundled loadable programs, oracle on in every cell (strict
-        // for `policy:reg`, relaxed invariants-only for the rest — see
-        // `elsc_chaos::OracleMode::for_scheduler`).
-        "policy" => format!(
-            "name = policy\n\
-                 workload = volano\n\
-                 shape = UP, 2P\n\
-                 seed = {BASE_SEED}\n\
-                 oracle = on\n\
-                 rooms = 1\n users = 4\n messages = 2\n think = 0\n"
-        ),
-        // Federated cluster sweep: nodes × dispatcher × {reg, elsc}
-        // on the acceptance grid. Thinkless so the fabric, not the
-        // clients, bounds the run; CI-sized like smoke.
-        "cluster" => format!(
-            "name = cluster\n\
-                 workload = cluster\n\
-                 sched = reg, elsc\n\
-                 shape = 2P\n\
-                 seed = {BASE_SEED}\n\
-                 dispatcher = least-loaded, consistent-hash\n\
-                 nodes = 1, 2, 4\n\
-                 rooms = 4\n users = 8\n messages = 4\n think = 0\n"
-        ),
-        // Mega-scale engine gate: volano-shaped populations of 4k
-        // and 20k tasks (rooms × 20 users × 4 threads) under reg and
-        // elsc, engine metrics on. Think-bound, one message per
-        // user: the task *population* — the calendar event queue and
-        // the task-table scans — is the thing under test, not
-        // per-user traffic. Larger populations and policy cells are
-        // spec files: `workload = mega` with `rooms = 1250` (100k
-        // tasks) or `12500` (1M), or `sched = reg, elsc,
-        // policy:policies/reg.pol`.
-        "mega" => format!(
-            "name = mega\n\
-                 workload = mega\n\
-                 sched = reg, elsc\n\
-                 shape = 2P\n\
-                 seed = {BASE_SEED}\n\
-                 rooms = 50, 250\n users = 20\n messages = 1\n think = 60000000\n"
-        ),
-        // Learned-scheduler sweep: the two native baselines beside
-        // the bundled trained models (a logistic regression and a
-        // tiny MLP, both trained on a committed UP volano decision
-        // trace — see `crates/learn` and `models/`), oracle on in
-        // every cell (strict for reg/elsc, relaxed invariants-only
-        // for `learned:*`). The manifest carries each learned cell's
-        // verified `prediction_accuracy` beside `cycles_per_schedule`
-        // — accuracy vs overhead is the sweep's whole point.
-        "learn" => format!(
-            "name = learn\n\
-                 workload = volano\n\
-                 shape = UP, 2P\n\
-                 seed = {BASE_SEED}\n\
-                 oracle = on\n\
-                 rooms = 1\n users = 4\n messages = 2\n think = 0\n"
-        ),
-        // §4 kernel-share claim: 5 vs 25 rooms, UP and 4P.
-        "kernel_share" => format!(
-            "name = kernel_share\n\
-                 workload = volano\n\
-                 sched = reg, elsc\n\
-                 shape = UP, 4P\n\
-                 seed = {seeds}\n\
-                 rooms = 5, 25\n messages = {messages}\n"
-        ),
-        // §7/§8 `runqueue_lock` contention: each design under its
-        // declared lock plan and under both forced ones, so the
-        // shorter-queue effect and the more-locks effect read apart.
-        // The `default` rows of reg and elsc are figure3's 20-room
-        // cells (cache-shared).
-        "contention" => format!(
-            "name = contention\n\
-                 workload = volano\n\
-                 sched = reg, elsc, mq\n\
-                 shape = 1P, 2P, 4P\n\
-                 plan = default, global, percpu\n\
-                 seed = {seeds}\n\
-                 rooms = 20\n messages = {messages}\n"
-        ),
-        // Reference [5], Gooch's yield benchmark: scheduler cost per
-        // `sched_yield()` against the number of runnable spinners,
-        // every design, UP.
-        "gooch" => format!(
-            "name = gooch\n\
-                 workload = stress\n\
-                 shape = UP\n\
-                 seed = {BASE_SEED}\n\
-                 tasks = 2, 8, 32, 128, 512\n rounds = 40\n burst = 2000\n"
-        ),
-        // §8's Apache question: 512 clients on a 64-worker pool,
-        // every design, 2P and 4P; the renderer reads the latency
-        // percentiles out of each cell's embedded report.
-        "latency" => format!(
-            "name = latency\n\
-                 workload = httpd\n\
-                 shape = 2P, 4P\n\
-                 seed = {BASE_SEED}\n\
-                 clients = 512\n workers = 64\n requests = 8\n"
-        ),
-        _ => return None,
-    })
-}
-
-/// The builtins' environment knobs, `(ELSC_MESSAGES, ELSC_ITERATIONS)`,
-/// at `(20, 1)` when unset. Anything but a whole number of at least 1 is
-/// an error naming the variable.
-fn env_knobs() -> Result<(u64, u64), String> {
-    let count = |var: &str, default: u64| match std::env::var_os(var) {
-        None => Ok(default),
-        Some(raw) => raw
-            .to_str()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| {
-                let raw = raw.to_string_lossy();
-                format!("{var}={raw}: expected a whole number of at least 1")
-            }),
-    };
-    Ok((count("ELSC_MESSAGES", 20)?, count("ELSC_ITERATIONS", 1)?))
 }
 
 #[cfg(test)]
@@ -862,18 +635,83 @@ mod tests {
         }
     }
 
-    /// Every builtin's spec text, mutated byte by byte and spliced with
-    /// huge numbers and ranges, parses to a grid of at most `MAX_CELLS`
-    /// cells or is an error — never a panic or an abort.
+    /// The committed spec files: `specs/*.spec` and the paper-length
+    /// recipes `specs/paper/*.spec`, as `(path, text)`.
+    fn spec_files() -> Vec<(std::path::PathBuf, String)> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+        let mut files = Vec::new();
+        for dir in [root.clone(), root.join("paper")] {
+            for entry in std::fs::read_dir(&dir).expect("specs/ is committed") {
+                let path = entry.expect("readable").path();
+                if path.extension().is_some_and(|e| e == "spec") {
+                    let text = std::fs::read_to_string(&path).expect("readable");
+                    files.push((path, text));
+                }
+            }
+        }
+        files.sort();
+        files
+    }
+
+    /// `specs/*.spec` is exactly the builtins, one file each, and every
+    /// builtin names [`BASE_SEED`]; each paper recipe `specs/paper/NAME.spec`
+    /// is builtin `NAME` with only its `messages` axis changed, to 100.
+    #[test]
+    fn spec_files_are_the_builtins_and_the_paper_recipes() {
+        let files = spec_files();
+        let stem = |p: &std::path::Path| p.file_stem().unwrap().to_str().unwrap().to_string();
+        let top: Vec<String> = files
+            .iter()
+            .filter(|(p, _)| !p.parent().unwrap().ends_with("paper"))
+            .map(|(p, _)| stem(p))
+            .collect();
+        let mut builtins = SweepSpec::BUILTINS.map(String::from).to_vec();
+        builtins.sort();
+        assert_eq!(top, builtins);
+        for name in SweepSpec::BUILTINS {
+            assert_eq!(
+                SweepSpec::builtin(name).unwrap().seeds,
+                vec![BASE_SEED],
+                "{name}"
+            );
+        }
+        let mut paper: Vec<String> = Vec::new();
+        for (path, text) in files
+            .iter()
+            .filter(|(p, _)| p.parent().unwrap().ends_with("paper"))
+        {
+            let name = stem(path);
+            let recipe: SweepSpec = text.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
+            let mut want = SweepSpec::builtin(&name).expect("a recipe names a builtin");
+            let messages = want.params.iter_mut().find(|(k, _)| k == "messages");
+            messages.expect("a recipe's builtin has a messages axis").1 = vec![100];
+            assert_eq!(recipe, want, "specs/paper/{name}.spec");
+            paper.push(name);
+        }
+        let figures = ["figure2", "figure3", "figure4", "figure5", "figure6"];
+        assert_eq!(
+            paper,
+            [&["contention"][..], &figures, &["kernel_share"]].concat()
+        );
+    }
+
+    /// Every spec file, mutated byte by byte and spliced with huge
+    /// numbers and ranges, parses to a grid of at most `MAX_CELLS` cells
+    /// or is an error — never a panic or an abort.
     #[test]
     fn mutated_builtin_specs_never_panic() {
         use elsc_simcore::SimRng;
         const ALPHABET: &[u8] = b"0123456789.,=#\n PNCT";
         const SPLICES: [&[u8]; 3] = [b"18446744073709551615", b"..", b", 0..4294967296"];
-        let knobs = env_knobs().expect("valid or unset knobs");
-        let texts: Vec<String> = SweepSpec::BUILTINS
-            .iter()
-            .map(|name| builtin_text(name, knobs).expect("every builtin has text"))
+        // Comment lines dropped, so the mutations land on the grammar.
+        let texts: Vec<String> = spec_files()
+            .into_iter()
+            .map(|(_, text)| {
+                text.lines()
+                    .filter(|l| !l.starts_with('#'))
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            })
             .collect();
         let mut rng = SimRng::new(0x5EC_F022);
         let mut pick = |n: usize| rng.below(n as u64) as usize;

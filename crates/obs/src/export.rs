@@ -9,34 +9,9 @@
 use crate::json::{array, Obj};
 use elsc_stats::{CpuStats, SchedStats};
 
-/// One exported counter: `(name, extractor)`.
-type Field = (&'static str, fn(&CpuStats) -> u64);
-
-/// The exported counter fields, in a fixed order.
-const FIELDS: [Field; 18] = [
-    ("sched_calls", |c| c.sched_calls),
-    ("sched_cycles", |c| c.sched_cycles),
-    ("lock_spin_cycles", |c| c.lock_spin_cycles),
-    ("lock_acquisitions", |c| c.lock_acquisitions),
-    ("tasks_examined", |c| c.tasks_examined),
-    ("recalc_entries", |c| c.recalc_entries),
-    ("recalc_tasks", |c| c.recalc_tasks),
-    ("picked_new_cpu", |c| c.picked_new_cpu),
-    ("idle_scheduled", |c| c.idle_scheduled),
-    ("yield_reruns", |c| c.yield_reruns),
-    ("ctx_switches", |c| c.ctx_switches),
-    ("mm_switches", |c| c.mm_switches),
-    ("ticks", |c| c.ticks),
-    ("wakeups", |c| c.wakeups),
-    ("ipis_sent", |c| c.ipis_sent),
-    ("yields", |c| c.yields),
-    ("work_cycles", |c| c.work_cycles),
-    ("idle_cycles", |c| c.idle_cycles),
-];
-
 fn cpu_obj(c: &CpuStats) -> String {
     let mut o = Obj::new();
-    for (name, get) in FIELDS {
+    for (name, get) in CpuStats::COUNTERS {
         o = o.u64(name, get(c));
     }
     o.build()

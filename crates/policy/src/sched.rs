@@ -30,7 +30,7 @@
 use elsc_ktask::{CpuId, MmId, TaskTable, Tid};
 use elsc_obs::ObsEvent;
 use elsc_sched_api::{
-    frame, goodness_ignoring_yield, Load, RunQueues, SchedCtx, Scheduler, Supervised, Verdict,
+    frame, goodness_ignoring_yield_on, Load, RunQueues, SchedCtx, Scheduler, Supervised, Verdict,
     IDLE_GOODNESS,
 };
 use elsc_simcore::CostKind;
@@ -205,8 +205,9 @@ pub(crate) fn host_call(
             Some(tid) => {
                 // Charged exactly like a native scan step.
                 charge_goodness_eval(ctx, env.cpu);
-                let t = ctx.tasks.task(tid);
-                Val::Int(i64::from(goodness_ignoring_yield(t, env.cpu, env.prev_mm)))
+                let (topo, t) = (&ctx.cfg.topology, ctx.tasks.task(tid));
+                let g = goodness_ignoring_yield_on(topo, t, env.cpu, env.prev_mm);
+                Val::Int(i64::from(g))
             }
         },
         HostFn::PrevGoodness => match env.prev {
@@ -218,11 +219,9 @@ pub(crate) fn host_call(
                     env.prev_yielded = false;
                     Val::Int(0)
                 } else {
-                    Val::Int(i64::from(goodness_ignoring_yield(
-                        ctx.tasks.task(p),
-                        env.cpu,
-                        env.prev_mm,
-                    )))
+                    let (topo, t) = (&ctx.cfg.topology, ctx.tasks.task(p));
+                    let g = goodness_ignoring_yield_on(topo, t, env.cpu, env.prev_mm);
+                    Val::Int(i64::from(g))
                 }
             }
             _ => Val::Int(i64::from(IDLE_GOODNESS)),
@@ -824,6 +823,32 @@ mod tests {
         let native = drive(Rig::new(SchedConfig::smp(2), LinuxScheduler::new()));
         let vm = drive(Rig::new(SchedConfig::smp(2), policy(REG_POL, 2)));
         assert_eq!(native, vm);
+    }
+
+    /// `goodness()` grades affinity by the declared tree, as reg's does:
+    /// on `2N2C1T`, CPU 0 prefers a task last run on CPU 1 (same node,
+    /// +6) at static goodness 20 over one last run on CPU 2 (other node)
+    /// at 22. The flat +15-on-the-same-CPU rule picked the second.
+    #[test]
+    fn reg_pol_grades_affinity_by_the_declared_topology() {
+        fn decide<S: Scheduler>(sched: S) -> &'static str {
+            let cfg = SchedConfig::topo("2N2C1T".parse().unwrap());
+            let mut rig = Rig::new(cfg, sched);
+            for (name, goodness, cpu) in [("near", 20, 1), ("far", 22, 2)] {
+                let tid = rig
+                    .tasks
+                    .spawn(&TaskSpec::named(name).priority(goodness / 2));
+                let t = rig.tasks.task_mut(tid);
+                (t.counter, t.processor) = (goodness / 2, cpu);
+                rig.add(tid);
+            }
+            let idle = rig.idle;
+            let next = rig.schedule(0, idle);
+            rig.tasks.task(next).name
+        }
+        assert_eq!(decide(LinuxScheduler::new()), "near");
+        assert_eq!(decide(policy(REG_POL, 4)), "near");
+        assert_eq!(decide(policy(REG_POL, 4).into_reference()), "near");
     }
 
     /// A program `compile()` rejects is a positioned load error — not a

@@ -36,7 +36,7 @@
 //! written once, when a list holds tasks or the counter runs out.
 
 use elsc_ktask::Tid;
-use elsc_sched_api::{goodness_ignoring_yield, RunQueues, SchedCtx};
+use elsc_sched_api::{goodness_ignoring_yield_on, RunQueues, SchedCtx};
 
 use crate::ast::{BinOp, HostFn};
 use crate::bytecode::{Chunk, Op, BINOPS, BUILTIN_REGS, HOSTFNS, NO_ARG};
@@ -308,7 +308,9 @@ pub(crate) fn run_chunk(
                 // blowout leaves them exactly where the interpreter would.
                 let h = wrap_list(int!(state.regs[a]), lists.nr_lists());
                 let mut cur = lists.first(h);
-                let smp = ctx.cfg.smp;
+                let cfg = ctx.cfg;
+                let smp = cfg.smp;
+                let topo = &cfg.topology;
                 let cpu = env.cpu;
                 let prev_mm = env.prev_mm;
                 let mut best: Option<i64> = None;
@@ -320,7 +322,7 @@ pub(crate) fn run_chunk(
                     // Pure, so safe to compute ahead of the pre-score
                     // budget check.
                     let g = if pass {
-                        i64::from(goodness_ignoring_yield(t, cpu, prev_mm))
+                        i64::from(goodness_ignoring_yield_on(topo, t, cpu, prev_mm))
                     } else {
                         0
                     };

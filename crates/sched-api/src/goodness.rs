@@ -98,39 +98,6 @@ pub fn rt_goodness(task: &Task) -> i32 {
     RT_GOODNESS_BASE + task.rt_priority
 }
 
-/// Full `goodness()` as the baseline scheduler computes it, *ignoring* the
-/// `SCHED_YIELD` bit (the caller handles yield specially, as `schedule()`
-/// does for the previous task).
-///
-/// ```
-/// use elsc_ktask::{MmId, TaskSpec, TaskTable};
-/// use elsc_sched_api::goodness::goodness_ignoring_yield;
-///
-/// let mut table = TaskTable::new();
-/// let tid = table.spawn(&TaskSpec::default().priority(20).mm(MmId(1)));
-/// table.task_mut(tid).counter = 7;
-/// table.task_mut(tid).policy.yielded = true; // ignored by this variant
-/// assert_eq!(goodness_ignoring_yield(table.task(tid), 0, MmId(2)), 7 + 20 + 15);
-/// ```
-#[inline]
-pub fn goodness_ignoring_yield(task: &Task, this_cpu: CpuId, prev_mm: MmId) -> i32 {
-    if task.policy.class.is_realtime() {
-        return rt_goodness(task);
-    }
-    if task.counter == 0 {
-        // Runnable, but its time slice is used up.
-        return 0;
-    }
-    let mut weight = task.counter + task.priority;
-    if task.processor == this_cpu {
-        weight += PROC_CHANGE_PENALTY;
-    }
-    if task.mm == prev_mm {
-        weight += MM_BONUS;
-    }
-    weight
-}
-
 /// [`goodness_ignoring_yield_on`] split the way ELSC splits it (§5): the
 /// part that holds while the task waits, and whether the two dynamic
 /// bonuses — [`topo_affinity_bonus`] for the deciding CPU and
@@ -163,10 +130,31 @@ pub fn goodness_parts(task: &Task) -> (i32, bool) {
     (task.counter + task.priority, true)
 }
 
-/// [`goodness_ignoring_yield`] under a declared topology: the flat
-/// `+15`-on-CPU-match affinity bonus generalizes to the distance-graded
-/// [`topo_affinity_bonus`]. On flat trees this equals
-/// [`goodness_ignoring_yield`] on every input (pinned by test).
+/// Full `goodness()` as the baseline scheduler computes it on CPU
+/// `this_cpu` of `topo`, *ignoring* the `SCHED_YIELD` bit (the caller
+/// handles yield specially, as `schedule()` does for the previous task:
+/// see `frame::select`). The affinity bonus is the distance-graded
+/// [`topo_affinity_bonus`]; on a flat tree that is the classic +15 on
+/// the same CPU and nothing elsewhere (pinned by test).
+///
+/// ```
+/// use elsc_ktask::{MmId, TaskSpec, TaskTable};
+/// use elsc_sched_api::goodness::{goodness_ignoring_yield_on, LLC_AFFINITY_BONUS};
+/// use elsc_simcore::Topology;
+///
+/// let numa: Topology = "2N2C1T".parse().unwrap();
+/// let mut table = TaskTable::new();
+/// let tid = table.spawn(&TaskSpec::default().priority(20).mm(MmId(1)));
+/// table.task_mut(tid).counter = 7;
+/// table.task_mut(tid).processor = 3;
+/// // A CPU of the same node earns the smaller node bonus ...
+/// assert_eq!(
+///     goodness_ignoring_yield_on(&numa, table.task(tid), 2, MmId(2)),
+///     27 + LLC_AFFINITY_BONUS
+/// );
+/// // ... and a CPU of the other node none.
+/// assert_eq!(goodness_ignoring_yield_on(&numa, table.task(tid), 0, MmId(2)), 27);
+/// ```
 #[inline]
 pub fn goodness_ignoring_yield_on(
     topo: &Topology,
@@ -185,36 +173,6 @@ pub fn goodness_ignoring_yield_on(
     weight
 }
 
-/// Full `goodness()` including the yield rule: a task that called
-/// `sys_sched_yield()` evaluates to 0 once (paper §3.3.2).
-///
-/// ```
-/// use elsc_ktask::{MmId, TaskSpec, TaskTable};
-/// use elsc_sched_api::goodness::{goodness, MM_BONUS, PROC_CHANGE_PENALTY};
-///
-/// let mut table = TaskTable::new();
-/// let tid = table.spawn(&TaskSpec::default().priority(20).mm(MmId(1)));
-/// table.task_mut(tid).counter = 7;
-/// table.task_mut(tid).processor = 3;
-/// // Deciding on CPU 0 against a different mm: counter + priority only.
-/// assert_eq!(goodness(table.task(tid), 0, MmId(2)), 27);
-/// // Same CPU, same mm: both dynamic bonuses stack.
-/// assert_eq!(
-///     goodness(table.task(tid), 3, MmId(1)),
-///     27 + PROC_CHANGE_PENALTY + MM_BONUS
-/// );
-/// // Out of quantum: runnable, but goodness 0.
-/// table.task_mut(tid).counter = 0;
-/// assert_eq!(goodness(table.task(tid), 3, MmId(1)), 0);
-/// ```
-#[inline]
-pub fn goodness(task: &Task, this_cpu: CpuId, prev_mm: MmId) -> i32 {
-    if task.policy.yielded {
-        return 0;
-    }
-    goodness_ignoring_yield(task, this_cpu, prev_mm)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,6 +186,11 @@ mod tests {
         t.counter = counter;
         t.processor = processor;
         t
+    }
+
+    /// Goodness on a flat four-CPU tree, the paper's machine.
+    fn goodness(task: &Task, this_cpu: CpuId, prev_mm: MmId) -> i32 {
+        goodness_ignoring_yield_on(&Topology::flat(4), task, this_cpu, prev_mm)
     }
 
     #[test]
@@ -291,26 +254,38 @@ mod tests {
     }
 
     #[test]
-    fn yielded_task_evaluates_to_zero() {
+    fn goodness_sees_through_the_yield_bit() {
+        // The yielder's one-time 0 is `frame::select`'s rule, not
+        // goodness's.
         let mut t = other_task(7, 20, 0, MmId(1));
         t.policy.yielded = true;
-        assert_eq!(goodness(&t, 0, MmId(1)), 0);
-        // But the yield-ignoring variant sees through it.
-        assert!(goodness_ignoring_yield(&t, 0, MmId(1)) > 0);
+        assert_eq!(
+            goodness(&t, 0, MmId(1)),
+            27 + PROC_CHANGE_PENALTY + MM_BONUS
+        );
     }
 
     #[test]
     fn static_part_matches_task_helper() {
-        let t = other_task(9, 20, 99, MmId(7));
+        let t = other_task(9, 20, 3, MmId(7));
         // With no bonuses, goodness equals the static goodness.
         assert_eq!(goodness(&t, 0, MmId(8)), t.static_goodness());
     }
 
     #[test]
     fn topo_goodness_on_flat_trees_equals_flat_goodness() {
-        // The byte-identity keystone: on a one-level tree the topology
-        // variants agree with the classic functions on every input.
-        let flat = elsc_simcore::Topology::flat(4);
+        // The byte-identity keystone: on a one-level tree goodness is
+        // the classic rule (+15 on the same CPU only) on every input.
+        let classic = |t: &Task, cpu: CpuId, prev_mm: MmId| match t.counter {
+            _ if t.policy.class.is_realtime() => RT_GOODNESS_BASE + t.rt_priority,
+            0 => 0,
+            c => {
+                let (same_cpu, same_mm) = (t.processor == cpu, t.mm == prev_mm);
+                c + t.priority
+                    + i32::from(same_cpu) * PROC_CHANGE_PENALTY
+                    + i32::from(same_mm) * MM_BONUS
+            }
+        };
         let mut table = TaskTable::new();
         let mut tids = Vec::new();
         for (counter, priority, processor, mm) in [
@@ -331,8 +306,8 @@ mod tests {
             for cpu in 0..4 {
                 for prev_mm in [MmId::KERNEL, MmId(1), MmId(2)] {
                     assert_eq!(
-                        goodness_ignoring_yield_on(&flat, table.task(tid), cpu, prev_mm),
-                        goodness_ignoring_yield(table.task(tid), cpu, prev_mm),
+                        goodness(table.task(tid), cpu, prev_mm),
+                        classic(table.task(tid), cpu, prev_mm),
                         "flat-topology goodness must match for {tid:?} cpu={cpu}"
                     );
                 }
@@ -342,7 +317,7 @@ mod tests {
 
     #[test]
     fn topo_bonus_grades_by_distance() {
-        let numa: elsc_simcore::Topology = "2N4C2T".parse().unwrap();
+        let numa: Topology = "2N4C2T".parse().unwrap();
         let t = other_task(7, 20, 1, MmId(1));
         // Deciding on CPU 0; task last ran on CPU 1 (SMT sibling).
         assert_eq!(
@@ -371,3 +346,49 @@ mod tests {
         }
     }
 }
+
+/// The classic `goodness()` of `kernel/sched.c` is
+/// [`goodness_ignoring_yield_on`] over a flat tree: the two dynamic
+/// bonuses stack, and a task out of quantum is worth 0.
+///
+/// ```
+/// use elsc_ktask::{MmId, TaskSpec, TaskTable};
+/// use elsc_sched_api::goodness::{goodness_ignoring_yield_on, MM_BONUS, PROC_CHANGE_PENALTY};
+/// use elsc_simcore::Topology;
+///
+/// let flat = Topology::flat(4);
+/// let mut table = TaskTable::new();
+/// let tid = table.spawn(&TaskSpec::default().priority(20).mm(MmId(1)));
+/// table.task_mut(tid).counter = 7;
+/// table.task_mut(tid).processor = 3;
+/// // Deciding on CPU 0 against a different mm: counter + priority only.
+/// assert_eq!(goodness_ignoring_yield_on(&flat, table.task(tid), 0, MmId(2)), 27);
+/// // Same CPU, same mm: both dynamic bonuses stack.
+/// assert_eq!(
+///     goodness_ignoring_yield_on(&flat, table.task(tid), 3, MmId(1)),
+///     27 + PROC_CHANGE_PENALTY + MM_BONUS
+/// );
+/// // Out of quantum: runnable, but goodness 0.
+/// table.task_mut(tid).counter = 0;
+/// assert_eq!(goodness_ignoring_yield_on(&flat, table.task(tid), 3, MmId(1)), 0);
+/// ```
+#[cfg(doctest)]
+mod goodness {}
+
+/// The `SCHED_YIELD` bit does not enter goodness: the yielder's one-time 0
+/// is `frame::select`'s rule, applied to the previous task only.
+///
+/// ```
+/// use elsc_ktask::{MmId, TaskSpec, TaskTable};
+/// use elsc_sched_api::goodness::goodness_ignoring_yield_on;
+/// use elsc_simcore::Topology;
+///
+/// let mut table = TaskTable::new();
+/// let tid = table.spawn(&TaskSpec::default().priority(20).mm(MmId(1)));
+/// table.task_mut(tid).counter = 7;
+/// table.task_mut(tid).policy.yielded = true;
+/// let flat = Topology::flat(4);
+/// assert_eq!(goodness_ignoring_yield_on(&flat, table.task(tid), 0, MmId(2)), 7 + 20 + 15);
+/// ```
+#[cfg(doctest)]
+mod goodness_ignoring_yield {}

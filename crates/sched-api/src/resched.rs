@@ -12,7 +12,7 @@
 use elsc_ktask::{CpuId, TaskTable, Tid};
 
 use crate::config::SchedConfig;
-use crate::goodness::{goodness_ignoring_yield, goodness_ignoring_yield_on, topo_affinity_bonus};
+use crate::goodness::{goodness_ignoring_yield_on, topo_affinity_bonus};
 
 /// What the waker sees of one CPU.
 #[derive(Clone, Copy, Debug)]
@@ -62,8 +62,8 @@ pub fn reschedule_idle(
             return WakeTarget::IpiIdle(0);
         }
         let cur = tasks.task(view.current);
-        let g_new = goodness_ignoring_yield(task, 0, cur.mm);
-        let g_cur = goodness_ignoring_yield(cur, 0, cur.mm);
+        let g_new = goodness_ignoring_yield_on(&cfg.topology, task, 0, cur.mm);
+        let g_cur = goodness_ignoring_yield_on(&cfg.topology, cur, 0, cur.mm);
         if g_new > g_cur {
             return WakeTarget::Preempt(0);
         }

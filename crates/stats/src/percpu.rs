@@ -119,7 +119,34 @@ impl Sub for CpuStats {
     }
 }
 
+/// One counter of [`CpuStats::COUNTERS`]: `(name, getter)`.
+pub type Counter = (&'static str, fn(&CpuStats) -> u64);
+
 impl CpuStats {
+    /// Every counter, in field order: the rows of
+    /// [`render_proc`](crate::render::render_proc) and the keys of the
+    /// JSON export (`elsc_obs::export`).
+    pub const COUNTERS: [Counter; 18] = [
+        ("sched_calls", |c| c.sched_calls),
+        ("sched_cycles", |c| c.sched_cycles),
+        ("lock_spin_cycles", |c| c.lock_spin_cycles),
+        ("lock_acquisitions", |c| c.lock_acquisitions),
+        ("tasks_examined", |c| c.tasks_examined),
+        ("recalc_entries", |c| c.recalc_entries),
+        ("recalc_tasks", |c| c.recalc_tasks),
+        ("picked_new_cpu", |c| c.picked_new_cpu),
+        ("idle_scheduled", |c| c.idle_scheduled),
+        ("yield_reruns", |c| c.yield_reruns),
+        ("ctx_switches", |c| c.ctx_switches),
+        ("mm_switches", |c| c.mm_switches),
+        ("ticks", |c| c.ticks),
+        ("wakeups", |c| c.wakeups),
+        ("ipis_sent", |c| c.ipis_sent),
+        ("yields", |c| c.yields),
+        ("work_cycles", |c| c.work_cycles),
+        ("idle_cycles", |c| c.idle_cycles),
+    ];
+
     /// Average cycles per `schedule()` call (Figure 5, top chart).
     ///
     /// Includes lock spin time, since that is time the CPU loses to

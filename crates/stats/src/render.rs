@@ -5,31 +5,6 @@ use core::fmt::Write as _;
 
 use crate::percpu::{CpuStats, SchedStats};
 
-/// One rendered row: `(label, extractor)`.
-type Row = (&'static str, fn(&CpuStats) -> u64);
-
-/// Rows rendered by [`render_proc`].
-const ROWS: &[Row] = &[
-    ("sched_calls", |c| c.sched_calls),
-    ("sched_cycles", |c| c.sched_cycles),
-    ("lock_spin_cycles", |c| c.lock_spin_cycles),
-    ("lock_acquisitions", |c| c.lock_acquisitions),
-    ("tasks_examined", |c| c.tasks_examined),
-    ("recalc_entries", |c| c.recalc_entries),
-    ("recalc_tasks", |c| c.recalc_tasks),
-    ("picked_new_cpu", |c| c.picked_new_cpu),
-    ("idle_scheduled", |c| c.idle_scheduled),
-    ("yield_reruns", |c| c.yield_reruns),
-    ("ctx_switches", |c| c.ctx_switches),
-    ("mm_switches", |c| c.mm_switches),
-    ("ticks", |c| c.ticks),
-    ("wakeups", |c| c.wakeups),
-    ("ipis_sent", |c| c.ipis_sent),
-    ("yields", |c| c.yields),
-    ("work_cycles", |c| c.work_cycles),
-    ("idle_cycles", |c| c.idle_cycles),
-];
-
 /// Renders statistics as a `/proc/elscstat`-style table: one column per
 /// CPU plus a total column.
 ///
@@ -53,7 +28,7 @@ pub fn render_proc(stats: &SchedStats) -> String {
         let _ = write!(out, "{:>14}", format!("cpu{cpu}"));
     }
     let _ = writeln!(out, "{:>16}", "total");
-    for (label, get) in ROWS {
+    for (label, get) in CpuStats::COUNTERS {
         let _ = write!(out, "{label:<18}");
         for cpu in stats.per_cpu() {
             let _ = write!(out, "{:>14}", get(cpu));
@@ -101,7 +76,7 @@ mod tests {
     #[test]
     fn proc_render_contains_all_rows() {
         let text = render_proc(&sample());
-        for (label, _) in ROWS {
+        for (label, _) in CpuStats::COUNTERS {
             assert!(text.contains(label), "missing row {label}");
         }
     }
