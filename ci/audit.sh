@@ -76,12 +76,15 @@ rules() {
 1 - shipped crates/cluster/src/federation.rs  -  drain_pipe_log
 
 # -- One run-queue lock type: `sched_api::LockModel` owns the plan, the
-# per-domain busy intervals and the call's held set, and is the only
-# `DomainLocker` the machine lends; the single-lock type, the per-call
-# view and its scratch storage occur nowhere.
+# per-domain busy intervals and the call's held set, and is what the
+# machine lends as `SchedCtx::locks`; the single-lock type, the per-call
+# view, its scratch storage and the one-implementor `DomainLocker` trait
+# occur nowhere (the staleness row reads the change log that records the
+# trait's removal).
 0 0 whole   crates,tests  -  SimSpinLock|LockScratch|LockDomains\b
 1 - whole   crates/sched-api/src/lockplan.rs  -  pub struct LockModel\b
-1 1 whole   crates,tests,examples  -  impl DomainLocker for
+0 0 whole   crates,tests,examples,src,benchmark/src  -  DomainLocker
+1 - whole   CHANGES.md  -  DomainLocker
 
 # -- One task record, one event queue: the struct-of-arrays mirror, its
 # write-back guard, the lane goodness twins and the selectable-heap cargo
@@ -91,12 +94,21 @@ rules() {
 0 0 shipped crates/simcore/src/events.rs  -  HeapEventQueue
 1 - whole   crates/simcore/src/events.rs  -  HeapEventQueue
 
-# -- One experiment path: `crates/bench` is the rig, `figure1` and one
-# microbench. Its one `SchedCtx` literal is `Rig::call`; it holds no
-# Criterion look-alike, reads no environment and runs no workload (every
-# experiment is a lab builtin printed by `elsc-sim lab render`).
-1 1 shipped crates/bench  -  SchedCtx \{
+# -- One experiment path: `crates/bench` is `benchmark/`'s rig wrapper,
+# `figure1` and one microbench. It holds no Criterion look-alike, reads no
+# environment and runs no workload (every experiment is a lab builtin
+# printed by `elsc-sim lab render`).
 0 0 shipped crates/bench  -  harness|criterion_group|(volanomark|httpd|stress)::run\(
+
+# -- One rig: every bare-scheduler test, doc example and probe drives its
+# design through `elsc_sched_api::Rig`. A `SchedCtx` is built only in
+# `Machine::sched_call` (counted under "One do_schedule pipeline") and
+# `Rig::call`, and `Rig` is defined once — bench's wrapper keeps
+# `Rig::new(kind, cfg, n)`, the constructor `benchmark/` compiles against.
+0 0 whole   crates,tests,examples,src,benchmark/src  ^crates/(machine/src/schedule|sched-api/src/rig)\.rs:  SchedCtx \{
+1 1 whole   crates/sched-api/src/rig.rs  -  SchedCtx \{
+0 0 whole   crates,tests,examples,src,benchmark/src  ^crates/(sched-api|bench)/src/rig\.rs:  struct Rig\b
+1 1 whole   crates/sched-api/src/rig.rs  -  pub struct Rig\b
 
 # -- One superinstruction: `scan.best` is the policy VM's only fused op
 # (the guard, compare-update and conditional-pick fusions are gone), and

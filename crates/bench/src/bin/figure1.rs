@@ -6,10 +6,9 @@
 //! with the real data structures and renders it.
 
 use elsc::ElscScheduler;
-use elsc_bench::rig::Rig;
 use elsc_ktask::TaskSpec;
 use elsc_lab::header;
-use elsc_sched_api::{SchedConfig, Scheduler};
+use elsc_sched_api::{Rig, SchedConfig, Scheduler};
 use elsc_sched_linux::LinuxScheduler;
 
 /// The static-goodness values from the paper's figure.
@@ -18,7 +17,7 @@ const GOODNESS: [i32; 4] = [40, 33, 23, 22];
 /// A rig around `sched` holding the figure's four tasks (priority 20),
 /// inserted in reverse so the figure's order (40 first) comes out.
 fn populated<S: Scheduler>(sched: S) -> Rig<S> {
-    let mut rig = Rig::around(Box::new(sched), SchedConfig::up());
+    let mut rig = Rig::new(SchedConfig::up(), sched);
     for &sg in GOODNESS.iter().rev() {
         let tid = rig.tasks.spawn(&TaskSpec::named("task").priority(20));
         rig.tasks.task_mut(tid).counter = sg - 20;

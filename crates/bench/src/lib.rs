@@ -6,7 +6,7 @@
 //!
 //! | target | what it is |
 //! |---|---|
-//! | [`rig::Rig`] | one scheduler plus the state a call into it borrows; `benchmark/`'s `schedule()` probes and the run-queue model of `tests/conservation.rs` drive it |
+//! | [`rig::Rig`] | a registry design loaded with runnable tasks on [`elsc_sched_api::Rig`], which it derefs to; `benchmark/`'s `schedule()` probes drive it |
 //! | `figure1` (bin) | Figure 1 — the two run-queue structures, built with the real data structures and printed |
 //! | `micro` (bench) | host nanoseconds of the operations `benchmark/` has no probe for: `goodness()`, the ELSC table index, add/del and move per design, one `schedule()` per design |
 //!

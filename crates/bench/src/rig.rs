@@ -1,42 +1,24 @@
-//! A raw-scheduler rig: drives the five run-queue functions directly,
-//! without the machine simulation, so a timing loop around it measures the
+//! The raw-scheduler rig `benchmark/`'s `schedule()` probes drive: the
+//! shared [`elsc_sched_api::Rig`] around a design from the lab registry,
+//! loaded with runnable tasks, so a timing loop around it measures the
 //! algorithm's *host* cost and the meter reports its *simulated* cost.
 
-use elsc_ktask::{MmId, TaskSpec, TaskTable, Tid};
-use elsc_obs::EventBus;
-use elsc_sched_api::{SchedConfig, SchedCtx, Scheduler};
-use elsc_simcore::{CostModel, CycleMeter};
-use elsc_stats::SchedStats;
+use std::ops::{Deref, DerefMut};
+
+use elsc_ktask::{MmId, TaskSpec};
+use elsc_sched_api::SchedConfig;
 
 use crate::SchedKind;
 
-/// A scheduler and everything a call into it borrows.
-pub struct Rig<S: Scheduler + ?Sized = dyn Scheduler> {
-    /// The task table.
-    pub tasks: TaskTable,
-    /// Stats sink.
-    pub stats: SchedStats,
-    /// Simulated-cycle meter.
-    pub meter: CycleMeter,
-    /// Cost table.
-    pub costs: CostModel,
-    /// Machine shape.
-    pub cfg: SchedConfig,
-    /// Probe bus the scheduler emits into; `None` (no emission) unless a
-    /// test attaches one.
-    pub probe: Option<EventBus>,
-    /// The scheduler under test.
-    pub sched: Box<S>,
-    /// Idle task for CPU 0.
-    pub idle: Tid,
-    /// The task currently "running" (prev for the next schedule call).
-    pub current: Tid,
-}
+/// [`elsc_sched_api::Rig`] around a registry design; it derefs to it.
+/// Its own type only to keep the constructor's `(kind, cfg, n)` shape.
+pub struct Rig(elsc_sched_api::Rig);
 
 impl Rig {
     /// Builds a rig with `n` runnable default-priority tasks.
     pub fn new(kind: SchedKind, cfg: SchedConfig, n: usize) -> Rig {
-        let mut rig = Rig::around(kind.build(cfg.topology), cfg);
+        let sched = kind.build(cfg.topology);
+        let mut rig = elsc_sched_api::Rig::boxed(cfg, sched);
         for i in 0..n {
             let tid = rig
                 .tasks
@@ -46,80 +28,55 @@ impl Rig {
             rig.tasks.task_mut(tid).processor = i % rig.cfg.nr_cpus;
             rig.add(tid);
         }
-        rig
+        Rig(rig)
     }
 }
 
-impl<S: Scheduler + ?Sized> Rig<S> {
-    /// An empty rig around `sched`: CPU 0's idle task holds the processor
-    /// and nothing is runnable.
-    pub fn around(sched: Box<S>, cfg: SchedConfig) -> Rig<S> {
-        let mut tasks = TaskTable::new();
-        let idle = tasks.spawn(&TaskSpec::named("idle").priority(1));
-        tasks.task_mut(idle).counter = 0;
-        tasks.task_mut(idle).has_cpu = true;
-        Rig {
-            tasks,
-            stats: SchedStats::new(cfg.nr_cpus),
-            meter: CycleMeter::new(),
-            costs: CostModel::default(),
-            cfg,
-            probe: None,
-            sched,
-            idle,
-            current: idle,
-        }
-    }
+impl Deref for Rig {
+    type Target = elsc_sched_api::Rig;
 
-    /// Calls into the scheduler with the rig's state as its context — the
-    /// one place the crate builds a `SchedCtx`.
-    pub fn call<R>(&mut self, f: impl FnOnce(&mut S, &mut SchedCtx<'_>) -> R) -> R {
-        let mut ctx = SchedCtx {
-            tasks: &mut self.tasks,
-            stats: &mut self.stats,
-            meter: &mut self.meter,
-            costs: &self.costs,
-            cfg: &self.cfg,
-            probe: self.probe.as_mut(),
-            locks: None,
-        };
-        f(&mut *self.sched, &mut ctx)
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
+}
 
-    /// Adds a task to the run queue.
-    pub fn add(&mut self, tid: Tid) {
-        self.call(|s, ctx| s.add_to_runqueue(ctx, tid));
-    }
-
-    /// Removes a task from the run queue.
-    pub fn del(&mut self, tid: Tid) {
-        self.call(|s, ctx| s.del_from_runqueue(ctx, tid));
-    }
-
-    /// One `schedule()` call on CPU 0; the chosen task becomes `current`
-    /// (so repeated calls model a hot scheduling loop, with the scheduler
-    /// re-queuing the previous task itself).
-    pub fn schedule_once(&mut self) -> Tid {
-        let (prev, idle) = (self.current, self.idle);
-        self.current = self.call(|s, ctx| s.schedule(ctx, 0, prev, idle));
-        self.current
+impl DerefMut for Rig {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elsc_ktask::TaskState;
 
+    /// Every native design, UP and 2P: two hot-loop calls, then schedule
+    /// until idle while each `prev` blocks, checking the design after
+    /// every call — so every design's `del` runs through the frame.
     #[test]
     fn rig_builds_and_schedules() {
-        for kind in SchedKind::ALL {
-            let mut rig = Rig::new(kind.clone(), SchedConfig::smp(2), 50);
-            assert_eq!(rig.sched.nr_running(), 50, "{}", kind.label());
-            let next = rig.schedule_once();
-            assert_ne!(next, rig.idle, "{}", kind.label());
-            // A second call keeps working with prev = the chosen task.
-            let again = rig.schedule_once();
-            assert_ne!(again, rig.idle);
+        for cfg in [SchedConfig::up(), SchedConfig::smp(2)] {
+            for kind in SchedKind::NATIVE {
+                let at = format!("{} on {} CPUs", kind.label(), cfg.nr_cpus);
+                let mut rig = Rig::new(kind, cfg.clone(), 50);
+                let idle = rig.idle(0);
+                assert_eq!(rig.sched.nr_running(), 50, "{at}");
+                let next = rig.schedule_once();
+                assert_ne!(next, idle, "{at}");
+                // A second call keeps working with prev = the chosen task.
+                let mut prev = rig.schedule_once();
+                assert_ne!(prev, idle, "{at}");
+                for calls in 1.. {
+                    assert!(calls <= 51, "{at}: runnable work left after 50 blocks");
+                    rig.tasks.task_mut(prev).state = TaskState::Interruptible;
+                    prev = rig.schedule(0, prev);
+                    if prev == idle {
+                        break;
+                    }
+                }
+                assert_eq!(rig.sched.nr_running(), 0, "{at}");
+            }
         }
     }
 

@@ -42,32 +42,11 @@
 //!
 //! ```
 //! use elsc::ElscScheduler;
-//! use elsc_ktask::{TaskSpec, TaskTable};
-//! use elsc_sched_api::{SchedConfig, SchedCtx, Scheduler};
-//! use elsc_simcore::{CostModel, CycleMeter};
-//! use elsc_stats::SchedStats;
+//! use elsc_sched_api::{Rig, SchedConfig};
 //!
-//! let mut tasks = TaskTable::new();
-//! let idle = tasks.spawn(&TaskSpec::named("idle"));
-//! let worker = tasks.spawn(&TaskSpec::named("worker"));
-//!
-//! let mut sched = ElscScheduler::new();
-//! let mut stats = SchedStats::new(1);
-//! let mut meter = CycleMeter::new();
-//! let costs = CostModel::default();
-//! let cfg = SchedConfig::up();
-//! let mut ctx = SchedCtx {
-//!     tasks: &mut tasks,
-//!     stats: &mut stats,
-//!     meter: &mut meter,
-//!     costs: &costs,
-//!     cfg: &cfg,
-//!     probe: None,
-//!     locks: None,
-//! };
-//!
-//! sched.add_to_runqueue(&mut ctx, worker);
-//! let next = sched.schedule(&mut ctx, 0, idle, idle);
+//! let mut rig = Rig::new(SchedConfig::up(), ElscScheduler::new());
+//! let worker = rig.spawn("worker");
+//! let next = rig.schedule(0, rig.idle(0));
 //! assert_eq!(next, worker);
 //! ```
 #![warn(missing_docs)]

@@ -310,86 +310,27 @@ fn scan_list(
 mod tests {
     use super::*;
     use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState};
-    use elsc_sched_api::SchedConfig;
-    use elsc_simcore::{CostModel, CycleMeter};
-    use elsc_stats::SchedStats;
+    use elsc_sched_api::{Rig, SchedConfig};
 
-    struct Rig {
-        tasks: TaskTable,
-        stats: SchedStats,
-        meter: CycleMeter,
-        costs: CostModel,
-        cfg: SchedConfig,
-        sched: ElscScheduler,
-        idle: Tid,
-    }
-
-    impl Rig {
-        fn new(cfg: SchedConfig) -> Rig {
-            let mut tasks = TaskTable::new();
-            let idle = tasks.spawn(&TaskSpec::named("idle").priority(1));
-            tasks.task_mut(idle).counter = 0;
-            tasks.task_mut(idle).has_cpu = true;
-            Rig {
-                tasks,
-                stats: SchedStats::new(cfg.nr_cpus),
-                meter: CycleMeter::new(),
-                costs: CostModel::default(),
-                cfg,
-                sched: ElscScheduler::new(),
-                idle,
-            }
-        }
-
-        fn spawn(&mut self, name: &'static str) -> Tid {
-            let tid = self.tasks.spawn(&TaskSpec::named(name));
-            self.add(tid);
-            tid
-        }
-
-        fn add(&mut self, tid: Tid) {
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            self.sched.add_to_runqueue(&mut ctx, tid);
-        }
-
-        fn schedule(&mut self, cpu: CpuId, prev: Tid) -> Tid {
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            let next = self.sched.schedule(&mut ctx, cpu, prev, self.idle);
-            self.sched.debug_check(&self.tasks);
-            next
-        }
+    /// A rig around a fresh `ElscScheduler`.
+    fn rig(cfg: SchedConfig) -> Rig<ElscScheduler> {
+        Rig::new(cfg, ElscScheduler::new())
     }
 
     #[test]
     fn empty_table_schedules_idle_without_recalc() {
-        let mut rig = Rig::new(SchedConfig::up());
-        let next = rig.schedule(0, rig.idle);
-        assert_eq!(next, rig.idle);
+        let mut rig = rig(SchedConfig::up());
+        let next = rig.schedule(0, rig.idle(0));
+        assert_eq!(next, rig.idle(0));
         assert_eq!(rig.stats.cpu(0).idle_scheduled, 1);
         assert_eq!(rig.stats.cpu(0).recalc_entries, 0);
     }
 
     #[test]
     fn chosen_task_is_unlinked_but_marked_on_queue() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
-        let next = rig.schedule(0, rig.idle);
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, a);
         let t = rig.tasks.task(a);
         assert!(t.on_runqueue(), "must still look on-queue");
@@ -400,9 +341,9 @@ mod tests {
 
     #[test]
     fn prev_is_reinserted_and_can_be_rechosen() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
-        let first = rig.schedule(0, rig.idle);
+        let first = rig.schedule(0, rig.idle(0));
         assert_eq!(first, a);
         // Quantum tick elsewhere; still runnable, calls schedule again.
         rig.tasks.task_mut(a).counter = 10;
@@ -413,35 +354,24 @@ mod tests {
 
     #[test]
     fn picks_from_highest_populated_list() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let weak = rig.spawn("weak");
         rig.tasks.task_mut(weak).counter = 2; // sg 22 -> list 5
                                               // Re-link with the new counter.
-        {
-            let mut ctx = SchedCtx {
-                tasks: &mut rig.tasks,
-                stats: &mut rig.stats,
-                meter: &mut rig.meter,
-                costs: &rig.costs,
-                cfg: &rig.cfg,
-                probe: None,
-                locks: None,
-            };
-            rig.sched.del_from_runqueue(&mut ctx, weak);
-            rig.sched.add_to_runqueue(&mut ctx, weak);
-        }
+        rig.del(weak);
+        rig.add(weak);
         let strong = rig.spawn("strong"); // counter 20 -> list 10
-        let next = rig.schedule(0, rig.idle);
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, strong);
     }
 
     #[test]
     fn bounded_examination_regardless_of_queue_length() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         for _ in 0..500 {
             rig.spawn("t"); // all identical -> same list
         }
-        rig.schedule(0, rig.idle);
+        rig.schedule(0, rig.idle(0));
         // UP limit = 5 (paper: nr_cpus/2 + 5)... the UP mm shortcut can
         // stop even earlier. Either way: bounded, nowhere near 500.
         let examined = rig.stats.cpu(0).tasks_examined;
@@ -450,11 +380,11 @@ mod tests {
 
     #[test]
     fn up_shortcut_stops_on_mm_match() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let prev = rig.spawn("prev");
         rig.tasks.task_mut(prev).mm = MmId(3);
         // prev runs, then blocks.
-        let got = rig.schedule(0, rig.idle);
+        let got = rig.schedule(0, rig.idle(0));
         assert_eq!(got, prev);
         // Fillers that will sit *behind* the kin (LIFO front inserts).
         for _ in 0..3 {
@@ -485,10 +415,10 @@ mod tests {
         // (lists bucket four static-goodness values, and the +1 mm
         // bonus cannot close a 3-point static gap). §5.2 semantics:
         // the best-goodness task must win.
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let prev = rig.spawn("prev");
         rig.tasks.task_mut(prev).mm = MmId(3);
-        let got = rig.schedule(0, rig.idle);
+        let got = rig.schedule(0, rig.idle(0));
         assert_eq!(got, prev);
         let rival = rig.spawn("rival");
         rig.tasks.task_mut(rival).mm = MmId(4);
@@ -505,9 +435,9 @@ mod tests {
 
     #[test]
     fn yield_with_alternative_runs_the_alternative() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let y = rig.spawn("y");
-        let got = rig.schedule(0, rig.idle);
+        let got = rig.schedule(0, rig.idle(0));
         assert_eq!(got, y);
         let o = rig.spawn("o");
         rig.tasks.task_mut(y).policy.yielded = true;
@@ -520,9 +450,9 @@ mod tests {
     #[test]
     fn lone_yielder_is_rerun_without_recalc() {
         // The headline behavioural fix (Figure 2).
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let y = rig.spawn("y");
-        let got = rig.schedule(0, rig.idle);
+        let got = rig.schedule(0, rig.idle(0));
         assert_eq!(got, y);
         for round in 1..=100 {
             rig.tasks.task_mut(y).policy.yielded = true;
@@ -535,9 +465,9 @@ mod tests {
 
     #[test]
     fn all_quanta_exhausted_triggers_one_recalc() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
-        let got = rig.schedule(0, rig.idle);
+        let got = rig.schedule(0, rig.idle(0));
         assert_eq!(got, a);
         // a exhausts its quantum while running.
         rig.tasks.task_mut(a).counter = 0;
@@ -549,10 +479,10 @@ mod tests {
 
     #[test]
     fn blocked_prev_leaves_queue() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
         let b = rig.spawn("b");
-        let got = rig.schedule(0, rig.idle);
+        let got = rig.schedule(0, rig.idle(0));
         // LIFO front insert: b is at the front of the list.
         assert_eq!(got, b);
         rig.tasks.task_mut(b).state = TaskState::Interruptible;
@@ -564,34 +494,23 @@ mod tests {
 
     #[test]
     fn smp_skips_tasks_running_elsewhere_and_descends() {
-        let mut rig = Rig::new(SchedConfig::smp(2));
+        let mut rig = rig(SchedConfig::smp(2));
         let strong = rig.spawn("strong"); // list 10
         let weak = rig.spawn("weak");
         rig.tasks.task_mut(weak).counter = 2; // list 5
-        {
-            let mut ctx = SchedCtx {
-                tasks: &mut rig.tasks,
-                stats: &mut rig.stats,
-                meter: &mut rig.meter,
-                costs: &rig.costs,
-                cfg: &rig.cfg,
-                probe: None,
-                locks: None,
-            };
-            rig.sched.del_from_runqueue(&mut ctx, weak);
-            rig.sched.add_to_runqueue(&mut ctx, weak);
-        }
+        rig.del(weak);
+        rig.add(weak);
         // strong is executing on CPU 1 but (oddly) still linked — that
         // happens between wakeup and its first schedule; simulate it.
         rig.tasks.task_mut(strong).has_cpu = true;
         rig.tasks.task_mut(strong).processor = 1;
-        let next = rig.schedule(0, rig.idle);
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, weak, "descend past the occupied top list");
     }
 
     #[test]
     fn realtime_chosen_by_rt_priority_not_bonuses() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let low = rig
             .tasks
             .spawn(&TaskSpec::named("rt-low").realtime(SchedClass::Fifo, 53));
@@ -601,26 +520,26 @@ mod tests {
         rig.add(low);
         rig.add(high);
         // Same RT list (53/10 == 57/10 == 5 -> list 25); low is in front.
-        let next = rig.schedule(0, rig.idle);
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, high);
     }
 
     #[test]
     fn realtime_beats_timesharing() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let normal = rig.spawn("normal");
         rig.tasks.task_mut(normal).counter = 40;
         let rt = rig
             .tasks
             .spawn(&TaskSpec::named("rt").realtime(SchedClass::Rr, 0));
         rig.add(rt);
-        let next = rig.schedule(0, rig.idle);
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, rt);
     }
 
     #[test]
     fn rr_exhaustion_moves_to_end_of_list() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let rr1 = rig
             .tasks
             .spawn(&TaskSpec::named("rr1").realtime(SchedClass::Rr, 10));
@@ -629,7 +548,7 @@ mod tests {
             .spawn(&TaskSpec::named("rr2").realtime(SchedClass::Rr, 10));
         rig.add(rr1);
         rig.add(rr2);
-        let got = rig.schedule(0, rig.idle);
+        let got = rig.schedule(0, rig.idle(0));
         assert_eq!(got, rr2, "front of the RT list");
         // rr2 exhausts its quantum.
         rig.tasks.task_mut(rr2).counter = 0;
@@ -642,12 +561,12 @@ mod tests {
     fn scheduler_cost_is_flat_in_queue_length() {
         // The mirror image of the baseline's linear-cost test.
         let cost_at = |n: usize| -> u64 {
-            let mut rig = Rig::new(SchedConfig::up());
+            let mut rig = rig(SchedConfig::up());
             for _ in 0..n {
                 rig.spawn("t");
             }
             rig.meter.take();
-            rig.schedule(0, rig.idle);
+            rig.schedule(0, rig.idle(0));
             rig.meter.take()
         };
         let c10 = cost_at(10);
@@ -657,13 +576,13 @@ mod tests {
 
     #[test]
     fn zero_counter_wakeups_park_until_recalc() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let fresh = rig.spawn("fresh");
         let parked = rig.tasks.spawn(&TaskSpec::named("parked"));
         rig.tasks.task_mut(parked).counter = 0;
         rig.add(parked);
         // The parked task is not usable yet.
-        let next = rig.schedule(0, rig.idle);
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, fresh);
         // fresh exhausts its quantum: recalc promotes parked in place.
         rig.tasks.task_mut(fresh).counter = 0;
@@ -677,23 +596,12 @@ mod tests {
 
     #[test]
     fn del_of_running_marked_task_clears_marker() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
-        let got = rig.schedule(0, rig.idle);
+        let got = rig.schedule(0, rig.idle(0));
         assert_eq!(got, a);
         // a exits while running: the machine dels it from the run queue.
-        {
-            let mut ctx = SchedCtx {
-                tasks: &mut rig.tasks,
-                stats: &mut rig.stats,
-                meter: &mut rig.meter,
-                costs: &rig.costs,
-                cfg: &rig.cfg,
-                probe: None,
-                locks: None,
-            };
-            rig.sched.del_from_runqueue(&mut ctx, a);
-        }
+        rig.del(a);
         assert!(!rig.tasks.task(a).on_runqueue());
         assert_eq!(rig.sched.nr_running(), 0);
         rig.sched.debug_check(&rig.tasks);

@@ -888,11 +888,7 @@ impl CellConfig {
             // changes wall time but no virtual result, used to prove the
             // wall_ratio gate actually trips (see `.github/workflows`).
             if let Ok(v) = std::env::var("ELSC_ENGINE_SLOWDOWN") {
-                let f = v
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad ELSC_ENGINE_SLOWDOWN '{v}'"))?;
-                cfg = cfg.with_engine_slowdown(f);
+                cfg = cfg.with_engine_slowdown(engine_slowdown(&v)?);
             }
         }
         if !matches!(self.workload, WorkloadCell::Cluster { .. }) {
@@ -1189,6 +1185,17 @@ const _: () = {
     assert_send_sync::<CellResult>();
     assert_send_sync::<CellError>();
 };
+
+/// Parses an `ELSC_ENGINE_SLOWDOWN` factor. The machine spins
+/// `(factor - 1) * 2000` rounds per dispatched event, so a factor that
+/// overflows that count is refused with the rest of the bad text.
+fn engine_slowdown(v: &str) -> Result<u64, String> {
+    v.trim()
+        .parse::<u64>()
+        .ok()
+        .filter(|&f| f <= u64::MAX / 2000 + 1)
+        .ok_or_else(|| format!("bad ELSC_ENGINE_SLOWDOWN '{v}'"))
+}
 
 #[cfg(test)]
 mod tests {
@@ -1655,5 +1662,25 @@ mod tests {
             32.0 / r.metrics.elapsed_secs,
             "throughput is the headline ledger rate"
         );
+    }
+
+    #[test]
+    fn engine_slowdown_refuses_a_factor_whose_spin_count_overflows() {
+        let max = u64::MAX / 2000 + 1;
+        assert_eq!(engine_slowdown(" 3 "), Ok(3));
+        assert_eq!(engine_slowdown(&max.to_string()), Ok(max));
+        // The spin count of the largest accepted factor still fits.
+        assert!((max - 1).checked_mul(2000).is_some());
+        for bad in [
+            (max + 1).to_string(),
+            u64::MAX.to_string(),
+            "-1".into(),
+            "x".into(),
+        ] {
+            assert_eq!(
+                engine_slowdown(&bad),
+                Err(format!("bad ELSC_ENGINE_SLOWDOWN '{bad}'"))
+            );
+        }
     }
 }

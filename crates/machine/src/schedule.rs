@@ -8,7 +8,7 @@
 
 use elsc_ktask::{CpuId, SchedClass, Task, Tid};
 use elsc_obs::{ObsEvent, Phase};
-use elsc_sched_api::{DomainAcquire, DomainLocker, SchedCtx, Scheduler};
+use elsc_sched_api::{DomainAcquire, SchedCtx, Scheduler};
 use elsc_simcore::{CostKind, CycleMeter, Cycles};
 
 use crate::engine::Event;
@@ -242,7 +242,7 @@ impl Machine {
                 costs: &self.cfg.costs,
                 cfg: &self.cfg.sched,
                 probe: Some(&mut self.bus),
-                locks: locked.then_some(&mut self.locks as &mut dyn DomainLocker),
+                locks: locked.then_some(&mut self.locks),
             };
             f(&mut *self.sched, &mut ctx)
         };

@@ -194,30 +194,51 @@ pub enum ObsEvent {
     },
 }
 
+/// The trace-event table: each variant, its kind name and its fields in
+/// declaration order — the one place a kind is spelled. Expands to
+/// `$m! { $args; TABLE }`, so [`ObsEvent::kind`] and the trace-line
+/// writer are generated from the same rows.
+macro_rules! with_event_table {
+    ($m:ident! { $($args:tt)* }) => {
+        $m! { $($args)*;
+            Switch "switch" { cpu, from, to },
+            Wakeup "wakeup" { tid, by_cpu },
+            Block "block" { tid, cpu },
+            Exit "exit" { tid },
+            Migrate "migrate" { tid, to_cpu },
+            RecalcStart "recalc_start" { cpu, nr_running },
+            RecalcEnd "recalc_end" { cpu, updated },
+            LockContended "lock_contended" { cpu, domain, spin },
+            QueueDepthSample "queue_depth" { cpu, depth },
+            FaultInjected "fault" { cpu, fault },
+            OracleDivergence "oracle_divergence" { cpu, chosen, expected, class },
+            PolicyLoaded "policy_loaded" { policy, insns, budget },
+            PolicyBudget "policy_budget" { cpu, insns, budget },
+            PolicyEjected "policy_ejected" { cpu, policy, reason },
+            SchedCandidate "sched_candidate" {
+                cpu, tid, counter, priority, rt, mm_match, affinity, recency
+            },
+            SchedDecision "sched_decision" { cpu, prev, chosen, depth },
+            LearnedLoaded "learned_loaded" { model, arch },
+            LearnedEjected "learned_ejected" { cpu, model, reason },
+        }
+    };
+}
+
+/// The `match` from an event to its kind name.
+macro_rules! kind_of {
+    ($event:expr; $($variant:ident $kind:literal { $($key:ident),* }),* $(,)?) => {
+        match $event {
+            $(ObsEvent::$variant { .. } => $kind,)*
+        }
+    };
+}
+
 impl ObsEvent {
     /// Short kind name, used as the JSON `event` discriminant and by the
     /// trace-diff renderer.
     pub fn kind(&self) -> &'static str {
-        match self {
-            ObsEvent::Switch { .. } => "switch",
-            ObsEvent::Wakeup { .. } => "wakeup",
-            ObsEvent::Block { .. } => "block",
-            ObsEvent::Exit { .. } => "exit",
-            ObsEvent::Migrate { .. } => "migrate",
-            ObsEvent::RecalcStart { .. } => "recalc_start",
-            ObsEvent::RecalcEnd { .. } => "recalc_end",
-            ObsEvent::LockContended { .. } => "lock_contended",
-            ObsEvent::QueueDepthSample { .. } => "queue_depth",
-            ObsEvent::FaultInjected { .. } => "fault",
-            ObsEvent::OracleDivergence { .. } => "oracle_divergence",
-            ObsEvent::PolicyLoaded { .. } => "policy_loaded",
-            ObsEvent::PolicyBudget { .. } => "policy_budget",
-            ObsEvent::PolicyEjected { .. } => "policy_ejected",
-            ObsEvent::SchedCandidate { .. } => "sched_candidate",
-            ObsEvent::SchedDecision { .. } => "sched_decision",
-            ObsEvent::LearnedLoaded { .. } => "learned_loaded",
-            ObsEvent::LearnedEjected { .. } => "learned_ejected",
-        }
+        with_event_table!(kind_of! { self })
     }
 }
 
@@ -305,28 +326,7 @@ impl ObsRecord {
         line.clear();
         line.extend_from_slice(b"{\"at\":");
         push_u64(line, self.at.0);
-        write_fields! { line, self.event;
-            Switch "switch" { cpu, from, to },
-            Wakeup "wakeup" { tid, by_cpu },
-            Block "block" { tid, cpu },
-            Exit "exit" { tid },
-            Migrate "migrate" { tid, to_cpu },
-            RecalcStart "recalc_start" { cpu, nr_running },
-            RecalcEnd "recalc_end" { cpu, updated },
-            LockContended "lock_contended" { cpu, domain, spin },
-            QueueDepthSample "queue_depth" { cpu, depth },
-            FaultInjected "fault" { cpu, fault },
-            OracleDivergence "oracle_divergence" { cpu, chosen, expected, class },
-            PolicyLoaded "policy_loaded" { policy, insns, budget },
-            PolicyBudget "policy_budget" { cpu, insns, budget },
-            PolicyEjected "policy_ejected" { cpu, policy, reason },
-            SchedCandidate "sched_candidate" {
-                cpu, tid, counter, priority, rt, mm_match, affinity, recency
-            },
-            SchedDecision "sched_decision" { cpu, prev, chosen, depth },
-            LearnedLoaded "learned_loaded" { model, arch },
-            LearnedEjected "learned_ejected" { cpu, model, reason },
-        }
+        with_event_table!(write_fields! { line, self.event });
         line.push(b'}');
     }
 }

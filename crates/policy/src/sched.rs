@@ -670,10 +670,8 @@ impl Supervised for PolicyScheduler {
 mod tests {
     use super::*;
     use elsc_ktask::{TaskSpec, TaskState};
-    use elsc_sched_api::SchedConfig;
+    use elsc_sched_api::{Rig, SchedConfig};
     use elsc_sched_linux::LinuxScheduler;
-    use elsc_simcore::{CostModel, CycleMeter};
-    use elsc_stats::SchedStats;
 
     const REG_POL: &str = include_str!("../../../policies/reg.pol");
     const RR_POL: &str = include_str!("../../../policies/rr.pol");
@@ -691,65 +689,6 @@ mod tests {
         }
     }
 
-    /// Test harness bundling the context pieces around any scheduler.
-    struct Rig<S: Scheduler> {
-        tasks: TaskTable,
-        stats: SchedStats,
-        meter: CycleMeter,
-        costs: CostModel,
-        cfg: SchedConfig,
-        sched: S,
-        idle: Tid,
-    }
-
-    impl<S: Scheduler> Rig<S> {
-        fn new(cfg: SchedConfig, sched: S) -> Rig<S> {
-            let mut tasks = TaskTable::new();
-            let idle = tasks.spawn(&TaskSpec::named("idle").priority(1));
-            tasks.task_mut(idle).counter = 0;
-            tasks.task_mut(idle).has_cpu = true;
-            Rig {
-                tasks,
-                stats: SchedStats::new(cfg.nr_cpus),
-                meter: CycleMeter::new(),
-                costs: CostModel::default(),
-                cfg,
-                sched,
-                idle,
-            }
-        }
-
-        fn with<R>(&mut self, f: impl FnOnce(&mut S, &mut SchedCtx<'_>) -> R) -> R {
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            f(&mut self.sched, &mut ctx)
-        }
-
-        fn spawn(&mut self, name: &'static str) -> Tid {
-            let tid = self.tasks.spawn(&TaskSpec::named(name));
-            self.add(tid);
-            tid
-        }
-
-        fn add(&mut self, tid: Tid) {
-            self.with(|s, ctx| s.add_to_runqueue(ctx, tid));
-        }
-
-        fn schedule(&mut self, cpu: CpuId, prev: Tid) -> Tid {
-            let idle = self.idle;
-            let next = self.with(|s, ctx| s.schedule(ctx, cpu, prev, idle));
-            self.sched.debug_check(&self.tasks);
-            next
-        }
-    }
-
     fn policy(src: &str, nr_cpus: usize) -> PolicyScheduler {
         PolicyScheduler::load_str(src, nr_cpus).expect("bundled policy must verify")
     }
@@ -762,7 +701,7 @@ mod tests {
         let c = rig.spawn("c");
         let tids = [a, b, c];
         let mut picks = Vec::new();
-        let mut current = rig.idle;
+        let mut current = rig.idle(0);
         for step in 0..120 {
             // Pseudo-random but identical perturbations for both rigs.
             let r = (step as u64)
@@ -842,7 +781,7 @@ mod tests {
                 (t.counter, t.processor) = (goodness / 2, cpu);
                 rig.add(tid);
             }
-            let idle = rig.idle;
+            let idle = rig.idle(0);
             let next = rig.schedule(0, idle);
             rig.tasks.task(next).name
         }
@@ -889,8 +828,8 @@ mod tests {
             rig.spawn("b");
             rig.meter.take();
         }
-        let mut cv = vm.idle;
-        let mut ci = interp.idle;
+        let mut cv = vm.idle(0);
+        let mut ci = interp.idle(0);
         for _ in 0..40 {
             cv = vm.schedule(0, cv);
             ci = interp.schedule(0, ci);
@@ -921,7 +860,7 @@ mod tests {
                     rig.spawn("a");
                     rig.spawn("b");
                     rig.meter.take();
-                    let next = rig.schedule(0, rig.idle);
+                    let next = rig.schedule(0, rig.idle(0));
                     (
                         next.index(),
                         rig.sched.violation.take(),
@@ -954,7 +893,7 @@ mod tests {
         let buf = rig.sched.vm_state.requeue_buffer();
         buf.reserve_exact(1000);
         let buf = (buf.as_ptr(), buf.capacity());
-        let mut current = rig.idle;
+        let mut current = rig.idle(0);
         let mut wakeups = 0;
         for step in 0..10_000u32 {
             match step % 4 {
@@ -991,7 +930,7 @@ mod tests {
         let mk = |sched: PolicyScheduler| {
             let mut rig = Rig::new(SchedConfig::up(), sched.with_budget(64));
             rig.spawn("w");
-            rig.schedule(0, rig.idle);
+            rig.schedule(0, rig.idle(0));
             rig.sched.violation.take()
         };
         let vm = mk(policy(src, 1));
@@ -1014,8 +953,8 @@ mod tests {
         interp.spawn("t");
         native.meter.take();
         interp.meter.take();
-        native.schedule(0, native.idle);
-        interp.schedule(0, interp.idle);
+        native.schedule(0, native.idle(0));
+        interp.schedule(0, interp.idle(0));
         let nc = native.meter.take();
         let ic = interp.meter.take();
         assert!(
@@ -1031,7 +970,7 @@ mod tests {
         let a = rig.spawn("a");
         let b = rig.spawn("b");
         let c = rig.spawn("c");
-        let mut current = rig.idle;
+        let mut current = rig.idle(0);
         let mut seen = [0usize; 3];
         for _ in 0..12 {
             current = rig.schedule(0, current);
@@ -1049,8 +988,8 @@ mod tests {
     fn starve_policy_picks_idle_and_reports_no_violation_per_decision() {
         let mut rig = Rig::new(SchedConfig::up(), policy(STARVE_POL, 1));
         rig.spawn("w");
-        let next = rig.schedule(0, rig.idle);
-        assert_eq!(next, rig.idle, "starve.pol always picks idle");
+        let next = rig.schedule(0, rig.idle(0));
+        assert_eq!(next, rig.idle(0), "starve.pol always picks idle");
         // Per-decision it is legal; only the machine watchdog catches it.
         assert_eq!(rig.sched.violation.take(), None);
     }
@@ -1063,13 +1002,13 @@ mod tests {
     fn verdict_judges_starvation_from_the_list_bank() {
         let mut rig = Rig::new(SchedConfig::up(), policy(STARVE_POL, 1));
         rig.spawn("w");
-        rig.schedule(0, rig.idle);
+        rig.schedule(0, rig.idle(0));
         assert_eq!(rig.sched.take_verdict(), Verdict::Bad("starvation"));
 
         let mut rig = Rig::new(SchedConfig::smp(2), policy(STARVE_POL, 2));
         let w = rig.spawn("w");
         rig.tasks.task_mut(w).has_cpu = true; // running on the other CPU
-        rig.schedule(0, rig.idle);
+        rig.schedule(0, rig.idle(0));
         assert_eq!(rig.sched.take_verdict(), Verdict::Sound);
 
         let src = "policy badprev\nlists 1\nhook pick_next { pick prev }";
@@ -1078,7 +1017,7 @@ mod tests {
         rig.spawn("b");
         rig.tasks.task_mut(a).has_cpu = true;
         rig.tasks.task_mut(a).state = TaskState::Interruptible;
-        assert_eq!(rig.schedule(0, a), rig.idle);
+        assert_eq!(rig.schedule(0, a), rig.idle(0));
         assert_eq!(rig.sched.take_verdict(), Verdict::Broken("bad_pick"));
     }
 
@@ -1091,9 +1030,9 @@ mod tests {
             .with_budget(64);
         let mut rig = Rig::new(SchedConfig::up(), sched);
         let w = rig.spawn("w");
-        let next = rig.schedule(0, rig.idle);
+        let next = rig.schedule(0, rig.idle(0));
         // Fallback: prev (= idle here) not runnable as a worker → idle.
-        assert_eq!(next, rig.idle);
+        assert_eq!(next, rig.idle(0));
         let v = rig.sched.violation.take();
         assert!(
             matches!(v, Some(PolicyViolation::BudgetExhausted { budget: 64, .. })),
@@ -1113,7 +1052,7 @@ mod tests {
         rig.tasks.task_mut(a).has_cpu = true;
         rig.tasks.task_mut(a).state = TaskState::Interruptible;
         let next = rig.schedule(0, a);
-        assert_eq!(next, rig.idle, "fallback for a blocked prev is idle");
+        assert_eq!(next, rig.idle(0), "fallback for a blocked prev is idle");
         assert_eq!(rig.sched.violation.take(), Some(PolicyViolation::BadPick));
         let _ = b;
     }
@@ -1157,7 +1096,7 @@ mod tests {
         assert_eq!(rig.tasks.task(a).counter, 3, "on_fork set the counter");
         // Re-enqueue after a block: on_fork must NOT run again.
         rig.tasks.task_mut(a).counter = 9;
-        rig.with(|s, ctx| s.del_from_runqueue(ctx, a));
+        rig.del(a);
         rig.add(a);
         assert_eq!(rig.tasks.task(a).counter, 9, "on_fork ran only once");
     }
@@ -1181,7 +1120,7 @@ mod tests {
         let mut rig = Rig::new(SchedConfig::up(), policy(src, 1));
         let a = rig.spawn("a");
         let before = rig.tasks.task(a).counter;
-        rig.with(|s, ctx| s.on_tick(ctx, 0, a));
+        rig.call(|s, ctx| s.on_tick(ctx, 0, a));
         assert_eq!(rig.tasks.task(a).counter, before + 2);
         assert!(rig.sched.counters()[0] > 0);
     }
@@ -1195,7 +1134,7 @@ mod tests {
         rig.add(a);
         rig.add(b);
         assert_eq!(rig.sched.nr_running(), 2);
-        let drained = rig.with(|s, ctx| s.drain(ctx));
+        let drained = rig.call(|s, ctx| s.drain(ctx));
         assert_eq!(drained, vec![a, b], "list 0 first, then list 1");
         assert_eq!(rig.sched.nr_running(), 0);
         assert!(!rig.tasks.task(a).on_runqueue());

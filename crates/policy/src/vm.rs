@@ -375,39 +375,28 @@ mod tests {
     use super::*;
     use crate::bytecode::{binop_index, hostfn_index, Insn};
     use crate::sched::PolicyScheduler;
-    use elsc_ktask::{CpuId, MmId, TaskSpec, TaskTable};
-    use elsc_sched_api::SchedConfig;
-    use elsc_simcore::{CostModel, CycleMeter};
-    use elsc_stats::SchedStats;
+    use elsc_ktask::{CpuId, MmId, TaskSpec};
+    use elsc_sched_api::{Rig, SchedConfig};
 
     use crate::ast::{BinOp, HostFn};
 
-    /// A minimal host rig for driving hand-built chunks.
-    struct Rig {
-        tasks: TaskTable,
-        stats: SchedStats,
-        meter: CycleMeter,
-        costs: CostModel,
-        cfg: SchedConfig,
-        rq: RunQueues,
+    /// A minimal host for driving hand-built chunks: the shared rig
+    /// around a bare two-list bank, and the VM state the chunks run on.
+    struct Host {
+        rig: Rig<RunQueues>,
         state: VmState,
     }
 
-    impl Rig {
-        fn new() -> Rig {
-            Rig {
-                tasks: TaskTable::new(),
-                stats: SchedStats::new(1),
-                meter: CycleMeter::new(),
-                costs: CostModel::default(),
-                cfg: SchedConfig::up(),
-                rq: RunQueues::new(2),
+    impl Host {
+        fn new() -> Host {
+            Host {
+                rig: Rig::new(SchedConfig::up(), RunQueues::new(2)),
                 state: VmState::default(),
             }
         }
 
         fn spawn(&mut self, name: &'static str) -> Tid {
-            self.tasks.spawn(&TaskSpec::named(name))
+            self.rig.tasks.spawn(&TaskSpec::named(name))
         }
 
         fn env(&self, cpu: CpuId) -> Env {
@@ -425,29 +414,13 @@ mod tests {
 
         /// Files `tid` at the back of list 0.
         fn queue(&mut self, tid: Tid) {
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            self.rq.insert(&mut ctx, 0, false, tid);
+            self.rig.call(|rq, ctx| rq.insert(ctx, 0, false, tid));
         }
 
         fn run(&mut self, chunk: &Chunk, env: Env, budget: u64) -> HookRun {
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            run_chunk(chunk, &self.rq, &mut ctx, env, budget, &mut self.state)
+            let state = &mut self.state;
+            self.rig
+                .call(|rq, ctx| run_chunk(chunk, rq, ctx, env, budget, state))
         }
     }
 
@@ -488,14 +461,14 @@ mod tests {
             12,
             0,
         );
-        let mut rig = Rig::new();
-        let t = rig.spawn("t");
-        let mut env = rig.env(0);
+        let mut host = Host::new();
+        let t = host.spawn("t");
+        let mut env = host.env(0);
         env.task = Some(t);
-        let run = rig.run(&c, env, 1000);
+        let run = host.run(&c, env, 1000);
         assert_eq!(run.violation, None);
         assert_eq!(run.insns, 5);
-        assert_eq!(rig.tasks.task(t).counter, 22);
+        assert_eq!(host.rig.tasks.task(t).counter, 22);
     }
 
     #[test]
@@ -513,15 +486,15 @@ mod tests {
             10,
             0,
         );
-        let mut rig = Rig::new();
-        let t = rig.spawn("t");
-        let before = rig.tasks.task(t).counter;
-        let mut env = rig.env(0);
+        let mut host = Host::new();
+        let t = host.spawn("t");
+        let before = host.rig.tasks.task(t).counter;
+        let mut env = host.env(0);
         env.task = Some(t);
-        let run = rig.run(&c, env, 1000);
+        let run = host.run(&c, env, 1000);
         assert_eq!(run.violation, None);
         assert_eq!(
-            rig.tasks.task(t).counter,
+            host.rig.tasks.task(t).counter,
             before,
             "branch skipped the write"
         );
@@ -544,13 +517,17 @@ mod tests {
             11,
             0,
         );
-        let mut rig = Rig::new();
-        let t = rig.spawn("t");
-        let mut env = rig.env(0);
+        let mut host = Host::new();
+        let t = host.spawn("t");
+        let mut env = host.env(0);
         env.task = Some(t);
-        let run = rig.run(&c, env, 1000);
+        let run = host.run(&c, env, 1000);
         assert_eq!(run.violation, None);
-        assert_eq!(rig.tasks.task(t).counter, 5, "body ran exactly count times");
+        assert_eq!(
+            host.rig.tasks.task(t).counter,
+            5,
+            "body ran exactly count times"
+        );
     }
 
     /// `foreach t in list(L) { requeue_back(t) }`, then a costed halt
@@ -573,13 +550,13 @@ mod tests {
 
     #[test]
     fn foreach_ops_walk_the_snapshot_in_list_order() {
-        let mut rig = Rig::new();
-        let a = rig.spawn("a");
-        let b = rig.spawn("b");
-        rig.queue(a);
-        rig.queue(b);
-        let env = rig.env(0);
-        let run = rig.run(&requeue_walk(0), env, 1000);
+        let mut host = Host::new();
+        let a = host.spawn("a");
+        let b = host.spawn("b");
+        host.queue(a);
+        host.queue(b);
+        let env = host.env(0);
+        let run = host.run(&requeue_walk(0), env, 1000);
         assert_eq!(run.violation, None);
         assert_eq!(run.requeued, vec![a, b], "front-to-back walk");
         // const + for.begin + a requeue per task + halt.
@@ -590,11 +567,11 @@ mod tests {
     /// the same charge as walking into it (its cost is 0).
     #[test]
     fn for_begin_skips_the_loop_on_an_empty_list() {
-        let mut rig = Rig::new();
-        let a = rig.spawn("a");
-        rig.queue(a);
-        let env = rig.env(0);
-        let run = rig.run(&requeue_walk(1), env, 1000);
+        let mut host = Host::new();
+        let a = host.spawn("a");
+        host.queue(a);
+        let env = host.env(0);
+        let run = host.run(&requeue_walk(1), env, 1000);
         assert_eq!(run.violation, None);
         assert!(run.requeued.is_empty());
         assert_eq!(run.insns, 1 + 1 + 1);
@@ -619,12 +596,12 @@ mod tests {
             13,
             0,
         );
-        let mut rig = Rig::new();
-        let t = rig.spawn("t");
-        let mut env = rig.env(0);
+        let mut host = Host::new();
+        let t = host.spawn("t");
+        let mut env = host.env(0);
         env.task = Some(t);
-        let run = rig.run(&c, env, 1000);
-        assert_eq!(rig.tasks.task(t).counter, 13, "20 / 0 + (20 - 7)");
+        let run = host.run(&c, env, 1000);
+        assert_eq!(host.rig.tasks.task(t).counter, 13, "20 / 0 + (20 - 7)");
         assert_eq!(
             run.violation,
             Some(PolicyViolation::StateCorrupt),
@@ -650,17 +627,17 @@ mod tests {
             9,
             0,
         );
-        let mut rig = Rig::new();
-        let t = rig.spawn("t");
-        let before = rig.tasks.task(t).counter;
-        let mut env = rig.env(0);
+        let mut host = Host::new();
+        let t = host.spawn("t");
+        let before = host.rig.tasks.task(t).counter;
+        let mut env = host.env(0);
         env.task = Some(t);
-        let run = rig.run(&c, env, 1000);
+        let run = host.run(&c, env, 1000);
         assert_eq!(run.violation, None);
         assert_eq!(run.picked, Some(Some(t)));
         assert_eq!(run.placed, Some((1, true)), "last placement wins");
         assert_eq!(run.insns, 5, "nothing after pick executes");
-        assert_eq!(rig.tasks.task(t).counter, before);
+        assert_eq!(host.rig.tasks.task(t).counter, before);
     }
 
     #[test]
@@ -678,14 +655,14 @@ mod tests {
             11,
             0,
         );
-        let mut rig = Rig::new();
-        let t = rig.spawn("t");
-        let before = rig.tasks.task(t).counter;
-        let mut env = rig.env(0);
+        let mut host = Host::new();
+        let t = host.spawn("t");
+        let before = host.rig.tasks.task(t).counter;
+        let mut env = host.env(0);
         env.task = Some(t);
-        let run = rig.run(&c, env, 1000);
+        let run = host.run(&c, env, 1000);
         assert_eq!(run.violation, None);
-        assert_eq!(rig.tasks.task(t).counter, before + 1);
+        assert_eq!(host.rig.tasks.task(t).counter, before + 1);
     }
 
     #[test]
@@ -698,9 +675,9 @@ mod tests {
             9,
             0,
         );
-        let mut rig = Rig::new();
-        let env = rig.env(0);
-        let run = rig.run(&c, env, 10);
+        let mut host = Host::new();
+        let env = host.env(0);
+        let run = host.run(&c, env, 10);
         assert_eq!(
             run.violation,
             Some(PolicyViolation::BudgetExhausted {
@@ -803,34 +780,38 @@ mod tests {
             11,
             0,
         );
-        let mut rig = Rig::new();
-        let a = rig.spawn("a");
-        let b = rig.spawn("b");
-        rig.tasks.task_mut(a).counter = 3;
-        rig.tasks.task_mut(b).counter = 9;
-        rig.queue(a);
-        rig.queue(b);
-        let mut env = rig.env(0);
+        let mut host = Host::new();
+        let a = host.spawn("a");
+        let b = host.spawn("b");
+        host.rig.tasks.task_mut(a).counter = 3;
+        host.rig.tasks.task_mut(b).counter = 9;
+        host.queue(a);
+        host.queue(b);
+        let mut env = host.env(0);
         env.nr_running = 2;
         // Seed best below both counters so each item updates it once.
-        rig.state.regs.resize(11, Val::Int(0));
-        rig.state.regs[9] = Val::Int(-1000);
-        let run = rig.run(&c, env, 1000);
+        host.state.regs.resize(11, Val::Int(0));
+        host.state.regs[9] = Val::Int(-1000);
+        let run = host.run(&c, env, 1000);
         assert_eq!(run.violation, None);
         assert_eq!(run.requeued, vec![b], "highest goodness wins");
-        assert_eq!(rig.stats.cpu(0).tasks_examined, 2, "one goodness per task");
+        assert_eq!(
+            host.rig.stats.cpu(0).tasks_examined,
+            2,
+            "one goodness per task"
+        );
         // 1 (const) + 2 (scan entry) + per item 3+3+4, +4 on each new
         // best (both items beat the seed), + 1 (requeue).
         assert_eq!(run.insns, 1 + 2 + 2 * (3 + 3 + 4 + 4) + 1);
 
         // Budget cutoffs abort mid-walk with insns == budget + 1.
         for budget in 1..(1 + 2 + 2 * 14) {
-            let mut rig2 = Rig::new();
-            let a2 = rig2.spawn("a");
-            rig2.tasks.task_mut(a2).counter = 3;
-            rig2.queue(a2);
-            let env2 = rig2.env(0);
-            let run = rig2.run(&c, env2, budget as u64);
+            let mut host2 = Host::new();
+            let a2 = host2.spawn("a");
+            host2.rig.tasks.task_mut(a2).counter = 3;
+            host2.queue(a2);
+            let env2 = host2.env(0);
+            let run = host2.run(&c, env2, budget as u64);
             if let Some(PolicyViolation::BudgetExhausted { insns, .. }) = run.violation {
                 assert_eq!(insns, budget as u64 + 1);
             }

@@ -17,14 +17,13 @@
 use std::fs;
 use std::path::PathBuf;
 
-use elsc_ktask::{CpuId, MmId, TaskSpec, TaskState, TaskTable, Tid};
+use elsc_ktask::{CpuId, MmId, TaskSpec, TaskState, Tid};
 use elsc_machine::behavior::Script;
 use elsc_machine::{Machine, MachineConfig, Op, RunReport};
 use elsc_netsim::Msg;
 use elsc_policy::{load_str, HookKind, PolicyScheduler, Program, DEFAULT_BUDGET};
-use elsc_sched_api::{SchedConfig, SchedCtx, Scheduler, Supervised, Verdict};
-use elsc_simcore::{CostModel, CycleMeter, SimRng};
-use elsc_stats::SchedStats;
+use elsc_sched_api::{Rig, SchedConfig, Scheduler, Supervised, Verdict};
+use elsc_simcore::SimRng;
 
 fn policies_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../policies")
@@ -78,48 +77,11 @@ fn scheduler(prog: &Program, nr_cpus: usize, reference: bool) -> PolicyScheduler
 /// observe.
 fn drive(prog: &Program, reference: bool, budget: u64, steps: u32) -> Trace {
     let cfg = SchedConfig::up();
-    let mut sched = scheduler(prog, cfg.nr_cpus, reference).with_budget(budget);
-    let mut tasks = TaskTable::new();
-    let mut stats = SchedStats::new(cfg.nr_cpus);
-    let mut meter = CycleMeter::new();
-    let costs = CostModel::default();
-    let idle = tasks.spawn(&TaskSpec::named("idle").priority(1));
-    tasks.task_mut(idle).counter = 0;
-    tasks.task_mut(idle).has_cpu = true;
+    let sched = scheduler(prog, cfg.nr_cpus, reference).with_budget(budget);
+    let mut rig = Rig::new(cfg, sched);
+    let idle = rig.idle(0);
 
-    let with = |sched: &mut PolicyScheduler,
-                tasks: &mut TaskTable,
-                stats: &mut SchedStats,
-                meter: &mut CycleMeter,
-                f: &mut dyn FnMut(&mut PolicyScheduler, &mut SchedCtx<'_>) -> Tid|
-     -> Tid {
-        let mut ctx = SchedCtx {
-            tasks,
-            stats,
-            meter,
-            costs: &costs,
-            cfg: &cfg,
-            probe: None,
-            locks: None,
-        };
-        f(sched, &mut ctx)
-    };
-
-    let mut workers = Vec::new();
-    for name in ["a", "b", "c"] {
-        let tid = tasks.spawn(&TaskSpec::named(name));
-        with(
-            &mut sched,
-            &mut tasks,
-            &mut stats,
-            &mut meter,
-            &mut |s, ctx| {
-                s.add_to_runqueue(ctx, tid);
-                tid
-            },
-        );
-        workers.push(tid);
-    }
+    let workers: Vec<Tid> = ["a", "b", "c"].map(|name| rig.spawn(name)).to_vec();
 
     let mut picks = Vec::new();
     let mut violations = Vec::new();
@@ -132,74 +94,50 @@ fn drive(prog: &Program, reference: bool, budget: u64, steps: u32) -> Trace {
         match r % 13 {
             0 => {
                 if workers.contains(&current) {
-                    tasks.task_mut(current).state = TaskState::Interruptible;
+                    rig.tasks.task_mut(current).state = TaskState::Interruptible;
                 }
             }
             1 => {
                 for &t in &workers {
-                    if tasks.task(t).state == TaskState::Interruptible {
-                        tasks.task_mut(t).state = TaskState::Running;
-                        with(
-                            &mut sched,
-                            &mut tasks,
-                            &mut stats,
-                            &mut meter,
-                            &mut |s, ctx| {
-                                s.add_to_runqueue(ctx, t);
-                                t
-                            },
-                        );
+                    if rig.tasks.task(t).state == TaskState::Interruptible {
+                        rig.tasks.task_mut(t).state = TaskState::Running;
+                        rig.add(t);
                         break;
                     }
                 }
             }
             2 => {
                 if workers.contains(&current) {
-                    tasks.task_mut(current).policy.yielded = true;
+                    rig.tasks.task_mut(current).policy.yielded = true;
                 }
             }
             3 => {
                 let cur = current;
-                with(
-                    &mut sched,
-                    &mut tasks,
-                    &mut stats,
-                    &mut meter,
-                    &mut |s, ctx| {
-                        s.on_tick(ctx, 0 as CpuId, cur);
-                        cur
-                    },
-                );
+                rig.call(|s, ctx| s.on_tick(ctx, 0 as CpuId, cur));
             }
             _ => {
-                if workers.contains(&current) && tasks.task(current).counter > 0 {
-                    tasks.task_mut(current).counter -= 1;
+                if workers.contains(&current) && rig.tasks.task(current).counter > 0 {
+                    rig.tasks.task_mut(current).counter -= 1;
                 }
             }
         }
         let prev = current;
-        current = with(
-            &mut sched,
-            &mut tasks,
-            &mut stats,
-            &mut meter,
-            &mut |s, ctx| s.schedule(ctx, 0, prev, idle),
-        );
+        current = rig.call(|s, ctx| s.schedule(ctx, 0, prev, idle));
         picks.push(current.index());
-        violations.push(match sched.take_verdict() {
+        violations.push(match rig.sched.take_verdict() {
             Verdict::Broken(label) => Some(label),
             _ => None,
         });
     }
-    let s = stats.cpu(0);
+    let s = rig.stats.cpu(0);
     Trace {
         picks,
         violations,
-        insns: sched.counters()[0],
+        insns: rig.sched.counters()[0],
         tasks_examined: s.tasks_examined,
         recalc_entries: s.recalc_entries,
         idle_scheduled: s.idle_scheduled,
-        cycles: meter.take(),
+        cycles: rig.meter.take(),
     }
 }
 

@@ -39,13 +39,13 @@
 //!
 //! A complete round-robin FIFO design: the four queue manipulators on a
 //! one-list [`RunQueues`](crate::RunQueues) bank, and a `schedule()`
-//! that is [`enter`] → [`select`] around a one-line scan → [`commit`].
+//! that is [`enter`] → [`select`] around a one-line scan → [`commit`];
+//! then driven through a [`Rig`](crate::Rig).
 //!
 //! ```
-//! use elsc_ktask::{CpuId, TaskSpec, TaskTable, Tid};
-//! use elsc_sched_api::{frame, RunQueues, SchedConfig, SchedCtx, Scheduler, IDLE_GOODNESS};
-//! use elsc_simcore::{CostKind, CostModel, CycleMeter};
-//! use elsc_stats::SchedStats;
+//! use elsc_ktask::{CpuId, Tid};
+//! use elsc_sched_api::{frame, Rig, RunQueues, SchedConfig, SchedCtx, Scheduler, IDLE_GOODNESS};
+//! use elsc_simcore::CostKind;
 //!
 //! /// The longest-waiting task always beats `prev`.
 //! struct Fifo(RunQueues);
@@ -89,27 +89,13 @@
 //!     }
 //! }
 //!
-//! let mut tasks = TaskTable::new();
-//! let idle = tasks.spawn(&TaskSpec::named("idle"));
-//! let (a, b) = (tasks.spawn(&TaskSpec::named("a")), tasks.spawn(&TaskSpec::named("b")));
-//! let (mut stats, mut meter) = (SchedStats::new(1), CycleMeter::new());
-//! let (costs, cfg) = (CostModel::default(), SchedConfig::up());
-//! let mut ctx = SchedCtx {
-//!     tasks: &mut tasks,
-//!     stats: &mut stats,
-//!     meter: &mut meter,
-//!     costs: &costs,
-//!     cfg: &cfg,
-//!     probe: None,
-//!     locks: None,
-//! };
-//! let mut fifo = Fifo(RunQueues::new(1));
-//! fifo.add_to_runqueue(&mut ctx, a);
-//! fifo.add_to_runqueue(&mut ctx, b);
-//! assert_eq!(fifo.schedule(&mut ctx, 0, idle, idle), a);
-//! assert_eq!(fifo.schedule(&mut ctx, 0, a, idle), b, "a went to the back");
-//! assert_eq!(fifo.schedule(&mut ctx, 0, b, idle), a);
-//! assert_eq!(ctx.stats.cpu(0).sched_calls, 3, "charged by the frame");
+//! let mut rig = Rig::new(SchedConfig::up(), Fifo(RunQueues::new(1)));
+//! let (a, b) = (rig.spawn("a"), rig.spawn("b"));
+//! let idle = rig.idle(0);
+//! assert_eq!(rig.schedule(0, idle), a);
+//! assert_eq!(rig.schedule(0, a), b, "a went to the back");
+//! assert_eq!(rig.schedule(0, b), a);
+//! assert_eq!(rig.stats.cpu(0).sched_calls, 3, "charged by the frame");
 //! ```
 
 use elsc_ktask::{CpuId, Link, Lists, MmId, SchedClass, Task, TaskTable, Tid};

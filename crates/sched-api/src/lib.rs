@@ -34,7 +34,10 @@
 //!   run-queue state (global, per-CPU, sharded, or per-NUMA-node), and
 //!   [`LockModel`], the one model of those locks: a busy interval per
 //!   domain plus the current call's held set, taken in `double_rq_lock`
-//!   order. The machine lends it to schedulers as their [`DomainLocker`].
+//!   order. The machine lends it to schedulers as [`SchedCtx::locks`].
+//! * [`Rig`] — a design and everything a call into it borrows, driven
+//!   without a machine: the harness of every bare-scheduler test, doc
+//!   example and host-time probe.
 //!
 //! The baseline lives in `elsc-sched-linux`, the paper's contribution in
 //! the `elsc` crate, and the §8 future-work designs in `elsc-sched-ext`;
@@ -48,6 +51,7 @@ pub mod lockplan;
 pub mod order;
 pub mod queues;
 pub mod resched;
+pub mod rig;
 pub mod scheduler;
 
 pub use config::SchedConfig;
@@ -56,9 +60,10 @@ pub use goodness::{
     LLC_AFFINITY_BONUS, MM_BONUS, PACKAGE_AFFINITY_BONUS, PROC_CHANGE_PENALTY, RT_GOODNESS_BASE,
     SMT_AFFINITY_BONUS,
 };
-pub use lockplan::{DomainAcquire, DomainLocker, DomainStats, LockModel, LockPlan};
+pub use lockplan::{DomainAcquire, DomainStats, LockModel, LockPlan};
 pub use queues::RunQueues;
 pub use resched::{reschedule_idle, CpuView, WakeTarget};
+pub use rig::Rig;
 pub use scheduler::{Load, SchedCtx, Scheduler, Supervised, Verdict};
 
 // The single-lock and per-domain rules of `LockModel`, each checked on a

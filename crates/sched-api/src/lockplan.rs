@@ -12,9 +12,8 @@
 //! record per domain, and the bookkeeping of the scheduler call in
 //! progress — which domains it holds, how much extra spin its mid-call
 //! acquisitions cost, and the `double_rq_lock` ordering discipline that
-//! keeps multi-domain acquisition deadlock-free. Schedulers see it only
-//! through the narrow [`DomainLocker`] trait, via
-//! [`SchedCtx::lock_queue_domain`](crate::SchedCtx::lock_queue_domain),
+//! keeps multi-domain acquisition deadlock-free. Schedulers reach it only
+//! through [`SchedCtx::lock_queue_domain`](crate::SchedCtx::lock_queue_domain),
 //! so they can demand "I am about to touch CPU 3's queue" without knowing
 //! how queues map onto lock domains.
 
@@ -156,18 +155,6 @@ pub struct DomainAcquire {
     pub at: Cycles,
 }
 
-/// What a scheduler may ask of the locking layer mid-call.
-///
-/// Dyn-safe on purpose: [`SchedCtx`](crate::SchedCtx) carries a
-/// `&mut dyn DomainLocker`, so schedulers and their tests never name the
-/// machine's [`LockModel`].
-pub trait DomainLocker {
-    /// Ensures the domain guarding `queue_cpu`'s run queue is held,
-    /// given that `elapsed` meter cycles have passed inside the current
-    /// scheduler call. No-op if the domain is already held.
-    fn acquire_for_cpu(&mut self, queue_cpu: usize, elapsed: u64);
-}
-
 /// Statistics snapshot of one lock domain.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DomainStats {
@@ -241,8 +228,8 @@ impl Domain {
 ///
 /// A call starts with [`lock_home`](LockModel::lock_home), which takes the
 /// domain guarding the caller's run queue (its spin is the caller's to
-/// charge). The machine then lends the model to the scheduler as its
-/// [`DomainLocker`]: mid-call acquisitions — a multi-queue steal taking a
+/// charge). The machine then lends the model to the scheduler as
+/// [`SchedCtx::locks`](crate::SchedCtx::locks): mid-call acquisitions — a multi-queue steal taking a
 /// victim CPU's lock — accumulate their spin in
 /// [`extra_spin`](LockModel::extra_spin) and are logged in
 /// [`taken`](LockModel::taken), which stays readable after
@@ -260,7 +247,7 @@ impl Domain {
 /// # Examples
 ///
 /// ```
-/// use elsc_sched_api::{DomainLocker, LockModel, LockPlan};
+/// use elsc_sched_api::{LockModel, LockPlan};
 /// use elsc_simcore::Cycles;
 ///
 /// let mut m = LockModel::new(LockPlan::PerCpu, 2, 100); // 100-cycle transfer
@@ -391,10 +378,13 @@ impl LockModel {
         });
         owned
     }
-}
 
-impl DomainLocker for LockModel {
-    fn acquire_for_cpu(&mut self, queue_cpu: usize, elapsed: u64) {
+    /// Ensures the domain guarding `queue_cpu`'s run queue is held, given
+    /// that `elapsed` meter cycles have passed inside the current call
+    /// (what a scheduler asks mid-call, through
+    /// [`SchedCtx::lock_queue_domain`](crate::SchedCtx::lock_queue_domain)).
+    /// No-op if the domain is already held.
+    pub fn acquire_for_cpu(&mut self, queue_cpu: usize, elapsed: u64) {
         debug_assert!(
             !self.held.is_empty(),
             "a mid-call acquisition outside a call"

@@ -151,38 +151,35 @@ impl RunQueues {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SchedConfig;
+    use crate::{Rig, SchedConfig};
     use elsc_ktask::TaskSpec;
-    use elsc_simcore::{CostModel, CycleMeter};
-    use elsc_stats::SchedStats;
+    use elsc_simcore::CostModel;
 
     /// Runs `f` on a fresh three-list bank over four tasks; returns the
-    /// bank, the tasks and the meter.
+    /// rig (its bank, tasks and meter) and the tasks.
     fn with_bank(
         f: impl FnOnce(&mut RunQueues, &mut SchedCtx<'_>, &[Tid]),
-    ) -> (RunQueues, TaskTable, CycleMeter) {
-        let mut tasks = TaskTable::new();
-        let tids: Vec<Tid> = (0..4).map(|_| tasks.spawn(&TaskSpec::default())).collect();
-        let (mut stats, mut meter) = (SchedStats::new(1), CycleMeter::new());
-        let (costs, cfg) = (CostModel::default(), SchedConfig::up());
-        let mut rq = RunQueues::new(3);
-        let mut ctx = SchedCtx {
-            tasks: &mut tasks,
-            stats: &mut stats,
-            meter: &mut meter,
-            costs: &costs,
-            cfg: &cfg,
-            probe: None,
-            locks: None,
-        };
-        f(&mut rq, &mut ctx, &tids);
-        rq.debug_check(&tasks);
-        (rq, tasks, meter)
+    ) -> (Rig<RunQueues>, Vec<Tid>) {
+        let mut rig = Rig::new(SchedConfig::up(), RunQueues::new(3));
+        let tids: Vec<Tid> = (0..4)
+            .map(|_| rig.tasks.spawn(&TaskSpec::default()))
+            .collect();
+        rig.call(|rq, ctx| f(rq, ctx, &tids));
+        rig.sched.debug_check(&rig.tasks);
+        (rig, tids)
     }
 
     #[test]
     fn manipulators_keep_counts_lists_and_charges() {
-        let (rq, tasks, meter) = with_bank(|rq, ctx, t| {
+        let (
+            Rig {
+                sched: rq,
+                tasks,
+                meter,
+                ..
+            },
+            t,
+        ) = with_bank(|rq, ctx, t| {
             rq.insert(ctx, 0, true, t[0]);
             rq.insert(ctx, 0, false, t[1]);
             rq.insert(ctx, 2, true, t[2]);
@@ -194,7 +191,7 @@ mod tests {
         });
         assert_eq!((rq.count(0), rq.count(1), rq.count(2)), (1, 1, 1));
         assert_eq!(rq.nr_running(), 3);
-        assert_eq!(RunQueues::queue_of(&tasks, tasks.tids()[3]), 1);
+        assert_eq!(RunQueues::queue_of(&tasks, t[3]), 1);
         // Inserts charge nothing; requeue 2 + 2, move 2, remove 1.
         let op = CostModel::default().get(CostKind::ListOp);
         assert_eq!(meter.cycles(), 7 * op);
@@ -203,7 +200,15 @@ mod tests {
 
     #[test]
     fn drain_goes_list_by_list_front_to_back() {
-        let (rq, tasks, meter) = with_bank(|rq, ctx, t| {
+        let (
+            Rig {
+                sched: rq,
+                tasks,
+                meter,
+                ..
+            },
+            _,
+        ) = with_bank(|rq, ctx, t| {
             rq.insert(ctx, 2, true, t[0]);
             rq.insert(ctx, 0, true, t[1]);
             rq.insert(ctx, 0, true, t[2]);
@@ -218,7 +223,7 @@ mod tests {
 
     #[test]
     fn the_fullest_other_list_takes_the_last_of_equals() {
-        let (rq, _, _) = with_bank(|rq, ctx, t| {
+        let (Rig { sched: rq, .. }, _) = with_bank(|rq, ctx, t| {
             rq.insert(ctx, 0, true, t[0]);
             rq.insert(ctx, 1, true, t[1]);
             rq.insert(ctx, 2, true, t[2]);

@@ -11,7 +11,7 @@ use elsc_simcore::{CostModel, CycleMeter};
 use elsc_stats::SchedStats;
 
 use crate::config::SchedConfig;
-use crate::lockplan::{DomainLocker, LockPlan};
+use crate::lockplan::{LockModel, LockPlan};
 
 /// Everything a scheduler may touch during one call.
 ///
@@ -34,11 +34,11 @@ pub struct SchedCtx<'a> {
     /// events (recalc entry/exit, ...) into it. `None` in unit tests and
     /// microbenches, where emission would be noise.
     pub probe: Option<&'a mut EventBus>,
-    /// Lock-domain surface: when attached (SMP machine runs), a scheduler
+    /// The run-queue lock model: when attached (SMP machine runs), a scheduler
     /// that is about to touch *another* CPU's run-queue state must first
     /// call [`SchedCtx::lock_queue_domain`] for that CPU. `None` in unit
     /// tests, microbenches, and UP builds, where locking is free anyway.
-    pub locks: Option<&'a mut dyn DomainLocker>,
+    pub locks: Option<&'a mut LockModel>,
 }
 
 impl SchedCtx<'_> {
@@ -227,6 +227,7 @@ pub trait Supervised {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rig;
     use elsc_ktask::TaskSpec;
 
     /// A trivial scheduler used to exercise the trait object surface.
@@ -267,31 +268,19 @@ mod tests {
 
     #[test]
     fn trait_is_object_safe_and_usable() {
-        let mut tasks = TaskTable::new();
-        let tid = tasks.spawn(&TaskSpec::default());
-        let mut stats = SchedStats::new(1);
-        let mut meter = CycleMeter::new();
-        let costs = CostModel::free();
-        let cfg = SchedConfig::up();
-        let mut ctx = SchedCtx {
-            tasks: &mut tasks,
-            stats: &mut stats,
-            meter: &mut meter,
-            costs: &costs,
-            cfg: &cfg,
-            probe: None,
-            locks: None,
-        };
-        let mut sched: Box<dyn Scheduler> = Box::new(NullSched { n: 0 });
-        assert_eq!(sched.name(), "null");
-        assert_eq!(sched.lock_plan(4), LockPlan::Global);
-        sched.add_to_runqueue(&mut ctx, tid);
-        assert_eq!(sched.nr_running(), 1);
-        assert!(ctx.tasks.task(tid).on_runqueue());
-        let next = sched.schedule(&mut ctx, 0, tid, tid);
+        let sched: Box<dyn Scheduler> = Box::new(NullSched { n: 0 });
+        let mut rig = Rig::boxed(SchedConfig::up(), sched);
+        rig.costs = CostModel::free();
+        let tid = rig.tasks.spawn(&TaskSpec::default());
+        assert_eq!(rig.sched.name(), "null");
+        assert_eq!(rig.sched.lock_plan(4), LockPlan::Global);
+        rig.add(tid);
+        assert_eq!(rig.sched.nr_running(), 1);
+        assert!(rig.tasks.task(tid).on_runqueue());
+        let next = rig.call(|s, ctx| s.schedule(ctx, 0, tid, tid));
         assert_eq!(next, tid);
-        sched.del_from_runqueue(&mut ctx, tid);
-        assert_eq!(sched.nr_running(), 0);
-        sched.debug_check(ctx.tasks);
+        rig.del(tid);
+        assert_eq!(rig.sched.nr_running(), 0);
+        rig.sched.debug_check(&rig.tasks);
     }
 }

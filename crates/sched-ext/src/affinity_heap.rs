@@ -65,29 +65,26 @@ impl Design for AffinityHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rig::Rig;
     use elsc_ktask::{CpuId, MmId, SchedClass, TaskSpec, Tid};
-    use elsc_sched_api::{SchedConfig, Scheduler};
+    use elsc_sched_api::{Rig, SchedConfig, Scheduler};
 
     fn rig(cfg: SchedConfig) -> Rig<AffinityHeapScheduler> {
         Rig::new(cfg, AffinityHeapScheduler::new())
     }
 
-    impl Rig<AffinityHeapScheduler> {
-        fn spawn_with(&mut self, counter: i32, cpu: CpuId, mm: MmId) -> Tid {
-            let tid = self.tasks.spawn(&TaskSpec::named("t").mm(mm));
-            let t = self.tasks.task_mut(tid);
-            t.counter = counter;
-            t.processor = cpu;
-            self.add(tid);
-            tid
-        }
+    fn spawn_with(rig: &mut Rig<AffinityHeapScheduler>, counter: i32, cpu: CpuId, mm: MmId) -> Tid {
+        let tid = rig.tasks.spawn(&TaskSpec::named("t").mm(mm));
+        let t = rig.tasks.task_mut(tid);
+        t.counter = counter;
+        t.processor = cpu;
+        rig.add(tid);
+        tid
     }
 
     #[test]
     fn empty_schedules_idle() {
         let mut rig = rig(SchedConfig::smp(2));
-        assert_eq!(rig.schedule(0, rig.idle), rig.idle);
+        assert_eq!(rig.schedule(0, rig.idle(0)), rig.idle(0));
     }
 
     #[test]
@@ -96,10 +93,10 @@ mod tests {
         // must not. Task a: static 39, wrong CPU, wrong mm -> 39.
         // Task b: static 30, this CPU, matching mm -> 46. Exact pick: b.
         let mut rig = rig(SchedConfig::smp(2));
-        rig.tasks.task_mut(rig.idle).mm = MmId(7);
-        let _a = rig.spawn_with(19, 1, MmId(3)); // 39
-        let b = rig.spawn_with(10, 0, MmId(7)); // 30 + 15 + 1
-        let next = rig.schedule(0, rig.idle);
+        rig.tasks.task_mut(rig.idle(0)).mm = MmId(7);
+        let _a = spawn_with(&mut rig, 19, 1, MmId(3)); // 39
+        let b = spawn_with(&mut rig, 10, 0, MmId(7)); // 30 + 15 + 1
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, b, "bonuses must be weighed exactly");
     }
 
@@ -108,17 +105,17 @@ mod tests {
         let mut rig = rig(SchedConfig::up());
         // 12 tasks, but only 2 distinct (cpu, mm) heaps.
         for i in 0..12 {
-            rig.spawn_with(20, 0, MmId(1 + (i % 2) as u32));
+            spawn_with(&mut rig, 20, 0, MmId(1 + (i % 2) as u32));
         }
-        rig.schedule(0, rig.idle);
+        rig.schedule(0, rig.idle(0));
         assert_eq!(rig.stats.cpu(0).tasks_examined, 2);
     }
 
     #[test]
     fn exhausted_tops_trigger_recalc() {
         let mut rig = rig(SchedConfig::up());
-        let a = rig.spawn_with(0, 0, MmId(1));
-        let next = rig.schedule(0, rig.idle);
+        let a = spawn_with(&mut rig, 0, 0, MmId(1));
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, a);
         assert_eq!(rig.stats.cpu(0).recalc_entries, 1);
     }
@@ -126,8 +123,8 @@ mod tests {
     #[test]
     fn lone_yielder_reruns_without_recalc() {
         let mut rig = rig(SchedConfig::up());
-        let y = rig.spawn_with(20, 0, MmId(1));
-        assert_eq!(rig.schedule(0, rig.idle), y);
+        let y = spawn_with(&mut rig, 20, 0, MmId(1));
+        assert_eq!(rig.schedule(0, rig.idle(0)), y);
         rig.tasks.task_mut(y).policy.yielded = true;
         assert_eq!(rig.schedule(0, y), y);
         assert_eq!(rig.stats.cpu(0).recalc_entries, 0);
@@ -137,7 +134,7 @@ mod tests {
     #[test]
     fn empty_heaps_are_garbage_collected() {
         let mut rig = rig(SchedConfig::up());
-        let a = rig.spawn_with(20, 0, MmId(1));
+        let a = spawn_with(&mut rig, 20, 0, MmId(1));
         assert_eq!(rig.sched.design.0.len(), 1);
         rig.del(a);
         assert!(rig.sched.design.0.is_empty());
@@ -147,7 +144,7 @@ mod tests {
     #[test]
     fn realtime_tops_every_heap() {
         let mut rig = rig(SchedConfig::up());
-        let _other = rig.spawn_with(40, 0, MmId(1));
+        let _other = spawn_with(&mut rig, 40, 0, MmId(1));
         let rt = {
             let tid = rig
                 .tasks
@@ -155,6 +152,6 @@ mod tests {
             rig.add(tid);
             tid
         };
-        assert_eq!(rig.schedule(0, rig.idle), rt);
+        assert_eq!(rig.schedule(0, rig.idle(0)), rt);
     }
 }

@@ -158,22 +158,19 @@ impl Scheduler for BubbleScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rig::Rig;
     use elsc_ktask::TaskSpec;
-    use elsc_sched_api::SchedConfig;
+    use elsc_sched_api::{Rig, SchedConfig};
 
     fn rig(topo: &str) -> Rig<BubbleScheduler> {
         let topo: Topology = topo.parse().unwrap();
-        Rig::per_cpu(SchedConfig::topo(topo), BubbleScheduler::new(topo))
+        Rig::new(SchedConfig::topo(topo), BubbleScheduler::new(topo)).idle_per_cpu()
     }
 
-    impl Rig<BubbleScheduler> {
-        fn spawn_mm(&mut self, name: &'static str, mm: MmId, cpu: CpuId) -> Tid {
-            let tid = self.tasks.spawn(&TaskSpec::named(name).mm(mm));
-            self.tasks.task_mut(tid).processor = cpu;
-            self.add(tid);
-            tid
-        }
+    fn spawn_mm(rig: &mut Rig<BubbleScheduler>, name: &'static str, mm: MmId, cpu: CpuId) -> Tid {
+        let tid = rig.tasks.spawn(&TaskSpec::named(name).mm(mm));
+        rig.tasks.task_mut(tid).processor = cpu;
+        rig.add(tid);
+        tid
     }
 
     #[test]
@@ -181,8 +178,8 @@ mod tests {
         let mut rig = rig("2N2C1T");
         // Two tasks of mm 7, last run on CPUs in *different* nodes: both
         // must enqueue on the bubble's home, not their last processor.
-        let a = rig.spawn_mm("a", MmId(7), 0);
-        let b = rig.spawn_mm("b", MmId(7), 3);
+        let a = spawn_mm(&mut rig, "a", MmId(7), 0);
+        let b = spawn_mm(&mut rig, "b", MmId(7), 3);
         assert_eq!(
             rig.tasks.task(a).rq_hint,
             rig.tasks.task(b).rq_hint,
@@ -193,8 +190,8 @@ mod tests {
     #[test]
     fn groups_spread_across_nodes() {
         let mut rig = rig("2N2C1T");
-        let a = rig.spawn_mm("a", MmId(1), 0);
-        let b = rig.spawn_mm("b", MmId(2), 0);
+        let a = spawn_mm(&mut rig, "a", MmId(1), 0);
+        let b = spawn_mm(&mut rig, "b", MmId(2), 0);
         assert_ne!(
             rig.tasks.task(a).rq_hint,
             rig.tasks.task(b).rq_hint,
@@ -205,11 +202,11 @@ mod tests {
     #[test]
     fn node_mates_scan_the_shared_queue() {
         let mut rig = rig("2N2C1T");
-        let a = rig.spawn_mm("a", MmId(1), 0);
-        let b = rig.spawn_mm("b", MmId(1), 0);
+        let a = spawn_mm(&mut rig, "a", MmId(1), 0);
+        let b = spawn_mm(&mut rig, "b", MmId(1), 0);
         // Both CPUs of node 0 drain the one node queue.
-        let first = rig.schedule_idle(0);
-        let second = rig.schedule_idle(1);
+        let first = rig.schedule(0, rig.idle(0));
+        let second = rig.schedule(1, rig.idle(1));
         assert!(first == a || first == b);
         assert!(second == a || second == b);
         assert_ne!(first, second);
@@ -219,14 +216,14 @@ mod tests {
     fn stealing_rehomes_the_whole_bubble() {
         let mut rig = rig("2N2C1T");
         // Bubble of three on node 0 (first group placed → node 0).
-        let a = rig.spawn_mm("a", MmId(5), 0);
-        let _b = rig.spawn_mm("b", MmId(5), 0);
-        let _c = rig.spawn_mm("c", MmId(5), 0);
+        let a = spawn_mm(&mut rig, "a", MmId(5), 0);
+        let _b = spawn_mm(&mut rig, "b", MmId(5), 0);
+        let _c = spawn_mm(&mut rig, "c", MmId(5), 0);
         let home = rig.tasks.task(a).rq_hint;
         // A CPU on the other node runs dry and steals.
         let thief_cpu = if home == 0 { 2 } else { 0 };
-        let stolen = rig.schedule_idle(thief_cpu);
-        assert_ne!(stolen, rig.idles[thief_cpu]);
+        let stolen = rig.schedule(thief_cpu, rig.idle(thief_cpu));
+        assert_ne!(stolen, rig.idle(thief_cpu));
         // The *entire* group moved with it, and the home followed.
         let new_home = rig.tasks.task(stolen).rq_hint;
         assert_ne!(new_home, home);
@@ -234,18 +231,18 @@ mod tests {
             assert_eq!(rig.tasks.task(t).rq_hint, new_home, "sibling followed");
         }
         // A later wakeup of the group lands on the new home too.
-        let d = rig.spawn_mm("d", MmId(5), 0);
+        let d = spawn_mm(&mut rig, "d", MmId(5), 0);
         assert_eq!(rig.tasks.task(d).rq_hint, new_home);
     }
 
     #[test]
     fn flat_trees_degenerate_to_one_global_queue() {
         let mut rig = rig("1N4C1T");
-        let a = rig.spawn_mm("a", MmId(1), 0);
-        let b = rig.spawn_mm("b", MmId(2), 3);
+        let a = spawn_mm(&mut rig, "a", MmId(1), 0);
+        let b = spawn_mm(&mut rig, "b", MmId(2), 3);
         assert_eq!(rig.tasks.task(a).rq_hint, 0);
         assert_eq!(rig.tasks.task(b).rq_hint, 0);
-        assert_ne!(rig.schedule_idle(2), rig.idles[2]);
+        assert_ne!(rig.schedule(2, rig.idle(2)), rig.idle(2));
     }
 
     #[test]
@@ -258,7 +255,7 @@ mod tests {
     #[test]
     fn idle_when_everything_empty() {
         let mut rig = rig("2N2C1T");
-        assert_eq!(rig.schedule_idle(0), rig.idles[0]);
+        assert_eq!(rig.schedule(0, rig.idle(0)), rig.idle(0));
         assert_eq!(rig.stats.cpu(0).idle_scheduled, 1);
     }
 }

@@ -51,26 +51,17 @@ impl Design for Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rig::Rig;
-    use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState, Tid};
-    use elsc_sched_api::{SchedConfig, Scheduler};
+    use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState};
+    use elsc_sched_api::{Rig, SchedConfig, Scheduler};
 
     fn rig(cfg: SchedConfig) -> Rig<HeapScheduler> {
         Rig::new(cfg, HeapScheduler::new())
     }
 
-    impl Rig<HeapScheduler> {
-        fn spawn(&mut self, name: &'static str) -> Tid {
-            let tid = self.tasks.spawn(&TaskSpec::named(name));
-            self.add(tid);
-            tid
-        }
-    }
-
     #[test]
     fn empty_schedules_idle() {
         let mut rig = rig(SchedConfig::up());
-        assert_eq!(rig.schedule(0, rig.idle), rig.idle);
+        assert_eq!(rig.schedule(0, rig.idle(0)), rig.idle(0));
         assert_eq!(rig.stats.cpu(0).idle_scheduled, 1);
     }
 
@@ -84,7 +75,7 @@ mod tests {
         // Keys were computed at insert; re-add with fresh counters.
         rig.del(weak);
         rig.add(weak);
-        assert_eq!(rig.schedule(0, rig.idle), strong);
+        assert_eq!(rig.schedule(0, rig.idle(0)), strong);
     }
 
     #[test]
@@ -100,14 +91,14 @@ mod tests {
             rig.del(t);
             rig.add(t);
         }
-        assert_eq!(rig.schedule(0, rig.idle), b);
+        assert_eq!(rig.schedule(0, rig.idle(0)), b);
     }
 
     #[test]
     fn running_task_is_out_of_structure() {
         let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
-        assert_eq!(rig.schedule(0, rig.idle), a);
+        assert_eq!(rig.schedule(0, rig.idle(0)), a);
         assert_eq!(rig.sched.nr_running(), 1);
         assert!(rig.sched.design.0 .0.is_empty());
         // Re-enters on the next schedule.
@@ -123,7 +114,7 @@ mod tests {
     fn exhausted_tasks_trigger_recalc() {
         let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
-        assert_eq!(rig.schedule(0, rig.idle), a);
+        assert_eq!(rig.schedule(0, rig.idle(0)), a);
         rig.tasks.task_mut(a).counter = 0;
         let next = rig.schedule(0, a);
         assert_eq!(next, a);
@@ -135,7 +126,7 @@ mod tests {
     fn lone_yielder_reruns_without_recalc() {
         let mut rig = rig(SchedConfig::up());
         let y = rig.spawn("y");
-        assert_eq!(rig.schedule(0, rig.idle), y);
+        assert_eq!(rig.schedule(0, rig.idle(0)), y);
         rig.tasks.task_mut(y).policy.yielded = true;
         assert_eq!(rig.schedule(0, y), y);
         assert_eq!(rig.stats.cpu(0).recalc_entries, 0);
@@ -147,7 +138,7 @@ mod tests {
         let mut rig = rig(SchedConfig::up());
         let prev = rig.spawn("prev");
         rig.tasks.task_mut(prev).mm = MmId(5);
-        assert_eq!(rig.schedule(0, rig.idle), prev);
+        assert_eq!(rig.schedule(0, rig.idle(0)), prev);
         let kin = rig.tasks.spawn(&TaskSpec::named("kin").mm(MmId(5)));
         let stranger = rig.tasks.spawn(&TaskSpec::named("stranger").mm(MmId(6)));
         rig.add(kin);
@@ -160,9 +151,9 @@ mod tests {
     fn blocked_prev_leaves_structure() {
         let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
-        assert_eq!(rig.schedule(0, rig.idle), a);
+        assert_eq!(rig.schedule(0, rig.idle(0)), a);
         rig.tasks.task_mut(a).state = TaskState::Interruptible;
-        assert_eq!(rig.schedule(0, a), rig.idle);
+        assert_eq!(rig.schedule(0, a), rig.idle(0));
         assert_eq!(rig.sched.nr_running(), 0);
     }
 
@@ -176,6 +167,6 @@ mod tests {
             .tasks
             .spawn(&TaskSpec::named("rt").realtime(SchedClass::Fifo, 0));
         rig.add(rt);
-        assert_eq!(rig.schedule(0, rig.idle), rt);
+        assert_eq!(rig.schedule(0, rig.idle(0)), rt);
     }
 }

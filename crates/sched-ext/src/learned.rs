@@ -252,11 +252,10 @@ impl Supervised for LearnedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rig::Rig;
     use elsc_ktask::{TaskSpec, TaskState};
     use elsc_learn::model::Arch;
     use elsc_learn::Q_ONE;
-    use elsc_sched_api::SchedConfig;
+    use elsc_sched_api::{Rig, SchedConfig};
     use elsc_simcore::CostModel;
 
     /// Model scoring `+counter`: agrees with goodness on equal-priority
@@ -279,21 +278,19 @@ mod tests {
         Rig::new(cfg, LearnedScheduler::new("learned:test", model))
     }
 
-    impl Rig<LearnedScheduler> {
-        fn spawn(&mut self, name: &'static str, counter: i32) -> Tid {
-            let tid = self.tasks.spawn(&TaskSpec::named(name));
-            self.tasks.task_mut(tid).counter = counter;
-            self.add(tid);
-            tid
-        }
+    fn spawn(rig: &mut Rig<LearnedScheduler>, name: &'static str, counter: i32) -> Tid {
+        let tid = rig.tasks.spawn(&TaskSpec::named(name));
+        rig.tasks.task_mut(tid).counter = counter;
+        rig.add(tid);
+        tid
     }
 
     #[test]
     fn verified_hit_dispatches_the_prediction() {
         let mut rig = rig(SchedConfig::up(), good_model());
-        rig.spawn("a", 5);
-        let b = rig.spawn("b", 15);
-        let next = rig.schedule(0, rig.idle);
+        spawn(&mut rig, "a", 5);
+        let b = spawn(&mut rig, "b", 15);
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, b);
         assert_eq!(rig.sched.counters(), [1, 1]);
         assert_eq!(rig.sched.take_verdict(), Verdict::Sound);
@@ -304,9 +301,9 @@ mod tests {
     #[test]
     fn misprediction_charges_and_falls_back_to_native_pick() {
         let mut rig = rig(SchedConfig::up(), bad_model());
-        rig.spawn("a", 5);
-        let b = rig.spawn("b", 15);
-        let next = rig.schedule(0, rig.idle);
+        spawn(&mut rig, "a", 5);
+        let b = spawn(&mut rig, "b", 15);
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, b, "fallback must pick the goodness winner");
         assert_eq!(rig.sched.counters(), [1, 0]);
         assert_eq!(rig.sched.take_verdict(), Verdict::Bad("accuracy_collapse"));
@@ -319,8 +316,8 @@ mod tests {
     #[test]
     fn empty_queue_schedules_idle_without_predicting() {
         let mut rig = rig(SchedConfig::up(), good_model());
-        let next = rig.schedule(0, rig.idle);
-        assert_eq!(next, rig.idle);
+        let next = rig.schedule(0, rig.idle(0));
+        assert_eq!(next, rig.idle(0));
         assert_eq!(rig.sched.counters(), [0, 0]);
         assert_eq!(rig.sched.take_verdict(), Verdict::Abstain);
         assert_eq!(rig.stats.cpu(0).recalc_entries, 0, "footnote 1 holds");
@@ -329,9 +326,9 @@ mod tests {
     #[test]
     fn quantum_exhaustion_recalculates_without_scoring_a_miss() {
         let mut rig = rig(SchedConfig::up(), good_model());
-        let a = rig.spawn("a", 0);
-        let b = rig.spawn("b", 0);
-        let next = rig.schedule(0, rig.idle);
+        let a = spawn(&mut rig, "a", 0);
+        let b = spawn(&mut rig, "b", 0);
+        let next = rig.schedule(0, rig.idle(0));
         assert!(next == a || next == b);
         assert_eq!(rig.stats.cpu(0).recalc_entries, 1);
         assert_eq!(
@@ -344,8 +341,8 @@ mod tests {
     #[test]
     fn blocking_prev_leaves_the_queue() {
         let mut rig = rig(SchedConfig::up(), good_model());
-        let a = rig.spawn("a", 10);
-        let b = rig.spawn("b", 10);
+        let a = spawn(&mut rig, "a", 10);
+        let b = spawn(&mut rig, "b", 10);
         rig.tasks.task_mut(a).has_cpu = true;
         rig.tasks.task_mut(a).state = TaskState::Interruptible;
         let next = rig.schedule(0, a);
@@ -357,18 +354,18 @@ mod tests {
     #[test]
     fn smp_skips_tasks_running_elsewhere() {
         let mut rig = rig(SchedConfig::smp(2), good_model());
-        let a = rig.spawn("a", 40);
-        let b = rig.spawn("b", 1);
+        let a = spawn(&mut rig, "a", 40);
+        let b = spawn(&mut rig, "b", 1);
         rig.tasks.task_mut(a).has_cpu = true; // on the other CPU
-        let next = rig.schedule(0, rig.idle);
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, b);
     }
 
     #[test]
     fn drain_preserves_queue_order() {
         let mut rig = rig(SchedConfig::up(), good_model());
-        let a = rig.spawn("a", 5);
-        let b = rig.spawn("b", 5);
+        let a = spawn(&mut rig, "a", 5);
+        let b = spawn(&mut rig, "b", 5);
         // Adds insert at the front: queue order is b, a.
         let drained = rig.call(|s, ctx| s.drain(ctx));
         assert_eq!(drained, vec![b, a]);
@@ -380,8 +377,8 @@ mod tests {
     #[test]
     fn yielding_prev_is_not_verified_as_a_hit() {
         let mut rig = rig(SchedConfig::up(), good_model());
-        let y = rig.spawn("y", 20);
-        let o = rig.spawn("o", 5);
+        let y = spawn(&mut rig, "y", 20);
+        let o = spawn(&mut rig, "o", 5);
         rig.tasks.task_mut(y).policy.yielded = true;
         rig.tasks.task_mut(y).has_cpu = true;
         let next = rig.schedule(0, y);
@@ -409,9 +406,9 @@ mod tests {
         let mut m = Model::zeroed(Arch::LogReg);
         m.w[6] = Q_ONE;
         let mut rig = rig(SchedConfig::up(), m);
-        let a = rig.spawn("a", 10);
-        let b = rig.spawn("b", 10);
-        let first = rig.schedule(0, rig.idle);
+        let a = spawn(&mut rig, "a", 10);
+        let b = spawn(&mut rig, "b", 10);
+        let first = rig.schedule(0, rig.idle(0));
         let prev = first;
         let second = rig.schedule(0, prev);
         assert_ne!(first, second, "least-recent candidate wins round 2");

@@ -48,6 +48,3 @@ pub use bubble::BubbleScheduler;
 pub use heap::HeapScheduler;
 pub use learned::LearnedScheduler;
 pub use multiqueue::MultiQueueScheduler;
-
-#[cfg(test)]
-mod rig;

@@ -130,50 +130,47 @@ impl Scheduler for MultiQueueScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rig::Rig;
     use elsc_ktask::TaskSpec;
-    use elsc_sched_api::SchedConfig;
+    use elsc_sched_api::{Rig, SchedConfig};
 
     fn rig(nr_cpus: usize) -> Rig<MultiQueueScheduler> {
-        Rig::per_cpu(SchedConfig::smp(nr_cpus), MultiQueueScheduler::new(nr_cpus))
+        Rig::new(SchedConfig::smp(nr_cpus), MultiQueueScheduler::new(nr_cpus)).idle_per_cpu()
     }
 
-    impl Rig<MultiQueueScheduler> {
-        fn spawn_on(&mut self, name: &'static str, cpu: CpuId) -> Tid {
-            let tid = self.tasks.spawn(&TaskSpec::named(name));
-            self.tasks.task_mut(tid).processor = cpu;
-            self.add(tid);
-            tid
-        }
+    fn spawn_on(rig: &mut Rig<MultiQueueScheduler>, name: &'static str, cpu: CpuId) -> Tid {
+        let tid = rig.tasks.spawn(&TaskSpec::named(name));
+        rig.tasks.task_mut(tid).processor = cpu;
+        rig.add(tid);
+        tid
     }
 
     #[test]
     fn tasks_land_on_their_home_queue() {
         let mut rig = rig(2);
-        let a = rig.spawn_on("a", 0);
-        let b = rig.spawn_on("b", 1);
-        assert_eq!(rig.schedule_idle(0), a);
-        assert_eq!(rig.schedule_idle(1), b);
+        let a = spawn_on(&mut rig, "a", 0);
+        let b = spawn_on(&mut rig, "b", 1);
+        assert_eq!(rig.schedule(0, rig.idle(0)), a);
+        assert_eq!(rig.schedule(1, rig.idle(1)), b);
     }
 
     #[test]
     fn own_queue_scan_ignores_other_queues() {
         let mut rig = rig(2);
-        let _a = rig.spawn_on("a", 0);
-        let _b = rig.spawn_on("b", 0);
+        let _a = spawn_on(&mut rig, "a", 0);
+        let _b = spawn_on(&mut rig, "b", 0);
         rig.meter.take();
-        rig.schedule_idle(1); // steals, but only after scanning its empty queue
-                              // Examined tasks should be the steal scan only (2 tasks).
+        rig.schedule(1, rig.idle(1)); // steals, but only after scanning its empty queue
+                                      // Examined tasks should be the steal scan only (2 tasks).
         assert_eq!(rig.stats.cpu(1).tasks_examined, 2);
     }
 
     #[test]
     fn stealing_takes_from_busiest_queue() {
         let mut rig = rig(2);
-        let _a = rig.spawn_on("a", 0);
-        let _b = rig.spawn_on("b", 0);
-        let stolen = rig.schedule_idle(1);
-        assert_ne!(stolen, rig.idles[1]);
+        let _a = spawn_on(&mut rig, "a", 0);
+        let _b = spawn_on(&mut rig, "b", 0);
+        let stolen = rig.schedule(1, rig.idle(1));
+        assert_ne!(stolen, rig.idle(1));
         // The stolen task now belongs to queue 1.
         assert_eq!(rig.tasks.task(stolen).rq_hint, 1);
     }
@@ -185,16 +182,16 @@ mod tests {
         // the node-mate's task, not cross the node boundary.
         let mut rig = rig(4);
         rig.cfg.topology = "2N2C1T".parse().unwrap();
-        let _a = rig.spawn_on("a", 0);
-        let _b = rig.spawn_on("b", 0);
-        let _c = rig.spawn_on("c", 0);
-        let d = rig.spawn_on("d", 2);
-        let stolen = rig.schedule_idle(3);
+        let _a = spawn_on(&mut rig, "a", 0);
+        let _b = spawn_on(&mut rig, "b", 0);
+        let _c = spawn_on(&mut rig, "c", 0);
+        let d = spawn_on(&mut rig, "d", 2);
+        let stolen = rig.schedule(3, rig.idle(3));
         assert_eq!(stolen, d, "same-node victim beats the fullest queue");
         // With every same-node queue now empty, the fullest remote queue
         // is still fair game (work beats locality when it's that or idle).
-        let stolen2 = rig.schedule_idle(3);
-        assert_ne!(stolen2, rig.idles[3]);
+        let stolen2 = rig.schedule(3, rig.idle(3));
+        assert_ne!(stolen2, rig.idle(3));
         assert_eq!(rig.tasks.task(stolen2).rq_hint, 3);
     }
 
@@ -202,12 +199,12 @@ mod tests {
     fn queues_past_256_keep_their_tasks() {
         // A one-byte queue hint would file CPU 299's task as queue 43.
         let mut rig = rig(300);
-        let a = rig.spawn_on("a", 299);
-        let b = rig.spawn_on("b", 299);
+        let a = spawn_on(&mut rig, "a", 299);
+        let b = spawn_on(&mut rig, "b", 299);
         assert_eq!(rig.tasks.task(a).rq_hint, 299);
-        assert_eq!(rig.schedule_idle(299), b);
+        assert_eq!(rig.schedule(299, rig.idle(299)), b);
         // CPU 3 runs dry and steals `a` from queue 299.
-        assert_eq!(rig.schedule_idle(3), a);
+        assert_eq!(rig.schedule(3, rig.idle(3)), a);
         assert_eq!(rig.tasks.task(a).rq_hint, 3);
         rig.sched.debug_check(&rig.tasks);
     }
@@ -215,7 +212,7 @@ mod tests {
     #[test]
     fn idle_when_everything_empty() {
         let mut rig = rig(2);
-        assert_eq!(rig.schedule_idle(0), rig.idles[0]);
+        assert_eq!(rig.schedule(0, rig.idle(0)), rig.idle(0));
         assert_eq!(rig.stats.cpu(0).idle_scheduled, 1);
     }
 
@@ -225,18 +222,18 @@ mod tests {
         // ~10 tasks, not 40.
         let mut rig = rig(4);
         for i in 0..40 {
-            rig.spawn_on("t", i % 4);
+            spawn_on(&mut rig, "t", i % 4);
         }
-        rig.schedule_idle(0);
+        rig.schedule(0, rig.idle(0));
         assert_eq!(rig.stats.cpu(0).tasks_examined, 10);
     }
 
     #[test]
     fn exhausted_queue_triggers_recalc() {
         let mut rig = rig(1);
-        let a = rig.spawn_on("a", 0);
+        let a = spawn_on(&mut rig, "a", 0);
         rig.tasks.task_mut(a).counter = 0;
-        let next = rig.schedule_idle(0);
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, a);
         assert_eq!(rig.stats.cpu(0).recalc_entries, 1);
     }

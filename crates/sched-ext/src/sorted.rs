@@ -257,10 +257,9 @@ impl<D: Design> Scheduler for SortedQueue<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rig::Rig;
     use crate::{AffinityHeapScheduler, HeapScheduler};
     use elsc_ktask::TaskSpec;
-    use elsc_sched_api::SchedConfig;
+    use elsc_sched_api::{Rig, SchedConfig};
 
     /// Three tasks of equal static key added in order, then one pick.
     fn first_pick<D: Design>(sched: SortedQueue<D>) -> (Rig<SortedQueue<D>>, [Tid; 3], Tid) {
@@ -269,7 +268,7 @@ mod tests {
         for t in tids {
             rig.add(t);
         }
-        let next = rig.schedule(0, rig.idle);
+        let next = rig.schedule(0, rig.idle(0));
         (rig, tids, next)
     }
 

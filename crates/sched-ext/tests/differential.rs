@@ -14,135 +14,103 @@
 mod twins;
 
 use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState, TaskTable, Tid};
-use elsc_sched_api::{DomainLocker, LockModel, SchedConfig, SchedCtx, Scheduler};
-use elsc_simcore::{CostModel, CycleMeter, Cycles, SimRng, Topology};
-use elsc_stats::SchedStats;
+use elsc_sched_api::{LockModel, Rig, SchedConfig, Scheduler};
+use elsc_simcore::{Cycles, SimRng, Topology};
 
 use elsc_sched_ext::{AffinityHeapScheduler, BubbleScheduler, HeapScheduler, MultiQueueScheduler};
 
-/// One simulated machine: a task table, per-CPU idle and current tasks,
-/// a scheduler, and on SMP shapes the lock domains it declares.
+/// One simulated machine: the rig (a task table, per-CPU idle tasks, a
+/// scheduler and, on SMP shapes, the lock domains it declares), each
+/// CPU's current task, and when the last locked call released its
+/// domains.
 struct Sim<S> {
-    tasks: TaskTable,
-    stats: SchedStats,
-    meter: CycleMeter,
-    costs: CostModel,
-    cfg: SchedConfig,
-    sched: S,
-    locks: Option<LockModel>,
-    /// When the last locked call released its domains.
+    rig: Rig<S>,
     clock: Cycles,
-    idle: Vec<Tid>,
     current: Vec<Tid>,
 }
 
 impl<S: Scheduler> Sim<S> {
     fn new(cfg: SchedConfig, sched: S, specs: &[TaskSpec], counters: &[i32]) -> Sim<S> {
-        let mut tasks = TaskTable::new();
-        let idle: Vec<Tid> = (0..cfg.nr_cpus)
-            .map(|cpu| {
-                let t = tasks.spawn(&TaskSpec::named("idle").priority(1));
-                tasks.task_mut(t).counter = 0;
-                tasks.task_mut(t).processor = cpu;
-                tasks.task_mut(t).has_cpu = true;
-                t
-            })
-            .collect();
+        let mut rig = Rig::new(cfg, sched).idle_per_cpu();
+        let nr_cpus = rig.cfg.nr_cpus;
         for (i, (spec, &counter)) in specs.iter().zip(counters).enumerate() {
-            let t = tasks.spawn(spec);
-            tasks.task_mut(t).counter = counter;
-            tasks.task_mut(t).processor = i % cfg.nr_cpus;
-            tasks.task_mut(t).state = TaskState::Interruptible;
+            let t = rig.tasks.spawn(spec);
+            rig.tasks.task_mut(t).counter = counter;
+            rig.tasks.task_mut(t).processor = i % nr_cpus;
+            rig.tasks.task_mut(t).state = TaskState::Interruptible;
         }
-        let costs = CostModel::default();
-        let locks = cfg.smp.then(|| {
-            let transfer = costs.get(elsc_simcore::CostKind::LockTransfer);
-            LockModel::new(sched.lock_plan(cfg.nr_cpus), cfg.nr_cpus, transfer)
-        });
+        if rig.cfg.smp {
+            let transfer = rig.costs.get(elsc_simcore::CostKind::LockTransfer);
+            let plan = rig.sched.lock_plan(nr_cpus);
+            rig.locks = Some(LockModel::new(plan, nr_cpus, transfer));
+        }
         Sim {
-            tasks,
-            stats: SchedStats::new(cfg.nr_cpus),
-            meter: CycleMeter::new(),
-            costs,
-            current: idle.clone(),
-            idle,
-            cfg,
-            sched,
-            locks,
+            current: (0..nr_cpus).map(|cpu| rig.idle(cpu)).collect(),
+            rig,
             clock: Cycles::ZERO,
         }
     }
 
-    /// Runs `f` as one scheduler call. A call on `lock`'s CPU takes that
-    /// CPU's home domain first and holds every domain it took until the
-    /// call's charges have elapsed, as the machine does; the meter is
+    /// One `schedule()` on `cpu` after `prev`. On an SMP shape it takes
+    /// the CPU's home domain first and holds every domain it took until
+    /// the call's charges have elapsed, as the machine does; the meter is
     /// never reset here, so the held span grows with it, the same on
     /// both sides.
-    fn call<R>(
-        &mut self,
-        lock: Option<usize>,
-        f: impl FnOnce(&mut S, &mut SchedCtx<'_>) -> R,
-    ) -> R {
-        let locks = self.locks.as_mut().zip(lock).map(|(l, cpu)| {
-            let at = l.lock_home(cpu, cpu, self.clock).at;
-            (l, at)
-        });
-        let mut ctx = SchedCtx {
-            tasks: &mut self.tasks,
-            stats: &mut self.stats,
-            meter: &mut self.meter,
-            costs: &self.costs,
-            cfg: &self.cfg,
-            probe: None,
-            locks: None,
-        };
-        let Some((l, at)) = locks else {
-            return f(&mut self.sched, &mut ctx);
-        };
-        ctx.locks = Some(&mut *l as &mut dyn DomainLocker);
-        let out = f(&mut self.sched, &mut ctx);
-        self.clock = at + self.meter.cycles() + l.extra_spin();
-        l.release_all(self.clock);
-        out
+    fn schedule(&mut self, cpu: usize, prev: Tid) -> Tid {
+        let idle = self.rig.idle(cpu);
+        let clock = self.clock;
+        let at = self
+            .rig
+            .locks
+            .as_mut()
+            .map(|l| l.lock_home(cpu, cpu, clock).at);
+        let next = self.rig.call(|s, ctx| s.schedule(ctx, cpu, prev, idle));
+        if let (Some(at), Some(l)) = (at, self.rig.locks.as_mut()) {
+            self.clock = at + self.rig.meter.cycles() + l.extra_spin();
+            l.release_all(self.clock);
+        }
+        next
     }
 
     fn apply(&mut self, op: Op) -> Option<Tid> {
         match op {
             Op::Add(t) => {
-                self.tasks.task_mut(t).state = TaskState::Running;
-                self.call(None, |s, ctx| s.add_to_runqueue(ctx, t));
+                self.rig.tasks.task_mut(t).state = TaskState::Running;
+                self.rig.add(t);
             }
             Op::Del(t) => {
-                self.call(None, |s, ctx| s.del_from_runqueue(ctx, t));
-                self.tasks.task_mut(t).state = TaskState::Interruptible;
+                self.rig.del(t);
+                self.rig.tasks.task_mut(t).state = TaskState::Interruptible;
             }
-            Op::MoveFirst(t) => self.call(None, |s, ctx| s.move_first_runqueue(ctx, t)),
-            Op::MoveLast(t) => self.call(None, |s, ctx| s.move_last_runqueue(ctx, t)),
+            Op::MoveFirst(t) => self.rig.call(|s, ctx| s.move_first_runqueue(ctx, t)),
+            Op::MoveLast(t) => self.rig.call(|s, ctx| s.move_last_runqueue(ctx, t)),
             Op::Tick(t) => {
-                let task = self.tasks.task_mut(t);
+                let task = self.rig.tasks.task_mut(t);
                 task.counter = (task.counter - 1).max(0);
             }
             Op::Recalc => {
-                self.tasks.recalc_counters(false);
+                self.rig.tasks.recalc_counters(false);
             }
-            Op::Migrate(t, cpu) => self.tasks.task_mut(t).processor = cpu,
+            Op::Migrate(t, cpu) => self.rig.tasks.task_mut(t).processor = cpu,
             Op::Realtime(t, class, rt) => {
-                let task = self.tasks.task_mut(t);
+                let task = self.rig.tasks.task_mut(t);
                 task.policy.class = class;
                 task.rt_priority = rt;
             }
-            Op::ZeroCounter(t) => self.tasks.task_mut(t).counter = 0,
+            Op::ZeroCounter(t) => self.rig.tasks.task_mut(t).counter = 0,
             Op::Decide { cpu, prelude } => {
-                let (prev, idle) = (self.current[cpu], self.idle[cpu]);
+                let prev = self.current[cpu];
                 match prelude {
                     Prelude::None => {}
-                    Prelude::Yield => self.tasks.task_mut(prev).policy.yielded = true,
-                    Prelude::RrExpiry => self.tasks.task_mut(prev).counter = 0,
-                    Prelude::Block => self.tasks.task_mut(prev).state = TaskState::Interruptible,
+                    Prelude::Yield => self.rig.tasks.task_mut(prev).policy.yielded = true,
+                    Prelude::RrExpiry => self.rig.tasks.task_mut(prev).counter = 0,
+                    Prelude::Block => {
+                        self.rig.tasks.task_mut(prev).state = TaskState::Interruptible
+                    }
                 }
-                let next = self.call(Some(cpu), |s, ctx| s.schedule(ctx, cpu, prev, idle));
+                let next = self.schedule(cpu, prev);
                 // The machine records where the pick runs.
-                self.tasks.task_mut(next).processor = cpu;
+                self.rig.tasks.task_mut(next).processor = cpu;
                 self.current[cpu] = next;
                 return Some(next);
             }
@@ -198,17 +166,17 @@ const CLASSES: [&str; 14] = [
 /// Draws the next operation from the state of the design under test,
 /// with the class it counts as.
 fn draw<S: Scheduler>(rng: &mut SimRng, sim: &Sim<S>, pool: &[Tid]) -> (Op, Option<usize>) {
-    let nr_cpus = sim.cfg.nr_cpus;
-    let running = |t: Tid| sim.tasks.task(t).has_cpu;
+    let nr_cpus = sim.rig.cfg.nr_cpus;
+    let running = |t: Tid| sim.rig.tasks.task(t).has_cpu;
     let queued: Vec<Tid> = pool
         .iter()
         .copied()
-        .filter(|&t| sim.tasks.task(t).on_runqueue())
+        .filter(|&t| sim.rig.tasks.task(t).on_runqueue())
         .collect();
     let asleep: Vec<Tid> = pool
         .iter()
         .copied()
-        .filter(|&t| !sim.tasks.task(t).on_runqueue())
+        .filter(|&t| !sim.rig.tasks.task(t).on_runqueue())
         .collect();
     let waiting: Vec<Tid> = queued.iter().copied().filter(|&t| !running(t)).collect();
     let any = |rng: &mut SimRng, v: &[Tid]| v[rng.below(v.len() as u64) as usize];
@@ -219,7 +187,7 @@ fn draw<S: Scheduler>(rng: &mut SimRng, sim: &Sim<S>, pool: &[Tid]) -> (Op, Opti
         2 if !waiting.is_empty() => (Op::Del(any(rng, &waiting)), Some(1)),
         3 if !queued.is_empty() => (Op::MoveFirst(any(rng, &queued)), Some(2)),
         4 if !queued.is_empty() => (Op::MoveLast(any(rng, &queued)), Some(3)),
-        5 if prev != sim.idle[cpu] => (Op::Tick(prev), Some(4)),
+        5 if prev != sim.rig.idle(cpu) => (Op::Tick(prev), Some(4)),
         6 if rng.chance(0.1) => (Op::Recalc, Some(5)),
         7 if !waiting.is_empty() => {
             let t = any(rng, &waiting);
@@ -236,9 +204,9 @@ fn draw<S: Scheduler>(rng: &mut SimRng, sim: &Sim<S>, pool: &[Tid]) -> (Op, Opti
         }
         9 => (Op::ZeroCounter(any(rng, pool)), Some(10)),
         _ => {
-            let is_rr = sim.tasks.task(prev).policy.class == SchedClass::Rr;
+            let is_rr = sim.rig.tasks.task(prev).policy.class == SchedClass::Rr;
             let (prelude, class) = match rng.below(8) {
-                _ if prev == sim.idle[cpu] => (Prelude::None, None),
+                _ if prev == sim.rig.idle(cpu) => (Prelude::None, None),
                 0 => (Prelude::Yield, Some(6)),
                 1 if is_rr => (Prelude::RrExpiry, Some(7)),
                 2 | 3 => (Prelude::Block, Some(11)),
@@ -304,15 +272,15 @@ fn run<N: Scheduler, T: Scheduler>(
         .collect();
     let mut new = Sim::new(cfg.clone(), design(&cfg), &specs, &counters);
     let mut old = Sim::new(cfg.clone(), twin(&cfg), &specs, &counters);
-    let pool: Vec<Tid> = new.tasks.tids()[cfg.nr_cpus..].to_vec();
-    let name = new.sched.name();
+    let pool: Vec<Tid> = new.rig.tasks.tids()[cfg.nr_cpus..].to_vec();
+    let name = new.rig.sched.name();
     let mut decided = 0;
     let mut step = 0u64;
     while decided < decisions {
         step += 1;
         let (op, class) = draw(&mut rng, &new, &pool);
         let before = match op {
-            Op::Decide { cpu, .. } => Some((new.current[cpu], filed(&new.tasks, &pool))),
+            Op::Decide { cpu, .. } => Some((new.current[cpu], filed(&new.rig.tasks, &pool))),
             _ => None,
         };
         let picked = new.apply(op);
@@ -327,18 +295,22 @@ fn run<N: Scheduler, T: Scheduler>(
             hits[12] += (picked != Some(prev)) as u64;
             let moved = was_filed
                 .iter()
-                .zip(filed(&new.tasks, &pool))
+                .zip(filed(&new.rig.tasks, &pool))
                 .any(|(was, is)| matches!((was, is), (Some(a), Some(b)) if *a != b));
             hits[13] += moved as u64;
             assert_eq!(
-                new.sched.nr_running(),
-                old.sched.nr_running(),
+                new.rig.sched.nr_running(),
+                old.rig.sched.nr_running(),
                 "{at}: nr_running"
             );
-            assert_eq!(new.stats, old.stats, "{at}: statistics");
-            assert_eq!(new.meter, old.meter, "{at}: charges");
+            assert_eq!(new.rig.stats, old.rig.stats, "{at}: statistics");
+            assert_eq!(new.rig.meter, old.rig.meter, "{at}: charges");
             let taken = |l: &Option<LockModel>| l.as_ref().map(|l| l.taken().to_vec());
-            assert_eq!(taken(&new.locks), taken(&old.locks), "{at}: lock domains");
+            assert_eq!(
+                taken(&new.rig.locks),
+                taken(&old.rig.locks),
+                "{at}: lock domains"
+            );
         }
     }
 }

@@ -183,78 +183,19 @@ mod reference {
 mod tests {
     use super::*;
     use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState};
-    use elsc_sched_api::SchedConfig;
-    use elsc_simcore::{CostModel, CycleMeter};
-    use elsc_stats::SchedStats;
+    use elsc_sched_api::{Rig, SchedConfig};
+    use elsc_simcore::CostModel;
 
-    /// Test harness bundling the context pieces.
-    struct Rig {
-        tasks: TaskTable,
-        stats: SchedStats,
-        meter: CycleMeter,
-        costs: CostModel,
-        cfg: SchedConfig,
-        sched: LinuxScheduler,
-        idle: Tid,
-    }
-
-    impl Rig {
-        fn new(cfg: SchedConfig) -> Rig {
-            let mut tasks = TaskTable::new();
-            let idle = tasks.spawn(&TaskSpec::named("idle").priority(1));
-            tasks.task_mut(idle).counter = 0;
-            tasks.task_mut(idle).has_cpu = true;
-            Rig {
-                tasks,
-                stats: SchedStats::new(cfg.nr_cpus),
-                meter: CycleMeter::new(),
-                costs: CostModel::default(),
-                cfg,
-                sched: LinuxScheduler::new(),
-                idle,
-            }
-        }
-
-        fn spawn(&mut self, name: &'static str) -> Tid {
-            let tid = self.tasks.spawn(&TaskSpec::named(name));
-            self.add(tid);
-            tid
-        }
-
-        fn add(&mut self, tid: Tid) {
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            self.sched.add_to_runqueue(&mut ctx, tid);
-        }
-
-        fn schedule(&mut self, cpu: CpuId, prev: Tid) -> Tid {
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut self.meter,
-                costs: &self.costs,
-                cfg: &self.cfg,
-                probe: None,
-                locks: None,
-            };
-            let next = self.sched.schedule(&mut ctx, cpu, prev, self.idle);
-            self.sched.debug_check(&self.tasks);
-            next
-        }
+    /// A rig around a fresh `LinuxScheduler`.
+    fn rig(cfg: SchedConfig) -> Rig<LinuxScheduler> {
+        Rig::new(cfg, LinuxScheduler::new())
     }
 
     #[test]
     fn empty_queue_schedules_idle() {
-        let mut rig = Rig::new(SchedConfig::up());
-        let next = rig.schedule(0, rig.idle);
-        assert_eq!(next, rig.idle);
+        let mut rig = rig(SchedConfig::up());
+        let next = rig.schedule(0, rig.idle(0));
+        assert_eq!(next, rig.idle(0));
         assert_eq!(rig.stats.cpu(0).idle_scheduled, 1);
         // Footnote 1: no recalculation for an empty run queue.
         assert_eq!(rig.stats.cpu(0).recalc_entries, 0);
@@ -262,19 +203,19 @@ mod tests {
 
     #[test]
     fn picks_highest_goodness() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
         let b = rig.spawn("b");
         rig.tasks.task_mut(a).counter = 5;
         rig.tasks.task_mut(b).counter = 15;
-        let next = rig.schedule(0, rig.idle);
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, b);
         assert!(rig.tasks.task(b).has_cpu);
     }
 
     #[test]
     fn front_of_queue_wins_ties() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
         let b = rig.spawn("b");
         // Same counter/priority/mm; b was added later so it is at the
@@ -283,17 +224,17 @@ mod tests {
             rig.sched.run_list().collect(&rig.tasks, 0),
             vec![b.index() as u32, a.index() as u32]
         );
-        let next = rig.schedule(0, rig.idle);
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, b);
     }
 
     #[test]
     fn scan_examines_whole_queue() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         for _ in 0..10 {
             rig.spawn("t");
         }
-        rig.schedule(0, rig.idle);
+        rig.schedule(0, rig.idle(0));
         assert_eq!(rig.stats.cpu(0).tasks_examined, 10);
         let before = rig.stats.cpu(0).tasks_examined;
         // Second call: the whole queue is examined again — the paper's
@@ -306,7 +247,7 @@ mod tests {
 
     #[test]
     fn zero_counters_trigger_system_wide_recalc() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
         let b = rig.spawn("b");
         rig.tasks.task_mut(a).counter = 0;
@@ -316,7 +257,7 @@ mod tests {
         rig.tasks.task_mut(blocked).state = TaskState::Interruptible;
         rig.tasks.task_mut(blocked).counter = 4;
 
-        let next = rig.schedule(0, rig.idle);
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(rig.stats.cpu(0).recalc_entries, 1);
         // 3 live non-idle tasks + idle = 4 recalculated.
         assert_eq!(rig.stats.cpu(0).recalc_tasks, 4);
@@ -327,7 +268,7 @@ mod tests {
 
     #[test]
     fn yield_with_other_tasks_runs_the_other() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let y = rig.spawn("yielder");
         let o = rig.spawn("other");
         rig.tasks.task_mut(y).policy.yielded = true;
@@ -343,7 +284,7 @@ mod tests {
         // The pathological behaviour ELSC fixes (paper §5.2 end): a task
         // yielding with no other runnable task forces a system-wide
         // recalculation before being re-chosen.
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let y = rig.spawn("yielder");
         rig.tasks.task_mut(y).policy.yielded = true;
         rig.tasks.task_mut(y).has_cpu = true;
@@ -354,7 +295,7 @@ mod tests {
 
     #[test]
     fn blocking_prev_leaves_the_queue() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
         let b = rig.spawn("b");
         rig.tasks.task_mut(a).has_cpu = true;
@@ -367,32 +308,32 @@ mod tests {
 
     #[test]
     fn smp_skips_tasks_running_elsewhere() {
-        let mut rig = Rig::new(SchedConfig::smp(2));
+        let mut rig = rig(SchedConfig::smp(2));
         let a = rig.spawn("a");
         let b = rig.spawn("b");
         rig.tasks.task_mut(a).has_cpu = true; // running on the other CPU
         rig.tasks.task_mut(a).counter = 40;
         rig.tasks.task_mut(b).counter = 1;
-        let next = rig.schedule(0, rig.idle);
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, b, "the stronger task is unavailable");
     }
 
     #[test]
     fn affinity_bonus_steers_selection() {
-        let mut rig = Rig::new(SchedConfig::smp(2));
+        let mut rig = rig(SchedConfig::smp(2));
         let a = rig.spawn("a");
         let b = rig.spawn("b");
         // Equal static goodness; `a` last ran on CPU 1.
         rig.tasks.task_mut(a).processor = 1;
         rig.tasks.task_mut(b).processor = 0;
         // `b` is at the front (later add), so without the bonus it wins.
-        let next = rig.schedule(1, rig.idle);
+        let next = rig.schedule(1, rig.idle(0));
         assert_eq!(next, a);
     }
 
     #[test]
     fn mm_bonus_breaks_near_ties() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let prev = rig.spawn("prev");
         let kin = rig.spawn("kin");
         let stranger = rig.spawn("stranger");
@@ -413,7 +354,7 @@ mod tests {
 
     #[test]
     fn rr_exhaustion_requeues_at_back_with_fresh_quantum() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let rr = rig
             .tasks
             .spawn(&TaskSpec::named("rr").realtime(SchedClass::Rr, 10));
@@ -439,7 +380,7 @@ mod tests {
 
     #[test]
     fn realtime_always_beats_timesharing() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let normal = rig.spawn("normal");
         rig.tasks.task_mut(normal).counter = 40;
         let rt = rig
@@ -448,7 +389,7 @@ mod tests {
         rig.add(rt);
         // Even an exhausted FIFO task outranks the best SCHED_OTHER.
         rig.tasks.task_mut(rt).counter = 0;
-        let next = rig.schedule(0, rig.idle);
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, rt);
     }
 
@@ -456,12 +397,12 @@ mod tests {
     fn scheduler_cost_scales_with_queue_length() {
         // The paper's core complaint: cycles per schedule() grow linearly.
         let cost_at = |n: usize| -> u64 {
-            let mut rig = Rig::new(SchedConfig::up());
+            let mut rig = rig(SchedConfig::up());
             for _ in 0..n {
                 rig.spawn("t");
             }
             rig.meter.take();
-            rig.schedule(0, rig.idle);
+            rig.schedule(0, rig.idle(0));
             rig.meter.take()
         };
         let c10 = cost_at(10);
@@ -480,9 +421,9 @@ mod tests {
 
     #[test]
     fn prev_stays_on_queue_while_running() {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         let a = rig.spawn("a");
-        let next = rig.schedule(0, rig.idle);
+        let next = rig.schedule(0, rig.idle(0));
         assert_eq!(next, a);
         // Unlike ELSC, the baseline keeps the running task linked.
         assert!(rig.tasks.task(a).on_runqueue());

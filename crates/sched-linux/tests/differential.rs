@@ -5,10 +5,9 @@
 //! decision required to agree — the pick, and with it the goodness that
 //! won, the `tasks_examined` count and every cycle the meter was charged.
 
-use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState, TaskTable, Tid};
-use elsc_sched_api::{frame, SchedConfig, SchedCtx, Scheduler};
-use elsc_simcore::{CostModel, CycleMeter, SimRng, Topology};
-use elsc_stats::SchedStats;
+use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState, Tid};
+use elsc_sched_api::{frame, Rig, SchedConfig, SchedCtx, Scheduler};
+use elsc_simcore::{SimRng, Topology};
 
 use elsc_sched_linux::LinuxScheduler;
 
@@ -50,97 +49,66 @@ impl Scheduler for Walk {
     }
 }
 
-/// One simulated machine: a task table, per-CPU idle and current tasks,
-/// and a scheduler.
+/// One simulated machine: the rig (a task table, per-CPU idle tasks and
+/// a scheduler) and each CPU's current task.
 struct Sim<S> {
-    tasks: TaskTable,
-    stats: SchedStats,
-    meter: CycleMeter,
-    costs: CostModel,
-    cfg: SchedConfig,
-    sched: S,
-    idle: Vec<Tid>,
+    rig: Rig<S>,
     current: Vec<Tid>,
 }
 
 impl<S: Scheduler> Sim<S> {
     fn new(cfg: SchedConfig, sched: S, specs: &[TaskSpec], counters: &[i32]) -> Sim<S> {
-        let mut tasks = TaskTable::new();
-        let idle: Vec<Tid> = (0..cfg.nr_cpus)
-            .map(|_| {
-                let t = tasks.spawn(&TaskSpec::named("idle").priority(1));
-                tasks.task_mut(t).counter = 0;
-                tasks.task_mut(t).has_cpu = true;
-                t
-            })
-            .collect();
+        let mut rig = Rig::new(cfg, sched).idle_per_cpu();
         for (spec, &counter) in specs.iter().zip(counters) {
-            let t = tasks.spawn(spec);
-            tasks.task_mut(t).counter = counter;
-            tasks.task_mut(t).state = TaskState::Interruptible;
+            let t = rig.tasks.spawn(spec);
+            rig.tasks.task_mut(t).counter = counter;
+            rig.tasks.task_mut(t).state = TaskState::Interruptible;
         }
         Sim {
-            tasks,
-            stats: SchedStats::new(cfg.nr_cpus),
-            meter: CycleMeter::new(),
-            costs: CostModel::default(),
-            current: idle.clone(),
-            idle,
-            cfg,
-            sched,
+            current: (0..rig.cfg.nr_cpus).map(|cpu| rig.idle(cpu)).collect(),
+            rig,
         }
-    }
-
-    fn call<R>(&mut self, f: impl FnOnce(&mut S, &mut SchedCtx<'_>) -> R) -> R {
-        let mut ctx = SchedCtx {
-            tasks: &mut self.tasks,
-            stats: &mut self.stats,
-            meter: &mut self.meter,
-            costs: &self.costs,
-            cfg: &self.cfg,
-            probe: None,
-            locks: None,
-        };
-        f(&mut self.sched, &mut ctx)
     }
 
     fn apply(&mut self, op: Op) -> Option<Tid> {
         match op {
             Op::Add(t) => {
-                self.tasks.task_mut(t).state = TaskState::Running;
-                self.call(|s, ctx| s.add_to_runqueue(ctx, t));
+                self.rig.tasks.task_mut(t).state = TaskState::Running;
+                self.rig.add(t);
             }
             Op::Del(t) => {
-                self.call(|s, ctx| s.del_from_runqueue(ctx, t));
-                self.tasks.task_mut(t).state = TaskState::Interruptible;
+                self.rig.del(t);
+                self.rig.tasks.task_mut(t).state = TaskState::Interruptible;
             }
-            Op::MoveFirst(t) => self.call(|s, ctx| s.move_first_runqueue(ctx, t)),
-            Op::MoveLast(t) => self.call(|s, ctx| s.move_last_runqueue(ctx, t)),
+            Op::MoveFirst(t) => self.rig.call(|s, ctx| s.move_first_runqueue(ctx, t)),
+            Op::MoveLast(t) => self.rig.call(|s, ctx| s.move_last_runqueue(ctx, t)),
             Op::Tick(t) => {
-                let task = self.tasks.task_mut(t);
+                let task = self.rig.tasks.task_mut(t);
                 task.counter = (task.counter - 1).max(0);
             }
             Op::Recalc => {
-                self.tasks.recalc_counters(false);
+                self.rig.tasks.recalc_counters(false);
             }
-            Op::Migrate(t, cpu) => self.tasks.task_mut(t).processor = cpu,
+            Op::Migrate(t, cpu) => self.rig.tasks.task_mut(t).processor = cpu,
             Op::Realtime(t, class, rt) => {
-                let task = self.tasks.task_mut(t);
+                let task = self.rig.tasks.task_mut(t);
                 task.policy.class = class;
                 task.rt_priority = rt;
             }
-            Op::ZeroCounter(t) => self.tasks.task_mut(t).counter = 0,
+            Op::ZeroCounter(t) => self.rig.tasks.task_mut(t).counter = 0,
             Op::Decide { cpu, prelude } => {
-                let (prev, idle) = (self.current[cpu], self.idle[cpu]);
+                let (prev, idle) = (self.current[cpu], self.rig.idle(cpu));
                 match prelude {
                     Prelude::None => {}
-                    Prelude::Yield => self.tasks.task_mut(prev).policy.yielded = true,
-                    Prelude::RrExpiry => self.tasks.task_mut(prev).counter = 0,
-                    Prelude::Block => self.tasks.task_mut(prev).state = TaskState::Interruptible,
+                    Prelude::Yield => self.rig.tasks.task_mut(prev).policy.yielded = true,
+                    Prelude::RrExpiry => self.rig.tasks.task_mut(prev).counter = 0,
+                    Prelude::Block => {
+                        self.rig.tasks.task_mut(prev).state = TaskState::Interruptible
+                    }
                 }
-                let next = self.call(|s, ctx| s.schedule(ctx, cpu, prev, idle));
+                let next = self.rig.call(|s, ctx| s.schedule(ctx, cpu, prev, idle));
                 // The machine records where the pick runs.
-                self.tasks.task_mut(next).processor = cpu;
+                self.rig.tasks.task_mut(next).processor = cpu;
                 self.current[cpu] = next;
                 return Some(next);
             }
@@ -193,17 +161,17 @@ const CLASSES: [&str; 13] = [
 /// Draws the next operation from the index side's state, with the class
 /// it counts as.
 fn draw(rng: &mut SimRng, sim: &Sim<LinuxScheduler>, pool: &[Tid]) -> (Op, Option<usize>) {
-    let nr_cpus = sim.cfg.nr_cpus;
-    let running = |t: Tid| sim.tasks.task(t).has_cpu;
+    let nr_cpus = sim.rig.cfg.nr_cpus;
+    let running = |t: Tid| sim.rig.tasks.task(t).has_cpu;
     let queued: Vec<Tid> = pool
         .iter()
         .copied()
-        .filter(|&t| sim.tasks.task(t).on_runqueue())
+        .filter(|&t| sim.rig.tasks.task(t).on_runqueue())
         .collect();
     let asleep: Vec<Tid> = pool
         .iter()
         .copied()
-        .filter(|&t| !sim.tasks.task(t).on_runqueue())
+        .filter(|&t| !sim.rig.tasks.task(t).on_runqueue())
         .collect();
     let waiting: Vec<Tid> = queued.iter().copied().filter(|&t| !running(t)).collect();
     let any = |rng: &mut SimRng, v: &[Tid]| v[rng.below(v.len() as u64) as usize];
@@ -214,7 +182,7 @@ fn draw(rng: &mut SimRng, sim: &Sim<LinuxScheduler>, pool: &[Tid]) -> (Op, Optio
         2 if !waiting.is_empty() => (Op::Del(any(rng, &waiting)), Some(1)),
         3 if !queued.is_empty() => (Op::MoveFirst(any(rng, &queued)), Some(2)),
         4 if !queued.is_empty() => (Op::MoveLast(any(rng, &queued)), Some(3)),
-        5 if prev != sim.idle[cpu] => (Op::Tick(prev), Some(4)),
+        5 if prev != sim.rig.idle(cpu) => (Op::Tick(prev), Some(4)),
         6 if rng.chance(0.1) => (Op::Recalc, Some(5)),
         7 if !waiting.is_empty() => {
             let t = any(rng, &waiting);
@@ -231,9 +199,9 @@ fn draw(rng: &mut SimRng, sim: &Sim<LinuxScheduler>, pool: &[Tid]) -> (Op, Optio
         }
         9 => (Op::ZeroCounter(any(rng, pool)), Some(10)),
         _ => {
-            let is_rr = sim.tasks.task(prev).policy.class == SchedClass::Rr;
+            let is_rr = sim.rig.tasks.task(prev).policy.class == SchedClass::Rr;
             let (prelude, class) = match rng.below(8) {
-                _ if prev == sim.idle[cpu] => (Prelude::None, None),
+                _ if prev == sim.rig.idle(cpu) => (Prelude::None, None),
                 0 => (Prelude::Yield, Some(6)),
                 1 if is_rr => (Prelude::RrExpiry, Some(7)),
                 2 | 3 => (Prelude::Block, Some(11)),
@@ -274,7 +242,7 @@ fn run(cfg: SchedConfig, seed: u64, decisions: u64, hits: &mut [u64; 13]) {
         .collect();
     let mut index = Sim::new(cfg.clone(), LinuxScheduler::new(), &specs, &counters);
     let mut walk = Sim::new(cfg.clone(), Walk(LinuxScheduler::new()), &specs, &counters);
-    let pool: Vec<Tid> = index.tasks.tids()[cfg.nr_cpus..].to_vec();
+    let pool: Vec<Tid> = index.rig.tasks.tids()[cfg.nr_cpus..].to_vec();
     let mut decided = 0;
     let mut step = 0u64;
     while decided < decisions {
@@ -294,10 +262,13 @@ fn run(cfg: SchedConfig, seed: u64, decisions: u64, hits: &mut [u64; 13]) {
             decided += 1;
             hits[12] += (picked != before) as u64;
             assert_eq!(
-                index.stats, walk.stats,
+                index.rig.stats, walk.rig.stats,
                 "seed {seed} step {step}: statistics"
             );
-            assert_eq!(index.meter, walk.meter, "seed {seed} step {step}: charges");
+            assert_eq!(
+                index.rig.meter, walk.rig.meter,
+                "seed {seed} step {step}: charges"
+            );
         }
     }
 }

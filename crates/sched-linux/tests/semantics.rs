@@ -2,67 +2,14 @@
 //! rules" the paper promises ELSC will adhere to (§5 footnote 2).
 
 use elsc_ktask::recalc::recalculated_counter;
-use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState, TaskTable, Tid};
-use elsc_sched_api::{SchedConfig, SchedCtx, Scheduler};
+use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState, Tid};
+use elsc_sched_api::{Rig, SchedConfig, Scheduler};
 use elsc_sched_linux::LinuxScheduler;
-use elsc_simcore::{CostModel, CycleMeter};
-use elsc_stats::SchedStats;
+use elsc_simcore::CostModel;
 
-struct Rig {
-    tasks: TaskTable,
-    stats: SchedStats,
-    meter: CycleMeter,
-    costs: CostModel,
-    cfg: SchedConfig,
-    sched: LinuxScheduler,
-    idle: Tid,
-}
-
-impl Rig {
-    fn new(cfg: SchedConfig) -> Rig {
-        let mut tasks = TaskTable::new();
-        let idle = tasks.spawn(&TaskSpec::named("idle").priority(1));
-        tasks.task_mut(idle).counter = 0;
-        tasks.task_mut(idle).has_cpu = true;
-        Rig {
-            tasks,
-            stats: SchedStats::new(cfg.nr_cpus),
-            meter: CycleMeter::new(),
-            costs: CostModel::default(),
-            cfg,
-            sched: LinuxScheduler::new(),
-            idle,
-        }
-    }
-
-    fn add(&mut self, tid: Tid) {
-        let mut ctx = SchedCtx {
-            tasks: &mut self.tasks,
-            stats: &mut self.stats,
-            meter: &mut self.meter,
-            costs: &self.costs,
-            cfg: &self.cfg,
-            probe: None,
-            locks: None,
-        };
-        self.sched.add_to_runqueue(&mut ctx, tid);
-    }
-
-    fn schedule(&mut self, prev: Tid) -> Tid {
-        let idle = self.idle;
-        let mut ctx = SchedCtx {
-            tasks: &mut self.tasks,
-            stats: &mut self.stats,
-            meter: &mut self.meter,
-            costs: &self.costs,
-            cfg: &self.cfg,
-            probe: None,
-            locks: None,
-        };
-        let next = self.sched.schedule(&mut ctx, 0, prev, idle);
-        self.sched.debug_check(&self.tasks);
-        next
-    }
+/// A rig around a fresh `LinuxScheduler`.
+fn rig(cfg: SchedConfig) -> Rig<LinuxScheduler> {
+    Rig::new(cfg, LinuxScheduler::new())
 }
 
 #[test]
@@ -70,7 +17,7 @@ fn quirk_realtime_with_zero_counter_still_beats_everyone() {
     // The paper's example of a quirky rule kept intact: "if the current
     // scheduler always selects a real-time task over a SCHED_OTHER task,
     // even if it has a zero counter...".
-    let mut rig = Rig::new(SchedConfig::up());
+    let mut rig = rig(SchedConfig::up());
     let other = rig.tasks.spawn(&TaskSpec::named("other"));
     rig.tasks.task_mut(other).counter = 40;
     rig.add(other);
@@ -79,22 +26,22 @@ fn quirk_realtime_with_zero_counter_still_beats_everyone() {
         .spawn(&TaskSpec::named("rt").realtime(SchedClass::Fifo, 0));
     rig.tasks.task_mut(rt).counter = 0;
     rig.add(rt);
-    assert_eq!(rig.schedule(rig.idle), rt);
+    assert_eq!(rig.schedule(0, rig.idle(0)), rt);
 }
 
 #[test]
 fn prev_wins_ties_by_being_evaluated_first() {
     // prev is considered before the queue walk, so with equal goodness it
     // keeps the CPU regardless of queue position.
-    let mut rig = Rig::new(SchedConfig::up());
+    let mut rig = rig(SchedConfig::up());
     let a = rig.tasks.spawn(&TaskSpec::named("a").mm(MmId(1)));
     let b = rig.tasks.spawn(&TaskSpec::named("b").mm(MmId(1)));
     rig.add(a);
     rig.add(b);
-    let first = rig.schedule(rig.idle);
+    let first = rig.schedule(0, rig.idle(0));
     // Whoever won, it stays on subsequent calls.
     for _ in 0..5 {
-        assert_eq!(rig.schedule(first), first);
+        assert_eq!(rig.schedule(0, first), first);
     }
 }
 
@@ -102,7 +49,7 @@ fn prev_wins_ties_by_being_evaluated_first() {
 fn recalculation_preserves_sleeper_bonus_ordering() {
     // After the recalc loop, a task that slept (high remaining counter)
     // outranks one that burned its quantum — the interactivity boost.
-    let mut rig = Rig::new(SchedConfig::up());
+    let mut rig = rig(SchedConfig::up());
     let sleeper = rig.tasks.spawn(&TaskSpec::named("sleeper"));
     let hog = rig.tasks.spawn(&TaskSpec::named("hog"));
     rig.tasks.task_mut(sleeper).counter = 18;
@@ -110,7 +57,7 @@ fn recalculation_preserves_sleeper_bonus_ordering() {
     rig.tasks.task_mut(hog).counter = 0;
     rig.add(hog);
     // Only the exhausted hog is runnable: recalc fires.
-    let next = rig.schedule(rig.idle);
+    let next = rig.schedule(0, rig.idle(0));
     assert_eq!(next, hog);
     assert_eq!(rig.stats.cpu(0).recalc_entries, 1);
     let s = rig.tasks.task(sleeper).counter;
@@ -122,7 +69,7 @@ fn recalculation_preserves_sleeper_bonus_ordering() {
 
 #[test]
 fn repeated_recalc_converges_to_twice_priority() {
-    let mut rig = Rig::new(SchedConfig::up());
+    let mut rig = rig(SchedConfig::up());
     let sleeper = rig.tasks.spawn(&TaskSpec::named("s"));
     rig.tasks.task_mut(sleeper).state = TaskState::Interruptible;
     let hog = rig.tasks.spawn(&TaskSpec::named("h"));
@@ -130,7 +77,7 @@ fn repeated_recalc_converges_to_twice_priority() {
     for _ in 0..20 {
         rig.tasks.task_mut(hog).counter = 0;
         rig.tasks.task_mut(hog).has_cpu = true;
-        let _ = rig.schedule(hog);
+        let _ = rig.schedule(0, hog);
     }
     let c = rig.tasks.task(sleeper).counter;
     assert!(
@@ -141,35 +88,24 @@ fn repeated_recalc_converges_to_twice_priority() {
 
 #[test]
 fn move_first_biases_tie_selection() {
-    let mut rig = Rig::new(SchedConfig::up());
+    let mut rig = rig(SchedConfig::up());
     let a = rig.tasks.spawn(&TaskSpec::named("a").mm(MmId(1)));
     let b = rig.tasks.spawn(&TaskSpec::named("b").mm(MmId(1)));
     rig.add(a);
     rig.add(b); // queue: b, a
-    {
-        let mut ctx = SchedCtx {
-            tasks: &mut rig.tasks,
-            stats: &mut rig.stats,
-            meter: &mut rig.meter,
-            costs: &rig.costs,
-            cfg: &rig.cfg,
-            probe: None,
-            locks: None,
-        };
-        rig.sched.move_first_runqueue(&mut ctx, a);
-    }
+    rig.call(|s, ctx| s.move_first_runqueue(ctx, a));
     assert_eq!(
         rig.sched.run_list().collect(&rig.tasks, 0),
         vec![a.index() as u32, b.index() as u32]
     );
-    assert_eq!(rig.schedule(rig.idle), a);
+    assert_eq!(rig.schedule(0, rig.idle(0)), a);
 }
 
 #[test]
 fn yielding_rt_task_gives_way_once() {
     // SCHED_YIELD applies to RT prev too: another runnable RT task of
     // equal priority gets the CPU for one round.
-    let mut rig = Rig::new(SchedConfig::up());
+    let mut rig = rig(SchedConfig::up());
     let rt1 = rig
         .tasks
         .spawn(&TaskSpec::named("rt1").realtime(SchedClass::Rr, 10));
@@ -178,10 +114,10 @@ fn yielding_rt_task_gives_way_once() {
         .spawn(&TaskSpec::named("rt2").realtime(SchedClass::Rr, 10));
     rig.add(rt1);
     rig.add(rt2);
-    let first = rig.schedule(rig.idle);
+    let first = rig.schedule(0, rig.idle(0));
     let other = if first == rt1 { rt2 } else { rt1 };
     rig.tasks.task_mut(first).policy.yielded = true;
-    assert_eq!(rig.schedule(first), other);
+    assert_eq!(rig.schedule(0, first), other);
 }
 
 #[test]
@@ -189,7 +125,7 @@ fn recalc_touches_blocked_tasks_proportionally() {
     // The recalc loop's cost is charged per task in the *system*; verify
     // the meter scales with the blocked population.
     let cost_with_blocked = |blocked: usize| {
-        let mut rig = Rig::new(SchedConfig::up());
+        let mut rig = rig(SchedConfig::up());
         for _ in 0..blocked {
             let t = rig.tasks.spawn(&TaskSpec::named("blocked"));
             rig.tasks.task_mut(t).state = TaskState::Interruptible;
@@ -198,7 +134,7 @@ fn recalc_touches_blocked_tasks_proportionally() {
         rig.tasks.task_mut(runner).counter = 0;
         rig.add(runner);
         rig.meter.take();
-        let _ = rig.schedule(rig.idle);
+        let _ = rig.schedule(0, rig.idle(0));
         assert_eq!(rig.stats.cpu(0).recalc_entries, 1);
         rig.meter.take()
     };
@@ -216,7 +152,7 @@ fn recalc_touches_blocked_tasks_proportionally() {
 fn predicted_counter_matches_recalc_for_every_state() {
     // Cross-check the helper ELSC's insertion relies on against the
     // actual loop, over a range of counters.
-    let mut rig = Rig::new(SchedConfig::up());
+    let mut rig = rig(SchedConfig::up());
     let tids: Vec<Tid> = (0..=40)
         .map(|c| {
             let t = rig.tasks.spawn(&TaskSpec::named("x"));
@@ -233,7 +169,7 @@ fn predicted_counter_matches_recalc_for_every_state() {
     let runner = rig.tasks.spawn(&TaskSpec::named("runner"));
     rig.tasks.task_mut(runner).counter = 0;
     rig.add(runner);
-    let _ = rig.schedule(rig.idle);
+    let _ = rig.schedule(0, rig.idle(0));
     for (i, &t) in tids.iter().enumerate() {
         assert_eq!(rig.tasks.task(t).counter, predicted[i], "counter {i}");
     }

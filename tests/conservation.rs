@@ -5,12 +5,11 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use elsc_bench::rig::Rig;
 use elsc_ktask::{MmId, SchedClass, TaskSpec, TaskState, Tid};
 use elsc_lab::SchedId;
 use elsc_machine::MachineConfig;
 use elsc_obs::{CallbackSink, EventBus, ObsEvent, ObsRecord};
-use elsc_sched_api::{SchedConfig, Scheduler};
+use elsc_sched_api::{Rig, SchedConfig, Scheduler};
 use elsc_simcore::{SimRng, Topology};
 use elsc_workloads::httpd::{self, HttpdConfig};
 use elsc_workloads::kbuild::{self, KbuildConfig};
@@ -174,16 +173,8 @@ struct RunQueueRig {
 
 impl RunQueueRig {
     fn new(sched: Box<dyn Scheduler>, cfg: SchedConfig) -> RunQueueRig {
-        // The rig brings CPU 0's idle task; the other CPUs' follow it.
-        let mut rig = Rig::around(sched, cfg);
+        let mut rig = Rig::boxed(cfg, sched).idle_per_cpu();
         let tasks = &mut rig.tasks;
-        for cpu in 1..rig.cfg.nr_cpus {
-            let idle = tasks.spawn(&TaskSpec::named("idle").priority(1));
-            let t = tasks.task_mut(idle);
-            t.counter = 0;
-            t.processor = cpu;
-            t.has_cpu = true;
-        }
         let tids = (0..NR_TASKS)
             .map(|i| {
                 // Two real-time tasks among the SCHED_OTHER ones, so the
@@ -222,8 +213,8 @@ impl RunQueueRig {
     }
 
     fn schedule(&mut self) {
-        let prev = self.current.map_or(self.rig.idle, |i| self.tids[i]);
-        let idle = self.rig.idle;
+        let idle = self.rig.idle(0);
+        let prev = self.current.map_or(idle, |i| self.tids[i]);
         let (prev_runnable, rr_exhausted) = {
             let p = self.rig.tasks.task(prev);
             let runnable = p.state.is_runnable();
