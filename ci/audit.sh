@@ -137,6 +137,15 @@ rules() {
 0 0 shipped crates/sched-ext/src/heap.rs,crates/sched-ext/src/affinity_heap.rs  -  fn (add_to|del_from|move_first|move_last)_runqueue|fn schedule\(|frame::commit
 1 - shipped crates/sched-ext/src/sorted.rs  -  fn (add_to|del_from|move_first|move_last)_runqueue|fn schedule\(|frame::commit
 
+# -- One random-operation generator: every design-vs-twin differential,
+# reg's goodness index against its run-queue walk among them, draws its
+# operations from the one `Op` / `Prelude` / `draw` in
+# `sched-ext/tests/differential.rs`; no test suite keeps a second copy.
+0 0 whole   crates/*/tests,tests  ^crates/sched-ext/tests/differential\.rs:  enum Prelude\b
+1 1 whole   crates/sched-ext/tests/differential.rs  -  enum Prelude\b
+0 0 whole   crates/*/tests,tests  ^crates/sched-ext/tests/differential\.rs:  fn draw\(
+1 1 whole   crates/sched-ext/tests/differential.rs  -  fn draw\(
+
 # -- One run-queue list bank: the list half of the four run-queue
 # manipulators (surgery, ListOp charges, counts, `nr_running`, each task's
 # list) lives in `sched-api/src/queues.rs`, which reg, mq, bubble and the

@@ -32,6 +32,8 @@ pub use data::{parse_trace, CandidateRow, Dataset, Decision};
 pub use model::{Arch, Model, Q_ONE};
 pub use train::{eval, train, TrainConfig};
 
+use elsc_ktask::Tid;
+
 /// Number of features per candidate, in [`FEATURE_NAMES`] order.
 pub const FEATURES: usize = 7;
 
@@ -45,8 +47,45 @@ pub const FEATURE_NAMES: [&str; FEATURES] = [
     "rt",       // 1 if realtime-class
     "mm_match", // 1 if candidate shares the outgoing task's mm
     "affinity", // topology affinity bonus of last CPU vs deciding CPU
-    "recency",  // decisions since the candidate last won here (255 = never)
+    "recency",  // decisions since the candidate last won, on any CPU (255 = never)
 ];
+
+/// The `recency` feature's clock, kept the same by the `--decision-trace`
+/// observer that writes the column and the `learned:<model>` scheduler
+/// that reads it: decisions since each task last won one, on any CPU,
+/// saturated at 255 (255 = never). Indexed by task-table slot; the slot's
+/// next tenant has another generation, so it reads as never picked.
+#[derive(Debug, Default)]
+pub struct Recency {
+    /// Decisions started so far.
+    decisions: u64,
+    /// Per slot, the task that last won there and the decision it won.
+    last_won: Vec<Option<(Tid, u64)>>,
+}
+
+impl Recency {
+    /// Starts a decision.
+    pub fn tick(&mut self) {
+        self.decisions += 1;
+    }
+
+    /// `tid`'s feature value in the current decision.
+    pub fn of(&self, tid: Tid) -> u64 {
+        match self.last_won.get(tid.index()) {
+            Some(&Some((t, won))) if t == tid => (self.decisions - won).min(255),
+            _ => 255,
+        }
+    }
+
+    /// Records that `tid` won the current decision.
+    pub fn won(&mut self, tid: Tid) {
+        let idx = tid.index();
+        if idx >= self.last_won.len() {
+            self.last_won.resize(idx + 1, None);
+        }
+        self.last_won[idx] = Some((tid, self.decisions));
+    }
+}
 
 /// Per-feature full-scale values: a raw feature equal to its scale maps
 /// to 1.0 in Q16.16. Chosen so every in-range raw value lands in roughly
@@ -74,6 +113,23 @@ mod tests {
             raw[i] = *s;
         }
         assert_eq!(quantize(&raw), [model::Q_ONE; FEATURES]);
+    }
+
+    #[test]
+    fn recency_reads_the_gap_since_a_win() {
+        let (a, b) = (Tid::from_raw(3, 0), Tid::from_raw(3, 1));
+        let mut r = Recency::default();
+        r.tick();
+        assert_eq!(r.of(a), 255, "never won");
+        r.won(a);
+        r.tick();
+        r.tick();
+        assert_eq!(r.of(a), 2);
+        assert_eq!(r.of(b), 255, "the slot's next tenant never won");
+        for _ in 0..300 {
+            r.tick();
+        }
+        assert_eq!(r.of(a), 255, "capped");
     }
 
     #[test]

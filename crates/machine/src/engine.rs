@@ -104,7 +104,7 @@ impl Machine {
             // lab's `wall_ratio` moves (which is the point: the CI engine
             // job injects a 3× here to prove the wall-clock gate trips).
             let mut x = t.get() | 1;
-            for i in 0..(self.cfg.engine_slowdown - 1) * 2000 {
+            for i in 0..slowdown_spins(self.cfg.engine_slowdown) {
                 x = std::hint::black_box(x.wrapping_mul(6364136223846793005).wrapping_add(i));
             }
             std::hint::black_box(x);
@@ -328,5 +328,25 @@ impl Machine {
         self.pending_wakeish == 0
             && self.sched.nr_running() == 0
             && self.cpus.iter().all(|c| c.is_idle())
+    }
+}
+
+/// Busy-work rounds per dispatched event at engine slowdown `factor`:
+/// 2000 per step above 1, saturating where a factor set through
+/// `MachineConfig` would overflow the count.
+fn slowdown_spins(factor: u64) -> u64 {
+    factor.saturating_sub(1).saturating_mul(2000)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::slowdown_spins;
+
+    #[test]
+    fn slowdown_spins_saturate() {
+        assert_eq!(slowdown_spins(1), 0);
+        assert_eq!(slowdown_spins(3), 4000);
+        assert_eq!(slowdown_spins(u64::MAX / 2000 + 1), u64::MAX / 2000 * 2000);
+        assert_eq!(slowdown_spins(u64::MAX), u64::MAX);
     }
 }

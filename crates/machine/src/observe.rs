@@ -15,6 +15,7 @@
 
 use elsc_chaos::{task_invariants, Decision, DivergenceClass, RunnableSet, SlotSet, TaskSnap};
 use elsc_ktask::{CpuId, LogReader, MmId, Task, TaskTable, Tid};
+use elsc_learn::Recency;
 use elsc_obs::{EventBus, ObsEvent};
 use elsc_sched_api::topo_affinity_bonus;
 use elsc_simcore::{Cycles, Topology};
@@ -43,12 +44,8 @@ pub(crate) struct DecisionView {
 /// training row for `elsc-learn`.
 #[derive(Default)]
 pub(crate) struct DecisionTracer {
-    /// Decisions traced so far (the recency feature's clock).
-    decisions: u64,
-    /// Per slot, the task that last won a traced decision there and the
-    /// decision index of the win. The slot's next tenant has another
-    /// generation, so it reads as never picked.
-    last_won: Vec<Option<(Tid, u64)>>,
+    /// The recency feature's clock, over traced decisions.
+    recency: Recency,
 }
 
 impl DecisionTracer {
@@ -60,16 +57,12 @@ impl DecisionTracer {
         topo: &Topology,
         t: Cycles,
     ) {
-        self.decisions += 1;
+        self.recency.tick();
         let cpu = view.cpu;
         for s in runnable.iter() {
             if s.tid != view.prev && s.has_cpu {
                 continue;
             }
-            let recency = match self.last_won.get(s.tid.index()) {
-                Some(&Some((tid, won))) if tid == s.tid => (self.decisions - won).min(255),
-                _ => 255,
-            };
             bus.emit_at(
                 t,
                 ObsEvent::SchedCandidate {
@@ -80,7 +73,7 @@ impl DecisionTracer {
                     rt: s.rt as u64,
                     mm_match: (s.mm == view.prev_mm) as u64,
                     affinity: topo_affinity_bonus(topo, cpu, s.processor).max(0) as u64,
-                    recency,
+                    recency: self.recency.of(s.tid),
                 },
             );
         }
@@ -97,11 +90,7 @@ impl DecisionTracer {
             },
         );
         if next != view.idle {
-            let idx = next.index();
-            if idx >= self.last_won.len() {
-                self.last_won.resize(idx + 1, None);
-            }
-            self.last_won[idx] = Some((next, self.decisions));
+            self.recency.won(next);
         }
     }
 }

@@ -157,7 +157,7 @@ pub enum ObsEvent {
         /// Topology affinity bonus of the candidate's last CPU vs the
         /// deciding CPU (0 when cold or single-CPU).
         affinity: u64,
-        /// Decisions since this candidate last won on this CPU,
+        /// Decisions since this candidate last won, on any CPU,
         /// saturated at 255 (255 = never).
         recency: u64,
     },

@@ -10,38 +10,13 @@
 //! contract: **every** input yields `Ok` or a `PolicyError` with a
 //! 1-based span; nothing panics, and nothing overflows the stack.
 
-use std::fs;
-use std::path::PathBuf;
+mod common;
 
+use common::{below, mutate, read_corpus};
 use elsc_policy::parse::MAX_NESTING;
 use elsc_policy::{load_str, PolicyScheduler};
 use elsc_sched_api::{Load, Scheduler};
 use elsc_simcore::SimRng;
-
-fn policies_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../policies")
-}
-
-fn read_corpus(sub: &str) -> Vec<(String, String)> {
-    let dir = match sub {
-        "" => policies_dir(),
-        s => policies_dir().join(s),
-    };
-    let mut out: Vec<(String, String)> = fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", dir.display()))
-        .filter_map(|e| {
-            let p = e.ok()?.path();
-            if p.extension().is_some_and(|x| x == "pol") {
-                let name = p.file_name().unwrap().to_string_lossy().into_owned();
-                Some((name, fs::read_to_string(&p).expect("readable corpus file")))
-            } else {
-                None
-            }
-        })
-        .collect();
-    out.sort();
-    out
-}
 
 #[test]
 fn every_bundled_policy_loads_and_builds_a_scheduler() {
@@ -99,13 +74,6 @@ fn every_malformed_fixture_is_rejected_with_a_span() {
 // ---------------------------------------------------------------------
 // Hand-rolled property suites (deterministic, dependency-free)
 // ---------------------------------------------------------------------
-
-/// The simulator's own deterministic generator drives the fuzzing
-/// corpora too — one RNG for the whole workspace, same seeds, same
-/// corpus forever. `usize` shim over [`SimRng::below`]'s `u64` surface.
-fn below(rng: &mut SimRng, n: usize) -> usize {
-    rng.below(n as u64) as usize
-}
 
 /// Vocabulary for random token soup: every keyword, function, and a few
 /// literals/punctuators the language knows, so the soup regularly forms
@@ -226,30 +194,7 @@ fn mutated_real_programs_never_panic_the_loader() {
     let mut rng = SimRng::new(0x005E_ED0F_0BAD_CA5E);
     for (_, src) in &corpus {
         for _ in 0..400 {
-            let mut s: Vec<char> = src.chars().collect();
-            match below(&mut rng, 4) {
-                // Delete a character.
-                0 => {
-                    let i = below(&mut rng, s.len());
-                    s.remove(i);
-                }
-                // Swap two characters.
-                1 => {
-                    let i = below(&mut rng, s.len());
-                    let j = below(&mut rng, s.len());
-                    s.swap(i, j);
-                }
-                // Truncate.
-                2 => s.truncate(below(&mut rng, s.len())),
-                // Duplicate a random slice onto the end.
-                _ => {
-                    let i = below(&mut rng, s.len());
-                    let j = i + below(&mut rng, s.len() - i);
-                    let dup: Vec<char> = s[i..j].to_vec();
-                    s.extend(dup);
-                }
-            }
-            let mutated: String = s.into_iter().collect();
+            let mutated = mutate(&mut rng, src);
             // Ok (the mutation was benign — e.g. inside a comment) or a
             // spanned Err. Either way: no panic, and an accepted program
             // still carries verifier guarantees strong enough to build.

@@ -14,9 +14,11 @@
 //! machine runs close the file: full-report byte equality, and an
 //! identical watchdog ejection.
 
-use std::fs;
-use std::path::PathBuf;
+mod common;
 
+use std::fs;
+
+use common::{mutate, policies_dir, read_corpus};
 use elsc_ktask::{CpuId, MmId, TaskSpec, TaskState, Tid};
 use elsc_machine::behavior::Script;
 use elsc_machine::{Machine, MachineConfig, Op, RunReport};
@@ -24,31 +26,6 @@ use elsc_netsim::Msg;
 use elsc_policy::{load_str, HookKind, PolicyScheduler, Program, DEFAULT_BUDGET};
 use elsc_sched_api::{Rig, SchedConfig, Scheduler, Supervised, Verdict};
 use elsc_simcore::SimRng;
-
-fn policies_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../policies")
-}
-
-fn read_corpus() -> Vec<(String, String)> {
-    let mut out: Vec<(String, String)> = fs::read_dir(policies_dir())
-        .expect("policies dir")
-        .filter_map(|e| {
-            let p = e.ok()?.path();
-            if p.extension().is_some_and(|x| x == "pol") {
-                let name = p.file_name().unwrap().to_string_lossy().into_owned();
-                Some((name, fs::read_to_string(&p).expect("readable corpus file")))
-            } else {
-                None
-            }
-        })
-        .collect();
-    out.sort();
-    out
-}
-
-fn below(rng: &mut SimRng, n: usize) -> usize {
-    rng.below(n as u64) as usize
-}
 
 /// One executor's full observable trace of a driven scenario.
 #[derive(Debug, PartialEq)]
@@ -149,7 +126,7 @@ fn assert_vm_matches_reference(name: &str, prog: &Program, budget: u64, steps: u
 
 #[test]
 fn bundled_policies_match_the_reference_at_generous_and_tight_budgets() {
-    for (name, src) in &read_corpus() {
+    for (name, src) in &read_corpus("") {
         let prog = load_str(src).unwrap_or_else(|e| panic!("{name}: {e}"));
         for budget in [DEFAULT_BUDGET, 96, 7] {
             assert_vm_matches_reference(name, &prog, budget, 120);
@@ -159,33 +136,14 @@ fn bundled_policies_match_the_reference_at_generous_and_tight_budgets() {
 
 #[test]
 fn verifier_accepted_mutants_match_the_reference() {
-    let corpus = read_corpus();
+    let corpus = read_corpus("");
     let mut rng = SimRng::new(0x00D1_FFE2_E4C1_A11E);
     for (name, src) in &corpus {
         let mut accepted = 0u32;
         let mut attempts = 0u32;
         while accepted < 40 && attempts < 4000 {
             attempts += 1;
-            let mut s: Vec<char> = src.chars().collect();
-            match below(&mut rng, 4) {
-                0 => {
-                    let i = below(&mut rng, s.len());
-                    s.remove(i);
-                }
-                1 => {
-                    let i = below(&mut rng, s.len());
-                    let j = below(&mut rng, s.len());
-                    s.swap(i, j);
-                }
-                2 => s.truncate(below(&mut rng, s.len())),
-                _ => {
-                    let i = below(&mut rng, s.len());
-                    let j = i + below(&mut rng, s.len() - i);
-                    let dup: Vec<char> = s[i..j].to_vec();
-                    s.extend(dup);
-                }
-            }
-            let mutated: String = s.into_iter().collect();
+            let mutated = mutate(&mut rng, src);
             let Ok(prog) = load_str(&mutated) else {
                 continue;
             };

@@ -27,10 +27,8 @@
 //! affected, and the verification bound catches any pick the skew
 //! misleads.
 
-use std::collections::HashMap;
-
 use elsc_ktask::{CpuId, MmId, TaskTable, Tid};
-use elsc_learn::{quantize, Model, FEATURES};
+use elsc_learn::{quantize, Model, Recency, FEATURES};
 use elsc_sched_api::{
     frame, goodness_ignoring_yield_on, topo_affinity_bonus, Load, SchedCtx, Scheduler, Supervised,
     Verdict, IDLE_GOODNESS,
@@ -47,12 +45,10 @@ pub struct LearnedScheduler {
     model: Model,
     /// Report name, `learned:<model stem>`.
     name: &'static str,
-    /// Decision counter for the recency feature (mirrors the machine's
-    /// `--decision-trace` bookkeeping, so trained recency columns mean
-    /// the same thing at inference).
-    decisions: u64,
-    /// Decision index of each task's last win on any CPU.
-    last_picked: HashMap<Tid, u64>,
+    /// The recency feature's clock, the one the machine's
+    /// `--decision-trace` keeps, so trained recency columns mean the same
+    /// thing at inference.
+    recency: Recency,
     /// Predictions made (one per decision with scorable candidates).
     predictions: u64,
     /// Predictions that survived verification.
@@ -70,8 +66,7 @@ impl LearnedScheduler {
             base: LinuxScheduler::new(),
             model,
             name,
-            decisions: 0,
-            last_picked: HashMap::new(),
+            recency: Recency::default(),
             predictions: 0,
             hits: 0,
             verdict: Verdict::Abstain,
@@ -98,10 +93,6 @@ impl LearnedScheduler {
         prev_mm: MmId,
     ) -> i64 {
         let task = ctx.tasks.task(tid);
-        let recency = self
-            .last_picked
-            .get(&tid)
-            .map_or(255, |&won| (self.decisions - won).min(255));
         let raw: [i64; FEATURES] = [
             depth as i64,
             task.counter.max(0) as i64,
@@ -109,7 +100,7 @@ impl LearnedScheduler {
             task.policy.class.is_realtime() as i64,
             (task.mm == prev_mm) as i64,
             topo_affinity_bonus(&ctx.cfg.topology, cpu, task.processor).max(0) as i64,
-            recency as i64,
+            self.recency.of(tid) as i64,
         ];
         self.model.score(&quantize(&raw))
     }
@@ -137,7 +128,7 @@ impl Scheduler for LearnedScheduler {
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
-        self.decisions += 1;
+        self.recency.tick();
         self.verdict = Verdict::Abstain;
         // Queue depth *before* prev leaves, matching the machine's
         // `--decision-trace` sampling point.
@@ -210,7 +201,7 @@ impl Scheduler for LearnedScheduler {
         let next = verified.unwrap_or_else(|| self.base.select(ctx, cpu, prev, idle, entered));
 
         if next != idle {
-            self.last_picked.insert(next, self.decisions);
+            self.recency.won(next);
         }
         frame::commit(ctx, cpu, prev, next, idle)
     }

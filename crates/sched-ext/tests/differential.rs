@@ -1,15 +1,16 @@
-//! `heap` and `aheap` on the shared `SortedQueue`, and `mq` and `bubble`
-//! on the shared `RunQueues` list bank, against their twins — the
-//! implementations they replaced (`twins/`) — over random operation
-//! sequences: the same operations applied to both, and every decision
-//! required to agree on the pick, the run-queue count, the statistics,
-//! every cycle the meter was charged and, on SMP shapes, every mid-call
-//! lock-domain acquisition and the instant it was owned.
+//! Every refactored design against its twin — the implementation it
+//! replaced (`twins/`) — over random operation sequences: reg's goodness
+//! index against the O(n) walk of the same list, `heap` and `aheap` on
+//! the shared `SortedQueue`, and `mq` and `bubble` on the shared
+//! `RunQueues` list bank. The same operations are applied to both, and
+//! every decision is required to agree on the pick, the run-queue count,
+//! the statistics, every cycle the meter was charged and, on SMP shapes,
+//! every mid-call lock-domain acquisition and the instant it was owned.
 //!
-//! The generator has the shape of `elsc-sched-linux`'s index-against-walk
-//! test, and draws from the design under test: which tasks are queued
-//! comes from `on_runqueue()`, which only the new side of the heap pairs
-//! maintains.
+//! This is the one random-operation generator: it draws from the design
+//! under test (which tasks are queued comes from `on_runqueue()`, which
+//! only the new side of the heap pairs maintains), over a task population
+//! drawn in one of two [`Regime`]s.
 
 mod twins;
 
@@ -18,6 +19,8 @@ use elsc_sched_api::{LockModel, Rig, SchedConfig, Scheduler};
 use elsc_simcore::{Cycles, SimRng, Topology};
 
 use elsc_sched_ext::{AffinityHeapScheduler, BubbleScheduler, HeapScheduler, MultiQueueScheduler};
+use elsc_sched_linux::LinuxScheduler;
+use twins::walk::Walk;
 
 /// One simulated machine: the rig (a task table, per-CPU idle tasks, a
 /// scheduler and, on SMP shapes, the lock domains it declares), each
@@ -30,13 +33,13 @@ struct Sim<S> {
 }
 
 impl<S: Scheduler> Sim<S> {
-    fn new(cfg: SchedConfig, sched: S, specs: &[TaskSpec], counters: &[i32]) -> Sim<S> {
+    fn new(cfg: SchedConfig, sched: S, population: &[Drawn]) -> Sim<S> {
         let mut rig = Rig::new(cfg, sched).idle_per_cpu();
         let nr_cpus = rig.cfg.nr_cpus;
-        for (i, (spec, &counter)) in specs.iter().zip(counters).enumerate() {
+        for (spec, counter, processor) in population {
             let t = rig.tasks.spawn(spec);
-            rig.tasks.task_mut(t).counter = counter;
-            rig.tasks.task_mut(t).processor = i % nr_cpus;
+            rig.tasks.task_mut(t).counter = *counter;
+            rig.tasks.task_mut(t).processor = *processor;
             rig.tasks.task_mut(t).state = TaskState::Interruptible;
         }
         if rig.cfg.smp {
@@ -165,19 +168,11 @@ const CLASSES: [&str; 14] = [
 
 /// Draws the next operation from the state of the design under test,
 /// with the class it counts as.
-fn draw<S: Scheduler>(rng: &mut SimRng, sim: &Sim<S>, pool: &[Tid]) -> (Op, Option<usize>) {
+fn draw(rng: &mut SimRng, sim: &Sim<impl Scheduler>, pool: &[Tid]) -> (Op, Option<usize>) {
     let nr_cpus = sim.rig.cfg.nr_cpus;
-    let running = |t: Tid| sim.rig.tasks.task(t).has_cpu;
-    let queued: Vec<Tid> = pool
-        .iter()
-        .copied()
-        .filter(|&t| sim.rig.tasks.task(t).on_runqueue())
-        .collect();
-    let asleep: Vec<Tid> = pool
-        .iter()
-        .copied()
-        .filter(|&t| !sim.rig.tasks.task(t).on_runqueue())
-        .collect();
+    let task = |t: Tid| sim.rig.tasks.task(t);
+    let running = |t: Tid| task(t).has_cpu;
+    let (queued, asleep): (Vec<Tid>, Vec<Tid>) = pool.iter().partition(|&&t| task(t).on_runqueue());
     let waiting: Vec<Tid> = queued.iter().copied().filter(|&t| !running(t)).collect();
     let any = |rng: &mut SimRng, v: &[Tid]| v[rng.below(v.len() as u64) as usize];
     let cpu = rng.below(nr_cpus as u64) as usize;
@@ -204,7 +199,7 @@ fn draw<S: Scheduler>(rng: &mut SimRng, sim: &Sim<S>, pool: &[Tid]) -> (Op, Opti
         }
         9 => (Op::ZeroCounter(any(rng, pool)), Some(10)),
         _ => {
-            let is_rr = sim.rig.tasks.task(prev).policy.class == SchedClass::Rr;
+            let is_rr = task(prev).policy.class == SchedClass::Rr;
             let (prelude, class) = match rng.below(8) {
                 _ if prev == sim.rig.idle(cpu) => (Prelude::None, None),
                 0 => (Prelude::Yield, Some(6)),
@@ -226,23 +221,32 @@ fn filed(tasks: &TaskTable, pool: &[Tid]) -> Vec<Option<u16>> {
     pool.iter().map(|&t| on_list(tasks.task(t))).collect()
 }
 
-/// Runs `decisions` decisions of `design` against `twin` on `cfg` from
-/// `seed`, asserting agreement after every decision; adds to the
-/// per-class hit counts.
-fn run<N: Scheduler, T: Scheduler>(
-    (design, twin): Pair<N, T>,
-    cfg: SchedConfig,
-    seed: u64,
-    decisions: u64,
-    hits: &mut [u64; 14],
-) {
-    let mut rng = SimRng::new(seed);
+/// How a run's tasks are drawn.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Regime {
+    /// Priorities 1–40, `rt_priority` 0–99, uniform counters, every task
+    /// last ran on CPU 0.
+    Broad,
+    /// Few priorities, all multiples of 20, `rt_priority` below 4, half
+    /// the counters at priority and the tasks spread over the CPUs, so
+    /// that equal static keys (and their tie order) are common.
+    TieHeavy,
+}
+
+/// A task of the population: its spec, counter and last CPU.
+type Drawn = (TaskSpec, i32, usize);
+
+/// Draws 4–43 sleeping tasks in `regime` on a machine of `nr_cpus`.
+fn population(rng: &mut SimRng, regime: Regime, nr_cpus: usize) -> Vec<Drawn> {
+    let ties = regime == Regime::TieHeavy;
     let n = 4 + rng.below(40) as usize;
     // Few address spaces (a VolanoMark run) or one per task (kbuild).
     let shared = rng.chance(0.5);
-    // Few priorities, so that equal static keys (and their tie order)
-    // are common.
-    let levels = 1 + rng.below(3) as i32;
+    let (levels, rt_levels) = if ties {
+        (1 + rng.below(3), 4)
+    } else {
+        (0, 100)
+    };
     let specs: Vec<TaskSpec> = (0..n)
         .map(|i| {
             let mm = if shared {
@@ -250,28 +254,47 @@ fn run<N: Scheduler, T: Scheduler>(
             } else {
                 1 + i as u64
             };
-            let spec = TaskSpec::named("t")
-                .priority(20 * (1 + rng.below(levels as u64) as i32))
-                .mm(MmId(mm as u32));
+            let priority = match regime {
+                Regime::Broad => 1 + rng.below(40) as i32,
+                Regime::TieHeavy => 20 * (1 + rng.below(levels) as i32),
+            };
+            let spec = TaskSpec::named("t").priority(priority).mm(MmId(mm as u32));
             match rng.below(10) {
-                0 => spec.realtime(SchedClass::Fifo, rng.below(4) as i32),
-                1 => spec.realtime(SchedClass::Rr, rng.below(4) as i32),
+                0 => spec.realtime(SchedClass::Fifo, rng.below(rt_levels) as i32),
+                1 => spec.realtime(SchedClass::Rr, rng.below(rt_levels) as i32),
                 _ => spec,
             }
         })
         .collect();
-    let counters: Vec<i32> = specs
-        .iter()
-        .map(|s| {
-            if rng.chance(0.5) {
-                s.priority
+    specs
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let counter = if ties && rng.chance(0.5) {
+                spec.priority
             } else {
-                rng.below(2 * s.priority as u64 + 1) as i32
-            }
+                rng.below(2 * spec.priority as u64 + 1) as i32
+            };
+            (spec, counter, if ties { i % nr_cpus } else { 0 })
         })
-        .collect();
-    let mut new = Sim::new(cfg.clone(), design(&cfg), &specs, &counters);
-    let mut old = Sim::new(cfg.clone(), twin(&cfg), &specs, &counters);
+        .collect()
+}
+
+/// Runs `decisions` decisions of `design` against `twin` on `cfg` from
+/// `seed` over a population drawn in `regime`, asserting agreement after
+/// every decision; adds to the per-class hit counts.
+fn run<N: Scheduler, T: Scheduler>(
+    (design, twin): Pair<N, T>,
+    regime: Regime,
+    cfg: SchedConfig,
+    seed: u64,
+    decisions: u64,
+    hits: &mut [u64; 14],
+) {
+    let mut rng = SimRng::new(seed);
+    let population = population(&mut rng, regime, cfg.nr_cpus);
+    let mut new = Sim::new(cfg.clone(), design(&cfg), &population);
+    let mut old = Sim::new(cfg.clone(), twin(&cfg), &population);
     let pool: Vec<Tid> = new.rig.tasks.tids()[cfg.nr_cpus..].to_vec();
     let name = new.rig.sched.name();
     let mut decided = 0;
@@ -285,7 +308,7 @@ fn run<N: Scheduler, T: Scheduler>(
         };
         let picked = new.apply(op);
         let reference = old.apply(op);
-        let at = format!("{name} {cfg:?} seed {seed} step {step}: {op:?}");
+        let at = format!("{name} {regime:?} {cfg:?} seed {seed} step {step}: {op:?}");
         assert_eq!(picked, reference, "{at}");
         if let Some(c) = class {
             hits[c] += 1;
@@ -336,11 +359,13 @@ fn list_shapes() -> [SchedConfig; 4] {
     ]
 }
 
-/// 100 000 decisions of `pair`, 25 seeds × 1 000 on each of `shapes`;
-/// every operation class but the queue moves must occur more than 100
-/// times, and those too when the design `moves` tasks between lists.
+/// 100 000 decisions of `pair` in `regime`, 25 seeds × 1 000 on each of
+/// `shapes`; every operation class but the queue moves must occur more
+/// than 100 times, and those too when the design `moves` tasks between
+/// lists.
 fn differential<N: Scheduler, T: Scheduler>(
     pair: Pair<N, T>,
+    regime: Regime,
     base: u64,
     shapes: [SchedConfig; 4],
     moves: bool,
@@ -351,6 +376,7 @@ fn differential<N: Scheduler, T: Scheduler>(
         for seed in 0..25 {
             run(
                 pair,
+                regime,
                 cfg.clone(),
                 base + 100 * i as u64 + seed,
                 1_000,
@@ -367,53 +393,44 @@ fn differential<N: Scheduler, T: Scheduler>(
 }
 
 #[test]
+fn the_index_picks_what_the_walk_picks() {
+    let reg: Pair<_, _> = (|_| LinuxScheduler::new(), |_| Walk(LinuxScheduler::new()));
+    differential(reg, Regime::Broad, 0x1D_0000, heap_shapes(), false);
+    differential(reg, Regime::TieHeavy, 0x1D_1000, heap_shapes(), false);
+}
+
+#[test]
 fn heap_decides_like_its_btreemap_twin() {
-    differential(
-        (
-            |_| HeapScheduler::new(),
-            |_| twins::heap::HeapScheduler::new(),
-        ),
-        0x4EA9_0000,
-        heap_shapes(),
-        false,
+    let heap: Pair<_, _> = (
+        |_| HeapScheduler::new(),
+        |_| twins::heap::HeapScheduler::new(),
     );
+    differential(heap, Regime::TieHeavy, 0x4EA9_0000, heap_shapes(), false);
 }
 
 #[test]
 fn aheap_decides_like_its_btreemap_twin() {
-    differential(
-        (
-            |_| AffinityHeapScheduler::new(),
-            |_| twins::affinity_heap::AffinityHeapScheduler::new(),
-        ),
-        0xA4EA_0000,
-        heap_shapes(),
-        false,
+    let aheap: Pair<_, _> = (
+        |_| AffinityHeapScheduler::new(),
+        |_| twins::affinity_heap::AffinityHeapScheduler::new(),
     );
+    differential(aheap, Regime::TieHeavy, 0xA4EA_0000, heap_shapes(), false);
 }
 
 #[test]
 fn mq_decides_like_its_hand_written_twin() {
-    differential(
-        (
-            |cfg| MultiQueueScheduler::new(cfg.nr_cpus),
-            |cfg| twins::multiqueue::MultiQueueScheduler::new(cfg.nr_cpus),
-        ),
-        0x3A0_0000,
-        list_shapes(),
-        true,
+    let mq: Pair<_, _> = (
+        |cfg| MultiQueueScheduler::new(cfg.nr_cpus),
+        |cfg| twins::multiqueue::MultiQueueScheduler::new(cfg.nr_cpus),
     );
+    differential(mq, Regime::TieHeavy, 0x3A0_0000, list_shapes(), true);
 }
 
 #[test]
 fn bubble_decides_like_its_hand_written_twin() {
-    differential(
-        (
-            |cfg| BubbleScheduler::new(cfg.topology),
-            |cfg| twins::bubble::BubbleScheduler::new(cfg.topology),
-        ),
-        0xB0B_0000,
-        list_shapes(),
-        true,
+    let bubble: Pair<_, _> = (
+        |cfg| BubbleScheduler::new(cfg.topology),
+        |cfg| twins::bubble::BubbleScheduler::new(cfg.topology),
     );
+    differential(bubble, Regime::TieHeavy, 0xB0B_0000, list_shapes(), true);
 }
