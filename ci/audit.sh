@@ -187,6 +187,24 @@ rules() {
 # every check lives once, in ci/lib.sh or a ci/jobs/*.sh line.
 0 0 whole   .github  -  \bcargo\b|elsc-sim
 1 - whole   ci/lib.sh  -  \bcargo\b|elsc-sim
+
+# -- Every setting has a caller: a value no run varies is a constant
+# beside its reader. The machine's clock and tick, VolanoMark's costs,
+# jitter and socket capacity, the trainer's CLI pass count, the
+# learned-ejection flag and the shard-count lock plan are settable
+# nowhere. The report still names its clock, and httpd keeps its own
+# jitter (a test sets it); the change log records the rest. One
+# SplitMix64 serves the RNG seeding and the cluster's placement hash.
+0 0 whole   crates/machine/src/config.rs  -  pub (cpu_hz|tick_cycles):
+1 1 whole   crates/machine/src/report.rs  -  pub (cpu_hz|tick_cycles):
+0 0 whole   crates/workloads/src/volanomark.rs  -  pub (pipe_capacity|client_send_work|client_recv_work|server_route_work|fanout_work|server_send_work|jitter):
+1 1 whole   crates/workloads/src/httpd.rs  -  pub (pipe_capacity|client_send_work|client_recv_work|server_route_work|fanout_work|server_send_work|jitter):
+0 0 whole   crates/cli  -  learn-eject-k|"epochs"
+1 - whole   CHANGES.md  -  learn-eject-k|"epochs"
+0 0 whole   crates,tests,examples  -  Sharded\(
+1 - whole   CHANGES.md  -  Sharded\(
+0 0 whole   crates,tests,examples  ^crates/simcore/src/rng\.rs:  fn (mix64|splitmix64)\b
+1 1 whole   crates/simcore/src/rng.rs  -  fn (mix64|splitmix64)\b
 EOF
 }
 

@@ -89,8 +89,6 @@ const OPTIONS: &[&str] = &[
     "arch",
     "model-out",
     "model",
-    "epochs",
-    "learn-eject-k",
     // `lab` subcommand options.
     "workers",
     "spec",
@@ -282,17 +280,42 @@ mod tests {
             "--arch=mlp",
             "--model-out",
             "m.model",
-            "--epochs",
-            "5",
         ])
         .unwrap();
         assert_eq!(a.get("data"), Some("t.jsonl"));
         assert_eq!(a.get("arch"), Some("mlp"));
         assert_eq!(a.get("model-out"), Some("m.model"));
-        assert_eq!(a.get_or("epochs", 0u32).unwrap(), 5);
-        let a = parse(&["volano", "--decision-trace", "--learn-eject-k", "4"]).unwrap();
+        let a = parse(&["volano", "--decision-trace"]).unwrap();
         assert!(a.flag("decision-trace"));
-        assert_eq!(a.get_or("learn-eject-k", 8u32).unwrap(), 4);
+    }
+
+    /// The help texts and the parser name the same options: every flag
+    /// and option the parser takes has a help line, and every `--name` a
+    /// help text shows is one the parser takes.
+    #[test]
+    fn help_texts_and_the_parser_name_the_same_options() {
+        let help = crate::usage() + crate::lab::LAB_USAGE + crate::learn::LEARN_USAGE;
+        let named: Vec<&str> = help
+            .split("--")
+            .skip(1)
+            .filter_map(|t| {
+                t.split(|c: char| !c.is_ascii_alphanumeric() && c != '-')
+                    .next()
+            })
+            .filter(|name| !name.is_empty())
+            .collect();
+        for name in FLAGS.iter().chain(OPTIONS) {
+            assert!(
+                named.contains(name),
+                "--{name} is parsed but no help text names it"
+            );
+        }
+        for name in named {
+            assert!(
+                FLAGS.contains(&name) || OPTIONS.contains(&name) || WorkloadCell::is_param(name),
+                "a help text names --{name}, which the parser refuses"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::args::Args;
 
-use elsc_learn::{eval, parse_trace, train, Arch, Dataset, Model, TrainConfig};
+use elsc_learn::{eval, parse_trace, train, Arch, Dataset, Model, TrainConfig, EPOCHS, LR_SHIFT};
 
 /// A required option, with a `learn`-scoped diagnostic.
 fn required<'a>(a: &'a Args, key: &str) -> Result<&'a str, String> {
@@ -49,10 +49,8 @@ pub fn run_learn(a: &Args) -> Result<(), String> {
             let arch = Arch::parse(required(a, "arch")?).map_err(|e| format!("--arch: {e}"))?;
             let out = required(a, "model-out")?;
             let seed: u64 = a.get_or("seed", 23_062).map_err(|e| e.to_string())?;
-            let mut cfg = TrainConfig::new(arch, seed);
-            cfg.epochs = a.get_or("epochs", cfg.epochs).map_err(|e| e.to_string())?;
             let data = load_dataset(data_path)?;
-            let model = train(&data, cfg);
+            let model = train(&data, TrainConfig::new(arch, seed));
             std::fs::write(out, model.to_text()).map_err(|e| format!("cannot write {out}: {e}"))?;
             if !a.flag("quiet") {
                 let (hits, total) = eval(&model, &data);
@@ -62,10 +60,8 @@ pub fn run_learn(a: &Args) -> Result<(), String> {
                     data.rows()
                 );
                 println!(
-                    "  arch={} seed={seed} epochs={} lr=2^-{}",
-                    arch.name(),
-                    cfg.epochs,
-                    cfg.lr_shift
+                    "  arch={} seed={seed} epochs={EPOCHS} lr=2^-{LR_SHIFT}",
+                    arch.name()
                 );
                 println!("  training accuracy = {}", accuracy_line(hits, total));
                 println!("  model written to {out}");
@@ -102,13 +98,14 @@ pub const LEARN_USAGE: &str = "\
 elsc-sim learn: train and evaluate learned-scheduling models
 
 usage: elsc-sim learn train --data TRACE.jsonl --arch ARCH
-                            --model-out FILE.model [--seed N] [--epochs N]
+                            --model-out FILE.model [--seed N]
        elsc-sim learn eval  --data TRACE.jsonl --model FILE.model
 
 subcommands:
-  train   fit a model to a decision trace and write it to --model-out.
-          Deterministic: the same (--seed, --data) pair always writes a
-          byte-identical model file.
+  train   fit a model to a decision trace (30 SGD passes at lr 2^-6)
+          and write it to --model-out. Deterministic: the same
+          (--seed, --data) pair always writes a byte-identical model
+          file.
   eval    report a model's pick accuracy over a decision trace.
 
 options:
@@ -119,7 +116,6 @@ options:
   --model-out P  where train writes the model (versioned text format)
   --model P      the model eval reads
   --seed N       weight-initialization seed              [23062]
-  --epochs N     full SGD passes over the dataset        [30]
   --quiet        suppress the summary lines
 
 Run the result with: elsc-sim <workload> --sched learned:FILE.model

@@ -175,7 +175,7 @@ fn machine_cfg(a: &Args, cell: &CellConfig) -> Result<MachineConfig, String> {
     let trace: usize = a
         .get_or("trace", trace_default)
         .map_err(|e| e.to_string())?;
-    let mut cfg = cell
+    Ok(cell
         .machine_config()
         // The only thing a CLI cell's config can reject is its fault plan.
         .map_err(|e| format!("--faults: {e}"))?
@@ -184,17 +184,7 @@ fn machine_cfg(a: &Args, cell: &CellConfig) -> Result<MachineConfig, String> {
         // the CLI has always reported the flag.
         .with_fault_seed(cell.chaos.fault_seed)
         .with_trace(trace)
-        .with_decision_trace(a.flag("decision-trace"));
-    if let Some(text) = a.get("learn-eject-k") {
-        let k: u32 = text
-            .parse()
-            .map_err(|_| format!("--learn-eject-k: invalid value '{text}'"))?;
-        if k == 0 {
-            return Err("--learn-eject-k must be at least 1".into());
-        }
-        cfg = cfg.with_learn_eject_k(k);
-    }
-    Ok(cfg)
+        .with_decision_trace(a.flag("decision-trace")))
 }
 
 /// Everything one simulation run produces.
@@ -670,9 +660,9 @@ common options:
   --latency      print latency/queue-length distributions
   --trace N      keep up to N scheduling-trace records
   --lock-plan P  force the run-queue locking regime: global, percpu,
-                 sharded:N, pernode:K, or plain pernode to size domains
-                 from the declared topology (default: whatever the
-                 scheduler declares)
+                 pernode:K, or plain pernode to size domains from the
+                 declared topology (default: whatever the scheduler
+                 declares)
   --compare      one summary row per scheduler instead of full reports
   --quiet        suppress the standard report
 
@@ -689,10 +679,8 @@ learned scheduling (offline-trained pick predictor, elsc-sim learn):
   --sched learned:FILE.model  score candidates with a trained model;
                  every pick is verified by a bounded goodness check,
                  a misprediction charges Mispredict cycles and falls
-                 back to the native scan
-  --learn-eject-k K  consecutive mispredictions before the watchdog
-                 ejects the model (reg takes over, the run
-                 completes)                            [8]
+                 back to the native scan; 8 in a row eject the model
+                 (reg takes over, the run completes)
   --decision-trace  emit per-decision candidate/label events into the
                  trace; capture with --trace-out, then train with
                  elsc-sim learn train
@@ -799,8 +787,6 @@ mod tests {
     fn machine_cfg_parses_lock_plan() {
         let cfg = cfg_of(&["volano", "--lock-plan", "percpu"]).unwrap();
         assert_eq!(cfg.lock_plan, Some(LockPlan::PerCpu));
-        let cfg = cfg_of(&["volano", "--lock-plan", "sharded:3"]).unwrap();
-        assert_eq!(cfg.lock_plan, Some(LockPlan::Sharded(3)));
         let cfg = cfg_of(&["volano"]).unwrap();
         assert_eq!(cfg.lock_plan, None);
         let err = cfg_of(&["volano", "--lock-plan", "banana"]).unwrap_err();
@@ -1045,14 +1031,11 @@ mod tests {
 
     #[test]
     fn machine_cfg_parses_learned_options() {
-        let cfg = cfg_of(&["volano", "--decision-trace", "--learn-eject-k", "3"]).unwrap();
+        let cfg = cfg_of(&["volano", "--decision-trace"]).unwrap();
         assert!(cfg.decision_trace);
-        assert_eq!(cfg.learn_eject_k, 3);
         let cfg = cfg_of(&["volano"]).unwrap();
         assert!(!cfg.decision_trace);
         assert_eq!(cfg.learn_eject_k, 8);
-        let err = cfg_of(&["volano", "--learn-eject-k", "0"]).unwrap_err();
-        assert!(err.contains("--learn-eject-k"), "{err}");
     }
 
     #[test]

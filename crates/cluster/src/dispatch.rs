@@ -16,6 +16,8 @@
 use std::fmt;
 use std::str::FromStr;
 
+use elsc_simcore::splitmix64;
+
 /// The placement policies the dispatcher tier ships with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DispatcherId {
@@ -85,15 +87,6 @@ impl FromStr for DispatcherId {
     }
 }
 
-/// SplitMix64: the placement hash. Self-contained so dispatcher
-/// decisions depend on nothing but their inputs.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Virtual nodes per physical node on the consistent-hash ring.
 const VNODES: usize = 16;
 
@@ -123,7 +116,9 @@ impl Dispatcher {
     pub fn new(id: DispatcherId, nodes: usize) -> Dispatcher {
         assert!(nodes > 0, "cluster needs at least one node");
         let mut ring: Vec<(u64, usize)> = (0..nodes)
-            .flat_map(|n| (0..VNODES).map(move |v| (mix64((n as u64) << 32 | v as u64), n)))
+            .flat_map(|n| {
+                (0..VNODES).map(move |v| (splitmix64(&mut ((n as u64) << 32 | v as u64)), n))
+            })
             .collect();
         ring.sort_unstable();
         Dispatcher {
@@ -167,7 +162,9 @@ impl Dispatcher {
                 n
             }
             DispatcherId::LeastLoaded => self.least_loaded(),
-            DispatcherId::ConsistentHash => self.ring_lookup(mix64(0x500D ^ (room as u64) << 8)),
+            DispatcherId::ConsistentHash => {
+                self.ring_lookup(splitmix64(&mut (0x500D ^ (room as u64) << 8)))
+            }
             DispatcherId::Locality => {
                 let n = self.room_next % self.nodes;
                 self.room_next += 1;
@@ -195,9 +192,9 @@ impl Dispatcher {
                 n
             }
             DispatcherId::LeastLoaded => self.least_loaded(),
-            DispatcherId::ConsistentHash => {
-                self.ring_lookup(mix64(0xC11E ^ ((room as u64) << 20 | user as u64)))
-            }
+            DispatcherId::ConsistentHash => self.ring_lookup(splitmix64(
+                &mut (0xC11E ^ ((room as u64) << 20 | user as u64)),
+            )),
             DispatcherId::Locality => room_node,
         };
         self.load[node] += weight;

@@ -28,7 +28,8 @@ use elsc_simcore::Cycles;
 use crate::dispatch::DispatcherId;
 use crate::report::{ClusterReport, LinkReport};
 
-/// Cluster-wide configuration: the node template plus the fabric.
+/// Cluster-wide configuration: the node template plus the fabric's
+/// epoch and faults. Every inter-node link runs [`LinkConfig::default`].
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Number of federated machines.
@@ -44,8 +45,6 @@ pub struct ClusterConfig {
     /// the effective cross-node latency is quantised up by at most one
     /// epoch; smaller epochs trade federation overhead for fidelity.
     pub epoch_cycles: u64,
-    /// Delay model for every inter-node link.
-    pub link: LinkConfig,
     /// Cluster-level fault plan (`None` runs a clean fabric).
     pub faults: Option<ClusterFaultPlan>,
     /// Seed for the cluster-level fault streams.
@@ -62,7 +61,6 @@ impl ClusterConfig {
             fault_seed: node_cfg.fault_seed,
             node_cfg,
             epoch_cycles: 400_000,
-            link: LinkConfig::default(),
             faults: None,
         }
     }
@@ -216,7 +214,8 @@ impl Cluster {
         {
             return i;
         }
-        self.links.push(((from, to), Link::new(self.cfg.link)));
+        self.links
+            .push(((from, to), Link::new(LinkConfig::default())));
         self.links.len() - 1
     }
 

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use elsc_sched_api::Scheduler;
 use elsc_workloads::volanomark::{
-    new_room_monitor, spawn_client_pair, spawn_server_pair, VolanoConfig,
+    new_room_monitor, spawn_client_pair, spawn_server_pair, VolanoConfig, PIPE_CAPACITY,
 };
 
 use crate::dispatch::Dispatcher;
@@ -33,13 +33,12 @@ pub fn build_sharded(cluster: &mut Cluster, cfg: &VolanoConfig) -> Vec<usize> {
     // Placement weights are thread counts: the server side of a room is
     // two threads per member, a client connection is two threads.
     let room_weight = 2 * users as u64;
-    let cap = cfg.pipe_capacity;
     let mut homes = Vec::with_capacity(cfg.rooms);
     for room in 0..cfg.rooms {
         let home = dispatcher.place_room(room, room_weight);
         homes.push(home);
         let outboxes: Arc<[_]> = (0..users)
-            .map(|_| cluster.machine(home).create_pipe(cap))
+            .map(|_| cluster.machine(home).create_pipe(PIPE_CAPACITY))
             .collect();
         let monitor = new_room_monitor();
         for user in 0..users {
@@ -48,8 +47,8 @@ pub fn build_sharded(cluster: &mut Cluster, cfg: &VolanoConfig) -> Vec<usize> {
             if node == home {
                 // Co-located: one local pipe per direction, exactly the
                 // single-machine wiring.
-                let c2s = cluster.machine(home).create_pipe(cap);
-                let s2c = cluster.machine(home).create_pipe(cap);
+                let c2s = cluster.machine(home).create_pipe(PIPE_CAPACITY);
+                let s2c = cluster.machine(home).create_pipe(PIPE_CAPACITY);
                 spawn_client_pair(cluster.machine(home), cfg, c2s, s2c, tag);
                 spawn_server_pair(
                     cluster.machine(home),
@@ -63,10 +62,10 @@ pub fn build_sharded(cluster: &mut Cluster, cfg: &VolanoConfig) -> Vec<usize> {
             } else {
                 // Split: each direction is an egress pipe on the writer's
                 // node bridged to an ingress pipe on the reader's node.
-                let c2s_egress = cluster.machine(node).create_pipe(cap);
-                let s2c_ingress = cluster.machine(node).create_pipe(cap);
-                let c2s_ingress = cluster.machine(home).create_pipe(cap);
-                let s2c_egress = cluster.machine(home).create_pipe(cap);
+                let c2s_egress = cluster.machine(node).create_pipe(PIPE_CAPACITY);
+                let s2c_ingress = cluster.machine(node).create_pipe(PIPE_CAPACITY);
+                let c2s_ingress = cluster.machine(home).create_pipe(PIPE_CAPACITY);
+                let s2c_egress = cluster.machine(home).create_pipe(PIPE_CAPACITY);
                 cluster.bridge(node, c2s_egress, home, c2s_ingress);
                 cluster.bridge(home, s2c_egress, node, s2c_ingress);
                 spawn_client_pair(cluster.machine(node), cfg, c2s_egress, s2c_ingress, tag);

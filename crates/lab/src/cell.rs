@@ -19,6 +19,7 @@ use elsc_sched_ext::{
 };
 use elsc_sched_linux::LinuxScheduler;
 use elsc_simcore::{Topology, TopologyError, MAX_CPUS};
+use elsc_stats::CpuStats;
 use elsc_workloads::{
     httpd, kbuild, rtmix, stress, volanomark, HttpdConfig, KbuildConfig, RtMixConfig, StressConfig,
     VolanoConfig,
@@ -811,11 +812,6 @@ impl Default for ChaosSpec {
 }
 
 impl ChaosSpec {
-    /// Whether this is the default (fault-free, oracle-off) spec.
-    pub fn is_default(&self) -> bool {
-        *self == ChaosSpec::default()
-    }
-
     /// The machine-format fault plan (lab spec files use `;` between
     /// `key=rate` pairs because `,` splits spec value lists).
     pub fn plan_text(&self) -> Option<String> {
@@ -1018,10 +1014,33 @@ impl Metrics {
     /// Extracts the metric set from a run report, given the workload's
     /// headline ledger key.
     pub fn from_report(report: &RunReport, metric_key: Option<&str>) -> Metrics {
-        let t = report.stats.total();
         Metrics {
-            elapsed_secs: report.elapsed_secs(),
-            throughput: metric_key.map_or(0.0, |k| report.per_sec(k)),
+            sim_events_per_sec: report.engine.as_ref().map(|e| e.sim_events_per_sec),
+            prediction_accuracy: report.learned.as_ref().map(|l| l.accuracy()),
+            ..Metrics::of_totals(
+                &report.stats.total(),
+                report.elapsed_secs(),
+                metric_key.map_or(0.0, |k| report.per_sec(k)),
+                report.lock_spin.get(),
+                report.lock_acquisitions,
+                report.tasks_spawned,
+            )
+        }
+    }
+
+    /// The unconditional metrics from the summed per-CPU counters `t` and
+    /// the five report-level numbers; the optional ones are `None`.
+    fn of_totals(
+        t: &CpuStats,
+        elapsed_secs: f64,
+        throughput: f64,
+        lock_spin_cycles: u64,
+        lock_acquisitions: u64,
+        tasks_spawned: u64,
+    ) -> Metrics {
+        Metrics {
+            elapsed_secs,
+            throughput,
             sched_calls: t.sched_calls,
             cycles_per_schedule: t.cycles_per_schedule(),
             tasks_examined_per_schedule: t.tasks_examined_per_schedule(),
@@ -1032,11 +1051,11 @@ impl Metrics {
             yields: t.yields,
             ctx_switches: t.ctx_switches,
             wakeups: t.wakeups,
-            lock_spin_cycles: report.lock_spin.get(),
-            lock_acquisitions: report.lock_acquisitions,
-            tasks_spawned: report.tasks_spawned,
-            sim_events_per_sec: report.engine.as_ref().map(|e| e.sim_events_per_sec),
-            prediction_accuracy: report.learned.as_ref().map(|l| l.accuracy()),
+            lock_spin_cycles,
+            lock_acquisitions,
+            tasks_spawned,
+            sim_events_per_sec: None,
+            prediction_accuracy: None,
             wall_ratio: None,
         }
     }
@@ -1153,26 +1172,14 @@ fn cluster_metrics(report: &elsc_cluster::ClusterReport) -> Metrics {
         .map(|n| n.stats.total())
         .reduce(|a, b| a + b)
         .expect("a cluster has at least one node");
-    Metrics {
-        elapsed_secs: report.elapsed_secs(),
-        throughput: report.per_sec("messages"),
-        sched_calls: t.sched_calls,
-        cycles_per_schedule: t.cycles_per_schedule(),
-        tasks_examined_per_schedule: t.tasks_examined_per_schedule(),
-        sched_time_share: t.sched_time_share(),
-        recalc_entries: t.recalc_entries,
-        recalc_tasks: t.recalc_tasks,
-        picked_new_cpu: t.picked_new_cpu,
-        yields: t.yields,
-        ctx_switches: t.ctx_switches,
-        wakeups: t.wakeups,
-        lock_spin_cycles: report.nodes.iter().map(|n| n.lock_spin.get()).sum(),
-        lock_acquisitions: report.nodes.iter().map(|n| n.lock_acquisitions).sum(),
-        tasks_spawned: report.nodes.iter().map(|n| n.tasks_spawned).sum(),
-        sim_events_per_sec: None,
-        prediction_accuracy: None,
-        wall_ratio: None,
-    }
+    Metrics::of_totals(
+        &t,
+        report.elapsed_secs(),
+        report.per_sec("messages"),
+        report.nodes.iter().map(|n| n.lock_spin.get()).sum(),
+        report.nodes.iter().map(|n| n.lock_acquisitions).sum(),
+        report.nodes.iter().map(|n| n.tasks_spawned).sum(),
+    )
 }
 
 // Compile-time Send audit (see DESIGN.md §7): configs cross into worker

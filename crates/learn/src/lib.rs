@@ -30,7 +30,7 @@ pub mod train;
 
 pub use data::{parse_trace, CandidateRow, Dataset, Decision};
 pub use model::{Arch, Model, Q_ONE};
-pub use train::{eval, train, TrainConfig};
+pub use train::{eval, train, TrainConfig, EPOCHS, LR_SHIFT};
 
 use elsc_ktask::Tid;
 

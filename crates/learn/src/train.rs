@@ -13,28 +13,25 @@ use crate::model::{Arch, Model, HIDDEN};
 use crate::{quantize, FEATURES};
 use elsc_simcore::SimRng;
 
-/// Trainer hyperparameters.
+/// Full passes over the dataset.
+pub const EPOCHS: u32 = 30;
+
+/// Learning rate as a right-shift: `lr = 2^-LR_SHIFT` (1/64).
+pub const LR_SHIFT: u32 = 6;
+
+/// What a training run varies: the architecture and the seed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TrainConfig {
     /// Architecture to train.
     pub arch: Arch,
     /// Seed for weight initialization.
     pub seed: u64,
-    /// Full passes over the dataset.
-    pub epochs: u32,
-    /// Learning rate as a right-shift: `lr = 2^-lr_shift`.
-    pub lr_shift: u32,
 }
 
 impl TrainConfig {
-    /// Defaults: 30 epochs at `lr = 1/64`.
+    /// A run of `arch` from `seed`: [`EPOCHS`] passes at `lr = 2^-LR_SHIFT`.
     pub fn new(arch: Arch, seed: u64) -> TrainConfig {
-        TrainConfig {
-            arch,
-            seed,
-            epochs: 30,
-            lr_shift: 6,
-        }
+        TrainConfig { arch, seed }
     }
 }
 
@@ -68,12 +65,12 @@ pub fn train(data: &Dataset, cfg: TrainConfig) -> Model {
             m.b2 = init_weight(&mut rng);
         }
     }
-    for _ in 0..cfg.epochs {
+    for _ in 0..EPOCHS {
         for d in &data.decisions {
             for c in &d.candidates {
                 let x = quantize(&c.raw);
                 let y = if c.tid == d.chosen { crate::Q_ONE } else { 0 };
-                step(&mut m, &x, y, cfg.lr_shift);
+                step(&mut m, &x, y);
             }
         }
     }
@@ -81,15 +78,15 @@ pub fn train(data: &Dataset, cfg: TrainConfig) -> Model {
 }
 
 /// One SGD step on one example: `err = sigmoid(score) - y` (Q16.16),
-/// gradients shifted back to Q16.16, then scaled by `2^-lr_shift`.
-fn step(m: &mut Model, x: &[i64; FEATURES], y: i64, lr_shift: u32) {
+/// gradients shifted back to Q16.16, then scaled by `2^-LR_SHIFT`.
+fn step(m: &mut Model, x: &[i64; FEATURES], y: i64) {
     match m.arch {
         Arch::LogReg => {
             let err = Model::sigmoid_q(m.score(x)) - y;
             for (w, xi) in m.w.iter_mut().zip(x) {
-                *w -= ((err * xi) >> 16) >> lr_shift;
+                *w -= ((err * xi) >> 16) >> LR_SHIFT;
             }
-            m.b -= err >> lr_shift;
+            m.b -= err >> LR_SHIFT;
         }
         Arch::Mlp => {
             // Forward pass keeping hidden activations for backprop.
@@ -107,15 +104,15 @@ fn step(m: &mut Model, x: &[i64; FEATURES], y: i64, lr_shift: u32) {
             for (j, &hj) in h.iter().enumerate() {
                 // dL/dh_j before the ReLU gate.
                 let dh = (err * m.w2[j]) >> 16;
-                m.w2[j] -= ((err * hj) >> 16) >> lr_shift;
+                m.w2[j] -= ((err * hj) >> 16) >> LR_SHIFT;
                 if hj > 0 {
                     for (w, xi) in m.w1[j].iter_mut().zip(x) {
-                        *w -= ((dh * xi) >> 16) >> lr_shift;
+                        *w -= ((dh * xi) >> 16) >> LR_SHIFT;
                     }
-                    m.b1[j] -= dh >> lr_shift;
+                    m.b1[j] -= dh >> LR_SHIFT;
                 }
             }
-            m.b2 -= err >> lr_shift;
+            m.b2 -= err >> LR_SHIFT;
         }
     }
 }

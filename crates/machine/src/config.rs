@@ -12,10 +12,6 @@ use elsc_simcore::CostModel;
 pub struct MachineConfig {
     /// Scheduler-visible configuration (CPU count, SMP build, limits).
     pub sched: SchedConfig,
-    /// Simulated clock frequency, cycles per second.
-    pub cpu_hz: u64,
-    /// Cycles per timer tick (10 ms at `cpu_hz` by default).
-    pub tick_cycles: u64,
     /// Per-primitive cycle costs.
     pub costs: CostModel,
     /// Watchdog: abort the run if virtual time passes this (a workload
@@ -80,14 +76,15 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
-    /// Default frequency: 400 MHz.
+    /// Simulated clock frequency: 400 MHz.
     pub const DEFAULT_HZ: u64 = 400_000_000;
+
+    /// Cycles per timer tick: the Linux 2.3 10 ms tick at [`Self::DEFAULT_HZ`].
+    pub const TICK_CYCLES: u64 = Self::DEFAULT_HZ / 100;
 
     fn with_sched(sched: SchedConfig) -> Self {
         MachineConfig {
             sched,
-            cpu_hz: Self::DEFAULT_HZ,
-            tick_cycles: Self::DEFAULT_HZ / 100,
             costs: CostModel::default(),
             max_cycles: 4_000_000_000_000, // 10 000 simulated seconds
             seed: 0x5EED_CAFE,
@@ -142,7 +139,7 @@ impl MachineConfig {
 
     /// Builder-style watchdog override (in simulated seconds).
     pub fn with_max_secs(mut self, secs: f64) -> Self {
-        self.max_cycles = (secs * self.cpu_hz as f64) as u64;
+        self.max_cycles = (secs * Self::DEFAULT_HZ as f64) as u64;
         self
     }
 
@@ -230,7 +227,11 @@ mod tests {
         let c = MachineConfig::up();
         assert_eq!(c.nr_cpus(), 1);
         assert!(!c.sched.smp);
-        assert_eq!(c.tick_cycles, c.cpu_hz / 100, "10 ms tick");
+        assert_eq!(
+            MachineConfig::TICK_CYCLES,
+            4_000_000,
+            "10 ms tick at 400 MHz"
+        );
         assert_eq!(c.label(), "UP");
     }
 

@@ -10,6 +10,7 @@ use elsc_netsim::{Msg, Pipe, PipeId};
 use elsc_obs::ObsEvent;
 use elsc_simcore::Cycles;
 
+use crate::config::MachineConfig;
 use crate::machine::{Machine, RunError, StepStatus};
 use crate::report::RunReport;
 
@@ -77,7 +78,7 @@ impl Machine {
             s.announce(&mut self.bus);
         }
         for cpu in 0..self.cfg.nr_cpus() {
-            self.push_event(self.cfg.tick_cycles.into(), Event::Tick { cpu });
+            self.push_event(MachineConfig::TICK_CYCLES.into(), Event::Tick { cpu });
             self.push_event(Cycles::ZERO, Event::Ipi { cpu });
             self.cpus[cpu].need_resched = true;
         }

@@ -1184,7 +1184,7 @@ mod policy_tests {
                    foreach t in list(0) { if can_schedule(t) {\n\
                    let g = goodness(t)\n if g > c { c = g\n best = t } } }\n\
                    if c == 0 { recalc() }\n  pick best\n}\n";
-        let tick = MachineConfig::up().tick_cycles;
+        let tick = MachineConfig::TICK_CYCLES;
         let run = |hog_ticks: u64| {
             let cfg = MachineConfig::up().with_max_secs(50.0).with_trace(100_000);
             let mut m = Machine::new(cfg, policy(src, 1));

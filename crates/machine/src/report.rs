@@ -211,7 +211,7 @@ pub struct RunReport {
     pub lock_spin: Cycles,
     /// Run-queue lock-domain acquisitions.
     pub lock_acquisitions: u64,
-    /// The locking regime the run used ("global", "percpu", "sharded:N").
+    /// The locking regime the run used ("global", "percpu", "pernode:K").
     pub lock_plan: String,
     /// Per-domain lock statistics, in domain order. One entry under the
     /// global plan; one per CPU (or shard) under sharded plans. Spin

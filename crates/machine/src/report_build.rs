@@ -3,6 +3,7 @@
 
 use elsc_chaos::ChaosSummary;
 
+use crate::config::MachineConfig;
 use crate::machine::Machine;
 use crate::report::{EngineSummary, RunReport, TopologySummary};
 
@@ -31,7 +32,7 @@ impl Machine {
             config: self.cfg.label(),
             seed: self.cfg.seed,
             elapsed: self.last_exit,
-            cpu_hz: self.cfg.cpu_hz,
+            cpu_hz: MachineConfig::DEFAULT_HZ,
             stats: self.stats.clone(),
             ledger: self.ledger.clone(),
             lock_spin: self.locks.total_spin(),
@@ -65,7 +66,7 @@ impl Machine {
             learned,
             engine: if self.cfg.engine_metrics {
                 let events = self.events.total_popped();
-                let secs = self.last_exit.as_secs(self.cfg.cpu_hz);
+                let secs = self.last_exit.as_secs(MachineConfig::DEFAULT_HZ);
                 Some(EngineSummary {
                     events_dispatched: events,
                     sim_events_per_sec: if secs == 0.0 {

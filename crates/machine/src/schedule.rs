@@ -11,6 +11,7 @@ use elsc_obs::{ObsEvent, Phase};
 use elsc_sched_api::{DomainAcquire, SchedCtx, Scheduler};
 use elsc_simcore::{CostKind, CycleMeter, Cycles};
 
+use crate::config::MachineConfig;
 use crate::engine::Event;
 use crate::machine::{is_idle_task, Machine};
 use crate::supervise::Supervision;
@@ -37,13 +38,13 @@ impl Machine {
         // (a sloppy timer: the next interrupt lands early or late).
         let period = match self.injector.as_mut() {
             Some(inj) => {
-                let (period, jittered) = inj.tick_period(self.cfg.tick_cycles);
+                let (period, jittered) = inj.tick_period(MachineConfig::TICK_CYCLES);
                 if jittered {
                     self.emit_fault(now, cpu, "tick_jitter");
                 }
                 period
             }
-            None => self.cfg.tick_cycles,
+            None => MachineConfig::TICK_CYCLES,
         };
         self.events.push(now + period, Event::Tick { cpu });
         // Spurious wakeup: aim a wake_up_process() at a deterministically

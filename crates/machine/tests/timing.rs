@@ -26,7 +26,7 @@ fn quantum_is_twenty_ticks() {
     // Two CPU hogs on one CPU: the running one is preempted when its
     // 20-tick (200 ms) quantum drains, so over a 400 ms burst each task
     // gets the CPU in 200 ms slices -> at least 2 involuntary switches.
-    let tick = MachineConfig::up().tick_cycles;
+    let tick = MachineConfig::TICK_CYCLES;
     let burst = tick * 45; // 450 ms of work each
     let r = run(MachineConfig::up().with_max_secs(50.0), |m| {
         for i in 0..2u32 {
@@ -51,7 +51,7 @@ fn quantum_is_twenty_ticks() {
 fn preempted_work_is_not_lost() {
     // Total elapsed must equal the serial work regardless of how many
     // preemptions slice it (plus bounded scheduling overhead).
-    let tick = MachineConfig::up().tick_cycles;
+    let tick = MachineConfig::TICK_CYCLES;
     let burst = tick * 30;
     let r = run(MachineConfig::up().with_max_secs(50.0), |m| {
         for i in 0..3u32 {
@@ -136,7 +136,7 @@ fn mm_switch_cost_charged_only_across_address_spaces() {
     // Two tasks sharing an mm context-switch cheaper than two tasks in
     // different address spaces.
     let elapsed_for = |mms: [u32; 2]| {
-        let tick = MachineConfig::up().tick_cycles;
+        let tick = MachineConfig::TICK_CYCLES;
         let r = run(MachineConfig::up().with_max_secs(60.0), |m| {
             for &mm in &mms {
                 m.spawn(

@@ -11,7 +11,7 @@ mod tests {
     /// arithmetic exactly, whichever CPU's queue each call locks.
     #[test]
     fn single_domain_matches_simspinlock() {
-        let mut m = LockModel::new(LockPlan::Sharded(1), 4, 0);
+        let mut m = LockModel::new(LockPlan::PerNode(4), 4, 0);
         let mut l = LockModel::new(LockPlan::Global, 4, 0);
         let a = m.lock_home(2, 0, Cycles(0));
         let b = l.lock_home(0, 0, Cycles(0));

@@ -20,7 +20,7 @@
 use core::fmt;
 use core::str::FromStr;
 
-use elsc_simcore::{Cycles, MAX_CPUS};
+use elsc_simcore::Cycles;
 
 /// The locking regime a scheduler wants for its run-queue state.
 ///
@@ -33,8 +33,6 @@ pub enum LockPlan {
     Global,
     /// One lock per CPU run queue (the §8 multi-queue regime).
     PerCpu,
-    /// A fixed number of lock shards, CPUs mapped round-robin.
-    Sharded(usize),
     /// One lock per NUMA node: CPUs are chunked `cpus_per_node` at a
     /// time (hierarchical CPU numbering makes chunk == node), so all
     /// queues on a node — the unit a topology-aware scheduler shares
@@ -50,7 +48,6 @@ impl LockPlan {
         match self {
             LockPlan::Global => 1,
             LockPlan::PerCpu => nr_cpus.max(1),
-            LockPlan::Sharded(n) => n.max(1),
             LockPlan::PerNode(per) => nr_cpus.max(1).div_ceil(per.max(1)),
         }
     }
@@ -60,17 +57,16 @@ impl LockPlan {
         match self {
             LockPlan::Global => 0,
             LockPlan::PerCpu => queue_cpu % nr_cpus.max(1),
-            LockPlan::Sharded(n) => queue_cpu % n.max(1),
             LockPlan::PerNode(per) => (queue_cpu / per.max(1)).min(
                 // Clamp stale CPU ids into the last node's domain so the
-                // mapping is total, as the modulo plans are.
+                // mapping is total, as the per-CPU plan's modulo is.
                 self.nr_domains(nr_cpus) - 1,
             ),
         }
     }
 
-    /// Short label for reports ("global", "percpu", "sharded:N",
-    /// "pernode:K" with K the CPUs-per-node chunk).
+    /// Short label for reports ("global", "percpu", "pernode:K" with K
+    /// the CPUs-per-node chunk).
     pub fn label(self) -> String {
         self.to_string()
     }
@@ -81,7 +77,6 @@ impl fmt::Display for LockPlan {
         match self {
             LockPlan::Global => f.write_str("global"),
             LockPlan::PerCpu => f.write_str("percpu"),
-            LockPlan::Sharded(n) => write!(f, "sharded:{n}"),
             LockPlan::PerNode(per) => write!(f, "pernode:{per}"),
         }
     }
@@ -90,9 +85,8 @@ impl fmt::Display for LockPlan {
 impl FromStr for LockPlan {
     type Err = String;
 
-    /// Parses `global`, `percpu`, `sharded:N`, or `pernode:K` (N, K ≥ 1,
-    /// and N ≤ [`MAX_CPUS`]: a shard past the CPU count is unreachable).
-    /// The CLI additionally accepts bare `pernode`, resolving K from the
+    /// Parses `global`, `percpu`, or `pernode:K` (K ≥ 1). The CLI
+    /// additionally accepts bare `pernode`, resolving K from the
     /// declared topology before it reaches this parser.
     ///
     /// ```
@@ -100,7 +94,6 @@ impl FromStr for LockPlan {
     ///
     /// assert_eq!("global".parse::<LockPlan>(), Ok(LockPlan::Global));
     /// assert_eq!("percpu".parse::<LockPlan>(), Ok(LockPlan::PerCpu));
-    /// assert_eq!("sharded:3".parse::<LockPlan>(), Ok(LockPlan::Sharded(3)));
     /// assert_eq!("pernode:8".parse::<LockPlan>(), Ok(LockPlan::PerNode(8)));
     /// assert!("sharded:0".parse::<LockPlan>().is_err());
     /// assert!("sharded:99999999999".parse::<LockPlan>().is_err());
@@ -112,20 +105,7 @@ impl FromStr for LockPlan {
             "global" => Ok(LockPlan::Global),
             "percpu" => Ok(LockPlan::PerCpu),
             _ => {
-                if let Some(n) = s.strip_prefix("sharded:") {
-                    let n: usize = n
-                        .parse()
-                        .map_err(|_| format!("bad shard count in lock plan '{s}'"))?;
-                    if n == 0 {
-                        return Err("lock plan needs at least one shard".to_string());
-                    }
-                    if n > MAX_CPUS {
-                        return Err(format!(
-                            "lock plan '{s}' has more shards than the {MAX_CPUS}-CPU ceiling"
-                        ));
-                    }
-                    Ok(LockPlan::Sharded(n))
-                } else if let Some(per) = s.strip_prefix("pernode:") {
+                if let Some(per) = s.strip_prefix("pernode:") {
                     let per: usize = per
                         .parse()
                         .map_err(|_| format!("bad CPUs-per-node in lock plan '{s}'"))?;
@@ -135,7 +115,7 @@ impl FromStr for LockPlan {
                     Ok(LockPlan::PerNode(per))
                 } else {
                     Err(format!(
-                        "unknown lock plan '{s}' (expected global, percpu, sharded:N, or pernode:K)"
+                        "unknown lock plan '{s}' (expected global, percpu, or pernode:K)"
                     ))
                 }
             }
@@ -425,8 +405,6 @@ mod tests {
         assert_eq!(LockPlan::Global.nr_domains(4), 1);
         assert_eq!(LockPlan::PerCpu.nr_domains(4), 4);
         assert_eq!(LockPlan::PerCpu.nr_domains(0), 1);
-        assert_eq!(LockPlan::Sharded(2).nr_domains(8), 2);
-        assert_eq!(LockPlan::Sharded(0).nr_domains(8), 1);
         assert_eq!(LockPlan::PerNode(8).nr_domains(16), 2);
         assert_eq!(LockPlan::PerNode(4).nr_domains(4), 1);
         assert_eq!(LockPlan::PerNode(0).nr_domains(4), 4);
@@ -436,7 +414,6 @@ mod tests {
     fn plan_domain_mapping() {
         assert_eq!(LockPlan::Global.domain_for_cpu(3, 4), 0);
         assert_eq!(LockPlan::PerCpu.domain_for_cpu(3, 4), 3);
-        assert_eq!(LockPlan::Sharded(2).domain_for_cpu(3, 4), 1);
     }
 
     #[test]
@@ -455,12 +432,7 @@ mod tests {
 
     #[test]
     fn plan_labels_round_trip() {
-        for p in [
-            LockPlan::Global,
-            LockPlan::PerCpu,
-            LockPlan::Sharded(3),
-            LockPlan::PerNode(8),
-        ] {
+        for p in [LockPlan::Global, LockPlan::PerCpu, LockPlan::PerNode(8)] {
             assert_eq!(p.label().parse::<LockPlan>().unwrap(), p);
         }
     }
@@ -605,7 +577,6 @@ mod tests {
             let plans = [
                 LockPlan::Global,
                 LockPlan::PerCpu,
-                LockPlan::Sharded(rng.range(1, 6) as usize),
                 LockPlan::PerNode(rng.range(1, 5) as usize),
             ];
             for plan in plans {

@@ -29,5 +29,5 @@ pub use clock::Cycles;
 pub use cost::{CostKind, CostModel, CycleMeter, COST_KINDS};
 pub use events::{CalendarEventQueue, EventQueue};
 pub use histogram::Histogram;
-pub use rng::SimRng;
+pub use rng::{splitmix64, SimRng};
 pub use topology::{Topology, TopologyError, MAX_CPUS};

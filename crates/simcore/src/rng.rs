@@ -22,8 +22,10 @@ pub struct SimRng {
     s: [u64; 4],
 }
 
-/// SplitMix64 step, used to expand the seed into the xoshiro state.
-fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64 step: advances `state` and returns its mix. Expands a
+/// [`SimRng`] seed into the xoshiro state, and is the cluster
+/// dispatcher's placement hash (one step from the hashed value).
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -41,6 +41,27 @@ pub const SERVER_MM: MmId = MmId(1);
 /// Client JVM address space.
 pub const CLIENT_MM: MmId = MmId(2);
 
+/// Socket buffer capacity in messages.
+pub const PIPE_CAPACITY: usize = 16;
+
+/// Client-side cycles to produce a message (JVM serialization etc.).
+const CLIENT_SEND_WORK: u64 = 60_000;
+
+/// Client-side cycles to consume a received message.
+const CLIENT_RECV_WORK: u64 = 25_000;
+
+/// Server-side cycles to parse/route an incoming message.
+const SERVER_ROUTE_WORK: u64 = 30_000;
+
+/// Server-side cycles per fan-out recipient.
+const FANOUT_WORK: u64 = 4_000;
+
+/// Server-side cycles to push one message to a socket.
+const SERVER_SEND_WORK: u64 = 20_000;
+
+/// Uniform jitter fraction applied to all work amounts.
+const JITTER: f64 = 0.25;
+
 /// VolanoMark parameters.
 #[derive(Clone, Debug)]
 pub struct VolanoConfig {
@@ -51,18 +72,6 @@ pub struct VolanoConfig {
     /// Messages each user sends (paper: 100; smaller values shorten the
     /// measurement without changing rates).
     pub messages_per_user: usize,
-    /// Socket buffer capacity in messages.
-    pub pipe_capacity: usize,
-    /// Client-side cycles to produce a message (JVM serialization etc.).
-    pub client_send_work: u64,
-    /// Client-side cycles to consume a received message.
-    pub client_recv_work: u64,
-    /// Server-side cycles to parse/route an incoming message.
-    pub server_route_work: u64,
-    /// Server-side cycles per fan-out recipient.
-    pub fanout_work: u64,
-    /// Server-side cycles to push one message to a socket.
-    pub server_send_work: u64,
     /// Probability that a thread spins on a JVM lock (one
     /// `sched_yield()`) between socket operations.
     pub yield_prob: f64,
@@ -71,8 +80,6 @@ pub struct VolanoConfig {
     /// produces the quiet moments where a lone polling thread spins on
     /// `sched_yield()` — the baseline's recalculation storm (Figure 2).
     pub think_cycles: u64,
-    /// Uniform jitter fraction applied to all work amounts.
-    pub jitter: f64,
 }
 
 impl Default for VolanoConfig {
@@ -83,15 +90,8 @@ impl Default for VolanoConfig {
             rooms: 5,
             users_per_room: 20,
             messages_per_user: 10,
-            pipe_capacity: 16,
-            client_send_work: 60_000,
-            client_recv_work: 25_000,
-            server_route_work: 30_000,
-            fanout_work: 4_000,
-            server_send_work: 20_000,
             yield_prob: 0.02,
             think_cycles: 60_000_000,
-            jitter: 0.25,
         }
     }
 }
@@ -148,11 +148,9 @@ impl YieldSpin {
 struct ClientTx {
     c2s: PipeId,
     left: u32,
-    work: u64,
     think: u64,
     thought: bool,
     spin: YieldSpin,
-    jitter: f64,
     tag: u64,
 }
 
@@ -171,7 +169,7 @@ impl Behavior for ClientTx {
         }
         self.thought = false;
         self.left -= 1;
-        let work = sys.rng.jitter(self.work, self.jitter);
+        let work = sys.rng.jitter(CLIENT_SEND_WORK, JITTER);
         Op::write_after(work, self.c2s, Msg::tagged(self.tag))
     }
 }
@@ -180,8 +178,6 @@ impl Behavior for ClientTx {
 struct ClientRx {
     s2c: PipeId,
     expected: u32,
-    work: u64,
-    jitter: f64,
     /// Whether the previous `resume` issued a read (so a `None`
     /// `last_read` now means the socket died, not "first resume").
     awaiting: bool,
@@ -204,7 +200,7 @@ impl Behavior for ClientRx {
         }
         self.expected -= 1;
         self.awaiting = true;
-        let work = sys.rng.jitter(self.work, self.jitter);
+        let work = sys.rng.jitter(CLIENT_RECV_WORK, JITTER);
         Op::read_after(work, self.s2c)
     }
 }
@@ -233,12 +229,9 @@ struct ServerRx {
     /// The room's outboxes, one list shared by every reader of the room.
     outboxes: Arc<[PipeId]>,
     to_read: u32,
-    route_work: u64,
-    fanout_work: u64,
     monitor: RoomMonitor,
     /// Consecutive sched_yield() spins on the monitor so far.
     spins: u32,
-    jitter: f64,
     phase: SrvPhase,
     /// Whether the previous `resume` issued a read — see [`ClientRx`].
     awaiting: bool,
@@ -299,7 +292,7 @@ impl Behavior for ServerRx {
                     self.phase = SrvPhase::Routing(tag);
                     // Route under the monitor: parse and snapshot the
                     // room's member list.
-                    let work = sys.rng.jitter(self.route_work, self.jitter);
+                    let work = sys.rng.jitter(SERVER_ROUTE_WORK, JITTER);
                     return Op::compute(work, Syscall::Nop);
                 }
                 SrvPhase::Routing(tag) => {
@@ -309,7 +302,7 @@ impl Behavior for ServerRx {
                 SrvPhase::Fanout(tag, idx) => {
                     if idx < self.outboxes.len() {
                         self.phase = SrvPhase::Fanout(tag, idx + 1);
-                        let work = sys.rng.jitter(self.fanout_work, self.jitter);
+                        let work = sys.rng.jitter(FANOUT_WORK, JITTER);
                         return Op::write_after(work, self.outboxes[idx], Msg::tagged(tag));
                     }
                     self.phase = SrvPhase::Reading;
@@ -339,8 +332,6 @@ struct ServerTx {
     outbox: PipeId,
     s2c: PipeId,
     expected: u32,
-    work: u64,
-    jitter: f64,
     forward: Option<Msg>,
     /// True while a read on the outbox is outstanding, so a `None`
     /// `last_read` on resume means "outbox closed", not "first resume".
@@ -371,7 +362,7 @@ impl Behavior for ServerTx {
             }
         }
         if let Some(msg) = self.forward.take() {
-            let work = sys.rng.jitter(self.work, self.jitter);
+            let work = sys.rng.jitter(SERVER_SEND_WORK, JITTER);
             return Op::write_after(work, self.s2c, msg);
         }
         if self.expected == 0 {
@@ -399,11 +390,9 @@ pub fn spawn_client_pair(m: &mut Machine, cfg: &VolanoConfig, c2s: PipeId, s2c: 
         Box::new(ClientTx {
             c2s,
             left: cfg.messages_per_user as u32,
-            work: cfg.client_send_work,
             think: cfg.think_cycles,
             thought: false,
             spin: YieldSpin::new(cfg.yield_prob),
-            jitter: cfg.jitter,
             tag,
         }),
     );
@@ -412,8 +401,6 @@ pub fn spawn_client_pair(m: &mut Machine, cfg: &VolanoConfig, c2s: PipeId, s2c: 
         Box::new(ClientRx {
             s2c,
             expected: per_user_expected,
-            work: cfg.client_recv_work,
-            jitter: cfg.jitter,
             awaiting: false,
         }),
     );
@@ -443,11 +430,8 @@ pub fn spawn_server_pair(
             c2s,
             outboxes: Arc::clone(outboxes),
             to_read: cfg.messages_per_user as u32,
-            route_work: cfg.server_route_work,
-            fanout_work: cfg.fanout_work,
             monitor: Rc::clone(monitor),
             spins: 0,
-            jitter: cfg.jitter,
             phase: SrvPhase::Reading,
             awaiting: false,
         }),
@@ -458,8 +442,6 @@ pub fn spawn_server_pair(
             outbox,
             s2c,
             expected: per_user_expected,
-            work: cfg.server_send_work,
-            jitter: cfg.jitter,
             forward: None,
             awaiting: false,
             dying: false,
@@ -478,13 +460,11 @@ pub fn build(m: &mut Machine, cfg: &VolanoConfig) {
     m.reserve(cfg.total_threads(), total_pipes(cfg));
     let users = cfg.users_per_room;
     for room in 0..cfg.rooms {
-        let outboxes: Arc<[PipeId]> = (0..users)
-            .map(|_| m.create_pipe(cfg.pipe_capacity))
-            .collect();
+        let outboxes: Arc<[PipeId]> = (0..users).map(|_| m.create_pipe(PIPE_CAPACITY)).collect();
         let monitor = new_room_monitor();
         for user in 0..users {
-            let c2s = m.create_pipe(cfg.pipe_capacity);
-            let s2c = m.create_pipe(cfg.pipe_capacity);
+            let c2s = m.create_pipe(PIPE_CAPACITY);
+            let s2c = m.create_pipe(PIPE_CAPACITY);
             let tag = (room * users + user) as u64;
             spawn_client_pair(m, cfg, c2s, s2c, tag);
             spawn_server_pair(m, cfg, c2s, s2c, outboxes[user], &outboxes, &monitor);

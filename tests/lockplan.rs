@@ -91,7 +91,7 @@ fn per_domain_spin_sums_to_total() {
         ("elsc", None),
         ("mq", None),                         // percpu by declaration
         ("mq", Some(LockPlan::Global)),       // forced back to one lock
-        ("elsc", Some(LockPlan::Sharded(3))), // odd shard count
+        ("elsc", Some(LockPlan::PerNode(3))), // uneven nodes: 3 + 1 CPUs
     ] {
         let r = run_with(11, 4, plan, build(name, 4));
         let by_domain: u64 = r.lock_domains.iter().map(|d| d.spin_cycles).sum();
