@@ -927,7 +927,7 @@ impl Oracle {
 pub fn check_task_invariants(tasks: &TaskTable) -> Vec<String> {
     let mut out = Vec::new();
     for t in tasks.iter() {
-        task_invariants(t, &mut out);
+        task_invariants(tasks, t, &mut out);
     }
     out
 }
@@ -935,14 +935,14 @@ pub fn check_task_invariants(tasks: &TaskTable) -> Vec<String> {
 /// The run-queue invariants of one task: `counter ∈ [0, 2·priority]` and
 /// list-linkage coherence (`in_list() ⇒ on_runqueue()`; a zombie must
 /// never stay linked). Appends one description per violation to `out`.
-/// Reads nothing but `t`, so a task that passed keeps passing until it is
-/// next handed out mutably.
-pub fn task_invariants(t: &Task, out: &mut Vec<String>) {
+/// Reads nothing but `t` (and, for a violation, its name in `tasks`), so
+/// a task that passed keeps passing until it is next handed out mutably.
+pub fn task_invariants(tasks: &TaskTable, t: &Task, out: &mut Vec<String>) {
     if t.counter < 0 || t.counter > 2 * t.priority {
         out.push(format!(
             "task {} '{}': counter {} outside [0, {}]",
             t.tid.index(),
-            t.name,
+            tasks.name(t.tid),
             t.counter,
             2 * t.priority
         ));
@@ -951,14 +951,14 @@ pub fn task_invariants(t: &Task, out: &mut Vec<String>) {
         out.push(format!(
             "task {} '{}': linked into a run-queue list but not marked on-queue",
             t.tid.index(),
-            t.name
+            tasks.name(t.tid)
         ));
     }
     if t.state == elsc_ktask::TaskState::Zombie && t.in_list() {
         out.push(format!(
             "task {} '{}': zombie still linked into a run-queue list",
             t.tid.index(),
-            t.name
+            tasks.name(t.tid)
         ));
     }
 }
@@ -1350,7 +1350,7 @@ mod tests {
                         snap_goodness(&s, s.counter, &flat, cpu, mm),
                         goodness_ignoring_yield_on(&flat, t, cpu, mm),
                         "task {} cpu {cpu} mm {mm:?}",
-                        t.name
+                        tasks.name(t.tid)
                     );
                 }
             }

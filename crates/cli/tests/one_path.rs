@@ -102,12 +102,13 @@ fn a_flag_the_workload_does_not_take_is_refused_by_both_front_ends() {
 /// with one line naming the bad text and exit 1: the `4294967296²` tree
 /// used to wrap to 0 CPUs and panic (101), `1000N1000C1000T` and
 /// `--cpus 100000000000` to abort on a multi-gigabyte allocation (134),
-/// and `--cpus 0` to run silently as 1P. The same holds for a lock plan
-/// with more shards than CPUs and a cluster with more CPUs in total
-/// (both aborted on their allocation), and for a zero-sized workload
-/// (its builder's assert panicked). A spec takes the same checks
-/// (`spec::tests::rejects_malformed_specs`), so the error comes at parse
-/// time, not from a pool worker.
+/// and `--cpus 0` to run silently as 1P. The same holds for a cluster
+/// with more CPUs in total (it aborted on its allocation) and for a
+/// zero-sized workload (its builder's assert panicked). A spec takes the
+/// same checks (`spec::tests::rejects_malformed_specs`), so the error
+/// comes at parse time, not from a pool worker. A per-node lock plan
+/// larger than the machine is no such size: it allocates one domain per
+/// node, so it runs.
 #[test]
 fn cpu_counts_that_overflow_or_cannot_be_allocated_are_rejected() {
     for (args, bad) in [
@@ -122,10 +123,6 @@ fn cpu_counts_that_overflow_or_cannot_be_allocated_are_rejected() {
         ("volano --messages 0", "--messages 0"),
         ("httpd --clients 0", "--clients 0"),
         ("httpd --workers 0", "--workers 0"),
-        (
-            "volano --cpus 2 --lock-plan sharded:99999999999",
-            "sharded:99999999999",
-        ),
         ("cluster --nodes 99999999999", "--nodes 99999999999"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_elsc-sim"))
@@ -146,6 +143,29 @@ fn cpu_counts_that_overflow_or_cannot_be_allocated_are_rejected() {
         err.to_string().contains("4294967296N4294967296C1T"),
         "{err}"
     );
+    let base = std::env::temp_dir().join(format!("elsc-cli-pernode-{}.json", std::process::id()));
+    let base = base.to_str().unwrap();
+    elsc_sim(&[
+        "volano",
+        "--cpus",
+        "2",
+        "--lock-plan",
+        "pernode:99999999999",
+        "--quiet",
+        "--report-json",
+        base,
+    ]);
+    for sched in ["reg", "elsc"] {
+        let path = format!("{base}.{sched}");
+        let json = elsc_lab::jsonv::Value::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let domains = json.get("lock_domains").and_then(|d| d.as_arr());
+        assert_eq!(
+            domains.map(<[_]>::len),
+            Some(1),
+            "{sched}: one node, one domain"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
 }
 
 /// `--trace-out` onto a device that takes no bytes: the report still

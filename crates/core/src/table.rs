@@ -272,10 +272,11 @@ impl ElscTable {
             let mut zero = 0u32;
             for &i in &members {
                 let t = tasks.by_index(i as usize);
+                let name = tasks.name(t.tid);
                 assert_eq!(
                     t.rq_hint as usize, idx,
-                    "{} annotated with list {} but found in {}",
-                    t.name, t.rq_hint, idx
+                    "{name} annotated with list {} but found in {idx}",
+                    t.rq_hint
                 );
                 if t.rq_zero {
                     seen_zero = true;
@@ -283,8 +284,7 @@ impl ElscTable {
                 } else {
                     assert!(
                         !seen_zero,
-                        "usable task {} behind the zero section in list {idx}",
-                        t.name
+                        "usable task {name} behind the zero section in list {idx}"
                     );
                     nonzero += 1;
                 }

@@ -126,9 +126,12 @@ impl Lists {
     /// Links `tid` between two adjacent nodes (`__list_add`).
     fn insert_between(&mut self, tasks: &mut TaskTable, tid: Tid, before: Link, after: Link) {
         let me = Link::Task(tid.index() as u32);
-        let t = tasks.task_mut(tid);
-        debug_assert!(!t.in_list(), "inserting {} while already linked", t.name);
-        t.run_list = ListNode {
+        debug_assert!(
+            !tasks.task(tid).in_list(),
+            "inserting {} while already linked",
+            tasks.name(tid)
+        );
+        tasks.task_mut(tid).run_list = ListNode {
             next: after,
             prev: before,
         };
@@ -302,8 +305,9 @@ impl Lists {
         assert_eq!(fwd, back, "forward and backward walks disagree on list {h}");
         for &i in &fwd {
             let t = tasks.by_index(i as usize);
-            assert!(t.in_list(), "{} linked but prev is NULL", t.name);
-            assert!(t.on_runqueue(), "{} linked but next is NULL", t.name);
+            let name = tasks.name(t.tid);
+            assert!(t.in_list(), "{name} linked but prev is NULL");
+            assert!(t.on_runqueue(), "{name} linked but next is NULL");
         }
     }
 }

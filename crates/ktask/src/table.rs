@@ -10,7 +10,13 @@
 //! The [`Task`] in the slab is the only copy of every scheduling field,
 //! as the kernel's `task_struct` is (paper Table 1). Mutable lookups hand
 //! out a plain `&mut Task`; the run-list scans and the recalculation loop
-//! read and write that record directly.
+//! read and write that record directly. A slot — record plus key — is 64
+//! bytes, one cache line's worth, so a walk over the slab streams one line
+//! per task.
+//!
+//! A task's debug name is not in the record: the table stores each
+//! distinct name once and a two-byte name id per slot beside the slab
+//! ([`name`](TaskTable::name), [`describe`](TaskTable::describe)).
 //!
 //! # The change log
 //!
@@ -47,6 +53,7 @@
 //! slot at most once: one that stops draining — a scheduler swapped out
 //! mid-run — costs at most one entry per slot, and no more slow lookups.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::recalc;
@@ -85,6 +92,12 @@ const fn key_of(gen: u32) -> u64 {
 /// the state bytes and the list links every lookup goes on to touch — at
 /// 100 000 tasks the slab is far larger than the cache, and a key at the
 /// front of the slot would cost most lookups a second line.
+///
+/// Not `align(64)`: an over-aligned slab is allocated through
+/// `posix_memalign`, whose alignment slack fragments the heap when a
+/// process builds and drops large tables in turn, so the peak RSS of such
+/// a process moved by a whole slab with the length of an unrelated string
+/// allocated at start-up (DESIGN.md §14).
 #[derive(Debug)]
 #[repr(C)]
 struct Slot {
@@ -92,9 +105,9 @@ struct Slot {
     key: u64,
 }
 
-// The slab stride every scan and walk streams: the 72-byte record plus
-// its key.
-const _: () = assert!(core::mem::size_of::<Slot>() <= 80);
+// The slab stride every scan and walk streams: the 56-byte record plus
+// its key, a cache line's worth.
+const _: () = assert!(core::mem::size_of::<Slot>() == 64);
 
 impl Slot {
     #[inline]
@@ -121,6 +134,14 @@ pub struct LogReader {
 #[derive(Debug)]
 pub struct TaskTable {
     slots: Vec<Slot>,
+    /// Per slot, the id of its tenant's name in `names` (a freed slot
+    /// keeps its corpse's).
+    slot_names: Vec<u16>,
+    /// Every distinct task name, once, in first-spawn order.
+    names: Vec<&'static str>,
+    /// Each name's id in `names`, so a repeated name is found without a
+    /// search.
+    name_ids: HashMap<&'static str, u16>,
     free: Vec<u32>,
     live: usize,
     spawned: u64,
@@ -140,6 +161,9 @@ impl Default for TaskTable {
     fn default() -> Self {
         TaskTable {
             slots: Vec::new(),
+            slot_names: Vec::new(),
+            names: Vec::new(),
+            name_ids: HashMap::new(),
             free: Vec::new(),
             live: 0,
             spawned: 0,
@@ -160,18 +184,34 @@ impl TaskTable {
     /// again. A capacity hint only: it spawns nothing.
     pub fn reserve(&mut self, additional: usize) {
         self.slots.reserve_exact(additional);
+        self.slot_names.reserve_exact(additional);
+    }
+
+    /// The id of `name` in `names`, storing it on its first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 65 536 distinct names.
+    fn intern(&mut self, name: &'static str) -> u16 {
+        *self.name_ids.entry(name).or_insert_with(|| {
+            let id = u16::try_from(self.names.len()).expect("more than 65536 task names");
+            self.names.push(name);
+            id
+        })
     }
 
     /// Creates a new task from `spec` and returns its handle.
     pub fn spawn(&mut self, spec: &TaskSpec) -> Tid {
         self.spawned += 1;
         self.live += 1;
+        let name = self.intern(spec.name);
         if let Some(idx) = self.free.pop() {
             let slot = &mut self.slots[idx as usize];
             debug_assert!(!slot.occupied());
             let tid = Tid::from_raw(idx, slot.generation());
             slot.task = Task::new(tid, spec);
             slot.key &= !EMPTY;
+            self.slot_names[idx as usize] = name;
             self.log_if_armed(idx as usize);
             tid
         } else {
@@ -181,6 +221,7 @@ impl TaskTable {
                 task: Task::new(tid, spec),
                 key: key_of(0),
             });
+            self.slot_names.push(name);
             // Born logged for every reader, hence unarmed.
             self.log_for(self.readers, idx);
             tid
@@ -194,14 +235,15 @@ impl TaskTable {
     /// Panics if the handle is stale or the task is still linked into a
     /// run-queue list (freeing a queued task would leave dangling links).
     pub fn free(&mut self, tid: Tid) {
-        let slot = &mut self.slots[tid.index()];
+        let slot = &self.slots[tid.index()];
         assert_eq!(slot.generation(), tid.generation(), "free of stale {tid:?}");
         assert!(slot.occupied(), "double free of {tid:?}");
         assert!(
             !slot.task.in_list(),
             "freeing {} while still linked into a run queue",
-            slot.task
+            self.describe(tid)
         );
+        let slot = &mut self.slots[tid.index()];
         slot.key = key_of(tid.generation().wrapping_add(1)) | EMPTY | (slot.key & ARMED);
         self.free.push(tid.index() as u32);
         self.live -= 1;
@@ -329,6 +371,36 @@ impl TaskTable {
     pub fn slot(&self, idx: usize) -> Option<&Task> {
         let slot = self.slots.get(idx)?;
         slot.occupied().then_some(&slot.task)
+    }
+
+    /// The debug name `tid` was spawned with ([`TaskSpec::name`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tid` is stale.
+    #[track_caller]
+    pub fn name(&self, tid: Tid) -> &'static str {
+        self.task(tid);
+        self.names[self.slot_names[tid.index()] as usize]
+    }
+
+    /// One line about a live task for messages and panics:
+    /// `NAME[INDEX] STATE cnt=COUNTER pri=PRIORITY`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tid` is stale.
+    #[track_caller]
+    pub fn describe(&self, tid: Tid) -> String {
+        let t = self.task(tid);
+        format!(
+            "{}[{}] {:?} cnt={} pri={}",
+            self.name(tid),
+            tid,
+            t.state,
+            t.counter,
+            t.priority
+        )
     }
 
     /// Subscribes a new reader to the [change log](self#the-change-log).
@@ -478,8 +550,8 @@ mod tests {
         let a = t.spawn(&TaskSpec::named("a"));
         let b = t.spawn(&TaskSpec::named("b"));
         assert_eq!(t.len(), 2);
-        assert_eq!(t.task(a).name, "a");
-        assert_eq!(t.task(b).name, "b");
+        assert_eq!(t.name(a), "a");
+        assert_eq!(t.name(b), "b");
         assert_eq!(t.task(a).tid, a);
     }
 
@@ -543,7 +615,7 @@ mod tests {
         let b = t.spawn(&TaskSpec::named("b"));
         let _c = t.spawn(&TaskSpec::named("c"));
         t.free(b);
-        let names: Vec<_> = t.iter().map(|x| x.name).collect();
+        let names: Vec<_> = t.iter().map(|x| t.name(x.tid)).collect();
         assert_eq!(names, vec!["a", "c"]);
         assert_eq!(t.tids().len(), 2);
     }
@@ -697,9 +769,39 @@ mod tests {
         t.free(gone);
         assert_eq!(drained(&mut t, &r), [0, 1], "each slot once");
         assert_eq!(t.slot(0).map(|task| task.tid), Some(new));
-        assert_eq!(t.slot(0).map(|task| task.name), Some("new"));
+        assert_eq!(t.slot(0).map(|task| t.name(task.tid)), Some("new"));
         assert!(t.slot(1).is_none(), "a freed slot is reported, and empty");
         assert!(t.slot(99).is_none(), "past the slab");
+    }
+
+    #[test]
+    fn names_are_stored_once_and_follow_the_slot_tenant() {
+        let mut t = TaskTable::new();
+        let first = t.spawn(&TaskSpec::named("server"));
+        for i in 0..100 {
+            t.spawn(&TaskSpec::named(if i % 2 == 0 {
+                "client"
+            } else {
+                "server"
+            }));
+        }
+        assert_eq!(t.names, ["server", "client"], "each distinct name once");
+        // The same text at another address is the same name.
+        let copy: &'static str = String::from("client").leak();
+        let c = t.spawn(&TaskSpec::named(copy));
+        assert_eq!((t.names.len(), t.name(c)), (2, "client"));
+        // A freed slot spawned again reports its new tenant's name.
+        t.free(first);
+        let sleeper = t.spawn(&TaskSpec::named("sleeper").priority(15));
+        assert_eq!(sleeper.index(), first.index(), "slot should be reused");
+        assert_eq!(t.name(sleeper), "sleeper");
+        assert_eq!(t.names, ["server", "client", "sleeper"]);
+        // `describe` is the text `Task`'s `Display` printed:
+        // "{name}[{tid}] {state:?} cnt={counter} pri={priority}".
+        t.task_mut(sleeper).state = TaskState::Interruptible;
+        t.task_mut(sleeper).counter = 7;
+        assert_eq!(t.describe(sleeper), "sleeper[0] Interruptible cnt=7 pri=15");
+        assert_eq!(t.describe(c), "client[101] Running cnt=20 pri=20");
     }
 
     /// Two readers drain at random, independent points of a random

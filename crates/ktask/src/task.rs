@@ -1,8 +1,6 @@
 //! The task structure: the scheduling-relevant fields of Linux 2.3.99's
 //! `struct task_struct` (paper Table 1).
 
-use core::fmt;
-
 use crate::list::ListNode;
 use crate::tid::Tid;
 use crate::{DEF_PRIORITY, MAX_PRIORITY, MAX_RT_PRIORITY, MIN_PRIORITY};
@@ -198,14 +196,14 @@ pub struct Task {
     /// Scheduler-private annotation: whether the task was inserted into
     /// the zero-counter section of its list (ELSC only).
     pub rq_zero: bool,
-    /// Debug name.
-    pub name: &'static str,
 }
 
 // The run-list scans read one whole record per candidate, so a field added
 // to `Task` is a field added to every scan's working set; the mega reg
 // cells (thousands of tasks examined per call) are where it would show.
-const _: () = assert!(core::mem::size_of::<Task>() <= 72);
+// With the table's 8-byte slot key this fills one 64-byte cache line; the
+// debug name lives in the table (`TaskTable::name`).
+const _: () = assert!(core::mem::size_of::<Task>() <= 56);
 
 impl Task {
     /// Creates a fresh runnable task from a spec.
@@ -231,7 +229,6 @@ impl Task {
             processor: 0,
             rq_hint: 0,
             rq_zero: false,
-            name: spec.name,
         }
     }
 
@@ -259,16 +256,6 @@ impl Task {
     #[inline]
     pub fn static_goodness(&self) -> i32 {
         self.counter + self.priority
-    }
-}
-
-impl fmt::Display for Task {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}[{}] {:?} cnt={} pri={}",
-            self.name, self.tid, self.state, self.counter, self.priority
-        )
     }
 }
 
@@ -341,8 +328,9 @@ mod tests {
 
     #[test]
     fn display_contains_name_and_counters() {
-        let t = Task::new(Tid::from_raw(2, 0), &TaskSpec::named("worker"));
-        let s = t.to_string();
+        let mut tasks = crate::table::TaskTable::new();
+        let tid = tasks.spawn(&TaskSpec::named("worker"));
+        let s = tasks.describe(tid);
         assert!(s.contains("worker"));
         assert!(s.contains("cnt=20"));
     }

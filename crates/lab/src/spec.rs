@@ -596,20 +596,22 @@ mod tests {
             .parse::<SweepSpec>()
             .is_err());
         // Sizes the builders cannot take, named in the one-line error:
-        // zero-sized workloads panicked a pool worker, and the shard and
-        // node counts aborted the sweep on their allocation.
+        // zero-sized workloads panicked a pool worker, and the node count
+        // aborted the sweep on its allocation.
         for (workload, line) in [
             ("volano", "rooms = 0"),
             ("httpd", "clients = 0"),
-            ("volano", "plan = sharded:99999999999"),
             ("cluster", "nodes = 99999999999"),
         ] {
             let err = format!("name = x\nworkload = {workload}\nsched = elsc\n{line}")
                 .parse::<SweepSpec>()
                 .unwrap_err();
-            let bad = line.trim_start_matches("plan = ");
-            assert!(err.contains(bad) && !err.contains('\n'), "{line}: {err}");
+            assert!(err.contains(line) && !err.contains('\n'), "{line}: {err}");
         }
+        // A per-node plan larger than the machine allocates one domain
+        // per node, so it is no such size.
+        let big = "name = x\nworkload = volano\nsched = elsc\nplan = pernode:99999999999";
+        assert!(big.parse::<SweepSpec>().is_ok());
         // Grids past MAX_CELLS, refused before anything is allocated:
         // the seed range aborted on an 800 GB allocation, the fault-seed
         // range on a capacity overflow, and an axis product that fits no

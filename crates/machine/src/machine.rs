@@ -75,19 +75,39 @@ pub(crate) struct Pending {
     pub(crate) syscall: Syscall,
 }
 
+/// Where a task stands between two calls of its behaviour: an op in
+/// flight, or what its last syscall completed with, for the next call's
+/// [`SysView`](crate::behavior::SysView) to read. The two never coexist —
+/// a syscall completes only once its op has left flight, and the next
+/// behaviour call takes the completion before the next op enters it — so
+/// they share one field.
+pub(crate) enum Step {
+    /// Nothing in flight and nothing to hand over.
+    Idle,
+    /// An op in flight.
+    Pending(Pending),
+    /// The last syscall was a read that returned this message.
+    Read(Msg),
+    /// The last syscall spawned this task.
+    Spawned(Tid),
+}
+
+/// `TaskRun::woken_at` of a task not woken since it last ran.
+const NOT_WOKEN: Cycles = Cycles::MAX;
+
 // Every task carries a `TaskRun`, so its bytes are paid per simulated
 // task: a `Syscall` is a write's pipe and message (the rare spawn request
-// is boxed), and a `Pending` that syscall plus its cycle count.
+// is boxed), a `Pending` that syscall plus its cycle count, and a `Step`
+// fits in the syscall's spare tag values.
 const _: () = assert!(core::mem::size_of::<Syscall>() <= 24);
 const _: () = assert!(core::mem::size_of::<Pending>() <= 32);
-const _: () = assert!(core::mem::size_of::<TaskRun>() <= 144);
+const _: () = assert!(core::mem::size_of::<Step>() <= 32);
+const _: () = assert!(core::mem::size_of::<Option<TaskRun>>() <= 112);
 
 /// Machine-side per-task state (parallel to the kernel's task struct).
 pub(crate) struct TaskRun {
     pub(crate) behavior: Option<Box<dyn Behavior>>,
-    pub(crate) pending: Option<Pending>,
-    pub(crate) last_read: Option<Msg>,
-    pub(crate) last_spawned: Option<Tid>,
+    pub(crate) step: Step,
     /// Cold-cache cycles to add to the task's next compute segment after
     /// a migration (0 = none pending). Scaled at migration time by the
     /// topological distance crossed; on a flat tree the scale is 1/1, so
@@ -96,8 +116,9 @@ pub(crate) struct TaskRun {
     /// Remaining spin-then-block poll attempts for the current blocking
     /// I/O operation (reset on every successful or parked operation).
     pub(crate) polls_left: u32,
-    /// When the task was last woken, for wakeup-to-dispatch latency.
-    pub(crate) woken_at: Option<Cycles>,
+    /// When the task was last woken, for wakeup-to-dispatch latency
+    /// (`NOT_WOKEN` once dispatched).
+    pub(crate) woken_at: Cycles,
     pub(crate) rng: SimRng,
 }
 
@@ -105,14 +126,59 @@ impl TaskRun {
     fn new(behavior: Option<Box<dyn Behavior>>, polls_left: u32, rng: SimRng) -> TaskRun {
         TaskRun {
             behavior,
-            pending: None,
-            last_read: None,
-            last_spawned: None,
+            step: Step::Idle,
             migrate_penalty: 0,
             polls_left,
-            woken_at: None,
+            woken_at: NOT_WOKEN,
             rng,
         }
+    }
+
+    /// The op in flight, if any.
+    pub(crate) fn pending_mut(&mut self) -> Option<&mut Pending> {
+        match &mut self.step {
+            Step::Pending(p) => Some(p),
+            _ => None,
+        }
+    }
+
+    /// Puts `pending` in flight. The step must be idle: the behaviour
+    /// call that produced the op took any completion first.
+    pub(crate) fn start(&mut self, pending: Pending) {
+        debug_assert!(
+            matches!(self.step, Step::Idle),
+            "an op started over another step"
+        );
+        self.step = Step::Pending(pending);
+    }
+
+    /// Takes the op in flight out of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if none is.
+    pub(crate) fn finish(&mut self) -> Pending {
+        match std::mem::replace(&mut self.step, Step::Idle) {
+            Step::Pending(p) => p,
+            _ => panic!("no op in flight"),
+        }
+    }
+
+    /// Takes the last syscall's completion as `SysView`'s `(last_read,
+    /// last_spawned)`.
+    pub(crate) fn take_completion(&mut self) -> (Option<Msg>, Option<Tid>) {
+        match std::mem::replace(&mut self.step, Step::Idle) {
+            Step::Idle => (None, None),
+            Step::Read(msg) => (Some(msg), None),
+            Step::Spawned(child) => (None, Some(child)),
+            Step::Pending(_) => panic!("a behaviour called with an op in flight"),
+        }
+    }
+
+    /// When the task was woken, if it was since it last ran; clears it.
+    pub(crate) fn take_woken_at(&mut self) -> Option<Cycles> {
+        let at = std::mem::replace(&mut self.woken_at, NOT_WOKEN);
+        (at != NOT_WOKEN).then_some(at)
     }
 }
 

@@ -161,7 +161,7 @@ impl TaskWatch {
         self.pending.retain(|idx| {
             let before = out.len();
             if let Some(t) = tasks.slot(idx) {
-                task_invariants(t, out);
+                task_invariants(tasks, t, out);
             }
             out.len() > before
         });

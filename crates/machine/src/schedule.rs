@@ -120,7 +120,7 @@ impl Machine {
             return;
         }
         let remaining = self.cpus[cpu].busy_until.saturating_sub(self.now).get();
-        if let Some(p) = self.run_mut(cur).pending.as_mut() {
+        if let Some(p) = self.run_mut(cur).pending_mut() {
             if p.remaining > 0 {
                 p.remaining = remaining.max(1);
             }
@@ -135,7 +135,7 @@ impl Machine {
         if cur == self.cpus[cpu].idle {
             return;
         }
-        if let Some(p) = self.run_mut(cur).pending.as_mut() {
+        if let Some(p) = self.run_mut(cur).pending_mut() {
             p.remaining = 0;
         }
         self.drive(cpu, Drive::RunCurrent(self.now));
@@ -390,7 +390,7 @@ impl Machine {
                 self.topo_migrations[bucket] += 1;
             }
         }
-        if let Some(w) = self.run_mut(next).woken_at.take() {
+        if let Some(w) = self.run_mut(next).take_woken_at() {
             self.dists
                 .record("wake_latency", t2.saturating_sub(w).get());
         }

@@ -12,7 +12,7 @@ use elsc_simcore::{CostKind, Cycles};
 
 use crate::behavior::{Op, SysView, Syscall};
 use crate::engine::Event;
-use crate::machine::{Machine, Pending};
+use crate::machine::{Machine, Pending, Step};
 
 /// What a completed syscall means for the CPU that ran it.
 enum SchedulingEvent {
@@ -34,16 +34,18 @@ impl Machine {
             }
             let cur = self.cpus[cpu].current;
             debug_assert_ne!(cur, self.cpus[cpu].idle, "running the idle task");
-            if self.run_ref(cur).pending.is_none() {
+            if !matches!(self.run_ref(cur).step, Step::Pending(_)) {
                 let op = self.call_behavior(cur, t);
-                self.run_mut(cur).pending = Some(Pending {
+                self.run_mut(cur).start(Pending {
                     remaining: op.compute.max(1),
                     syscall: op.then,
                 });
             }
             // Dispatch the compute segment if any cycles remain.
             let run = self.run_mut(cur);
-            let pending = run.pending.as_mut().expect("pending");
+            let Step::Pending(pending) = &mut run.step else {
+                unreachable!("an op was just put in flight")
+            };
             if pending.remaining > 0 {
                 // Cold caches after migrating: the first segment runs
                 // longer (paper: the 15-point bonus exists to avoid
@@ -58,7 +60,7 @@ impl Machine {
                 return None;
             }
             // Segment complete: perform the syscall.
-            let Pending { syscall, .. } = run.pending.take().expect("pending");
+            let Pending { syscall, .. } = run.finish();
             match self.handle_syscall(cpu, cur, syscall, t) {
                 SchedulingEvent::Continue(at) => t = at,
                 SchedulingEvent::Reschedule(at) => return Some(at),
@@ -83,7 +85,7 @@ impl Machine {
 
     /// Re-arms `syscall` so it is retried when `cur` next runs.
     fn retry(&mut self, cur: Tid, syscall: Syscall) {
-        self.run_mut(cur).pending = Some(Pending {
+        self.run_mut(cur).start(Pending {
             remaining: 0,
             syscall,
         });
@@ -145,7 +147,7 @@ impl Machine {
                         self.pipes.pipe_mut(pipe).readers.unpark(cur);
                         let polls = self.cfg.io_poll_yields;
                         let run = self.run_mut(cur);
-                        run.last_read = Some(msg);
+                        run.step = Step::Read(msg);
                         run.polls_left = polls;
                         Continue(self.wake_all(waker, cpu, t))
                     }
@@ -155,8 +157,8 @@ impl Machine {
                         Reschedule(t)
                     }
                     Err(PipeError::Closed) => {
+                        // EOF: the next `SysView` reads no message.
                         self.pipes.pipe_mut(pipe).readers.unpark(cur);
-                        self.run_mut(cur).last_read = None;
                         Continue(t)
                     }
                 }
@@ -223,7 +225,7 @@ impl Machine {
                 let t = self.enter_syscall(cpu, t, Some(CostKind::Fork));
                 let child = self.spawn_inner(&req.spec, req.behavior);
                 let t = self.make_runnable(child, cpu, t);
-                self.run_mut(cur).last_spawned = Some(child);
+                self.run_mut(cur).step = Step::Spawned(child);
                 Continue(t)
             }
         }
@@ -258,11 +260,12 @@ impl Machine {
             .expect("idle task has no behavior to run");
         let op = {
             let run = self.runs[idx].as_mut().expect("no run state");
+            let (last_read, last_spawned) = run.take_completion();
             let mut sys = SysView {
                 tid,
                 now,
-                last_read: run.last_read.take(),
-                last_spawned: run.last_spawned.take(),
+                last_read,
+                last_spawned,
                 rng: &mut run.rng,
                 ledger: &mut self.ledger,
                 dists: &mut self.dists,

@@ -29,7 +29,7 @@ impl Machine {
             },
         );
         self.stats.cpu_mut(waker_cpu).wakeups += 1;
-        self.run_mut(tid).woken_at = Some(t);
+        self.run_mut(tid).woken_at = t;
         self.make_runnable(tid, waker_cpu, t)
     }
 

@@ -59,15 +59,14 @@ pub enum PipeError {
 /// wait queues of blocked readers and writers.
 #[derive(Debug)]
 pub struct Pipe {
-    capacity: usize,
     queue: VecDeque<Msg>,
     /// Tasks blocked in `read()`.
     pub readers: WaitQueue,
     /// Tasks blocked in `write()`.
     pub writers: WaitQueue,
-    closed: bool,
-    total_written: u64,
     total_read: u64,
+    capacity: u32,
+    closed: bool,
     /// Whether the table's change log follows this pipe.
     watched: bool,
     /// Watched, and not logged since it was last armed.
@@ -76,8 +75,11 @@ pub struct Pipe {
     token: u32,
 }
 
-// The change-log fields live in what used to be padding.
-const _: () = assert!(core::mem::size_of::<Pipe>() <= 128);
+// A large machine has tens of thousands of pipes. Each wait queue holds
+// one waiter inline, the capacity is a `u32`, the lifetime write count is
+// derived (`total_read + len`), and the change-log fields share the
+// capacity's word.
+const _: () = assert!(core::mem::size_of::<Pipe>() <= 88);
 
 impl Pipe {
     /// Creates a pipe holding at most `capacity` messages. The queue
@@ -92,13 +94,14 @@ impl Pipe {
     pub fn new(capacity: usize) -> Pipe {
         assert!(capacity > 0, "pipe capacity must be positive");
         Pipe {
-            capacity,
             queue: VecDeque::new(),
             readers: WaitQueue::new(),
             writers: WaitQueue::new(),
-            closed: false,
-            total_written: 0,
             total_read: 0,
+            // No queue reaches 2^32 messages (64 GiB of them), so a larger
+            // capacity behaves as this one.
+            capacity: u32::try_from(capacity).unwrap_or(u32::MAX),
+            closed: false,
             watched: false,
             armed: false,
             token: 0,
@@ -111,11 +114,10 @@ impl Pipe {
         if self.closed {
             return Err(PipeError::Closed);
         }
-        if self.queue.len() >= self.capacity {
+        if self.is_full() {
             return Err(PipeError::WouldBlock);
         }
         self.queue.push_back(msg);
-        self.total_written += 1;
         Ok(self.readers.wake_one())
     }
 
@@ -149,7 +151,6 @@ impl Pipe {
             return Err(PipeError::Closed);
         }
         self.queue.push_back(msg);
-        self.total_written += 1;
         Ok(self.readers.wake_one())
     }
 
@@ -175,7 +176,7 @@ impl Pipe {
 
     /// Whether the queue is at capacity.
     pub fn is_full(&self) -> bool {
-        self.queue.len() >= self.capacity
+        self.queue.len() >= self.capacity as usize
     }
 
     /// Whether the pipe has been closed.
@@ -183,9 +184,10 @@ impl Pipe {
         self.closed
     }
 
-    /// Lifetime messages written.
+    /// Lifetime messages written: every one was read or is still queued
+    /// (nothing else takes a message out).
     pub fn total_written(&self) -> u64 {
-        self.total_written
+        self.total_read + self.queue.len() as u64
     }
 
     /// Lifetime messages read.

@@ -783,7 +783,7 @@ mod tests {
             }
             let idle = rig.idle(0);
             let next = rig.schedule(0, idle);
-            rig.tasks.task(next).name
+            rig.tasks.name(next)
         }
         assert_eq!(decide(LinuxScheduler::new()), "near");
         assert_eq!(decide(policy(REG_POL, 4)), "near");

@@ -247,9 +247,10 @@ impl<D: Design> Scheduler for SortedQueue<D> {
         for (slot, f) in self.filed.iter().enumerate() {
             let Some((home, m)) = *f else { continue };
             let t = tasks.by_index(slot);
-            assert!(t.on_runqueue() && !t.in_list(), "{} unmarked", t.name);
-            assert_eq!(home, (t.processor, t.mm), "{} in the wrong set", t.name);
-            assert_eq!(m.goodness(), static_key(t), "stale key for {}", t.name);
+            let name = tasks.name(t.tid);
+            assert!(t.on_runqueue() && !t.in_list(), "{name} unmarked");
+            assert_eq!(home, (t.processor, t.mm), "{name} in the wrong set");
+            assert_eq!(m.goodness(), static_key(t), "stale key for {name}");
         }
     }
 }

@@ -227,7 +227,12 @@ impl Scheduler for AffinityHeapScheduler {
             assert!(!heap.is_empty(), "empty heap retained for {heap_id:?}");
             for (&key, &tid) in heap {
                 let t = tasks.task(tid);
-                assert_eq!((t.processor, t.mm), heap_id, "{} in the wrong heap", t.name);
+                assert_eq!(
+                    (t.processor, t.mm),
+                    heap_id,
+                    "{} in the wrong heap",
+                    tasks.name(tid)
+                );
                 assert_eq!(key.0, static_key(t), "stale key for {tid:?}");
                 assert_eq!(self.index.get(&tid), Some(&(heap_id, key)));
             }
